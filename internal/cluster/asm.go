@@ -2,50 +2,22 @@
 // program coordinator-side (malformed JSON or an oversized listing never
 // costs a backend round-trip), then routes it by rendezvous-hashing the
 // source hash — repeat submissions of the same listing land on the backend
-// whose compiled-program cache already holds it. Assembly errors stay a
-// backend concern: the listing is only parsed where it runs, and the
-// backend's 400 (with line/column) is relayed verbatim.
+// whose compiled-program cache already holds it. The listing is parsed
+// once per distinct body: the front door (frontdoor.go) memoizes the keys
+// by body digest, so a warm repeat skips both the JSON decode of the whole
+// listing and its source hash (counted in /metrics as body_memo_hits).
+// Assembly errors stay a backend concern: the listing is only assembled
+// where it runs, and the backend's 400 (with line/column) is relayed
+// verbatim.
 package cluster
 
-import (
-	"errors"
-	"fmt"
-	"io"
-	"net/http"
+import "mmxdsp/internal/server"
 
-	"mmxdsp/internal/server"
-)
-
-func (c *Coordinator) handleAsm(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
-	if c.draining.Load() {
-		c.shed(w, errors.New("coordinator is draining"))
-		return
-	}
-	// The JSON envelope is larger than the listing it carries (escaping,
-	// field names), so the body cap leaves headroom over the source cap.
-	limit := int64(2*c.cfg.MaxSourceBytes) + 1<<20
-	body, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
-		return
-	}
-	if int64(len(body)) > limit {
-		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", limit))
-		return
-	}
+// asmKeys keys a /asm body under the coordinator's source cap.
+func (c *Coordinator) asmKeys(body []byte) (requestKeys, error) {
 	req, err := server.ParseAsmRequest(body, c.cfg.MaxSourceBytes)
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, server.ErrSourceTooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, status, err)
-		return
+		return requestKeys{}, err
 	}
-	c.metrics.asmRequests.Add(1)
-	c.routeCached(w, r, req.CacheKey(), req.ResultKey(), callFor(w, r, "/asm", body))
+	return requestKeys{req.CacheKey(), req.ResultKey()}, nil
 }

@@ -13,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -41,9 +40,9 @@ func (c *Coordinator) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		c.shed(w, errors.New("coordinator is draining"))
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	body, err := server.ReadBody(r, server.MaxRequestBody)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, server.RequestErrorStatus(err), err)
 		return
 	}
 	spec, points, err := campaign.ParseSpec(body, c.campaignLimits())

@@ -157,6 +157,7 @@ type Coordinator struct {
 	cfg      Config
 	backends []*backend
 	results  *server.ResultCache // nil when result caching is disabled
+	memo     *bodyMemo           // parsed /run and /asm keys; nil with results
 	metrics  *fleetMetrics
 	mux      *http.ServeMux
 
@@ -195,6 +196,7 @@ func New(cfg Config) (*Coordinator, error) {
 	c.campaignCtx, c.campaignCancel = context.WithCancel(context.Background())
 	if cfg.ResultCacheEntries > 0 {
 		c.results = server.NewResultCache(cfg.ResultCacheEntries, "")
+		c.memo = newBodyMemo(cfg.ResultCacheEntries)
 	}
 	seen := map[string]bool{}
 	for _, raw := range cfg.Backends {
@@ -210,8 +212,8 @@ func New(cfg Config) (*Coordinator, error) {
 		c.backends = append(c.backends, newBackend(base))
 	}
 	c.mux = http.NewServeMux()
-	c.mux.HandleFunc("/run", c.handleRun)
-	c.mux.HandleFunc("/asm", c.handleAsm)
+	c.mux.Handle("/run", c.frontDoor("/run", server.MaxRequestBody, parseRunKeys, &c.metrics.requests))
+	c.mux.Handle("/asm", c.frontDoor("/asm", server.AsmBodyLimit(cfg.MaxSourceBytes), c.asmKeys, &c.metrics.asmRequests))
 	c.mux.HandleFunc("/suite", c.handleSuite)
 	c.mux.HandleFunc("/campaign", c.handleCampaign)
 	c.mux.HandleFunc("/campaign/", c.handleCampaignID)

@@ -26,10 +26,11 @@ type fakeBackend struct {
 	runDelay atomic.Int64 // nanoseconds
 	run429   atomic.Bool
 	runs     atomic.Int64
+	asmRuns  atomic.Int64
 	lastID   atomic.Value // last X-Request-ID seen on /run
 }
 
-func newFakeBackend(t *testing.T) *fakeBackend {
+func newFakeBackend(t testing.TB) *fakeBackend {
 	t.Helper()
 	f := &fakeBackend{}
 	f.healthy.Store(true)
@@ -74,6 +75,12 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, `{"program":%q,"served_by":%q,"report":{"Name":%q,"Cycles":42}}`,
 			req.Program, f.ts.URL, req.Program)
+	})
+	mux.HandleFunc("/asm", func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		f.asmRuns.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprintf(w, `{"program":"asm","body_bytes":%d,"report":{"Cycles":42}}`, len(body))
 	})
 	f.ts = httptest.NewServer(mux)
 	t.Cleanup(f.ts.Close)

@@ -1,7 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
@@ -52,6 +56,50 @@ func FuzzParseSuiteRequest(f *testing.F) {
 			}
 			if len(shard) > n {
 				t.Fatalf("shard of %d names from a %d-name registry", len(shard), n)
+			}
+		}
+	})
+}
+
+// FuzzCoordinatorFrontDoor posts every input twice to /run and to /asm on
+// a coordinator over a stub backend. The repeat of a body the coordinator
+// accepted is keyed from the body memo, the repeat of one it rejected is
+// parsed again; either way it must answer the same status and bytes as
+// the first post.
+func FuzzCoordinatorFrontDoor(f *testing.F) {
+	f.Add([]byte(firBody))
+	f.Add([]byte(`{"program":"fir.mmx","config":{"emms_latency":0}}`))
+	f.Add([]byte(`{"source":"halt\n","name":"h"}`))
+	f.Add([]byte(`{"source":"` + strings.Repeat("n", 300) + `"}`))
+	f.Add([]byte(`{"program":"fir.mmx","dispatch":"warp"}`))
+	f.Add([]byte(`{"program":"fir.mmx"} {}`))
+	f.Add([]byte(`not json`))
+	f.Add([]byte(``))
+
+	backend := newFakeBackend(f)
+	c, err := New(Config{
+		Backends:           []string{backend.ts.URL},
+		ResultCacheEntries: 16,
+		MaxSourceBytes:     256, // small enough for the fuzzer to reach 413
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(c.Stop)
+	c.ProbeAll()
+	h := c.Handler()
+	post := func(path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		return rec
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, path := range []string{"/run", "/asm"} {
+			first, second := post(path, data), post(path, data)
+			if first.Code != second.Code || !bytes.Equal(first.Body.Bytes(), second.Body.Bytes()) {
+				t.Fatalf("%s %q: first %d %q, repeat %d %q", path, data,
+					first.Code, first.Body.Bytes(), second.Code, second.Body.Bytes())
 			}
 		}
 	})

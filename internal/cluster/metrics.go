@@ -32,6 +32,7 @@ type fleetMetrics struct {
 	resultHits      expvar.Int // result-cache hits (no backend round-trip)
 	resultMisses    expvar.Int // result-cache misses (routed to a backend)
 	resultCoalesced expvar.Int // requests that waited on an identical in-flight miss
+	bodyMemoHits    expvar.Int // /run and /asm bodies keyed without re-parsing
 
 	// Campaign accounting: campaigns created, points settled by outcome,
 	// and a dedicated latency window for per-point wall times (points are
@@ -105,6 +106,10 @@ type FleetMetrics struct {
 	ResultMisses    int64   `json:"result_cache_misses"`
 	ResultCoalesced int64   `json:"result_cache_coalesced"`
 	ResultHitRate   float64 `json:"result_cache_hit_rate"`
+	// BodyMemoHits counts /run and /asm requests keyed from the front
+	// door's memo instead of a fresh parse (zero when result caching is
+	// off).
+	BodyMemoHits int64 `json:"body_memo_hits"`
 
 	// Campaign accounting. JSON names match the daemon tier so tooling
 	// extracts both the same way.
@@ -155,6 +160,7 @@ func (c *Coordinator) Snapshot() FleetMetrics {
 		ResultMisses:    misses,
 		ResultCoalesced: coalesced,
 		ResultHitRate:   hitRate,
+		BodyMemoHits:    m.bodyMemoHits.Value(),
 
 		CampaignsActive:        int64(c.campaigns.Active()),
 		CampaignsTotal:         m.campaignsTotal.Value(),

@@ -1,5 +1,8 @@
-// The /run data path: parse and key the request, pick the attempt order
-// (affinity first, least-loaded on saturation), then attempt with bounded
+// The /run data path. The front door (frontdoor.go) reads the body once
+// and parses each distinct body once: a repeat of the same bytes reuses the
+// memoized keys (counted in /metrics as body_memo_hits) and goes straight
+// to the result cache. A result-cache miss picks the attempt order
+// (affinity first, least-loaded on saturation), then attempts with bounded
 // jittered retries on connection errors and backend 429s, optionally
 // hedging the first attempt. Backend responses are read fully before being
 // relayed, so retries and hedges never entangle two response streams, and
@@ -82,30 +85,15 @@ func (c *Coordinator) shed(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusServiceUnavailable, err)
 }
 
-func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
-	if c.draining.Load() {
-		c.shed(w, errors.New("coordinator is draining"))
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
-		return
-	}
-	// Validate and key coordinator-side: malformed requests never cost a
-	// backend round-trip, and the affinity key is the backends' cache key
-	// by construction.
+// parseRunKeys keys a /run body: validated coordinator-side, so malformed
+// requests never cost a backend round-trip, and the affinity key is the
+// backends' compiled-cache key by construction.
+func parseRunKeys(body []byte) (requestKeys, error) {
 	req, err := server.ParseRunRequest(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return requestKeys{}, err
 	}
-	c.metrics.requests.Add(1)
-	c.routeCached(w, r, req.CacheKey(), req.ResultKey(), callFor(w, r, "/run", body))
+	return requestKeys{req.CacheKey(), req.ResultKey()}, nil
 }
 
 // routeCached serves one keyed request through the coordinator result

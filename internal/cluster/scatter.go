@@ -14,7 +14,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -62,9 +61,9 @@ func (c *Coordinator) handleSuite(w http.ResponseWriter, r *http.Request) {
 		c.shed(w, errors.New("coordinator is draining"))
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	body, err := server.ReadBody(r, server.MaxRequestBody)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
+		writeError(w, server.RequestErrorStatus(err), err)
 		return
 	}
 	req, err := parseSuiteRequest(body)

@@ -25,7 +25,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -46,8 +45,8 @@ const (
 	DefaultAsmMaxInstrs = 1 << 31
 )
 
-// ErrSourceTooLarge marks an oversized submission; handleAsm maps it to
-// 413 rather than the generic 400.
+// ErrSourceTooLarge marks an oversized submission; RequestErrorStatus maps
+// it to 413 rather than the generic 400.
 var ErrSourceTooLarge = errors.New("source listing too large")
 
 // AsmRequest is the JSON body of POST /asm.
@@ -105,8 +104,8 @@ func ParseAsmRequest(data []byte, maxSourceBytes int) (*AsmRequest, error) {
 	if maxSourceBytes <= 0 {
 		maxSourceBytes = DefaultMaxSourceBytes
 	}
-	if len(data) > asmBodyLimit(maxSourceBytes) {
-		return nil, fmt.Errorf("%w: request body exceeds %d bytes", ErrSourceTooLarge, asmBodyLimit(maxSourceBytes))
+	if len(data) > AsmBodyLimit(maxSourceBytes) {
+		return nil, fmt.Errorf("%w: request body exceeds %d bytes", ErrSourceTooLarge, AsmBodyLimit(maxSourceBytes))
 	}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -134,10 +133,11 @@ func ParseAsmRequest(data []byte, maxSourceBytes int) (*AsmRequest, error) {
 	return &req, nil
 }
 
-// asmBodyLimit bounds the whole /asm request body: the source cap, doubled
-// for worst-case JSON string escaping, plus slack for the other fields.
-func asmBodyLimit(maxSourceBytes int) int {
-	return 2*maxSourceBytes + maxRequestBody
+// AsmBodyLimit bounds the whole /asm request body on both tiers: the
+// source cap, doubled for worst-case JSON string escaping, plus slack for
+// the other fields.
+func AsmBodyLimit(maxSourceBytes int) int {
+	return 2*maxSourceBytes + MaxRequestBody
 }
 
 // progName is the internal program identity: source-hash-derived, so
@@ -213,14 +213,14 @@ func (s *Server) handleAsm(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, errors.New("server is draining"))
 		return
 	}
-	body, err := readAsmBody(r.Body, s.cfg.MaxSourceBytes)
+	body, err := ReadBody(r, AsmBodyLimit(s.cfg.MaxSourceBytes))
 	if err != nil {
-		writeAsmError(w, err)
+		writeError(w, RequestErrorStatus(err), err)
 		return
 	}
 	req, err := ParseAsmRequest(body, s.cfg.MaxSourceBytes)
 	if err != nil {
-		writeAsmError(w, err)
+		writeError(w, RequestErrorStatus(err), err)
 		return
 	}
 	req.priority = parsePriority(r.Header.Get(PriorityHeader))
@@ -273,33 +273,6 @@ func (s *Server) writeQuotaError(w http.ResponseWriter, err error) {
 		w.Header().Set("Retry-After", retryAfterSeconds(qe.RetryAfter))
 	}
 	writeError(w, http.StatusTooManyRequests, err)
-}
-
-// writeAsmError maps body/parse failures: oversized source to 413,
-// anything else to 400.
-func writeAsmError(w http.ResponseWriter, err error) {
-	if errors.Is(err, ErrSourceTooLarge) {
-		writeError(w, http.StatusRequestEntityTooLarge, err)
-		return
-	}
-	writeError(w, http.StatusBadRequest, err)
-}
-
-// readAsmBody drains a /asm request body under the (escaping-adjusted)
-// source size cap; overflow wraps ErrSourceTooLarge for the 413 path.
-func readAsmBody(body io.Reader, maxSourceBytes int) ([]byte, error) {
-	if maxSourceBytes <= 0 {
-		maxSourceBytes = DefaultMaxSourceBytes
-	}
-	limit := asmBodyLimit(maxSourceBytes)
-	data, err := io.ReadAll(io.LimitReader(body, int64(limit)+1))
-	if err != nil {
-		return nil, fmt.Errorf("reading request body: %w", err)
-	}
-	if len(data) > limit {
-		return nil, fmt.Errorf("%w: request body exceeds %d bytes", ErrSourceTooLarge, limit)
-	}
-	return data, nil
 }
 
 // asmResult answers one validated /asm through the result cache, exactly

@@ -128,9 +128,9 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, errors.New("server is draining"))
 		return
 	}
-	body, err := readRequestBody(r.Body)
+	body, err := ReadBody(r, MaxRequestBody)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, RequestErrorStatus(err), err)
 		return
 	}
 	spec, points, err := campaign.ParseSpec(body, s.campaignLimits())

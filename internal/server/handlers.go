@@ -136,9 +136,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, errors.New("server is draining"))
 		return
 	}
-	body, err := readRequestBody(r.Body)
+	body, err := ReadBody(r, MaxRequestBody)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, RequestErrorStatus(err), err)
 		return
 	}
 	req, err := ParseRunRequest(body)

@@ -8,17 +8,24 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"time"
 
 	"mmxdsp/internal/core"
 	"mmxdsp/internal/pentium"
 )
 
-// maxRequestBody bounds the /run request body; the largest legitimate
-// request is a few hundred bytes of JSON.
-const maxRequestBody = 1 << 20
+// MaxRequestBody bounds the /run, /campaign and /suite request bodies on
+// both tiers; the largest legitimate request is a few KB of JSON.
+const MaxRequestBody = 1 << 20
+
+// ErrBodyTooLarge marks a request body over its endpoint's cap. Every
+// handler on both tiers maps it (and ErrSourceTooLarge) to 413 via
+// RequestErrorStatus.
+var ErrBodyTooLarge = errors.New("request body too large")
 
 // ConfigOverride is the request-level view of pentium.Config plus the
 // cache-model ablation. Zero values select the documented defaults, and
@@ -103,8 +110,8 @@ type RunRequest struct {
 // the caller's concern (it needs the registry); everything syntactic and
 // range-checked lives here.
 func ParseRunRequest(data []byte) (*RunRequest, error) {
-	if len(data) > maxRequestBody {
-		return nil, fmt.Errorf("request body exceeds %d bytes", maxRequestBody)
+	if len(data) > MaxRequestBody {
+		return nil, fmt.Errorf("request body exceeds %d bytes", MaxRequestBody)
 	}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -240,14 +247,44 @@ func (r *RunRequest) timeout(def time.Duration) time.Duration {
 	return def
 }
 
-// readRequestBody drains a request body under the size cap.
-func readRequestBody(body io.Reader) ([]byte, error) {
-	data, err := io.ReadAll(io.LimitReader(body, maxRequestBody+1))
-	if err != nil {
-		return nil, fmt.Errorf("reading request body: %w", err)
+// ReadBody drains r's body under limit bytes: the one body reader of both
+// tiers. A Content-Length within the limit sizes the buffer up front, so a
+// large listing is read into a single allocation instead of regrowing as
+// it arrives; an absent or out-of-range Content-Length falls back to
+// growing from 512 bytes. Reading stops at limit+1 bytes, and a body that
+// reaches it answers an error wrapping ErrBodyTooLarge — never a silently
+// truncated prefix. A body shorter than its Content-Length is a read error.
+func ReadBody(r *http.Request, limit int) ([]byte, error) {
+	size := 512
+	if cl := r.ContentLength; cl > 0 && cl <= int64(limit) {
+		size = int(cl) + 1 // the read that reports EOF needs room too
 	}
-	if len(data) > maxRequestBody {
-		return nil, fmt.Errorf("request body exceeds %d bytes", maxRequestBody)
+	src := io.LimitReader(r.Body, int64(limit)+1)
+	buf := make([]byte, 0, size)
+	for {
+		n, err := src.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("reading request body: %w", err)
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
 	}
-	return data, nil
+	if len(buf) > limit {
+		return nil, fmt.Errorf("%w (limit %d bytes)", ErrBodyTooLarge, limit)
+	}
+	return buf, nil
+}
+
+// RequestErrorStatus maps a body-read or request-parse error to its HTTP
+// status: 413 for an oversized body or source listing, 400 otherwise.
+func RequestErrorStatus(err error) int {
+	if errors.Is(err, ErrBodyTooLarge) || errors.Is(err, ErrSourceTooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }

@@ -230,10 +230,24 @@ func (c *ResultCache) Do(ctx context.Context, key string, fill func() ([]byte, e
 		c.inflight[key] = f
 		c.mu.Unlock()
 
-		res, outcome, err := c.fillOnce(key, fill)
+		res, outcome, err := c.lead(key, f, fill)
+		if coalesced && err == nil {
+			outcome = ResultCoalesced
+		}
+		return res, outcome, err
+	}
+}
+
+// lead runs the fill for the flight f registered under key, then caches
+// the result and releases the flight. The release is deferred so a
+// panicking fill still frees the key: its waiters see a failed flight and
+// retry instead of blocking until their deadlines, and the panic goes on
+// to the caller.
+func (c *ResultCache) lead(key string, f *resultFlight, fill func() ([]byte, error)) (res *CachedResult, outcome ResultOutcome, err error) {
+	defer func() {
 		c.mu.Lock()
 		delete(c.inflight, key)
-		if err == nil {
+		if res != nil {
 			c.insertLocked(res)
 		}
 		if outcome == ResultSpillHit {
@@ -244,11 +258,8 @@ func (c *ResultCache) Do(ctx context.Context, key string, fill func() ([]byte, e
 		c.mu.Unlock()
 		f.res = res
 		close(f.done)
-		if coalesced && err == nil {
-			outcome = ResultCoalesced
-		}
-		return res, outcome, err
-	}
+	}()
+	return c.fillOnce(key, fill)
 }
 
 // fillOnce produces the entry for key: from the spill tier if present,

@@ -165,6 +165,38 @@ func TestResultCacheWaiterRetriesAfterLeaderFailure(t *testing.T) {
 	}
 }
 
+// TestResultCachePanickingFillReleasesKey pins fault containment: a fill
+// that panics must re-panic to its caller and free the key, so the next
+// Do on it fills promptly instead of waiting out its deadline on a flight
+// nobody will finish.
+func TestResultCachePanickingFillReleasesKey(t *testing.T) {
+	c := NewResultCache(8, "")
+	func() {
+		defer func() {
+			if r := recover(); r != "fill exploded" {
+				t.Fatalf("recovered %v, want the fill's panic", r)
+			}
+		}()
+		_, _, _ = c.Do(context.Background(), "k", func() ([]byte, error) {
+			panic("fill exploded")
+		})
+	}()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	res, outcome, err := c.Do(ctx, "k", fillWith("after-panic"))
+	if err != nil {
+		t.Fatalf("Do after a panicking fill: %v (waited %v)", err, time.Since(start))
+	}
+	if outcome != ResultMiss || string(res.Body) != "after-panic" {
+		t.Fatalf("Do after a panicking fill: outcome %v body %q, want a fresh miss", outcome, res.Body)
+	}
+	if _, outcome, _ := c.Do(ctx, "k", fillWith("WRONG")); outcome != ResultHit {
+		t.Fatalf("refilled key outcome = %v, want hit", outcome)
+	}
+}
+
 func TestResultCacheCoalescedWaitHonorsContext(t *testing.T) {
 	c := NewResultCache(8, "")
 	gate := make(chan struct{})

@@ -19,6 +19,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"mmxdsp/internal/asm"
@@ -590,5 +591,47 @@ func TestBudgetCapDefaultsRequests(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "budget") {
 		t.Errorf("error does not mention the budget: %s", data)
+	}
+}
+
+// TestReadBody pins the one body reader both tiers share: the cap is
+// exact whether or not Content-Length announces the size, an over-cap
+// body is a 413 (never a truncated prefix), and a body that ends before
+// its Content-Length is a 400.
+func TestReadBody(t *testing.T) {
+	const limit = 64
+	body := strings.Repeat("x", limit)
+	for _, tc := range []struct {
+		name   string
+		body   string
+		cl     int64 // -1: unknown (chunked)
+		cut    bool  // the connection drops after body
+		want   string
+		status int // 0: success
+	}{
+		{"announced", body, limit, false, body, 0},
+		{"chunked", body, -1, false, body, 0},
+		{"empty", "", 0, false, "", 0},
+		{"over cap announced", body + "y", limit + 1, false, "", http.StatusRequestEntityTooLarge},
+		{"over cap chunked", body + "y", -1, false, "", http.StatusRequestEntityTooLarge},
+		{"understated length", body + "y", 10, false, "", http.StatusRequestEntityTooLarge},
+		{"short body", "x", 10, true, "", http.StatusBadRequest},
+	} {
+		var src io.Reader = strings.NewReader(tc.body)
+		if tc.cut {
+			src = io.MultiReader(src, iotest.ErrReader(io.ErrUnexpectedEOF))
+		}
+		r := httptest.NewRequest(http.MethodPost, "/run", src)
+		r.ContentLength = tc.cl
+		got, err := server.ReadBody(r, limit)
+		if tc.status != 0 {
+			if err == nil || server.RequestErrorStatus(err) != tc.status {
+				t.Errorf("%s: err %v (status %d), want status %d", tc.name, err, server.RequestErrorStatus(err), tc.status)
+			}
+			continue
+		}
+		if err != nil || string(got) != tc.want {
+			t.Errorf("%s: got %q, %v; want %q", tc.name, got, err, tc.want)
+		}
 	}
 }

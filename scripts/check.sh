@@ -21,6 +21,12 @@ go build ./...
 echo "==> go test ./... $*"
 go test "$@" ./...
 
+# The benchmark is its own module, so the root `go test ./...` never runs
+# its tests: the pinned Table 2/3 digest (TestDigestGate) and the metric
+# names BENCHMARK.json declares.
+echo "==> (cd perfbench && go test ./...)"
+(cd perfbench && GOFLAGS=-mod=mod go test ./...)
+
 # The goroutine-bearing code — the concurrent suite runner, the memoized
 # registry, the mmxd service (cache single-flight, admission queue,
 # request cancellation), and the fleet coordinator (prober, retries,
@@ -54,6 +60,8 @@ echo "==> go test -run '^$' -fuzz FuzzAsmEndpoint -fuzztime 5s ./internal/server
 go test -run '^$' -fuzz FuzzAsmEndpoint -fuzztime 5s ./internal/server >/dev/null
 echo "==> go test -run '^$' -fuzz FuzzParseSuiteRequest -fuzztime 5s ./internal/cluster"
 go test -run '^$' -fuzz FuzzParseSuiteRequest -fuzztime 5s ./internal/cluster >/dev/null
+echo "==> go test -run '^$' -fuzz FuzzCoordinatorFrontDoor -fuzztime 5s ./internal/cluster"
+go test -run '^$' -fuzz FuzzCoordinatorFrontDoor -fuzztime 5s ./internal/cluster >/dev/null
 echo "==> go test -run '^$' -fuzz FuzzParseCampaignRequest -fuzztime 5s ./internal/campaign"
 go test -run '^$' -fuzz FuzzParseCampaignRequest -fuzztime 5s ./internal/campaign >/dev/null
 echo "==> go test -run '^$' -fuzz FuzzDispatchThreeWay -fuzztime 5s ./internal/pentium"
