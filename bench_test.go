@@ -143,7 +143,7 @@ func BenchmarkKernels(b *testing.B) {
 	}
 }
 
-// BenchmarkSuiteSequential runs the full 19-program suite on one worker —
+// BenchmarkSuiteSequential runs the full 21-program suite on one worker —
 // the baseline for the parallel-runner speedup.
 func BenchmarkSuiteSequential(b *testing.B) {
 	benches := suite.All()

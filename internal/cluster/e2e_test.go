@@ -94,7 +94,7 @@ func reportOf(t *testing.T, data []byte) string {
 	return buf.String()
 }
 
-// TestFleetServesSuiteByteIdentical is the fleet acceptance gate: all 19
+// TestFleetServesSuiteByteIdentical is the fleet acceptance gate: all 21
 // programs served through a 2-backend fleet match direct single-process
 // runs byte for byte, and the scatter-gathered /suite reassembles the same
 // Table 2/3 artifacts a lone daemon's /table would produce.

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime/debug"
 	"time"
 
 	"mmxdsp/internal/asm"
@@ -154,8 +155,10 @@ func (s BlockStats) FastPct() float64 {
 type Result struct {
 	Benchmark Benchmark
 	Report    *profile.Report
-	// Wall is how long the simulation took on the host, measured around
-	// the VM run only (not Build or Check).
+	// Wall is how long the simulation took on the host: from the start of
+	// the VM run until the interpreter has halted and the timing model has
+	// drained every retired instruction (see vm.CPU.Run). It excludes
+	// Build, Check, report assembly and any queueing before the run.
 	Wall time.Duration
 	// Blocks reports block-dispatch coverage for the run.
 	Blocks BlockStats
@@ -238,9 +241,35 @@ type Compiled struct {
 	Code      *vm.Code
 }
 
+// PanicError reports a panic raised while building or running one
+// benchmark — in its Build or Check, the interpreter or the timing model —
+// recovered so that one broken program fails its own run instead of the
+// whole process.
+type PanicError struct {
+	Program string
+	Value   any
+	// Stack is the panicking goroutine's stack at recovery.
+	Stack []byte
+}
+
+// Error names the program and the panic value.
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("core: %s: panic: %v", e.Program, e.Value)
+}
+
+// recoverRun turns a panic in the calling function into a *PanicError in
+// *err. It must be deferred directly.
+func recoverRun(name string, err *error) {
+	if r := recover(); r != nil {
+		*err = &PanicError{Program: name, Value: r, Stack: debug.Stack()}
+	}
+}
+
 // CompileBenchmark builds the benchmark's program (including workload data
-// placement) and predecodes it into shareable vm.Code.
-func CompileBenchmark(b Benchmark) (*Compiled, error) {
+// placement) and predecodes it into shareable vm.Code. A panic in Build
+// comes back as a *PanicError.
+func CompileBenchmark(b Benchmark) (comp *Compiled, err error) {
+	defer recoverRun(b.Name(), &err)
 	prog, err := b.Build()
 	if err != nil {
 		return nil, fmt.Errorf("core: build %s: %w", b.Name(), err)
@@ -261,9 +290,11 @@ func Run(b Benchmark, opt Options) (*Result, error) {
 
 // RunCompiled executes, profiles and validates one prebuilt benchmark.
 // The Compiled artifact is only read, never written: every run gets a
-// private CPU, memory image, timing model and collector.
-func RunCompiled(comp *Compiled, opt Options) (*Result, error) {
+// private CPU, memory image, timing model and collector. A panic anywhere
+// in the run comes back as a *PanicError rather than unwinding the caller.
+func RunCompiled(comp *Compiled, opt Options) (res *Result, err error) {
 	b := comp.Benchmark
+	defer recoverRun(b.Name(), &err)
 	cfg := pentium.DefaultConfig()
 	if opt.Pentium != nil {
 		cfg = *opt.Pentium

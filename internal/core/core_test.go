@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -277,3 +278,24 @@ func TestTraceWriteFailureSurfaces(t *testing.T) {
 type brokenWriter struct{}
 
 func (brokenWriter) Write(p []byte) (int, error) { return 0, fmt.Errorf("disk full") }
+
+// TestObserverPanicIsPanicError: the trace writer runs inside the observer;
+// its panic comes back from RunCompiled as a *PanicError carrying the
+// original value.
+func TestObserverPanicIsPanicError(t *testing.T) {
+	cb, _ := testBenches(64)
+	opt := DefaultOptions()
+	opt.Trace = panickyWriter{}
+	_, err := Run(cb, opt)
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v (%T), want *PanicError", err, err)
+	}
+	if pe.Program != cb.Name() || pe.Value != "writer exploded" {
+		t.Errorf("PanicError = {%q, %v}", pe.Program, pe.Value)
+	}
+}
+
+type panickyWriter struct{}
+
+func (panickyWriter) Write(p []byte) (int, error) { panic("writer exploded") }

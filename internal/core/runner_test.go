@@ -216,3 +216,34 @@ func TestRunAllStats(t *testing.T) {
 		t.Error("aggregate throughput not computable")
 	}
 }
+
+// TestRunAllContainsPanics: a benchmark whose Check panics fails its own
+// run with a *PanicError, and the other runs on the pool still succeed.
+func TestRunAllContainsPanics(t *testing.T) {
+	benches := smallSuite(2)
+	boom := benches[0]
+	boom.Base = "boom"
+	boom.Check = func(*vm.CPU) error { panic("check exploded") }
+	benches = append(benches, boom)
+
+	opt := DefaultOptions()
+	opt.Parallelism = 2
+	res, err := RunAll(benches, opt)
+	var re *RunError
+	if !errors.As(err, &re) || len(re.Failures) != 1 || re.Failures[0].Name != boom.Name() {
+		t.Fatalf("want one failure for %s, got %v", boom.Name(), err)
+	}
+	var pe *PanicError
+	if !errors.As(re.Failures[0].Err, &pe) {
+		t.Fatalf("failure is %T, want *PanicError: %v", re.Failures[0].Err, re.Failures[0].Err)
+	}
+	if pe.Program != boom.Name() || pe.Value != "check exploded" || len(pe.Stack) == 0 {
+		t.Errorf("PanicError = {%q, %v, %d-byte stack}", pe.Program, pe.Value, len(pe.Stack))
+	}
+	if _, ok := res[boom.Name()]; ok {
+		t.Error("the panicking run has a result")
+	}
+	if len(res) != len(benches)-1 {
+		t.Errorf("%d results, want %d", len(res), len(benches)-1)
+	}
+}

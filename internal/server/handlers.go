@@ -28,7 +28,9 @@ type RunResponse struct {
 	Program  string `json:"program"`
 	Dispatch string `json:"dispatch"` // requested mode ("auto" when defaulted)
 	CacheHit bool   `json:"cache_hit"`
-	// WallNS is host time spent inside the interpreter (excludes queueing).
+	// WallNS is core.Result.Wall: host time from the start of the
+	// interpreter run until it has halted and the timing model has drained
+	// every retired instruction. Queueing, compile and marshal are excluded.
 	WallNS       int64           `json:"wall_ns"`
 	InstrsPerSec float64         `json:"instrs_per_sec"`
 	Blocks       core.BlockStats `json:"blocks"`

@@ -26,6 +26,7 @@ import (
 	"mmxdsp/internal/core"
 	"mmxdsp/internal/server"
 	"mmxdsp/internal/suite"
+	"mmxdsp/internal/vm"
 )
 
 // TestMain is the goroutine-leak backstop: after every test (each of which
@@ -633,5 +634,42 @@ func TestReadBody(t *testing.T) {
 		if err != nil || string(got) != tc.want {
 			t.Errorf("%s: got %q, %v; want %q", tc.name, got, err, tc.want)
 		}
+	}
+}
+
+// TestPanickingBenchmarkAnswers500: a panic inside one run — a Check on
+// /run, a Build on a /table worker goroutine — answers 500, is not cached,
+// and leaves the daemon serving.
+func TestPanickingBenchmarkAnswers500(t *testing.T) {
+	fir, ok := suite.ByName("fir.c")
+	if !ok {
+		t.Fatal("fir.c missing from the suite")
+	}
+	badCheck := fir
+	badCheck.Base = "badcheck"
+	badCheck.Check = func(*vm.CPU) error { panic("check exploded") }
+	badBuild := fir
+	badBuild.Base = "badbuild"
+	badBuild.Build = func() (*asm.Program, error) { panic("build exploded") }
+	lookup, all := registry(fir, badCheck, badBuild)
+	_, ts := newTestServer(t, server.Config{ResultCacheEntries: 64, Lookup: lookup, Benchmarks: all})
+
+	for i := 0; i < 2; i++ {
+		resp, err := http.Get(ts.URL + "/table")
+		if err != nil {
+			t.Fatalf("GET /table: %v", err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError || !bytes.Contains(body, []byte("build exploded")) {
+			t.Fatalf("/table #%d: status %d: %s", i+1, resp.StatusCode, body)
+		}
+		if code, body := postRun(t, ts.URL, `{"program":"badcheck.c"}`); code != http.StatusInternalServerError ||
+			!bytes.Contains(body, []byte("check exploded")) {
+			t.Fatalf("/run badcheck.c #%d: status %d: %s", i+1, code, body)
+		}
+	}
+	if code, body := postRun(t, ts.URL, `{"program":"fir.c"}`); code != http.StatusOK {
+		t.Fatalf("/run fir.c after the panics: status %d: %s", code, body)
 	}
 }

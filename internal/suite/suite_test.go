@@ -53,7 +53,7 @@ func TestByName(t *testing.T) {
 	}
 }
 
-// TestEveryProgramAssembles builds all nineteen programs (without running
+// TestEveryProgramAssembles builds all 21 programs (without running
 // them) and sanity-checks the linked images and listings.
 func TestEveryProgramAssembles(t *testing.T) {
 	for _, bench := range All() {

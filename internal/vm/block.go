@@ -244,7 +244,8 @@ func (c *CPU) runBlocks(maxInstrs int64, bobs BlockObserver) error {
 }
 
 // stepDecoded retires one instruction through the per-event predecoded
-// path; semantically one iteration of Run's default loop.
+// path; semantically one iteration of Run's default loop. Trace dispatch
+// uses it too, and then retires through its stream.
 func (c *CPU) stepDecoded(maxInstrs int64, ev *Event) error {
 	if c.executed >= maxInstrs {
 		return c.budgetFault(maxInstrs)
@@ -274,7 +275,9 @@ func (c *CPU) stepDecoded(maxInstrs int64, ev *Event) error {
 		c.pc++
 	}
 	ev.Target = c.pc
-	if c.Obs != nil {
+	if c.st != nil {
+		c.st.retire(ev)
+	} else if c.Obs != nil {
 		c.Obs.Retire(*ev)
 	}
 	return nil

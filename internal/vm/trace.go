@@ -441,7 +441,9 @@ type traceState struct {
 	traces   []*vmTrace
 	rec      traceRec
 	// ev is the reusable event uCall handlers write penalties into;
-	// penbuf the reusable penalty accumulator.
+	// penbuf the penalty accumulator of unobserved runs, sized for the
+	// largest iteration (at most one penalty per micro-op) so it never
+	// grows.
 	ev     Event
 	penbuf []int32
 	// nextID allocates dense observation ids across roots and child paths.
@@ -471,6 +473,7 @@ func (c *CPU) traceInit() *traceState {
 		heat:      make([]uint32, n),
 		byBlock:   make([]int32, n),
 		attempts:  make([]uint8, n),
+		penbuf:    make([]int32, 0, treeMaxOps),
 	}
 	for i := range ts.byBlock {
 		ts.byBlock[i] = traceNone
@@ -551,7 +554,7 @@ func traceableBlock(code *Code, b *vmBlock) bool {
 // finalizeRec closes the active recording into a trace. loop marks a chain
 // that closed on its own head; exitPC is where execution continues after a
 // full iteration of a non-loop chain.
-func (c *CPU) finalizeRec(ts *traceState, tobs TraceObserver, loop bool, exitPC int32) {
+func (c *CPU) finalizeRec(ts *traceState, loop bool, exitPC int32) {
 	rec := &ts.rec
 	rec.active = false
 	hb := int(c.code.blockOf[rec.head])
@@ -571,8 +574,8 @@ func (c *CPU) finalizeRec(ts *traceState, tobs TraceObserver, loop bool, exitPC 
 	tr.headBlock = int32(hb)
 	ts.traces = append(ts.traces, tr)
 	ts.byBlock[hb] = tr.slot
-	if tobs != nil {
-		tobs.RegisterTrace(tr.id, tr.blocks, tr.taken)
+	if c.st != nil {
+		c.st.register(tr.id, tr.blocks, tr.taken)
 	}
 }
 
@@ -586,7 +589,7 @@ func (c *CPU) finalizeRec(ts *traceState, tobs TraceObserver, loop bool, exitPC 
 // keeps going through the repeated blocks until it arrives back at the
 // head past the allowance, by which point the chain spans a full outer
 // revolution and its guards match the trip pattern.
-func (c *CPU) recCheck(ts *traceState, tobs TraceObserver, bi int, b *vmBlock) {
+func (c *CPU) recCheck(ts *traceState, bi int, b *vmBlock) {
 	rec := &ts.rec
 	if rec.child {
 		// An alternate-arm recording attaches only by reaching the
@@ -595,7 +598,7 @@ func (c *CPU) recCheck(ts *traceState, tobs TraceObserver, bi int, b *vmBlock) {
 		// untraceable terminator fails it with per-guard backoff rather
 		// than forming a separate trace.
 		if rec.childStop >= 0 && b.start == rec.childStop && len(rec.blocks) > 0 {
-			c.attachChild(ts, tobs, false)
+			c.attachChild(ts, false)
 			return
 		}
 		for _, pb := range rec.blocks {
@@ -621,20 +624,20 @@ func (c *CPU) recCheck(ts *traceState, tobs TraceObserver, bi int, b *vmBlock) {
 	}
 	if b.start == rec.head && len(rec.blocks) > 0 {
 		if seen > allow {
-			c.finalizeRec(ts, tobs, true, rec.head)
+			c.finalizeRec(ts, true, rec.head)
 			return
 		}
 	} else if seen > allow {
-		c.finalizeRec(ts, tobs, false, b.start)
+		c.finalizeRec(ts, false, b.start)
 		return
 	}
 	if len(rec.blocks) >= traceMaxBlocks {
-		c.finalizeRec(ts, tobs, false, b.start)
+		c.finalizeRec(ts, false, b.start)
 		return
 	}
 	if !traceableBlock(c.code, b) {
 		if len(rec.blocks) > 0 {
-			c.finalizeRec(ts, tobs, false, b.start)
+			c.finalizeRec(ts, false, b.start)
 			return
 		}
 		// The head itself cannot anchor a trace; never try again.
@@ -682,10 +685,12 @@ func (ts *traceState) maybeDeopt(tr *vmTrace) {
 
 // runTrace is the trace-dispatch inner loop: block dispatch (run the body,
 // retire the terminator per-event) plus heat counting, chain recording and
-// superblock execution at hot leaders. tobs may be nil (no observation).
-func (c *CPU) runTrace(maxInstrs int64, tobs TraceObserver) error {
+// superblock execution at hot leaders. Observations go to the CPU's
+// stream, c.st, which is nil when the run is unobserved.
+func (c *CPU) runTrace(maxInstrs int64) error {
 	code := c.code
 	ops := code.ops
+	st := c.st
 	ts := c.traceInit()
 	var ev Event
 	var penbuf []int32
@@ -707,7 +712,7 @@ func (c *CPU) runTrace(maxInstrs int64, tobs TraceObserver) error {
 			if ts.rec.active {
 				// May close the chain into a trace for this very leader,
 				// which the next check then executes immediately.
-				c.recCheck(ts, tobs, bi, b)
+				c.recCheck(ts, bi, b)
 			}
 			if tid := ts.byBlock[bi]; tid >= 0 && !ts.rec.active {
 				// While a chain is being recorded, existing traces are NOT
@@ -717,7 +722,7 @@ func (c *CPU) runTrace(maxInstrs int64, tobs TraceObserver) error {
 				// inner head. Recording is rare; the slower pass is noise.
 				tr := ts.traces[tid]
 				if c.executed+tr.nInstrs <= maxInstrs {
-					if err := c.execTrace(tr, ts, maxInstrs, tobs, &pollAt); err != nil {
+					if err := c.execTrace(tr, ts, maxInstrs, &pollAt); err != nil {
 						return err
 					}
 					// A trace exit is a chain exit: its target competes to
@@ -745,12 +750,15 @@ func (c *CPU) runTrace(maxInstrs int64, tobs TraceObserver) error {
 					return err
 				}
 			}
-			if tobs != nil && b.events > 0 {
-				tobs.ObserveBlock(bi, c.measuring, nil)
+			if st != nil && b.events > 0 {
+				st.block(bi, c.measuring, st.pen)
 			}
 		} else {
 			c.executed += b.nBody
 			pen := penbuf[:0]
+			if st != nil {
+				pen = st.pen
+			}
 			for i := range b.steps {
 				s := &b.steps[i]
 				c.pc = int(s.pc)
@@ -764,9 +772,10 @@ func (c *CPU) runTrace(maxInstrs int64, tobs TraceObserver) error {
 					return err
 				}
 			}
-			penbuf = pen
-			if tobs != nil && b.events > 0 {
-				tobs.ObserveBlock(bi, c.measuring, pen)
+			if st == nil {
+				penbuf = pen
+			} else if b.events > 0 {
+				st.block(bi, c.measuring, pen)
 			}
 		}
 		switch b.termKind {
@@ -796,8 +805,8 @@ func (c *CPU) runTrace(maxInstrs int64, tobs TraceObserver) error {
 				c.pc++
 			}
 			ev.Target = c.pc
-			if c.Obs != nil {
-				c.Obs.Retire(ev)
+			if st != nil {
+				st.retire(&ev)
 			}
 			if ts.rec.active {
 				ts.record(bi, ev.Taken)
@@ -811,7 +820,7 @@ func (c *CPU) runTrace(maxInstrs int64, tobs TraceObserver) error {
 						if ts.rec.childStop == traceDynExit {
 							// The parent ends at a computed-exit ret; so
 							// does this arm — attach it as a tail path.
-							c.attachChild(ts, tobs, true)
+							c.attachChild(ts, true)
 						}
 						// Otherwise a fork below an inlined call leaves the
 						// arm's call nesting unknowable; the ret lowers as
@@ -820,7 +829,7 @@ func (c *CPU) runTrace(maxInstrs int64, tobs TraceObserver) error {
 						// Top-level return: the continuation differs per
 						// call site, so close the chain here with a
 						// computed exit rather than a guard.
-						c.finalizeRec(ts, tobs, false, traceDynExit)
+						c.finalizeRec(ts, false, traceDynExit)
 					}
 				}
 			}
@@ -1050,10 +1059,10 @@ func (c *CPU) failChild(ts *traceState) {
 
 // attachChild closes an alternate-arm recording that reached its rejoin
 // point (tail marks an arm that ended at a top-level ret instead).
-func (c *CPU) attachChild(ts *traceState, tobs TraceObserver, tail bool) {
+func (c *CPU) attachChild(ts *traceState, tail bool) {
 	rec := &ts.rec
 	rec.active, rec.child = false, false
-	c.attachChildSeg(ts, tobs, ts.traces[rec.parent], rec.parentOp, rec.blocks, rec.taken, tail)
+	c.attachChildSeg(ts, ts.traces[rec.parent], rec.parentOp, rec.blocks, rec.taken, tail)
 }
 
 // attachChildSeg lowers a recorded alternate arm (possibly empty, when the
@@ -1064,7 +1073,7 @@ func (c *CPU) attachChild(ts *traceState, tobs TraceObserver, tail bool) {
 // computed-exit ret. The combined path is registered with the observer
 // under a fresh observation id and the guard becomes a fork into the
 // segment. Lowering failure takes formation backoff at the guard instead.
-func (c *CPU) attachChildSeg(ts *traceState, tobs TraceObserver, tr *vmTrace, forkOp int32, blocks []int32, taken []bool, tail bool) {
+func (c *CPU) attachChildSeg(ts *traceState, tr *vmTrace, forkOp int32, blocks []int32, taken []bool, tail bool) {
 	fork := &tr.ops[forkOp]
 	if tr.paths == nil {
 		tr.paths = append(tr.paths, tracePath{
@@ -1103,8 +1112,8 @@ func (c *CPU) attachChildSeg(ts *traceState, tobs TraceObserver, tr *vmTrace, fo
 	}
 	tr.ops = ops
 	tr.paths = append(tr.paths, tracePath{id: ts.nextID, blocks: nb, taken: ntk, nInstrs: cum})
-	if tobs != nil {
-		tobs.RegisterTrace(ts.nextID, nb, ntk)
+	if c.st != nil {
+		c.st.register(ts.nextID, nb, ntk)
 	}
 	ts.nextID++
 	// The appends may have moved the op array: re-resolve the fork before
@@ -1120,7 +1129,7 @@ func (c *CPU) attachChildSeg(ts *traceState, tobs TraceObserver, tr *vmTrace, fo
 // the exit against the guard and, past the backoff-scaled threshold, starts
 // recording the alternate path — or attaches it immediately when the exit
 // jumps straight to the rejoin point (an empty arm).
-func (c *CPU) growChild(ts *traceState, tobs TraceObserver, tr *vmTrace, exitOp int32) {
+func (c *CPU) growChild(ts *traceState, tr *vmTrace, exitOp int32) {
 	u := &tr.ops[exitOp]
 	if u.child != 0 || u.d >= traceMaxAttempts {
 		return
@@ -1144,7 +1153,7 @@ func (c *CPU) growChild(ts *traceState, tobs TraceObserver, tr *vmTrace, exitOp 
 	}
 	target := c.pc
 	if stop >= 0 && int32(target) == stop {
-		c.attachChildSeg(ts, tobs, tr, exitOp, nil, nil, false)
+		c.attachChildSeg(ts, tr, exitOp, nil, nil, false)
 		return
 	}
 	code := c.code
@@ -1704,8 +1713,12 @@ func logicFlags(r uint32) (zf, sf, cf, of bool) {
 // what block dispatch would have produced at the same point, and every full
 // iteration (ObserveTrace) / partial exit (ObserveTraceExit) hands the
 // observer one cache penalty per memory-referencing instruction in
-// retirement order. tobs may be nil.
-func (c *CPU) execTrace(tr *vmTrace, ts *traceState, maxInstrs int64, tobs TraceObserver, pollAt *int64) error {
+// retirement order. Observed penalties accumulate straight in the
+// stream's arena: what pen holds past the arena's length is the iteration
+// in progress, committed by its record or dropped (a fault) by never being
+// recorded.
+func (c *CPU) execTrace(tr *vmTrace, ts *traceState, maxInstrs int64, pollAt *int64) error {
+	st := c.st
 	gpr := c.gpr
 	mm := c.mm
 	zf, sf, cf, of := c.zf, c.sf, c.cf, c.of
@@ -1716,6 +1729,9 @@ func (c *CPU) execTrace(tr *vmTrace, ts *traceState, maxInstrs int64, tobs Trace
 	memu := c.Mem
 	uops := tr.ops
 	pen := ts.penbuf[:0]
+	if st != nil {
+		pen = st.pen
+	}
 	var final int64
 	var retErr error
 	exitK := int32(-1)
@@ -1742,7 +1758,6 @@ func (c *CPU) execTrace(tr *vmTrace, ts *traceState, maxInstrs int64, tobs Trace
 					c.mm = mm
 				}
 				c.executed = iterBase
-				ts.penbuf = pen[:0]
 				return err
 			}
 			gpr = c.gpr
@@ -2339,10 +2354,11 @@ func (c *CPU) execTrace(tr *vmTrace, ts *traceState, maxInstrs int64, tobs Trace
 					ts.treeIters++
 					ts.treeInstrs += uint64(u.cum)
 				}
-				if tobs != nil {
-					tobs.ObserveTrace(tr.pathID(u.pathIdx), measured, pen)
+				if st != nil {
+					pen = st.trace(tr.pathID(u.pathIdx), measured, pen)
+				} else {
+					pen = pen[:0]
 				}
-				pen = pen[:0]
 				final = iterBase + u.cum
 				goto out
 			}
@@ -2419,10 +2435,11 @@ func (c *CPU) execTrace(tr *vmTrace, ts *traceState, maxInstrs int64, tobs Trace
 				ts.treeIters++
 				ts.treeInstrs += uint64(u.cum)
 			}
-			if tobs != nil {
-				tobs.ObserveTrace(tr.pathID(u.pathIdx), measured, pen)
+			if st != nil {
+				pen = st.trace(tr.pathID(u.pathIdx), measured, pen)
+			} else {
+				pen = pen[:0]
 			}
-			pen = pen[:0]
 			iterBase = iterDone
 			if !u.expect {
 				// Straight-line trace: one pass, exit to the recorded
@@ -2438,7 +2455,6 @@ func (c *CPU) execTrace(tr *vmTrace, ts *traceState, maxInstrs int64, tobs Trace
 				c.executed = iterDone
 				c.pc = int(tr.head)
 				if err := c.Poll(); err != nil {
-					ts.penbuf = pen[:0]
 					return c.abort(err)
 				}
 				*pollAt = iterDone + c.pollInterval()
@@ -2464,7 +2480,6 @@ out:
 	c.zf, c.sf, c.cf, c.of = zf, sf, cf, of
 	if retErr != nil {
 		c.executed = iterBase
-		ts.penbuf = pen[:0]
 		return retErr
 	}
 	c.executed = final
@@ -2472,18 +2487,17 @@ out:
 	if exited {
 		tr.exits++
 		ts.exits++
-		if tobs != nil {
-			tobs.ObserveTraceExit(tr.pathID(exitPath), int(exitK), measured, pen)
+		if st != nil {
+			st.traceExit(tr.pathID(exitPath), int(exitK), measured, pen)
 		}
 		ts.maybeDeopt(tr)
 		if exitOp >= 0 && !ts.rec.active &&
 			ts.byBlock[tr.headBlock] == tr.slot {
 			// A guard exit from a still-live trace: count it toward
 			// growing the alternate path as a child.
-			c.growChild(ts, tobs, tr, exitOp)
+			c.growChild(ts, tr, exitOp)
 		}
 	}
-	ts.penbuf = pen[:0]
 	return nil
 }
 

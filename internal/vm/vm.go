@@ -3,11 +3,38 @@
 // MMX register file aliased onto the floating-point registers, IA-32 style
 // flags, and a call stack in simulated memory.
 //
-// The VM is purely architectural: it computes results and emits one Event
-// per retired instruction. Timing (pipeline pairing, latencies, branch and
-// cache penalties) is the concern of the observers in internal/pentium and
-// internal/profile, mirroring how VTune replayed an instruction stream
-// against a Pentium model.
+// The VM is purely architectural: it computes results and reports every
+// retired instruction to an Observer. Timing (pipeline pairing, latencies,
+// branch and cache penalties) is the concern of the observers in
+// internal/pentium and internal/profile, mirroring how VTune replayed a
+// finished instruction stream against a Pentium model. Only the cache
+// model (mem.Hierarchy) runs inside the VM, since penalties are computed
+// where addresses are; they travel with the observations.
+//
+// Observer calls return nothing to the interpreter, so under trace
+// dispatch Run decouples the two: the dispatch loop appends each
+// observation (Retire, ObserveBlock, RegisterTrace, ObserveTrace,
+// ObserveTraceExit) as a compact record to the current batch, and a second
+// goroutine replays full batches into the observer (stream.go). The
+// observation stream guarantees:
+//
+//   - Order: the observer sees exactly the calls, arguments and order a
+//     synchronous observer would, never two calls at once.
+//   - Completeness: Run returns only after the observer has received every
+//     observation and its goroutine has exited, on every exit path (HALT,
+//     budget, fault, Poll abort, panic), so its state is final and visible
+//     to the caller.
+//   - Panic forwarding: a panic in the observer stops the interpreter at
+//     its next batch handoff, and Run re-panics with the original value on
+//     the caller's goroutine.
+//   - Bounded memory: batches cycle through a small fixed pool, which also
+//     gives backpressure when the observer falls behind.
+//
+// With no observer there is no second goroutine and no batching. The
+// block and per-event tiers call the observer directly: their records
+// would cover one basic block or one instruction each, and on a tight
+// loop the handoff then costs more than the timing work it moves off the
+// interpreter's goroutine (EXPERIMENTS.md, "Decoupled timing").
 package vm
 
 import (
@@ -101,8 +128,14 @@ type CPU struct {
 
 	// Hier is the data-cache hierarchy; nil models perfect memory.
 	Hier *mem.Hierarchy
-	// Obs receives retirement events; nil disables observation.
+	// Obs receives retirement events; nil disables observation. Under
+	// trace dispatch it is called from a second goroutine (see stream.go),
+	// never concurrently with itself, and all calls complete before Run
+	// returns. It may panic but must not call runtime.Goexit (t.FailNow).
 	Obs Observer
+	// st is the observation stream of a trace-dispatched Run in progress;
+	// nil otherwise.
+	st *stream
 
 	// Poll, when non-nil, is invoked by Run at least once every PollEvery
 	// retired instructions (and once on entry). A non-nil return aborts
@@ -207,11 +240,12 @@ func (c *CPU) abort(err error) error {
 
 // Run executes until HALT or until maxInstrs instructions have retired,
 // which guards against runaway programs. The fastest applicable inner loop
-// is chosen automatically: block dispatch (block.go) when the observer
-// implements BlockObserver or is absent, otherwise the per-event predecoded
-// loop "indexed fetch -> call handler -> retire". Set NoBlocks to pin the
-// per-event loop, or Generic for the unspecialized decode-per-step
-// reference interpreter.
+// is chosen automatically: trace dispatch (trace.go) when Traces is set
+// and the observer implements TraceObserver or is absent, block dispatch
+// (block.go) when the observer implements BlockObserver or is absent,
+// otherwise the per-event predecoded loop "indexed fetch -> call handler ->
+// retire". Set NoBlocks to pin the per-event loop, or Generic for the
+// unspecialized decode-per-step reference interpreter.
 func (c *CPU) Run(maxInstrs int64) error {
 	if c.Generic {
 		return c.runGeneric(maxInstrs)
@@ -222,10 +256,10 @@ func (c *CPU) Run(maxInstrs int64) error {
 	if !c.NoBlocks {
 		if c.Traces {
 			if tobs, ok := c.Obs.(TraceObserver); ok {
-				return c.runTrace(maxInstrs, tobs)
+				return c.runTraceObserved(maxInstrs, tobs)
 			}
 			if c.Obs == nil {
-				return c.runTrace(maxInstrs, nil)
+				return c.runTrace(maxInstrs)
 			}
 		}
 		if bobs, ok := c.Obs.(BlockObserver); ok {
@@ -282,6 +316,21 @@ func (c *CPU) Run(maxInstrs int64) error {
 		}
 	}
 	return nil
+}
+
+// runTraceObserved runs trace dispatch with the observer on a second
+// goroutine, fed through the ordered stream of stream.go. It returns only
+// after the observer has received every observation, on every exit path;
+// a panic in the observer is re-raised here, on the caller's goroutine,
+// with its original value.
+func (c *CPU) runTraceObserved(maxInstrs int64, tobs TraceObserver) error {
+	c.st = startStream(tobs, c.Prog.Insts)
+	defer func() {
+		s := c.st
+		c.st = nil
+		s.close(recover())
+	}()
+	return c.runTrace(maxInstrs)
 }
 
 // runGeneric is the original decode-per-step loop, kept as the reference

@@ -71,8 +71,12 @@ go test -run '^$' -fuzz FuzzDispatchThreeWay -fuzztime 5s ./internal/pentium >/d
 # also runs under the race detector: block and trace dispatch share
 # predecoded code and per-block caches with the parallel suite runner
 # above, and trace dispatch additionally shares the per-CPU trace cache.
-echo "==> go test -race -run 'TestDispatchModesAgree|TestDispatchThreeWay' ./internal/vm ./internal/pentium"
-go test -race -run 'TestDispatchModesAgree|TestDispatchThreeWay' ./internal/vm ./internal/pentium
+# Observed trace-dispatch runs stream their retirement records to the
+# observer on a second goroutine, so this step also covers the producer/
+# consumer handoff; the stream tests add handoffs at batch sizes 1 and 3,
+# observer and producer panics, and every exit path joining the consumer.
+echo "==> go test -race -run 'TestDispatchModesAgree|TestDispatchThreeWay|TestStream' ./internal/vm ./internal/pentium"
+go test -race -run 'TestDispatchModesAgree|TestDispatchThreeWay|TestStream' ./internal/vm ./internal/pentium
 
 # Smoke-run the block- and trace-dispatch benchmarks for a single iteration
 # so inner-loop regressions that only bite under benchmarking surface here.

@@ -8,7 +8,7 @@ import (
 )
 
 // TestParallelSuiteOutputIsByteIdentical is the acceptance gate for the
-// concurrent runner: the full 19-program suite, run sequentially and on a
+// concurrent runner: the full 21-program suite, run sequentially and on a
 // wide worker pool, must render every table and figure byte-for-byte
 // identically. Output validation is skipped (covered by package tests) so
 // the double full-suite run stays affordable in `go test ./...`.
