@@ -61,7 +61,7 @@ func main() {
 		memProfile = flag.String("memprofile", "", "write a heap profile after the run to this file")
 		benchJSON  = flag.String("bench-json", "", "write per-program host throughput (JSON) to this file")
 
-		dispatch    = flag.String("dispatch", "auto", "interpreter inner loop: auto, trace, block, predecode or generic")
+		dispatch    = flag.String("dispatch", "auto", "interpreter: trace or generic (auto, block and predecode are aliases of trace)")
 		benchCommit = flag.String("bench-commit", "", "git commit hash to stamp into the -bench-json artifact")
 	)
 	flag.Parse()
@@ -85,15 +85,12 @@ func main() {
 	opt := core.DefaultOptions()
 	opt.SkipCheck = *skipCheck
 	opt.PerfectCache = *perfectCache
-	switch *dispatch {
-	case "auto":
-		opt.Dispatch = core.DispatchAuto
-	case "trace", "block", "predecode", "generic":
-		opt.Dispatch = *dispatch
-	default:
-		fmt.Fprintf(os.Stderr, "mmxbench: -dispatch: unknown mode %q (want auto, trace, block, predecode or generic)\n", *dispatch)
+	mode, err := core.CanonicalDispatch(*dispatch)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mmxbench: -dispatch: %v\n", err)
 		os.Exit(2)
 	}
+	opt.Dispatch = mode
 	cfg := pentium.DefaultConfig()
 	cfg.DisablePairing = *noPairing
 	cfg.DisableBTB = *noBTB
@@ -152,12 +149,6 @@ func main() {
 	}
 
 	if *benchJSON != "" {
-		mode := *dispatch
-		if mode == "auto" {
-			// Auto resolves to block dispatch for profiled (untraced)
-			// runs; record the effective mode.
-			mode = "block"
-		}
 		if err := writeBenchJSON(*benchJSON, rs, elapsed, mode, *benchCommit); err != nil {
 			fmt.Fprintf(os.Stderr, "mmxbench: -bench-json: %v\n", err)
 			os.Exit(1)
@@ -207,11 +198,11 @@ type benchRecord struct {
 	WallSeconds  float64 `json:"wall_seconds"`
 	Instructions uint64  `json:"instructions"`
 	InstrsPerSec float64 `json:"instrs_per_sec"`
-	// Block-dispatch coverage: basic blocks compiled and the share of
-	// retired events applied through the fused block fast path.
+	// Region-pricing coverage: basic blocks compiled and the share of
+	// retired events priced through a region schedule.
 	Blocks      int     `json:"blocks"`
 	FastPathPct float64 `json:"fast_path_pct"`
-	// Trace-dispatch coverage (dispatch=trace only): superblocks formed,
+	// Trace-dispatch coverage (zero at -dispatch generic): superblocks formed,
 	// side exits as a share of trace entries, and the share of retired
 	// instructions that retired inside a superblock.
 	TracesFormed     int     `json:"traces_formed,omitempty"`

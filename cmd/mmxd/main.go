@@ -11,7 +11,7 @@
 //	mmxd -result-cache 1024     # bigger result cache (0 disables)
 //	mmxd -result-cache-dir /var/cache/mmxd   # results survive restarts
 //	mmxd -result-cache-max-bytes 64000000    # bound the spill directory
-//	mmxd -warm-suite auto,trace # prefetch the suite table before serving
+//	mmxd -warm-suite trace,generic # prefetch the suite table before serving
 //	mmxd -tenant-rate 10 -tenant-concurrent 4   # per-tenant quotas
 //	mmxd -campaign-dir /var/lib/mmxd/campaigns  # persist sweep artifacts
 //
@@ -51,7 +51,7 @@ func main() {
 		resBytes  = flag.Int64("result-cache-max-bytes", 256<<20, "spill-directory size bound; oldest results evicted beyond it (0 = unlimited)")
 		resFiles  = flag.Int("result-cache-max-files", 8192, "spill-directory file-count bound (0 = unlimited)")
 		grace     = flag.Duration("grace", 30*time.Second, "shutdown grace period for in-flight requests")
-		warmSuite = flag.String("warm-suite", "", "prefetch the whole-suite table for these dispatch modes (comma-separated, e.g. auto,trace) before serving")
+		warmSuite = flag.String("warm-suite", "", "prefetch the whole-suite table for these dispatch modes (comma-separated, e.g. trace,generic) before serving")
 
 		maxSource    = flag.Int("max-source-bytes", 0, "largest /asm source listing accepted (0 = 4 MiB default)")
 		asmMaxInstrs = flag.Int64("asm-max-instrs", 0, "instruction-budget cap for /asm runs (0 = default, -1 = uncapped)")

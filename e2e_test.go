@@ -1,5 +1,5 @@
-// End-to-end tests for the mmxd service: the full 21-program suite in all
-// four dispatch modes served over HTTP must be byte-equivalent to direct
+// End-to-end tests for the mmxd service: the full 21-program suite under
+// every dispatch name served over HTTP must be byte-equivalent to direct
 // core.Run reports, and the real daemon binary must drain gracefully on
 // SIGTERM.
 package mmxdsp
@@ -26,8 +26,10 @@ import (
 )
 
 // TestServedReportsMatchDirectRuns is the service acceptance gate: every
-// suite program, in every dispatch mode, served over HTTP, produces a
+// suite program, under every dispatch name, served over HTTP, produces a
 // report byte-equivalent to a direct core.Run with the same options.
+// Aliases of one mode share its compiled program and cached result, so the
+// daemon executes each program once per canonical mode.
 func TestServedReportsMatchDirectRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 21x4 sweep (served and direct); skipped in -short mode")
@@ -37,9 +39,15 @@ func TestServedReportsMatchDirectRuns(t *testing.T) {
 	defer ts.Close()
 
 	benches := suite.All()
-	modes := []string{core.DispatchTrace, core.DispatchBlock, core.DispatchPredecode, core.DispatchGeneric}
+	modes := []string{core.DispatchTrace, "block", "predecode", core.DispatchGeneric}
+	canonical := map[string]bool{}
 
 	for _, mode := range modes {
+		m, err := core.CanonicalDispatch(mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		canonical[m] = true
 		// Direct side: the cache-free reference, run on the suite pool.
 		direct, err := core.RunAll(benches, core.Options{SkipCheck: true, Dispatch: mode})
 		if err != nil {
@@ -111,11 +119,11 @@ func TestServedReportsMatchDirectRuns(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
 	}
-	if wantRuns := int64(len(benches) * len(modes)); m.RunsOK != wantRuns {
+	if wantRuns := int64(len(benches) * len(canonical)); m.RunsOK != wantRuns {
 		t.Errorf("runs_ok = %d, want %d", m.RunsOK, wantRuns)
 	}
-	if m.CacheMisses != uint64(len(benches)*len(modes)) {
-		t.Errorf("cache_misses = %d, want %d (each program+mode compiles once)", m.CacheMisses, len(benches)*len(modes))
+	if m.CacheMisses != uint64(len(benches)*len(canonical)) {
+		t.Errorf("cache_misses = %d, want %d (each program+mode compiles once)", m.CacheMisses, len(benches)*len(canonical))
 	}
 }
 
@@ -233,17 +241,18 @@ func TestDaemonSIGTERMDrain(t *testing.T) {
 // TestResultCacheServesIdenticalBytes sweeps every suite program in every
 // dispatch mode twice through a result-caching daemon: the replay must be
 // byte-identical to the first response, marked as a cache hit, and must
-// not re-execute the simulation.
+// not re-execute the simulation. (Aliases of a mode share its entry; see
+// the dispatch-alias tests in internal/cluster.)
 func TestResultCacheServesIdenticalBytes(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full 21x4 sweep served twice; skipped in -short mode")
+		t.Skip("full 21x2 sweep served twice; skipped in -short mode")
 	}
 	srv := server.New(server.Config{}) // result cache on by default
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	benches := suite.All()
-	modes := []string{core.DispatchTrace, core.DispatchBlock, core.DispatchPredecode, core.DispatchGeneric}
+	modes := []string{core.DispatchTrace, core.DispatchGeneric}
 
 	fetch := func(name, mode string) (*http.Response, []byte) {
 		body := fmt.Sprintf(`{"program":%q,"dispatch":%q,"skip_check":true}`, name, mode)

@@ -174,12 +174,11 @@ func (s *Spec) validate(lim Limits) error {
 	}
 	seenDisp := make(map[string]bool, len(s.Dispatch))
 	for _, d := range s.Dispatch {
-		switch d {
-		case "auto", core.DispatchBlock, core.DispatchTrace, core.DispatchPredecode, core.DispatchGeneric:
-		case "":
+		if d == "" {
 			return fmt.Errorf("empty dispatch mode (omit the list or use %q)", "auto")
-		default:
-			return fmt.Errorf("unknown dispatch mode %q (want auto, block, trace, predecode or generic)", d)
+		}
+		if _, err := core.CanonicalDispatch(d); err != nil {
+			return err
 		}
 		if seenDisp[d] {
 			return fmt.Errorf("duplicate dispatch mode %q", d)

@@ -105,7 +105,7 @@ func TestFleetServesSuiteByteIdentical(t *testing.T) {
 	f := newFleet(t, 2, cluster.Config{})
 
 	benches := suite.All()
-	direct, err := core.RunAll(benches, core.Options{SkipCheck: true, Dispatch: core.DispatchBlock})
+	direct, err := core.RunAll(benches, core.Options{SkipCheck: true, Dispatch: "block"})
 	if err != nil {
 		t.Fatalf("direct RunAll: %v", err)
 	}

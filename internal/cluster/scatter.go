@@ -26,8 +26,9 @@ import (
 // SuiteRequest is the JSON body of POST /suite. An empty body (or empty
 // object) runs the whole suite with default options.
 type SuiteRequest struct {
-	// Dispatch selects the backends' interpreter loop ("", "auto",
-	// "trace", "block", "predecode", "generic").
+	// Dispatch selects the backends' interpreter: "" or any name
+	// core.CanonicalDispatch accepts; parsing replaces it with its
+	// canonical mode.
 	Dispatch string `json:"dispatch,omitempty"`
 	// TimeoutMS bounds each routed program run (0 = backend default).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -108,12 +109,8 @@ func (c *Coordinator) handleSuite(w http.ResponseWriter, r *http.Request) {
 	c.metrics.suiteRuns.Add(1)
 
 	rs := core.ResultSetFromReports(reports)
-	dispatch := req.Dispatch
-	if dispatch == "" {
-		dispatch = "auto"
-	}
 	writeJSON(w, http.StatusOK, SuiteResponse{
-		Dispatch:  dispatch,
+		Dispatch:  req.Dispatch,
 		Programs:  len(rs),
 		Part:      req.Part,
 		Of:        req.Of,
@@ -154,11 +151,11 @@ func parseSuiteRequest(data []byte) (*SuiteRequest, error) {
 	if err := dec.Decode(req); err != nil {
 		return nil, fmt.Errorf("invalid JSON: %w", err)
 	}
-	switch req.Dispatch {
-	case "", "auto", core.DispatchBlock, core.DispatchTrace, core.DispatchPredecode, core.DispatchGeneric:
-	default:
-		return nil, fmt.Errorf("unknown dispatch mode %q", req.Dispatch)
+	mode, err := core.CanonicalDispatch(req.Dispatch)
+	if err != nil {
+		return nil, err
 	}
+	req.Dispatch = mode
 	if req.TimeoutMS < 0 {
 		return nil, fmt.Errorf("negative timeout_ms %d", req.TimeoutMS)
 	}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"runtime/debug"
+	"strings"
 	"time"
 
 	"mmxdsp/internal/asm"
@@ -56,23 +57,56 @@ func (b Benchmark) Name() string {
 	return b.Base + "." + b.Version
 }
 
-// Dispatch modes for Options.Dispatch.
+// Dispatch modes for Options.Dispatch: the two interpreters of vm.CPU.Run.
+// Results are byte-identical across them; only throughput differs.
 const (
-	// DispatchAuto lets the VM pick the fastest applicable inner loop:
-	// block dispatch when the observer supports it, per-event otherwise
-	// (tracing attaches a Tee, which forces the per-event path).
-	DispatchAuto = ""
-	// DispatchBlock is DispatchAuto under its explicit name.
-	DispatchBlock = "block"
-	// DispatchPredecode pins the per-event predecoded loop.
-	DispatchPredecode = "predecode"
+	// DispatchTrace runs the dispatch loop with runtime superblock
+	// formation and register caching (see vm/trace.go). It is the default.
+	DispatchTrace = "trace"
 	// DispatchGeneric runs the decode-per-step reference interpreter.
 	DispatchGeneric = "generic"
-	// DispatchTrace layers runtime superblock formation with register
-	// caching on top of block dispatch (see vm/trace.go). Results are
-	// byte-identical to every other mode; only throughput differs.
-	DispatchTrace = "trace"
 )
+
+// dispatchNames lists every accepted dispatch name with the mode it
+// selects, canonical modes first. "auto", "block" and "predecode" named
+// interpreter loops since folded into trace dispatch; they stay accepted
+// so existing clients, scripts and campaign specs keep working.
+var dispatchNames = []struct{ name, mode string }{
+	{DispatchTrace, DispatchTrace},
+	{DispatchGeneric, DispatchGeneric},
+	{"auto", DispatchTrace},
+	{"block", DispatchTrace},
+	{"predecode", DispatchTrace},
+}
+
+// DispatchNames returns every dispatch name CanonicalDispatch accepts
+// besides the empty default, canonical modes first.
+func DispatchNames() []string {
+	names := make([]string, len(dispatchNames))
+	for i, d := range dispatchNames {
+		names[i] = d.name
+	}
+	return names
+}
+
+// CanonicalDispatch validates a dispatch name and returns the mode it
+// selects: DispatchTrace for "" and every alias of it, DispatchGeneric for
+// "generic". Every surface that takes a dispatch name (Options, the HTTP
+// APIs, campaign specs, the CLIs) validates through it, so they accept the
+// same names and reject the rest with the same text.
+func CanonicalDispatch(name string) (string, error) {
+	if name == "" {
+		return DispatchTrace, nil
+	}
+	for _, d := range dispatchNames {
+		if d.name == name {
+			return d.mode, nil
+		}
+	}
+	names := DispatchNames()
+	return "", fmt.Errorf("unknown dispatch mode %q (want %s or %s)",
+		name, strings.Join(names[:len(names)-1], ", "), names[len(names)-1])
+}
 
 // Options configures a run.
 type Options struct {
@@ -111,9 +145,8 @@ type Options struct {
 	// Progress, when non-nil, is invoked by RunAll as each benchmark
 	// retires (in completion order, serialized). Run ignores it.
 	Progress func(RunStatus)
-	// Dispatch selects the interpreter inner loop (DispatchAuto,
-	// DispatchTrace, DispatchBlock, DispatchPredecode or
-	// DispatchGeneric). Run rejects unknown values.
+	// Dispatch selects the interpreter: any name CanonicalDispatch
+	// accepts ("" selects DispatchTrace). Run rejects unknown values.
 	Dispatch string
 	// Ctx, when non-nil, cancels work in flight: Run installs a VM poll
 	// hook that aborts the interpreter within vm.DefaultPollInterval
@@ -129,20 +162,22 @@ func DefaultOptions() Options {
 	return Options{Pentium: &cfg}
 }
 
-// BlockStats describes block-dispatch behavior for one run. It is
+// BlockStats describes how a run's retired events were priced. It is
 // diagnostic host-side data, deliberately separate from Report (reports are
 // byte-identical across dispatch modes).
 type BlockStats struct {
 	// Compiled is the number of basic blocks the program compiled into.
 	Compiled int
-	// FastEvents and PerEvents split the retired events between the fused
-	// block fast path and the per-event path (terminators, fallback
-	// replays, or entire runs on the non-block interpreters).
+	// FastEvents and PerEvents split the retired events between region
+	// schedules (blocks, trace iterations and side exits priced by
+	// pentium.RetireChain) and the per-event path (terminators, declined
+	// regions, or entire runs on the generic interpreter).
 	FastEvents uint64
 	PerEvents  uint64
 }
 
-// FastPct returns the percentage of retired events on the fused fast path.
+// FastPct returns the percentage of retired events priced by a region
+// schedule.
 func (s BlockStats) FastPct() float64 {
 	total := s.FastEvents + s.PerEvents
 	if total == 0 {
@@ -160,10 +195,10 @@ type Result struct {
 	// drained every retired instruction (see vm.CPU.Run). It excludes
 	// Build, Check, report assembly and any queueing before the run.
 	Wall time.Duration
-	// Blocks reports block-dispatch coverage for the run.
+	// Blocks reports region-schedule coverage for the run.
 	Blocks BlockStats
-	// Traces reports trace-dispatch behavior (zero unless Dispatch was
-	// DispatchTrace): superblocks formed, full iterations, side exits.
+	// Traces reports trace-dispatch behavior (zero at DispatchGeneric):
+	// superblocks formed, full iterations, side exits.
 	Traces TraceStats
 	// BudgetExhausted marks a partial run: the instruction budget expired
 	// before HALT and Options.PartialOnBudget let it return a Result
@@ -313,19 +348,16 @@ func RunCompiled(comp *Compiled, opt Options) (res *Result, err error) {
 	if opt.Ctx != nil {
 		cpu.Poll = opt.Ctx.Err
 	}
-	switch opt.Dispatch {
-	case DispatchAuto, DispatchBlock:
-	case DispatchTrace:
-		cpu.Traces = true
-	case DispatchPredecode:
-		cpu.NoBlocks = true
-	case DispatchGeneric:
-		cpu.Generic = true
-	default:
-		return nil, fmt.Errorf("core: run %s: unknown dispatch mode %q", b.Name(), opt.Dispatch)
+	mode, err := CanonicalDispatch(opt.Dispatch)
+	if err != nil {
+		return nil, fmt.Errorf("core: run %s: %w", b.Name(), err)
 	}
+	cpu.Traces = mode == DispatchTrace
+	cpu.Generic = mode == DispatchGeneric
 	var tracer *profile.Tracer
 	if opt.Trace != nil {
+		// A Tee is a plain per-event observer, so a traced run takes the
+		// generic interpreter whatever the dispatch mode.
 		tracer = &profile.Tracer{W: opt.Trace, Limit: opt.TraceLimit, MeasuredOnly: true}
 		cpu.Obs = profile.Tee(col, tracer)
 	}

@@ -2,10 +2,10 @@ package core_test
 
 // Cross-dispatch determinism: the rendered evaluation artifacts — Tables 2
 // and 3 (CSV) and the full Markdown report — must be byte-identical whether
-// the suite runs on the per-event predecoded loop or the block-dispatch
-// loop. This is the user-facing face of the equivalence guarantee: block
-// batching is a host-side optimization and must never shift a reported
-// number. External test package because suite imports core.
+// the suite runs on the generic decode-per-step interpreter or at trace
+// dispatch. This is the user-facing face of the equivalence guarantee:
+// region pricing is a host-side optimization and must never shift a
+// reported number. External test package because suite imports core.
 
 import (
 	"testing"
@@ -28,15 +28,15 @@ func TestTablesByteIdenticalAcrossDispatch(t *testing.T) {
 		}
 		return core.Table2CSV(rs), core.Table3CSV(rs), core.MarkdownReport(rs)
 	}
-	t2p, t3p, mdp := render(core.DispatchPredecode)
-	t2b, t3b, mdb := render(core.DispatchBlock)
-	if t2p != t2b {
-		t.Errorf("Table 2 CSV differs across dispatch modes:\n predecode:\n%s\n block:\n%s", t2p, t2b)
+	t2g, t3g, mdg := render(core.DispatchGeneric)
+	t2t, t3t, mdt := render(core.DispatchTrace)
+	if t2g != t2t {
+		t.Errorf("Table 2 CSV differs across dispatch modes:\n generic:\n%s\n trace:\n%s", t2g, t2t)
 	}
-	if t3p != t3b {
-		t.Errorf("Table 3 CSV differs across dispatch modes:\n predecode:\n%s\n block:\n%s", t3p, t3b)
+	if t3g != t3t {
+		t.Errorf("Table 3 CSV differs across dispatch modes:\n generic:\n%s\n trace:\n%s", t3g, t3t)
 	}
-	if mdp != mdb {
+	if mdg != mdt {
 		t.Error("Markdown report differs across dispatch modes")
 	}
 }

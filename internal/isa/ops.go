@@ -445,6 +445,17 @@ func (op Op) IsBranch() bool { return op.Class() == ClassBranch }
 // that the profiler must not count.
 func (op Op) IsPseudo() bool { return op.Class() == ClassPseudo }
 
+// EmitsEvent reports whether a retired instance of the opcode produces a VM
+// retirement event. NOP and the profiling markers manage interpreter state
+// but are invisible to observers.
+func (op Op) EmitsEvent() bool {
+	switch op {
+	case NOP, PROFON, PROFOFF:
+		return false
+	}
+	return true
+}
+
 // Category returns the paper's Figure 1(a) MMX bucket for the opcode.
 func (op Op) Category() MMXCategory {
 	switch op.Class() {

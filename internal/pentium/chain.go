@@ -1,9 +1,11 @@
-// Chain-level timing: a trace (superblock) is a fixed sequence of basic
-// blocks fused across taken branches, so one full on-trace iteration retires
-// a fixed event sequence — each block's straight-line body followed by its
-// terminator with a known direction. Like a block body (block.go), the cycle
-// schedule of that sequence is a pure function of the dynamic entry state,
-// which a chain reaches through only three inputs:
+// Region timing: the profile collector prices every retired region — a
+// basic-block body, one full on-trace iteration, or a trace side exit — as a
+// chain: a fixed sequence of basic blocks, each block's straight-line body
+// followed by its terminator with a known direction (a lone block body is a
+// one-block chain whose terminator emits no event). The cycle schedule of
+// that sequence — dependency stalls, U/V pairing, result latencies, cache
+// penalties, branch predictions — is a pure function of the dynamic entry
+// state, which a chain reaches through only three inputs:
 //
 //   - the lag of each live-in register (read before written anywhere in the
 //     chain);
@@ -22,10 +24,12 @@
 // BTB seeded to reproduce those slot states, memoizes the schedule in a
 // per-chain MRU variant table, and thereafter applies it as one aggregate
 // update: clock delta, pair/branch/mispredict counts, scoreboard writes,
-// live BTB updates, exit pairing state. Steady-state loops hit the lastHit
-// variant with a single signature comparison. When no schedule applies
-// (oversized lags/penalties, entry pairing risk), it declines without
-// touching state and the caller replays per-block/per-event.
+// live BTB updates, exit pairing state. DSP loops have a constant
+// carried-dependency lag and a periodic streaming-miss pattern, so a handful
+// of variants covers the steady state, and steady-state loops hit the
+// lastHit variant with a single signature comparison. When no schedule
+// applies (oversized lags/penalties, entry pairing risk), it declines
+// without touching state and the caller retires the region per event.
 package pentium
 
 import (
@@ -34,8 +38,24 @@ import (
 )
 
 // maxChainSig bounds the signature length (lags + penalties + predictions);
-// longer chains fall back to per-block retirement.
+// longer chains fall back to per-event retirement.
 const maxChainSig = 255
+
+// maxSigEntry bounds the lag and penalty values a variant signature
+// records; larger values (microcoded latencies, pathological misses) fall
+// back to per-event replay.
+const maxSigEntry = 255
+
+// maxVariants bounds the per-chain variant table; beyond it, new
+// signatures overwrite round-robin.
+const maxVariants = 8
+
+// regReady records the ready time of one register written by a chain, as
+// an offset from the chain's entry clock.
+type regReady struct {
+	reg isa.Reg
+	off uint64
+}
 
 // ChainTerm describes one block terminator inside a chain: its PC (-1 for a
 // fall-through block, which emits no event) and the recorded direction the
@@ -50,17 +70,24 @@ type ChainTerm struct {
 type chainSched struct {
 	// costs[i] is the clock advance charged by the chain's i-th event (body
 	// instructions and terminators interleaved in retirement order; 0 for
-	// the V-pipe half of a pair). Slice identity names the schedule, exactly
-	// as with blockSched.
-	costs  []uint32
-	delta  uint64
-	pairs  uint64
-	brs    uint64 // branch events in the chain (constant, kept per variant)
-	mis    uint64 // mispredicts under this signature
+	// the V-pipe half of a pair). The profiler uses it for per-PC and
+	// per-class cycle attribution; slice identity names the schedule.
+	costs []uint32
+	delta uint64
+	pairs uint64
+	brs   uint64 // branch events in the chain (constant, kept per variant)
+	mis   uint64 // mispredicts under this signature
+	// writes lists every register the chain writes with its final
+	// entry-relative ready offset. Offsets of zero are meaningful (e.g. a
+	// zero-latency ablated emms), so the set is explicit rather than
+	// inferred from non-zero scoreboard entries.
 	writes []regReady
-	exitU  bool
-	uOff   uint64
-	uT     *instTiming
+	// exitU records the pairing state the chain leaves behind: whether its
+	// last instruction is still hosting the U pipe, at which entry-relative
+	// issue cycle, and with which timing record.
+	exitU bool
+	uOff  uint64
+	uT    *instTiming
 }
 
 // chainVariant is one cached schedule with its entry signature.
@@ -83,7 +110,10 @@ type ChainTiming struct {
 	// guards lists the chain's live-in registers (read before any in-chain
 	// write).
 	guards []isa.Reg
-	// pairRisk mirrors blockTiming.pairRisk for the chain's first event.
+	// pairRisk reports that the chain's first event could pair into the V
+	// pipe behind a pending U instruction (pairable-V with single-cycle
+	// occupancy); entering with haveU set then invalidates any precomputed
+	// schedule.
 	pairRisk bool
 	// branchPCs/branchTaken list the conditional-branch events in order with
 	// their recorded directions; BTB entries for these complete the entry
@@ -140,7 +170,7 @@ type ChainTiming struct {
 
 	// Churn governor: a chain whose entry signature keeps flapping past the
 	// variant table recycles a slot (and pays a full scratch replay) every
-	// call, which is slower than the caller's per-block fallback. Every
+	// call, which is slower than the caller's per-event fallback. Every
 	// windowLen recycles, a window that wasn't dominated by variant hits
 	// marks the chain dead and RetireChain declines permanently.
 	hits  uint32
@@ -149,17 +179,18 @@ type ChainTiming struct {
 }
 
 // chainChurnWindow is the recycle count per governor window; a window must
-// see at least 4 hits per recycle or the chain is retired to the per-block
+// see at least 4 hits per recycle or the chain is retired to the per-event
 // fallback.
 const chainChurnWindow = 64
 
-// NewChain builds the chain timing record for a trace visiting the given
+// NewChain builds the chain timing record for a region visiting the given
 // blocks (by bound-program block index) with the given terminator record per
-// block. It returns nil — and RetireChain will always decline — when the
-// model is unbound, a block index is out of range, or the signature would
-// exceed maxChainSig.
+// block; a basic-block body alone is NewChain([]int32{bi},
+// []ChainTerm{{PC: -1}}). It returns nil — and RetireChain will always
+// decline — when the model is unbound, a block index is out of range, the
+// region emits no events, or the signature would exceed maxChainSig.
 func (m *Model) NewChain(blocks []int32, terms []ChainTerm) *ChainTiming {
-	if m.blockT == nil || len(blocks) != len(terms) {
+	if m.bodies == nil || len(blocks) != len(terms) {
 		return nil
 	}
 	ct := &ChainTiming{steady: -1, predSteady: -1}
@@ -185,10 +216,10 @@ func (m *Model) NewChain(blocks []int32, terms []ChainTerm) *ChainTiming {
 		ct.evTaken = append(ct.evTaken, taken)
 	}
 	for i, bi := range blocks {
-		if bi < 0 || int(bi) >= len(m.blockT) {
+		if bi < 0 || int(bi) >= len(m.bodies) {
 			return nil
 		}
-		for _, pc := range m.blockT[bi].pcs {
+		for _, pc := range m.bodies[bi] {
 			addEvent(pc, false)
 		}
 		if tpc := terms[i].PC; tpc >= 0 {
@@ -308,9 +339,13 @@ func (m *Model) replayChain(ct *ChainTiming, sig []uint8, out *chainSched) {
 }
 
 // applyChain commits a resolved schedule: aggregate clock/counter update,
-// scoreboard writes, exit pairing state, and the live BTB updates each
-// chain branch would have performed.
-func (m *Model) applyChain(ct *ChainTiming, s *chainSched) {
+// scoreboard writes, exit pairing state, and — when btb is set — the live
+// BTB updates each chain branch would have performed. Steady-state applies
+// pass btb false: every chain branch's counter is then saturated at its
+// recorded direction, so the updates are no-ops. It records the apply as
+// the model's last one (for steady-state proofs) and returns the
+// schedule's costs.
+func (m *Model) applyChain(ct *ChainTiming, s *chainSched, btb bool) []uint32 {
 	m.seq++
 	base := m.now
 	m.now = base + s.delta
@@ -326,32 +361,27 @@ func (m *Model) applyChain(ct *ChainTiming, s *chainSched) {
 		m.uIssue = base + s.uOff
 		m.uT = s.uT
 	}
-	if !m.cfg.DisableBTB {
+	if btb && !m.cfg.DisableBTB {
 		for i, pc := range ct.branchPCs {
 			m.btb.update(int(pc), ct.branchTaken[i])
 		}
 	}
+	ct.seqAfter = m.seq
+	m.lastChain, m.lastCosts, m.lastSeq = ct, s.costs, m.seq
+	return s.costs
 }
 
-// applyChainSteady commits a steady-state schedule: applyChain minus the
-// BTB updates, which steady state guarantees are no-ops (every chain
-// branch's counter saturated at its recorded direction).
-func (m *Model) applyChainSteady(s *chainSched) {
-	m.seq++
-	base := m.now
-	m.now = base + s.delta
-	m.paired += s.pairs
-	m.branches += s.brs
-	m.mispred += s.mis
-	for i := range s.writes {
-		w := &s.writes[i]
-		m.readyAt[w.reg] = base + w.off
+// penaltiesMatch reports whether this iteration's cache penalties are the
+// ones variant v's signature recorded: the only input a steady-state apply
+// must still verify.
+func (ct *ChainTiming) penaltiesMatch(v *chainVariant, penalties []int32) bool {
+	pen := v.sig[len(ct.guards) : len(ct.guards)+ct.memN]
+	for i, p := range penalties {
+		if uint32(p) > maxSigEntry || uint8(p) != pen[i] {
+			return false
+		}
 	}
-	m.haveU = s.exitU
-	if s.exitU {
-		m.uIssue = base + s.uOff
-		m.uT = s.uT
-	}
+	return true
 }
 
 // RetireChain applies a precomputed timing schedule for one full on-trace
@@ -360,7 +390,7 @@ func (m *Model) applyChainSteady(s *chainSched) {
 // per-event cycle costs — immutable, with slice identity naming the
 // schedule, aligned with the chain's event sequence — or nil, having
 // changed nothing, when ct is nil/declined or the entry state matches no
-// cacheable schedule; the caller must then retire per-block/per-event.
+// cacheable schedule; the caller must then retire the region per event.
 func (m *Model) RetireChain(ct *ChainTiming, penalties []int32) []uint32 {
 	if ct == nil || ct.dead || len(ct.pcs) == 0 {
 		return nil
@@ -375,21 +405,9 @@ func (m *Model) RetireChain(ct *ChainTiming, penalties []int32) []uint32 {
 		if m.seq != ct.seqAfter {
 			ct.steady = -1
 		} else {
-			v := &ct.variants[ct.steady]
-			pen := v.sig[len(ct.guards) : len(ct.guards)+ct.memN]
-			ok := true
-			for i, p := range penalties {
-				if uint32(p) > maxSigEntry || uint8(p) != pen[i] {
-					ok = false
-					break
-				}
-			}
-			if ok {
+			if v := &ct.variants[ct.steady]; ct.penaltiesMatch(v, penalties) {
 				ct.hits++
-				m.applyChainSteady(&v.s)
-				ct.seqAfter = m.seq
-				m.lastChain, m.lastCosts, m.lastSeq = ct, v.s.costs, m.seq
-				return v.s.costs
+				return m.applyChain(ct, &v.s, false)
 			}
 			// Penalties diverged this iteration: fall through to the full
 			// path, which re-proves or abandons steady state.
@@ -404,21 +422,9 @@ func (m *Model) RetireChain(ct *ChainTiming, penalties []int32) []uint32 {
 	if ct.predSteady >= 0 && ct.lastHit == ct.predSteady &&
 		m.seq == ct.seqAfter+1 && m.lastSeq == m.seq && m.lastChain == ct.pred &&
 		len(m.lastCosts) > 0 && len(ct.predCosts) > 0 && &m.lastCosts[0] == &ct.predCosts[0] {
-		v := &ct.variants[ct.predSteady]
-		pen := v.sig[len(ct.guards) : len(ct.guards)+ct.memN]
-		ok := true
-		for i, p := range penalties {
-			if uint32(p) > maxSigEntry || uint8(p) != pen[i] {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if v := &ct.variants[ct.predSteady]; ct.penaltiesMatch(v, penalties) {
 			ct.hits++
-			m.applyChainSteady(&v.s)
-			ct.seqAfter = m.seq
-			m.lastChain, m.lastCosts, m.lastSeq = ct, v.s.costs, m.seq
-			return v.s.costs
+			return m.applyChain(ct, &v.s, false)
 		}
 	}
 	base := m.now
@@ -506,10 +512,7 @@ func (m *Model) RetireChain(ct *ChainTiming, penalties []int32) []uint32 {
 			ct.candPred = nil
 		}
 		ct.hits++
-		m.applyChain(ct, &v.s)
-		ct.seqAfter = m.seq
-		m.lastChain, m.lastCosts, m.lastSeq = ct, v.s.costs, m.seq
-		return v.s.costs
+		return m.applyChain(ct, &v.s, true)
 	}
 	ct.steady = -1
 	ct.candPred = nil
@@ -518,10 +521,7 @@ func (m *Model) RetireChain(ct *ChainTiming, penalties []int32) []uint32 {
 		if sigEqual(v.sig, sig) {
 			ct.hits++
 			ct.lastHit = vi
-			m.applyChain(ct, &v.s)
-			ct.seqAfter = m.seq
-			m.lastChain, m.lastCosts, m.lastSeq = ct, v.s.costs, m.seq
-			return v.s.costs
+			return m.applyChain(ct, &v.s, true)
 		}
 	}
 	var v *chainVariant
@@ -533,9 +533,11 @@ func (m *Model) RetireChain(ct *ChainTiming, penalties []int32) []uint32 {
 		ct.lastHit = ct.nextVar
 		v = &ct.variants[ct.nextVar]
 		ct.nextVar = (ct.nextVar + 1) % maxVariants
-		// Preserve cost-slice identity for batching callers, as in
-		// RetireBlock. A recycled slot also invalidates any keyed steady
-		// state or proof candidate pinned to it.
+		// Never reuse the evicted schedule's costs backing: callers batch
+		// applications by cost-slice identity, so a returned slice must
+		// stay immutable for the run's lifetime. A recycled slot also
+		// invalidates any keyed steady state or proof candidate pinned to
+		// it.
 		v.s.costs = nil
 		if ct.predSteady == ct.lastHit {
 			ct.predSteady = -1
@@ -552,26 +554,17 @@ func (m *Model) RetireChain(ct *ChainTiming, penalties []int32) []uint32 {
 	}
 	v.sig = append(v.sig[:0], sig...)
 	m.replayChain(ct, v.sig, &v.s)
-	m.applyChain(ct, &v.s)
-	ct.seqAfter = m.seq
-	m.lastChain, m.lastCosts, m.lastSeq = ct, v.s.costs, m.seq
-	return v.s.costs
+	return m.applyChain(ct, &v.s, true)
 }
 
-// ChainEventPCs returns the chain's event PCs in retirement order, aligned
-// with the cost slices RetireChain returns. The slice is shared, read-only.
-func (ct *ChainTiming) ChainEventPCs() []int32 {
-	if ct == nil {
-		return nil
+func sigEqual(a, b []uint8) bool {
+	if len(a) != len(b) {
+		return false
 	}
-	return ct.pcs
-}
-
-// ChainMemN returns how many of the chain's events reference memory (the
-// expected penalty-vector length).
-func (ct *ChainTiming) ChainMemN() int {
-	if ct == nil {
-		return 0
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
 	}
-	return ct.memN
+	return true
 }

@@ -82,8 +82,8 @@ type Model struct {
 	branches uint64
 	mispred  uint64
 
-	// seq counts state-mutating operations (per-event retires, block and
-	// chain applies). Chain steady-state detection (chain.go) compares it
+	// seq counts state-mutating operations (per-event retires and chain
+	// applies). Chain steady-state detection (chain.go) compares it
 	// across calls to prove nothing else touched the model between two
 	// applications of the same chain variant.
 	seq uint64
@@ -101,11 +101,12 @@ type Model struct {
 	// pcT is the per-PC timing table installed by Bind; nil models derive
 	// timing from each event's Inst on the fly.
 	pcT []instTiming
-	// blockT is the per-block static schedule table installed by Bind
-	// (see block.go); nil models decline RetireBlock. sim is the lazily
-	// allocated scratch model block replays run on, sigBuf the reusable
-	// signature buffer RetireBlock builds lookups in.
-	blockT []blockTiming
+	// bodies lists, per basic block of the bound program, the
+	// event-emitting body instructions NewChain strings together; nil
+	// models decline every chain. sim is the lazily allocated scratch
+	// model chain replays run on, sigBuf the reusable signature buffer
+	// RetireChain builds lookups in.
+	bodies [][]int32
 	sim    *Model
 	sigBuf []uint8
 	// scratch holds two alternating slots for the unbound path: the
@@ -126,7 +127,8 @@ func New(cfg Config) *Model {
 }
 
 // Bind installs the per-PC timing table for a linked program, applying the
-// model's configuration overrides once per static instruction. A bound
+// model's configuration overrides once per static instruction, and records
+// each basic block's event-emitting body for NewChain. A bound
 // model must only be fed events produced by running that program (event PC
 // indexes the table); events whose PC falls outside the program — as in
 // synthetic streams — fall back to per-event derivation.
@@ -136,7 +138,16 @@ func (m *Model) Bind(prog *asm.Program) {
 	for i := range meta {
 		m.fillTiming(&m.pcT[i], prog.Insts[i].Op, &meta[i])
 	}
-	m.bindBlocks(prog)
+	blocks := prog.Blocks()
+	m.bodies = make([][]int32, len(blocks))
+	for bi := range blocks {
+		start, bodyEnd := blocks[bi].Body()
+		for pc := start; pc < bodyEnd; pc++ {
+			if prog.Insts[pc].Op.EmitsEvent() {
+				m.bodies[bi] = append(m.bodies[bi], int32(pc))
+			}
+		}
+	}
 }
 
 // fillTiming resolves one instruction's timing under the configuration.

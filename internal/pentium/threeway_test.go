@@ -2,9 +2,9 @@ package pentium_test
 
 // Dispatch-mode fuzz: random-but-valid linked programs — nested
 // counted loops over random integer/MMX/memory bodies, wrapped in a
-// measured profon/profoff region — run through the generic, predecoded,
-// block and trace interpreter loops with the full timing pipeline (bound
-// model, collector, cache hierarchy). Every event-visible outcome must be
+// measured profon/profoff region — run through the generic interpreter and
+// the dispatch loop with trace formation off (block) and on (trace), with
+// the full timing pipeline (bound model, collector, cache hierarchy). Every event-visible outcome must be
 // identical: registers, memory image, executed count, cycle totals and the
 // entire profiling report. This lives in an external test package because
 // the profile package imports pentium.
@@ -122,8 +122,6 @@ func runDispatch(t *testing.T, prog *asm.Program, mode string) *threeWayOutcome 
 	switch mode {
 	case "generic":
 		cpu.Generic = true
-	case "predecode":
-		cpu.NoBlocks = true
 	case "block":
 	case "trace":
 		cpu.Traces = true
@@ -157,7 +155,7 @@ func checkThreeWay(t *testing.T, seed uint64) {
 		t.Fatalf("seed %d: link: %v", seed, err)
 	}
 	gen := runDispatch(t, prog, "generic")
-	for _, mode := range []string{"predecode", "block", "trace"} {
+	for _, mode := range []string{"block", "trace"} {
 		got := runDispatch(t, prog, mode)
 		if got.gpr != gen.gpr {
 			t.Errorf("seed %d: %s GPRs %v, generic %v", seed, mode, got.gpr, gen.gpr)

@@ -19,8 +19,9 @@ import (
 	"mmxdsp/internal/vm"
 )
 
-// Collector implements vm.Observer: it prices each event through the timing
-// model and accumulates measured-region statistics.
+// Collector implements vm.TraceObserver: it prices each event or retired
+// region through the timing model and accumulates measured-region
+// statistics.
 type Collector struct {
 	Model *pentium.Model
 	Prog  *asm.Program
@@ -45,18 +46,18 @@ type Collector struct {
 	mmxCat      [5]uint64 // indexed by isa.MMXCategory
 	opCounts    [isa.NumOps]uint64
 
-	// blocks holds the per-block aggregate updates for ObserveBlock (see
-	// block.go); traces the per-trace chain records for ObserveTrace (see
-	// traceobs.go); fastEvents/perEvents split retired events by path.
-	blocks     []blockAgg
+	// blocks holds the per-block regions for ObserveBlock (see block.go);
+	// traces the per-trace records for ObserveTrace (see traceobs.go);
+	// fastEvents/perEvents split retired events by path.
+	blocks     []region
 	traces     []*traceChain
 	fastEvents uint64
 	perEvents  uint64
 
 	// Run-length batch of per-event retirements: every measured counter
-	// update is a pure function of (PC, cycle cost), and under block
-	// dispatch consecutive Retire calls are the same loop terminator at
-	// the same steady-state cost, so identical consecutive events fold
+	// update is a pure function of (PC, cycle cost), and with trace
+	// formation off consecutive Retire calls are the same loop terminator
+	// at the same steady-state cost, so identical consecutive events fold
 	// into one count flushed on change (or at Report).
 	runPC   int32
 	runCost uint32
@@ -64,7 +65,7 @@ type Collector struct {
 }
 
 // NewCollector builds a collector for one program run. The model should
-// already be bound to prog; block-level observation degrades to per-event
+// already be bound to prog; region-level observation degrades to per-event
 // replay otherwise.
 func NewCollector(prog *asm.Program, model *pentium.Model) *Collector {
 	c := &Collector{
@@ -174,8 +175,7 @@ type ProcProfile struct {
 // Report builds the final report.
 func (c *Collector) Report(name string) *Report {
 	c.flushRun()
-	c.flushBlocks()
-	c.flushTraces()
+	c.flushRegions()
 	var static uint64
 	for _, n := range c.pcCounts {
 		if n > 0 {

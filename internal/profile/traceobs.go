@@ -1,12 +1,11 @@
-// Trace-level observation: the Collector implements vm.TraceObserver, so
-// the trace dispatcher hands it one ObserveTrace call per full superblock
-// iteration (and one ObserveTraceExit per side exit) instead of one
-// ObserveBlock per block plus one Retire per terminator. The timing comes
-// from pentium.RetireChain — a whole-iteration schedule memoized per entry
-// signature — with measured executions batched per schedule exactly like
-// the block fast path. When the chain schedule declines, the iteration
-// degrades to the per-block path (which itself degrades to per-event
-// replay), so every tier produces byte-identical reports.
+// Trace-level observation: the trace dispatcher hands the Collector one
+// ObserveTrace call per full superblock iteration (and one ObserveTraceExit
+// per side exit) instead of one ObserveBlock per block plus one Retire per
+// terminator. A full iteration and each side-exit shape are regions (see
+// block.go) priced through pentium.RetireChain. When a chain schedule
+// declines, the iteration degrades to the per-block path (which itself
+// degrades to per-event replay), so every tier produces byte-identical
+// reports.
 package profile
 
 import (
@@ -14,16 +13,8 @@ import (
 	"mmxdsp/internal/vm"
 )
 
-// chainEv is one event of a full trace iteration in retirement order.
-type chainEv struct {
-	pc      int32
-	taken   bool
-	refsMem bool
-}
-
 // traceChain is the observation record of one registered trace.
 type traceChain struct {
-	ct     *pentium.ChainTiming
 	blocks []int32
 	// termPC[i] is block i's terminator PC (-1 for fall-through); taken[i]
 	// the direction the trace recorded for it. termMem[i] marks terminators
@@ -34,27 +25,16 @@ type traceChain struct {
 	taken   []bool
 	termMem []bool
 	termBr  []bool
-	// events is the full iteration's event sequence; bodyMem[i] counts
-	// block i's memory-referencing body events (slicing the penalty
-	// vector per block on the fallback paths).
-	events  []chainEv
+	// bodyMem[i] counts block i's memory-referencing body events (slicing
+	// the penalty vector per block on the fallback path).
 	bodyMem []int32
-	memN    int
-	// pend batches measured fast-path iterations per chain schedule,
-	// keyed by cost-slice identity like blockAgg.pend.
-	pend []pendEntry
-	// exits memoizes per-exit chain schedules: a side exit at block k is
-	// itself a fixed event sequence (blocks 0..k, with block k's
-	// conditional terminator inverted), so it gets the same chain fast
-	// path as full iterations. Built lazily on first exit at k.
-	exits []*exitChain
-}
-
-// exitChain is the chain-timing record of one side-exit shape.
-type exitChain struct {
-	ct     *pentium.ChainTiming
-	events []chainEv
-	pend   []pendEntry
+	// full is the region of one full iteration.
+	full region
+	// exits memoizes per-exit regions: a side exit at block k is itself a
+	// fixed event sequence (blocks 0..k, with block k's conditional
+	// terminator inverted), so it gets the same chain fast path as full
+	// iterations. Built lazily on first exit at k.
+	exits []*region
 }
 
 // RegisterTrace implements vm.TraceObserver. Trace ids arrive dense and
@@ -78,16 +58,14 @@ func (c *Collector) RegisterTrace(id int, blocks []int32, taken []bool) {
 			c.traces = append(c.traces, &traceChain{})
 			return
 		}
-		ba := &c.blocks[bi]
 		var memN int32
-		for j, pc := range ba.agg.PCs {
-			if ba.agg.IsMem[j] {
+		for _, e := range c.blocks[bi].events {
+			if e.refsMem {
 				memN++
 			}
-			tc.events = append(tc.events, chainEv{pc: pc, refsMem: ba.agg.IsMem[j]})
+			tc.full.events = append(tc.full.events, e)
 		}
 		tc.bodyMem = append(tc.bodyMem, memN)
-		tc.memN += int(memN)
 		term := int32(-1)
 		termMem, termBr := false, false
 		if t := progBlocks[bi].Term; t >= 0 {
@@ -95,17 +73,14 @@ func (c *Collector) RegisterTrace(id int, blocks []int32, taken []bool) {
 			in := &c.Prog.Insts[term]
 			termMem = in.ReferencesMemory()
 			termBr = in.Op.IsBranch()
-			tc.events = append(tc.events, chainEv{pc: term, taken: taken[i], refsMem: termMem})
-			if termMem {
-				tc.memN++
-			}
+			tc.full.events = append(tc.full.events, chainEv{pc: term, taken: taken[i], refsMem: termMem})
 		}
 		tc.termPC = append(tc.termPC, term)
 		tc.termMem = append(tc.termMem, termMem)
 		tc.termBr = append(tc.termBr, termBr)
 		terms = append(terms, pentium.ChainTerm{PC: term, Taken: taken[i]})
 	}
-	tc.ct = c.Model.NewChain(blocks, terms)
+	tc.full.ct = c.Model.NewChain(blocks, terms)
 	if id == len(c.traces) {
 		c.traces = append(c.traces, tc)
 	} else {
@@ -121,36 +96,17 @@ func (c *Collector) ObserveTrace(id int, measured bool, penalties []int32) {
 		return
 	}
 	tc := c.traces[id]
-	if costs := c.Model.RetireChain(tc.ct, penalties); costs != nil {
-		c.fastEvents += uint64(len(tc.events))
-		if !measured {
-			return
-		}
-		key := &costs[0]
-		for i := range tc.pend {
-			if &tc.pend[i].costs[0] == key {
-				tc.pend[i].n++
-				return
-			}
-		}
-		if len(tc.pend) >= 16 {
-			for i := range tc.pend {
-				c.flushTrace(tc, &tc.pend[i])
-			}
-			tc.pend = tc.pend[:0]
-		}
-		tc.pend = append(tc.pend, pendEntry{costs: costs, n: 1})
-		return
+	if !c.retireRegion(&tc.full, measured, penalties) {
+		// Chain schedule declined: replay the iteration per block, exactly
+		// as formation-off dispatch would have retired it.
+		c.replayChainBlocks(tc, len(tc.blocks)-1, false, measured, penalties)
 	}
-	// Chain schedule declined: replay the iteration per block, exactly as
-	// block dispatch would have retired it.
-	c.replayChainBlocks(tc, len(tc.blocks)-1, false, measured, penalties)
 }
 
 // ObserveTraceExit implements vm.TraceObserver: a side exit at block k's
 // terminator. Blocks 0..k completed architecturally; block k's terminator
-// went the opposite of its recorded direction. Chain schedules only cover
-// full iterations, so exits always retire through the per-block path.
+// went the opposite of its recorded direction. Each exit shape is its own
+// region, priced like a full iteration.
 func (c *Collector) ObserveTraceExit(id int, k int, measured bool, penalties []int32) {
 	if id < 0 || id >= len(c.traces) {
 		return
@@ -159,51 +115,27 @@ func (c *Collector) ObserveTraceExit(id int, k int, measured bool, penalties []i
 	if k < 0 || k >= len(tc.blocks) {
 		return
 	}
-	ec := c.exitChainFor(tc, k)
-	if costs := c.Model.RetireChain(ec.ct, penalties); costs != nil {
-		c.fastEvents += uint64(len(ec.events))
-		if !measured {
-			return
-		}
-		key := &costs[0]
-		for i := range ec.pend {
-			if &ec.pend[i].costs[0] == key {
-				ec.pend[i].n++
-				return
-			}
-		}
-		if len(ec.pend) >= 16 {
-			for i := range ec.pend {
-				c.flushExit(ec, &ec.pend[i])
-			}
-			ec.pend = ec.pend[:0]
-		}
-		ec.pend = append(ec.pend, pendEntry{costs: costs, n: 1})
-		return
+	if !c.retireRegion(c.exitRegion(tc, k), measured, penalties) {
+		c.replayChainBlocks(tc, k, true, measured, penalties)
 	}
-	c.replayChainBlocks(tc, k, true, measured, penalties)
 }
 
-// exitChainFor lazily builds (once per exit point) the chain-timing record
-// for a side exit at block k of tc: the event sequence of blocks 0..k with
-// block k's terminator going the un-recorded way when it is a conditional
-// branch (a ret side exit retires with its recorded direction).
-func (c *Collector) exitChainFor(tc *traceChain, k int) *exitChain {
+// exitRegion lazily builds (once per exit point) the region of a side exit
+// at block k of tc: the event sequence of blocks 0..k with block k's
+// terminator going the un-recorded way when it is a conditional branch (a
+// ret side exit retires with its recorded direction).
+func (c *Collector) exitRegion(tc *traceChain, k int) *region {
 	if tc.exits == nil {
-		tc.exits = make([]*exitChain, len(tc.blocks))
+		tc.exits = make([]*region, len(tc.blocks))
 	}
 	if ec := tc.exits[k]; ec != nil {
 		return ec
 	}
-	ec := &exitChain{}
+	ec := &region{}
 	tc.exits[k] = ec
 	terms := make([]pentium.ChainTerm, 0, k+1)
 	for i := 0; i <= k; i++ {
-		bi := int(tc.blocks[i])
-		ba := &c.blocks[bi]
-		for j, pc := range ba.agg.PCs {
-			ec.events = append(ec.events, chainEv{pc: pc, refsMem: ba.agg.IsMem[j]})
-		}
+		ec.events = append(ec.events, c.blocks[tc.blocks[i]].events...)
 		taken := tc.taken[i]
 		if i == k && tc.termBr[i] {
 			taken = !taken
@@ -215,19 +147,6 @@ func (c *Collector) exitChainFor(tc *traceChain, k int) *exitChain {
 	}
 	ec.ct = c.Model.NewChain(tc.blocks[:k+1], terms)
 	return ec
-}
-
-// flushExit folds one exit schedule's pending batch into the counters.
-func (c *Collector) flushExit(ec *exitChain, pe *pendEntry) {
-	n := pe.n
-	if n == 0 {
-		return
-	}
-	pe.n = 0
-	costs := pe.costs
-	for i := range ec.events {
-		c.tally(int(ec.events[i].pc), uint64(costs[i]), n)
-	}
 }
 
 // replayChainBlocks retires blocks 0..k of the chain through the ordinary
@@ -255,38 +174,6 @@ func (c *Collector) replayChainBlocks(tc *traceChain, k int, invert bool, measur
 				off++
 			}
 			c.Retire(ev)
-		}
-	}
-}
-
-// flushTrace folds one chain schedule's pending batch into the counters:
-// every event of the iteration retired n times at its scheduled cost.
-func (c *Collector) flushTrace(tc *traceChain, pe *pendEntry) {
-	n := pe.n
-	if n == 0 {
-		return
-	}
-	pe.n = 0
-	costs := pe.costs
-	for i := range tc.events {
-		c.tally(int(tc.events[i].pc), uint64(costs[i]), n)
-	}
-}
-
-// flushTraces folds every pending chain batch; counters are only complete
-// after.
-func (c *Collector) flushTraces() {
-	for _, tc := range c.traces {
-		for j := range tc.pend {
-			c.flushTrace(tc, &tc.pend[j])
-		}
-		for _, ec := range tc.exits {
-			if ec == nil {
-				continue
-			}
-			for j := range ec.pend {
-				c.flushExit(ec, &ec.pend[j])
-			}
 		}
 	}
 }

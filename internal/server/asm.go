@@ -330,14 +330,10 @@ func (s *Server) executeAsm(ctx context.Context, req *AsmRequest, retired *int64
 	s.metrics.recordRun(req.name(), res.Report.DynamicInstructions, res.Wall)
 	s.metrics.recordTraces(res.Traces)
 
-	dispatch := req.Dispatch
-	if dispatch == "" {
-		dispatch = "auto"
-	}
 	return marshalResponse(AsmResponse{
 		Program:         req.name(),
 		SourceHash:      req.sourceHash,
-		Dispatch:        dispatch,
+		Dispatch:        req.runRequest().dispatchMode(),
 		CacheHit:        hit,
 		BudgetExhausted: res.BudgetExhausted,
 		WallNS:          res.Wall.Nanoseconds(),

@@ -98,10 +98,10 @@ const spinSource = ".proc main\n\tprofon\nspin:\n\tadd eax, 1\n\tjmp spin\n"
 // mode, through one shared server.
 func TestAsmConformance(t *testing.T) {
 	names := suite.Names()
-	modes := []string{core.DispatchTrace, core.DispatchBlock, core.DispatchPredecode, core.DispatchGeneric}
+	modes := []string{core.DispatchTrace, "block", "predecode", core.DispatchGeneric}
 	if testing.Short() {
 		names = []string{"fir.c", "fir.mmx", "fft.mmx"}
-		modes = []string{core.DispatchTrace, core.DispatchBlock}
+		modes = []string{core.DispatchTrace, "block"}
 	}
 	_, ts := newTestServer(t, server.Config{})
 

@@ -8,10 +8,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
 
+	"mmxdsp/internal/core"
 	"mmxdsp/internal/server"
 	"mmxdsp/internal/suite"
 )
@@ -48,8 +50,8 @@ func TestProgramsEndpoint(t *testing.T) {
 	if !ok || fir.Base != "fir" || fir.Version != "mmx" || fir.Kind != "kernel" || fir.Descr == "" {
 		t.Errorf("fir.mmx entry malformed: %+v (ok=%t)", fir, ok)
 	}
-	if len(pr.DispatchModes) != 3 {
-		t.Errorf("dispatch modes %v, want the three interpreter loops", pr.DispatchModes)
+	if !reflect.DeepEqual(pr.DispatchModes, core.DispatchNames()) {
+		t.Errorf("dispatch modes %v, want every accepted name %v", pr.DispatchModes, core.DispatchNames())
 	}
 
 	post, err := http.Post(ts.URL+"/programs", "application/json", nil)
@@ -125,6 +127,37 @@ func TestRequestIDEcho(t *testing.T) {
 	}
 }
 
+// TestProgramsDispatchModesRunnable: /programs advertises exactly the
+// dispatch names /run accepts — the fastest mode, trace, included — and
+// /run rejects a name the list leaves out.
+func TestProgramsDispatchModesRunnable(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{})
+	resp, err := http.Get(ts.URL + "/programs")
+	if err != nil {
+		t.Fatalf("GET /programs: %v", err)
+	}
+	var pr server.ProgramsResponse
+	err = json.NewDecoder(resp.Body).Decode(&pr)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("decoding /programs: %v", err)
+	}
+	listed := map[string]bool{}
+	for _, mode := range pr.DispatchModes {
+		listed[mode] = true
+		body := `{"program":"fir.mmx","dispatch":"` + mode + `","skip_check":true}`
+		if status, data := postRun(t, ts.URL, body); status != http.StatusOK {
+			t.Errorf("/programs lists %q but /run answers %d: %s", mode, status, data)
+		}
+	}
+	if !listed[core.DispatchTrace] || !listed[core.DispatchGeneric] {
+		t.Errorf("dispatch modes %v omit a canonical mode", pr.DispatchModes)
+	}
+	if status, _ := postRun(t, ts.URL, `{"program":"fir.mmx","dispatch":"warp"}`); status != http.StatusBadRequest {
+		t.Errorf("unlisted dispatch: status %d, want 400", status)
+	}
+}
+
 func TestCacheKeyDistinguishesConfigs(t *testing.T) {
 	parse := func(body string) *server.RunRequest {
 		t.Helper()
@@ -140,7 +173,7 @@ func TestCacheKeyDistinguishesConfigs(t *testing.T) {
 		t.Errorf("timeout changed the cache key: %q vs %q", a.CacheKey(), b.CacheKey())
 	}
 	variants := []string{
-		`{"program":"fir.mmx","dispatch":"predecode"}`,
+		`{"program":"fir.mmx","dispatch":"generic"}`,
 		`{"program":"fft.mmx","dispatch":"block"}`,
 		`{"program":"fir.mmx","dispatch":"block","config":{"perfect_cache":true}}`,
 		`{"program":"fir.mmx","dispatch":"block","config":{"mispredict_penalty":7}}`,

@@ -44,7 +44,7 @@ func FuzzParseRequest(f *testing.F) {
 				req.MaxInstrs, req.TimeoutMS)
 		}
 		switch req.dispatchMode() {
-		case core.DispatchAuto, core.DispatchBlock, core.DispatchPredecode, core.DispatchGeneric:
+		case core.DispatchTrace, core.DispatchGeneric:
 		default:
 			t.Fatalf("dispatch mode %q escaped validation", req.dispatchMode())
 		}

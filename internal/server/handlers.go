@@ -26,7 +26,7 @@ const StatusClientClosedRequest = 499
 // RunResponse is the JSON body answering POST /run.
 type RunResponse struct {
 	Program  string `json:"program"`
-	Dispatch string `json:"dispatch"` // requested mode ("auto" when defaulted)
+	Dispatch string `json:"dispatch"` // canonical mode of the requested name
 	CacheHit bool   `json:"cache_hit"`
 	// WallNS is core.Result.Wall: host time from the start of the
 	// interpreter run until it has halted and the timing model has drained
@@ -232,13 +232,9 @@ func (s *Server) executeRun(ctx context.Context, req *RunRequest, retired *int64
 	s.metrics.recordRun(req.Program, res.Report.DynamicInstructions, res.Wall)
 	s.metrics.recordTraces(res.Traces)
 
-	dispatch := req.Dispatch
-	if dispatch == "" {
-		dispatch = "auto"
-	}
 	return marshalResponse(RunResponse{
 		Program:      req.Program,
-		Dispatch:     dispatch,
+		Dispatch:     req.dispatchMode(),
 		CacheHit:     hit,
 		WallNS:       res.Wall.Nanoseconds(),
 		InstrsPerSec: res.InstrsPerSec(),
@@ -266,10 +262,8 @@ func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 		}
 		req.TimeoutMS = ms
 	}
-	switch req.Dispatch {
-	case "", "auto", core.DispatchBlock, core.DispatchTrace, core.DispatchPredecode, core.DispatchGeneric:
-	default:
-		writeError(w, http.StatusBadRequest, errors.New("unknown dispatch mode "+strconv.Quote(req.Dispatch)))
+	if _, err := core.CanonicalDispatch(req.Dispatch); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 
@@ -313,17 +307,15 @@ func (s *Server) tableResult(ctx context.Context, req *RunRequest) (*CachedResul
 }
 
 // WarmSuite renders and caches the whole-suite /table artifact for each
-// given dispatch mode ("auto", "trace", "block", "predecode" or "generic"),
+// given dispatch name (any name core.CanonicalDispatch accepts),
 // so a daemon answers its first table request — and, through the shared
 // compiled-program cache, first per-program runs — warm instead of paying
 // the full sweep in request latency. Intended to run before serving starts;
 // it uses the same admission, caches and metrics as a live request.
 func (s *Server) WarmSuite(ctx context.Context, modes []string) error {
 	for _, mode := range modes {
-		switch mode {
-		case "", "auto", core.DispatchBlock, core.DispatchTrace, core.DispatchPredecode, core.DispatchGeneric:
-		default:
-			return fmt.Errorf("warm suite: unknown dispatch mode %q", mode)
+		if _, err := core.CanonicalDispatch(mode); err != nil {
+			return fmt.Errorf("warm suite: %w", err)
 		}
 		// The request mirrors handleTable's exactly so the cached bytes key
 		// identically to later GET /table traffic.
@@ -350,12 +342,8 @@ func (s *Server) executeTable(ctx context.Context, req *RunRequest) ([]byte, err
 	if err != nil {
 		return nil, err
 	}
-	dispatch := req.Dispatch
-	if dispatch == "" {
-		dispatch = "auto"
-	}
 	return marshalResponse(TableResponse{
-		Dispatch:  dispatch,
+		Dispatch:  req.dispatchMode(),
 		Programs:  len(rs),
 		Table2:    core.Table2(rs),
 		Table2CSV: core.Table2CSV(rs),
@@ -440,10 +428,8 @@ func (s *Server) handlePrograms(w http.ResponseWriter, r *http.Request) {
 	}
 	benches := s.cfg.Benchmarks()
 	resp := ProgramsResponse{
-		Programs: make([]ProgramInfo, 0, len(benches)),
-		DispatchModes: []string{
-			core.DispatchBlock, core.DispatchPredecode, core.DispatchGeneric,
-		},
+		Programs:      make([]ProgramInfo, 0, len(benches)),
+		DispatchModes: core.DispatchNames(),
 	}
 	for _, b := range benches {
 		resp.Programs = append(resp.Programs, ProgramInfo{

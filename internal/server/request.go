@@ -87,8 +87,8 @@ func (c *ConfigOverride) cacheSpec() core.CacheSpec {
 type RunRequest struct {
 	// Program is the paper-style program name, e.g. "fft.mmx".
 	Program string `json:"program"`
-	// Dispatch selects the interpreter inner loop: "", "auto", "trace",
-	// "block", "predecode" or "generic".
+	// Dispatch selects the interpreter: "" or any name
+	// core.CanonicalDispatch accepts.
 	Dispatch string `json:"dispatch,omitempty"`
 	// MaxInstrs bounds execution (0 = the runner's generous default).
 	MaxInstrs int64 `json:"max_instrs,omitempty"`
@@ -133,10 +133,8 @@ func ParseRunRequest(data []byte) (*RunRequest, error) {
 
 // validateRunFields range-checks the execution knobs /run and /asm share.
 func validateRunFields(dispatch string, maxInstrs, timeoutMS int64, c *ConfigOverride) error {
-	switch dispatch {
-	case "", "auto", core.DispatchBlock, core.DispatchTrace, core.DispatchPredecode, core.DispatchGeneric:
-	default:
-		return fmt.Errorf("unknown dispatch mode %q (want auto, block, trace, predecode or generic)", dispatch)
+	if _, err := core.CanonicalDispatch(dispatch); err != nil {
+		return err
 	}
 	if maxInstrs < 0 {
 		return fmt.Errorf("negative max_instrs %d", maxInstrs)
@@ -180,13 +178,12 @@ func (r *RunRequest) pentiumConfig() pentium.Config {
 	return cfg
 }
 
-// dispatchMode maps the request's dispatch name onto core's constant
-// ("auto" and "" both select DispatchAuto).
+// dispatchMode is the request's canonical dispatch mode, so that every
+// alias of one interpreter keys, runs and answers identically. The name
+// was validated at parse time.
 func (r *RunRequest) dispatchMode() string {
-	if r.Dispatch == "auto" {
-		return core.DispatchAuto
-	}
-	return r.Dispatch
+	mode, _ := core.CanonicalDispatch(r.Dispatch)
+	return mode
 }
 
 // options builds the runner options for this request. ctx carries the

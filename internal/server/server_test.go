@@ -174,7 +174,7 @@ func directReportJSON(t *testing.T, name, dispatch string) string {
 func TestRunMatchesDirectRun(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
 	for _, name := range []string{"fir.c", "fir.mmx", "fft.mmx"} {
-		for _, dispatch := range []string{core.DispatchBlock, core.DispatchPredecode, core.DispatchGeneric} {
+		for _, dispatch := range []string{"block", "predecode", core.DispatchGeneric} {
 			t.Run(name+"/"+dispatch, func(t *testing.T) {
 				body := fmt.Sprintf(`{"program":%q,"dispatch":%q,"skip_check":true}`, name, dispatch)
 				status, data := postRun(t, ts.URL, body)
@@ -185,8 +185,14 @@ func TestRunMatchesDirectRun(t *testing.T) {
 				if err := json.Unmarshal(data, &env); err != nil {
 					t.Fatalf("decoding response: %v", err)
 				}
-				if env.Program != name || env.Dispatch != dispatch {
-					t.Errorf("envelope says %s/%s, want %s/%s", env.Program, env.Dispatch, name, dispatch)
+				// The envelope names the canonical mode of the requested
+				// name, so every alias of a mode answers the same bytes.
+				mode, err := core.CanonicalDispatch(dispatch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if env.Program != name || env.Dispatch != mode {
+					t.Errorf("envelope says %s/%s, want %s/%s", env.Program, env.Dispatch, name, mode)
 				}
 				if got, want := compact(t, env.Report), directReportJSON(t, name, dispatch); got != want {
 					t.Errorf("served report differs from direct core.Run:\n got %.200s...\nwant %.200s...", got, want)
@@ -445,8 +451,8 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
 	type combo struct{ name, dispatch string }
 	combos := []combo{
-		{"fir.c", core.DispatchBlock}, {"fir.mmx", core.DispatchPredecode},
-		{"fft.mmx", core.DispatchBlock}, {"fir.mmx", core.DispatchGeneric},
+		{"fir.c", "block"}, {"fir.mmx", "predecode"},
+		{"fft.mmx", "block"}, {"fir.mmx", core.DispatchGeneric},
 	}
 	want := map[combo]string{}
 	for _, c := range combos {
@@ -514,7 +520,7 @@ func TestTableEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&table); err != nil {
 		t.Fatalf("decoding /table: %v", err)
 	}
-	if table.Programs != 3 || table.Dispatch != "block" {
+	if table.Programs != 3 || table.Dispatch != core.DispatchTrace {
 		t.Errorf("table header: %+v", table)
 	}
 	for _, want := range []string{"fir.c", "fir.fp", "fir.mmx"} {

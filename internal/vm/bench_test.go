@@ -32,8 +32,9 @@ func benchProg() *asm.Program {
 	return b.MustLink()
 }
 
-// BenchmarkStep compares the two interpreter inner loops on the same
-// program. The metric of interest is ns per retired instruction.
+// BenchmarkStep compares the interpreter loops on the same program: the
+// generic loop, and the dispatch loop with trace formation off and on. The
+// metric of interest is ns per retired instruction.
 func BenchmarkStep(b *testing.B) {
 	prog := benchProg()
 	run := func(b *testing.B, mk func() *CPU) {
@@ -55,16 +56,6 @@ func BenchmarkStep(b *testing.B) {
 			return c
 		})
 	})
-	b.Run("predecoded", func(b *testing.B) {
-		code := Compile(prog)
-		run(b, func() *CPU {
-			c := NewWithCode(code)
-			// With no observer the block loop would engage; pin the
-			// per-event predecoded loop this subbenchmark measures.
-			c.NoBlocks = true
-			return c
-		})
-	})
 	b.Run("block", func(b *testing.B) {
 		code := Compile(prog)
 		run(b, func() *CPU { return NewWithCode(code) })
@@ -77,23 +68,6 @@ func BenchmarkStep(b *testing.B) {
 			return c
 		})
 	})
-}
-
-// BenchmarkBlockStep measures the block-dispatch loop alone (no observer:
-// fused superhandlers with batched retirement bookkeeping). scripts/check.sh
-// runs it for one iteration as a smoke test.
-func BenchmarkBlockStep(b *testing.B) {
-	prog := benchProg()
-	code := Compile(prog)
-	n := int64(0)
-	for i := 0; i < b.N; i++ {
-		c := NewWithCode(code)
-		if err := c.Run(1 << 20); err != nil {
-			b.Fatal(err)
-		}
-		n += c.Executed()
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/instr")
 }
 
 // BenchmarkTraceStep measures the trace-dispatch loop alone (no observer:

@@ -1,10 +1,10 @@
 package vm_test
 
-// Tests for the block-dispatch loop's interaction with the cache hierarchy:
-// memory-bearing blocks collect per-reference penalties from mem.Hierarchy,
-// and whether an execution is applied through the fused block schedule or
-// replayed per-event, the cache statistics and the profiling report must
-// match the per-event predecoded path exactly.
+// Tests for block dispatch (the dispatch loop with trace formation off) and
+// the cache hierarchy: memory-bearing blocks collect per-reference
+// penalties from mem.Hierarchy, and whether an execution is priced through
+// a block schedule or replayed per-event, the cache statistics and the
+// profiling report must match the generic interpreter exactly.
 
 import (
 	"reflect"
@@ -46,44 +46,44 @@ func buildStreamProg(t *testing.T) *asm.Program {
 }
 
 // runHier runs prog with the full timing pipeline and a cache hierarchy on
-// the requested dispatch path.
-func runHier(t *testing.T, prog *asm.Program, noBlocks bool) (*profile.Report, *profile.Collector, mem.HierarchyStats) {
+// the generic interpreter or at block dispatch.
+func runHier(t *testing.T, prog *asm.Program, generic bool) (*profile.Report, *profile.Collector, mem.HierarchyStats) {
 	t.Helper()
 	model := pentium.New(pentium.DefaultConfig())
 	model.Bind(prog)
 	col := profile.NewCollector(prog, model)
 	cpu := vm.New(prog)
 	cpu.Obs = col
-	cpu.NoBlocks = noBlocks
+	cpu.Generic = generic
 	cpu.Hier = mem.NewHierarchy()
 	if err := cpu.Run(1 << 30); err != nil {
-		t.Fatalf("run (noBlocks=%v): %v", noBlocks, err)
+		t.Fatalf("run (generic=%v): %v", generic, err)
 	}
 	return col.Report(prog.Name), col, cpu.Hier.Stats
 }
 
-func TestBlockPathCacheCountersMatchPredecoded(t *testing.T) {
+func TestBlockPathCacheCountersMatchGeneric(t *testing.T) {
 	prog := buildStreamProg(t)
 
-	preRep, _, preStats := runHier(t, prog, true)
+	genRep, _, genStats := runHier(t, prog, true)
 	blkRep, blkCol, blkStats := runHier(t, prog, false)
 
-	if preStats.L1Misses == 0 {
+	if genStats.L1Misses == 0 {
 		t.Fatal("stream program produced no L1 misses; the test is vacuous")
 	}
-	if blkStats != preStats {
-		t.Errorf("cache statistics differ:\n predecoded %+v\n block %+v", preStats, blkStats)
+	if blkStats != genStats {
+		t.Errorf("cache statistics differ:\n generic %+v\n block %+v", genStats, blkStats)
 	}
-	if !reflect.DeepEqual(preRep, blkRep) {
-		t.Errorf("reports differ:\n predecoded %+v\n block %+v", preRep, blkRep)
+	if !reflect.DeepEqual(genRep, blkRep) {
+		t.Errorf("reports differ:\n generic %+v\n block %+v", genRep, blkRep)
 	}
 
-	// The block run must have exercised both observer paths: fused
-	// fast-path applications and per-event retirement (at least the loop
-	// terminators and the first-sight penalty signatures).
+	// The block run must have exercised both observer paths: block
+	// schedule applications and per-event retirement (at least the loop
+	// terminators).
 	fast, perEvent := blkCol.BlockStats()
 	if fast == 0 {
-		t.Error("block run applied no fused block schedules")
+		t.Error("block run applied no block schedules")
 	}
 	if perEvent == 0 {
 		t.Error("block run retired no events per-event (terminators should)")
@@ -96,20 +96,20 @@ func TestBlockPathCacheCountersMatchPredecoded(t *testing.T) {
 func TestBlockPathPerfectCacheMatches(t *testing.T) {
 	prog := buildStreamProg(t)
 
-	run := func(noBlocks bool) *profile.Report {
+	run := func(generic bool) *profile.Report {
 		model := pentium.New(pentium.DefaultConfig())
 		model.Bind(prog)
 		col := profile.NewCollector(prog, model)
 		cpu := vm.New(prog)
 		cpu.Obs = col
-		cpu.NoBlocks = noBlocks
+		cpu.Generic = generic
 		if err := cpu.Run(1 << 30); err != nil {
-			t.Fatalf("run (noBlocks=%v): %v", noBlocks, err)
+			t.Fatalf("run (generic=%v): %v", generic, err)
 		}
 		return col.Report(prog.Name)
 	}
-	pre, blk := run(true), run(false)
-	if !reflect.DeepEqual(pre, blk) {
-		t.Errorf("reports differ:\n predecoded %+v\n block %+v", pre, blk)
+	gen, blk := run(true), run(false)
+	if !reflect.DeepEqual(gen, blk) {
+		t.Errorf("reports differ:\n generic %+v\n block %+v", gen, blk)
 	}
 }

@@ -1,7 +1,7 @@
 // Predecode: a one-time compilation pass that lowers each instruction of a
 // linked Program into a specialized handler closure with operand access
-// resolved up front. The interpreter inner loop then becomes "indexed fetch
-// -> call handler -> retire", instead of re-switching on op family and
+// resolved up front. The dispatch loop then runs straight handler chains
+// per basic block (block.go), instead of re-switching on op family and
 // operand kinds for every one of the millions of retired instructions.
 //
 // Specialized handlers exist for the hot shapes (reg-reg, reg-imm, and the

@@ -1,16 +1,16 @@
 package vm_test
 
-// Differential tests for the interpreter inner loops: every program in the
-// benchmark suite runs through the generic decode-per-step loop, the
-// predecoded threaded-dispatch loop, the block-dispatch loop and the
-// trace-dispatch loop, with the full timing pipeline attached (bound
-// Pentium model, profile collector, cache hierarchy). All paths must agree
-// on every architecturally visible
-// outcome: registers, the entire memory image, and the profiling report
-// (cycles, pairing, class attribution, cache statistics). The two per-event
-// paths additionally compare a hash over the complete retired-event stream;
-// the block path retires whole blocks at a time, so it has no per-event
-// stream to hash, and is instead pinned by the report and machine state.
+// Differential tests for the interpreters: every program in the benchmark
+// suite runs through the generic decode-per-step loop and the dispatch loop
+// with trace formation off (block dispatch) and on (trace dispatch), with
+// the full timing pipeline attached (bound Pentium model, profile
+// collector, cache hierarchy). All paths must agree on every
+// architecturally visible outcome: registers, the entire memory image, and
+// the profiling report (cycles, pairing, class attribution, cache
+// statistics). The generic path also hashes the complete retired-event
+// stream; the dispatch loop retires whole regions at a time, so it has no
+// per-event stream to hash, and is instead pinned by the report and
+// machine state.
 
 import (
 	"bytes"
@@ -83,10 +83,6 @@ func runPath(t *testing.T, prog *asm.Program, mode string) *runOutcome {
 	case "generic":
 		cpu.Generic = true
 		cpu.Obs = hasher
-	case "predecode":
-		// An event-hashing observer is not a BlockObserver, so attaching
-		// it pins the per-event predecoded loop.
-		cpu.Obs = hasher
 	case "block":
 		cpu.Obs = col
 	case "trace":
@@ -154,8 +150,8 @@ func compareOutcomes(t *testing.T, aName string, a *runOutcome, bName string, b 
 	}
 }
 
-// TestDispatchModesAgree is the four-way differential over the whole
-// benchmark suite: generic, predecoded, block and trace dispatch must be
+// TestDispatchModesAgree is the three-way differential over the whole
+// benchmark suite: generic, block and trace dispatch must be
 // observationally identical.
 func TestDispatchModesAgree(t *testing.T) {
 	if testing.Short() {
@@ -170,19 +166,17 @@ func TestDispatchModesAgree(t *testing.T) {
 				t.Fatalf("build: %v", err)
 			}
 			gen := runPath(t, prog, "generic")
-			pre := runPath(t, prog, "predecode")
 			blk := runPath(t, prog, "block")
 			trc := runPath(t, prog, "trace")
 
-			compareOutcomes(t, "generic", gen, "predecoded", pre)
-			compareOutcomes(t, "predecoded", pre, "block", blk)
+			compareOutcomes(t, "generic", gen, "block", blk)
 			compareOutcomes(t, "block", blk, "trace", trc)
 		})
 	}
 }
 
 // TestPredecodedFaultsMatchGeneric checks that the out-of-program control
-// transfer fault is identical under both loops.
+// transfer fault is identical under both interpreters.
 func TestPredecodedFaultsMatchGeneric(t *testing.T) {
 	build := func() *asm.Program {
 		b := asm.NewBuilder("fallthrough")

@@ -1,5 +1,5 @@
-// The observation stream of trace dispatch (see the package comment for its
-// guarantees). The trace loop never calls Obs directly: each observation
+// The observation stream of the dispatch loop (see the package comment for
+// its guarantees). The loop never calls Obs directly: each observation
 // becomes a record in the current batch, with its penalties, events or
 // trace blocks in the batch's arenas, and a consumer goroutine replays full
 // batches in order. The interpreter waits on the consumer only when every

@@ -25,20 +25,21 @@ import (
 	"mmxdsp/internal/vm"
 )
 
-var dispatchModes = []string{"generic", "predecode", "block", "trace"}
+var dispatchModes = []string{"generic", "block", "trace"}
 
 // TestStreamBatchSizesAgree shrinks the batch to 1 and 3 records, so that
 // every record kind (Retire, ObserveBlock, RegisterTrace, ObserveTrace,
-// ObserveTraceExit) crosses a handoff, and pins every suite program at
-// trace dispatch, the streamed tier, to its default-batch machine state and
-// report. (The other tiers call the observer directly; their event-stream
-// hashes are pinned against trace dispatch by TestDispatchModesAgree.)
+// ObserveTraceExit) crosses a handoff, and pins every suite program, with
+// trace formation on and off, to its default-batch machine state and
+// report. (The generic loop calls the observer directly; its event-stream
+// hash is pinned against the dispatch loop by TestDispatchModesAgree.)
 func TestStreamBatchSizesAgree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite differential run is slow; skipped with -short")
 	}
 	progs := suite.All()
-	want := make([]*runOutcome, len(progs))
+	modes := []string{"trace", "block"}
+	want := make([][]*runOutcome, len(progs))
 	// Each batch size is one group of parallel subtests; the size is set
 	// for the group and restored once all of its subtests are done.
 	for _, n := range []int{0, 1, 3} {
@@ -53,12 +54,14 @@ func TestStreamBatchSizesAgree(t *testing.T) {
 					if err != nil {
 						t.Fatalf("build: %v", err)
 					}
-					got := runPath(t, prog, "trace")
-					if n == 0 {
-						want[i] = got
-						return
+					for m, mode := range modes {
+						got := runPath(t, prog, mode)
+						if n == 0 {
+							want[i] = append(want[i], got)
+							continue
+						}
+						compareOutcomes(t, mode+" default", want[i][m], fmt.Sprintf("%s batch%d", mode, n), got)
 					}
-					compareOutcomes(t, "default", want[i], fmt.Sprintf("batch%d", n), got)
 				})
 			}
 		})
@@ -214,7 +217,7 @@ func walkOffProg() *asm.Program {
 
 // TestStreamExitPathsJoinConsumer: budget exhaustion, a Poll abort, a fault
 // and a panic on the producer side each return (or re-panic) with the
-// consumer goroutine gone.
+// consumer goroutine gone, with trace formation on and off.
 func TestStreamExitPathsJoinConsumer(t *testing.T) {
 	errStop := errors.New("stop")
 	cases := []struct {
@@ -248,27 +251,30 @@ func TestStreamExitPathsJoinConsumer(t *testing.T) {
 			return 1 << 24
 		}, func(err error, pval any) bool { return pval == errStop }},
 	}
-	for _, tc := range cases {
-		base := runtime.NumGoroutine()
-		prog, budget := traceLoopProg(), int64(1<<24)
-		if tc.setup == nil {
-			prog = walkOffProg()
+	for _, traces := range []bool{true, false} {
+		for _, tc := range cases {
+			name := fmt.Sprintf("%s traces=%v", tc.name, traces)
+			base := runtime.NumGoroutine()
+			prog, budget := traceLoopProg(), int64(1<<24)
+			if tc.setup == nil {
+				prog = walkOffProg()
+			}
+			cpu := vm.NewWithCode(vm.Compile(prog))
+			cpu.Traces = traces
+			cpu.Hier = mem.NewHierarchy()
+			cpu.Obs = newCollector(cpu)
+			if tc.setup != nil {
+				budget = tc.setup(cpu)
+			}
+			err, pval := runRecovering(cpu, budget)
+			if !tc.check(err, pval) {
+				t.Errorf("%s: Run returned %v, panicked with %v", name, err, pval)
+			}
+			if st := cpu.TraceStats(); cpu.Executed() < 10_000 || (st.Iters == 0) == traces {
+				t.Errorf("%s: stopped after %d instructions, %d trace iterations, before the stream got going",
+					name, cpu.Executed(), st.Iters)
+			}
+			settleGoroutines(t, name, base)
 		}
-		cpu := vm.NewWithCode(vm.Compile(prog))
-		cpu.Traces = true
-		cpu.Hier = mem.NewHierarchy()
-		cpu.Obs = newCollector(cpu)
-		if tc.setup != nil {
-			budget = tc.setup(cpu)
-		}
-		err, pval := runRecovering(cpu, budget)
-		if !tc.check(err, pval) {
-			t.Errorf("%s: Run returned %v, panicked with %v", tc.name, err, pval)
-		}
-		if st := cpu.TraceStats(); cpu.Executed() < 10_000 || st.Iters == 0 {
-			t.Errorf("%s: stopped after %d instructions, %d trace iterations, before the stream got going",
-				tc.name, cpu.Executed(), st.Iters)
-		}
-		settleGoroutines(t, tc.name, base)
 	}
 }

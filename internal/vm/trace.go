@@ -25,7 +25,7 @@
 // ObserveBlock batches a block body. The profile collector prices these
 // through chain-level timing schedules (pentium.RetireChain) and falls back
 // to exact per-event replay when no schedule applies, so reported results
-// stay byte-identical to the other dispatch modes.
+// stay byte-identical to the generic interpreter's.
 //
 // Loop traces additionally grow into trace trees: a guard that keeps
 // side-exiting — persistently, but below the deopt threshold (a biased but
@@ -93,11 +93,22 @@ const (
 // computed exit instead of a continuation guard.
 const traceDynExit int32 = -1
 
-// TraceObserver is an optional extension of BlockObserver. When a CPU's
-// observer implements it (and CPU.Traces is set), Run uses trace dispatch
-// and reports whole trace iterations instead of per-block calls.
+// TraceObserver is an optional extension of Observer that receives whole
+// retired regions. When a CPU's observer implements it (or the CPU has
+// none), Run uses the trace-dispatch loop, calling the observer from a
+// second goroutine (see stream.go); any other observer runs on the generic
+// interpreter, one Retire per instruction.
 type TraceObserver interface {
-	BlockObserver
+	Observer
+	// ObserveBlock reports one complete execution of basic block bi (as
+	// numbered by asm.Program.Blocks): every event-emitting body
+	// instruction retired exactly once, in program order, with no control
+	// transfer and with the measured flag constant throughout. penalties
+	// holds, in body order, the cache penalty charged to each
+	// memory-referencing body instruction; it is empty for memory-free
+	// bodies and only valid for the duration of the call. The block's
+	// terminator (if any) is delivered separately through Retire.
+	ObserveBlock(bi int, measured bool, penalties []int32)
 	// RegisterTrace announces a newly formed trace: the basic blocks it
 	// visits in order (by the numbering of asm.Program.Blocks) and the
 	// recorded direction of each block's terminator (false for
@@ -149,7 +160,7 @@ func (s TraceStats) SideExitPct() float64 {
 }
 
 // TraceStats returns the trace-tier statistics of the last Run (zero when
-// trace dispatch was not used).
+// no trace formed).
 func (c *CPU) TraceStats() TraceStats {
 	ts := c.ts
 	if ts == nil {
@@ -683,10 +694,10 @@ func (ts *traceState) maybeDeopt(tr *vmTrace) {
 	}
 }
 
-// runTrace is the trace-dispatch inner loop: block dispatch (run the body,
-// retire the terminator per-event) plus heat counting, chain recording and
-// superblock execution at hot leaders. Observations go to the CPU's
-// stream, c.st, which is nil when the run is unobserved.
+// runTrace is the dispatch loop: block dispatch (run the body, retire the
+// terminator per-event) plus, when CPU.Traces is set, heat counting, chain
+// recording and superblock execution at hot leaders. Observations go to the
+// CPU's stream, c.st, which is nil when the run is unobserved.
 func (c *CPU) runTrace(maxInstrs int64) error {
 	code := c.code
 	ops := code.ops
@@ -833,7 +844,7 @@ func (c *CPU) runTrace(maxInstrs int64) error {
 					}
 				}
 			}
-			if ev.Taken && (c.pc < tpc || d.inst.Op == isa.CALL) {
+			if c.Traces && ev.Taken && (c.pc < tpc || d.inst.Op == isa.CALL) {
 				// Taken back edge (the classic loop-head signal) or a call:
 				// function entries anchor tail-return traces.
 				ts.bump(c, c.pc)

@@ -11,12 +11,18 @@
 // model (mem.Hierarchy) runs inside the VM, since penalties are computed
 // where addresses are; they travel with the observations.
 //
-// Observer calls return nothing to the interpreter, so under trace
-// dispatch Run decouples the two: the dispatch loop appends each
-// observation (Retire, ObserveBlock, RegisterTrace, ObserveTrace,
-// ObserveTraceExit) as a compact record to the current batch, and a second
-// goroutine replays full batches into the observer (stream.go). The
-// observation stream guarantees:
+// Run has two interpreters. The generic loop decodes and executes one
+// instruction per step; it is the reference the other is tested against,
+// and it serves any observer that wants one Retire per instruction. The
+// dispatch loop (trace.go) runs predecoded basic blocks (block.go) and,
+// with CPU.Traces set, superblocks formed at run time; it reports whole
+// regions to a TraceObserver.
+//
+// Observer calls return nothing to the interpreter, so the dispatch loop
+// decouples the two: it appends each observation (Retire, ObserveBlock,
+// RegisterTrace, ObserveTrace, ObserveTraceExit) as a compact record to
+// the current batch, and a second goroutine replays full batches into the
+// observer (stream.go). The observation stream guarantees:
 //
 //   - Order: the observer sees exactly the calls, arguments and order a
 //     synchronous observer would, never two calls at once.
@@ -31,10 +37,7 @@
 //     gives backpressure when the observer falls behind.
 //
 // With no observer there is no second goroutine and no batching. The
-// block and per-event tiers call the observer directly: their records
-// would cover one basic block or one instruction each, and on a tight
-// loop the handoff then costs more than the timing work it moves off the
-// interpreter's goroutine (EXPERIMENTS.md, "Decoupled timing").
+// generic loop calls its observer directly.
 package vm
 
 import (
@@ -49,9 +52,9 @@ import (
 )
 
 // ErrBudget marks a run halted by its instruction budget rather than by
-// HALT or a genuine fault. Budget exhaustion is exact — every dispatch
-// tier falls back to single stepping when the remaining budget is smaller
-// than its fused unit — so a budget-terminated machine state is
+// HALT or a genuine fault. Budget exhaustion is exact — the dispatch loop
+// falls back to single stepping when the remaining budget is smaller than
+// its fused unit — so a budget-terminated machine state is
 // deterministic and callers may report it as a partial result
 // (errors.Is(err, ErrBudget)).
 var ErrBudget = errors.New("instruction budget exhausted")
@@ -94,25 +97,20 @@ type CPU struct {
 	// lazily on the first Run and shared by CPUs built with NewWithCode.
 	code *Code
 	// Generic forces the unspecialized decode-per-step interpreter. It
-	// exists for differential testing: the predecoded and generic paths
-	// must produce identical registers, memory, events and faults.
+	// exists for differential testing: the dispatch loop and the generic
+	// one must produce identical registers, memory, events and faults.
 	Generic bool
-	// NoBlocks disables the block dispatcher (see block.go), forcing the
-	// per-event predecoded loop even for observers that support block
-	// retirement. Differential tests pin all three paths against each
-	// other.
-	NoBlocks bool
-	// Traces enables the trace dispatcher (see trace.go): block dispatch
-	// plus runtime hot-chain detection, superblock fusion across taken
-	// branches and register caching inside the fused bodies. Requires an
-	// observer implementing TraceObserver (or none).
+	// Traces enables trace formation in the dispatch loop (see trace.go):
+	// runtime hot-chain detection, superblock fusion across taken branches
+	// and register caching inside the fused bodies. With it off the loop
+	// dispatches basic blocks only.
 	Traces bool
 	// TraceThreshold overrides the chain-head hotness threshold; 0 selects
 	// the default.
 	TraceThreshold int
 
 	// ts is the per-run trace state (heat counters, recorder, superblock
-	// table), built lazily on the first trace-dispatched Run.
+	// table), built lazily on the first dispatch-loop Run.
 	ts *traceState
 
 	gpr [8]uint32
@@ -128,13 +126,13 @@ type CPU struct {
 
 	// Hier is the data-cache hierarchy; nil models perfect memory.
 	Hier *mem.Hierarchy
-	// Obs receives retirement events; nil disables observation. Under
-	// trace dispatch it is called from a second goroutine (see stream.go),
+	// Obs receives retirement events; nil disables observation. A
+	// TraceObserver is called from a second goroutine (see stream.go),
 	// never concurrently with itself, and all calls complete before Run
 	// returns. It may panic but must not call runtime.Goexit (t.FailNow).
 	Obs Observer
-	// st is the observation stream of a trace-dispatched Run in progress;
-	// nil otherwise.
+	// st is the observation stream of an observed dispatch-loop Run in
+	// progress; nil otherwise.
 	st *stream
 
 	// Poll, when non-nil, is invoked by Run at least once every PollEvery
@@ -191,8 +189,8 @@ func (c *CPU) Executed() int64 { return c.executed }
 func (c *CPU) Halted() bool { return c.halted }
 
 // budgetFault produces the budget-exhaustion error, formatted like a
-// fault but wrapping ErrBudget so callers can classify it. All three
-// dispatch loops raise it through here, keeping the text identical across
+// fault but wrapping ErrBudget so callers can classify it. Both
+// interpreters raise it through here, keeping the text identical across
 // modes (the dispatch-equivalence tests compare error strings).
 func (c *CPU) budgetFault(maxInstrs int64) error {
 	in := "?"
@@ -239,86 +237,25 @@ func (c *CPU) abort(err error) error {
 }
 
 // Run executes until HALT or until maxInstrs instructions have retired,
-// which guards against runaway programs. The fastest applicable inner loop
-// is chosen automatically: trace dispatch (trace.go) when Traces is set
-// and the observer implements TraceObserver or is absent, block dispatch
-// (block.go) when the observer implements BlockObserver or is absent,
-// otherwise the per-event predecoded loop "indexed fetch -> call handler ->
-// retire". Set NoBlocks to pin the per-event loop, or Generic for the
-// unspecialized decode-per-step reference interpreter.
+// which guards against runaway programs. It runs the dispatch loop
+// (trace.go) unless Generic is set or the observer is not a TraceObserver;
+// those runs take the generic decode-per-step loop, which retires one
+// event per instruction.
 func (c *CPU) Run(maxInstrs int64) error {
-	if c.Generic {
+	tobs, regions := c.Obs.(TraceObserver)
+	if c.Generic || (c.Obs != nil && !regions) {
 		return c.runGeneric(maxInstrs)
 	}
 	if c.code == nil {
 		c.code = Compile(c.Prog)
 	}
-	if !c.NoBlocks {
-		if c.Traces {
-			if tobs, ok := c.Obs.(TraceObserver); ok {
-				return c.runTraceObserved(maxInstrs, tobs)
-			}
-			if c.Obs == nil {
-				return c.runTrace(maxInstrs)
-			}
-		}
-		if bobs, ok := c.Obs.(BlockObserver); ok {
-			return c.runBlocks(maxInstrs, bobs)
-		}
-		if c.Obs == nil {
-			return c.runBlocks(maxInstrs, nil)
-		}
+	if tobs == nil {
+		return c.runTrace(maxInstrs)
 	}
-	ops := c.code.ops
-	// One Event is reused across iterations: the handler call takes its
-	// address through a function value, which would otherwise force a heap
-	// allocation per retired instruction.
-	var ev Event
-	pollAt := c.pollStart()
-	for !c.halted {
-		if c.executed >= pollAt {
-			if err := c.Poll(); err != nil {
-				return c.abort(err)
-			}
-			pollAt = c.executed + c.pollInterval()
-		}
-		if c.executed >= maxInstrs {
-			return c.budgetFault(maxInstrs)
-		}
-		pc := c.pc
-		if pc < 0 || pc >= len(ops) {
-			return c.fault("control transferred outside program (pc=%d)", pc)
-		}
-		d := &ops[pc]
-		c.executed++
-		if d.kind != dNormal {
-			// Pseudo instructions manage the measured region and emit no
-			// events, matching the generic step.
-			switch d.kind {
-			case dProfOn:
-				c.measuring = true
-			case dProfOff:
-				c.measuring = false
-			}
-			c.pc++
-			continue
-		}
-		ev = Event{PC: pc, Inst: d.inst, Measured: c.measuring}
-		if err := d.exec(c, &ev); err != nil {
-			return err
-		}
-		if !ev.Taken {
-			c.pc++
-		}
-		ev.Target = c.pc
-		if c.Obs != nil {
-			c.Obs.Retire(ev)
-		}
-	}
-	return nil
+	return c.runTraceObserved(maxInstrs, tobs)
 }
 
-// runTraceObserved runs trace dispatch with the observer on a second
+// runTraceObserved runs the dispatch loop with the observer on a second
 // goroutine, fed through the ordered stream of stream.go. It returns only
 // after the observer has received every observation, on every exit path;
 // a panic in the observer is re-raised here, on the caller's goroutine,
@@ -333,8 +270,8 @@ func (c *CPU) runTraceObserved(maxInstrs int64, tobs TraceObserver) error {
 	return c.runTrace(maxInstrs)
 }
 
-// runGeneric is the original decode-per-step loop, kept as the reference
-// semantics for the predecoded path.
+// runGeneric is the decode-per-step loop: the reference semantics for the
+// dispatch loop, and the interpreter of plain per-event observers.
 func (c *CPU) runGeneric(maxInstrs int64) error {
 	pollAt := c.pollStart()
 	for !c.halted {

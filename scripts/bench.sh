@@ -5,9 +5,9 @@
 #
 #   scripts/bench.sh                 # writes BENCH_interp.json at the repo root
 #   scripts/bench.sh out.json        # writes to a custom path
-#   DISPATCH=block scripts/bench.sh  # measure a specific dispatch mode
-#   DISPATCH=all scripts/bench.sh    # sweep generic/predecode/block/trace,
-#                                    # writing out.<mode>.json per mode
+#   DISPATCH=generic scripts/bench.sh  # measure a specific dispatch mode
+#   DISPATCH=all scripts/bench.sh    # sweep trace and generic, writing
+#                                    # out.<mode>.json per mode
 #   JOBS=0 scripts/bench.sh          # parallel runs (default 1: serial walls
 #                                    # are stable; parallel walls measure
 #                                    # scheduler contention, not the loop)
@@ -53,14 +53,14 @@ run_one() {
 }
 
 if [[ "$dispatch" == "all" ]]; then
-    # Sweep every interpreter inner loop; per-mode artifacts land next to
-    # the requested output path as out.<mode>.json.
-    for mode in generic predecode block trace; do
+    # Sweep both interpreters; per-mode artifacts land next to the
+    # requested output path as out.<mode>.json.
+    for mode in trace generic; do
         run_one "$mode" "${out%.json}.$mode.json"
     done
     echo
     echo "per-mode geomean (M instr/s):"
-    for mode in generic predecode block trace; do
+    for mode in trace generic; do
         g="$(jq -r '.geomean_instrs_per_sec' "${out%.json}.$mode.json")"
         printf '  %-10s %8.1f\n' "$mode" "$(jq -n "$g/1e6")"
     done

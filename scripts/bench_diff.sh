@@ -5,18 +5,17 @@
 #
 #   scripts/bench_diff.sh BASELINE.json NEW.json
 #
-# With three or more artifacts (e.g. the per-mode files a DISPATCH=all
-# bench.sh sweep writes), it instead prints a per-mode geomean table with
-# each file's speedup over the first — no gate:
+# With three or more artifacts (e.g. several commits' runs of one mode), it
+# instead prints a geomean table with each file's speedup over the first —
+# no gate:
 #
-#   scripts/bench_diff.sh BENCH.generic.json BENCH.predecode.json \
-#       BENCH.block.json BENCH.trace.json
+#   scripts/bench_diff.sh BENCH.a.json BENCH.b.json BENCH.c.json
 #
 # With -sweep, it compares two DISPATCH=all sweeps mode by mode
-# (PREFIX.<mode>.json for generic/predecode/block/trace) and gates on the
-# trace tier: exits 1 if the trace-mode geomean regressed by more than 10%.
-# Other modes report but only warn — trace is the tier the optimization work
-# targets, and the gate must not flap on the slower reference loops:
+# (PREFIX.<mode>.json for trace/generic) and gates on trace dispatch: exits
+# 1 if the trace-mode geomean regressed by more than 10%. The generic mode
+# reports but only warns — trace is the mode the optimization work targets,
+# and the gate must not flap on the slower reference loop:
 #
 #   scripts/bench_diff.sh -sweep OLD_PREFIX NEW_PREFIX
 #
@@ -29,7 +28,7 @@ if [[ $# -ge 1 && "$1" == "-sweep" ]]; then
     [[ $# -eq 3 ]] || { echo "usage: $0 -sweep OLD_PREFIX NEW_PREFIX" >&2; exit 2; }
     oldp="$2" newp="$3" fail=0
     printf '%-12s %12s %12s %9s\n' mode 'old M/s' 'new M/s' delta
-    for mode in generic predecode block trace; do
+    for mode in trace generic; do
         of="$oldp.$mode.json" nf="$newp.$mode.json"
         if [[ ! -r "$of" || ! -r "$nf" ]]; then
             printf '%-12s %27s\n' "$mode" '(artifact missing, skipped)'

@@ -30,12 +30,15 @@ echo "==> (cd perfbench && go test ./...)"
 # The goroutine-bearing code — the concurrent suite runner, the memoized
 # registry, the mmxd service (cache single-flight, admission queue,
 # request cancellation), and the fleet coordinator (prober, retries,
-# hedging, scatter-gather) — runs under the race detector.
-echo "==> go test -race ./internal/core/... ./internal/suite/... ./internal/server/... ./internal/cluster/..."
-go test -race ./internal/core/... ./internal/suite/... ./internal/server/... ./internal/cluster/...
+# hedging, scatter-gather) — runs under the race detector. -p 1 runs the
+# packages one at a time: each one's tests already fill the cores (and its
+# latency bounds assume they get them), so on a 2-vCPU host running them
+# side by side only makes each slower.
+echo "==> go test -race -p 1 ./internal/core/... ./internal/suite/... ./internal/server/... ./internal/cluster/..."
+go test -race -p 1 ./internal/core/... ./internal/suite/... ./internal/server/... ./internal/cluster/...
 
-# The service end-to-end suite: all 21 programs x 4 dispatch modes over
-# HTTP byte-equivalent to direct runs, the result cache replaying the same
+# The service end-to-end suite: all 21 programs under every dispatch name
+# over HTTP byte-equivalent to direct runs, the result cache replaying the same
 # sweep byte-identically, the daemon SIGTERM drain, and the spill tier
 # surviving a real restart.
 echo "==> go test -run 'TestServedReportsMatchDirectRuns|TestResultCacheServesIdenticalBytes|TestDaemonSIGTERMDrain|TestDaemonResultCacheSpillSurvivesRestart' ."
@@ -67,21 +70,21 @@ go test -run '^$' -fuzz FuzzParseCampaignRequest -fuzztime 5s ./internal/campaig
 echo "==> go test -run '^$' -fuzz FuzzDispatchThreeWay -fuzztime 5s ./internal/pentium"
 go test -run '^$' -fuzz FuzzDispatchThreeWay -fuzztime 5s ./internal/pentium >/dev/null
 
-# The four-way dispatch equivalence (generic / predecoded / block / trace)
-# also runs under the race detector: block and trace dispatch share
-# predecoded code and per-block caches with the parallel suite runner
-# above, and trace dispatch additionally shares the per-CPU trace cache.
-# Observed trace-dispatch runs stream their retirement records to the
-# observer on a second goroutine, so this step also covers the producer/
-# consumer handoff; the stream tests add handoffs at batch sizes 1 and 3,
+# The three-way dispatch equivalence (generic / block / trace) also runs
+# under the race detector: block and trace dispatch share predecoded code
+# and per-block caches with the parallel suite runner above, and trace
+# dispatch additionally shares the per-CPU trace cache. Observed
+# dispatch-loop runs stream their retirement records to the observer on a
+# second goroutine, so this step also covers the producer/consumer
+# handoff; the stream tests add handoffs at batch sizes 1 and 3,
 # observer and producer panics, and every exit path joining the consumer.
 echo "==> go test -race -run 'TestDispatchModesAgree|TestDispatchThreeWay|TestStream' ./internal/vm ./internal/pentium"
 go test -race -run 'TestDispatchModesAgree|TestDispatchThreeWay|TestStream' ./internal/vm ./internal/pentium
 
-# Smoke-run the block- and trace-dispatch benchmarks for a single iteration
-# so inner-loop regressions that only bite under benchmarking surface here.
-echo "==> go test -run '^$' -bench 'BenchmarkBlockStep|BenchmarkTraceStep' -benchtime 1x ./internal/vm"
-go test -run '^$' -bench 'BenchmarkBlockStep|BenchmarkTraceStep' -benchtime 1x ./internal/vm >/dev/null
+# Smoke-run the trace-dispatch benchmark for a single iteration so
+# inner-loop regressions that only bite under benchmarking surface here.
+echo "==> go test -run '^$' -bench 'BenchmarkTraceStep' -benchtime 1x ./internal/vm"
+go test -run '^$' -bench 'BenchmarkTraceStep' -benchtime 1x ./internal/vm >/dev/null
 
 # Optional: refresh the interpreter-throughput artifact. Wall-clock numbers
 # are host-dependent, so this never gates the build.
