@@ -153,11 +153,11 @@ func renderMarkdown(spec *Spec, points []PointState) []byte {
 	return b.Bytes()
 }
 
-// Persist writes the campaign's artifacts under dir/<id>/ with the same
+// persist writes the campaign's artifacts under dir/<id>/ with the same
 // atomic temp+rename discipline as the result-cache spill tier: readers
 // never observe a torn file, and a crashed write leaves only a temp to be
 // ignored.
-func Persist(dir, id string, csv, markdown []byte) error {
+func persist(dir, id string, csv, markdown []byte) error {
 	cdir := filepath.Join(dir, id)
 	if err := os.MkdirAll(cdir, 0o755); err != nil {
 		return fmt.Errorf("campaign: creating artifact dir: %w", err)

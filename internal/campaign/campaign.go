@@ -266,9 +266,11 @@ func (c *Campaign) markCanceled(i int) {
 }
 
 // finish moves the campaign to its terminal status, renders artifacts for
-// completed campaigns, publishes the terminal event and closes every
-// subscriber.
-func (c *Campaign) finish() {
+// completed campaigns (persisting them under dir when it is non-empty),
+// publishes the terminal event and closes every subscriber. The status
+// only becomes visible when the lock is released, after the artifact files
+// exist, so no reader sees completed before points.csv is on disk.
+func (c *Campaign) finish(dir string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.status != StatusRunning {
@@ -279,6 +281,9 @@ func (c *Campaign) finish() {
 	} else {
 		c.status = StatusCompleted
 		c.csv, c.markdown = renderArtifacts(c.Spec, c.points)
+		if dir != "" {
+			_ = persist(dir, c.ID, c.csv, c.markdown) // best-effort; artifacts stay inline
+		}
 	}
 	c.finished = time.Now()
 	c.cancel()

@@ -38,6 +38,10 @@ type RunnerConfig struct {
 	// point's execution time, outcome one of PointDone/PointFailed/
 	// PointCanceled.
 	OnPoint func(wall time.Duration, outcome string, cached bool)
+	// Dir, when non-empty, is the tier's CampaignDir: a completed
+	// campaign's artifacts are persisted under Dir/<id>/ before the
+	// completed status becomes visible.
+	Dir string
 }
 
 // Run executes every point of the campaign through ex and blocks until
@@ -79,7 +83,7 @@ func Run(c *Campaign, ex Executor, cfg RunnerConfig) {
 	for w := 0; w < workers; w++ {
 		<-done
 	}
-	c.finish()
+	c.finish(cfg.Dir)
 }
 
 // runOne executes and classifies a single point.

@@ -95,12 +95,9 @@ func (c *Coordinator) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		campaign.Run(cam, ex, campaign.RunnerConfig{
 			Workers: workers,
 			OnPoint: c.metrics.recordCampaignPoint,
+			Dir:     c.cfg.CampaignDir,
 		})
 		c.campaigns.Settle()
-		if dir := c.cfg.CampaignDir; dir != "" && cam.Status() == campaign.StatusCompleted {
-			csv, md := cam.Artifacts()
-			_ = campaign.Persist(dir, cam.ID, csv, md) // best-effort; artifacts stay inline
-		}
 	}()
 	writeJSON(w, http.StatusAccepted, server.StatusOfCampaign(cam, false))
 }

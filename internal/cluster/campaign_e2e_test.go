@@ -11,6 +11,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -311,4 +313,43 @@ func fleetSnapshot(t *testing.T, url string) cluster.FleetMetrics {
 		t.Fatalf("decoding fleet metrics: %v", err)
 	}
 	return fm
+}
+
+// TestFleetCampaignArtifactsOnDiskAtCompletion pins the coordinator's
+// persist-before-publish order: when /campaign/{id}/events first reports
+// completed, both artifact files already exist under CampaignDir/<id>/.
+func TestFleetCampaignArtifactsOnDiskAtCompletion(t *testing.T) {
+	dir := t.TempDir()
+	f := newFleet(t, 1, cluster.Config{CampaignDir: dir})
+	st := postFleetCampaign(t, f.ts.URL,
+		`{"programs":["fir.mmx"],"axes":{"mul_latency":[1,3]},"skip_check":true}`)
+
+	resp, err := http.Get(f.ts.URL + "/campaign/" + st.ID + "/events")
+	if err != nil {
+		t.Fatalf("GET /events: %v", err)
+	}
+	defer resp.Body.Close()
+	scanner := bufio.NewScanner(resp.Body)
+	for scanner.Scan() {
+		payload, ok := strings.CutPrefix(scanner.Text(), "data: ")
+		if !ok {
+			continue
+		}
+		var ev struct {
+			Status string `json:"status"`
+		}
+		if err := json.Unmarshal([]byte(payload), &ev); err != nil {
+			t.Fatalf("event payload: %v", err)
+		}
+		if ev.Status != "completed" {
+			continue
+		}
+		for _, name := range []string{"points.csv", "sensitivity.md"} {
+			if _, err := os.Stat(filepath.Join(dir, st.ID, name)); err != nil {
+				t.Errorf("at the completed event: %v", err)
+			}
+		}
+		return
+	}
+	t.Fatal("event stream ended without a completed event")
 }

@@ -266,10 +266,11 @@ func (r *Result) InstrsPerSec() float64 {
 	return float64(r.Report.DynamicInstructions) / r.Wall.Seconds()
 }
 
-// Compiled is a benchmark built and predecoded once: the linked program
-// and its vm.Code. Both are immutable after construction, so one Compiled
-// may back any number of concurrent runs — this is the artifact a serving
-// layer caches to amortize Build and predecode across repeat requests.
+// Compiled is a benchmark built and compiled once: the linked program and
+// its vm.Code (every basic block lowered to micro-ops). Both are immutable
+// after construction, so one Compiled may back any number of concurrent
+// runs — this is the artifact a serving layer caches to amortize Build and
+// compilation across repeat requests.
 type Compiled struct {
 	Benchmark Benchmark
 	Prog      *asm.Program
@@ -301,7 +302,7 @@ func recoverRun(name string, err *error) {
 }
 
 // CompileBenchmark builds the benchmark's program (including workload data
-// placement) and predecodes it into shareable vm.Code. A panic in Build
+// placement) and compiles it into shareable vm.Code. A panic in Build
 // comes back as a *PanicError.
 func CompileBenchmark(b Benchmark) (comp *Compiled, err error) {
 	defer recoverRun(b.Name(), &err)

@@ -293,7 +293,7 @@ func (s *Server) asmResult(ctx context.Context, req *AsmRequest, retired *int64)
 }
 
 // executeAsm is the uncached submission path: admission, assemble +
-// predecode through the shared compiled-program cache (keyed by source
+// compile through the shared compiled-program cache (keyed by source
 // hash, so repeat submissions skip the assembler), one interpreter run
 // with PartialOnBudget, marshal.
 func (s *Server) executeAsm(ctx context.Context, req *AsmRequest, retired *int64) ([]byte, error) {

@@ -1,6 +1,6 @@
 // The compiled-program cache. Building a suite benchmark synthesizes its
-// workload data and macro-assembles the program, and predecoding lowers it
-// into handler arrays and basic blocks — work that is identical for every
+// workload data and macro-assembles the program, and compiling lowers its
+// basic blocks to micro-ops — work that is identical for every
 // request naming the same (program, dispatch, config) triple. The cache
 // keys immutable core.Compiled artifacts by that triple with bounded LRU
 // eviction, so a warm daemon serves repeat requests straight into

@@ -122,7 +122,7 @@ func TestCacheDoesNotCacheErrors(t *testing.T) {
 }
 
 // TestSharedCodeRunsAreIdentical is the vm-level half of the cache
-// correctness property: running a program on a CPU predecoded privately
+// correctness property: running a program on a CPU compiled privately
 // (vm.New) and on CPUs sharing one vm.Code (vm.NewWithCode, the cache
 // path) must leave identical registers and memory.
 func TestSharedCodeRunsAreIdentical(t *testing.T) {

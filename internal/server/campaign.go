@@ -178,13 +178,10 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		campaign.Run(c, ex, campaign.RunnerConfig{
 			Workers: s.cfg.CampaignWorkers,
 			OnPoint: s.metrics.recordCampaignPoint,
+			Dir:     s.cfg.CampaignDir,
 		})
 		s.campaigns.Settle()
 		s.tenants.Release(tenant, c.SimulatedInstrs())
-		if dir := s.cfg.CampaignDir; dir != "" && c.Status() == campaign.StatusCompleted {
-			csv, md := c.Artifacts()
-			_ = campaign.Persist(dir, c.ID, csv, md) // best-effort; artifacts stay inline
-		}
 	}()
 	writeJSON(w, http.StatusAccepted, StatusOfCampaign(c, false))
 }

@@ -369,3 +369,45 @@ func TestCampaignActiveCapSheds429(t *testing.T) {
 	}
 	waitCampaign(t, ts.URL, id)
 }
+
+// TestCampaignArtifactsOnDiskAtCompletion pins the persist-before-publish
+// order: when /campaign/{id}/events first reports completed, both artifact
+// files already exist under CampaignDir/<id>/.
+func TestCampaignArtifactsOnDiskAtCompletion(t *testing.T) {
+	lookup, all := registryFromSuite(t, "fir.mmx")
+	dir := t.TempDir()
+	_, ts := newTestServer(t, server.Config{Lookup: lookup, Benchmarks: all, CampaignDir: dir})
+
+	_, data := postCampaign(t, ts.URL,
+		`{"programs":["fir.mmx"],"axes":{"mul_latency":[1,3]},"skip_check":true}`)
+	st := decodeCampaign(t, data)
+
+	resp, err := http.Get(ts.URL + "/campaign/" + st.ID + "/events")
+	if err != nil {
+		t.Fatalf("GET /events: %v", err)
+	}
+	defer resp.Body.Close()
+	scanner := bufio.NewScanner(resp.Body)
+	for scanner.Scan() {
+		payload, ok := strings.CutPrefix(scanner.Text(), "data: ")
+		if !ok {
+			continue
+		}
+		var ev struct {
+			Status string `json:"status"`
+		}
+		if err := json.Unmarshal([]byte(payload), &ev); err != nil {
+			t.Fatalf("event payload: %v", err)
+		}
+		if ev.Status != "completed" {
+			continue
+		}
+		for _, name := range []string{"points.csv", "sensitivity.md"} {
+			if _, err := os.Stat(filepath.Join(dir, st.ID, name)); err != nil {
+				t.Errorf("at the completed event: %v", err)
+			}
+		}
+		return
+	}
+	t.Fatal("event stream ended without a completed event")
+}

@@ -88,7 +88,8 @@ func BenchmarkTraceStep(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/instr")
 }
 
-// BenchmarkCompile measures the one-time predecode cost itself.
+// BenchmarkCompile measures the one-time compile cost itself: lowering
+// every basic block to micro-ops.
 func BenchmarkCompile(b *testing.B) {
 	prog := benchProg()
 	b.ReportAllocs()

@@ -1,18 +1,34 @@
-// Basic-block superhandlers: the predecoded handler array lowered one level
-// further. Compile groups instructions into the basic blocks discovered by
-// asm.Program.Blocks and the dispatch loop (runTrace) executes a whole
-// block at a time: run the body (as a fused handler chain when every body
-// instruction is provably non-faulting), hand the observer one ObserveBlock
-// call instead of one Retire per instruction, then retire the terminator
-// through the exact per-event path (its timing depends on dynamic state:
-// branch direction, BTB, stack memory).
+// Compilation: a one-time pass that lowers every basic block of a linked
+// Program (as discovered by asm.Program.Blocks) to micro-ops, the one fast
+// execution form of the dispatch loop (trace.go). A block body runs
+// through the micro-op executor as one unit — the observer gets one
+// ObserveBlock call instead of one Retire per instruction — and its
+// terminator retires through the generic executor, per event (its timing
+// depends on dynamic state: branch direction, BTB, stack memory). Trace
+// formation builds its superblocks by copying these per-block micro-ops.
 //
-// The dispatcher drops to single-instruction stepping (stepDecoded)
-// whenever exactness requires it — entry at a non-leader PC (a ret popped
-// an arbitrary return address) or an instruction budget too small to cover
-// a whole block — so faults stay byte-identical to the generic
-// interpreter.
+// The dispatcher drops to single-instruction stepping whenever exactness
+// requires it — entry at a non-leader PC (a ret popped an arbitrary return
+// address) or an instruction budget too small to cover a whole block — so
+// faults stay byte-identical to the generic interpreter.
 package vm
+
+import (
+	"mmxdsp/internal/asm"
+	"mmxdsp/internal/isa"
+)
+
+// Code is a compiled program: its basic blocks lowered to micro-ops. A
+// Code value is immutable after Compile and may be shared by any number of
+// CPUs running the same program (it holds no execution state); trace
+// formation copies block micro-ops and never writes them.
+type Code struct {
+	prog *asm.Program
+	// blocks and blockOf are the block-dispatch tables: one vmBlock per
+	// basic block, and the owning block index per PC.
+	blocks  []vmBlock
+	blockOf []int32
+}
 
 // Terminator kinds of a vmBlock.
 const (
@@ -25,22 +41,15 @@ const (
 // vmBlock is one basic block prepared for dispatch.
 type vmBlock struct {
 	start    int32
-	bodyEnd  int32 // terminator PC, or end for fall-through blocks
 	end      int32
 	term     int32 // terminator PC, -1 when termKind == termNone
 	termKind uint8
-	// fused: every body instruction is a NOP or a specialized,
-	// memory-free, non-FP handler — shapes whose handlers cannot fault —
-	// so the body runs as a straight handler chain with no per-
-	// instruction PC stores or event bookkeeping.
-	fused bool
-	// execs holds the handlers of the event-emitting body instructions of
-	// a fused block (NOPs retire silently and are skipped entirely).
-	execs []execFn
-	// steps is the non-fused equivalent: the event-emitting body
-	// instructions with the per-instruction state the slower loop needs
-	// (fault PC, penalty collection).
-	steps []bodyStep
+	// body is the lowered block body, closed by a uBodyEnd. Each
+	// micro-op's cum is the number of instructions from the block start
+	// through its own, so a fault retires exactly the instructions before
+	// it plus itself. The slice is capped at its length: an append can
+	// never reach a neighbour's ops.
+	body []uop
 	// events is the event-emitting body instruction count; nInstrs and
 	// nBody count all instructions (including NOPs and the terminator)
 	// for the executed-instruction budget.
@@ -49,118 +58,59 @@ type vmBlock struct {
 	nBody   int64
 }
 
-// bodyStep is one event-emitting instruction of a non-fused block body.
-type bodyStep struct {
-	exec    execFn
-	pc      int32
-	refsMem bool
-}
-
-// buildBlocks lowers the predecoded handler array into dispatchable blocks.
-func (c *Code) buildBlocks() {
-	p := c.prog
+// Compile lowers a linked program to micro-ops. The cost is one pass over
+// the static instructions; every CPU built from the result shares it.
+func Compile(p *asm.Program) *Code {
 	infos := p.Blocks()
-	c.blocks = make([]vmBlock, len(infos))
-	c.blockOf = make([]int32, len(p.Insts))
+	meta := p.InstMeta()
+	c := &Code{
+		prog:    p,
+		blocks:  make([]vmBlock, len(infos)),
+		blockOf: make([]int32, len(p.Insts)),
+	}
+	// At most one micro-op per instruction, plus each body's uBodyEnd:
+	// the array never moves, so each body can be sliced off it as soon as
+	// it is lowered.
+	ops := make([]uop, 0, len(p.Insts)+len(infos))
 	for bi := range infos {
 		info := &infos[bi]
 		b := &c.blocks[bi]
 		start, bodyEnd := info.Body()
 		b.start = int32(info.Start)
-		b.bodyEnd = int32(bodyEnd)
 		b.end = int32(info.End)
 		b.term = int32(info.Term)
 		b.nInstrs = int64(info.End - info.Start)
 		b.nBody = int64(bodyEnd - start)
 		b.termKind = termNone
 		if info.Term >= 0 {
-			switch c.ops[info.Term].kind {
-			case dProfOn:
+			switch p.Insts[info.Term].Op {
+			case isa.PROFON:
 				b.termKind = termProfOn
-			case dProfOff:
+			case isa.PROFOFF:
 				b.termKind = termProfOff
 			default:
 				b.termKind = termCtl
 			}
 		}
-		fused := true
 		for pc := info.Start; pc < info.End; pc++ {
 			c.blockOf[pc] = int32(bi)
 		}
+		first := len(ops)
 		for pc := start; pc < bodyEnd; pc++ {
-			d := &c.ops[pc]
-			if d.kind == dNop {
+			in := &p.Insts[pc]
+			if !in.Op.EmitsEvent() {
 				continue
 			}
 			b.events++
-			// Fused bodies skip the per-instruction PC store that fault
-			// messages rely on, so they may only contain handlers that
-			// provably never fault: the specialized integer and MMX
-			// shapes with no memory operand. FP handlers are excluded
-			// (mmx-active fault), as is anything on the generic path.
-			if !d.spec || d.refsMem || p.Insts[pc].Op.IsFP() {
-				fused = false
+			if u, ok := lowerInst(in, meta[pc].RefsMem, int32(pc)); ok {
+				u.cum = int64(pc-start) + 1
+				ops = append(ops, u)
 			}
 		}
-		if fused {
-			b.fused = true
-			for pc := start; pc < bodyEnd; pc++ {
-				if c.ops[pc].kind != dNop {
-					b.execs = append(b.execs, c.ops[pc].exec)
-				}
-			}
-		} else {
-			for pc := start; pc < bodyEnd; pc++ {
-				d := &c.ops[pc]
-				if d.kind != dNormal {
-					continue
-				}
-				b.steps = append(b.steps, bodyStep{
-					exec:    d.exec,
-					pc:      int32(pc),
-					refsMem: d.refsMem,
-				})
-			}
-		}
+		ops = append(ops, uop{kind: uBodyEnd})
+		b.body = ops[first:len(ops):len(ops)]
 	}
-}
-
-// stepDecoded retires one instruction through its predecoded handler;
-// semantically one generic step. Its event goes to the run's stream, when
-// the run is observed.
-func (c *CPU) stepDecoded(maxInstrs int64, ev *Event) error {
-	if c.executed >= maxInstrs {
-		return c.budgetFault(maxInstrs)
-	}
-	pc := c.pc
-	ops := c.code.ops
-	if pc < 0 || pc >= len(ops) {
-		return c.fault("control transferred outside program (pc=%d)", pc)
-	}
-	d := &ops[pc]
-	c.executed++
-	if d.kind != dNormal {
-		switch d.kind {
-		case dProfOn:
-			c.measuring = true
-		case dProfOff:
-			c.measuring = false
-		}
-		c.pc++
-		return nil
-	}
-	*ev = Event{PC: pc, Inst: d.inst, Measured: c.measuring}
-	if err := d.exec(c, ev); err != nil {
-		return err
-	}
-	if !ev.Taken {
-		c.pc++
-	}
-	ev.Target = c.pc
-	if c.st != nil {
-		c.st.retire(ev)
-	}
-	return nil
+	return c
 }
 
 // CompiledBlocks returns how many basic blocks the program compiled into

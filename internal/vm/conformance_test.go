@@ -1,4 +1,4 @@
-package vm
+package vm_test
 
 import (
 	"math"
@@ -6,12 +6,21 @@ import (
 
 	"mmxdsp/internal/asm"
 	"mmxdsp/internal/isa"
+	"mmxdsp/internal/vm"
 )
 
+// conformanceLoops is how often the conformance body repeats: well past
+// the default trace threshold, so the dispatch-loop runs execute every
+// opcode through block micro-ops first and trace micro-ops later.
+const conformanceLoops = 300
+
 // TestEveryOpcodeExecutes builds one program that retires every
-// non-pseudo opcode in the ISA at least once and checks a handful of
-// end-state invariants. Opcodes the program misses fail the test, so the
-// ISA can't grow silently untested.
+// non-pseudo opcode in the ISA at least once, in a loop, and checks that
+// it runs without faulting. Opcodes the program misses fail the test, so
+// the ISA can't grow silently untested. The same program then runs on the
+// dispatch loop with a TraceObserver, trace formation off and on: the
+// final registers, memory and report must equal the generic
+// interpreter's.
 func TestEveryOpcodeExecutes(t *testing.T) {
 	b := asm.NewBuilder("conformance")
 	b.Words("w16", []int16{100, -100, 32000, -32000})
@@ -22,6 +31,8 @@ func TestEveryOpcodeExecutes(t *testing.T) {
 	b.Reserve("scratch", 64)
 
 	b.Proc("main")
+	b.I(isa.MOV, asm.R(isa.EDI), asm.Imm(conformanceLoops))
+	b.Label("top")
 	// Integer movement and ALU.
 	b.I(isa.MOV, asm.R(isa.EAX), asm.Imm(7))
 	b.I(isa.MOV, asm.R(isa.EBX), asm.Imm(3))
@@ -122,6 +133,8 @@ func TestEveryOpcodeExecutes(t *testing.T) {
 	b.I(isa.NOP)
 	b.I(isa.PROFON)
 	b.I(isa.PROFOFF)
+	b.I(isa.SUB, asm.R(isa.EDI), asm.Imm(1))
+	b.J(isa.JNE, "top")
 	b.I(isa.HALT)
 	b.Proc("leaf")
 	b.Ret()
@@ -147,9 +160,9 @@ func TestEveryOpcodeExecutes(t *testing.T) {
 
 	// Dynamic: every instruction must retire without faulting.
 	executed := map[isa.Op]bool{}
-	c := New(p)
-	c.Obs = obsFunc(func(ev Event) { executed[ev.Inst.Op] = true })
-	if err := c.Run(1 << 16); err != nil {
+	c := vm.New(p)
+	c.Obs = obsFunc(func(ev vm.Event) { executed[ev.Inst.Op] = true })
+	if err := c.Run(1 << 24); err != nil {
 		t.Fatal(err)
 	}
 	for op := range inProgram {
@@ -160,8 +173,17 @@ func TestEveryOpcodeExecutes(t *testing.T) {
 			t.Errorf("opcode %s present but never retired", op)
 		}
 	}
+
+	gen := runPath(t, p, "generic")
+	blk := runPath(t, p, "block")
+	trc := runPath(t, p, "trace")
+	if trc.traces.Formed == 0 {
+		t.Errorf("no trace formed: %+v", trc.traces)
+	}
+	compareOutcomes(t, "generic", gen, "block", blk)
+	compareOutcomes(t, "generic", gen, "trace", trc)
 }
 
-type obsFunc func(Event)
+type obsFunc func(vm.Event)
 
-func (f obsFunc) Retire(ev Event) { f(ev) }
+func (f obsFunc) Retire(ev vm.Event) { f(ev) }

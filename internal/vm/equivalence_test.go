@@ -15,6 +15,7 @@ package vm_test
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"reflect"
 	"testing"
@@ -68,10 +69,22 @@ type runOutcome struct {
 	report    *profile.Report
 	eventHash uint64
 	events    uint64
+	traces    vm.TraceStats
 }
 
 func runPath(t *testing.T, prog *asm.Program, mode string) *runOutcome {
 	t.Helper()
+	out, err := runMode(prog, nil, mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// runMode runs prog in one interpreter mode with the full timing pipeline,
+// on a CPU of its own built from code (compiled privately when nil). It
+// only returns errors, so any goroutine may call it.
+func runMode(prog *asm.Program, code *vm.Code, mode string) (*runOutcome, error) {
 	cfg := pentium.DefaultConfig()
 	model := pentium.New(cfg)
 	model.Bind(prog)
@@ -79,6 +92,9 @@ func runPath(t *testing.T, prog *asm.Program, mode string) *runOutcome {
 	hasher := &eventHasher{next: col}
 
 	cpu := vm.New(prog)
+	if code != nil {
+		cpu = vm.NewWithCode(code)
+	}
 	switch mode {
 	case "generic":
 		cpu.Generic = true
@@ -89,11 +105,11 @@ func runPath(t *testing.T, prog *asm.Program, mode string) *runOutcome {
 		cpu.Obs = col
 		cpu.Traces = true
 	default:
-		t.Fatalf("unknown mode %q", mode)
+		return nil, fmt.Errorf("unknown mode %q", mode)
 	}
 	cpu.Hier = mem.NewHierarchy()
 	if err := cpu.Run(1 << 31); err != nil {
-		t.Fatalf("run (%s): %v", mode, err)
+		return nil, fmt.Errorf("run (%s): %v", mode, err)
 	}
 
 	out := &runOutcome{
@@ -101,6 +117,7 @@ func runPath(t *testing.T, prog *asm.Program, mode string) *runOutcome {
 		report:    col.Report(prog.Name),
 		eventHash: hasher.sum,
 		events:    hasher.n,
+		traces:    cpu.TraceStats(),
 	}
 	for i := 0; i < 8; i++ {
 		out.gpr[i] = cpu.GPR(isa.EAX + isa.Reg(i))
@@ -111,7 +128,7 @@ func runPath(t *testing.T, prog *asm.Program, mode string) *runOutcome {
 	out.report.L1Misses = cpu.Hier.Stats.L1Misses
 	out.report.L2Misses = cpu.Hier.Stats.L2Misses
 	out.mem = append([]byte(nil), cpu.Mem.Bytes()...)
-	return out
+	return out, nil
 }
 
 // compareOutcomes fails the test wherever two interpreter paths disagree.
@@ -192,6 +209,6 @@ func TestPredecodedFaultsMatchGeneric(t *testing.T) {
 		t.Fatal("both paths must fault on running off the end")
 	}
 	if errG.Error() != errP.Error() {
-		t.Errorf("fault text differs:\n generic: %v\n predecoded: %v", errG, errP)
+		t.Errorf("fault text differs:\n generic: %v\n dispatch: %v", errG, errP)
 	}
 }

@@ -6,6 +6,10 @@ import (
 	"mmxdsp/internal/isa"
 )
 
+// fpWhileMMX is the fault text of an FP instruction in MMX mode; the FP
+// micro-ops raise it too.
+const fpWhileMMX = "floating-point instruction while MMX state active (missing emms)"
+
 // execFP executes floating-point instructions against the flat FP register
 // file. The FP registers physically alias the MMX registers: executing an
 // FP instruction while the machine is in MMX mode (after any MMX
@@ -14,7 +18,7 @@ import (
 // every MMX-to-FP transition, exactly the cost the paper highlights.
 func (c *CPU) execFP(in *isa.Inst, ev *Event) error {
 	if c.mmxActive {
-		return c.fault("floating-point instruction while MMX state active (missing emms)")
+		return c.fault(fpWhileMMX)
 	}
 	switch in.Op {
 	case isa.FLD:

@@ -1,19 +1,24 @@
-// Trace (superblock) dispatch: the block interpreter lowered one more level.
-// At run time the dispatcher counts how often control arrives at each block
-// leader over a taken back edge or a trace exit; when a leader crosses the
+// The dispatch loop and its one fast execution form, micro-ops. Compile
+// (block.go) lowers every basic block body to micro-ops; the dispatch loop
+// runs a body through the micro-op executor (execUops) and retires its
+// terminator on the generic executor.
+//
+// Trace (superblock) dispatch builds on the same micro-ops. At run time
+// the dispatcher counts how often control arrives at each block leader
+// over a taken back edge or a trace exit; when a leader crosses the
 // hotness threshold, the next pass through it records the chain of basic
 // blocks the program actually follows — across taken branches — until the
 // chain closes back on its head (a loop trace), repeats a block, grows too
 // long, or reaches an untraceable terminator (call/ret/halt/marker). The
-// recorded chain is lowered into a superblock: a flat array of micro-ops
-// with every conditional branch turned into a side-exit guard that checks
-// the recorded direction and falls back to block dispatch when the program
-// diverges.
+// recorded chain becomes a superblock: the chain's block micro-ops copied
+// into one flat array, with every conditional branch turned into a
+// side-exit guard that checks the recorded direction and falls back to
+// block dispatch when the program diverges. The same executor runs it.
 //
-// Inside a superblock the hot architectural state — the eight GPRs, the
-// eight MMX registers and the four flags — lives in Go locals for the whole
-// trace, spilling to the CPU only at side exits, at poll points and around
-// the rare fallback micro-op that calls a predecoded handler. Instruction
+// While the executor runs, the hot architectural state — the eight GPRs,
+// the eight MMX registers and the four flags — lives in Go locals,
+// spilling to the CPU only at side exits, at poll points and around the
+// rare fallback micro-op that calls the generic executor. Instruction
 // budgets stay exact because a trace iteration only begins when it fits the
 // remaining budget entirely (the boundary is handled by block dispatch,
 // which single-steps); Poll cancellation stays bounded because every
@@ -178,8 +183,9 @@ func (c *CPU) TraceStats() TraceStats {
 	}
 }
 
-// Micro-op kinds. Every kind is the data form of one specialized handler
-// shape from decode.go; uCall wraps any other handler (spill, call, reload).
+// Micro-op kinds. Each native kind executes one operand shape of one
+// opcode family; uCall runs any other instruction on the generic executor
+// (spill, call, reload).
 const (
 	uCall uint8 = iota
 
@@ -251,6 +257,9 @@ const (
 	uEnd
 	uCallT
 	uRet
+	// uBodyEnd closes every compiled block body, so the executor's loop
+	// needs no bounds test; traces copy bodies without it.
+	uBodyEnd
 
 	// MMX.
 	uMovdGM // mm[d] = zext gpr[s]
@@ -269,7 +278,7 @@ const (
 	uEmms
 
 	// Floating point (registers stay in CPU state; every op re-checks the
-	// mmx-active fault exactly like the closures).
+	// mmx-active fault exactly like execFP).
 	uFMovRR
 	uFLoad32
 	uFLoad64
@@ -299,7 +308,7 @@ const (
 )
 
 // ALU sub-ops for the read-modify-write uAluMR/uAluMI micro-ops. cmp and
-// test read without writing back (single access charge, like the closures).
+// test read without writing back (single access charge, like execInt).
 const (
 	aluAdd uint8 = iota
 	aluSub
@@ -323,9 +332,10 @@ const (
 // noIdx marks an absent base/index register in a memory micro-op.
 const noIdx uint8 = 0xFF
 
-// uop is one trace micro-op. Memory operands are flattened into
-// base/index/scale/disp fields; register indices into d (destination) and s
-// (source). The meaning of the remaining fields depends on kind.
+// uop is one micro-op, of a block body or a trace. Memory operands are
+// flattened into base/index/scale/disp fields; register indices into d
+// (destination) and s (source). The meaning of the remaining fields
+// depends on kind.
 type uop struct {
 	kind uint8
 	d, s uint8
@@ -339,7 +349,7 @@ type uop struct {
 	imm2  uint32
 	// expect is the recorded direction of a uJcc, or the loop flag of uEnd.
 	expect bool
-	// refsMem/mmx describe a uCall'd handler (penalty slot, mm spill).
+	// refsMem/mmx describe a uCall'd instruction (penalty slot, mm spill).
 	refsMem bool
 	mmx     bool
 	// pc is the originating instruction (fault context, side-exit
@@ -347,8 +357,10 @@ type uop struct {
 	pc  int32
 	tgt int32
 	// blockK is the index within the trace of the block owning a
-	// uJcc/uEnd; cum is the instruction count retired once that block
-	// completes (from trace entry).
+	// uJcc/uEnd. cum is the instruction count retired from the start of
+	// the segment (block body, or trace iteration) through this op's
+	// instruction — for a terminator op, through the end of its block: a
+	// fault here leaves exactly that many retired.
 	blockK int32
 	cum    int64
 	// pathIdx tags control ops (uJcc/uRet/uEnd) with the tree path they
@@ -361,11 +373,11 @@ type uop struct {
 	childPath uint16
 	child     int32
 	// fv is the uFConst value; mfn/sfn the MMX binary/shift functions;
-	// exec the wrapped handler of a uCall.
-	fv   float64
-	mfn  func(a, b mmx.Reg) mmx.Reg
-	sfn  func(v mmx.Reg, n uint) mmx.Reg
-	exec execFn
+	// in the instruction a uCall runs.
+	fv  float64
+	mfn func(a, b mmx.Reg) mmx.Reg
+	sfn func(v mmx.Reg, n uint) mmx.Reg
+	in  *isa.Inst
 }
 
 // vmTrace is one lowered superblock, possibly grown into a tree: child
@@ -556,7 +568,7 @@ func traceableBlock(code *Code, b *vmBlock) bool {
 	case termNone:
 		return true
 	case termCtl:
-		op := code.ops[b.term].inst.Op
+		op := code.prog.Insts[b.term].Op
 		return op == isa.JMP || op.IsBranch() || op == isa.CALL || op == isa.RET
 	}
 	return false
@@ -694,17 +706,17 @@ func (ts *traceState) maybeDeopt(tr *vmTrace) {
 	}
 }
 
-// runTrace is the dispatch loop: block dispatch (run the body, retire the
-// terminator per-event) plus, when CPU.Traces is set, heat counting, chain
-// recording and superblock execution at hot leaders. Observations go to the
-// CPU's stream, c.st, which is nil when the run is unobserved.
+// runTrace is the dispatch loop: block dispatch (run the body's micro-ops,
+// retire the terminator per-event) plus, when CPU.Traces is set, heat
+// counting, chain recording and superblock execution at hot leaders.
+// Observations go to the CPU's stream, c.st, which is nil when the run is
+// unobserved.
 func (c *CPU) runTrace(maxInstrs int64) error {
 	code := c.code
-	ops := code.ops
+	insts := c.Prog.Insts
 	st := c.st
 	ts := c.traceInit()
 	var ev Event
-	var penbuf []int32
 	pollAt := c.pollStart()
 	for !c.halted {
 		if c.executed >= pollAt {
@@ -714,7 +726,7 @@ func (c *CPU) runTrace(maxInstrs int64) error {
 			pollAt = c.executed + c.pollInterval()
 		}
 		pc := c.pc
-		if pc < 0 || pc >= len(ops) {
+		if pc < 0 || pc >= len(insts) {
 			return c.fault("control transferred outside program (pc=%d)", pc)
 		}
 		bi := int(code.blockOf[pc])
@@ -733,7 +745,7 @@ func (c *CPU) runTrace(maxInstrs int64) error {
 				// inner head. Recording is rare; the slower pass is noise.
 				tr := ts.traces[tid]
 				if c.executed+tr.nInstrs <= maxInstrs {
-					if err := c.execTrace(tr, ts, maxInstrs, &pollAt); err != nil {
+					if _, err := c.execUops(tr.ops, tr, ts, maxInstrs, &pollAt); err != nil {
 						return err
 					}
 					// A trace exit is a chain exit: its target competes to
@@ -749,45 +761,27 @@ func (c *CPU) runTrace(maxInstrs int64) error {
 			// faults land on exactly the right instruction. Either way the
 			// chain being recorded is broken.
 			c.abandonRec(ts)
-			if err := c.stepDecoded(maxInstrs, &ev); err != nil {
+			if c.executed >= maxInstrs {
+				return c.budgetFault(maxInstrs)
+			}
+			emit, err := c.step(&ev)
+			if err != nil {
 				return err
+			}
+			if emit && st != nil {
+				st.retire(&ev)
 			}
 			continue
 		}
-		if b.fused {
-			c.executed += b.nBody
-			for _, fn := range b.execs {
-				if err := fn(c, &ev); err != nil {
-					return err
-				}
-			}
-			if st != nil && b.events > 0 {
-				st.block(bi, c.measuring, st.pen)
-			}
-		} else {
-			c.executed += b.nBody
-			pen := penbuf[:0]
-			if st != nil {
-				pen = st.pen
-			}
-			for i := range b.steps {
-				s := &b.steps[i]
-				c.pc = int(s.pc)
-				if s.refsMem {
-					ev.MemPenalty = 0
-					if err := s.exec(c, &ev); err != nil {
-						return err
-					}
-					pen = append(pen, int32(ev.MemPenalty))
-				} else if err := s.exec(c, &ev); err != nil {
-					return err
-				}
-			}
-			if st == nil {
-				penbuf = pen
-			} else if b.events > 0 {
-				st.block(bi, c.measuring, pen)
-			}
+		pen, err := c.execUops(b.body, nil, ts, maxInstrs, &pollAt)
+		if err != nil {
+			return err
+		}
+		c.executed += b.nBody
+		if st == nil {
+			ts.penbuf = pen[:0] // keep any growth for the next body
+		} else if b.events > 0 {
+			st.block(bi, c.measuring, pen)
 		}
 		switch b.termKind {
 		case termNone:
@@ -805,23 +799,17 @@ func (c *CPU) runTrace(maxInstrs int64) error {
 			c.pc = int(b.end)
 		default: // termCtl
 			tpc := int(b.term)
-			c.executed++
 			c.pc = tpc
-			d := &ops[tpc]
-			ev = Event{PC: tpc, Inst: d.inst, Measured: c.measuring}
-			if err := d.exec(c, &ev); err != nil {
+			if _, err := c.step(&ev); err != nil {
 				return err
 			}
-			if !ev.Taken {
-				c.pc++
-			}
-			ev.Target = c.pc
 			if st != nil {
 				st.retire(&ev)
 			}
+			op := insts[tpc].Op
 			if ts.rec.active {
 				ts.record(bi, ev.Taken)
-				switch d.inst.Op {
+				switch op {
 				case isa.CALL:
 					ts.rec.depth++
 				case isa.RET:
@@ -844,7 +832,7 @@ func (c *CPU) runTrace(maxInstrs int64) error {
 					}
 				}
 			}
-			if c.Traces && ev.Taken && (c.pc < tpc || d.inst.Op == isa.CALL) {
+			if c.Traces && ev.Taken && (c.pc < tpc || op == isa.CALL) {
 				// Taken back edge (the classic loop-head signal) or a call:
 				// function entries anchor tail-return traces.
 				ts.bump(c, c.pc)
@@ -885,10 +873,31 @@ func condCode(op isa.Op) (uint8, bool) {
 	return 0, false
 }
 
+// gprDst returns the GPR index of a plain register operand, or -1.
+func gprDst(o isa.Operand) int {
+	if o.Kind == isa.KindReg && o.Reg.IsGPR() {
+		return o.Reg.GPRIndex()
+	}
+	return -1
+}
+
+// fpDst returns the FP register index of a plain FP register operand, or
+// -1.
+func fpDst(o isa.Operand) int {
+	if o.Kind == isa.KindReg && o.Reg.IsFP() {
+		return o.Reg.FPIndex()
+	}
+	return -1
+}
+
 // memRef starts a memory micro-op from an operand's address shape. The
-// second result is false when the shape is not a plain GPR-addressed form.
+// second result is false when the operand is not memory or its shape is
+// not a plain GPR-addressed form.
 func memRef(o isa.Operand, pc int32) (uop, bool) {
 	u := uop{b: noIdx, x: noIdx, scale: 1, imm: uint32(o.Disp), pc: pc}
+	if o.Kind != isa.KindMem {
+		return u, false
+	}
 	if o.Reg != isa.NoReg {
 		if !o.Reg.IsGPR() {
 			return u, false
@@ -907,13 +916,14 @@ func memRef(o isa.Operand, pc int32) (uop, bool) {
 	return u, true
 }
 
-// uCallOp wraps an instruction's predecoded handler as a fallback micro-op.
-func uCallOp(d *decoded, pc int32) uop {
+// uCallOp lowers an instruction to a fallback micro-op that runs it on the
+// generic executor.
+func uCallOp(in *isa.Inst, refsMem bool, pc int32) uop {
 	return uop{
 		kind:    uCall,
-		exec:    d.exec,
-		refsMem: d.refsMem,
-		mmx:     d.inst.Op.IsMMX(),
+		in:      in,
+		refsMem: refsMem,
+		mmx:     in.Op.IsMMX(),
 		pc:      pc,
 	}
 }
@@ -943,40 +953,29 @@ func (c *CPU) lowerTrace(blocks []int32, taken []bool, loop bool, exitPC int32) 
 	return tr
 }
 
-// lowerBlocks lowers a run of chain blocks, appending micro-ops to ops.
-// baseK/baseCum seat the run at a position within a (possibly longer) path:
-// emitted uJcc/uRet blockK and cum fields are offset by them, and pathIdx
-// tags the control ops with the owning tree path. contPC is where execution
-// continues after the last block (the loop head, or a non-loop trace's
-// recorded successor); dynTail marks a chain ending at a top-level ret
-// (computed exit, no continuation guard). Returns the extended op slice, the
-// cumulative instruction count through the run, and ok=false when the run
-// cannot be lowered (oversized past maxOps, or an unexpected terminator).
+// lowerBlocks lowers a run of chain blocks, appending micro-ops to ops:
+// each block's compiled body, copied, then its terminator as a guard or an
+// inlined call/ret. baseK/baseCum seat the run at a position within a
+// (possibly longer) path: every op's cum and the control ops' blockK are
+// offset by them, and pathIdx tags the control ops with the owning tree
+// path. contPC is where execution continues after the last block (the loop
+// head, or a non-loop trace's recorded successor); dynTail marks a chain
+// ending at a top-level ret (computed exit, no continuation guard). Returns
+// the extended op slice, the cumulative instruction count through the run,
+// and ok=false when the run cannot be lowered (oversized past maxOps, or an
+// unexpected terminator).
 func (c *CPU) lowerBlocks(ops []uop, blocks []int32, taken []bool, baseK int32, baseCum int64, pathIdx uint16, contPC int32, dynTail bool, maxOps int) ([]uop, int64, bool) {
 	code := c.code
 	cum := baseCum
 	for k, bi := range blocks {
 		b := &code.blocks[bi]
-		for pc := b.start; pc < b.bodyEnd; pc++ {
-			d := &code.ops[pc]
-			if d.kind != dNormal {
-				continue
-			}
-			in := d.inst
-			if in.Op == isa.JMP || in.Op.IsBranch() || in.Op == isa.CALL ||
-				in.Op == isa.RET || in.Op == isa.HALT {
-				// Control flow inside a block body cannot happen; decline
-				// rather than mis-lower if it ever does.
-				return ops, 0, false
-			}
-			u, emit := lowerInst(d, pc)
-			if emit {
-				ops = append(ops, u)
-			}
+		for _, u := range b.body[:len(b.body)-1] {
+			u.cum += cum
+			ops = append(ops, u)
 		}
 		cum += b.nInstrs
 		if b.termKind == termCtl {
-			in := code.ops[b.term].inst
+			in := &code.prog.Insts[b.term]
 			switch {
 			case in.Op == isa.JMP:
 				// Static target: the next chain block. No executor work.
@@ -988,6 +987,7 @@ func (c *CPU) lowerBlocks(ops []uop, blocks []int32, taken []bool, baseK int32, 
 					kind: uCallT,
 					imm2: uint32(b.term + 1),
 					pc:   b.term,
+					cum:  cum,
 				})
 			case in.Op == isa.RET:
 				// Inlined return. Mid-chain (or loop-closing) rets guard the
@@ -1189,17 +1189,15 @@ func (c *CPU) growChild(ts *traceState, tr *vmTrace, exitOp int32) {
 	rec.depth = 0
 }
 
-// lowerInst lowers one body instruction to a micro-op. The second result is
-// false when the instruction needs no executor work at all (a masked-to-zero
-// shift, whose closure is a no-op). Native lowering requires d.spec — the
-// specializer already validated the operand shape — and mirrors the exact
-// semantics, fault texts and penalty-charging order of the corresponding
-// closure; every other shape wraps its handler in a uCall.
-func lowerInst(d *decoded, pc int32) (uop, bool) {
-	in := d.inst
-	if !d.spec {
-		return uCallOp(d, pc), true
-	}
+// lowerInst lowers one block-body instruction to a micro-op; refsMem is its
+// static memory-reference flag. The second result is false when the
+// instruction needs no executor work at all (a shift by a count that masks
+// to zero). A native micro-op exists only for an operand shape it checks
+// here, and mirrors the generic executor's semantics, fault texts and
+// penalty-charging order exactly; every other shape — including each one
+// the generic executor faults on — lowers to a uCall of that executor.
+func lowerInst(in *isa.Inst, refsMem bool, pc int32) (uop, bool) {
+	call := uCallOp(in, refsMem, pc)
 	switch in.Op {
 	case isa.MOV:
 		if dr := gprDst(in.A); dr >= 0 {
@@ -1218,12 +1216,12 @@ func lowerInst(d *decoded, pc int32) (uop, bool) {
 				case isa.SizeD, isa.SizeNone:
 					u.kind = uLoad32
 				default:
-					return uCallOp(d, pc), true
+					return call, true
 				}
 				u.d = uint8(dr)
 				return u, true
 			}
-			return uCallOp(d, pc), true
+			return call, true
 		}
 		if in.A.IsMem() {
 			if u, ok := memRef(in.A, pc); ok {
@@ -1236,7 +1234,7 @@ func lowerInst(d *decoded, pc int32) (uop, bool) {
 					case isa.SizeD, isa.SizeNone:
 						u.kind = uStore32
 					default:
-						return uCallOp(d, pc), true
+						return call, true
 					}
 					u.s = uint8(sr)
 					return u, true
@@ -1250,19 +1248,19 @@ func lowerInst(d *decoded, pc int32) (uop, bool) {
 					case isa.SizeD, isa.SizeNone:
 						u.kind = uStore32I
 					default:
-						return uCallOp(d, pc), true
+						return call, true
 					}
 					u.imm2 = uint32(in.B.Imm)
 					return u, true
 				}
 			}
 		}
-		return uCallOp(d, pc), true
+		return call, true
 
 	case isa.MOVZXB, isa.MOVZXW, isa.MOVSXB, isa.MOVSXW:
 		dr := gprDst(in.A)
 		if dr < 0 {
-			return uCallOp(d, pc), true
+			return call, true
 		}
 		if sr := gprDst(in.B); sr >= 0 {
 			var k uint8
@@ -1280,7 +1278,7 @@ func lowerInst(d *decoded, pc int32) (uop, bool) {
 		}
 		if in.B.IsMem() {
 			if u, ok := memRef(in.B, pc); ok {
-				// The extend closures force the load width from the opcode.
+				// loadSizedAs forces the load width from the opcode.
 				switch in.Op {
 				case isa.MOVZXB:
 					u.kind = uLoad8
@@ -1295,21 +1293,24 @@ func lowerInst(d *decoded, pc int32) (uop, bool) {
 				return u, true
 			}
 		}
-		return uCallOp(d, pc), true
+		return call, true
 
 	case isa.LEA:
 		dr := gprDst(in.A)
 		if dr < 0 {
-			return uCallOp(d, pc), true
+			return call, true
 		}
 		if u, ok := memRef(in.B, pc); ok {
 			u.kind = uLea
 			u.d = uint8(dr)
 			return u, true
 		}
-		return uCallOp(d, pc), true
+		return call, true
 
 	case isa.XCHG:
+		if gprDst(in.A) < 0 || gprDst(in.B) < 0 {
+			return call, true
+		}
 		return uop{
 			kind: uXchg,
 			d:    uint8(in.A.Reg.GPRIndex()),
@@ -1324,12 +1325,12 @@ func lowerInst(d *decoded, pc int32) (uop, bool) {
 		if in.A.Kind == isa.KindImm {
 			return uop{kind: uPushI, imm: uint32(in.A.Imm), pc: pc}, true
 		}
-		return uCallOp(d, pc), true
+		return call, true
 	case isa.POP:
 		if dr := gprDst(in.A); dr >= 0 {
 			return uop{kind: uPopR, d: uint8(dr), pc: pc}, true
 		}
-		return uCallOp(d, pc), true
+		return call, true
 
 	case isa.ADD, isa.SUB, isa.CMP, isa.AND, isa.TEST, isa.OR, isa.XOR, isa.IMUL:
 		var rr, ri, rm uint8
@@ -1356,7 +1357,7 @@ func lowerInst(d *decoded, pc int32) (uop, bool) {
 			if u, ok := lowerALUMem(in, pc); ok {
 				return u, true
 			}
-			return uCallOp(d, pc), true
+			return call, true
 		}
 		if in.B.Kind == isa.KindImm {
 			return uop{kind: ri, d: uint8(dr), imm: uint32(in.B.Imm), pc: pc}, true
@@ -1371,21 +1372,33 @@ func lowerInst(d *decoded, pc int32) (uop, bool) {
 				return u, true
 			}
 		}
-		return uCallOp(d, pc), true
+		return call, true
 
-	case isa.NOT:
-		return uop{kind: uNot, d: uint8(gprDst(in.A)), pc: pc}, true
-	case isa.NEG:
-		return uop{kind: uNeg, d: uint8(gprDst(in.A)), pc: pc}, true
-	case isa.INC:
-		return uop{kind: uInc, d: uint8(gprDst(in.A)), pc: pc}, true
-	case isa.DEC:
-		return uop{kind: uDec, d: uint8(gprDst(in.A)), pc: pc}, true
+	case isa.NOT, isa.NEG, isa.INC, isa.DEC:
+		dr := gprDst(in.A)
+		if dr < 0 {
+			return call, true
+		}
+		var k uint8
+		switch in.Op {
+		case isa.NOT:
+			k = uNot
+		case isa.NEG:
+			k = uNeg
+		case isa.INC:
+			k = uInc
+		default:
+			k = uDec
+		}
+		return uop{kind: k, d: uint8(dr), pc: pc}, true
 
 	case isa.SHL, isa.SHR, isa.SAR:
+		if gprDst(in.A) < 0 || in.B.Kind != isa.KindImm {
+			return call, true
+		}
 		cnt := uint32(in.B.Imm) & 31
 		if cnt == 0 {
-			// The specialized closure is a no-op: flags untouched, no write.
+			// Flags untouched, no write: nothing to execute.
 			return uop{}, false
 		}
 		var k uint8
@@ -1418,7 +1431,7 @@ func lowerInst(d *decoded, pc int32) (uop, bool) {
 					return u, true
 				}
 			}
-			return uCallOp(d, pc), true
+			return call, true
 		}
 		if in.B.IsReg() && in.B.Reg.IsMMX() {
 			ms := uint8(in.B.Reg.MMXIndex())
@@ -1433,7 +1446,7 @@ func lowerInst(d *decoded, pc int32) (uop, bool) {
 				}
 			}
 		}
-		return uCallOp(d, pc), true
+		return call, true
 
 	case isa.MOVQ:
 		if in.A.IsReg() && in.A.Reg.IsMMX() {
@@ -1454,7 +1467,7 @@ func lowerInst(d *decoded, pc int32) (uop, bool) {
 					return u, true
 				}
 			}
-			return uCallOp(d, pc), true
+			return call, true
 		}
 		if in.A.IsMem() && in.B.IsReg() && in.B.Reg.IsMMX() {
 			if u, ok := memRef(in.A, pc); ok {
@@ -1463,12 +1476,12 @@ func lowerInst(d *decoded, pc int32) (uop, bool) {
 				return u, true
 			}
 		}
-		return uCallOp(d, pc), true
+		return call, true
 
 	case isa.PSLLW, isa.PSLLD, isa.PSLLQ, isa.PSRLW, isa.PSRLD, isa.PSRLQ,
 		isa.PSRAW, isa.PSRAD:
 		if !in.A.IsReg() || !in.A.Reg.IsMMX() {
-			return uCallOp(d, pc), true
+			return call, true
 		}
 		var shift func(mmx.Reg, uint) mmx.Reg
 		switch in.Op {
@@ -1500,7 +1513,7 @@ func lowerInst(d *decoded, pc int32) (uop, bool) {
 		if in.B.IsReg() && in.B.Reg.IsMMX() {
 			return uop{kind: uMMXShiftRR, d: md, s: uint8(in.B.Reg.MMXIndex()), sfn: shift, pc: pc}, true
 		}
-		return uCallOp(d, pc), true
+		return call, true
 	}
 
 	if in.Op.IsMMX() {
@@ -1522,20 +1535,23 @@ func lowerInst(d *decoded, pc int32) (uop, bool) {
 				}
 			}
 		}
-		return uCallOp(d, pc), true
+		return call, true
 	}
 
 	if in.Op.IsFP() {
-		return lowerFP(d, pc)
+		return lowerFP(in, call, pc)
 	}
 
-	return uCallOp(d, pc), true
+	return call, true
 }
 
-// lowerFP lowers the specialized floating-point shapes (compileFP
-// succeeded, so the shapes below are the only possibilities).
-func lowerFP(d *decoded, pc int32) (uop, bool) {
-	in := d.inst
+// lowerFP lowers the floating-point shapes with native micro-ops (register
+// destination; register, float32 or float64 source); call is the fallback.
+func lowerFP(in *isa.Inst, call uop, pc int32) (uop, bool) {
+	fd := fpDst(in.A)
+	if fd < 0 {
+		return call, true
+	}
 	fpMemKind := func(base32, base64 uint8) (uint8, bool) {
 		switch in.B.Size {
 		case isa.SizeD:
@@ -1547,25 +1563,27 @@ func lowerFP(d *decoded, pc int32) (uop, bool) {
 	}
 	switch in.Op {
 	case isa.FLD:
-		fd := uint8(fpDst(in.A))
 		if in.B.IsReg() && in.B.Reg.IsFP() {
-			return uop{kind: uFMovRR, d: fd, s: uint8(in.B.Reg.FPIndex()), pc: pc}, true
+			return uop{kind: uFMovRR, d: uint8(fd), s: uint8(in.B.Reg.FPIndex()), pc: pc}, true
 		}
 		if in.B.IsMem() {
 			if u, ok := memRef(in.B, pc); ok {
 				if k, ok := fpMemKind(uFLoad32, uFLoad64); ok {
 					u.kind = k
-					u.d = fd
+					u.d = uint8(fd)
 					return u, true
 				}
 			}
 		}
-		return uCallOp(d, pc), true
+		return call, true
 
 	case isa.FLDC:
+		if !in.B.IsImm() {
+			return call, true
+		}
 		return uop{
 			kind: uFConst,
-			d:    uint8(fpDst(in.A)),
+			d:    uint8(fd),
 			fv:   math.Float64frombits(uint64(in.B.Imm)),
 			pc:   pc,
 		}, true
@@ -1584,44 +1602,42 @@ func lowerFP(d *decoded, pc int32) (uop, bool) {
 		default:
 			sub = fpDiv
 		}
-		fd := uint8(fpDst(in.A))
 		if in.B.IsReg() && in.B.Reg.IsFP() {
-			return uop{kind: uFArithRR, d: fd, s: uint8(in.B.Reg.FPIndex()), alu: sub, pc: pc}, true
+			return uop{kind: uFArithRR, d: uint8(fd), s: uint8(in.B.Reg.FPIndex()), alu: sub, pc: pc}, true
 		}
 		if in.B.IsMem() {
 			if u, ok := memRef(in.B, pc); ok {
 				if k, ok := fpMemKind(uFArithM32, uFArithM64); ok {
 					u.kind = k
-					u.d = fd
+					u.d = uint8(fd)
 					u.alu = sub
 					return u, true
 				}
 			}
 		}
-		return uCallOp(d, pc), true
+		return call, true
 
 	case isa.FCOM:
-		fd := uint8(fpDst(in.A))
 		if in.B.IsReg() && in.B.Reg.IsFP() {
-			return uop{kind: uFComRR, d: fd, s: uint8(in.B.Reg.FPIndex()), pc: pc}, true
+			return uop{kind: uFComRR, d: uint8(fd), s: uint8(in.B.Reg.FPIndex()), pc: pc}, true
 		}
 		if in.B.IsMem() {
 			if u, ok := memRef(in.B, pc); ok {
 				if k, ok := fpMemKind(uFComM32, uFComM64); ok {
 					u.kind = k
-					u.d = fd
+					u.d = uint8(fd)
 					return u, true
 				}
 			}
 		}
-		return uCallOp(d, pc), true
+		return call, true
 	}
-	return uCallOp(d, pc), true
+	return call, true
 }
 
 // lowerALUMem lowers a memory-destination two-operand ALU instruction
-// (op [mem], reg/imm) into a single RMW micro-op. The closure it mirrors
-// loads the sized operand, computes flags on the widened values, then —
+// (op [mem], reg/imm) into a single RMW micro-op. The execInt path it
+// mirrors loads the sized operand, computes flags on the widened values, then —
 // for the writing ops — stores back with a second access charge; cmp and
 // test stop after the flags. u.alu selects the operation, u.d the operand
 // size (0/1/2 = byte/word/dword), and the B value rides in s (uAluMR) or
@@ -1689,7 +1705,7 @@ var (
 )
 
 // memAddr computes a flattened memory operand's effective address from the
-// cached register file (uint32 wraparound, as compileAddr).
+// cached register file (uint32 wraparound, as effAddr).
 func memAddr(u *uop, gpr *[8]uint32) uint32 {
 	a := u.imm
 	if u.b != noIdx {
@@ -1715,20 +1731,27 @@ func logicFlags(r uint32) (zf, sf, cf, of bool) {
 	return r == 0, int32(r) < 0, false, false
 }
 
-// execTrace runs the superblock from its head until a side exit, the loop's
-// own recorded exit, the instruction budget, or a fault. The GPR/MM register
-// files and the flags live in locals for the whole stay; CPU state is
-// spilled only around uCall handlers, at poll points, and on leaving, which
-// is what buys the trace tier its throughput. Architectural equivalence
-// contract: at every return, c.gpr/c.mm/flags/c.pc/c.executed are exactly
-// what block dispatch would have produced at the same point, and every full
-// iteration (ObserveTrace) / partial exit (ObserveTraceExit) hands the
-// observer one cache penalty per memory-referencing instruction in
-// retirement order. Observed penalties accumulate straight in the
-// stream's arena: what pen holds past the arena's length is the iteration
-// in progress, committed by its record or dropped (a fault) by never being
-// recorded.
-func (c *CPU) execTrace(tr *vmTrace, ts *traceState, maxInstrs int64, pollAt *int64) error {
+// execUops is the micro-op executor, the one fast execution form of the
+// dispatch loop. With tr nil it runs a block body once, up to its closing
+// uBodyEnd, and returns the penalty arena extended by the body's penalties
+// for the caller to record; the caller also retires the body. With tr set
+// it runs trace tr from its head until a side exit, the loop's own
+// recorded exit, the instruction budget, or a fault, and records every
+// iteration itself.
+//
+// The GPR/MM register files and the flags live in locals for the whole
+// stay; CPU state is spilled only around uCall instructions, at poll
+// points, and on leaving, which is what buys traces their throughput.
+// Architectural equivalence contract: at every return, c.gpr/c.mm/flags/
+// c.pc/c.executed are exactly what the generic interpreter would have
+// produced at the same point (a fault retires every instruction through
+// the faulting one), and every full iteration (ObserveTrace) / partial
+// exit (ObserveTraceExit) hands the observer one cache penalty per
+// memory-referencing instruction in retirement order. Observed penalties
+// accumulate straight in the stream's arena: what pen holds past the
+// arena's length is the region in progress, committed by its record or
+// dropped (a fault) by never being recorded.
+func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64, pollAt *int64) ([]int32, error) {
 	st := c.st
 	gpr := c.gpr
 	mm := c.mm
@@ -1738,7 +1761,6 @@ func (c *CPU) execTrace(tr *vmTrace, ts *traceState, maxInstrs int64, pollAt *in
 	iterBase := entry
 	hier := c.Hier
 	memu := c.Mem
-	uops := tr.ops
 	pen := ts.penbuf[:0]
 	if st != nil {
 		pen = st.pen
@@ -1761,15 +1783,15 @@ func (c *CPU) execTrace(tr *vmTrace, ts *traceState, maxInstrs int64, pollAt *in
 			}
 			c.pc = int(u.pc)
 			ts.ev.MemPenalty = 0
-			if err := u.exec(c, &ts.ev); err != nil {
-				// The handler may have committed partial state before
+			if err := c.exec(u.in, &ts.ev); err != nil {
+				// The executor may have committed partial state before
 				// faulting (a decremented ESP, say): keep everything it
 				// wrote, spill only what it never saw.
 				if !u.mmx {
 					c.mm = mm
 				}
-				c.executed = iterBase
-				return err
+				c.executed = iterBase + u.cum
+				return pen, err
 			}
 			gpr = c.gpr
 			zf, sf, cf, of = c.zf, c.sf, c.cf, c.of
@@ -2103,7 +2125,7 @@ func (c *CPU) execTrace(tr *vmTrace, ts *traceState, maxInstrs int64, pollAt *in
 			}
 			if write {
 				// Read-modify-write charges the hierarchy twice, exactly
-				// like the closure's separate load and store halves.
+				// like execInt's separate load and store halves.
 				p += int32(hier.Access(a))
 				var ok bool
 				switch u.d {
@@ -2466,7 +2488,7 @@ func (c *CPU) execTrace(tr *vmTrace, ts *traceState, maxInstrs int64, pollAt *in
 				c.executed = iterDone
 				c.pc = int(tr.head)
 				if err := c.Poll(); err != nil {
-					return c.abort(err)
+					return pen, c.abort(err)
 				}
 				*pollAt = iterDone + c.pollInterval()
 				gpr = c.gpr
@@ -2481,6 +2503,9 @@ func (c *CPU) execTrace(tr *vmTrace, ts *traceState, maxInstrs int64, pollAt *in
 				goto out
 			}
 			i = -1
+
+		case uBodyEnd:
+			goto out
 		}
 		i++
 	}
@@ -2490,8 +2515,12 @@ out:
 	c.mm = mm
 	c.zf, c.sf, c.cf, c.of = zf, sf, cf, of
 	if retErr != nil {
-		c.executed = iterBase
-		return retErr
+		c.executed = iterBase + uops[i].cum
+		return pen, retErr
+	}
+	if tr == nil {
+		// A block body ran to completion; the caller retires it.
+		return pen, nil
 	}
 	c.executed = final
 	ts.instrs += uint64(final - entry)
@@ -2509,7 +2538,7 @@ out:
 			c.growChild(ts, tr, exitOp)
 		}
 	}
-	return nil
+	return pen, nil
 }
 
 // fpApply dispatches a uFArith sub-op.

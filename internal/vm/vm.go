@@ -14,9 +14,12 @@
 // Run has two interpreters. The generic loop decodes and executes one
 // instruction per step; it is the reference the other is tested against,
 // and it serves any observer that wants one Retire per instruction. The
-// dispatch loop (trace.go) runs predecoded basic blocks (block.go) and,
-// with CPU.Traces set, superblocks formed at run time; it reports whole
-// regions to a TraceObserver.
+// dispatch loop (trace.go) runs one fast execution form, micro-ops: every
+// basic block body is lowered to them once, by Compile (block.go), and
+// with CPU.Traces set, superblocks formed at run time copy them. It reports
+// whole regions to a TraceObserver. Whatever the micro-ops do not cover —
+// block terminators, single steps, the rare operand shape without a native
+// micro-op — runs on the generic loop's own executor.
 //
 // Observer calls return nothing to the interpreter, so the dispatch loop
 // decouples the two: it appends each observation (Retire, ObserveBlock,
@@ -54,8 +57,8 @@ import (
 // ErrBudget marks a run halted by its instruction budget rather than by
 // HALT or a genuine fault. Budget exhaustion is exact — the dispatch loop
 // falls back to single stepping when the remaining budget is smaller than
-// its fused unit — so a budget-terminated machine state is
-// deterministic and callers may report it as a partial result
+// a whole block or trace iteration — so a budget-terminated machine state
+// is deterministic and callers may report it as a partial result
 // (errors.Is(err, ErrBudget)).
 var ErrBudget = errors.New("instruction budget exhausted")
 
@@ -93,12 +96,13 @@ type CPU struct {
 	Prog *asm.Program
 	Mem  *mem.Memory
 
-	// code is the predecoded handler array (see decode.go), compiled
-	// lazily on the first Run and shared by CPUs built with NewWithCode.
+	// code is the program's block micro-ops (see block.go), compiled
+	// lazily on the first dispatch-loop Run and shared by CPUs built with
+	// NewWithCode.
 	code *Code
-	// Generic forces the unspecialized decode-per-step interpreter. It
-	// exists for differential testing: the dispatch loop and the generic
-	// one must produce identical registers, memory, events and faults.
+	// Generic forces the decode-per-step interpreter. It exists for
+	// differential testing: the dispatch loop and the generic one must
+	// produce identical registers, memory, events and faults.
 	Generic bool
 	// Traces enables trace formation in the dispatch loop (see trace.go):
 	// runtime hot-chain detection, superblock fusion across taken branches
@@ -149,8 +153,8 @@ type CPU struct {
 }
 
 // New builds a CPU for the program with its memory image loaded and the
-// stack pointer initialized. The program is predecoded on the first Run;
-// use NewWithCode to share one compiled Code across CPUs.
+// stack pointer initialized. The program is compiled on the first
+// dispatch-loop Run; use NewWithCode to share one compiled Code across CPUs.
 func New(p *asm.Program) *CPU {
 	c := &CPU{
 		Prog: p,
@@ -163,7 +167,7 @@ func New(p *asm.Program) *CPU {
 }
 
 // NewWithCode builds a CPU that reuses an already-compiled program, so
-// repeated runs of the same program pay the predecode cost once.
+// repeated runs of the same program pay the compile cost once.
 func NewWithCode(code *Code) *CPU {
 	c := New(code.prog)
 	c.code = code
@@ -183,6 +187,9 @@ func (c *CPU) MM(r isa.Reg) mmx.Reg { return c.mm[r.MMXIndex()] }
 func (c *CPU) FPReg(r isa.Reg) float64 { return c.fp[r.FPIndex()] }
 
 // Executed returns the number of retired instructions (including pseudo).
+// After a fault it counts every instruction through the faulting one, on
+// every interpreter path; after an aborted or budget-exhausted run, every
+// instruction that retired.
 func (c *CPU) Executed() int64 { return c.executed }
 
 // Halted reports whether the program executed HALT.
@@ -273,6 +280,7 @@ func (c *CPU) runTraceObserved(maxInstrs int64, tobs TraceObserver) error {
 // runGeneric is the decode-per-step loop: the reference semantics for the
 // dispatch loop, and the interpreter of plain per-event observers.
 func (c *CPU) runGeneric(maxInstrs int64) error {
+	var ev Event
 	pollAt := c.pollStart()
 	for !c.halted {
 		if c.executed >= pollAt {
@@ -287,14 +295,21 @@ func (c *CPU) runGeneric(maxInstrs int64) error {
 		if c.pc < 0 || c.pc >= len(c.Prog.Insts) {
 			return c.fault("control transferred outside program (pc=%d)", c.pc)
 		}
-		if err := c.step(); err != nil {
+		emit, err := c.step(&ev)
+		if err != nil {
 			return err
+		}
+		if emit && c.Obs != nil {
+			c.Obs.Retire(ev)
 		}
 	}
 	return nil
 }
 
-func (c *CPU) step() error {
+// step retires the instruction at c.pc (which must be in range) on the
+// generic executor. It reports whether the instruction emits an event,
+// which it then leaves in ev.
+func (c *CPU) step(ev *Event) (bool, error) {
 	pc := c.pc
 	in := &c.Prog.Insts[pc]
 	c.executed++
@@ -304,38 +319,40 @@ func (c *CPU) step() error {
 	switch in.Op {
 	case isa.NOP:
 		c.pc++
-		return nil
+		return false, nil
 	case isa.PROFON:
 		c.measuring = true
 		c.pc++
-		return nil
+		return false, nil
 	case isa.PROFOFF:
 		c.measuring = false
 		c.pc++
-		return nil
+		return false, nil
 	}
 
-	ev := Event{PC: pc, Inst: in, Measured: c.measuring}
-	var err error
-	switch {
-	case in.Op.IsMMX():
-		err = c.execMMX(in, &ev)
-	case in.Op.IsFP():
-		err = c.execFP(in, &ev)
-	default:
-		err = c.execInt(in, &ev)
-	}
-	if err != nil {
-		return err
+	*ev = Event{PC: pc, Inst: in, Measured: c.measuring}
+	if err := c.exec(in, ev); err != nil {
+		return false, err
 	}
 	if !ev.Taken {
 		c.pc++
 	}
 	ev.Target = c.pc
-	if c.Obs != nil {
-		c.Obs.Retire(ev)
+	return true, nil
+}
+
+// exec is the generic executor: it performs one event-emitting
+// instruction, setting ev.Taken and ev.MemPenalty as needed. Every path
+// that is not a native micro-op ends here.
+func (c *CPU) exec(in *isa.Inst, ev *Event) error {
+	switch {
+	case in.Op.IsMMX():
+		return c.execMMX(in, ev)
+	case in.Op.IsFP():
+		return c.execFP(in, ev)
+	default:
+		return c.execInt(in, ev)
 	}
-	return nil
 }
 
 // ---------------------------------------------------------------------------

@@ -71,15 +71,17 @@ echo "==> go test -run '^$' -fuzz FuzzDispatchThreeWay -fuzztime 5s ./internal/p
 go test -run '^$' -fuzz FuzzDispatchThreeWay -fuzztime 5s ./internal/pentium >/dev/null
 
 # The three-way dispatch equivalence (generic / block / trace) also runs
-# under the race detector: block and trace dispatch share predecoded code
-# and per-block caches with the parallel suite runner above, and trace
-# dispatch additionally shares the per-CPU trace cache. Observed
+# under the race detector: every CPU of a program reads the same compiled
+# Code (its per-block micro-ops), and trace formation copies those
+# micro-ops into per-CPU traces whose fork guards then mutate their own
+# copies; TestSharedCodeConcurrentRuns runs one Code on four goroutines at
+# once to catch any write that reaches the shared arrays. Observed
 # dispatch-loop runs stream their retirement records to the observer on a
 # second goroutine, so this step also covers the producer/consumer
 # handoff; the stream tests add handoffs at batch sizes 1 and 3,
 # observer and producer panics, and every exit path joining the consumer.
-echo "==> go test -race -run 'TestDispatchModesAgree|TestDispatchThreeWay|TestStream' ./internal/vm ./internal/pentium"
-go test -race -run 'TestDispatchModesAgree|TestDispatchThreeWay|TestStream' ./internal/vm ./internal/pentium
+echo "==> go test -race -run 'TestDispatchModesAgree|TestDispatchThreeWay|TestStream|TestSharedCodeConcurrentRuns' ./internal/vm ./internal/pentium"
+go test -race -run 'TestDispatchModesAgree|TestDispatchThreeWay|TestStream|TestSharedCodeConcurrentRuns' ./internal/vm ./internal/pentium
 
 # Smoke-run the trace-dispatch benchmark for a single iteration so
 # inner-loop regressions that only bite under benchmarking surface here.
