@@ -18,7 +18,10 @@ import (
 	"time"
 
 	"mmxdsp/internal/cluster"
+	"mmxdsp/internal/core"
 	"mmxdsp/internal/server"
+	"mmxdsp/internal/suite"
+	"mmxdsp/internal/vm"
 )
 
 func postFleetCampaign(t *testing.T, url, body string) server.CampaignStatus {
@@ -352,4 +355,85 @@ func TestFleetCampaignArtifactsOnDiskAtCompletion(t *testing.T) {
 		return
 	}
 	t.Fatal("event stream ended without a completed event")
+}
+
+// TestFleetCampaignPanickingCheck drives a campaign through the coordinator
+// over a real mmxd whose badcheck.c panics in its Check: those points fail
+// (the backend answers 500) while the sibling fir.c points complete, the
+// backend counts the panics as run_panics and keeps serving, and neither
+// tier caches the failed key.
+func TestFleetCampaignPanickingCheck(t *testing.T) {
+	fir, ok := suite.ByName("fir.c")
+	if !ok {
+		t.Fatal("fir.c missing from the suite")
+	}
+	bad := fir
+	bad.Base = "badcheck"
+	bad.Check = func(*vm.CPU) error { panic("check exploded") }
+	benches := []core.Benchmark{fir, bad}
+	backend := httptest.NewServer(server.New(server.Config{
+		ResultCacheEntries: 64,
+		Lookup: func(name string) (core.Benchmark, bool) {
+			for _, b := range benches {
+				if b.Name() == name {
+					return b, true
+				}
+			}
+			return core.Benchmark{}, false
+		},
+		Benchmarks: func() []core.Benchmark { return benches },
+	}).Handler())
+	t.Cleanup(backend.Close)
+	coord, err := cluster.New(cluster.Config{Backends: []string{backend.URL}, ResultCacheEntries: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Stop)
+	coord.ProbeAll()
+	ts := httptest.NewServer(coord.Handler())
+	t.Cleanup(ts.Close)
+
+	st := postFleetCampaign(t, ts.URL, `{"programs":["badcheck.c","fir.c"],"axes":{"emms_latency":[0,1]}}`)
+	final := waitFleetCampaign(t, ts.URL, st.ID)
+	if final.Status != "completed" || final.Done != 2 || final.Failed != 2 {
+		t.Fatalf("campaign: status %s, %d done, %d failed; want completed, 2 and 2", final.Status, final.Done, final.Failed)
+	}
+	backendPanics := func() int64 {
+		resp, err := http.Get(backend.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var snap server.MetricsSnapshot
+		if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		return snap.RunPanics
+	}
+	if got := backendPanics(); got != 2 {
+		t.Errorf("backend run_panics = %d after the campaign, want 2", got)
+	}
+
+	// A failed point's key is cached on neither tier: a /run of it
+	// reaches the backend and panics again.
+	resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(`{"program":"badcheck.c","config":{"emms_latency":0}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(data), "check exploded") {
+		t.Errorf("/run of a failed point's key: status %d: %s", resp.StatusCode, data)
+	}
+	if got := backendPanics(); got != 3 {
+		t.Errorf("backend run_panics = %d, want 3 (the failed key must re-execute)", got)
+	}
+	resp, err = http.Post(ts.URL+"/run", "application/json", strings.NewReader(`{"program":"fir.c"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("/run fir.c after the panics: status %d", resp.StatusCode)
+	}
 }

@@ -1,42 +1,44 @@
 // Package cluster is the mmxfleet coordinator: a stateless-ish front for N
-// mmxd backends that scales the simulation service horizontally. It keeps
-// a health-checked backend registry (periodic /healthz probes, exponential
-// backoff between failed probes, a backend is dead after a streak of
-// failures and re-admitted on the first success), routes each POST /run by
-// rendezvous (HRW) hashing on the compiled-cache key so repeat requests
-// land where the artifact is already compiled, and falls back to
-// least-loaded routing when the affinity target is saturated or down.
+// mmxd backends that scales the simulation service horizontally. It serves
+// the same request pipeline as mmxd (server.Pipeline: body reading and
+// memo, parsing, result cache, campaigns, fan-outs, error answers) and
+// differs from it only in its server.Executor: where mmxd simulates, the
+// Coordinator routes. Tenant quotas are the backends': every routed
+// request carries its tenant. It keeps a health-checked
+// backend registry (periodic /healthz probes, exponential backoff between
+// failed probes, a backend is dead after a streak of failures and
+// re-admitted on the first success), routes each request by rendezvous
+// (HRW) hashing on its affinity key so repeat requests land where the
+// artifact is already compiled, and falls back to least-loaded routing
+// when the affinity target is saturated or down.
 //
 // Per-request resilience: bounded retries with jittered backoff on
 // connection errors and backend 429s, an optional hedged second request
 // after a latency threshold, and coordinator-level shedding with
-// Retry-After when no backend is routable. POST /suite scatter-gathers one
-// full table run across the fleet and reassembles byte-identical Table 2/3
-// artifacts through core's existing comparison path.
+// Retry-After when no backend is routable. A backend's non-200 answer is
+// relayed verbatim and never cached.
 //
-// Endpoints:
+// Endpoints (the shared pipeline's, then the coordinator's own):
 //
 //	POST /run       route one benchmark run to a backend (mmxd schema)
 //	POST /asm       route one user-submitted program by source hash
-//	POST /suite     scatter-gather a full table run across the fleet
 //	POST /campaign  shard an ablation-sweep grid across the fleet
 //	                (plus GET/DELETE /campaign/{id}, GET /campaign/{id}/events)
-//	GET  /programs  capability discovery, proxied from the fleet
 //	GET  /healthz   coordinator liveness (503 when no backend is routable)
 //	GET  /metrics   fleet-wide snapshot (FleetMetrics)
+//	POST /suite     fan one full table run out across the fleet and
+//	                reassemble byte-identical Table 2/3 artifacts
+//	GET  /programs  capability discovery, proxied from the fleet
 package cluster
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/url"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"mmxdsp/internal/campaign"
 	"mmxdsp/internal/server"
 )
 
@@ -88,10 +90,11 @@ type Config struct {
 	MaxSourceBytes int
 
 	// ResultCacheEntries bounds the coordinator's result cache of marshaled
-	// /run response bytes (default 512; negative disables it). A hit is
-	// answered locally — no backend round-trip — and /suite gathers its
-	// per-program reports through the same cache. Runs are deterministic,
-	// so cached bytes equal whatever a backend would recompute.
+	// /run and /asm response bytes (default 512; negative disables it). A
+	// hit is answered locally — no backend round-trip — and /suite and
+	// campaigns gather their per-program reports through the same cache.
+	// Runs are deterministic, so cached bytes equal whatever a backend
+	// would recompute.
 	ResultCacheEntries int
 
 	// CampaignDir, when non-empty, persists completed campaigns'
@@ -137,9 +140,6 @@ func (c *Config) withDefaults() Config {
 	if cfg.QueueSaturation == 0 {
 		cfg.QueueSaturation = 16
 	}
-	if cfg.MaxSourceBytes <= 0 {
-		cfg.MaxSourceBytes = server.DefaultMaxSourceBytes
-	}
 	if cfg.ResultCacheEntries == 0 {
 		cfg.ResultCacheEntries = 512
 	}
@@ -151,27 +151,17 @@ func (c *Config) withDefaults() Config {
 	return cfg
 }
 
-// Coordinator fronts the fleet. Create with New, start probing with Start,
-// mount Handler.
+// Coordinator fronts the fleet: the shared pipeline in front of the routing
+// Executor. Create with New, start probing with Start, mount Handler.
 type Coordinator struct {
+	*server.Pipeline
 	cfg      Config
 	backends []*backend
-	results  *server.ResultCache // nil when result caching is disabled
-	memo     *bodyMemo           // parsed /run and /asm keys; nil with results
 	metrics  *fleetMetrics
-	mux      *http.ServeMux
-
-	draining atomic.Bool
 
 	// programs caches the discovered program list (see discoverPrograms).
 	programsMu sync.Mutex
 	programs   []string
-
-	// campaigns is the campaign registry; campaignCtx scopes running
-	// campaigns to the coordinator lifetime (canceled on drain).
-	campaigns      *campaign.Store
-	campaignCtx    context.Context
-	campaignCancel context.CancelFunc
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -184,19 +174,10 @@ func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("cluster: no backends configured")
 	}
-	if cfg.CampaignMaxActive <= 0 {
-		cfg.CampaignMaxActive = server.DefaultCampaignMaxActive
-	}
 	c := &Coordinator{
-		cfg:       cfg,
-		metrics:   newFleetMetrics(),
-		stop:      make(chan struct{}),
-		campaigns: campaign.NewStore(cfg.CampaignMaxActive, 0),
-	}
-	c.campaignCtx, c.campaignCancel = context.WithCancel(context.Background())
-	if cfg.ResultCacheEntries > 0 {
-		c.results = server.NewResultCache(cfg.ResultCacheEntries, "")
-		c.memo = newBodyMemo(cfg.ResultCacheEntries)
+		cfg:     cfg,
+		metrics: &fleetMetrics{},
+		stop:    make(chan struct{}),
 	}
 	seen := map[string]bool{}
 	for _, raw := range cfg.Backends {
@@ -211,15 +192,22 @@ func New(cfg Config) (*Coordinator, error) {
 		seen[base] = true
 		c.backends = append(c.backends, newBackend(base))
 	}
-	c.mux = http.NewServeMux()
-	c.mux.Handle("/run", c.frontDoor("/run", server.MaxRequestBody, parseRunKeys, &c.metrics.requests))
-	c.mux.Handle("/asm", c.frontDoor("/asm", server.AsmBodyLimit(cfg.MaxSourceBytes), c.asmKeys, &c.metrics.asmRequests))
-	c.mux.HandleFunc("/suite", c.handleSuite)
-	c.mux.HandleFunc("/campaign", c.handleCampaign)
-	c.mux.HandleFunc("/campaign/", c.handleCampaignID)
-	c.mux.HandleFunc("/programs", c.handlePrograms)
-	c.mux.HandleFunc("/healthz", c.handleHealthz)
-	c.mux.HandleFunc("/metrics", c.handleMetrics)
+	var results *server.ResultCache
+	if cfg.ResultCacheEntries > 0 {
+		results = server.NewResultCache(cfg.ResultCacheEntries, "")
+	}
+	// No tenant limiter: backends enforce quotas on the tenant every
+	// routed request carries.
+	c.Pipeline = server.NewPipeline(c, server.PipelineConfig{
+		Results:           results,
+		MaxSourceBytes:    cfg.MaxSourceBytes,
+		CampaignDir:       cfg.CampaignDir,
+		CampaignMaxPoints: cfg.CampaignMaxPoints,
+		CampaignWorkers:   cfg.CampaignWorkers,
+		CampaignMaxActive: cfg.CampaignMaxActive,
+	})
+	c.Handle("/suite", c.handleSuite)
+	c.Handle("/programs", c.handlePrograms)
 	return c, nil
 }
 
@@ -235,20 +223,6 @@ func (c *Coordinator) Stop() {
 	c.stopOnce.Do(func() { close(c.stop) })
 	c.proberWG.Wait()
 }
-
-// StartDrain flips the coordinator into drain mode: /healthz reports 503
-// and new requests are refused while in-flight ones finish. Running
-// campaigns are canceled so their point routing stops with the
-// coordinator.
-func (c *Coordinator) StartDrain() {
-	c.draining.Store(true)
-	c.campaignCancel()
-}
-
-// Handler returns the coordinator's HTTP handler. Every response carries
-// an X-Request-ID, propagated to (and echoed by) the backends a request is
-// routed to.
-func (c *Coordinator) Handler() http.Handler { return server.WithRequestID(c.mux) }
 
 // Backends returns the registry's current view, for logs and tests.
 func (c *Coordinator) Backends() []BackendStatus {

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -28,7 +29,13 @@ type fakeBackend struct {
 	runs     atomic.Int64
 	asmRuns  atomic.Int64
 	lastID   atomic.Value // last X-Request-ID seen on /run
+
+	mu   sync.Mutex
+	seen []seenRun // identity headers of every /run, in arrival order
 }
+
+// seenRun is the identity a /run arrived with.
+type seenRun struct{ id, tenant string }
 
 func newFakeBackend(t testing.TB) *fakeBackend {
 	t.Helper()
@@ -53,6 +60,9 @@ func newFakeBackend(t testing.TB) *fakeBackend {
 	})
 	mux.HandleFunc("/run", func(w http.ResponseWriter, r *http.Request) {
 		f.lastID.Store(r.Header.Get(server.RequestIDHeader))
+		f.mu.Lock()
+		f.seen = append(f.seen, seenRun{r.Header.Get(server.RequestIDHeader), r.Header.Get(server.TenantHeader)})
+		f.mu.Unlock()
 		// Drain the body before stalling: the server only notices a client
 		// disconnect (r.Context()) once the request body is consumed.
 		body, _ := io.ReadAll(r.Body)
@@ -435,6 +445,52 @@ func TestRequestIDPropagatesToBackend(t *testing.T) {
 	}
 	if got, _ := f.lastID.Load().(string); got != minted {
 		t.Errorf("backend saw %q, coordinator echoed %q", got, minted)
+	}
+}
+
+// TestSuiteForwardsRequestIdentity: every program of a /suite reaches its
+// backend with the request's identity, as a routed /run does — the ID the
+// coordinator minted when the client sent none, and the client's tenant.
+func TestSuiteForwardsRequestIdentity(t *testing.T) {
+	f := newFakeBackend(t)
+	c, ts := newTestCoordinator(t, Config{}, f)
+	c.ProbeAll()
+
+	for _, hdr := range []map[string]string{nil, {server.TenantHeader: "suite-tenant"}} {
+		f.mu.Lock()
+		f.seen = nil
+		f.mu.Unlock()
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/suite", strings.NewReader(`{}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range hdr {
+			req.Header.Set(k, v)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/suite: status %d", resp.StatusCode)
+		}
+		id := resp.Header.Get(server.RequestIDHeader)
+		f.mu.Lock()
+		seen := append([]seenRun(nil), f.seen...)
+		f.mu.Unlock()
+		if len(seen) != 2 {
+			t.Fatalf("backend saw %d runs, want one per program (2)", len(seen))
+		}
+		for _, s := range seen {
+			if s.id != id {
+				t.Errorf("backend saw request ID %q, coordinator answered %q", s.id, id)
+			}
+			if want := hdr[server.TenantHeader]; want != "" && s.tenant != want {
+				t.Errorf("backend saw tenant %q, want %q", s.tenant, want)
+			}
+		}
 	}
 }
 

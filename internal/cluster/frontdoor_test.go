@@ -1,6 +1,5 @@
-// Tests for the coordinator's /run and /asm front door: the body-digest
-// memo must be invisible on the wire (a memo hit answers exactly what a
-// fresh parse would), every rejection must be derived fresh, and the one
+// Tests for the coordinator's /run and /asm front door — the shared
+// pipeline's, whose memo tests live with it in internal/server: the one
 // body reader must answer over-cap and short bodies the same way on both
 // tiers.
 package cluster
@@ -34,180 +33,6 @@ func post(t *testing.T, url, path, body string) (*http.Response, []byte) {
 		t.Fatal(err)
 	}
 	return resp, data
-}
-
-// TestFrontDoorMemoHitMatchesParsedHit: a byte-identical repeat is keyed
-// from the memo, and it answers the same body, ETag and result-cache
-// outcome as a byte-different repeat of the same request that had to be
-// parsed.
-func TestFrontDoorMemoHitMatchesParsedHit(t *testing.T) {
-	f := newFakeBackend(t)
-	c, ts := newTestCoordinator(t, Config{ResultCacheEntries: 64}, f)
-	c.ProbeAll()
-
-	for _, tc := range []struct{ path, body, respaced string }{
-		{"/run", firBody, "{ \"program\": \"fir.mmx\", \"dispatch\": \"block\", \"skip_check\": true }"},
-		{"/asm", `{"source":"halt\n","name":"h"}`, "{\"source\": \"halt\\n\", \"name\": \"h\"}\n"},
-	} {
-		if resp, _ := post(t, ts.URL, tc.path, tc.body); resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s cold: status %d", tc.path, resp.StatusCode)
-		}
-		before := c.Snapshot().BodyMemoHits
-		memoResp, memoBody := post(t, ts.URL, tc.path, tc.body)
-		if got := c.Snapshot().BodyMemoHits - before; got != 1 {
-			t.Fatalf("%s byte-identical repeat: body_memo_hits +%d, want +1", tc.path, got)
-		}
-		parsedResp, parsedBody := post(t, ts.URL, tc.path, tc.respaced)
-		if got := c.Snapshot().BodyMemoHits - before; got != 1 {
-			t.Fatalf("%s byte-different repeat hit the memo (+%d)", tc.path, got)
-		}
-		if string(memoBody) != string(parsedBody) {
-			t.Errorf("%s: memo hit body differs from parsed hit:\n%s\n%s", tc.path, memoBody, parsedBody)
-		}
-		for _, h := range []string{"ETag", server.ResultCacheHeader, "Content-Type"} {
-			if m, p := memoResp.Header.Get(h), parsedResp.Header.Get(h); m != p || m == "" {
-				t.Errorf("%s: %s memo %q vs parsed %q", tc.path, h, m, p)
-			}
-		}
-	}
-	if f.runs.Load() != 1 || f.asmRuns.Load() != 1 {
-		t.Errorf("backend fills: run %d asm %d, want 1 each", f.runs.Load(), f.asmRuns.Load())
-	}
-}
-
-// TestFrontDoorRejectionsAreNotMemoized: an invalid or oversized body
-// answers the same status and bytes every time and leaves no memo entry.
-func TestFrontDoorRejectionsAreNotMemoized(t *testing.T) {
-	f := newFakeBackend(t)
-	c, ts := newTestCoordinator(t, Config{ResultCacheEntries: 64, MaxSourceBytes: 64}, f)
-	c.ProbeAll()
-
-	for _, tc := range []struct {
-		path, body string
-		status     int
-	}{
-		{"/run", `{"program":"fir.mmx","dispatch":"warp"}`, http.StatusBadRequest},
-		{"/run", `not json`, http.StatusBadRequest},
-		{"/run", firBody + strings.Repeat(" ", server.MaxRequestBody), http.StatusRequestEntityTooLarge},
-		{"/asm", `{"source":""}`, http.StatusBadRequest},
-		{"/asm", `{"source":"` + strings.Repeat("n", 65) + `"}`, http.StatusRequestEntityTooLarge},
-		{"/asm", `{"source":"halt"}` + strings.Repeat(" ", server.AsmBodyLimit(64)), http.StatusRequestEntityTooLarge},
-	} {
-		resp1, body1 := post(t, ts.URL, tc.path, tc.body)
-		resp2, body2 := post(t, ts.URL, tc.path, tc.body)
-		if resp1.StatusCode != tc.status || resp2.StatusCode != tc.status {
-			t.Errorf("%s %.40q: statuses %d, %d, want %d", tc.path, tc.body, resp1.StatusCode, resp2.StatusCode, tc.status)
-		}
-		if string(body1) != string(body2) {
-			t.Errorf("%s %.40q: repeat answered different bytes:\n%s\n%s", tc.path, tc.body, body1, body2)
-		}
-	}
-	if n := c.memo.len(); n != 0 {
-		t.Errorf("rejected bodies left %d memo entries", n)
-	}
-	if snap := c.Snapshot(); snap.BodyMemoHits != 0 {
-		t.Errorf("body_memo_hits = %d after rejections only", snap.BodyMemoHits)
-	}
-	if f.runs.Load()+f.asmRuns.Load() != 0 {
-		t.Error("a rejected body reached a backend")
-	}
-}
-
-// TestFrontDoorEquivalentBodiesFillOnce: byte-different encodings of one
-// request (reordered fields, extra whitespace) share one result key, so
-// they cost one backend fill and answer identical bytes.
-func TestFrontDoorEquivalentBodiesFillOnce(t *testing.T) {
-	f := newFakeBackend(t)
-	c, ts := newTestCoordinator(t, Config{ResultCacheEntries: 64}, f)
-	c.ProbeAll()
-
-	variants := []string{
-		`{"program":"fir.mmx","dispatch":"block","config":{"emms_latency":0}}`,
-		`{"config":{"emms_latency":0},"dispatch":"block","program":"fir.mmx"}`,
-		"\n{ \"dispatch\" : \"block\",\t\"program\":\"fir.mmx\", \"config\": {\"emms_latency\": 0} }\n",
-	}
-	var first []byte
-	for i, v := range variants {
-		resp, body := post(t, ts.URL, "/run", v)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("variant %d: status %d", i, resp.StatusCode)
-		}
-		if i == 0 {
-			first = body
-		} else if string(body) != string(first) {
-			t.Errorf("variant %d answered different bytes:\n%s\n%s", i, body, first)
-		}
-	}
-	if n := f.runs.Load(); n != 1 {
-		t.Errorf("backend filled %d times, want 1", n)
-	}
-	if n := c.memo.len(); n != len(variants) {
-		t.Errorf("memo holds %d entries, want one per distinct body (%d)", n, len(variants))
-	}
-}
-
-// TestFrontDoorPathsDoNotAlias: the same bytes posted to /run and /asm are
-// keyed separately — a body memoized under one endpoint must still be
-// parsed (and here rejected) by the other.
-func TestFrontDoorPathsDoNotAlias(t *testing.T) {
-	f := newFakeBackend(t)
-	c, ts := newTestCoordinator(t, Config{ResultCacheEntries: 64}, f)
-	c.ProbeAll()
-
-	runBody, asmBody := firBody, `{"source":"halt"}`
-	for _, body := range []string{runBody, asmBody} {
-		for _, path := range []string{"/run", "/asm"} {
-			// Twice each, so the second post of a valid body is a memo hit
-			// that must not leak to the other path.
-			post(t, ts.URL, path, body)
-			post(t, ts.URL, path, body)
-		}
-	}
-	for _, tc := range []struct {
-		path, body string
-		status     int
-	}{
-		{"/run", runBody, http.StatusOK},
-		{"/asm", runBody, http.StatusBadRequest},
-		{"/run", asmBody, http.StatusBadRequest},
-		{"/asm", asmBody, http.StatusOK},
-	} {
-		if resp, _ := post(t, ts.URL, tc.path, tc.body); resp.StatusCode != tc.status {
-			t.Errorf("%s %s: status %d, want %d", tc.path, tc.body, resp.StatusCode, tc.status)
-		}
-	}
-	if f.runs.Load() != 1 || f.asmRuns.Load() != 1 {
-		t.Errorf("backend fills: run %d asm %d, want 1 each", f.runs.Load(), f.asmRuns.Load())
-	}
-	if n := c.memo.len(); n != 2 {
-		t.Errorf("memo holds %d entries, want 2", n)
-	}
-}
-
-// TestFrontDoorMemoBounded: the memo never holds more entries than the
-// result cache it serves, and it does not exist without one.
-func TestFrontDoorMemoBounded(t *testing.T) {
-	f := newFakeBackend(t)
-	const capacity = 3
-	c, ts := newTestCoordinator(t, Config{ResultCacheEntries: capacity}, f)
-	c.ProbeAll()
-	for i := 1; i <= 3*capacity; i++ {
-		body := fmt.Sprintf(`{"program":"fir.mmx","max_instrs":%d}`, i)
-		if resp, _ := post(t, ts.URL, "/run", body); resp.StatusCode != http.StatusOK {
-			t.Fatalf("run %d: status %d", i, resp.StatusCode)
-		}
-		if n := c.memo.len(); n > capacity {
-			t.Fatalf("memo holds %d entries after %d distinct bodies, capacity %d", n, i, capacity)
-		}
-	}
-	if n := c.memo.len(); n != capacity {
-		t.Errorf("memo holds %d entries, want %d", n, capacity)
-	}
-
-	off, _ := newTestCoordinator(t, Config{}, f) // result caching off
-	if off.memo != nil {
-		t.Error("memo exists with result caching disabled")
-	}
 }
 
 // TestFrontDoorShortBodyIs400: a Content-Length promising more bytes than
@@ -301,5 +126,52 @@ func TestOverCapBodySameOnBothTiers(t *testing.T) {
 	resp, data := post(t, coord.URL, "/suite", pad(`{"dispatch":"block"}`, server.MaxRequestBody))
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("/suite over cap: status %d, want 413: %s", resp.StatusCode, data)
+	}
+}
+
+// TestDrainAnswersAlikeOnBothTiers: once draining, mmxd and mmxfleet
+// refuse new work with the same status, Retry-After and body on every
+// endpoint of the shared pipeline, and both fail /healthz.
+func TestDrainAnswersAlikeOnBothTiers(t *testing.T) {
+	d := server.New(server.Config{})
+	backend := httptest.NewServer(d.Handler())
+	t.Cleanup(backend.Close)
+	c, err := New(Config{Backends: []string{backend.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Stop)
+	c.ProbeAll()
+	coord := httptest.NewServer(c.Handler())
+	t.Cleanup(coord.Close)
+
+	d.StartDrain()
+	c.StartDrain()
+	for _, tc := range []struct{ path, body string }{
+		{"/run", `{"program":"fir.mmx"}`},
+		{"/asm", `{"source":"halt"}`},
+		{"/campaign", `{"programs":["fir.mmx"]}`},
+	} {
+		dResp, dBody := post(t, backend.URL, tc.path, tc.body)
+		cResp, cBody := post(t, coord.URL, tc.path, tc.body)
+		if dResp.StatusCode != http.StatusServiceUnavailable || cResp.StatusCode != dResp.StatusCode {
+			t.Errorf("%s while draining: mmxd %d, mmxfleet %d, want 503 from both", tc.path, dResp.StatusCode, cResp.StatusCode)
+		}
+		if d, c := dResp.Header.Get("Retry-After"), cResp.Header.Get("Retry-After"); d == "" || d != c {
+			t.Errorf("%s while draining: Retry-After mmxd %q, mmxfleet %q", tc.path, d, c)
+		}
+		if string(dBody) != string(cBody) {
+			t.Errorf("%s while draining: mmxd says %s, mmxfleet says %s", tc.path, dBody, cBody)
+		}
+	}
+	for _, url := range []string{backend.URL, coord.URL} {
+		resp, err := http.Get(url + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Errorf("%s/healthz while draining: %d, want 503", url, resp.StatusCode)
+		}
 	}
 }

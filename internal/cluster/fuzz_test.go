@@ -7,6 +7,10 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"mmxdsp/internal/asm"
+	"mmxdsp/internal/core"
+	"mmxdsp/internal/server"
 )
 
 // FuzzParseSuiteRequest throws arbitrary bodies at the /suite decoder. The
@@ -62,10 +66,12 @@ func FuzzParseSuiteRequest(f *testing.F) {
 }
 
 // FuzzCoordinatorFrontDoor posts every input twice to /run and to /asm on
-// a coordinator over a stub backend. The repeat of a body the coordinator
-// accepted is keyed from the body memo, the repeat of one it rejected is
-// parsed again; either way it must answer the same status and bytes as
-// the first post.
+// both tiers' front door — the shared pipeline — mounted on a coordinator
+// over a stub backend and on an mmxd whose fir.mmx is a one-instruction
+// program. The repeat of a body a tier accepted is keyed from the body
+// memo, the repeat of one it rejected is parsed again; either way it must
+// answer the same status and bytes as the first post. And the memo holds
+// only successful parses: an input the tier's parser rejects adds no entry.
 func FuzzCoordinatorFrontDoor(f *testing.F) {
 	f.Add([]byte(firBody))
 	f.Add([]byte(`{"program":"fir.mmx","config":{"emms_latency":0}}`))
@@ -75,31 +81,72 @@ func FuzzCoordinatorFrontDoor(f *testing.F) {
 	f.Add([]byte(`{"program":"fir.mmx"} {}`))
 	f.Add([]byte(`not json`))
 	f.Add([]byte(``))
+	f.Add([]byte(`{"program":"nope.mmx"}`))
+	f.Add([]byte(`{"program":"fir.mmx","max_instrs":100001}`))
 
+	const maxSource = 256 // small enough for the fuzzer to reach 413
+	const maxInstrs = 100000
 	backend := newFakeBackend(f)
 	c, err := New(Config{
 		Backends:           []string{backend.ts.URL},
 		ResultCacheEntries: 16,
-		MaxSourceBytes:     256, // small enough for the fuzzer to reach 413
+		MaxSourceBytes:     maxSource,
 	})
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Cleanup(c.Stop)
 	c.ProbeAll()
-	h := c.Handler()
-	post := func(path string, body []byte) *httptest.ResponseRecorder {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
-		return rec
+	tiny := core.Benchmark{
+		Base: "fir", Version: core.VersionMMX, Kind: core.KindKernel, Descr: "one instruction",
+		Build: func() (*asm.Program, error) { return asm.ParseSource("fir", ".proc main\n\thalt\n") },
+	}
+	d := server.New(server.Config{
+		ResultCacheEntries: 16,
+		MaxSourceBytes:     maxSource,
+		MaxInstrsCap:       maxInstrs, // bounds /asm listings too: no input spins for long
+		Lookup: func(name string) (core.Benchmark, bool) {
+			return tiny, name == tiny.Name()
+		},
+		Benchmarks: func() []core.Benchmark { return []core.Benchmark{tiny} },
+	})
+	parses := map[*server.Pipeline]func(path string, body []byte) bool{
+		c.Pipeline: func(path string, body []byte) bool {
+			if path == "/asm" {
+				_, err := server.ParseAsmRequest(body, maxSource)
+				return err == nil
+			}
+			_, err := server.ParseRunRequest(body)
+			return err == nil
+		},
+		d.Pipeline: func(path string, body []byte) bool {
+			if path == "/asm" {
+				req, err := server.ParseAsmRequest(body, maxSource)
+				return err == nil && req.MaxInstrs <= maxInstrs
+			}
+			req, err := server.ParseRunRequest(body)
+			return err == nil && req.Program == tiny.Name() && req.MaxInstrs <= maxInstrs
+		},
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, path := range []string{"/run", "/asm"} {
-			first, second := post(path, data), post(path, data)
-			if first.Code != second.Code || !bytes.Equal(first.Body.Bytes(), second.Body.Bytes()) {
-				t.Fatalf("%s %q: first %d %q, repeat %d %q", path, data,
-					first.Code, first.Body.Bytes(), second.Code, second.Body.Bytes())
+		for p, parses := range parses {
+			h := p.Handler()
+			post := func(path string) *httptest.ResponseRecorder {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(data)))
+				return rec
+			}
+			for _, path := range []string{"/run", "/asm"} {
+				before := p.Stats().MemoEntries
+				first, second := post(path), post(path)
+				if first.Code != second.Code || !bytes.Equal(first.Body.Bytes(), second.Body.Bytes()) {
+					t.Fatalf("%s %q: first %d %q, repeat %d %q", path, data,
+						first.Code, first.Body.Bytes(), second.Code, second.Body.Bytes())
+				}
+				if grew := p.Stats().MemoEntries > before; grew && !parses(path, data) {
+					t.Fatalf("%s %q: a rejected body entered the memo (answered %d)", path, data, first.Code)
+				}
 			}
 		}
 	})

@@ -1,13 +1,12 @@
-// The /run data path. The front door (frontdoor.go) reads the body once
-// and parses each distinct body once: a repeat of the same bytes reuses the
-// memoized keys (counted in /metrics as body_memo_hits) and goes straight
-// to the result cache. A result-cache miss picks the attempt order
-// (affinity first, least-loaded on saturation), then attempts with bounded
-// jittered retries on connection errors and backend 429s, optionally
-// hedging the first attempt. Backend responses are read fully before being
-// relayed, so retries and hedges never entangle two response streams, and
-// a relayed response is byte-identical to the backend's body — the fleet
-// e2e pins served-through-coordinator == direct-daemon.
+// The routing Executor. The shared pipeline (server.Pipeline) reads,
+// memoizes, parses and result-caches every request; what reaches Execute
+// is a result-cache miss. Execute picks the attempt order (affinity first,
+// least-loaded on saturation), then attempts with bounded jittered retries
+// on connection errors and backend 429s, optionally hedging the first
+// attempt. Backend responses are read fully before being relayed, so
+// retries and hedges never entangle two response streams, and a relayed
+// response is byte-identical to the backend's body — the fleet e2e pins
+// served-through-coordinator == direct-daemon.
 package cluster
 
 import (
@@ -38,148 +37,74 @@ type backendResp struct {
 	body   []byte
 }
 
-// routedCall is one backend-bound POST: the path, the raw body, and the
-// headers the coordinator forwards — correlation ID, tenant identity
-// (resolved coordinator-side so backends account the real client, not the
-// coordinator's address) and priority.
-type routedCall struct {
-	path     string
-	body     []byte
-	id       string
-	tenant   string
-	priority string
-}
+// Check leaves every limit to the backends: they cap budgets and know
+// their registry, and their answers are relayed verbatim.
+func (c *Coordinator) Check(*server.Request) error { return nil }
 
-// callFor builds the routedCall for an inbound request: the tenant header
-// is forwarded when present and pinned to the client IP otherwise, and the
-// priority header travels verbatim.
-func callFor(w http.ResponseWriter, r *http.Request, path string, body []byte) routedCall {
-	return routedCall{
-		path:     path,
-		body:     body,
-		id:       requestID(w),
-		tenant:   server.TenantKey(r),
-		priority: r.Header.Get(server.PriorityHeader),
-	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, struct {
-		Error string `json:"error"`
-	}{err.Error()})
-}
-
-// shed answers with 503 + Retry-After: the coordinator-level load-shedding
-// response for "no backend can take this right now".
-func (c *Coordinator) shed(w http.ResponseWriter, err error) {
-	c.metrics.shed.Add(1)
-	w.Header().Set("Retry-After", "1")
-	writeError(w, http.StatusServiceUnavailable, err)
-}
-
-// parseRunKeys keys a /run body: validated coordinator-side, so malformed
-// requests never cost a backend round-trip, and the affinity key is the
-// backends' compiled-cache key by construction.
-func parseRunKeys(body []byte) (requestKeys, error) {
-	req, err := server.ParseRunRequest(body)
+// Execute routes one request and relays the answer: a 200 body comes back
+// to be cached, anything else as a *server.StatusError carrying the
+// backend's status, headers and bytes. When every attempt died on the
+// wire the fleet sheds (503); when the caller's context ended the routing,
+// its error says why.
+func (c *Coordinator) Execute(ctx context.Context, req *server.Request) ([]byte, int64, error) {
+	resp, b, err := c.route(ctx, req)
 	if err != nil {
-		return requestKeys{}, err
-	}
-	return requestKeys{req.CacheKey(), req.ResultKey()}, nil
-}
-
-// routeCached serves one keyed request through the coordinator result
-// cache (when enabled) and the routed fleet: a hit (or a coalesced wait on
-// an identical in-flight request) never costs a backend round-trip. Only
-// authoritative 200s are cached; any other backend answer is relayed
-// uncached through the sentinel path.
-func (c *Coordinator) routeCached(w http.ResponseWriter, r *http.Request, cacheKey, resultKey string, call routedCall) {
-	if c.results == nil {
-		resp, b, err := c.route(r.Context(), cacheKey, call)
-		if err != nil {
-			c.runRouteError(w, r, err)
-			return
+		if ctx.Err() != nil {
+			return nil, 0, err
 		}
-		relay(w, b, resp)
-		return
+		return nil, 0, server.Unavailable(fmt.Errorf("all backends failed: %w", err))
 	}
-	var pass *backendResp
-	var passFrom *backend
-	res, outcome, err := c.results.Do(r.Context(), resultKey, func() ([]byte, error) {
-		resp, b, err := c.route(r.Context(), cacheKey, call)
-		if err != nil {
-			return nil, err
+	if resp.status != http.StatusOK {
+		h := http.Header{}
+		if b != nil {
+			h.Set(BackendHeader, b.url)
 		}
-		passFrom = b
-		if resp.status != http.StatusOK {
-			pass = resp
-			return nil, errUncacheableStatus
+		if resp.ctype != "" {
+			h.Set("Content-Type", resp.ctype)
 		}
-		return resp.body, nil
-	})
-	switch {
-	case errors.Is(err, errUncacheableStatus):
-		relay(w, passFrom, pass)
-	case err != nil:
-		c.runRouteError(w, r, err)
-	default:
-		c.metrics.recordResult(outcome)
-		if passFrom != nil {
-			w.Header().Set(BackendHeader, passFrom.url)
+		if resp.status == http.StatusTooManyRequests {
+			h.Set("Retry-After", "1")
 		}
-		server.WriteCachedResult(w, r, res, outcome)
+		return nil, 0, &server.StatusError{Status: resp.status, Header: h, Body: resp.body}
 	}
+	if req.Header != nil {
+		req.Header.Set(BackendHeader, b.url)
+	}
+	return resp.body, 0, nil
 }
 
-// errUncacheableStatus marks a routed response that must be relayed but
-// not cached (429s, backend errors — anything but an authoritative 200).
-var errUncacheableStatus = errors.New("uncacheable backend status")
-
-// runRouteError answers a /run whose every routing attempt died on the
-// wire: 499 when the client itself went away, coordinator shed otherwise.
-func (c *Coordinator) runRouteError(w http.ResponseWriter, r *http.Request, err error) {
-	if r.Context().Err() != nil {
-		writeError(w, server.StatusClientClosedRequest, err)
-		return
+// Programs is the fleet's program registry, discovered from a backend.
+func (c *Coordinator) Programs(ctx context.Context) ([]string, error) {
+	names, err := c.discoverPrograms(ctx)
+	if err != nil {
+		return nil, server.Unavailable(err)
 	}
-	c.shed(w, fmt.Errorf("all backends failed: %w", err))
+	return names, nil
 }
 
-// relay writes a fully-read backend response to the client.
-func relay(w http.ResponseWriter, b *backend, resp *backendResp) {
-	if b != nil {
-		w.Header().Set(BackendHeader, b.url)
+// Width keeps every routable backend busy with two requests, plus two in
+// flight to absorb a retry.
+func (c *Coordinator) Width() int { return 2*len(c.routableBackends()) + 2 }
+
+// Ready fails while no backend is routable, so an upstream balancer sheds
+// too.
+func (c *Coordinator) Ready() error {
+	if len(c.routableBackends()) == 0 {
+		return errors.New("no routable backends")
 	}
-	if resp.ctype != "" {
-		w.Header().Set("Content-Type", resp.ctype)
-	}
-	if resp.status == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", "1")
-	}
-	w.WriteHeader(resp.status)
-	_, _ = w.Write(resp.body)
+	return nil
 }
 
-// requestID reads the correlation ID the WithRequestID middleware stamped
-// on the pending response.
-func requestID(w http.ResponseWriter) string {
-	return w.Header().Get(server.RequestIDHeader)
-}
+// Metrics is the /metrics document (FleetMetrics).
+func (c *Coordinator) Metrics() any { return c.Snapshot() }
 
-// route routes one keyed call through the fleet: affinity order, retries,
+// route routes one request through the fleet: affinity order, retries,
 // hedging. It returns the first authoritative response (any HTTP status
 // except 429) or, after the budget is spent, the last 429 — the caller
 // relays it, Retry-After attached. A nil response with an error means
 // every attempt died on the wire.
-func (c *Coordinator) route(ctx context.Context, key string, call routedCall) (*backendResp, *backend, error) {
+func (c *Coordinator) route(ctx context.Context, req *server.Request) (*backendResp, *backend, error) {
+	key := req.CacheKey()
 	order, affinity := c.routeOrder(key)
 	if len(order) == 0 {
 		return nil, nil, errors.New("no routable backend")
@@ -188,7 +113,7 @@ func (c *Coordinator) route(ctx context.Context, key string, call routedCall) (*
 	// traffic sheds at the coordinator (429 + Retry-After, synthesized
 	// below by the caller's relay of this response) instead of queueing
 	// ahead of interactive work on some backend.
-	if call.priority == "bulk" && c.allSaturated(order) {
+	if req.Priority == server.PriorityBulk && c.allSaturated(order) {
 		c.metrics.bulkShed.Add(1)
 		return &backendResp{
 			status: http.StatusTooManyRequests,
@@ -228,10 +153,10 @@ func (c *Coordinator) route(ctx context.Context, key string, call routedCall) (*
 		var winner *backend
 		var err error
 		if i == 0 && c.cfg.HedgeAfter > 0 && len(order) > 1 {
-			resp, winner, err = c.hedgedSend(ctx, target, order[1], call)
+			resp, winner, err = c.hedgedSend(ctx, target, order[1], req)
 		} else {
 			winner = target
-			resp, err = c.send(ctx, target, call)
+			resp, err = c.send(ctx, target, req)
 		}
 		if err != nil {
 			lastErr = err
@@ -257,28 +182,31 @@ func (c *Coordinator) route(ctx context.Context, key string, call routedCall) (*
 	return nil, nil, lastErr
 }
 
-// send issues one routed POST to b and reads the response fully. A
-// transport error (connection refused, reset, timeout) counts toward b's
-// failure streak — the data path notices a dead backend faster than the
-// next probe — unless the caller's context was the cause.
-func (c *Coordinator) send(ctx context.Context, b *backend, call routedCall) (*backendResp, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.url+call.path, bytes.NewReader(call.body))
+// send issues one routed POST of req to b and reads the response fully. It
+// forwards the request's identity: correlation ID, tenant (resolved by the
+// pipeline, so backends account the real client, not the coordinator's
+// address) and a bulk priority. A transport error (connection refused,
+// reset, timeout) counts toward b's failure streak — the data path notices
+// a dead backend faster than the next probe — unless the caller's context
+// was the cause.
+func (c *Coordinator) send(ctx context.Context, b *backend, req *server.Request) (*backendResp, error) {
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, b.url+req.Path, bytes.NewReader(req.Body))
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	if call.id != "" {
-		req.Header.Set(server.RequestIDHeader, call.id)
+	hreq.Header.Set("Content-Type", "application/json")
+	if req.ID != "" {
+		hreq.Header.Set(server.RequestIDHeader, req.ID)
 	}
-	if call.tenant != "" {
-		req.Header.Set(server.TenantHeader, call.tenant)
+	if req.Tenant != "" {
+		hreq.Header.Set(server.TenantHeader, req.Tenant)
 	}
-	if call.priority != "" {
-		req.Header.Set(server.PriorityHeader, call.priority)
+	if req.Priority == server.PriorityBulk {
+		hreq.Header.Set(server.PriorityHeader, "bulk")
 	}
 	b.inflight.Add(1)
 	b.routed.Add(1)
-	resp, err := c.cfg.Client.Do(req)
+	resp, err := c.cfg.Client.Do(hreq)
 	b.inflight.Add(-1)
 	if err != nil {
 		if ctx.Err() == nil {
@@ -314,7 +242,7 @@ func (c *Coordinator) recordFailure(b *backend, err error) {
 // body goes to alt; the first authoritative (non-429, non-error) response
 // wins and the loser is canceled. Runs are deterministic, so serving the
 // faster of two identical computations is safe by construction.
-func (c *Coordinator) hedgedSend(ctx context.Context, primary, alt *backend, call routedCall) (*backendResp, *backend, error) {
+func (c *Coordinator) hedgedSend(ctx context.Context, primary, alt *backend, req *server.Request) (*backendResp, *backend, error) {
 	type result struct {
 		resp *backendResp
 		err  error
@@ -324,7 +252,7 @@ func (c *Coordinator) hedgedSend(ctx context.Context, primary, alt *backend, cal
 	defer cancel()
 	ch := make(chan result, 2)
 	send := func(b *backend) {
-		resp, err := c.send(hctx, b, call)
+		resp, err := c.send(hctx, b, req)
 		ch <- result{resp, err, b}
 	}
 	go send(primary)
@@ -358,16 +286,17 @@ func (c *Coordinator) hedgedSend(ctx context.Context, primary, alt *backend, cal
 // handlePrograms proxies capability discovery from the fleet: the first
 // routable backend's /programs body is relayed verbatim.
 func (c *Coordinator) handlePrograms(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
+	if !c.Accept(w, r, http.MethodGet) {
 		return
 	}
 	body, b, err := c.fetchPrograms(r.Context())
 	if err != nil {
-		c.shed(w, err)
+		c.Fail(w, r.Context(), server.Unavailable(err))
 		return
 	}
-	relay(w, b, &backendResp{status: http.StatusOK, ctype: "application/json", body: body})
+	w.Header().Set(BackendHeader, b.url)
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(body)
 }
 
 // fetchPrograms retrieves the raw /programs document from any routable

@@ -1,10 +1,10 @@
-// Cache-affinity routing. Each /run is keyed by the same
-// (program, dispatch, config) string the backends' compiled-program caches
-// use, and backends are ranked by rendezvous (highest-random-weight)
-// hashing of (backend, key): every coordinator ranks identically with no
-// shared state, each key has a stable first choice so repeat requests hit
-// a warm cache, and when a backend dies only its own keys remap — the rest
-// of the fleet keeps its artifacts hot. The first choice is overridden
+// Cache-affinity routing. Each request is keyed by its affinity key
+// (server.Request.CacheKey: program or source hash, dispatch, config), and
+// backends are ranked by rendezvous (highest-random-weight) hashing of
+// (backend, key): every coordinator ranks identically with no shared
+// state, each key has a stable first choice so repeat requests hit a warm
+// cache, and when a backend dies only its own keys remap — the rest of the
+// fleet keeps its results and artifacts hot. The first choice is overridden
 // only when it is saturated (coordinator in-flight or probed queue depth
 // over threshold), in which case the least-loaded routable backend takes
 // the request.

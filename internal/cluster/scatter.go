@@ -1,25 +1,22 @@
-// Scatter-gather: POST /suite fans one full table run across the fleet —
-// one routed /run per program, so every request gets affinity routing,
-// retries and hedging for free — and reassembles the gathered reports into
-// the paper's Table 2/3 artifacts through core's existing renderers. With
-// identical reports the artifacts are byte-identical to a single daemon's
-// GET /table. An optional (part, of) shard selector serves a slice of the
-// suite, cut with core.Partition, so an upstream tier can split the work
-// further.
+// POST /suite fans one full table run across the fleet through the shared
+// pipeline's suite fan-out (server.Pipeline.Suite) — one /run per program
+// through the result cache and the router, so every program gets caching,
+// affinity routing, retries and hedging, and carries the request's ID,
+// tenant and priority to its backend — and reassembles the gathered
+// reports into the paper's Table 2/3 artifacts through core's renderers.
+// With identical reports the artifacts are byte-identical to a single
+// daemon's GET /table, which runs the same fan-out. An optional (part, of)
+// shard selector serves a slice of the suite, cut with core.Partition, so
+// an upstream tier can split the work further.
 package cluster
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"strings"
-	"sync"
 
 	"mmxdsp/internal/core"
-	"mmxdsp/internal/profile"
 	"mmxdsp/internal/server"
 )
 
@@ -54,27 +51,22 @@ type SuiteResponse struct {
 }
 
 func (c *Coordinator) handleSuite(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
-	if c.draining.Load() {
-		c.shed(w, errors.New("coordinator is draining"))
+	if !c.Accept(w, r, http.MethodPost) {
 		return
 	}
 	body, err := server.ReadBody(r, server.MaxRequestBody)
 	if err != nil {
-		writeError(w, server.RequestErrorStatus(err), err)
+		c.Fail(w, r.Context(), server.BadRequest(err))
 		return
 	}
 	req, err := parseSuiteRequest(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		c.Fail(w, r.Context(), server.BadRequest(err))
 		return
 	}
-	names, err := c.discoverPrograms(r.Context())
+	names, err := c.Programs(r.Context())
 	if err != nil {
-		c.shed(w, err)
+		c.Fail(w, r.Context(), err)
 		return
 	}
 	names, err = shardNames(names, req.Part, req.Of)
@@ -84,32 +76,26 @@ func (c *Coordinator) handleSuite(w http.ResponseWriter, r *http.Request) {
 		// blindly indexing its result used to panic here; it is a client
 		// error, answered as one.
 		c.metrics.suiteFailed.Add(1)
-		writeError(w, http.StatusBadRequest, err)
+		c.Fail(w, r.Context(), server.BadRequest(err))
 		return
 	}
 
-	reports, errs := c.scatter(r, names, req)
-	if len(errs) > 0 {
+	tmpl := server.RunRequest{
+		Dispatch:  req.Dispatch,
+		TimeoutMS: req.TimeoutMS,
+		SkipCheck: true, // /table semantics: validation is the tests' job
+		Config:    req.Config,
+	}
+	rs, err := c.Suite(r.Context(), names, tmpl, server.RequestOf(w, r))
+	if err != nil {
+		// The failed programs decide the status: the client going away
+		// (499) or its deadline (504) is not the fleet's fault.
 		c.metrics.suiteFailed.Add(1)
-		summary := fmt.Errorf("suite incomplete (%d of %d programs failed): %s",
-			len(errs), len(names), strings.Join(errs, "; "))
-		// A mid-scatter failure is only a fleet problem (502) when the fleet
-		// actually failed; if the caller's context fired, the programs died
-		// because the client went away (499) or its deadline hit (504).
-		switch {
-		case errors.Is(r.Context().Err(), context.DeadlineExceeded):
-			writeError(w, http.StatusGatewayTimeout, summary)
-		case r.Context().Err() != nil:
-			writeError(w, server.StatusClientClosedRequest, summary)
-		default:
-			writeError(w, http.StatusBadGateway, summary)
-		}
+		c.Fail(w, r.Context(), err)
 		return
 	}
 	c.metrics.suiteRuns.Add(1)
-
-	rs := core.ResultSetFromReports(reports)
-	writeJSON(w, http.StatusOK, SuiteResponse{
+	server.WriteJSON(w, http.StatusOK, SuiteResponse{
 		Dispatch:  req.Dispatch,
 		Programs:  len(rs),
 		Part:      req.Part,
@@ -163,110 +149,4 @@ func parseSuiteRequest(data []byte) (*SuiteRequest, error) {
 		return nil, fmt.Errorf("bad shard selector part=%d of=%d", req.Part, req.Of)
 	}
 	return req, nil
-}
-
-// scatter fans the named programs across the fleet on a bounded worker
-// pool (each worker owns one contiguous core.Partition shard) and gathers
-// reports. Failed programs come back as error strings, in name order.
-func (c *Coordinator) scatter(r *http.Request, names []string, req *SuiteRequest) ([]*profile.Report, []string) {
-	workers := 2*len(c.routableBackends()) + 2
-	type item struct {
-		rep *profile.Report
-		err error
-	}
-	results := make([]item, len(names))
-	var wg sync.WaitGroup
-	offset := 0
-	for _, shard := range core.Partition(names, workers) {
-		shard, off := shard, offset
-		offset += len(shard)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i, name := range shard {
-				rep, err := c.runProgram(r, name, req)
-				results[off+i] = item{rep, err}
-			}
-		}()
-	}
-	wg.Wait()
-
-	reports := make([]*profile.Report, 0, len(names))
-	var errs []string
-	for i, it := range results {
-		if it.err != nil {
-			errs = append(errs, fmt.Sprintf("%s: %v", names[i], it.err))
-			continue
-		}
-		reports = append(reports, it.rep)
-	}
-	return reports, errs
-}
-
-// runProgram routes one program of a scattered suite through the normal
-// /run machinery (affinity, retries, hedging) and decodes its report. The
-// run goes through the coordinator's result cache when enabled, so a
-// /suite repeated under the same options — or overlapping plain /run
-// traffic — costs no backend round-trips for the programs already cached.
-func (c *Coordinator) runProgram(r *http.Request, name string, req *SuiteRequest) (*profile.Report, error) {
-	rr := server.RunRequest{
-		Program:   name,
-		Dispatch:  req.Dispatch,
-		TimeoutMS: req.TimeoutMS,
-		SkipCheck: true, // /table semantics: validation is the tests' job
-		Config:    req.Config,
-	}
-	body, err := json.Marshal(rr)
-	if err != nil {
-		return nil, err
-	}
-	respBody, err := c.fetchRun(r, &rr, body)
-	if err != nil {
-		return nil, err
-	}
-	var env struct {
-		Report *profile.Report `json:"report"`
-	}
-	if err := json.Unmarshal(respBody, &env); err != nil {
-		return nil, fmt.Errorf("decoding run response: %w", err)
-	}
-	if env.Report == nil {
-		return nil, errors.New("run response carried no report")
-	}
-	return env.Report, nil
-}
-
-// fetchRun returns the response body of one routed 200 /run, through the
-// result cache when enabled.
-func (c *Coordinator) fetchRun(r *http.Request, rr *server.RunRequest, body []byte) ([]byte, error) {
-	route := func() ([]byte, error) {
-		resp, _, err := c.route(r.Context(), rr.CacheKey(), routedCall{
-			path: "/run",
-			body: body,
-			id:   r.Header.Get(server.RequestIDHeader),
-		})
-		if err != nil {
-			return nil, err
-		}
-		if resp.status != http.StatusOK {
-			var e struct {
-				Error string `json:"error"`
-			}
-			_ = json.Unmarshal(resp.body, &e)
-			if e.Error == "" {
-				e.Error = fmt.Sprintf("%d bytes", len(resp.body))
-			}
-			return nil, fmt.Errorf("backend status %d: %s", resp.status, e.Error)
-		}
-		return resp.body, nil
-	}
-	if c.results == nil {
-		return route()
-	}
-	res, outcome, err := c.results.Do(r.Context(), rr.ResultKey(), route)
-	if err != nil {
-		return nil, err
-	}
-	c.metrics.recordResult(outcome)
-	return res.Body, nil
 }

@@ -24,11 +24,11 @@ const (
 )
 
 // PriorityHeader names the request priority: "interactive" (default) or
-// "bulk". Coordinators forward it to backends verbatim.
+// "bulk". Coordinators forward a bulk priority to backends.
 const PriorityHeader = "X-Mmx-Priority"
 
 // errQueueFull is returned by acquire when the admission queue (or the
-// bulk share of it) is at capacity; handlers map it to 429 + Retry-After.
+// bulk share of it) is at capacity; Fail answers it 429 + Retry-After.
 var errQueueFull = errors.New("admission queue full")
 
 // admitWaiter is one queued request. granted flags the handoff: a releaser

@@ -5,15 +5,15 @@
 // dispatch/ablation/budget knobs as /run; the response carries the same
 // profile report a /run of an identical program produces, byte for byte.
 //
-// The execution pipeline is /run's with source in place of a registry
-// name: the compiled artifact is keyed by the source hash in the shared
-// compiled-program LRU, the response bytes are keyed by AsmRequest.ResultKey
-// in the shared result cache, and AsmRequest.CacheKey is the rendezvous
-// affinity key a coordinator routes on — repeat submissions of the same
-// source land where it is already compiled, by construction. Safety rails
-// user source needs and suite programs do not: a source size cap (413), an
-// always-on instruction budget that turns infinite loops into partial
-// "budget_exhausted" reports instead of hangs, structured 400s with
+// The request takes the pipeline's /run path with source in place of a
+// registry name: the compiled artifact is keyed by the source hash in the
+// shared compiled-program LRU, the response bytes are keyed by
+// AsmRequest.ResultKey in the result cache, and AsmRequest.CacheKey is the
+// rendezvous affinity key a coordinator routes on — repeat submissions of
+// the same source land where it is already compiled, by construction.
+// Safety rails user source needs and suite programs do not: a source size
+// cap (413), an always-on instruction budget that turns infinite loops into
+// partial "budget_exhausted" reports instead of hangs, structured 400s with
 // 1-based line/column for parse errors, and per-tenant quotas (tenant.go).
 package server
 
@@ -25,8 +25,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
-	"time"
 
 	"mmxdsp/internal/asm"
 	"mmxdsp/internal/core"
@@ -67,8 +65,6 @@ type AsmRequest struct {
 
 	// sourceHash is the full hex SHA-256 of Source, computed at parse.
 	sourceHash string
-	// priority is the admission priority from PriorityHeader (not JSON).
-	priority int
 }
 
 // AsmResponse is the JSON body answering POST /asm. Report is identical —
@@ -86,14 +82,6 @@ type AsmResponse struct {
 	InstrsPerSec    float64         `json:"instrs_per_sec"`
 	Blocks          core.BlockStats `json:"blocks"`
 	Report          *profile.Report `json:"report"`
-}
-
-// asmErrorResponse is the /asm error body: the uniform error string plus
-// 1-based source coordinates when the failure is a parse error.
-type asmErrorResponse struct {
-	Error string `json:"error"`
-	Line  int    `json:"line,omitempty"`
-	Col   int    `json:"col,omitempty"`
 }
 
 // ParseAsmRequest decodes and validates a /asm body against the source
@@ -141,8 +129,9 @@ func AsmBodyLimit(maxSourceBytes int) int {
 }
 
 // progName is the internal program identity: source-hash-derived, so
-// compiled-cache keys and interpreter fault strings are deterministic
-// across submissions regardless of the caller-chosen display name.
+// interpreter fault strings are deterministic across submissions
+// regardless of the caller-chosen display name. (The compiled-program
+// cache keys on the full hash: a 48-bit prefix is cheap to collide.)
 func (a *AsmRequest) progName() string { return "asm:" + a.sourceHash[:12] }
 
 // name is the caller-facing display name.
@@ -168,18 +157,17 @@ func (a *AsmRequest) runRequest() *RunRequest {
 	}
 }
 
-// CacheKey is the affinity/compiled-artifact key: source hash, dispatch
-// and timing config — the triple that pins the compiled artifact, and the
-// string a coordinator rendezvous-hashes so repeat submissions land on the
-// backend already holding it.
+// CacheKey is the affinity key: source hash, dispatch and timing config —
+// the string a coordinator rendezvous-hashes so repeat submissions land on
+// the backend already holding the compiled listing.
 func (a *AsmRequest) CacheKey() string {
 	rr := a.runRequest()
 	return "asm|h=" + a.sourceHash + "|" + rr.dispatchMode() + "|" + rr.configKey()
 }
 
 // ResultKey extends CacheKey with the fields that shape response bytes but
-// not the compiled artifact: the budget (a truncated run reports different
-// bytes) and the display name (stamped into the response and report).
+// not the affinity: the budget (a truncated run reports different bytes)
+// and the display name (stamped into the response and report).
 func (a *AsmRequest) ResultKey() string {
 	return a.CacheKey() + fmt.Sprintf("|mi=%d|n=%s", a.MaxInstrs, a.name())
 }
@@ -204,107 +192,12 @@ func (s *Server) capAsmInstrs(req int64) (int64, error) {
 	return req, nil
 }
 
-func (s *Server) handleAsm(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, errors.New("server is draining"))
-		return
-	}
-	body, err := ReadBody(r, AsmBodyLimit(s.cfg.MaxSourceBytes))
-	if err != nil {
-		writeError(w, RequestErrorStatus(err), err)
-		return
-	}
-	req, err := ParseAsmRequest(body, s.cfg.MaxSourceBytes)
-	if err != nil {
-		writeError(w, RequestErrorStatus(err), err)
-		return
-	}
-	req.priority = parsePriority(r.Header.Get(PriorityHeader))
-	if req.MaxInstrs, err = s.capAsmInstrs(req.MaxInstrs); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-
-	tenant := TenantKey(r)
-	if err := s.tenants.Admit(tenant, time.Now()); err != nil {
-		s.writeQuotaError(w, err)
-		return
-	}
-	var retired int64
-	defer func() { s.tenants.Release(tenant, retired) }()
-
-	ctx, cancel := s.requestContext(r, req.runRequest().timeout(s.cfg.DefaultTimeout))
-	defer cancel()
-	res, outcome, err := s.asmResult(ctx, req, &retired)
-	if err != nil {
-		if errors.Is(err, errQueueFull) {
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, err)
-			return
-		}
-		var se *asm.SourceError
-		if errors.As(err, &se) {
-			writeJSON(w, http.StatusBadRequest, asmErrorResponse{
-				Error: se.Error(), Line: se.Line, Col: se.Col,
-			})
-			return
-		}
-		status := runStatus(ctx, err)
-		if status == http.StatusGatewayTimeout || status == StatusClientClosedRequest {
-			s.metrics.canceled.Add(1)
-		} else {
-			s.metrics.runsFailed.Add(1)
-		}
-		writeError(w, status, err)
-		return
-	}
-	WriteCachedResult(w, r, res, outcome)
-}
-
-// writeQuotaError maps a tenant-quota refusal to 429 + Retry-After.
-func (s *Server) writeQuotaError(w http.ResponseWriter, err error) {
-	s.metrics.tenantShed.Add(1)
-	var qe *QuotaError
-	if errors.As(err, &qe) {
-		w.Header().Set("Retry-After", retryAfterSeconds(qe.RetryAfter))
-	}
-	writeError(w, http.StatusTooManyRequests, err)
-}
-
-// asmResult answers one validated /asm through the result cache, exactly
-// like runResult: hits replay stored bytes (debiting no instruction
-// quota), misses single-flight executeAsm.
-func (s *Server) asmResult(ctx context.Context, req *AsmRequest, retired *int64) (*CachedResult, ResultOutcome, error) {
-	if s.results == nil {
-		body, err := s.executeAsm(ctx, req, retired)
-		if err != nil {
-			return nil, ResultBypass, err
-		}
-		key := req.ResultKey()
-		return &CachedResult{Key: key, ETag: ETagFor(key, body), Body: body}, ResultBypass, nil
-	}
-	return s.results.Do(ctx, req.ResultKey(), func() ([]byte, error) {
-		return s.executeAsm(ctx, req, retired)
-	})
-}
-
-// executeAsm is the uncached submission path: admission, assemble +
-// compile through the shared compiled-program cache (keyed by source
-// hash, so repeat submissions skip the assembler), one interpreter run
-// with PartialOnBudget, marshal.
-func (s *Server) executeAsm(ctx context.Context, req *AsmRequest, retired *int64) ([]byte, error) {
-	release, err := s.acquire(ctx, req.priority)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-
-	key := cacheKey{program: req.progName(), dispatch: req.runRequest().dispatchMode(), config: req.runRequest().configKey()}
-	comp, hit, err := s.cache.get(key, func() (*core.Compiled, error) {
+// executeAsm is one local /asm under an admission slot: assemble and
+// compile through the shared compiled-program cache (keyed by source hash,
+// so repeat submissions skip the assembler), one interpreter run with
+// PartialOnBudget, marshal.
+func (s *Server) executeAsm(ctx context.Context, req *AsmRequest) ([]byte, int64, error) {
+	comp, hit, err := s.cache.get("asm:"+req.sourceHash, func() (*core.Compiled, error) {
 		prog, err := asm.ParseSource(req.progName(), req.Source)
 		if err != nil {
 			return nil, err
@@ -312,7 +205,7 @@ func (s *Server) executeAsm(ctx context.Context, req *AsmRequest, retired *int64
 		return core.CompileProgram(req.progName(), prog), nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	// Serve under the caller's display name via a shallow copy; the cached
 	// artifact keeps its hash-derived identity for other submitters.
@@ -323,14 +216,13 @@ func (s *Server) executeAsm(ctx context.Context, req *AsmRequest, retired *int64
 	opt.PartialOnBudget = true
 	res, err := core.RunCompiled(&named, opt)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	*retired = int64(res.Report.DynamicInstructions)
 	s.metrics.asmRuns.Add(1)
 	s.metrics.recordRun(req.name(), res.Report.DynamicInstructions, res.Wall)
 	s.metrics.recordTraces(res.Traces)
 
-	return marshalResponse(AsmResponse{
+	body, err := marshalResponse(AsmResponse{
 		Program:         req.name(),
 		SourceHash:      req.sourceHash,
 		Dispatch:        req.runRequest().dispatchMode(),
@@ -341,4 +233,5 @@ func (s *Server) executeAsm(ctx context.Context, req *AsmRequest, retired *int64
 		Blocks:          res.Blocks,
 		Report:          res.Report,
 	})
+	return body, int64(res.Report.DynamicInstructions), err
 }

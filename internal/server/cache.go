@@ -1,10 +1,12 @@
 // The compiled-program cache. Building a suite benchmark synthesizes its
 // workload data and macro-assembles the program, and compiling lowers its
-// basic blocks to micro-ops — work that is identical for every
-// request naming the same (program, dispatch, config) triple. The cache
-// keys immutable core.Compiled artifacts by that triple with bounded LRU
-// eviction, so a warm daemon serves repeat requests straight into
-// vm.NewWithCode / pentium.Bind without re-entering the assembler.
+// basic blocks to micro-ops — work that depends on the program alone, not
+// on the dispatch mode or the timing configuration a request runs it
+// under. The cache keys immutable core.Compiled artifacts by what shapes
+// them — the program name, or "asm:" + the source hash of a submitted
+// listing — with bounded LRU eviction, so a warm daemon serves every mode
+// and ablation of a program straight into vm.NewWithCode / pentium.Bind
+// without re-entering the assembler.
 package server
 
 import (
@@ -14,22 +16,12 @@ import (
 	"mmxdsp/internal/core"
 )
 
-// cacheKey identifies one compiled artifact. The compiled code itself
-// depends only on the program, but dispatch and the timing-model
-// configuration are part of the key so that any future lowering that
-// specializes on them stays correct by construction.
-type cacheKey struct {
-	program  string
-	dispatch string
-	config   string // canonical config hash, see RunRequest.configKey
-}
-
 // cacheEntry is one slot. The sync.Once serializes compilation so that
 // concurrent first requests for the same key compile exactly once; the
 // entry is immutable afterwards, so readers outside the cache lock are
 // safe even if the entry gets evicted underneath them.
 type cacheEntry struct {
-	key  cacheKey
+	key  string
 	once sync.Once
 	comp *core.Compiled
 	err  error
@@ -58,7 +50,7 @@ type codeCache struct {
 	mu        sync.Mutex
 	capacity  int
 	order     *list.List // front = most recently used; values are *cacheEntry
-	elems     map[cacheKey]*list.Element
+	elems     map[string]*list.Element
 	hits      uint64
 	misses    uint64
 	evictions uint64
@@ -71,7 +63,7 @@ func newCodeCache(capacity int) *codeCache {
 	return &codeCache{
 		capacity: capacity,
 		order:    list.New(),
-		elems:    make(map[cacheKey]*list.Element, capacity),
+		elems:    make(map[string]*list.Element, capacity),
 	}
 }
 
@@ -79,7 +71,7 @@ func newCodeCache(capacity int) *codeCache {
 // per cache residency. The second return reports whether the entry was
 // already present (a hit — possibly still compiling under another
 // request's Once, which then blocks only the requests that need it).
-func (c *codeCache) get(key cacheKey, compile func() (*core.Compiled, error)) (*core.Compiled, bool, error) {
+func (c *codeCache) get(key string, compile func() (*core.Compiled, error)) (*core.Compiled, bool, error) {
 	c.mu.Lock()
 	if el, ok := c.elems[key]; ok {
 		c.order.MoveToFront(el)

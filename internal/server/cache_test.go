@@ -21,7 +21,7 @@ import (
 	"mmxdsp/internal/vm"
 )
 
-func key(s string) cacheKey { return cacheKey{program: s, dispatch: "block", config: "default"} }
+func key(s string) string { return s }
 
 func compileCounter(n *atomic.Int64) func() (*core.Compiled, error) {
 	return func() (*core.Compiled, error) {

@@ -1,13 +1,17 @@
 // Campaign endpoints: declarative ablation-sweep grids executed through
-// the daemon's own /run machinery. POST /campaign expands and bounds the
-// grid, admits it against the creator's tenant quotas (one concurrency
-// slot for the campaign's lifetime, instruction debits only for points
-// actually simulated), and runs points on a bounded worker pool behind
-// the ordinary admission queue at bulk priority — a campaign never
-// starves interactive traffic. Campaigns are resources: GET polls status,
-// GET /events streams SSE progress, DELETE cancels through the same
-// context plumbing as client disconnects (canceled campaigns report
-// canceled points, never failed ones — the 499-not-5xx rule).
+// the pipeline's own /run path, on either tier. POST /campaign expands and
+// bounds the grid, checks its programs and budget against the tier,
+// admits it against the creator's tenant quotas (one concurrency slot for
+// the campaign's lifetime, instruction debits only for points actually
+// simulated), and runs points on a bounded worker pool at bulk priority —
+// a campaign never starves interactive traffic. On mmxd a point queues
+// behind the admission pool; on mmxfleet it routes by the same affinity
+// key as direct traffic, so it lands where the caches are warm, and a
+// backend killed mid-campaign just makes its points re-route. Campaigns
+// are resources: GET polls status, GET /events streams SSE progress,
+// DELETE cancels through the same context plumbing as client disconnects
+// (canceled campaigns report canceled points, never failed ones — the
+// 499-not-5xx rule).
 package server
 
 import (
@@ -16,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"time"
 
@@ -30,10 +35,10 @@ const (
 )
 
 // campaignLimits resolves the grid bounds from the config.
-func (s *Server) campaignLimits() campaign.Limits {
+func (p *Pipeline) campaignLimits() campaign.Limits {
 	lim := campaign.DefaultLimits()
-	if s.cfg.CampaignMaxPoints > 0 {
-		lim.MaxPoints = s.cfg.CampaignMaxPoints
+	if p.cfg.CampaignMaxPoints > 0 {
+		lim.MaxPoints = p.cfg.CampaignMaxPoints
 	}
 	return lim
 }
@@ -77,9 +82,8 @@ type CampaignPoint struct {
 	Error    string `json:"error,omitempty"`
 }
 
-// StatusOfCampaign renders the shared status envelope; the coordinator
-// reuses it so both tiers answer identically shaped campaign resources.
-func StatusOfCampaign(c *campaign.Campaign, includePoints bool) CampaignStatus {
+// statusOfCampaign renders the status envelope of a campaign resource.
+func statusOfCampaign(c *campaign.Campaign, includePoints bool) CampaignStatus {
 	ev := c.Snapshot()
 	st := CampaignStatus{
 		ID:              c.ID,
@@ -119,104 +123,114 @@ func StatusOfCampaign(c *campaign.Campaign, includePoints bool) CampaignStatus {
 }
 
 // handleCampaign serves POST /campaign (create).
-func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, errors.New("server is draining"))
+func (p *Pipeline) handleCampaign(w http.ResponseWriter, r *http.Request) {
+	if !p.Accept(w, r, http.MethodPost) {
 		return
 	}
 	body, err := ReadBody(r, MaxRequestBody)
 	if err != nil {
-		writeError(w, RequestErrorStatus(err), err)
+		p.Fail(w, r.Context(), BadRequest(err))
 		return
 	}
-	spec, points, err := campaign.ParseSpec(body, s.campaignLimits())
+	spec, points, err := campaign.ParseSpec(body, p.campaignLimits())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		p.Fail(w, r.Context(), BadRequest(err))
 		return
 	}
-	for _, p := range spec.Programs {
-		if _, ok := s.cfg.Lookup(p); !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("unknown program %q", p))
-			return
-		}
-	}
-	if _, err := s.capInstrs(spec.MaxInstrs); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := p.checkCampaign(r.Context(), spec, points); err != nil {
+		p.Fail(w, r.Context(), err)
 		return
 	}
 
 	// The campaign occupies one tenant concurrency slot for its whole
 	// lifetime; instruction quota is debited at completion with what was
 	// actually simulated (cached points are free), mirroring /run.
-	tenant := TenantKey(r)
-	if err := s.tenants.Admit(tenant, time.Now()); err != nil {
-		s.writeQuotaError(w, err)
+	from := RequestOf(w, r)
+	if err := p.tenants.Admit(from.Tenant, time.Now()); err != nil {
+		p.Fail(w, r.Context(), err)
 		return
 	}
-
-	c := campaign.New(s.campaignCtx, campaign.NewID(), spec, points, tenant)
-	if err := s.campaigns.Add(c); err != nil {
-		s.tenants.Release(tenant, 0)
-		w.Header().Set("Retry-After", "5")
-		writeError(w, http.StatusTooManyRequests, err)
+	c := campaign.New(p.campaignCtx, campaign.NewID(), spec, points, from.Tenant)
+	if err := p.campaigns.Add(c); err != nil {
+		p.tenants.Release(from.Tenant, 0)
+		p.Fail(w, r.Context(), &StatusError{Status: http.StatusTooManyRequests, Header: retryAfter("5"), Err: err})
 		return
 	}
-	s.metrics.campaignsTotal.Add(1)
+	p.counts.campaignsTotal.Add(1)
 
 	// Campaign points are batch work: bulk priority unless the creator
 	// explicitly asked for interactive.
-	priority := PriorityBulk
+	ex := &pointExecutor{p: p, from: Request{ID: from.ID, Tenant: from.Tenant, Priority: PriorityBulk}}
 	if r.Header.Get(PriorityHeader) == "interactive" {
-		priority = PriorityInteractive
+		ex.from.Priority = PriorityInteractive
 	}
-	ex := &localCampaignExecutor{s: s, priority: priority}
+	workers := p.cfg.CampaignWorkers
+	if workers <= 0 {
+		workers = p.ex.Width()
+	}
 	go func() {
 		campaign.Run(c, ex, campaign.RunnerConfig{
-			Workers: s.cfg.CampaignWorkers,
-			OnPoint: s.metrics.recordCampaignPoint,
-			Dir:     s.cfg.CampaignDir,
+			Workers: workers,
+			OnPoint: p.counts.recordCampaignPoint,
+			Dir:     p.cfg.CampaignDir,
 		})
-		s.campaigns.Settle()
-		s.tenants.Release(tenant, c.SimulatedInstrs())
+		p.campaigns.Settle()
+		p.tenants.Release(from.Tenant, c.SimulatedInstrs())
 	}()
-	writeJSON(w, http.StatusAccepted, StatusOfCampaign(c, false))
+	WriteJSON(w, http.StatusAccepted, statusOfCampaign(c, false))
+}
+
+// checkCampaign holds a grid to the tier before it starts: every program
+// must be one the executor serves (404 otherwise), and the first point —
+// points differ from it only in program and axis values, both checked —
+// must pass the executor's limits, such as an instruction-budget cap.
+func (p *Pipeline) checkCampaign(ctx context.Context, spec *campaign.Spec, points []campaign.Point) error {
+	known, err := p.ex.Programs(ctx)
+	if err != nil {
+		return err
+	}
+	for _, name := range spec.Programs {
+		if !slices.Contains(known, name) {
+			return &StatusError{Status: http.StatusNotFound, Err: fmt.Errorf("unknown program %q", name)}
+		}
+	}
+	if len(points) == 0 {
+		return nil
+	}
+	return p.parse(&Request{Path: "/run", Body: points[0].Body})
 }
 
 // handleCampaignID serves GET/DELETE /campaign/{id} and
 // GET /campaign/{id}/events.
-func (s *Server) handleCampaignID(w http.ResponseWriter, r *http.Request) {
+func (p *Pipeline) handleCampaignID(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/campaign/")
 	id, sub, _ := strings.Cut(rest, "/")
-	c, ok := s.campaigns.Get(id)
+	c, ok := p.campaigns.Get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown campaign %q", id))
+		p.Fail(w, r.Context(), &StatusError{Status: http.StatusNotFound, Err: fmt.Errorf("unknown campaign %q", id)})
 		return
 	}
 	switch {
 	case sub == "" && r.Method == http.MethodGet:
-		writeJSON(w, http.StatusOK, StatusOfCampaign(c, r.URL.Query().Get("points") == "1"))
+		WriteJSON(w, http.StatusOK, statusOfCampaign(c, r.URL.Query().Get("points") == "1"))
 	case sub == "" && r.Method == http.MethodDelete:
 		c.Cancel()
-		writeJSON(w, http.StatusOK, StatusOfCampaign(c, false))
+		WriteJSON(w, http.StatusOK, statusOfCampaign(c, false))
 	case sub == "events" && r.Method == http.MethodGet:
-		ServeCampaignEvents(w, r, c)
+		p.serveCampaignEvents(w, r, c)
 	default:
-		writeError(w, http.StatusMethodNotAllowed, errors.New("unsupported campaign operation"))
+		p.Fail(w, r.Context(), &StatusError{Status: http.StatusMethodNotAllowed, Err: errors.New("unsupported campaign operation")})
 	}
 }
 
-// ServeCampaignEvents streams a campaign's progress as server-sent
+// serveCampaignEvents streams a campaign's progress as server-sent
 // events: one "progress" event per update (lossy under backpressure —
 // intermediate states may be skipped), and a final "done" event carrying
-// the terminal snapshot, guaranteed to arrive. Shared by both tiers.
-func ServeCampaignEvents(w http.ResponseWriter, r *http.Request, c *campaign.Campaign) {
+// the terminal snapshot, guaranteed to arrive.
+func (p *Pipeline) serveCampaignEvents(w http.ResponseWriter, r *http.Request, c *campaign.Campaign) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusNotImplemented, errors.New("streaming unsupported"))
+		p.Fail(w, r.Context(), &StatusError{Status: http.StatusNotImplemented, Err: errors.New("streaming unsupported")})
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -227,7 +241,7 @@ func ServeCampaignEvents(w http.ResponseWriter, r *http.Request, c *campaign.Cam
 	ch, unsubscribe := c.Subscribe()
 	defer unsubscribe()
 	writeEvent := func(name string, ev campaign.Event) bool {
-		data, err := marshalEvent(ev)
+		data, err := json.Marshal(ev) // single-line JSON
 		if err != nil {
 			return false
 		}
@@ -256,58 +270,25 @@ func ServeCampaignEvents(w http.ResponseWriter, r *http.Request, c *campaign.Cam
 	}
 }
 
-// marshalEvent renders one SSE payload (single-line JSON).
-func marshalEvent(ev campaign.Event) ([]byte, error) {
-	return json.Marshal(ev)
+// pointExecutor runs a campaign's points through the pipeline's result
+// path: a point is one ordinary /run minus the HTTP framing, carrying the
+// creator's request ID, tenant and the campaign's priority.
+type pointExecutor struct {
+	p    *Pipeline
+	from Request
 }
 
-// localCampaignExecutor runs grid points through the daemon's own
-// /run pipeline: result cache, single-flight, admission queue, compiled
-// LRU. A point is one ordinary request minus the HTTP framing.
-type localCampaignExecutor struct {
-	s        *Server
-	priority int
-}
-
-// campaignQueueRetries bounds retries when the admission queue sheds a
-// point; campaign points are patient batch work, so brief saturation
-// waits instead of failing the point.
-const campaignQueueRetries = 8
-
-func (e *localCampaignExecutor) RunPoint(ctx context.Context, p campaign.Point) (campaign.PointResult, error) {
-	req, err := ParseRunRequest(p.Body)
+func (e *pointExecutor) RunPoint(ctx context.Context, pt campaign.Point) (campaign.PointResult, error) {
+	req := e.from
+	req.Path, req.Body = "/run", pt.Body
+	body, outcome, err := e.p.runPoint(ctx, &req)
 	if err != nil {
-		return campaign.PointResult{}, fmt.Errorf("point %d: %w", p.Index, err)
+		return campaign.PointResult{}, err
 	}
-	req.priority = e.priority
-	if req.MaxInstrs, err = e.s.capInstrs(req.MaxInstrs); err != nil {
-		return campaign.PointResult{}, fmt.Errorf("point %d: %w", p.Index, err)
+	pr, err := campaign.ParsePointMetrics(body)
+	if err != nil {
+		return campaign.PointResult{}, err
 	}
-	pctx := ctx
-	if t := req.timeout(e.s.cfg.DefaultTimeout); t > 0 {
-		var cancel context.CancelFunc
-		pctx, cancel = context.WithTimeout(ctx, t)
-		defer cancel()
-	}
-	var retired int64
-	for attempt := 0; ; attempt++ {
-		res, outcome, err := e.s.runResult(pctx, req, &retired)
-		if errors.Is(err, errQueueFull) && attempt < campaignQueueRetries {
-			select {
-			case <-time.After(time.Duration(50*(attempt+1)) * time.Millisecond):
-				continue
-			case <-ctx.Done():
-				return campaign.PointResult{}, ctx.Err()
-			}
-		}
-		if err != nil {
-			return campaign.PointResult{}, err
-		}
-		pr, err := campaign.ParsePointMetrics(res.Body)
-		if err != nil {
-			return campaign.PointResult{}, err
-		}
-		pr.Cached = outcome == ResultHit || outcome == ResultSpillHit || outcome == ResultCoalesced
-		return pr, nil
-	}
+	pr.Cached = outcome == ResultHit || outcome == ResultSpillHit || outcome == ResultCoalesced
+	return pr, nil
 }

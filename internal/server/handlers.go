@@ -1,7 +1,8 @@
-// HTTP handlers. The /run path is the serving hot loop: admission, cache
-// lookup, one core.RunCompiled under the request context, JSON out. The
-// profile.Report is marshaled as-is, so a served result is byte-identical
-// to marshaling a direct core.Run — the e2e suite pins this.
+// The daemon's own endpoints and its /run execution. A local /run is one
+// core.RunCompiled of a cached compiled program under the request context,
+// marshaled as-is, so a served result is byte-identical to marshaling a
+// direct core.Run — the e2e suite pins this. /table renders the paper's
+// tables from the pipeline's suite fan-out.
 package server
 
 import (
@@ -11,17 +12,10 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
-	"time"
 
 	"mmxdsp/internal/core"
 	"mmxdsp/internal/profile"
 )
-
-// StatusClientClosedRequest is the nginx-convention status for "client
-// went away before the response": the body is never seen, but the code
-// keeps access logs and tests honest about why the run ended.
-const StatusClientClosedRequest = 499
 
 // RunResponse is the JSON body answering POST /run.
 type RunResponse struct {
@@ -67,24 +61,7 @@ type ProgramsResponse struct {
 	DispatchModes []string      `json:"dispatch_modes"`
 }
 
-// errorResponse is the uniform error body.
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // the client is gone if this fails; nothing to do
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorResponse{Error: err.Error()})
-}
-
-// marshalResponse renders v exactly as writeJSON would put it on the wire
+// marshalResponse renders v exactly as WriteJSON would put it on the wire
 // (two-space indent plus trailing newline), so bytes served fresh and
 // bytes replayed from the result cache are identical by construction.
 func marshalResponse(v any) ([]byte, error) {
@@ -111,128 +88,22 @@ func WriteCachedResult(w http.ResponseWriter, r *http.Request, res *CachedResult
 	_, _ = w.Write(res.Body)
 }
 
-// runStatus maps a run failure to an HTTP status using the request
-// context: deadline -> 504, cancellation (disconnect or drain) -> 499,
-// anything else -> 500.
-func runStatus(ctx context.Context, err error) int {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		return StatusClientClosedRequest
-	case ctx.Err() != nil:
-		// The context fired but the interpreter surfaced a different
-		// error first (e.g. a budget fault racing the deadline).
-		return http.StatusGatewayTimeout
-	default:
-		return http.StatusInternalServerError
-	}
-}
-
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, errors.New("server is draining"))
-		return
-	}
-	body, err := ReadBody(r, MaxRequestBody)
-	if err != nil {
-		writeError(w, RequestErrorStatus(err), err)
-		return
-	}
-	req, err := ParseRunRequest(body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	req.priority = parsePriority(r.Header.Get(PriorityHeader))
-	if req.MaxInstrs, err = s.capInstrs(req.MaxInstrs); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	// Program existence is checked before admission so unknown names stay
-	// cheap 404s; compilation itself happens under the admission slot (a
-	// flood of cold-cache requests must shed before doing compile work).
-	if _, ok := s.cfg.Lookup(req.Program); !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown program %q", req.Program))
-		return
-	}
-
-	tenant := TenantKey(r)
-	if err := s.tenants.Admit(tenant, time.Now()); err != nil {
-		s.writeQuotaError(w, err)
-		return
-	}
-	var retired int64
-	defer func() { s.tenants.Release(tenant, retired) }()
-
-	ctx, cancel := s.requestContext(r, req.timeout(s.cfg.DefaultTimeout))
-	defer cancel()
-	res, outcome, err := s.runResult(ctx, req, &retired)
-	if err != nil {
-		if errors.Is(err, errQueueFull) {
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, err)
-			return
-		}
-		status := runStatus(ctx, err)
-		if status == http.StatusGatewayTimeout || status == StatusClientClosedRequest {
-			s.metrics.canceled.Add(1)
-		} else {
-			s.metrics.runsFailed.Add(1)
-		}
-		writeError(w, status, err)
-		return
-	}
-	WriteCachedResult(w, r, res, outcome)
-}
-
-// runResult answers one validated /run through the result cache:
-// a hit replays stored bytes without touching admission or the
-// interpreter; a miss single-flights executeRun so concurrent identical
-// requests simulate once. With caching disabled every request executes.
-func (s *Server) runResult(ctx context.Context, req *RunRequest, retired *int64) (*CachedResult, ResultOutcome, error) {
-	if s.results == nil {
-		body, err := s.executeRun(ctx, req, retired)
-		if err != nil {
-			return nil, ResultBypass, err
-		}
-		key := req.ResultKey()
-		return &CachedResult{Key: key, ETag: ETagFor(key, body), Body: body}, ResultBypass, nil
-	}
-	return s.results.Do(ctx, req.ResultKey(), func() ([]byte, error) {
-		return s.executeRun(ctx, req, retired)
-	})
-}
-
-// executeRun is the uncached serving path: admission, compile (under the
-// admission slot), one interpreter run, marshal. The returned bytes are
-// exactly what goes on the wire. retired reports the instructions actually
-// simulated, for per-tenant quota debits (zero on cache hits, which never
-// reach here).
-func (s *Server) executeRun(ctx context.Context, req *RunRequest, retired *int64) ([]byte, error) {
-	release, err := s.acquire(ctx, req.priority)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-
+// executeRun is one local /run under an admission slot: compile (through
+// the cache), one interpreter run, marshal. The returned bytes are exactly
+// what goes on the wire; the count is the instructions simulated.
+func (s *Server) executeRun(ctx context.Context, req *RunRequest) ([]byte, int64, error) {
 	comp, hit, err := s.compiledFor(req)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	res, err := core.RunCompiled(comp, req.options(ctx))
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	*retired = int64(res.Report.DynamicInstructions)
 	s.metrics.recordRun(req.Program, res.Report.DynamicInstructions, res.Wall)
 	s.metrics.recordTraces(res.Traces)
 
-	return marshalResponse(RunResponse{
+	body, err := marshalResponse(RunResponse{
 		Program:      req.Program,
 		Dispatch:     req.dispatchMode(),
 		CacheHit:     hit,
@@ -241,189 +112,88 @@ func (s *Server) executeRun(ctx context.Context, req *RunRequest, retired *int64
 		Blocks:       res.Blocks,
 		Report:       res.Report,
 	})
+	return body, int64(res.Report.DynamicInstructions), err
 }
 
 func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
-		return
-	}
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, errors.New("server is draining"))
+	if !s.Accept(w, r, http.MethodGet) {
 		return
 	}
 	q := r.URL.Query()
-	req := &RunRequest{Dispatch: q.Get("dispatch"), SkipCheck: true}
+	tmpl := RunRequest{Dispatch: q.Get("dispatch"), SkipCheck: true}
 	if v := q.Get("timeout_ms"); v != "" {
 		ms, err := strconv.ParseInt(v, 10, 64)
 		if err != nil || ms < 0 {
-			writeError(w, http.StatusBadRequest, errors.New("bad timeout_ms"))
+			s.Fail(w, r.Context(), BadRequest(errors.New("bad timeout_ms")))
 			return
 		}
-		req.TimeoutMS = ms
+		tmpl.TimeoutMS = ms
 	}
-	if _, err := core.CanonicalDispatch(req.Dispatch); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if _, err := core.CanonicalDispatch(tmpl.Dispatch); err != nil {
+		s.Fail(w, r.Context(), BadRequest(err))
 		return
 	}
-
-	ctx, cancel := s.requestContext(r, req.timeout(s.cfg.DefaultTimeout))
+	ctx, cancel := withTimeout(r.Context(), tmpl.timeout(s.cfg.DefaultTimeout))
 	defer cancel()
-	// The whole table is one cacheable result, keyed like a run with an
-	// empty program slot ("table|..."): the registry is static per
-	// deployment, so (dispatch, config) pins the artifact bytes.
-	res, outcome, err := s.tableResult(ctx, req)
+	res, outcome, err := s.table(ctx, tmpl, RequestOf(w, r))
 	if err != nil {
-		if errors.Is(err, errQueueFull) {
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, err)
-			return
-		}
-		status := runStatus(ctx, err)
-		if status == http.StatusGatewayTimeout || status == StatusClientClosedRequest {
-			s.metrics.canceled.Add(1)
-		} else {
-			s.metrics.runsFailed.Add(1)
-		}
-		writeError(w, status, err)
+		s.Fail(w, ctx, err)
 		return
 	}
 	WriteCachedResult(w, r, res, outcome)
 }
 
-// tableResult mirrors runResult for GET /table.
-func (s *Server) tableResult(ctx context.Context, req *RunRequest) (*CachedResult, ResultOutcome, error) {
-	key := "table|" + req.ResultKey()
-	if s.results == nil {
-		body, err := s.executeTable(ctx, req)
+// table answers the Table 2/3 artifacts for tmpl's options. The whole
+// table is one cacheable result, keyed like a run with an empty program
+// slot ("table|..."): the registry is static per deployment, so
+// (dispatch, config) pins the artifact bytes. A miss fans the suite out
+// through the pipeline, one admission slot per program, so a table never
+// holds a slot while it waits for others and shares its per-program
+// results with /run traffic.
+func (s *Server) table(ctx context.Context, tmpl RunRequest, from *Request) (*CachedResult, ResultOutcome, error) {
+	return s.do(ctx, "table|"+tmpl.ResultKey(), func() ([]byte, error) {
+		names, err := s.Programs(ctx)
 		if err != nil {
-			return nil, ResultBypass, err
+			return nil, err
 		}
-		return &CachedResult{Key: key, ETag: ETagFor(key, body), Body: body}, ResultBypass, nil
-	}
-	return s.results.Do(ctx, key, func() ([]byte, error) {
-		return s.executeTable(ctx, req)
+		rs, err := s.Suite(ctx, names, tmpl, from)
+		if err != nil {
+			return nil, err
+		}
+		return marshalResponse(TableResponse{
+			Dispatch:  tmpl.dispatchMode(),
+			Programs:  len(rs),
+			Table2:    core.Table2(rs),
+			Table2CSV: core.Table2CSV(rs),
+			Table3:    core.Table3(rs),
+			Table3CSV: core.Table3CSV(rs),
+		})
 	})
 }
 
 // WarmSuite renders and caches the whole-suite /table artifact for each
-// given dispatch name (any name core.CanonicalDispatch accepts),
-// so a daemon answers its first table request — and, through the shared
-// compiled-program cache, first per-program runs — warm instead of paying
-// the full sweep in request latency. Intended to run before serving starts;
-// it uses the same admission, caches and metrics as a live request.
+// given dispatch name (any name core.CanonicalDispatch accepts), so a
+// daemon answers its first table request — and, through the shared result
+// and compiled-program caches, first per-program runs — warm instead of
+// paying the full sweep in request latency. Intended to run before serving
+// starts; it uses the same admission, caches and metrics as a live
+// request.
 func (s *Server) WarmSuite(ctx context.Context, modes []string) error {
 	for _, mode := range modes {
 		if _, err := core.CanonicalDispatch(mode); err != nil {
 			return fmt.Errorf("warm suite: %w", err)
 		}
-		// The request mirrors handleTable's exactly so the cached bytes key
-		// identically to later GET /table traffic.
-		req := &RunRequest{Dispatch: mode, SkipCheck: true}
-		if _, _, err := s.tableResult(ctx, req); err != nil {
+		// The template mirrors handleTable's exactly so the cached bytes
+		// key identically to later GET /table traffic.
+		if _, _, err := s.table(ctx, RunRequest{Dispatch: mode, SkipCheck: true}, &Request{}); err != nil {
 			return fmt.Errorf("warm suite (%s): %w", mode, err)
 		}
 	}
 	return nil
 }
 
-// executeTable renders the Table 2/3 artifacts uncached. A table request
-// occupies one admission slot for its whole suite sweep; the sweep itself
-// fans out on an internal pool so the suite finishes in roughly
-// max-program time rather than summed time.
-func (s *Server) executeTable(ctx context.Context, req *RunRequest) ([]byte, error) {
-	release, err := s.acquire(ctx, req.priority)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-
-	rs, err := s.runSuite(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	return marshalResponse(TableResponse{
-		Dispatch:  req.dispatchMode(),
-		Programs:  len(rs),
-		Table2:    core.Table2(rs),
-		Table2CSV: core.Table2CSV(rs),
-		Table3:    core.Table3(rs),
-		Table3CSV: core.Table3CSV(rs),
-	})
-}
-
-// runSuite runs every registered benchmark through the cache on a bounded
-// internal pool, returning the keyed result set the table renderers
-// consume. The first error wins; the context aborts the stragglers.
-func (s *Server) runSuite(ctx context.Context, req *RunRequest) (core.ResultSet, error) {
-	benches := s.cfg.Benchmarks()
-	type item struct {
-		name string
-		res  *core.Result
-		err  error
-	}
-	jobs := make(chan core.Benchmark)
-	out := make(chan item, len(benches))
-	workers := s.cfg.Workers
-	if workers > len(benches) {
-		workers = len(benches)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for bench := range jobs {
-				name := bench.Name()
-				if err := ctx.Err(); err != nil {
-					out <- item{name: name, err: err}
-					continue
-				}
-				one := *req
-				one.Program = name
-				comp, _, err := s.compiledFor(&one)
-				if err != nil {
-					out <- item{name: name, err: err}
-					continue
-				}
-				res, err := core.RunCompiled(comp, one.options(ctx))
-				if err != nil {
-					out <- item{name: name, err: err}
-					continue
-				}
-				s.metrics.recordRun(name, res.Report.DynamicInstructions, res.Wall)
-				s.metrics.recordTraces(res.Traces)
-				out <- item{name: name, res: res}
-			}
-		}()
-	}
-	for _, bench := range benches {
-		jobs <- bench
-	}
-	close(jobs)
-	wg.Wait()
-	close(out)
-
-	rs := make(core.ResultSet, len(benches))
-	var firstErr error
-	for it := range out {
-		if it.err != nil {
-			if firstErr == nil {
-				firstErr = it.err
-			}
-			continue
-		}
-		rs[it.name] = it.res
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return rs, nil
-}
-
 func (s *Server) handlePrograms(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
+	if !s.Accept(w, r, http.MethodGet) {
 		return
 	}
 	benches := s.cfg.Benchmarks()
@@ -437,18 +207,5 @@ func (s *Server) handlePrograms(w http.ResponseWriter, r *http.Request) {
 			Kind: b.Kind, Descr: b.Descr,
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	_, _ = w.Write([]byte("ok\n"))
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.snapshot())
+	WriteJSON(w, http.StatusOK, resp)
 }

@@ -1,9 +1,11 @@
-// Observability. Counters are expvar vars held on the Server (not the
-// process-global expvar registry, which panics on duplicate names and
-// would make the daemon untestable side by side); /metrics renders them as
-// one JSON document together with derived gauges — queue depth, cache hit
-// rate, per-benchmark run counts, aggregate simulated instr/s, and p50/p99
-// wall-time quantiles over a sliding window.
+// Observability. Counters are expvar vars held on the Server and its
+// Pipeline (not the process-global expvar registry, which panics on
+// duplicate names and would make the daemon untestable side by side). The
+// pipeline's counters — requests, answers by kind, campaigns — are the same
+// on both tiers (PipelineStats); mmxd's /metrics renders them as one JSON
+// document together with the local executor's gauges — queue depth, cache
+// hit rate, per-benchmark run counts, aggregate simulated instr/s, and
+// p50/p99 wall-time quantiles over a sliding window.
 package server
 
 import (
@@ -21,8 +23,8 @@ import (
 // unbounded growth.
 const latencyWindowSize = 1024
 
-// LatencyWindow is a fixed-size ring of recent wall times; both tiers
-// derive their p50/p99 gauges from one.
+// LatencyWindow is a fixed-size ring of recent wall times; the p50/p99
+// gauges of run and campaign-point wall times derive from one each.
 type LatencyWindow struct {
 	mu   sync.Mutex
 	buf  [latencyWindowSize]float64 // milliseconds
@@ -60,16 +62,13 @@ func (l *LatencyWindow) Quantiles(qs ...float64) []float64 {
 	return out
 }
 
-// metrics is the server's counter set.
+// metrics is the local executor's counter set.
 type metrics struct {
 	runsOK     expvar.Int
-	runsFailed expvar.Int
 	runsByName expvar.Map // per-benchmark completed run counts
 
-	rejected   expvar.Int // 429s from admission-queue overflow
-	canceled   expvar.Int // runs aborted by deadline/disconnect/drain
-	tenantShed expvar.Int // 429s from per-tenant quotas (tenant.go)
-	asmRuns    expvar.Int // user-submitted programs actually simulated
+	rejected expvar.Int // 429s from admission-queue overflow
+	asmRuns  expvar.Int // user-submitted programs actually simulated
 
 	instrs expvar.Int // simulated instructions retired across all runs
 	wallNS expvar.Int // host nanoseconds spent inside cpu.Run
@@ -82,17 +81,6 @@ type metrics struct {
 	traceDeopts  expvar.Int
 	traceIters   expvar.Int
 	traceExits   expvar.Int
-
-	// Campaign accounting: campaigns created, points settled by outcome,
-	// and a separate latency window for per-point wall times (campaign
-	// points are batch work; mixing them into the request window would
-	// skew interactive p99s).
-	campaignsTotal         expvar.Int
-	campaignPoints         expvar.Int
-	campaignPointsCached   expvar.Int
-	campaignPointsFailed   expvar.Int
-	campaignPointsCanceled expvar.Int
-	campaignLatency        LatencyWindow
 
 	latency LatencyWindow
 }
@@ -125,21 +113,106 @@ func (m *metrics) recordTraces(ts core.TraceStats) {
 	m.traceExits.Add(int64(ts.Exits))
 }
 
+// counters is the shared pipeline's counter set.
+type counters struct {
+	runRequests expvar.Int // /run bodies accepted
+	asmRequests expvar.Int // /asm bodies accepted
+	memoHits    expvar.Int // bodies keyed without re-parsing
+
+	shed       expvar.Int // 503s: drain, or no backend reachable
+	canceled   expvar.Int // answers ended by a deadline, disconnect or drain
+	failed     expvar.Int // 500s
+	tenantShed expvar.Int // 429s from per-tenant quotas (tenant.go)
+	runPanics  expvar.Int // executions that panicked (core.PanicError)
+
+	// Campaign accounting: campaigns created, points settled by outcome,
+	// and a separate latency window for per-point wall times (campaign
+	// points are batch work; mixing them into a request window would skew
+	// interactive p99s).
+	campaignsTotal         expvar.Int
+	campaignPoints         expvar.Int
+	campaignPointsCached   expvar.Int
+	campaignPointsFailed   expvar.Int
+	campaignPointsCanceled expvar.Int
+	campaignLatency        LatencyWindow
+}
+
 // recordCampaignPoint accounts one settled campaign point; it is the
 // campaign.RunnerConfig.OnPoint hook.
-func (m *metrics) recordCampaignPoint(wall time.Duration, outcome string, cached bool) {
-	m.campaignPoints.Add(1)
+func (c *counters) recordCampaignPoint(wall time.Duration, outcome string, cached bool) {
+	c.campaignPoints.Add(1)
 	switch outcome {
 	case campaign.PointFailed:
-		m.campaignPointsFailed.Add(1)
+		c.campaignPointsFailed.Add(1)
 	case campaign.PointCanceled:
-		m.campaignPointsCanceled.Add(1)
+		c.campaignPointsCanceled.Add(1)
 	default:
 		if cached {
-			m.campaignPointsCached.Add(1)
+			c.campaignPointsCached.Add(1)
 		}
-		m.campaignLatency.Add(wall)
+		c.campaignLatency.Add(wall)
 	}
+}
+
+// CampaignMetrics is the campaign block of both tiers' /metrics: running
+// and lifetime campaigns, and settled points by outcome with their own
+// wall-time quantiles.
+type CampaignMetrics struct {
+	CampaignsActive        int64   `json:"campaigns_active"`
+	CampaignsTotal         int64   `json:"campaigns_total"`
+	CampaignPoints         int64   `json:"campaign_points_total"`
+	CampaignPointsCached   int64   `json:"campaign_points_cached"`
+	CampaignPointsFailed   int64   `json:"campaign_points_failed"`
+	CampaignPointsCanceled int64   `json:"campaign_points_canceled"`
+	CampaignPointWallP50   float64 `json:"campaign_point_wall_ms_p50"`
+	CampaignPointWallP99   float64 `json:"campaign_point_wall_ms_p99"`
+}
+
+// PipelineStats is what the shared pipeline counts; each tier's /metrics
+// document reports its share.
+type PipelineStats struct {
+	RunRequests, AsmRequests int64 // bodies accepted at /run and /asm
+	MemoHits                 int64
+	MemoEntries              int
+	Shed, Canceled, Failed   int64
+	TenantShed, RunPanics    int64
+	Tenants                  map[string]TenantStats
+	Results                  ResultCacheStats // zero when result caching is off
+	Campaigns                CampaignMetrics
+	Draining                 bool
+}
+
+// Stats snapshots the pipeline's counters.
+func (p *Pipeline) Stats() PipelineStats {
+	c := &p.counts
+	ps := PipelineStats{
+		RunRequests: c.runRequests.Value(),
+		AsmRequests: c.asmRequests.Value(),
+		MemoHits:    c.memoHits.Value(),
+		Shed:        c.shed.Value(),
+		Canceled:    c.canceled.Value(),
+		Failed:      c.failed.Value(),
+		TenantShed:  c.tenantShed.Value(),
+		RunPanics:   c.runPanics.Value(),
+		Tenants:     p.tenants.Stats(),
+		Campaigns: CampaignMetrics{
+			CampaignsActive:        int64(p.campaigns.Active()),
+			CampaignsTotal:         c.campaignsTotal.Value(),
+			CampaignPoints:         c.campaignPoints.Value(),
+			CampaignPointsCached:   c.campaignPointsCached.Value(),
+			CampaignPointsFailed:   c.campaignPointsFailed.Value(),
+			CampaignPointsCanceled: c.campaignPointsCanceled.Value(),
+		},
+		Draining: p.draining.Load(),
+	}
+	if q := c.campaignLatency.Quantiles(0.50, 0.99); q != nil {
+		ps.Campaigns.CampaignPointWallP50, ps.Campaigns.CampaignPointWallP99 = q[0], q[1]
+	}
+	if p.results != nil {
+		ps.Results = p.results.Stats()
+		ps.MemoEntries = p.memo.len()
+	}
+	return ps
 }
 
 // instrsPerSec returns the aggregate simulated throughput over all served
@@ -161,6 +234,9 @@ type MetricsSnapshot struct {
 	RunsOK       int64   `json:"runs_ok"`
 	RunsFailed   int64   `json:"runs_failed"`
 	InstrsPerSec float64 `json:"instrs_per_sec"`
+	// RunPanics counts runs that panicked (each answered 500, never
+	// cached).
+	RunPanics int64 `json:"run_panics"`
 
 	// Multi-tenant accounting: user-submitted (/asm) runs simulated,
 	// per-tenant quota 429s, and per-tenant admission counters.
@@ -196,16 +272,7 @@ type MetricsSnapshot struct {
 	TraceDeopts      int64   `json:"trace_deopts"`
 	TraceSideExitPct float64 `json:"trace_side_exit_pct"`
 
-	// Campaign accounting: running campaigns, lifetime campaigns, and
-	// settled points by outcome with their own wall-time quantiles.
-	CampaignsActive        int64   `json:"campaigns_active"`
-	CampaignsTotal         int64   `json:"campaigns_total"`
-	CampaignPoints         int64   `json:"campaign_points_total"`
-	CampaignPointsCached   int64   `json:"campaign_points_cached"`
-	CampaignPointsFailed   int64   `json:"campaign_points_failed"`
-	CampaignPointsCanceled int64   `json:"campaign_points_canceled"`
-	CampaignPointWallP50   float64 `json:"campaign_point_wall_ms_p50"`
-	CampaignPointWallP99   float64 `json:"campaign_point_wall_ms_p99"`
+	CampaignMetrics
 
 	WallMSP50 float64 `json:"wall_ms_p50"`
 	WallMSP99 float64 `json:"wall_ms_p99"`
@@ -218,57 +285,55 @@ type MetricsSnapshot struct {
 // snapshot materializes the current counters.
 func (s *Server) snapshot() MetricsSnapshot {
 	m := s.metrics
+	ps := s.Stats()
 	cs := s.cache.stats()
+	rs := ps.Results
 	active, queued := s.admit.stats()
 	snap := MetricsSnapshot{
-		QueueDepth:     queued,
-		ActiveRuns:     active,
-		Rejected:       m.rejected.Value(),
-		Canceled:       m.canceled.Value(),
-		AsmRuns:        m.asmRuns.Value(),
-		TenantShed:     m.tenantShed.Value(),
-		Tenants:        s.tenants.Stats(),
-		RunsOK:         m.runsOK.Value(),
-		RunsFailed:     m.runsFailed.Value(),
-		InstrsPerSec:   m.instrsPerSec(),
+		QueueDepth:   queued,
+		ActiveRuns:   active,
+		Rejected:     m.rejected.Value(),
+		Canceled:     ps.Canceled,
+		RunsOK:       m.runsOK.Value(),
+		RunsFailed:   ps.Failed,
+		InstrsPerSec: m.instrsPerSec(),
+		RunPanics:    ps.RunPanics,
+
+		AsmRuns:    m.asmRuns.Value(),
+		TenantShed: ps.TenantShed,
+		Tenants:    ps.Tenants,
+
 		CacheEntries:   cs.Entries,
 		CacheCapacity:  cs.Capacity,
 		CacheHits:      cs.Hits,
 		CacheMisses:    cs.Misses,
 		CacheEvictions: cs.Evictions,
 		CacheHitRate:   cs.HitRate(),
-		RunsByProgram:  map[string]int64{},
-		Draining:       s.draining.Load(),
+
+		ResultEntries:        rs.Entries,
+		ResultCapacity:       rs.Capacity,
+		ResultHits:           rs.Hits,
+		ResultSpillHits:      rs.SpillHits,
+		ResultMisses:         rs.Misses,
+		ResultCoalesced:      rs.Coalesced,
+		ResultEvictions:      rs.Evictions,
+		ResultSpillEvictions: rs.SpillEvictions,
+		ResultHitRate:        rs.HitRate(),
+
+		TracesFormed: m.tracesFormed.Value(),
+		TreeNodes:    m.treeNodes.Value(),
+		TraceDeopts:  m.traceDeopts.Value(),
+
+		CampaignMetrics: ps.Campaigns,
+
+		RunsByProgram: map[string]int64{},
+		Draining:      ps.Draining,
 	}
-	if s.results != nil {
-		rs := s.results.Stats()
-		snap.ResultEntries = rs.Entries
-		snap.ResultCapacity = rs.Capacity
-		snap.ResultHits = rs.Hits
-		snap.ResultSpillHits = rs.SpillHits
-		snap.ResultMisses = rs.Misses
-		snap.ResultCoalesced = rs.Coalesced
-		snap.ResultEvictions = rs.Evictions
-		snap.ResultSpillEvictions = rs.SpillEvictions
-		snap.ResultHitRate = rs.HitRate()
-	}
-	snap.TracesFormed = m.tracesFormed.Value()
-	snap.TreeNodes = m.treeNodes.Value()
-	snap.TraceDeopts = m.traceDeopts.Value()
 	if total := m.traceIters.Value() + m.traceExits.Value(); total > 0 {
 		snap.TraceSideExitPct = 100 * float64(m.traceExits.Value()) / float64(total)
 	}
 	if q := m.latency.Quantiles(0.50, 0.99); q != nil {
 		snap.WallMSP50, snap.WallMSP99 = q[0], q[1]
-	}
-	snap.CampaignsActive = int64(s.campaigns.Active())
-	snap.CampaignsTotal = m.campaignsTotal.Value()
-	snap.CampaignPoints = m.campaignPoints.Value()
-	snap.CampaignPointsCached = m.campaignPointsCached.Value()
-	snap.CampaignPointsFailed = m.campaignPointsFailed.Value()
-	snap.CampaignPointsCanceled = m.campaignPointsCanceled.Value()
-	if q := m.campaignLatency.Quantiles(0.50, 0.99); q != nil {
-		snap.CampaignPointWallP50, snap.CampaignPointWallP99 = q[0], q[1]
 	}
 	m.runsByName.Do(func(kv expvar.KeyValue) {
 		if v, ok := kv.Value.(*expvar.Int); ok {

@@ -1,6 +1,6 @@
 // Request decoding and validation for the /run API. Parsing is strict —
 // unknown fields, trailing data and out-of-range values are rejected with
-// errors the handler maps to 400 — and separated from serving so the
+// errors answered 400 — and separated from serving so the
 // decoder can be fuzzed in isolation (FuzzParseRequest).
 package server
 
@@ -22,9 +22,8 @@ import (
 // both tiers; the largest legitimate request is a few KB of JSON.
 const MaxRequestBody = 1 << 20
 
-// ErrBodyTooLarge marks a request body over its endpoint's cap. Every
-// handler on both tiers maps it (and ErrSourceTooLarge) to 413 via
-// RequestErrorStatus.
+// ErrBodyTooLarge marks a request body over its endpoint's cap; it (and
+// ErrSourceTooLarge) answers 413 on both tiers.
 var ErrBodyTooLarge = errors.New("request body too large")
 
 // ConfigOverride is the request-level view of pentium.Config plus the
@@ -100,10 +99,6 @@ type RunRequest struct {
 	// Config carries timing-model ablation overrides; nil selects the
 	// standard Pentium-with-MMX configuration.
 	Config *ConfigOverride `json:"config,omitempty"`
-
-	// priority is the admission priority resolved from PriorityHeader
-	// (interactive unless the client says "bulk"); not part of the JSON.
-	priority int
 }
 
 // ParseRunRequest decodes and validates a /run body. Program existence is
@@ -216,21 +211,19 @@ func (r *RunRequest) configKey() string {
 		r.Config.cacheSpec().Key())
 }
 
-// CacheKey returns the canonical affinity key for the request: the same
-// (program, dispatch, config) triple the daemon's compiled-program cache
-// keys on. A coordinator that routes on this string lands repeat requests
-// on the backend where the artifact is already compiled, by construction.
+// CacheKey returns the canonical affinity key for the request: the
+// (program, dispatch, config) triple a coordinator rendezvous-hashes. Every
+// key of one program lands on a backend whose compiled-program cache
+// (keyed by the program alone) holds the artifact after its first run.
 func (r *RunRequest) CacheKey() string {
 	return r.Program + "|" + r.dispatchMode() + "|" + r.configKey()
 }
 
 // ResultKey returns the canonical result-cache key: CacheKey extended with
-// the fields that shape the response bytes but not the compiled artifact.
-// The compiled-artifact key deliberately omits max_instrs and skip_check —
-// the same code serves every budget — so reusing it verbatim for results
-// would serve wrong bytes (e.g. a budget-truncated run answering an
-// unbounded request). timeout_ms stays out of both keys: it decides
-// whether a run finishes, never what a finished run reports.
+// the fields that shape the response bytes but not the affinity: the
+// budget (a budget-truncated run must never answer an unbounded request)
+// and skip_check. timeout_ms stays out of both keys: it decides whether a
+// run finishes, never what a finished run reports.
 func (r *RunRequest) ResultKey() string {
 	return r.CacheKey() + fmt.Sprintf("|mi=%d|sc=%t", r.MaxInstrs, r.SkipCheck)
 }
@@ -275,13 +268,4 @@ func ReadBody(r *http.Request, limit int) ([]byte, error) {
 		return nil, fmt.Errorf("%w (limit %d bytes)", ErrBodyTooLarge, limit)
 	}
 	return buf, nil
-}
-
-// RequestErrorStatus maps a body-read or request-parse error to its HTTP
-// status: 413 for an oversized body or source listing, 400 otherwise.
-func RequestErrorStatus(err error) int {
-	if errors.Is(err, ErrBodyTooLarge) || errors.Is(err, ErrSourceTooLarge) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
 }

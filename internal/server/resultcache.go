@@ -11,9 +11,9 @@
 // restarts and across tiers), and optionally spills entries to a directory
 // so a restarted daemon answers warm traffic without re-simulating.
 //
-// The same type backs the coordinator's result cache in internal/cluster:
-// there the fill routes to a backend instead of running the interpreter,
-// and a hit never costs a backend round-trip.
+// The shared pipeline holds one on each tier: on mmxd a fill runs the
+// interpreter, on the coordinator it routes to a backend, and there a hit
+// never costs a backend round-trip.
 package server
 
 import (

@@ -1,20 +1,30 @@
 // Package server is the mmxd simulation service: an HTTP/JSON daemon that
 // serves simulated Pentium-with-MMX benchmark runs on top of the
-// concurrent suite runner. It amortizes program construction across
-// requests with a bounded LRU of compiled artifacts, bounds concurrency
-// with a worker pool plus an admission queue that sheds load with 429s,
-// threads per-request contexts into the interpreter's poll hook so
-// deadlines, client disconnects and drain all halt simulation mid-run, and
-// exposes its internals through /metrics.
+// concurrent suite runner, and the request pipeline the mmxfleet
+// coordinator (internal/cluster) shares with it.
 //
-// Endpoints:
+// The pipeline (pipeline.go) is the serving path of both tiers: body
+// reading, the body-digest memo, strict parsing, tenant admission, the
+// result cache, campaigns, the whole-suite fan-out and error answers. The
+// tiers differ only in their Executor — the one step that turns an
+// accepted request into response bytes. The daemon's Server is the local
+// Executor: it bounds concurrency with a worker pool plus an admission
+// queue that sheds load with 429s, amortizes program construction with a
+// bounded LRU of compiled artifacts, threads per-request contexts into the
+// interpreter's poll hook so deadlines, client disconnects and drain all
+// halt simulation mid-run, and exposes its internals through /metrics.
+//
+// Endpoints (the pipeline's, then the daemon's own):
 //
 //	POST /run       run one benchmark (RunRequest -> RunResponse)
+//	POST /asm       run a submitted listing (AsmRequest -> AsmResponse)
+//	POST /campaign  run an ablation-sweep grid (plus GET/DELETE
+//	                /campaign/{id} and GET /campaign/{id}/events)
+//	GET  /healthz   liveness (503 while draining)
+//	GET  /metrics   JSON counter snapshot (MetricsSnapshot)
 //	GET  /table     run the suite, return the paper's Table 2/3 artifacts
 //	GET  /programs  the program registry (ProgramsResponse) — capability
 //	                discovery for coordinators fronting several daemons
-//	GET  /healthz   liveness (503 while draining)
-//	GET  /metrics   JSON counter snapshot (MetricsSnapshot)
 //
 // Every response carries an X-Request-ID header: the client's value when
 // supplied, a generated one otherwise. Error paths included — the ID is
@@ -28,10 +38,8 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"sync/atomic"
 	"time"
 
-	"mmxdsp/internal/campaign"
 	"mmxdsp/internal/core"
 	"mmxdsp/internal/suite"
 )
@@ -39,7 +47,7 @@ import (
 // Config tunes the daemon; zero values select the documented defaults.
 type Config struct {
 	// CacheEntries bounds the compiled-program LRU (default 64 — the full
-	// suite in three dispatch modes, with room for ablation configs).
+	// suite, with room for submitted /asm listings).
 	CacheEntries int
 	// ResultCacheEntries bounds the result-cache LRU of marshaled response
 	// bytes (default 512; negative disables result caching). Simulation is
@@ -103,28 +111,18 @@ type Config struct {
 	Benchmarks func() []core.Benchmark
 }
 
-// Server is one daemon instance. Create with New; it is ready to serve as
-// soon as Handler is mounted.
+// Server is one daemon instance: the shared Pipeline in front of the local
+// Executor. Create with New; it is ready to serve as soon as Handler is
+// mounted.
 type Server struct {
+	*Pipeline
 	cfg     Config
 	cache   *codeCache
-	results *ResultCache // nil when result caching is disabled
 	metrics *metrics
-	mux     *http.ServeMux
 
 	// admit is the worker pool: bounded concurrency plus a two-priority
 	// admission queue that sheds bulk traffic first (see admit.go).
 	admit *admitter
-	// tenants does per-tenant accounting and quota enforcement.
-	tenants  *TenantLimiter
-	draining atomic.Bool
-
-	// campaigns is the campaign registry; campaignCtx scopes running
-	// campaigns to the server lifetime (canceled on drain, so campaigns
-	// stop with the daemon instead of outliving its HTTP requests).
-	campaigns      *campaign.Store
-	campaignCtx    context.Context
-	campaignCancel context.CancelFunc
 }
 
 // New builds a Server from the configuration.
@@ -150,56 +148,89 @@ func New(cfg Config) *Server {
 	if cfg.AsmMaxInstrsCap == 0 {
 		cfg.AsmMaxInstrsCap = DefaultAsmMaxInstrs
 	}
-	if cfg.MaxSourceBytes <= 0 {
-		cfg.MaxSourceBytes = DefaultMaxSourceBytes
-	}
 	if cfg.CampaignWorkers <= 0 {
 		cfg.CampaignWorkers = DefaultCampaignWorkers
 	}
-	if cfg.CampaignMaxActive <= 0 {
-		cfg.CampaignMaxActive = DefaultCampaignMaxActive
-	}
 	s := &Server{
-		cfg:       cfg,
-		cache:     newCodeCache(cfg.CacheEntries),
-		metrics:   newMetrics(),
-		admit:     newAdmitter(cfg.Workers, cfg.QueueDepth),
-		tenants:   NewTenantLimiter(cfg.Tenant),
-		campaigns: campaign.NewStore(cfg.CampaignMaxActive, 0),
+		cfg:     cfg,
+		cache:   newCodeCache(cfg.CacheEntries),
+		metrics: newMetrics(),
+		admit:   newAdmitter(cfg.Workers, cfg.QueueDepth),
 	}
-	s.campaignCtx, s.campaignCancel = context.WithCancel(context.Background())
+	var results *ResultCache
 	if cfg.ResultCacheEntries > 0 {
-		s.results = NewResultCache(cfg.ResultCacheEntries, cfg.ResultCacheDir)
-		s.results.SetSpillLimits(cfg.ResultCacheSpillMaxBytes, cfg.ResultCacheSpillMaxFiles)
+		results = NewResultCache(cfg.ResultCacheEntries, cfg.ResultCacheDir)
+		results.SetSpillLimits(cfg.ResultCacheSpillMaxBytes, cfg.ResultCacheSpillMaxFiles)
 	}
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/run", s.handleRun)
-	s.mux.HandleFunc("/asm", s.handleAsm)
-	s.mux.HandleFunc("/campaign", s.handleCampaign)
-	s.mux.HandleFunc("/campaign/", s.handleCampaignID)
-	s.mux.HandleFunc("/table", s.handleTable)
-	s.mux.HandleFunc("/programs", s.handlePrograms)
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
+	s.Pipeline = NewPipeline(s, PipelineConfig{
+		Results:           results,
+		MaxSourceBytes:    cfg.MaxSourceBytes,
+		DefaultTimeout:    cfg.DefaultTimeout,
+		Tenants:           NewTenantLimiter(cfg.Tenant),
+		CampaignDir:       cfg.CampaignDir,
+		CampaignMaxPoints: cfg.CampaignMaxPoints,
+		CampaignWorkers:   cfg.CampaignWorkers,
+		CampaignMaxActive: cfg.CampaignMaxActive,
+	})
+	s.Handle("/table", s.handleTable)
+	s.Handle("/programs", s.handlePrograms)
 	return s
 }
 
-// Handler returns the daemon's HTTP handler.
-func (s *Server) Handler() http.Handler { return WithRequestID(s.mux) }
-
-// StartDrain flips the server into drain mode: /healthz reports 503 so
-// load balancers stop routing, and new work is refused with 503 while
-// requests already admitted run to completion (http.Server.Shutdown then
-// waits for those). Running campaigns are canceled — their points stop
-// through the same context plumbing as any canceled run. cmd/mmxd calls
-// this on SIGTERM/SIGINT.
-func (s *Server) StartDrain() {
-	s.draining.Store(true)
-	s.campaignCancel()
+// Check is the local half of request validation: it applies the
+// instruction-budget caps and rejects unknown programs, so unknown names
+// stay cheap 404s that never reach admission.
+func (s *Server) Check(req *Request) error {
+	var err error
+	if req.Asm != nil {
+		if req.Asm.MaxInstrs, err = s.capAsmInstrs(req.Asm.MaxInstrs); err != nil {
+			return BadRequest(err)
+		}
+		return nil
+	}
+	if req.Run.MaxInstrs, err = s.capInstrs(req.Run.MaxInstrs); err != nil {
+		return BadRequest(err)
+	}
+	if _, ok := s.cfg.Lookup(req.Run.Program); !ok {
+		return &StatusError{Status: http.StatusNotFound, Err: fmt.Errorf("unknown program %q", req.Run.Program)}
+	}
+	return nil
 }
 
-// Draining reports whether StartDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
+// Execute runs one request on this daemon: a worker slot (compilation
+// happens under it, so a flood of cold requests sheds before doing compile
+// work), the compiled program, one interpreter run, the marshaled answer.
+func (s *Server) Execute(ctx context.Context, req *Request) ([]byte, int64, error) {
+	release, err := s.acquire(ctx, req.Priority)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer release()
+	if req.Asm != nil {
+		return s.executeAsm(ctx, req.Asm)
+	}
+	return s.executeRun(ctx, req.Run)
+}
+
+// Programs lists the registry /table runs and campaigns may name.
+func (s *Server) Programs(context.Context) ([]string, error) {
+	benches := s.cfg.Benchmarks()
+	names := make([]string, len(benches))
+	for i, b := range benches {
+		names[i] = b.Name()
+	}
+	return names, nil
+}
+
+// Width is the worker-pool size: a /table fan-out keeps every slot busy
+// and no more.
+func (s *Server) Width() int { return s.cfg.Workers }
+
+// Ready always holds: a daemon that is not draining takes work.
+func (s *Server) Ready() error { return nil }
+
+// Metrics is the /metrics document (MetricsSnapshot).
+func (s *Server) Metrics() any { return s.snapshot() }
 
 // acquire admits one request into the worker pool at the given priority,
 // queueing up to cfg.QueueDepth waiters (bulk capped to half). The release
@@ -210,15 +241,6 @@ func (s *Server) acquire(ctx context.Context, priority int) (release func(), err
 		s.metrics.rejected.Add(1)
 	}
 	return release, err
-}
-
-// requestContext derives the run context: the HTTP request context (which
-// fires on client disconnect) plus the resolved deadline.
-func (s *Server) requestContext(r *http.Request, timeout time.Duration) (context.Context, context.CancelFunc) {
-	if timeout > 0 {
-		return context.WithTimeout(r.Context(), timeout)
-	}
-	return context.WithCancel(r.Context())
 }
 
 // capInstrs applies the server-side instruction-budget ceiling.
@@ -241,8 +263,7 @@ func (s *Server) compiledFor(req *RunRequest) (*core.Compiled, bool, error) {
 	if !ok {
 		return nil, false, fmt.Errorf("unknown program %q", req.Program)
 	}
-	key := cacheKey{program: req.Program, dispatch: req.dispatchMode(), config: req.configKey()}
-	return s.cache.get(key, func() (*core.Compiled, error) {
+	return s.cache.get(req.Program, func() (*core.Compiled, error) {
 		return core.CompileBenchmark(bench)
 	})
 }

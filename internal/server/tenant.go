@@ -49,7 +49,7 @@ func (l TenantLimits) enabled() bool {
 	return l.Rate > 0 || l.MaxConcurrent > 0 || l.InstrQuota > 0
 }
 
-// QuotaError is a per-tenant admission refusal; handlers map it to 429
+// QuotaError is a per-tenant admission refusal; Fail answers it 429
 // with a Retry-After header.
 type QuotaError struct {
 	Tenant     string
@@ -74,7 +74,8 @@ type tenantState struct {
 	shed     uint64 // lifetime quota refusals
 }
 
-// TenantLimiter tracks per-tenant state under one lock.
+// TenantLimiter tracks per-tenant state under one lock. A nil limiter
+// admits everything and records nothing.
 type TenantLimiter struct {
 	limits TenantLimits
 	mu     sync.Mutex
@@ -127,6 +128,9 @@ func (l *TenantLimiter) stateLocked(tenant string, now time.Time) *tenantState {
 // *QuotaError when a limit is exceeded. On success the tenant holds one
 // in-flight slot until Release.
 func (l *TenantLimiter) Admit(tenant string, now time.Time) error {
+	if l == nil {
+		return nil
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	st := l.stateLocked(tenant, now)
@@ -169,6 +173,9 @@ func (l *TenantLimiter) Admit(tenant string, now time.Time) error {
 // Release returns the tenant's in-flight slot and debits the instructions
 // the request actually simulated (zero for cache hits and failures).
 func (l *TenantLimiter) Release(tenant string, instrs int64) {
+	if l == nil {
+		return
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if el, ok := l.elems[tenant]; ok {
@@ -189,6 +196,9 @@ type TenantStats struct {
 
 // Stats snapshots per-tenant accounting, most recently active first.
 func (l *TenantLimiter) Stats() map[string]TenantStats {
+	if l == nil {
+		return nil
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	out := make(map[string]TenantStats, len(l.elems))

@@ -63,7 +63,9 @@ echo "==> go test -run '^$' -fuzz FuzzAsmEndpoint -fuzztime 5s ./internal/server
 go test -run '^$' -fuzz FuzzAsmEndpoint -fuzztime 5s ./internal/server >/dev/null
 echo "==> go test -run '^$' -fuzz FuzzParseSuiteRequest -fuzztime 5s ./internal/cluster"
 go test -run '^$' -fuzz FuzzParseSuiteRequest -fuzztime 5s ./internal/cluster >/dev/null
-echo "==> go test -run '^$' -fuzz FuzzCoordinatorFrontDoor -fuzztime 5s ./internal/cluster"
+# FuzzCoordinatorFrontDoor drives the shared /run and /asm front door on
+# both tiers at once: a coordinator and an mmxd.
+echo "==> go test -run '^$' -fuzz FuzzCoordinatorFrontDoor -fuzztime 5s ./internal/cluster (both tiers)"
 go test -run '^$' -fuzz FuzzCoordinatorFrontDoor -fuzztime 5s ./internal/cluster >/dev/null
 echo "==> go test -run '^$' -fuzz FuzzParseCampaignRequest -fuzztime 5s ./internal/campaign"
 go test -run '^$' -fuzz FuzzParseCampaignRequest -fuzztime 5s ./internal/campaign >/dev/null
