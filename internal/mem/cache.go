@@ -9,34 +9,31 @@ import "fmt"
 type Cache struct {
 	lineShift uint32
 	setMask   uint32
-	ways      int
-	// tags[set*ways+way] holds the line tag; lru holds per-way age
-	// (0 = most recently used).
-	tags  []uint32
-	valid []bool
-	lru   []uint8
-	// mruLine[set] is the line tag (+1, so 0 means empty) of each set's
-	// most-recently-used way, checked first on Access. Sequential code
-	// re-references the same line heavily, so this single compare resolves
-	// most hits without the associative scan; hitting the MRU way leaves
-	// the LRU ordering unchanged, so the fast path is state-identical to
-	// the full search. Hierarchy.Access probes it directly for the L1.
-	mruLine []uint32
+	wayShift  uint32
+	// tags[set<<wayShift:][:ways] holds one set's lines, each stored +1 so
+	// that 0 marks an empty way, most recently used first: a hit moves its
+	// line to the front and a fill evicts the last way, which is the least
+	// recently used one or an empty one. Sequential code re-references the
+	// same line heavily, so comparing the front way first resolves most
+	// hits with one compare; Hierarchy.Access and Price probe it directly
+	// for the L1.
+	tags []uint32
 }
 
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // CheckGeometry validates a cache geometry without building it: sizeBytes,
 // lineBytes and the implied set count must be powers of two with at least
-// one set, ways at least 1. Request-driven configurations (ablation sweeps
-// over cache geometry) validate here and answer 400 instead of letting
-// NewCache panic the daemon.
+// one set, ways at least 1 (so a power of two too), and lines at least 2
+// bytes, so that a stored line+1 never wraps to the empty mark.
+// Request-driven configurations (ablation sweeps over cache geometry)
+// validate here and answer 400 instead of letting NewCache panic the daemon.
 func CheckGeometry(sizeBytes, ways, lineBytes int) error {
 	if ways < 1 {
 		return fmt.Errorf("cache ways must be >= 1, got %d", ways)
 	}
-	if !isPow2(lineBytes) {
-		return fmt.Errorf("cache line bytes must be a power of two, got %d", lineBytes)
+	if !isPow2(lineBytes) || lineBytes < 2 {
+		return fmt.Errorf("cache line bytes must be a power of two of at least 2, got %d", lineBytes)
 	}
 	if !isPow2(sizeBytes) {
 		return fmt.Errorf("cache size must be a power of two, got %d", sizeBytes)
@@ -61,16 +58,14 @@ func NewCache(sizeBytes, ways, lineBytes int) *Cache {
 		panic("mem: NewCache: " + err.Error())
 	}
 	sets := sizeBytes / (ways * lineBytes)
-	c := &Cache{
-		ways:    ways,
-		tags:    make([]uint32, sets*ways),
-		valid:   make([]bool, sets*ways),
-		lru:     make([]uint8, sets*ways),
-		mruLine: make([]uint32, sets),
-	}
+	c := &Cache{tags: make([]uint32, sets*ways)}
 	for lineBytes > 1 {
 		lineBytes >>= 1
 		c.lineShift++
+	}
+	for ways > 1 {
+		ways >>= 1
+		c.wayShift++
 	}
 	c.setMask = uint32(sets - 1)
 	return c
@@ -81,73 +76,33 @@ func NewCache(sizeBytes, ways, lineBytes int) *Cache {
 func (c *Cache) Access(addr uint32) bool {
 	line := addr >> c.lineShift
 	set := line & c.setMask
-	// Fast path: the most-recently-used line of the set. Touching the MRU
-	// way is a no-op on the LRU ages, so nothing else needs updating.
-	if c.mruLine[set] == line+1 {
+	if c.tags[set<<c.wayShift] == line+1 {
 		return true
 	}
 	return c.accessSlow(line, set)
 }
 
-// accessSlow is the associative search and fill behind the MRU probe.
+// accessSlow is the search and fill behind the front-way probe: it moves
+// line to the front of its set and reports whether it was already there.
 func (c *Cache) accessSlow(line, set uint32) bool {
-	base := int(set) * c.ways
-	// Search for a hit.
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == line {
-			c.touch(base, w)
-			c.mruLine[set] = line + 1
-			return true
-		}
+	ways := c.tags[set<<c.wayShift:][:1<<c.wayShift]
+	tag := line + 1
+	w := 1
+	for w < len(ways) && ways[w] != tag {
+		w++
 	}
-	// Miss: fill the LRU (or first invalid) way.
-	victim := 0
-	var worst uint8
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if !c.valid[i] {
-			victim = w
-			break
-		}
-		if c.lru[i] >= worst {
-			worst = c.lru[i]
-			victim = w
-		}
+	hit := w < len(ways)
+	if !hit {
+		w = len(ways) - 1
 	}
-	i := base + victim
-	c.tags[i] = line
-	c.valid[i] = true
-	// A filled line is most recently used; every other way ages.
-	for w := 0; w < c.ways; w++ {
-		if w != victim && c.lru[base+w] < uint8(c.ways-1) {
-			c.lru[base+w]++
-		}
-	}
-	c.lru[i] = 0
-	c.mruLine[set] = line + 1
-	return false
-}
-
-func (c *Cache) touch(base, way int) {
-	old := c.lru[base+way]
-	for w := 0; w < c.ways; w++ {
-		if c.lru[base+w] < old {
-			c.lru[base+w]++
-		}
-	}
-	c.lru[base+way] = 0
+	copy(ways[1:w+1], ways[:w])
+	ways[0] = tag
+	return hit
 }
 
 // Reset invalidates every line.
 func (c *Cache) Reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-		c.lru[i] = 0
-	}
-	for i := range c.mruLine {
-		c.mruLine[i] = 0
-	}
+	clear(c.tags)
 }
 
 // Penalties configures the extra cycles charged per access outcome. The
@@ -198,7 +153,7 @@ func NewHierarchySized(l1Size, l1Ways, l2Size, l2Ways, lineBytes int, pen Penalt
 }
 
 // Access models one data reference to addr and returns the extra cycles to
-// charge beyond the instruction's base latency. The L1 MRU-line probe is
+// charge beyond the instruction's base latency. The L1 front-way probe is
 // open-coded here so the overwhelmingly common hit resolves with a single
 // compare and no further call.
 func (h *Hierarchy) Access(addr uint32) int {
@@ -209,13 +164,71 @@ func (h *Hierarchy) Access(addr uint32) int {
 	l1 := h.L1
 	line := addr >> l1.lineShift
 	set := line & l1.setMask
-	if l1.mruLine[set] == line+1 {
+	if l1.tags[set<<l1.wayShift] == line+1 {
 		return 0
 	}
 	return h.hierSlow(addr, line, set)
 }
 
-// hierSlow finishes an access that missed the L1 MRU probe.
+// Next marks an entry of a reference trace as a further data reference of
+// the instruction whose reference precedes it (the store half of a
+// read-modify-write, say). A reference trace lists effective addresses in
+// reference order, one uint64 each, so every 32-bit address stays
+// representable beside the mark.
+const Next = 1 << 32
+
+// Price charges a reference trace in order, exactly as one Access per
+// entry would, and appends its penalties to pen: one per instruction, a
+// marked entry's adding to its instruction's. It counts the trace's
+// accesses once and keeps the L1 probe's fields in registers, so a hit
+// costs one compare.
+func (h *Hierarchy) Price(refs []uint64, pen []int32) []int32 {
+	if h == nil {
+		for _, r := range refs {
+			if r&Next == 0 {
+				pen = append(pen, 0)
+			}
+		}
+		return pen
+	}
+	h.Stats.Accesses += uint64(len(refs))
+	shift, mask, ways, tags := h.L1.lineShift, h.L1.setMask, h.L1.wayShift, h.L1.tags
+	for _, r := range refs {
+		addr := uint32(r)
+		line := addr >> shift
+		set := line & mask
+		var p int32
+		if tags[set<<ways] != line+1 {
+			p = int32(h.hierSlow(addr, line, set))
+		}
+		if r&Next != 0 {
+			pen[len(pen)-1] += p
+		} else {
+			pen = append(pen, p)
+		}
+	}
+	return pen
+}
+
+// Charge charges a reference trace in order for the hierarchy's state and
+// statistics alone, as Price does without the penalties.
+func (h *Hierarchy) Charge(refs []uint64) {
+	if h == nil {
+		return
+	}
+	h.Stats.Accesses += uint64(len(refs))
+	shift, mask, ways, tags := h.L1.lineShift, h.L1.setMask, h.L1.wayShift, h.L1.tags
+	for _, r := range refs {
+		addr := uint32(r)
+		line := addr >> shift
+		set := line & mask
+		if tags[set<<ways] != line+1 {
+			h.hierSlow(addr, line, set)
+		}
+	}
+}
+
+// hierSlow finishes an access that missed the L1 front-way probe.
 func (h *Hierarchy) hierSlow(addr, line, set uint32) int {
 	if h.L1.accessSlow(line, set) {
 		return 0

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -185,6 +186,7 @@ func TestNewCacheRejectsBadGeometry(t *testing.T) {
 		{"negative ways", 1024, -1, 32},
 		{"non-pow2 line", 1024, 2, 24},
 		{"zero line", 1024, 2, 0},
+		{"one-byte line", 1024, 2, 1},
 		{"non-pow2 size", 1000, 2, 32},
 		{"zero sets", 64, 4, 32},
 		{"ways not dividing", 1024, 3, 32},
@@ -203,8 +205,8 @@ func TestNewCacheRejectsBadGeometry(t *testing.T) {
 }
 
 // refCache is a brutally simple reference model: per-set slices ordered
-// most-recent-first. It validates that the MRU fast path in Cache.Access
-// leaves hit/miss behavior identical to plain LRU.
+// most-recent-first, grown on demand. It validates that Cache's fixed
+// recency-ordered ways and its front-way probe behave as plain LRU.
 type refCache struct {
 	lineShift uint32
 	sets      uint32
@@ -244,15 +246,17 @@ func (r *refCache) access(addr uint32) bool {
 }
 
 func TestCacheMatchesReferenceLRU(t *testing.T) {
-	c := NewCache(1024, 4, 32) // 8 sets
-	r := newRefCache(1024, 4, 32)
-	// Deterministic pseudo-random walk mixing re-references and conflicts.
-	x := uint32(12345)
-	for i := 0; i < 20000; i++ {
-		x = x*1664525 + 1013904223
-		addr := x % 4096 // 128 lines over 8 sets: heavy conflict traffic
-		if got, want := c.Access(addr), r.access(addr); got != want {
-			t.Fatalf("access %d (addr %#x): Cache=%v ref=%v", i, addr, got, want)
+	for _, ways := range []int{1, 2, 4, 8} {
+		c := NewCache(1024, ways, 32) // 32 to 4 sets
+		r := newRefCache(1024, ways, 32)
+		// Deterministic pseudo-random walk mixing re-references and conflicts.
+		x := uint32(12345)
+		for i := 0; i < 20000; i++ {
+			x = x*1664525 + 1013904223
+			addr := x % 4096 // 128 lines: heavy conflict traffic
+			if got, want := c.Access(addr), r.access(addr); got != want {
+				t.Fatalf("%d ways, access %d (addr %#x): Cache=%v ref=%v", ways, i, addr, got, want)
+			}
 		}
 	}
 }
@@ -263,4 +267,72 @@ func TestNilHierarchyIsPerfect(t *testing.T) {
 		t.Error("nil hierarchy must charge nothing")
 	}
 	h.Reset() // must not panic
+}
+
+// TestPriceMatchesAccess checks that Price and Charge leave a hierarchy in
+// the state, with the statistics, that one Access per entry does, and that
+// Price's penalties are Access's summed per instruction.
+func TestPriceMatchesAccess(t *testing.T) {
+	refs := make([]uint64, 0, 5000)
+	x := uint32(777)
+	for i := 0; i < cap(refs); i++ {
+		x = x*1664525 + 1013904223
+		r := uint64(x % 16384) // 512 lines: misses in both small levels
+		if i > 0 && x>>30 == 0 {
+			r |= Next
+		}
+		refs = append(refs, r)
+	}
+	small := func() *Hierarchy { return NewHierarchySized(1024, 2, 4096, 2, 32, DefaultPenalties()) }
+	ref, priced, charged := small(), small(), small()
+	var want []int32
+	for _, r := range refs {
+		p := int32(ref.Access(uint32(r)))
+		if r&Next != 0 {
+			want[len(want)-1] += p
+		} else {
+			want = append(want, p)
+		}
+	}
+	// Price in uneven pieces, as the stream hands it regions.
+	var got []int32
+	for i := 0; i < len(refs); {
+		j := min(len(refs), i+1+i%7)
+		for j < len(refs) && refs[j]&Next != 0 {
+			j++ // a piece never splits an instruction
+		}
+		got = priced.Price(refs[i:j], got)
+		charged.Charge(refs[i:j])
+		i = j
+	}
+	if len(got) != len(want) {
+		t.Fatalf("Price gave %d penalties, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("penalty %d = %d, want %d", i, got[i], want[i])
+		}
+	}
+	for name, h := range map[string]*Hierarchy{"Price": priced, "Charge": charged} {
+		if h.Stats != ref.Stats {
+			t.Errorf("%s stats %+v, want %+v", name, h.Stats, ref.Stats)
+		}
+		if ref.Stats.L2Misses == 0 || ref.Stats.L1Misses == ref.Stats.L2Misses {
+			t.Fatalf("walk exercises too little: %+v", ref.Stats)
+		}
+		if !reflect.DeepEqual(*h.L1, *ref.L1) || !reflect.DeepEqual(*h.L2, *ref.L2) {
+			t.Errorf("%s: cache state differs from Access's", name)
+		}
+	}
+	var nilH *Hierarchy
+	zero := nilH.Price(refs, nil)
+	if len(zero) != len(want) {
+		t.Errorf("nil hierarchy gave %d penalties, want %d", len(zero), len(want))
+	}
+	for _, p := range zero {
+		if p != 0 {
+			t.Fatal("nil hierarchy must charge nothing")
+		}
+	}
+	nilH.Charge(refs) // must not panic
 }

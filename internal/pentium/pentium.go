@@ -4,7 +4,9 @@
 // (pipelined FP adder/multiplier and MMX multiplier: one issue per cycle,
 // three-cycle results), blocking microcoded operations (imul, idiv, fdiv,
 // transcendentals, emms), a branch-target-buffer predictor, and the
-// data-cache penalties attached to each event by the VM's cache model.
+// data-cache penalties the VM's cache model (vm.CPU.Hier) prices from each
+// event's effective addresses: on the observer's goroutine for a streamed
+// run, like the rest of this model, and on the interpreter's otherwise.
 //
 // This is the methodology the paper's measurement tool used: "Clock cycles
 // are calculated from the known latency of each assembly instruction and

@@ -62,7 +62,6 @@ type vmBlock struct {
 // the static instructions; every CPU built from the result shares it.
 func Compile(p *asm.Program) *Code {
 	infos := p.Blocks()
-	meta := p.InstMeta()
 	c := &Code{
 		prog:    p,
 		blocks:  make([]vmBlock, len(infos)),
@@ -102,7 +101,7 @@ func Compile(p *asm.Program) *Code {
 				continue
 			}
 			b.events++
-			if u, ok := lowerInst(in, meta[pc].RefsMem, int32(pc)); ok {
+			if u, ok := lowerInst(in, int32(pc)); ok {
 				u.cum = int64(pc-start) + 1
 				ops = append(ops, u)
 			}

@@ -85,6 +85,11 @@ func runPath(t *testing.T, prog *asm.Program, mode string) *runOutcome {
 // on a CPU of its own built from code (compiled privately when nil). It
 // only returns errors, so any goroutine may call it.
 func runMode(prog *asm.Program, code *vm.Code, mode string) (*runOutcome, error) {
+	return runModeHier(prog, code, mode, mem.NewHierarchy())
+}
+
+// runModeHier is runMode on the given (fresh) cache hierarchy.
+func runModeHier(prog *asm.Program, code *vm.Code, mode string, hier *mem.Hierarchy) (*runOutcome, error) {
 	cfg := pentium.DefaultConfig()
 	model := pentium.New(cfg)
 	model.Bind(prog)
@@ -107,7 +112,7 @@ func runMode(prog *asm.Program, code *vm.Code, mode string) (*runOutcome, error)
 	default:
 		return nil, fmt.Errorf("unknown mode %q", mode)
 	}
-	cpu.Hier = mem.NewHierarchy()
+	cpu.Hier = hier
 	if err := cpu.Run(1 << 31); err != nil {
 		return nil, fmt.Errorf("run (%s): %v", mode, err)
 	}

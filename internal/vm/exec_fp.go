@@ -16,13 +16,13 @@ const fpWhileMMX = "floating-point instruction while MMX state active (missing e
 // instruction, before emms) is an error, which models the real Pentium's
 // corrupted-FP-stack hazard and forces programs to pay the emms penalty at
 // every MMX-to-FP transition, exactly the cost the paper highlights.
-func (c *CPU) execFP(in *isa.Inst, ev *Event) error {
+func (c *CPU) execFP(in *isa.Inst) error {
 	if c.mmxActive {
 		return c.fault(fpWhileMMX)
 	}
 	switch in.Op {
 	case isa.FLD:
-		v, err := c.readFloat(in.B, ev)
+		v, err := c.readFloat(in.B)
 		if err != nil {
 			return err
 		}
@@ -43,7 +43,7 @@ func (c *CPU) execFP(in *isa.Inst, ev *Event) error {
 			return c.writeFPReg(in.A, v)
 		}
 		addr := c.effAddr(in.A)
-		c.chargeAccess(addr, ev)
+		c.noteAccess(addr)
 		var ok bool
 		switch in.A.Size {
 		case isa.SizeD:
@@ -63,7 +63,7 @@ func (c *CPU) execFP(in *isa.Inst, ev *Event) error {
 			return c.fault("fild needs a memory source")
 		}
 		addr := c.effAddr(in.B)
-		c.chargeAccess(addr, ev)
+		c.noteAccess(addr)
 		var v float64
 		switch in.B.Size {
 		case isa.SizeW:
@@ -92,7 +92,7 @@ func (c *CPU) execFP(in *isa.Inst, ev *Event) error {
 			return c.fault("fist needs a memory destination")
 		}
 		addr := c.effAddr(in.A)
-		c.chargeAccess(addr, ev)
+		c.noteAccess(addr)
 		r := math.RoundToEven(v)
 		var ok bool
 		switch in.A.Size {
@@ -113,7 +113,7 @@ func (c *CPU) execFP(in *isa.Inst, ev *Event) error {
 		if err != nil {
 			return err
 		}
-		b, err := c.readFloat(in.B, ev)
+		b, err := c.readFloat(in.B)
 		if err != nil {
 			return err
 		}
@@ -170,7 +170,7 @@ func (c *CPU) execFP(in *isa.Inst, ev *Event) error {
 		if err != nil {
 			return err
 		}
-		b, err := c.readFloat(in.B, ev)
+		b, err := c.readFloat(in.B)
 		if err != nil {
 			return err
 		}
@@ -199,13 +199,13 @@ func (c *CPU) writeFPReg(o isa.Operand, v float64) error {
 }
 
 // readFloat reads an FP register or a float32/float64 memory operand.
-func (c *CPU) readFloat(o isa.Operand, ev *Event) (float64, error) {
+func (c *CPU) readFloat(o isa.Operand) (float64, error) {
 	switch o.Kind {
 	case isa.KindReg:
 		return c.readFPReg(o)
 	case isa.KindMem:
 		addr := c.effAddr(o)
-		c.chargeAccess(addr, ev)
+		c.noteAccess(addr)
 		switch o.Size {
 		case isa.SizeD:
 			raw, ok := c.Mem.LoadU32(addr)

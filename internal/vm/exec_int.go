@@ -7,42 +7,42 @@ func (c *CPU) execInt(in *isa.Inst, ev *Event) error {
 	switch in.Op {
 	case isa.MOV:
 		// Distinguish store-from-register width from full register moves.
-		v, err := c.readInt(in.B, ev)
+		v, err := c.readInt(in.B)
 		if err != nil {
 			return err
 		}
-		return c.writeInt(in.A, v, ev)
+		return c.writeInt(in.A, v)
 
 	case isa.MOVZXB:
-		v, err := c.loadSizedAs(in.B, isa.SizeB, ev)
+		v, err := c.loadSizedAs(in.B, isa.SizeB)
 		if err != nil {
 			return err
 		}
-		return c.writeInt(in.A, v&0xFF, ev)
+		return c.writeInt(in.A, v&0xFF)
 	case isa.MOVZXW:
-		v, err := c.loadSizedAs(in.B, isa.SizeW, ev)
+		v, err := c.loadSizedAs(in.B, isa.SizeW)
 		if err != nil {
 			return err
 		}
-		return c.writeInt(in.A, v&0xFFFF, ev)
+		return c.writeInt(in.A, v&0xFFFF)
 	case isa.MOVSXB:
-		v, err := c.loadSizedAs(in.B, isa.SizeB, ev)
+		v, err := c.loadSizedAs(in.B, isa.SizeB)
 		if err != nil {
 			return err
 		}
-		return c.writeInt(in.A, uint32(int32(int8(v))), ev)
+		return c.writeInt(in.A, uint32(int32(int8(v))))
 	case isa.MOVSXW:
-		v, err := c.loadSizedAs(in.B, isa.SizeW, ev)
+		v, err := c.loadSizedAs(in.B, isa.SizeW)
 		if err != nil {
 			return err
 		}
-		return c.writeInt(in.A, uint32(int32(int16(v))), ev)
+		return c.writeInt(in.A, uint32(int32(int16(v))))
 
 	case isa.LEA:
 		if !in.B.IsMem() {
 			return c.fault("lea needs a memory operand")
 		}
-		return c.writeInt(in.A, c.effAddr(in.B), ev)
+		return c.writeInt(in.A, c.effAddr(in.B))
 
 	case isa.XCHG:
 		if !in.A.IsReg() || !in.B.IsReg() {
@@ -53,24 +53,24 @@ func (c *CPU) execInt(in *isa.Inst, ev *Event) error {
 		return nil
 
 	case isa.PUSH:
-		v, err := c.readInt(in.A, ev)
+		v, err := c.readInt(in.A)
 		if err != nil {
 			return err
 		}
-		return c.push32(v, ev)
+		return c.push32(v)
 	case isa.POP:
-		v, err := c.pop32(ev)
+		v, err := c.pop32()
 		if err != nil {
 			return err
 		}
-		return c.writeInt(in.A, v, ev)
+		return c.writeInt(in.A, v)
 
 	case isa.ADD, isa.ADC:
-		a, err := c.readInt(in.A, ev)
+		a, err := c.readInt(in.A)
 		if err != nil {
 			return err
 		}
-		b, err := c.readInt(in.B, ev)
+		b, err := c.readInt(in.B)
 		if err != nil {
 			return err
 		}
@@ -79,14 +79,14 @@ func (c *CPU) execInt(in *isa.Inst, ev *Event) error {
 		}
 		r := a + b
 		c.setAdd(a, b, r)
-		return c.writeInt(in.A, r, ev)
+		return c.writeInt(in.A, r)
 
 	case isa.SUB, isa.SBB:
-		a, err := c.readInt(in.A, ev)
+		a, err := c.readInt(in.A)
 		if err != nil {
 			return err
 		}
-		b, err := c.readInt(in.B, ev)
+		b, err := c.readInt(in.B)
 		if err != nil {
 			return err
 		}
@@ -95,14 +95,14 @@ func (c *CPU) execInt(in *isa.Inst, ev *Event) error {
 		}
 		r := a - b
 		c.setSub(a, b, r)
-		return c.writeInt(in.A, r, ev)
+		return c.writeInt(in.A, r)
 
 	case isa.CMP:
-		a, err := c.readInt(in.A, ev)
+		a, err := c.readInt(in.A)
 		if err != nil {
 			return err
 		}
-		b, err := c.readInt(in.B, ev)
+		b, err := c.readInt(in.B)
 		if err != nil {
 			return err
 		}
@@ -110,11 +110,11 @@ func (c *CPU) execInt(in *isa.Inst, ev *Event) error {
 		return nil
 
 	case isa.AND, isa.OR, isa.XOR, isa.TEST:
-		a, err := c.readInt(in.A, ev)
+		a, err := c.readInt(in.A)
 		if err != nil {
 			return err
 		}
-		b, err := c.readInt(in.B, ev)
+		b, err := c.readInt(in.B)
 		if err != nil {
 			return err
 		}
@@ -131,26 +131,26 @@ func (c *CPU) execInt(in *isa.Inst, ev *Event) error {
 		if in.Op == isa.TEST {
 			return nil
 		}
-		return c.writeInt(in.A, r, ev)
+		return c.writeInt(in.A, r)
 
 	case isa.NOT:
-		a, err := c.readInt(in.A, ev)
+		a, err := c.readInt(in.A)
 		if err != nil {
 			return err
 		}
-		return c.writeInt(in.A, ^a, ev)
+		return c.writeInt(in.A, ^a)
 
 	case isa.NEG:
-		a, err := c.readInt(in.A, ev)
+		a, err := c.readInt(in.A)
 		if err != nil {
 			return err
 		}
 		r := -a
 		c.setSub(0, a, r)
-		return c.writeInt(in.A, r, ev)
+		return c.writeInt(in.A, r)
 
 	case isa.INC, isa.DEC:
-		a, err := c.readInt(in.A, ev)
+		a, err := c.readInt(in.A)
 		if err != nil {
 			return err
 		}
@@ -163,14 +163,14 @@ func (c *CPU) execInt(in *isa.Inst, ev *Event) error {
 			c.of = a == 0x80000000
 		}
 		c.setZS(r) // inc/dec preserve CF, as on IA-32
-		return c.writeInt(in.A, r, ev)
+		return c.writeInt(in.A, r)
 
 	case isa.SHL, isa.SHR, isa.SAR:
-		a, err := c.readInt(in.A, ev)
+		a, err := c.readInt(in.A)
 		if err != nil {
 			return err
 		}
-		cnt, err := c.readInt(in.B, ev)
+		cnt, err := c.readInt(in.B)
 		if err != nil {
 			return err
 		}
@@ -192,14 +192,14 @@ func (c *CPU) execInt(in *isa.Inst, ev *Event) error {
 		}
 		c.setZS(r)
 		c.of = false
-		return c.writeInt(in.A, r, ev)
+		return c.writeInt(in.A, r)
 
 	case isa.IMUL:
-		a, err := c.readInt(in.A, ev)
+		a, err := c.readInt(in.A)
 		if err != nil {
 			return err
 		}
-		b, err := c.readInt(in.B, ev)
+		b, err := c.readInt(in.B)
 		if err != nil {
 			return err
 		}
@@ -207,10 +207,10 @@ func (c *CPU) execInt(in *isa.Inst, ev *Event) error {
 		r := uint32(full)
 		c.cf = full != int64(int32(r))
 		c.of = c.cf
-		return c.writeInt(in.A, r, ev)
+		return c.writeInt(in.A, r)
 
 	case isa.IDIV:
-		d, err := c.readInt(in.A, ev)
+		d, err := c.readInt(in.A)
 		if err != nil {
 			return err
 		}
@@ -250,7 +250,7 @@ func (c *CPU) execInt(in *isa.Inst, ev *Event) error {
 		return nil
 
 	case isa.CALL:
-		if err := c.push32(uint32(c.pc+1), ev); err != nil {
+		if err := c.push32(uint32(c.pc + 1)); err != nil {
 			return err
 		}
 		c.pc = int(in.Target)
@@ -258,7 +258,7 @@ func (c *CPU) execInt(in *isa.Inst, ev *Event) error {
 		return nil
 
 	case isa.RET:
-		ra, err := c.pop32(ev)
+		ra, err := c.pop32()
 		if err != nil {
 			return err
 		}
@@ -277,10 +277,10 @@ func (c *CPU) execInt(in *isa.Inst, ev *Event) error {
 
 // loadSizedAs reads a value forcing the given width (for movzx/movsx whose
 // width is part of the opcode). Register sources use the low bits.
-func (c *CPU) loadSizedAs(o isa.Operand, size isa.Size, ev *Event) (uint32, error) {
+func (c *CPU) loadSizedAs(o isa.Operand, size isa.Size) (uint32, error) {
 	if o.Kind == isa.KindReg {
 		return c.gpr[o.Reg.GPRIndex()], nil
 	}
 	o.Size = size
-	return c.loadSized(o, ev)
+	return c.loadSized(o)
 }

@@ -7,7 +7,7 @@ import (
 
 // execMMX executes MMX instructions. Any MMX instruction (except emms)
 // puts the machine in MMX mode; emms returns it to FP mode.
-func (c *CPU) execMMX(in *isa.Inst, ev *Event) error {
+func (c *CPU) execMMX(in *isa.Inst) error {
 	if in.Op == isa.EMMS {
 		c.mmxActive = false
 		return nil
@@ -18,22 +18,22 @@ func (c *CPU) execMMX(in *isa.Inst, ev *Event) error {
 	case isa.MOVD:
 		// movd mm, r32/m32 zero-extends; movd r32/m32, mm takes the low dword.
 		if in.A.IsReg() && in.A.Reg.IsMMX() {
-			v, err := c.readInt(in.B, ev)
+			v, err := c.readInt(in.B)
 			if err != nil {
 				return err
 			}
 			c.mm[in.A.Reg.MMXIndex()] = mmx.Reg(uint64(v))
 			return nil
 		}
-		v, err := c.readMMSrc(in.B, ev)
+		v, err := c.readMMSrc(in.B)
 		if err != nil {
 			return err
 		}
-		return c.writeInt(in.A, uint32(v), ev)
+		return c.writeInt(in.A, uint32(v))
 
 	case isa.MOVQ:
 		if in.A.IsReg() && in.A.Reg.IsMMX() {
-			v, err := c.readMMSrc(in.B, ev)
+			v, err := c.readMMSrc(in.B)
 			if err != nil {
 				return err
 			}
@@ -43,12 +43,12 @@ func (c *CPU) execMMX(in *isa.Inst, ev *Event) error {
 		if !in.A.IsMem() {
 			return c.fault("movq destination must be mm register or memory")
 		}
-		v, err := c.readMMSrc(in.B, ev)
+		v, err := c.readMMSrc(in.B)
 		if err != nil {
 			return err
 		}
 		addr := c.effAddr(in.A)
-		c.chargeAccess(addr, ev)
+		c.noteAccess(addr)
 		if !c.Mem.StoreU64(addr, uint64(v)) {
 			return c.fault("movq store out of range at %#x", addr)
 		}
@@ -64,7 +64,7 @@ func (c *CPU) execMMX(in *isa.Inst, ev *Event) error {
 		if in.B.IsImm() {
 			n = uint64(in.B.Imm)
 		} else {
-			v, err := c.readMMSrc(in.B, ev)
+			v, err := c.readMMSrc(in.B)
 			if err != nil {
 				return err
 			}
@@ -103,7 +103,7 @@ func (c *CPU) execMMX(in *isa.Inst, ev *Event) error {
 	if err != nil {
 		return err
 	}
-	src, err := c.readMMSrc(in.B, ev)
+	src, err := c.readMMSrc(in.B)
 	if err != nil {
 		return err
 	}
@@ -163,13 +163,13 @@ func (c *CPU) readMMReg(o isa.Operand) (mmx.Reg, error) {
 }
 
 // readMMSrc reads an mm register or a 64-bit memory operand.
-func (c *CPU) readMMSrc(o isa.Operand, ev *Event) (mmx.Reg, error) {
+func (c *CPU) readMMSrc(o isa.Operand) (mmx.Reg, error) {
 	switch o.Kind {
 	case isa.KindReg:
 		return c.readMMReg(o)
 	case isa.KindMem:
 		addr := c.effAddr(o)
-		c.chargeAccess(addr, ev)
+		c.noteAccess(addr)
 		if o.Size == isa.SizeD {
 			v, ok := c.Mem.LoadU32(addr)
 			if !ok {

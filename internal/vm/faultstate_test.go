@@ -4,7 +4,8 @@ package vm_test
 // fault must leave the same machine behind on the generic interpreter and
 // on the dispatch loop with trace formation off (block micro-ops) and on
 // (trace micro-ops) — the same fault text, the same Executed() count
-// (every instruction through the faulting one), registers and memory.
+// (every instruction through the faulting one), registers, memory and
+// cache statistics (the faulting region's references are charged too).
 
 import (
 	"bytes"
@@ -14,6 +15,7 @@ import (
 
 	"mmxdsp/internal/asm"
 	"mmxdsp/internal/isa"
+	"mmxdsp/internal/mem"
 	"mmxdsp/internal/pentium"
 	"mmxdsp/internal/profile"
 	"mmxdsp/internal/vm"
@@ -168,6 +170,7 @@ type faultRun struct {
 	mm       [8]uint64
 	fp       [8]uint64
 	mem      []byte
+	cache    mem.HierarchyStats
 	formed   int
 }
 
@@ -177,6 +180,7 @@ func runFault(t *testing.T, prog *asm.Program, code *vm.Code, mode string) fault
 	model.Bind(prog)
 	cpu := vm.NewWithCode(code)
 	cpu.Obs = profile.NewCollector(prog, model)
+	cpu.Hier = mem.NewHierarchy()
 	cpu.Generic = mode == "generic"
 	cpu.Traces = mode == "trace"
 	err := cpu.Run(1 << 20)
@@ -187,6 +191,7 @@ func runFault(t *testing.T, prog *asm.Program, code *vm.Code, mode string) fault
 		err:      err.Error(),
 		executed: cpu.Executed(),
 		mem:      append([]byte(nil), cpu.Mem.Bytes()...),
+		cache:    cpu.Hier.Stats,
 		formed:   cpu.TraceStats().Formed,
 	}
 	for i := 0; i < 8; i++ {
@@ -233,6 +238,9 @@ func TestFaultStateMatchesAcrossPaths(t *testing.T) {
 					}
 					if !bytes.Equal(got.mem, gen.mem) {
 						t.Errorf("%s memory image differs from generic", mode)
+					}
+					if got.cache != gen.cache {
+						t.Errorf("%s cache stats %+v, generic %+v", mode, got.cache, gen.cache)
 					}
 					if mode != "trace" {
 						continue

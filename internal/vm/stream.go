@@ -1,8 +1,11 @@
 // The observation stream of the dispatch loop (see the package comment for
 // its guarantees). The loop never calls Obs directly: each observation
-// becomes a record in the current batch, with its penalties, events or
-// trace blocks in the batch's arenas, and a consumer goroutine replays full
-// batches in order. The interpreter waits on the consumer only when every
+// becomes a record in the current batch, with its effective addresses,
+// events or trace blocks in the batch's arenas, and a consumer goroutine
+// replays full batches in order. The consumer also owns the cache model:
+// it folds each record's addresses through CPU.Hier into the penalties the
+// observer receives (mem.Hierarchy.Price), so the interpreter never waits
+// on the hierarchy. The interpreter waits on the consumer only when every
 // batch of the pool is in its hands.
 
 package vm
@@ -12,6 +15,7 @@ import (
 	"sync/atomic"
 
 	"mmxdsp/internal/isa"
+	"mmxdsp/internal/mem"
 )
 
 // streamBatch is the record and event capacity of one batch. Tests shrink
@@ -22,7 +26,7 @@ var streamBatch = 1024
 // the consumer: enough that neither side waits on the other's scheduling
 // jitter, few enough to bound a run's buffers. A batch holds at most
 // streamBatch records (16 B) and events (24 B) and about 4 × streamBatch
-// penalties (4 B), some 60 KB at the default size.
+// effective addresses (8 B), some 70 KB at the default size.
 const streamPool = 4
 
 // batches recycles batch storage across runs: a run's buffers grow to
@@ -30,20 +34,25 @@ const streamPool = 4
 // garbage (and the peak heap) of a run where it was without the stream.
 var batches = sync.Pool{New: func() any { return new(batch) }}
 
-// Record kinds: one per observer call, plus recRetire (see record).
+// Record kinds: one per observer call, plus recRetire and recPrice (see
+// record).
 const (
 	recRetire uint8 = iota
 	recBlock
 	recRegister
 	recTrace
 	recTraceExit
+	recPrice
 )
 
 // record is one observer call followed by ev Retire calls; a recRetire
 // record makes no call of its own and heads the Retire calls that open a
-// batch. Variable-length arguments live in the batch's arenas, consumed in
-// record order: n penalties (recBlock, recTrace, recTraceExit), n blocks
-// and directions (recRegister), then ev events.
+// batch, and a recPrice record only prices the n addresses of a region cut
+// short by a fault, keeping Hier.Stats equal to the generic loop's.
+// Variable-length arguments live in the batch's arenas, consumed in record
+// order: n effective addresses (recBlock, recTrace, recTraceExit,
+// recPrice), n blocks and directions (recRegister), then ev events, each
+// followed by its own addresses.
 type record struct {
 	kind     uint8
 	measured bool
@@ -54,10 +63,10 @@ type record struct {
 }
 
 // retired is an Event as the stream carries it; Inst is the program's
-// instruction at pc.
+// instruction at pc, and its n effective addresses price MemPenalty.
 type retired struct {
 	target          int
-	pc, pen         int32
+	pc, n           int32
 	measured, taken bool
 }
 
@@ -65,7 +74,7 @@ type retired struct {
 type batch struct {
 	recs   []record
 	events []retired
-	pen    []int32
+	addrs  []uint64
 	blocks []int32
 	taken  []bool
 }
@@ -75,23 +84,27 @@ type batch struct {
 // goroutine).
 type stream struct {
 	// The batch being filled, owned by the producer: b holds its
-	// storage while the slices below are filled in place. pen is the
-	// penalty arena: the dispatch loops append a record's penalties to it
-	// and pass the extended slice to that record's method, which takes
-	// everything past pen's length; appends that never reach a record (a
-	// fault mid-body) are dropped.
+	// storage while the slices below are filled in place. addrs is the
+	// address arena: the dispatch loops append a region's effective
+	// addresses to it (mem.Next marking an instruction's further
+	// references) and pass the extended slice to that record's method,
+	// which takes everything past addrs' length.
 	b      *batch
 	recs   []record
 	events []retired
-	pen    []int32
+	addrs  []uint64
 	blocks []int32
 	taken  []bool
-	// maxRecs and maxPen are the record and penalty counts that force a
+	// maxRecs and maxAddrs are the record and address counts that force a
 	// handoff.
-	maxRecs, maxPen int
+	maxRecs, maxAddrs int
 
 	obs   TraceObserver
 	insts []isa.Inst
+	// hier is the run's cache model, charged only by the consumer, and pen
+	// the consumer's penalty scratch.
+	hier *mem.Hierarchy
+	pen  []int32
 
 	// full carries filled batches to the consumer and free returns them.
 	// Both are buffered to the pool size, so neither the consumer's
@@ -109,17 +122,18 @@ type stream struct {
 // the consumer has failed; Run replaces it with the observer's own value.
 type stopStream struct{}
 
-// startStream builds the stream for obs, observing a run of insts, and
-// starts its consumer.
-func startStream(obs TraceObserver, insts []isa.Inst) *stream {
+// startStream builds the stream for obs, observing a run of insts priced
+// by hier, and starts its consumer.
+func startStream(obs TraceObserver, insts []isa.Inst, hier *mem.Hierarchy) *stream {
 	s := &stream{
-		maxRecs: streamBatch,
-		maxPen:  4 * streamBatch,
-		obs:     obs,
-		insts:   insts,
-		full:    make(chan *batch, streamPool),
-		free:    make(chan *batch, streamPool),
-		done:    make(chan struct{}),
+		maxRecs:  streamBatch,
+		maxAddrs: 4 * streamBatch,
+		obs:      obs,
+		insts:    insts,
+		hier:     hier,
+		full:     make(chan *batch, streamPool),
+		free:     make(chan *batch, streamPool),
+		done:     make(chan struct{}),
 	}
 	for i := 1; i < streamPool; i++ {
 		s.free <- batches.Get().(*batch)
@@ -142,8 +156,8 @@ func (s *stream) drain() {
 	}
 }
 
-// replay delivers one batch to the observer, recording a panic instead of
-// letting it kill the process.
+// replay prices one batch's addresses and delivers its observations,
+// recording a panic instead of letting it kill the process.
 func (s *stream) replay(b *batch) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -153,38 +167,48 @@ func (s *stream) replay(b *batch) {
 	}()
 	// Read once per batch: the stream's fields share cache lines with the
 	// producer's slice headers, which it rewrites on every record.
-	obs, insts := s.obs, s.insts
-	var ei, pi, bi int
+	obs, insts, hier, pen := s.obs, s.insts, s.hier, s.pen
+	var ei, ai, bi int
 	for _, r := range b.recs {
 		n := int(r.n)
+		if r.kind != recRegister {
+			pen = pen[:0]
+			if n > 0 {
+				pen = hier.Price(b.addrs[ai:ai+n], pen)
+				ai += n
+			}
+		}
 		switch r.kind {
 		case recBlock:
-			obs.ObserveBlock(int(r.id), r.measured, b.pen[pi:pi+n])
-			pi += n
+			obs.ObserveBlock(int(r.id), r.measured, pen)
 		case recRegister:
 			obs.RegisterTrace(int(r.id), b.blocks[bi:bi+n], b.taken[bi:bi+n])
 			bi += n
 		case recTrace:
-			obs.ObserveTrace(int(r.id), r.measured, b.pen[pi:pi+n])
-			pi += n
+			obs.ObserveTrace(int(r.id), r.measured, pen)
 		case recTraceExit:
-			obs.ObserveTraceExit(int(r.id), int(r.k), r.measured, b.pen[pi:pi+n])
-			pi += n
+			obs.ObserveTraceExit(int(r.id), int(r.k), r.measured, pen)
 		}
 		for _, e := range b.events[ei : ei+int(r.ev)] {
+			p := 0
+			if e.n > 0 {
+				p = cost(hier, b.addrs[ai:ai+int(e.n)])
+				ai += int(e.n)
+			}
 			obs.Retire(Event{
 				PC: int(e.pc), Inst: &insts[e.pc], Measured: e.measured,
-				Taken: e.taken, Target: e.target, MemPenalty: int(e.pen),
+				Taken: e.taken, Target: e.target, MemPenalty: p,
 			})
 		}
 		ei += int(r.ev)
 	}
+	s.pen = pen
 }
 
 // seal moves the producer's slices into the current batch.
 func (s *stream) seal() {
 	b := s.b
-	b.recs, b.events, b.pen, b.blocks, b.taken = s.recs, s.events, s.pen, s.blocks, s.taken
+	b.recs, b.events, b.addrs, b.blocks, b.taken = s.recs, s.events, s.addrs, s.blocks, s.taken
 }
 
 // close flushes the tail, joins the consumer and re-raises a panic: the
@@ -223,7 +247,7 @@ func (s *stream) handoff() {
 // take makes b, emptied, the batch being filled.
 func (s *stream) take(b *batch) {
 	s.b = b
-	s.recs, s.events, s.pen = b.recs[:0], b.events[:0], b.pen[:0]
+	s.recs, s.events, s.addrs = b.recs[:0], b.events[:0], b.addrs[:0]
 	s.blocks, s.taken = b.blocks[:0], b.taken[:0]
 }
 
@@ -239,16 +263,18 @@ func (s *stream) add(kind uint8, measured bool, k, id, n, ev int) {
 	}
 	r := &s.recs[len(s.recs)-1]
 	r.kind, r.measured, r.k, r.id, r.n, r.ev = kind, measured, uint16(k), int32(id), int32(n), int32(ev)
-	if len(s.recs) >= s.maxRecs || len(s.events) >= s.maxRecs || len(s.pen) >= s.maxPen {
+	if len(s.recs) >= s.maxRecs || len(s.events) >= s.maxRecs || len(s.addrs) >= s.maxAddrs {
 		s.handoff()
 	}
 }
 
-// retire records one Retire call, as a trailing event of the last record
-// when the batch has one.
-func (s *stream) retire(ev *Event) {
+// retire records one Retire call, with its instruction's effective
+// addresses, as a trailing event of the last record when the batch has
+// one.
+func (s *stream) retire(ev *Event, addrs []uint64) {
+	s.addrs = append(s.addrs, addrs...)
 	s.events = append(s.events, retired{
-		target: ev.Target, pc: int32(ev.PC), pen: int32(ev.MemPenalty),
+		target: ev.Target, pc: int32(ev.PC), n: int32(len(addrs)),
 		measured: ev.Measured, taken: ev.Taken,
 	})
 	if i := len(s.recs) - 1; i >= 0 {
@@ -261,11 +287,11 @@ func (s *stream) retire(ev *Event) {
 	s.add(recRetire, false, 0, 0, 0, 1)
 }
 
-// block records one ObserveBlock call; pen extends the arena with its
-// penalties.
-func (s *stream) block(bi int, measured bool, pen []int32) {
-	n := len(pen) - len(s.pen)
-	s.pen = pen
+// block records one ObserveBlock call; addrs extends the arena with its
+// effective addresses.
+func (s *stream) block(bi int, measured bool, addrs []uint64) {
+	n := len(addrs) - len(s.addrs)
+	s.addrs = addrs
 	s.add(recBlock, measured, 0, bi, n, 0)
 }
 
@@ -276,19 +302,28 @@ func (s *stream) register(id int, blocks []int32, taken []bool) {
 	s.add(recRegister, false, 0, id, len(blocks), 0)
 }
 
-// trace records one ObserveTrace call; pen extends the arena with its
-// penalties. It returns the arena to go on appending to.
-func (s *stream) trace(id int, measured bool, pen []int32) []int32 {
-	n := len(pen) - len(s.pen)
-	s.pen = pen
+// trace records one ObserveTrace call; addrs extends the arena with its
+// effective addresses. It returns the arena to go on appending to.
+func (s *stream) trace(id int, measured bool, addrs []uint64) []uint64 {
+	n := len(addrs) - len(s.addrs)
+	s.addrs = addrs
 	s.add(recTrace, measured, 0, id, n, 0)
-	return s.pen
+	return s.addrs
 }
 
-// traceExit records one ObserveTraceExit call; pen extends the arena with
-// its penalties.
-func (s *stream) traceExit(id, k int, measured bool, pen []int32) {
-	n := len(pen) - len(s.pen)
-	s.pen = pen
+// traceExit records one ObserveTraceExit call; addrs extends the arena with
+// its effective addresses.
+func (s *stream) traceExit(id, k int, measured bool, addrs []uint64) {
+	n := len(addrs) - len(s.addrs)
+	s.addrs = addrs
 	s.add(recTraceExit, measured, k, id, n, 0)
+}
+
+// priceOnly records the effective addresses of a region a fault cut short
+// (addrs extends the arena with them), so the consumer charges the cache
+// model for them as the generic loop did, without an observer call.
+func (s *stream) priceOnly(addrs []uint64) {
+	n := len(addrs) - len(s.addrs)
+	s.addrs = addrs
+	s.add(recPrice, false, 0, 0, n, 0)
 }

@@ -68,6 +68,97 @@ func TestStreamBatchSizesAgree(t *testing.T) {
 	}
 }
 
+// rmwWalkProg strides through 8 KiB with read-modify-writes, pushes and
+// pops of memory: the instructions with two data references each, whose
+// penalties the stream folds into one. Most of them, and its fst, run on
+// the generic executor inside block and trace bodies (uCall).
+func rmwWalkProg() *asm.Program {
+	b := asm.NewBuilder("rmwwalk")
+	b.Dwords("buf", make([]int32, 2048))
+	b.I(isa.MOV, asm.R(isa.EDX), asm.Imm(8))
+	b.Label("outer")
+	b.I(isa.MOV, asm.R(isa.ESI), asm.ImmSym("buf", 0))
+	b.I(isa.MOV, asm.R(isa.ECX), asm.Imm(2048/4-1))
+	b.Label("loop")
+	b.I(isa.ADD, asm.MemD(isa.ESI, 0), asm.R(isa.ECX))
+	b.I(isa.SUB, asm.MemW(isa.ESI, 2), asm.Imm(3))
+	b.I(isa.PUSH, asm.MemD(isa.ESI, 4))
+	b.I(isa.POP, asm.MemD(isa.ESI, 12))
+	b.I(isa.FST, asm.MemQ(isa.ESI, 0), asm.R(isa.FP0))
+	b.I(isa.NOT, asm.MemD(isa.ESI, 8))
+	b.I(isa.SHR, asm.MemB(isa.ESI, 9), asm.Imm(1))
+	b.I(isa.ADD, asm.R(isa.ESI), asm.Imm(16))
+	b.I(isa.SUB, asm.R(isa.ECX), asm.Imm(1))
+	b.J(isa.JNE, "loop")
+	b.I(isa.SUB, asm.R(isa.EDX), asm.Imm(1))
+	b.J(isa.JNE, "outer")
+	b.I(isa.HALT)
+	return b.MustLink()
+}
+
+// TestStreamSmallCacheModesAgree reruns part of the suite, and a program
+// of two-reference instructions, on a 1 KiB L1 and an 8 KiB L2, where
+// misses are common (the default hierarchy misses on about 2% of the
+// suite's references), at batch sizes 1, 3 and the default, with trace
+// formation off and on, against the generic loop. The stream's consumer
+// prices every reference, so an address delivered out of order, dropped,
+// or folded into the wrong instruction moves the cache statistics, the
+// cycles or both.
+func TestStreamSmallCacheModesAgree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-program differential run is slow; skipped with -short")
+	}
+	spec := core.DefaultCacheSpec()
+	spec.L1Size, spec.L1Ways = 1<<10, 2
+	spec.L2Size, spec.L2Ways = 8<<10, 2
+	hier := func() *mem.Hierarchy {
+		h, err := spec.Hierarchy()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	progs := []*asm.Program{rmwWalkProg()}
+	for _, name := range []string{"iir.mmx", "matvec.mmx", "sad.mmx"} {
+		b, ok := suite.ByName(name)
+		if !ok {
+			t.Fatalf("unknown program %s", name)
+		}
+		prog, err := b.Build()
+		if err != nil {
+			t.Fatalf("build %s: %v", name, err)
+		}
+		progs = append(progs, prog)
+	}
+	var refs, misses uint64
+	for _, prog := range progs {
+		code := vm.Compile(prog)
+		gen, err := runModeHier(prog, code, "generic", hier())
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs += gen.report.CacheAccesses
+		misses += gen.report.L1Misses
+		for _, n := range []int{1, 3, 0} {
+			restore := func() {}
+			if n > 0 {
+				restore = vm.SetStreamBatch(n)
+			}
+			for _, mode := range []string{"block", "trace"} {
+				got, err := runModeHier(prog, code, mode, hier())
+				if err != nil {
+					t.Fatal(err)
+				}
+				compareOutcomes(t, prog.Name+" generic", gen, fmt.Sprintf("%s %s batch%d", prog.Name, mode, n), got)
+			}
+			restore()
+		}
+	}
+	if misses*20 < refs {
+		t.Errorf("%d L1 misses in %d references: the cache is too large to test pricing order", misses, refs)
+	}
+}
+
 // TestStreamPartialBudgetReports pins reports of budget-stopped runs
 // (core.Options.PartialOnBudget) to the digests the synchronous observer
 // produced before the stream existed: the tail of a run cut by its budget

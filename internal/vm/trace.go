@@ -49,6 +49,7 @@ import (
 	"math"
 
 	"mmxdsp/internal/isa"
+	"mmxdsp/internal/mem"
 	"mmxdsp/internal/mmx"
 )
 
@@ -349,9 +350,8 @@ type uop struct {
 	imm2  uint32
 	// expect is the recorded direction of a uJcc, or the loop flag of uEnd.
 	expect bool
-	// refsMem/mmx describe a uCall'd instruction (penalty slot, mm spill).
-	refsMem bool
-	mmx     bool
+	// mmx marks a uCall'd MMX instruction (mm spill).
+	mmx bool
 	// pc is the originating instruction (fault context, side-exit
 	// fall-through); tgt the branch target (uJcc) or exit PC (uEnd).
 	pc  int32
@@ -463,12 +463,12 @@ type traceState struct {
 	attempts []uint8
 	traces   []*vmTrace
 	rec      traceRec
-	// ev is the reusable event uCall handlers write penalties into;
-	// penbuf the penalty accumulator of unobserved runs, sized for the
-	// largest iteration (at most one penalty per micro-op) so it never
+	// ev is the reusable event uCall handlers write into; addrbuf the
+	// address accumulator of unobserved runs, sized for the largest
+	// iteration (at most two data references per micro-op) so it never
 	// grows.
-	ev     Event
-	penbuf []int32
+	ev      Event
+	addrbuf []uint64
 	// nextID allocates dense observation ids across roots and child paths.
 	nextID int
 	// Run statistics (see TraceStats).
@@ -496,7 +496,7 @@ func (c *CPU) traceInit() *traceState {
 		heat:      make([]uint32, n),
 		byBlock:   make([]int32, n),
 		attempts:  make([]uint8, n),
-		penbuf:    make([]int32, 0, treeMaxOps),
+		addrbuf:   make([]uint64, 0, 2*treeMaxOps),
 	}
 	for i := range ts.byBlock {
 		ts.byBlock[i] = traceNone
@@ -769,19 +769,20 @@ func (c *CPU) runTrace(maxInstrs int64) error {
 				return err
 			}
 			if emit && st != nil {
-				st.retire(&ev)
+				st.retire(&ev, c.acc)
 			}
 			continue
 		}
-		pen, err := c.execUops(b.body, nil, ts, maxInstrs, &pollAt)
+		addrs, err := c.execUops(b.body, nil, ts, maxInstrs, &pollAt)
 		if err != nil {
 			return err
 		}
 		c.executed += b.nBody
 		if st == nil {
-			ts.penbuf = pen[:0] // keep any growth for the next body
+			charge(c.Hier, addrs)
+			ts.addrbuf = addrs[:0] // keep any growth for the next body
 		} else if b.events > 0 {
-			st.block(bi, c.measuring, pen)
+			st.block(bi, c.measuring, addrs)
 		}
 		switch b.termKind {
 		case termNone:
@@ -804,7 +805,7 @@ func (c *CPU) runTrace(maxInstrs int64) error {
 				return err
 			}
 			if st != nil {
-				st.retire(&ev)
+				st.retire(&ev, c.acc)
 			}
 			op := insts[tpc].Op
 			if ts.rec.active {
@@ -918,13 +919,12 @@ func memRef(o isa.Operand, pc int32) (uop, bool) {
 
 // uCallOp lowers an instruction to a fallback micro-op that runs it on the
 // generic executor.
-func uCallOp(in *isa.Inst, refsMem bool, pc int32) uop {
+func uCallOp(in *isa.Inst, pc int32) uop {
 	return uop{
-		kind:    uCall,
-		in:      in,
-		refsMem: refsMem,
-		mmx:     in.Op.IsMMX(),
-		pc:      pc,
+		kind: uCall,
+		in:   in,
+		mmx:  in.Op.IsMMX(),
+		pc:   pc,
 	}
 }
 
@@ -1189,15 +1189,15 @@ func (c *CPU) growChild(ts *traceState, tr *vmTrace, exitOp int32) {
 	rec.depth = 0
 }
 
-// lowerInst lowers one block-body instruction to a micro-op; refsMem is its
-// static memory-reference flag. The second result is false when the
-// instruction needs no executor work at all (a shift by a count that masks
-// to zero). A native micro-op exists only for an operand shape it checks
-// here, and mirrors the generic executor's semantics, fault texts and
-// penalty-charging order exactly; every other shape — including each one
-// the generic executor faults on — lowers to a uCall of that executor.
-func lowerInst(in *isa.Inst, refsMem bool, pc int32) (uop, bool) {
-	call := uCallOp(in, refsMem, pc)
+// lowerInst lowers one block-body instruction to a micro-op. The second
+// result is false when the instruction needs no executor work at all (a
+// shift by a count that masks to zero). A native micro-op exists only for
+// an operand shape it checks here, and mirrors the generic executor's
+// semantics, fault texts and data-reference order exactly; every other
+// shape — including each one the generic executor faults on — lowers to a
+// uCall of that executor.
+func lowerInst(in *isa.Inst, pc int32) (uop, bool) {
+	call := uCallOp(in, pc)
 	switch in.Op {
 	case isa.MOV:
 		if dr := gprDst(in.A); dr >= 0 {
@@ -1733,10 +1733,10 @@ func logicFlags(r uint32) (zf, sf, cf, of bool) {
 
 // execUops is the micro-op executor, the one fast execution form of the
 // dispatch loop. With tr nil it runs a block body once, up to its closing
-// uBodyEnd, and returns the penalty arena extended by the body's penalties
-// for the caller to record; the caller also retires the body. With tr set
-// it runs trace tr from its head until a side exit, the loop's own
-// recorded exit, the instruction budget, or a fault, and records every
+// uBodyEnd, and returns the address arena extended by the body's effective
+// addresses for the caller to record; the caller also retires the body.
+// With tr set it runs trace tr from its head until a side exit, the loop's
+// own recorded exit, the instruction budget, or a fault, and records every
 // iteration itself.
 //
 // The GPR/MM register files and the flags live in locals for the whole
@@ -1746,12 +1746,14 @@ func logicFlags(r uint32) (zf, sf, cf, of bool) {
 // c.pc/c.executed are exactly what the generic interpreter would have
 // produced at the same point (a fault retires every instruction through
 // the faulting one), and every full iteration (ObserveTrace) / partial
-// exit (ObserveTraceExit) hands the observer one cache penalty per
-// memory-referencing instruction in retirement order. Observed penalties
-// accumulate straight in the stream's arena: what pen holds past the
-// arena's length is the region in progress, committed by its record or
-// dropped (a fault) by never being recorded.
-func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64, pollAt *int64) ([]int32, error) {
+// exit (ObserveTraceExit) carries the effective address of every data
+// reference in retirement order, which the cache model prices into one
+// penalty per memory-referencing instruction (mem.Hierarchy.Price).
+// Observed addresses accumulate straight in the stream's arena: what addrs
+// holds past the arena's length is the region in progress, committed by
+// its record, or by a price-only record when a fault cuts it short
+// (faulted). An unobserved run charges Hier with each region as it ends.
+func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64, pollAt *int64) ([]uint64, error) {
 	st := c.st
 	gpr := c.gpr
 	mm := c.mm
@@ -1761,9 +1763,9 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 	iterBase := entry
 	hier := c.Hier
 	memu := c.Mem
-	pen := ts.penbuf[:0]
+	addrs := ts.addrbuf[:0]
 	if st != nil {
-		pen = st.pen
+		addrs = st.addrs
 	}
 	var final int64
 	var retErr error
@@ -1782,8 +1784,10 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 				c.mm = mm
 			}
 			c.pc = int(u.pc)
-			ts.ev.MemPenalty = 0
-			if err := c.exec(u.in, &ts.ev); err != nil {
+			c.acc = c.acc[:0]
+			err := c.exec(u.in, &ts.ev)
+			addrs = append(addrs, c.acc...)
+			if err != nil {
 				// The executor may have committed partial state before
 				// faulting (a decremented ESP, say): keep everything it
 				// wrote, spill only what it never saw.
@@ -1791,15 +1795,13 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 					c.mm = mm
 				}
 				c.executed = iterBase + u.cum
-				return pen, err
+				c.faulted(addrs)
+				return nil, err
 			}
 			gpr = c.gpr
 			zf, sf, cf, of = c.zf, c.sf, c.cf, c.of
 			if u.mmx {
 				mm = c.mm
-			}
-			if u.refsMem {
-				pen = append(pen, int32(ts.ev.MemPenalty))
 			}
 
 		case uMovRR:
@@ -1809,7 +1811,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 
 		case uLoad8:
 			a := memAddr(u, &gpr)
-			pen = append(pen, int32(hier.Access(a)))
+			addrs = append(addrs, uint64(a))
 			v, ok := memu.LoadU8(a)
 			if !ok {
 				c.pc = int(u.pc)
@@ -1819,7 +1821,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			gpr[u.d&7] = uint32(v)
 		case uLoad16:
 			a := memAddr(u, &gpr)
-			pen = append(pen, int32(hier.Access(a)))
+			addrs = append(addrs, uint64(a))
 			v, ok := memu.LoadU16(a)
 			if !ok {
 				c.pc = int(u.pc)
@@ -1829,7 +1831,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			gpr[u.d&7] = uint32(v)
 		case uLoad32:
 			a := memAddr(u, &gpr)
-			pen = append(pen, int32(hier.Access(a)))
+			addrs = append(addrs, uint64(a))
 			v, ok := memu.LoadU32(a)
 			if !ok {
 				c.pc = int(u.pc)
@@ -1839,7 +1841,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			gpr[u.d&7] = v
 		case uLoadSx8:
 			a := memAddr(u, &gpr)
-			pen = append(pen, int32(hier.Access(a)))
+			addrs = append(addrs, uint64(a))
 			v, ok := memu.LoadU8(a)
 			if !ok {
 				c.pc = int(u.pc)
@@ -1849,7 +1851,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			gpr[u.d&7] = uint32(int32(int8(v)))
 		case uLoadSx16:
 			a := memAddr(u, &gpr)
-			pen = append(pen, int32(hier.Access(a)))
+			addrs = append(addrs, uint64(a))
 			v, ok := memu.LoadU16(a)
 			if !ok {
 				c.pc = int(u.pc)
@@ -1860,7 +1862,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 
 		case uStore8:
 			a := memAddr(u, &gpr)
-			pen = append(pen, int32(hier.Access(a)))
+			addrs = append(addrs, uint64(a))
 			if !memu.StoreU8(a, uint8(gpr[u.s&7])) {
 				c.pc = int(u.pc)
 				retErr = c.fault("store out of range at %#x", a)
@@ -1868,7 +1870,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			}
 		case uStore16:
 			a := memAddr(u, &gpr)
-			pen = append(pen, int32(hier.Access(a)))
+			addrs = append(addrs, uint64(a))
 			if !memu.StoreU16(a, uint16(gpr[u.s&7])) {
 				c.pc = int(u.pc)
 				retErr = c.fault("store out of range at %#x", a)
@@ -1876,7 +1878,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			}
 		case uStore32:
 			a := memAddr(u, &gpr)
-			pen = append(pen, int32(hier.Access(a)))
+			addrs = append(addrs, uint64(a))
 			if !memu.StoreU32(a, gpr[u.s&7]) {
 				c.pc = int(u.pc)
 				retErr = c.fault("store out of range at %#x", a)
@@ -1884,7 +1886,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			}
 		case uStore8I:
 			a := memAddr(u, &gpr)
-			pen = append(pen, int32(hier.Access(a)))
+			addrs = append(addrs, uint64(a))
 			if !memu.StoreU8(a, uint8(u.imm2)) {
 				c.pc = int(u.pc)
 				retErr = c.fault("store out of range at %#x", a)
@@ -1892,7 +1894,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			}
 		case uStore16I:
 			a := memAddr(u, &gpr)
-			pen = append(pen, int32(hier.Access(a)))
+			addrs = append(addrs, uint64(a))
 			if !memu.StoreU16(a, uint16(u.imm2)) {
 				c.pc = int(u.pc)
 				retErr = c.fault("store out of range at %#x", a)
@@ -1900,7 +1902,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			}
 		case uStore32I:
 			a := memAddr(u, &gpr)
-			pen = append(pen, int32(hier.Access(a)))
+			addrs = append(addrs, uint64(a))
 			if !memu.StoreU32(a, u.imm2) {
 				c.pc = int(u.pc)
 				retErr = c.fault("store out of range at %#x", a)
@@ -1923,7 +1925,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 		case uPushR, uPushI:
 			sp := gpr[traceESP] - 4
 			gpr[traceESP] = sp
-			pen = append(pen, int32(hier.Access(sp)))
+			addrs = append(addrs, uint64(sp))
 			v := u.imm
 			if u.kind == uPushR {
 				v = gpr[u.s&7]
@@ -1935,7 +1937,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			}
 		case uPopR:
 			sp := gpr[traceESP]
-			pen = append(pen, int32(hier.Access(sp)))
+			addrs = append(addrs, uint64(sp))
 			v, ok := memu.LoadU32(sp)
 			if !ok {
 				c.pc = int(u.pc)
@@ -2018,7 +2020,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 
 		case uAddRM, uSubRM, uCmpRM, uAndRM, uOrRM, uXorRM, uTestRM, uImulRM:
 			a := memAddr(u, &gpr)
-			pen = append(pen, int32(hier.Access(a)))
+			addrs = append(addrs, uint64(a))
 			b, ok := memu.LoadU32(a)
 			if !ok {
 				c.pc = int(u.pc)
@@ -2061,7 +2063,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 
 		case uAluMR, uAluMI:
 			a := memAddr(u, &gpr)
-			p := int32(hier.Access(a))
+			addrs = append(addrs, uint64(a))
 			var av uint32
 			switch u.d {
 			case 0:
@@ -2124,9 +2126,9 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 				of = cf
 			}
 			if write {
-				// Read-modify-write charges the hierarchy twice, exactly
-				// like execInt's separate load and store halves.
-				p += int32(hier.Access(a))
+				// Read-modify-write references memory twice, exactly like
+				// execInt's separate load and store halves.
+				addrs = append(addrs, uint64(a)|mem.Next)
 				var ok bool
 				switch u.d {
 				case 0:
@@ -2142,7 +2144,6 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 					goto out
 				}
 			}
-			pen = append(pen, p)
 
 		case uNot:
 			gpr[u.d&7] = ^gpr[u.d&7]
@@ -2199,7 +2200,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 		case uMovdLM:
 			c.mmxActive = true
 			a := memAddr(u, &gpr)
-			pen = append(pen, int32(hier.Access(a)))
+			addrs = append(addrs, uint64(a))
 			v, ok := memu.LoadU32(a)
 			if !ok {
 				c.pc = int(u.pc)
@@ -2210,7 +2211,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 		case uMovdSM:
 			c.mmxActive = true
 			a := memAddr(u, &gpr)
-			pen = append(pen, int32(hier.Access(a)))
+			addrs = append(addrs, uint64(a))
 			if !memu.StoreU32(a, uint32(mm[u.s&7])) {
 				c.pc = int(u.pc)
 				retErr = c.fault("store out of range at %#x", a)
@@ -2222,7 +2223,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 		case uMovqLM64:
 			c.mmxActive = true
 			a := memAddr(u, &gpr)
-			pen = append(pen, int32(hier.Access(a)))
+			addrs = append(addrs, uint64(a))
 			v, ok := memu.LoadU64(a)
 			if !ok {
 				c.pc = int(u.pc)
@@ -2233,7 +2234,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 		case uMovqLM32:
 			c.mmxActive = true
 			a := memAddr(u, &gpr)
-			pen = append(pen, int32(hier.Access(a)))
+			addrs = append(addrs, uint64(a))
 			v, ok := memu.LoadU32(a)
 			if !ok {
 				c.pc = int(u.pc)
@@ -2244,7 +2245,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 		case uMovqSM:
 			c.mmxActive = true
 			a := memAddr(u, &gpr)
-			pen = append(pen, int32(hier.Access(a)))
+			addrs = append(addrs, uint64(a))
 			if !memu.StoreU64(a, uint64(mm[u.s&7])) {
 				c.pc = int(u.pc)
 				retErr = c.fault("movq store out of range at %#x", a)
@@ -2256,7 +2257,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 		case uMMXBinRM64:
 			c.mmxActive = true
 			a := memAddr(u, &gpr)
-			pen = append(pen, int32(hier.Access(a)))
+			addrs = append(addrs, uint64(a))
 			v, ok := memu.LoadU64(a)
 			if !ok {
 				c.pc = int(u.pc)
@@ -2267,7 +2268,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 		case uMMXBinRM32:
 			c.mmxActive = true
 			a := memAddr(u, &gpr)
-			pen = append(pen, int32(hier.Access(a)))
+			addrs = append(addrs, uint64(a))
 			v, ok := memu.LoadU32(a)
 			if !ok {
 				c.pc = int(u.pc)
@@ -2313,7 +2314,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 				goto out
 			}
 			a := memAddr(u, &gpr)
-			pen = append(pen, int32(hier.Access(a)))
+			addrs = append(addrs, uint64(a))
 			raw, ok := memu.LoadU32(a)
 			if !ok {
 				c.pc = int(u.pc)
@@ -2338,7 +2339,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 				goto out
 			}
 			a := memAddr(u, &gpr)
-			pen = append(pen, int32(hier.Access(a)))
+			addrs = append(addrs, uint64(a))
 			raw, ok := memu.LoadU64(a)
 			if !ok {
 				c.pc = int(u.pc)
@@ -2360,7 +2361,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 		case uCallT:
 			sp := gpr[traceESP&7] - 4
 			gpr[traceESP&7] = sp
-			pen = append(pen, int32(hier.Access(sp)))
+			addrs = append(addrs, uint64(sp))
 			if !memu.StoreU32(sp, u.imm2) {
 				c.pc = int(u.pc)
 				retErr = c.fault("stack overflow at %#x", sp)
@@ -2369,7 +2370,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 
 		case uRet:
 			sp := gpr[traceESP&7]
-			pen = append(pen, int32(hier.Access(sp)))
+			addrs = append(addrs, uint64(sp))
 			v, ok := memu.LoadU32(sp)
 			if !ok {
 				c.pc = int(u.pc)
@@ -2388,9 +2389,10 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 					ts.treeInstrs += uint64(u.cum)
 				}
 				if st != nil {
-					pen = st.trace(tr.pathID(u.pathIdx), measured, pen)
+					addrs = st.trace(tr.pathID(u.pathIdx), measured, addrs)
 				} else {
-					pen = pen[:0]
+					charge(hier, addrs)
+					addrs = addrs[:0]
 				}
 				final = iterBase + u.cum
 				goto out
@@ -2398,7 +2400,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			if v != u.imm {
 				// The return went somewhere other than the recorded
 				// continuation: side exit. The ret itself retired (its
-				// penalty is already in pen, and cum counts it).
+				// address is already in addrs, and cum counts it).
 				c.pc = int(v)
 				final = iterBase + u.cum
 				exitK = u.blockK
@@ -2469,9 +2471,10 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 				ts.treeInstrs += uint64(u.cum)
 			}
 			if st != nil {
-				pen = st.trace(tr.pathID(u.pathIdx), measured, pen)
+				addrs = st.trace(tr.pathID(u.pathIdx), measured, addrs)
 			} else {
-				pen = pen[:0]
+				charge(hier, addrs)
+				addrs = addrs[:0]
 			}
 			iterBase = iterDone
 			if !u.expect {
@@ -2488,7 +2491,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 				c.executed = iterDone
 				c.pc = int(tr.head)
 				if err := c.Poll(); err != nil {
-					return pen, c.abort(err)
+					return nil, c.abort(err)
 				}
 				*pollAt = iterDone + c.pollInterval()
 				gpr = c.gpr
@@ -2516,11 +2519,12 @@ out:
 	c.zf, c.sf, c.cf, c.of = zf, sf, cf, of
 	if retErr != nil {
 		c.executed = iterBase + uops[i].cum
-		return pen, retErr
+		c.faulted(addrs)
+		return nil, retErr
 	}
 	if tr == nil {
 		// A block body ran to completion; the caller retires it.
-		return pen, nil
+		return addrs, nil
 	}
 	c.executed = final
 	ts.instrs += uint64(final - entry)
@@ -2528,7 +2532,9 @@ out:
 		tr.exits++
 		ts.exits++
 		if st != nil {
-			st.traceExit(tr.pathID(exitPath), int(exitK), measured, pen)
+			st.traceExit(tr.pathID(exitPath), int(exitK), measured, addrs)
+		} else {
+			charge(hier, addrs)
 		}
 		ts.maybeDeopt(tr)
 		if exitOp >= 0 && !ts.rec.active &&
@@ -2538,7 +2544,19 @@ out:
 			c.growChild(ts, tr, exitOp)
 		}
 	}
-	return pen, nil
+	return nil, nil
+}
+
+// faulted charges the cache model with the effective addresses of a
+// region cut short by a fault, which the generic loop would have charged
+// before faulting: through a price-only record on a streamed run, here on
+// any other.
+func (c *CPU) faulted(addrs []uint64) {
+	if c.st != nil {
+		c.st.priceOnly(addrs)
+	} else {
+		charge(c.Hier, addrs)
+	}
 }
 
 // fpApply dispatches a uFArith sub-op.

@@ -7,9 +7,15 @@
 // retired instruction to an Observer. Timing (pipeline pairing, latencies,
 // branch and cache penalties) is the concern of the observers in
 // internal/pentium and internal/profile, mirroring how VTune replayed a
-// finished instruction stream against a Pentium model. Only the cache
-// model (mem.Hierarchy) runs inside the VM, since penalties are computed
-// where addresses are; they travel with the observations.
+// finished instruction stream against a Pentium model. The cache model
+// (CPU.Hier) is priced the same way: the executors only note each data
+// reference's effective address, and the addresses are folded through the
+// hierarchy into one penalty per memory-referencing instruction
+// (mem.Hierarchy.Price) before the observer sees them. A streamed run does
+// that on the observer's goroutine, so its interpreter never touches Hier;
+// every other run does it on the caller's goroutine, the generic loop after
+// each instruction and an unobserved dispatch run at the end of each
+// region. Either way Hier.Stats is final only once Run has returned.
 //
 // Run has two interpreters. The generic loop decodes and executes one
 // instruction per step; it is the reference the other is tested against,
@@ -81,8 +87,8 @@ type Event struct {
 	Taken bool
 	// Target is the next PC after the instruction.
 	Target int
-	// MemPenalty is the extra cycles charged by the cache model for this
-	// instruction's data references.
+	// MemPenalty is the extra cycles the cache model (CPU.Hier) charged
+	// for this instruction's data references, priced in reference order.
 	MemPenalty int
 }
 
@@ -128,8 +134,13 @@ type CPU struct {
 	measuring bool
 	mmxActive bool
 
-	// Hier is the data-cache hierarchy; nil models perfect memory.
+	// Hier is the data-cache hierarchy; nil models perfect memory. During
+	// an observed dispatch-loop Run it is priced on the observer's
+	// goroutine (see stream.go); read its Stats only after Run returns.
 	Hier *mem.Hierarchy
+	// acc holds the effective addresses of the instruction the generic
+	// executor is running, in reference order (see noteAccess).
+	acc []uint64
 	// Obs receives retirement events; nil disables observation. A
 	// TraceObserver is called from a second goroutine (see stream.go),
 	// never concurrently with itself, and all calls complete before Run
@@ -268,7 +279,7 @@ func (c *CPU) Run(maxInstrs int64) error {
 // a panic in the observer is re-raised here, on the caller's goroutine,
 // with its original value.
 func (c *CPU) runTraceObserved(maxInstrs int64, tobs TraceObserver) error {
-	c.st = startStream(tobs, c.Prog.Insts)
+	c.st = startStream(tobs, c.Prog.Insts, c.Hier)
 	defer func() {
 		s := c.st
 		c.st = nil
@@ -331,7 +342,18 @@ func (c *CPU) step(ev *Event) (bool, error) {
 	}
 
 	*ev = Event{PC: pc, Inst: in, Measured: c.measuring}
-	if err := c.exec(in, ev); err != nil {
+	c.acc = c.acc[:0]
+	err := c.exec(in, ev)
+	switch {
+	case c.st != nil:
+		// The caller sends c.acc with the event (stream.retire).
+		if err != nil {
+			c.faulted(append(c.st.addrs, c.acc...))
+		}
+	case c.Hier != nil && len(c.acc) > 0:
+		ev.MemPenalty = cost(c.Hier, c.acc)
+	}
+	if err != nil {
 		return false, err
 	}
 	if !ev.Taken {
@@ -342,14 +364,14 @@ func (c *CPU) step(ev *Event) (bool, error) {
 }
 
 // exec is the generic executor: it performs one event-emitting
-// instruction, setting ev.Taken and ev.MemPenalty as needed. Every path
-// that is not a native micro-op ends here.
+// instruction, setting ev.Taken as needed and appending its data
+// references to c.acc. Every path that is not a native micro-op ends here.
 func (c *CPU) exec(in *isa.Inst, ev *Event) error {
 	switch {
 	case in.Op.IsMMX():
-		return c.execMMX(in, ev)
+		return c.execMMX(in)
 	case in.Op.IsFP():
-		return c.execFP(in, ev)
+		return c.execFP(in)
 	default:
 		return c.execInt(in, ev)
 	}
@@ -373,14 +395,40 @@ func (c *CPU) effAddr(o isa.Operand) uint32 {
 	return a
 }
 
-func (c *CPU) chargeAccess(addr uint32, ev *Event) {
-	ev.MemPenalty += c.Hier.Access(addr)
+// noteAccess records one data reference of the running instruction; a
+// further reference of the same instruction carries mem.Next.
+func (c *CPU) noteAccess(addr uint32) {
+	a := uint64(addr)
+	if len(c.acc) > 0 {
+		a |= mem.Next
+	}
+	c.acc = append(c.acc, a)
+}
+
+// cost folds one instruction's effective addresses through h into its
+// penalty. cost, charge and the stream consumer's Hierarchy.Price are the
+// only places a run charges h.
+func cost(h *mem.Hierarchy, addrs []uint64) int {
+	p := 0
+	for _, a := range addrs {
+		p += h.Access(uint32(a))
+	}
+	return p
+}
+
+// charge folds a region's effective addresses through h for its state and
+// statistics alone: the region of a run no observer prices. It is small
+// enough to inline, so a run with no cache model pays only the nil test.
+func charge(h *mem.Hierarchy, addrs []uint64) {
+	if h != nil {
+		h.Charge(addrs)
+	}
 }
 
 // loadSized reads a zero-extended value of the operand's size.
-func (c *CPU) loadSized(o isa.Operand, ev *Event) (uint32, error) {
+func (c *CPU) loadSized(o isa.Operand) (uint32, error) {
 	addr := c.effAddr(o)
-	c.chargeAccess(addr, ev)
+	c.noteAccess(addr)
 	switch o.Size {
 	case isa.SizeB:
 		v, ok := c.Mem.LoadU8(addr)
@@ -404,9 +452,9 @@ func (c *CPU) loadSized(o isa.Operand, ev *Event) (uint32, error) {
 	return 0, c.fault("bad load size %v", o.Size)
 }
 
-func (c *CPU) storeSized(o isa.Operand, v uint32, ev *Event) error {
+func (c *CPU) storeSized(o isa.Operand, v uint32) error {
 	addr := c.effAddr(o)
-	c.chargeAccess(addr, ev)
+	c.noteAccess(addr)
 	var ok bool
 	switch o.Size {
 	case isa.SizeB:
@@ -425,7 +473,7 @@ func (c *CPU) storeSized(o isa.Operand, v uint32, ev *Event) error {
 }
 
 // readInt reads an integer operand value (register, immediate or memory).
-func (c *CPU) readInt(o isa.Operand, ev *Event) (uint32, error) {
+func (c *CPU) readInt(o isa.Operand) (uint32, error) {
 	switch o.Kind {
 	case isa.KindReg:
 		if !o.Reg.IsGPR() {
@@ -435,13 +483,13 @@ func (c *CPU) readInt(o isa.Operand, ev *Event) (uint32, error) {
 	case isa.KindImm:
 		return uint32(o.Imm), nil
 	case isa.KindMem:
-		return c.loadSized(o, ev)
+		return c.loadSized(o)
 	}
 	return 0, c.fault("missing operand")
 }
 
 // writeInt writes an integer result to a register or memory destination.
-func (c *CPU) writeInt(o isa.Operand, v uint32, ev *Event) error {
+func (c *CPU) writeInt(o isa.Operand, v uint32) error {
 	switch o.Kind {
 	case isa.KindReg:
 		if !o.Reg.IsGPR() {
@@ -450,7 +498,7 @@ func (c *CPU) writeInt(o isa.Operand, v uint32, ev *Event) error {
 		c.gpr[o.Reg.GPRIndex()] = v
 		return nil
 	case isa.KindMem:
-		return c.storeSized(o, v, ev)
+		return c.storeSized(o, v)
 	}
 	return c.fault("bad destination operand")
 }
@@ -514,19 +562,19 @@ func (c *CPU) cond(op isa.Op) bool {
 // ---------------------------------------------------------------------------
 // Stack
 
-func (c *CPU) push32(v uint32, ev *Event) error {
+func (c *CPU) push32(v uint32) error {
 	sp := c.gpr[isa.ESP.GPRIndex()] - 4
 	c.gpr[isa.ESP.GPRIndex()] = sp
-	c.chargeAccess(sp, ev)
+	c.noteAccess(sp)
 	if !c.Mem.StoreU32(sp, v) {
 		return c.fault("stack overflow at %#x", sp)
 	}
 	return nil
 }
 
-func (c *CPU) pop32(ev *Event) (uint32, error) {
+func (c *CPU) pop32() (uint32, error) {
 	sp := c.gpr[isa.ESP.GPRIndex()]
-	c.chargeAccess(sp, ev)
+	c.noteAccess(sp)
 	v, ok := c.Mem.LoadU32(sp)
 	if !ok {
 		return 0, c.fault("stack underflow at %#x", sp)

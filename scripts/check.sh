@@ -82,8 +82,12 @@ go test -run '^$' -fuzz FuzzDispatchThreeWay -fuzztime 5s ./internal/pentium >/d
 # second goroutine, so this step also covers the producer/consumer
 # handoff; the stream tests add handoffs at batch sizes 1 and 3,
 # observer and producer panics, and every exit path joining the consumer.
-echo "==> go test -race -run 'TestDispatchModesAgree|TestDispatchThreeWay|TestStream|TestSharedCodeConcurrentRuns' ./internal/vm ./internal/pentium"
-go test -race -run 'TestDispatchModesAgree|TestDispatchThreeWay|TestStream|TestSharedCodeConcurrentRuns' ./internal/vm ./internal/pentium
+# The consumer also owns the cache model of a streamed run, so the small-
+# cache differential (TestStreamSmallCacheModesAgree) and the fault-state
+# differential, which compares cache statistics after a fault, show here
+# that the interpreter never touches CPU.Hier while the stream is open.
+echo "==> go test -race -run 'TestDispatchModesAgree|TestDispatchThreeWay|TestStream|TestSharedCodeConcurrentRuns|TestFaultStateMatchesAcrossPaths' ./internal/vm ./internal/pentium"
+go test -race -run 'TestDispatchModesAgree|TestDispatchThreeWay|TestStream|TestSharedCodeConcurrentRuns|TestFaultStateMatchesAcrossPaths' ./internal/vm ./internal/pentium
 
 # Smoke-run the trace-dispatch benchmark for a single iteration so
 # inner-loop regressions that only bite under benchmarking surface here.
