@@ -2,6 +2,7 @@ package apps
 
 import (
 	"fmt"
+	"sync"
 
 	"mmxdsp/internal/asm"
 	"mmxdsp/internal/core"
@@ -31,11 +32,14 @@ const (
 
 func imageInput() []uint8 { return synth.ImageRGB(imgW, imgH, 0x1A6E) }
 
-func imageExpected() []uint8 {
+// imageExpected is the reference output image. It is computed once per
+// process (the input synthesis and pipeline cost more than simulating
+// image.mmx); the checks only read it.
+var imageExpected = sync.OnceValue(func() []uint8 {
 	return imgproc.Pipeline(imageInput(),
 		imgproc.DimParams{Num: imgDimNum, Den: imgDimDen},
 		imgproc.SwitchParams{DR: imgDR, DG: imgDG, DB: imgDB})
-}
+})
 
 func imageCheck(c *vm.CPU, context string) error {
 	want := imageExpected()

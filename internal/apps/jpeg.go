@@ -2,6 +2,7 @@ package apps
 
 import (
 	"fmt"
+	"sync"
 
 	"mmxdsp/internal/asm"
 	"mmxdsp/internal/core"
@@ -29,28 +30,34 @@ func JPEG() []core.Benchmark {
 		{
 			Base: "jpeg", Version: core.VersionC, Kind: core.KindApplication, Descr: descr,
 			Build: buildJpegC,
-			Check: func(c *vm.CPU) error {
-				ty, tcb, tcr := ccTables()
-				recips, biases := jpegRecipsC()
-				want := jpegModel(jpegInput(),
-					func(r, g, b uint8) (int32, int32, int32) {
-						return ccCModel(ty, tcb, tcr, r, g, b)
-					},
-					aan2D, recips, biases)
-				return checkStream(c, want, "jpeg.c")
-			},
+			Check: func(c *vm.CPU) error { return checkStream(c, jpegCExpected(), "jpeg.c") },
 		},
 		{
 			Base: "jpeg", Version: core.VersionMMX, Kind: core.KindApplication, Descr: descr,
 			Build: buildJpegMMX,
-			Check: func(c *vm.CPU) error {
-				recips, biases := jpegRecipsMMX()
-				want := jpegModel(jpegInput(), ccMMXModel, dctMMXModel, recips, biases)
-				return checkStream(c, want, "jpeg.mmx")
-			},
+			Check: func(c *vm.CPU) error { return checkStream(c, jpegMMXExpected(), "jpeg.mmx") },
 		},
 	}
 }
+
+// jpegCExpected and jpegMMXExpected are the reference symbol streams of
+// the C and MMX arithmetic (jpeg.mmx and jpeg2d.mmx share the latter),
+// each computed once per process; the checks only read them.
+var (
+	jpegCExpected = sync.OnceValue(func() []byte {
+		ty, tcb, tcr := ccTables()
+		recips, biases := jpegRecipsC()
+		return jpegModel(jpegInput(),
+			func(r, g, b uint8) (int32, int32, int32) {
+				return ccCModel(ty, tcb, tcr, r, g, b)
+			},
+			aan2D, recips, biases)
+	})
+	jpegMMXExpected = sync.OnceValue(func() []byte {
+		recips, biases := jpegRecipsMMX()
+		return jpegModel(jpegInput(), ccMMXModel, dctMMXModel, recips, biases)
+	})
+)
 
 func checkStream(c *vm.CPU, want []byte, context string) error {
 	base := c.Prog.Addr("stream")

@@ -1,5 +1,5 @@
 // Package fixed provides Q15/Q7 fixed-point arithmetic helpers shared by
-// the reference DSP implementations, the MMX semantic model, and the tests.
+// the reference DSP implementations and the tests.
 //
 // Q15 stores a real value v in [-1, 1) as round(v * 32768) in an int16;
 // Q7 stores v in [-1, 1) as round(v * 128) in an int8. All narrowing

@@ -6,11 +6,32 @@
 //
 // The package is pure value arithmetic: a Reg is just a uint64 and every
 // operation is a function from Regs to a Reg. The virtual machine
-// (internal/vm) dispatches MMX opcodes into this package, and the MMX
-// library routines are tested against these semantics directly.
+// (internal/vm) calls these functions for every MMX instruction it
+// executes, on every execution path.
+//
+// The operations are written word-parallel (SWAR, SIMD within a register):
+// each one is straight-line 64-bit arithmetic over all lanes at once, with
+// no per-lane loop or call. Two invariants carry that formulation:
+//
+//   - Lane order. Lane 0 is the least-significant lane of the Reg, so a
+//     Reg loaded little-endian from memory has byte i of memory in byte
+//     lane i. Carries and borrows never cross a lane boundary: every sum
+//     is formed with the lane MSBs cleared, and the MSBs are then fixed up
+//     by XOR, so a lane's result depends only on the same lane of the
+//     operands.
+//   - Saturation. A saturating operation computes the wrap-around result
+//     and a per-lane mask whose MSB is set where the lane overflowed
+//     (unsigned: carry or borrow out of the lane; signed: operands of one
+//     sign giving a result of the other). The mask is broadcast to the
+//     whole lane, (m>>7)*0xFF or (m>>15)*0xFFFF, and selects the
+//     saturated value: all-ones or zero for unsigned lanes, 0x7F…/0x80…
+//     chosen by the first operand's sign for signed ones.
+//
+// The reference for every result is the independent per-lane model in
+// internal/mmxref, which shares no code with this package; the tests
+// compare the two exhaustively on boundary lanes, by fuzzing, and through
+// all three execution paths of the VM.
 package mmx
-
-import "mmxdsp/internal/fixed"
 
 // Reg is a 64-bit MMX register value. Lane 0 is the least-significant lane,
 // matching the little-endian layout of the x86 memory image.
@@ -80,275 +101,241 @@ func FromSignedBytes(b [8]int8) Reg {
 	return r
 }
 
+// Lane masks: the MSB of every lane (h*), and bit 0 of every lane (l*),
+// which times a lane value broadcasts it to all lanes.
+const (
+	h8  Reg = 0x8080_8080_8080_8080
+	h16 Reg = 0x8000_8000_8000_8000
+	h32 Reg = 0x8000_0000_8000_0000
+	l16 Reg = 0x0001_0001_0001_0001
+	l32 Reg = 0x0000_0001_0000_0001
+)
+
+// wrapAdd adds lane-wise with wrap-around; h is the lane MSB mask. The low
+// bits are summed with the MSBs cleared, so no carry leaves a lane, and
+// the MSB of the sum is then a^b^carry-in.
+func wrapAdd(a, b, h Reg) Reg { return (a&^h + b&^h) ^ (a^b)&h }
+
+// wrapSub subtracts lane-wise with wrap-around: every lane of a|h is at
+// least h, above b&^h, so no borrow leaves a lane.
+func wrapSub(a, b, h Reg) Reg { return ((a | h) - b&^h) ^ (a^^b)&h }
+
+// spread widens a set of lane MSBs (as h selects) to whole-lane masks;
+// w is the lane width in bits.
+func spread(m Reg, w uint) Reg { return (m >> (w - 1)) * (1<<w - 1) }
+
 // ---------------------------------------------------------------------------
 // Wrap-around packed add/subtract (paddb/paddw/paddd, psubb/psubw/psubd)
 
-func mapB(a, b Reg, f func(x, y uint8) uint8) Reg {
-	ab, bb := a.Bytes(), b.Bytes()
-	var out [8]uint8
-	for i := range out {
-		out[i] = f(ab[i], bb[i])
-	}
-	return FromBytes(out)
-}
-
-func mapW(a, b Reg, f func(x, y int16) int16) Reg {
-	aw, bw := a.Words(), b.Words()
-	var out [4]int16
-	for i := range out {
-		out[i] = f(aw[i], bw[i])
-	}
-	return FromWords(out)
-}
-
-func mapD(a, b Reg, f func(x, y int32) int32) Reg {
-	ad, bd := a.Dwords(), b.Dwords()
-	return FromDwords([2]int32{f(ad[0], bd[0]), f(ad[1], bd[1])})
-}
-
 // PAddB adds packed bytes with wrap-around.
-func PAddB(a, b Reg) Reg { return mapB(a, b, func(x, y uint8) uint8 { return x + y }) }
+func PAddB(a, b Reg) Reg { return wrapAdd(a, b, h8) }
 
 // PAddW adds packed words with wrap-around.
-func PAddW(a, b Reg) Reg { return mapW(a, b, func(x, y int16) int16 { return x + y }) }
+func PAddW(a, b Reg) Reg { return wrapAdd(a, b, h16) }
 
 // PAddD adds packed doublewords with wrap-around.
-func PAddD(a, b Reg) Reg { return mapD(a, b, func(x, y int32) int32 { return x + y }) }
+func PAddD(a, b Reg) Reg { return wrapAdd(a, b, h32) }
 
 // PSubB subtracts packed bytes with wrap-around.
-func PSubB(a, b Reg) Reg { return mapB(a, b, func(x, y uint8) uint8 { return x - y }) }
+func PSubB(a, b Reg) Reg { return wrapSub(a, b, h8) }
 
 // PSubW subtracts packed words with wrap-around.
-func PSubW(a, b Reg) Reg { return mapW(a, b, func(x, y int16) int16 { return x - y }) }
+func PSubW(a, b Reg) Reg { return wrapSub(a, b, h16) }
 
 // PSubD subtracts packed doublewords with wrap-around.
-func PSubD(a, b Reg) Reg { return mapD(a, b, func(x, y int32) int32 { return x - y }) }
+func PSubD(a, b Reg) Reg { return wrapSub(a, b, h32) }
 
 // ---------------------------------------------------------------------------
 // Saturating packed add/subtract
 
-// PAddSB adds packed signed bytes with signed saturation.
-func PAddSB(a, b Reg) Reg {
-	return mapB(a, b, func(x, y uint8) uint8 {
-		return uint8(fixed.SatB(int32(int8(x)) + int32(int8(y))))
-	})
+// addUS adds unsigned lanes, saturating at all-ones: the carry out of a
+// lane is the MSB of a&b | (a|b)&^sum.
+func addUS(a, b, h Reg, w uint) Reg {
+	s := wrapAdd(a, b, h)
+	return s | spread((a&b|(a|b)&^s)&h, w)
 }
+
+// subUS subtracts unsigned lanes, saturating at zero: the borrow out of a
+// lane is the MSB of ^a&b | ^(a^b)&diff.
+func subUS(a, b, h Reg, w uint) Reg {
+	d := wrapSub(a, b, h)
+	return d &^ spread((^a&b|^(a^b)&d)&h, w)
+}
+
+// satS replaces the lanes of r that overflowed (ov's lane MSBs) with the
+// signed limit on the side of a's sign: 0x7F… for a positive a, 0x80… for
+// a negative one.
+func satS(r, a, ov, h Reg, w uint) Reg {
+	m := spread(ov&h, w)
+	lim := ^h ^ spread(a&h, w)
+	return r&^m | lim&m
+}
+
+// addSS adds signed lanes with saturation: a sum overflows when both
+// operands have one sign and the result the other.
+func addSS(a, b, h Reg, w uint) Reg {
+	s := wrapAdd(a, b, h)
+	return satS(s, a, ^(a^b)&(a^s), h, w)
+}
+
+// subSS subtracts signed lanes with saturation: a difference overflows
+// when the operands differ in sign and the result's sign is not a's.
+func subSS(a, b, h Reg, w uint) Reg {
+	d := wrapSub(a, b, h)
+	return satS(d, a, (a^b)&(a^d), h, w)
+}
+
+// PAddSB adds packed signed bytes with signed saturation.
+func PAddSB(a, b Reg) Reg { return addSS(a, b, h8, 8) }
 
 // PAddSW adds packed signed words with signed saturation.
-func PAddSW(a, b Reg) Reg {
-	return mapW(a, b, func(x, y int16) int16 { return fixed.SatW(int32(x) + int32(y)) })
-}
+func PAddSW(a, b Reg) Reg { return addSS(a, b, h16, 16) }
 
 // PAddUSB adds packed unsigned bytes with unsigned saturation.
-func PAddUSB(a, b Reg) Reg {
-	return mapB(a, b, func(x, y uint8) uint8 { return fixed.SatUB(int32(x) + int32(y)) })
-}
+func PAddUSB(a, b Reg) Reg { return addUS(a, b, h8, 8) }
 
 // PAddUSW adds packed unsigned words with unsigned saturation.
-func PAddUSW(a, b Reg) Reg {
-	return mapW(a, b, func(x, y int16) int16 {
-		return int16(fixed.SatUW(int32(uint16(x)) + int32(uint16(y))))
-	})
-}
+func PAddUSW(a, b Reg) Reg { return addUS(a, b, h16, 16) }
 
 // PSubSB subtracts packed signed bytes with signed saturation.
-func PSubSB(a, b Reg) Reg {
-	return mapB(a, b, func(x, y uint8) uint8 {
-		return uint8(fixed.SatB(int32(int8(x)) - int32(int8(y))))
-	})
-}
+func PSubSB(a, b Reg) Reg { return subSS(a, b, h8, 8) }
 
 // PSubSW subtracts packed signed words with signed saturation.
-func PSubSW(a, b Reg) Reg {
-	return mapW(a, b, func(x, y int16) int16 { return fixed.SatW(int32(x) - int32(y)) })
-}
+func PSubSW(a, b Reg) Reg { return subSS(a, b, h16, 16) }
 
 // PSubUSB subtracts packed unsigned bytes with unsigned saturation.
-func PSubUSB(a, b Reg) Reg {
-	return mapB(a, b, func(x, y uint8) uint8 { return fixed.SatUB(int32(x) - int32(y)) })
-}
+func PSubUSB(a, b Reg) Reg { return subUS(a, b, h8, 8) }
 
 // PSubUSW subtracts packed unsigned words with unsigned saturation.
-func PSubUSW(a, b Reg) Reg {
-	return mapW(a, b, func(x, y int16) int16 {
-		return int16(fixed.SatUW(int32(uint16(x)) - int32(uint16(y))))
-	})
-}
+func PSubUSW(a, b Reg) Reg { return subUS(a, b, h16, 16) }
 
 // ---------------------------------------------------------------------------
 // Packed multiplies
 
+// mul is the signed 32-bit product of the words of a and b at bit offset s.
+func mul(a, b Reg, s uint) int32 { return int32(int16(a>>s)) * int32(int16(b>>s)) }
+
 // PMulLW multiplies packed signed words and keeps the low 16 bits of each
 // 32-bit product.
 func PMulLW(a, b Reg) Reg {
-	return mapW(a, b, func(x, y int16) int16 { return int16(int32(x) * int32(y)) })
+	return Reg(uint16(mul(a, b, 0))) | Reg(uint16(mul(a, b, 16)))<<16 |
+		Reg(uint16(mul(a, b, 32)))<<32 | Reg(uint16(mul(a, b, 48)))<<48
 }
 
 // PMulHW multiplies packed signed words and keeps the high 16 bits of each
 // 32-bit product.
 func PMulHW(a, b Reg) Reg {
-	return mapW(a, b, func(x, y int16) int16 { return int16((int32(x) * int32(y)) >> 16) })
+	return Reg(uint16(mul(a, b, 0)>>16)) | Reg(uint16(mul(a, b, 16)>>16))<<16 |
+		Reg(uint16(mul(a, b, 32)>>16))<<32 | Reg(uint16(mul(a, b, 48)>>16))<<48
 }
 
 // PMAddWD multiplies packed signed words and adds adjacent 32-bit products:
-// out.lo = a0*b0 + a1*b1, out.hi = a2*b2 + a3*b3. This is the MMX
-// multiply-accumulate primitive that gives matvec its superlinear speedup.
+// out.lo = a0*b0 + a1*b1, out.hi = a2*b2 + a3*b3, wrapping at 32 bits (so
+// 0x8000*0x8000 twice gives 0x80000000). This is the MMX multiply-
+// accumulate primitive that gives matvec its superlinear speedup.
 func PMAddWD(a, b Reg) Reg {
-	aw, bw := a.Words(), b.Words()
-	lo := int32(aw[0])*int32(bw[0]) + int32(aw[1])*int32(bw[1])
-	hi := int32(aw[2])*int32(bw[2]) + int32(aw[3])*int32(bw[3])
-	return FromDwords([2]int32{lo, hi})
+	return Reg(uint32(mul(a, b, 0)+mul(a, b, 16))) | Reg(uint32(mul(a, b, 32)+mul(a, b, 48)))<<32
 }
 
 // ---------------------------------------------------------------------------
 // Pack with saturation
 
+// ssb saturates the word of r at bit offset s to a signed byte.
+func ssb(r Reg, s uint) Reg { return Reg(uint8(min(max(int16(r>>s), -128), 127))) }
+
+// usb saturates the word of r at bit offset s to an unsigned byte.
+func usb(r Reg, s uint) Reg { return Reg(uint8(min(max(int16(r>>s), 0), 255))) }
+
+// ssw saturates the dword of r at bit offset s to a signed word.
+func ssw(r Reg, s uint) Reg { return Reg(uint16(min(max(int32(r>>s), -32768), 32767))) }
+
 // PackSSWB packs the four words of a (low lanes) and b (high lanes) into
 // eight signed-saturated bytes.
 func PackSSWB(a, b Reg) Reg {
-	aw, bw := a.Words(), b.Words()
-	var out [8]uint8
-	for i := 0; i < 4; i++ {
-		out[i] = uint8(fixed.SatB(int32(aw[i])))
-		out[i+4] = uint8(fixed.SatB(int32(bw[i])))
-	}
-	return FromBytes(out)
+	return ssb(a, 0) | ssb(a, 16)<<8 | ssb(a, 32)<<16 | ssb(a, 48)<<24 |
+		ssb(b, 0)<<32 | ssb(b, 16)<<40 | ssb(b, 32)<<48 | ssb(b, 48)<<56
 }
 
 // PackSSDW packs the two dwords of a (low lanes) and b (high lanes) into
 // four signed-saturated words.
 func PackSSDW(a, b Reg) Reg {
-	ad, bd := a.Dwords(), b.Dwords()
-	return FromWords([4]int16{
-		fixed.SatW(ad[0]), fixed.SatW(ad[1]),
-		fixed.SatW(bd[0]), fixed.SatW(bd[1]),
-	})
+	return ssw(a, 0) | ssw(a, 32)<<16 | ssw(b, 0)<<32 | ssw(b, 32)<<48
 }
 
-// PackUSWB packs the four words of a (low lanes) and b (high lanes) into
-// eight unsigned-saturated bytes.
+// PackUSWB packs the four signed words of a (low lanes) and b (high lanes)
+// into eight unsigned-saturated bytes.
 func PackUSWB(a, b Reg) Reg {
-	aw, bw := a.Words(), b.Words()
-	var out [8]uint8
-	for i := 0; i < 4; i++ {
-		out[i] = fixed.SatUB(int32(aw[i]))
-		out[i+4] = fixed.SatUB(int32(bw[i]))
-	}
-	return FromBytes(out)
+	return usb(a, 0) | usb(a, 16)<<8 | usb(a, 32)<<16 | usb(a, 48)<<24 |
+		usb(b, 0)<<32 | usb(b, 16)<<40 | usb(b, 32)<<48 | usb(b, 48)<<56
 }
 
 // ---------------------------------------------------------------------------
 // Unpack (interleave)
 
+// spreadB moves the four bytes of the low dword of x to the even byte
+// lanes, zeroing the odd ones.
+func spreadB(x Reg) Reg {
+	x = (x&0xFFFF_0000)<<16 | x&0xFFFF
+	return (x&0x0000_FF00_0000_FF00)<<8 | x&0x0000_00FF_0000_00FF
+}
+
+// spreadW moves the two words of the low dword of x to the even word
+// lanes, zeroing the odd ones.
+func spreadW(x Reg) Reg { return (x&0xFFFF_0000)<<16 | x&0xFFFF }
+
 // PUnpckLBW interleaves the low four bytes of a and b:
 // out = b3 a3 b2 a2 b1 a1 b0 a0 (high..low).
-func PUnpckLBW(a, b Reg) Reg {
-	ab, bb := a.Bytes(), b.Bytes()
-	var out [8]uint8
-	for i := 0; i < 4; i++ {
-		out[2*i] = ab[i]
-		out[2*i+1] = bb[i]
-	}
-	return FromBytes(out)
-}
+func PUnpckLBW(a, b Reg) Reg { return spreadB(a) | spreadB(b)<<8 }
 
 // PUnpckHBW interleaves the high four bytes of a and b.
-func PUnpckHBW(a, b Reg) Reg {
-	ab, bb := a.Bytes(), b.Bytes()
-	var out [8]uint8
-	for i := 0; i < 4; i++ {
-		out[2*i] = ab[i+4]
-		out[2*i+1] = bb[i+4]
-	}
-	return FromBytes(out)
-}
+func PUnpckHBW(a, b Reg) Reg { return spreadB(a>>32) | spreadB(b>>32)<<8 }
 
 // PUnpckLWD interleaves the low two words of a and b.
-func PUnpckLWD(a, b Reg) Reg {
-	aw, bw := a.Words(), b.Words()
-	return FromWords([4]int16{aw[0], bw[0], aw[1], bw[1]})
-}
+func PUnpckLWD(a, b Reg) Reg { return spreadW(a) | spreadW(b)<<16 }
 
 // PUnpckHWD interleaves the high two words of a and b.
-func PUnpckHWD(a, b Reg) Reg {
-	aw, bw := a.Words(), b.Words()
-	return FromWords([4]int16{aw[2], bw[2], aw[3], bw[3]})
-}
+func PUnpckHWD(a, b Reg) Reg { return spreadW(a>>32) | spreadW(b>>32)<<16 }
 
 // PUnpckLDQ interleaves the low dwords of a and b.
-func PUnpckLDQ(a, b Reg) Reg {
-	ad, bd := a.Dwords(), b.Dwords()
-	return FromDwords([2]int32{ad[0], bd[0]})
-}
+func PUnpckLDQ(a, b Reg) Reg { return a&0xFFFF_FFFF | b<<32 }
 
 // PUnpckHDQ interleaves the high dwords of a and b.
-func PUnpckHDQ(a, b Reg) Reg {
-	ad, bd := a.Dwords(), b.Dwords()
-	return FromDwords([2]int32{ad[1], bd[1]})
-}
+func PUnpckHDQ(a, b Reg) Reg { return a>>32 | b&^0xFFFF_FFFF }
 
 // ---------------------------------------------------------------------------
 // Packed compares (result lanes are all-ones or all-zeros)
 
-// PCmpEqB compares packed bytes for equality.
-func PCmpEqB(a, b Reg) Reg {
-	return mapB(a, b, func(x, y uint8) uint8 {
-		if x == y {
-			return 0xFF
-		}
-		return 0
-	})
+// cmpEq sets the lanes where a and b are equal: x = a^b is zero there, and
+// (x&^h + ^h) | x has a lane's MSB set exactly where that lane of x is not.
+func cmpEq(a, b, h Reg, w uint) Reg {
+	x := a ^ b
+	return spread(^(x&^h+^h|x)&h, w)
 }
+
+// cmpGt sets the lanes where a > b as signed values: the true sign of
+// b-a is the wrapped difference's sign corrected by the overflow term.
+func cmpGt(a, b, h Reg, w uint) Reg {
+	d := wrapSub(b, a, h)
+	return spread((d^(b^a)&(b^d))&h, w)
+}
+
+// PCmpEqB compares packed bytes for equality.
+func PCmpEqB(a, b Reg) Reg { return cmpEq(a, b, h8, 8) }
 
 // PCmpEqW compares packed words for equality.
-func PCmpEqW(a, b Reg) Reg {
-	return mapW(a, b, func(x, y int16) int16 {
-		if x == y {
-			return -1
-		}
-		return 0
-	})
-}
+func PCmpEqW(a, b Reg) Reg { return cmpEq(a, b, h16, 16) }
 
 // PCmpEqD compares packed doublewords for equality.
-func PCmpEqD(a, b Reg) Reg {
-	return mapD(a, b, func(x, y int32) int32 {
-		if x == y {
-			return -1
-		}
-		return 0
-	})
-}
+func PCmpEqD(a, b Reg) Reg { return cmpEq(a, b, h32, 32) }
 
 // PCmpGtB compares packed signed bytes for a > b.
-func PCmpGtB(a, b Reg) Reg {
-	return mapB(a, b, func(x, y uint8) uint8 {
-		if int8(x) > int8(y) {
-			return 0xFF
-		}
-		return 0
-	})
-}
+func PCmpGtB(a, b Reg) Reg { return cmpGt(a, b, h8, 8) }
 
 // PCmpGtW compares packed signed words for a > b.
-func PCmpGtW(a, b Reg) Reg {
-	return mapW(a, b, func(x, y int16) int16 {
-		if x > y {
-			return -1
-		}
-		return 0
-	})
-}
+func PCmpGtW(a, b Reg) Reg { return cmpGt(a, b, h16, 16) }
 
 // PCmpGtD compares packed signed doublewords for a > b.
-func PCmpGtD(a, b Reg) Reg {
-	return mapD(a, b, func(x, y int32) int32 {
-		if x > y {
-			return -1
-		}
-		return 0
-	})
-}
+func PCmpGtD(a, b Reg) Reg { return cmpGt(a, b, h32, 32) }
 
 // ---------------------------------------------------------------------------
 // Logicals
@@ -366,14 +353,15 @@ func POr(a, b Reg) Reg { return a | b }
 func PXor(a, b Reg) Reg { return a ^ b }
 
 // ---------------------------------------------------------------------------
-// Shifts. Counts >= the lane width zero (or sign-) fill, as on hardware.
+// Shifts: one 64-bit shift, masked to keep bits from crossing lanes. Counts
+// >= the lane width zero (or sign-) fill, as on hardware.
 
 // PSllW shifts packed words left.
 func PSllW(a Reg, n uint) Reg {
 	if n > 15 {
 		return 0
 	}
-	return mapW(a, 0, func(x, _ int16) int16 { return int16(uint16(x) << n) })
+	return a << n & (l16 * Reg(uint16(0xFFFF<<n)))
 }
 
 // PSllD shifts packed doublewords left.
@@ -381,7 +369,7 @@ func PSllD(a Reg, n uint) Reg {
 	if n > 31 {
 		return 0
 	}
-	return mapD(a, 0, func(x, _ int32) int32 { return int32(uint32(x) << n) })
+	return a << n & (l32 * Reg(uint32(0xFFFF_FFFF<<n)))
 }
 
 // PSllQ shifts the quadword left.
@@ -397,7 +385,7 @@ func PSrlW(a Reg, n uint) Reg {
 	if n > 15 {
 		return 0
 	}
-	return mapW(a, 0, func(x, _ int16) int16 { return int16(uint16(x) >> n) })
+	return a >> n & (l16 * Reg(0xFFFF>>n))
 }
 
 // PSrlD shifts packed doublewords right, zero filling.
@@ -405,7 +393,7 @@ func PSrlD(a Reg, n uint) Reg {
 	if n > 31 {
 		return 0
 	}
-	return mapD(a, 0, func(x, _ int32) int32 { return int32(uint32(x) >> n) })
+	return a >> n & (l32 * Reg(0xFFFF_FFFF>>n))
 }
 
 // PSrlQ shifts the quadword right, zero filling.
@@ -416,18 +404,17 @@ func PSrlQ(a Reg, n uint) Reg {
 	return a >> n
 }
 
-// PSraW shifts packed words right arithmetically (sign filling).
+// PSraW shifts packed words right arithmetically (sign filling): the
+// logical shift, with the vacated high bits of each negative lane set.
 func PSraW(a Reg, n uint) Reg {
-	if n > 15 {
-		n = 15
-	}
-	return mapW(a, 0, func(x, _ int16) int16 { return x >> n })
+	n = min(n, 15)
+	keep := Reg(0xFFFF >> n)
+	return a>>n&(l16*keep) | (a&h16)>>15*(0xFFFF^keep)
 }
 
 // PSraD shifts packed doublewords right arithmetically (sign filling).
 func PSraD(a Reg, n uint) Reg {
-	if n > 31 {
-		n = 31
-	}
-	return mapD(a, 0, func(x, _ int32) int32 { return x >> n })
+	n = min(n, 31)
+	keep := Reg(0xFFFF_FFFF >> n)
+	return a>>n&(l32*keep) | (a&h32)>>31*(0xFFFF_FFFF^keep)
 }

@@ -96,6 +96,7 @@ func TestEveryOpcodeExecutes(t *testing.T) {
 	b.I(isa.FCOM, asm.R(isa.FP0), asm.R(isa.FP1))
 	b.I(isa.FST, asm.Sym(isa.SizeQ, "scratch", 0), asm.R(isa.FP0))
 	b.I(isa.FST, asm.Sym(isa.SizeD, "scratch", 8), asm.R(isa.FP0))
+	b.I(isa.FST, asm.R(isa.FP4), asm.R(isa.FP0))
 	b.I(isa.FIST, asm.Sym(isa.SizeW, "scratch", 12), asm.R(isa.FP0))
 	b.I(isa.FIST, asm.Sym(isa.SizeD, "scratch", 16), asm.R(isa.FP0))
 
@@ -155,6 +156,14 @@ func TestEveryOpcodeExecutes(t *testing.T) {
 		}
 		if !inProgram[op] {
 			t.Errorf("conformance program does not contain opcode %s", op)
+		}
+	}
+
+	// The memory forms of fst lower to native micro-ops, so the paths
+	// compared below run the native store, not the generic executor's.
+	for i := range p.Insts {
+		if in := &p.Insts[i]; in.Op == isa.FST && in.A.IsMem() && !vm.LowersNative(in) {
+			t.Errorf("%s does not lower to a native micro-op", in)
 		}
 	}
 

@@ -10,6 +10,10 @@ import (
 // micro-ops raise it too.
 const fpWhileMMX = "floating-point instruction while MMX state active (missing emms)"
 
+// fstRange is the fault format of an out-of-range fst store, shared with
+// the uFStore micro-ops.
+const fstRange = "fst out of range at %#x"
+
 // execFP executes floating-point instructions against the flat FP register
 // file. The FP registers physically alias the MMX registers: executing an
 // FP instruction while the machine is in MMX mode (after any MMX
@@ -54,7 +58,7 @@ func (c *CPU) execFP(in *isa.Inst) error {
 			return c.fault("fst needs dword or qword destination")
 		}
 		if !ok {
-			return c.fault("fst out of range at %#x", addr)
+			return c.fault(fstRange, addr)
 		}
 		return nil
 

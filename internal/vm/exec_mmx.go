@@ -53,9 +53,9 @@ func (c *CPU) execMMX(in *isa.Inst) error {
 			return c.fault("movq store out of range at %#x", addr)
 		}
 		return nil
+	}
 
-	case isa.PSLLW, isa.PSLLD, isa.PSLLQ, isa.PSRLW, isa.PSRLD, isa.PSRLQ,
-		isa.PSRAW, isa.PSRAD:
+	if shift := mmxShift[in.Op]; shift != nil {
 		dst, err := c.readMMReg(in.A)
 		if err != nil {
 			return err
@@ -72,29 +72,7 @@ func (c *CPU) execMMX(in *isa.Inst) error {
 		}
 		// Hardware treats the count as a 64-bit value; anything >= 64
 		// behaves like a max-width shift and the lane ops handle it.
-		if n > 64 {
-			n = 64
-		}
-		var r mmx.Reg
-		switch in.Op {
-		case isa.PSLLW:
-			r = mmx.PSllW(dst, uint(n))
-		case isa.PSLLD:
-			r = mmx.PSllD(dst, uint(n))
-		case isa.PSLLQ:
-			r = mmx.PSllQ(dst, uint(n))
-		case isa.PSRLW:
-			r = mmx.PSrlW(dst, uint(n))
-		case isa.PSRLD:
-			r = mmx.PSrlD(dst, uint(n))
-		case isa.PSRLQ:
-			r = mmx.PSrlQ(dst, uint(n))
-		case isa.PSRAW:
-			r = mmx.PSraW(dst, uint(n))
-		case isa.PSRAD:
-			r = mmx.PSraD(dst, uint(n))
-		}
-		c.mm[in.A.Reg.MMXIndex()] = r
+		c.mm[in.A.Reg.MMXIndex()] = shift(dst, uint(min(n, 64)))
 		return nil
 	}
 
@@ -107,53 +85,67 @@ func (c *CPU) execMMX(in *isa.Inst) error {
 	if err != nil {
 		return err
 	}
-	f, ok := mmxBinary[in.Op]
-	if !ok {
+	f := mmxBinary[in.Op]
+	if f == nil {
 		return c.fault("unimplemented MMX op %s", in.Op)
 	}
 	c.mm[in.A.Reg.MMXIndex()] = f(dst, src)
 	return nil
 }
 
-// mmxBinary dispatches two-operand MMX opcodes to their value semantics.
-var mmxBinary = map[isa.Op]func(a, b mmx.Reg) mmx.Reg{
-	isa.PACKSSWB:  mmx.PackSSWB,
-	isa.PACKSSDW:  mmx.PackSSDW,
-	isa.PACKUSWB:  mmx.PackUSWB,
-	isa.PUNPCKLBW: mmx.PUnpckLBW,
-	isa.PUNPCKHBW: mmx.PUnpckHBW,
-	isa.PUNPCKLWD: mmx.PUnpckLWD,
-	isa.PUNPCKHWD: mmx.PUnpckHWD,
-	isa.PUNPCKLDQ: mmx.PUnpckLDQ,
-	isa.PUNPCKHDQ: mmx.PUnpckHDQ,
-	isa.PADDB:     mmx.PAddB,
-	isa.PADDW:     mmx.PAddW,
-	isa.PADDD:     mmx.PAddD,
-	isa.PADDSB:    mmx.PAddSB,
-	isa.PADDSW:    mmx.PAddSW,
-	isa.PADDUSB:   mmx.PAddUSB,
-	isa.PADDUSW:   mmx.PAddUSW,
-	isa.PSUBB:     mmx.PSubB,
-	isa.PSUBW:     mmx.PSubW,
-	isa.PSUBD:     mmx.PSubD,
-	isa.PSUBSB:    mmx.PSubSB,
-	isa.PSUBSW:    mmx.PSubSW,
-	isa.PSUBUSB:   mmx.PSubUSB,
-	isa.PSUBUSW:   mmx.PSubUSW,
-	isa.PMADDWD:   mmx.PMAddWD,
-	isa.PMULHW:    mmx.PMulHW,
-	isa.PMULLW:    mmx.PMulLW,
-	isa.PCMPEQB:   mmx.PCmpEqB,
-	isa.PCMPEQW:   mmx.PCmpEqW,
-	isa.PCMPEQD:   mmx.PCmpEqD,
-	isa.PCMPGTB:   mmx.PCmpGtB,
-	isa.PCMPGTW:   mmx.PCmpGtW,
-	isa.PCMPGTD:   mmx.PCmpGtD,
-	isa.PAND:      mmx.PAnd,
-	isa.PANDN:     mmx.PAndN,
-	isa.POR:       mmx.POr,
-	isa.PXOR:      mmx.PXor,
-}
+// mmxBinary and mmxShift map the two-operand and shift MMX opcodes to
+// their value semantics (nil for every other opcode). Both executors use
+// them: execMMX directly, and lowerInst to fill the micro-ops' mfn/sfn.
+var (
+	mmxBinary = [isa.NumOps]func(a, b mmx.Reg) mmx.Reg{
+		isa.PACKSSWB:  mmx.PackSSWB,
+		isa.PACKSSDW:  mmx.PackSSDW,
+		isa.PACKUSWB:  mmx.PackUSWB,
+		isa.PUNPCKLBW: mmx.PUnpckLBW,
+		isa.PUNPCKHBW: mmx.PUnpckHBW,
+		isa.PUNPCKLWD: mmx.PUnpckLWD,
+		isa.PUNPCKHWD: mmx.PUnpckHWD,
+		isa.PUNPCKLDQ: mmx.PUnpckLDQ,
+		isa.PUNPCKHDQ: mmx.PUnpckHDQ,
+		isa.PADDB:     mmx.PAddB,
+		isa.PADDW:     mmx.PAddW,
+		isa.PADDD:     mmx.PAddD,
+		isa.PADDSB:    mmx.PAddSB,
+		isa.PADDSW:    mmx.PAddSW,
+		isa.PADDUSB:   mmx.PAddUSB,
+		isa.PADDUSW:   mmx.PAddUSW,
+		isa.PSUBB:     mmx.PSubB,
+		isa.PSUBW:     mmx.PSubW,
+		isa.PSUBD:     mmx.PSubD,
+		isa.PSUBSB:    mmx.PSubSB,
+		isa.PSUBSW:    mmx.PSubSW,
+		isa.PSUBUSB:   mmx.PSubUSB,
+		isa.PSUBUSW:   mmx.PSubUSW,
+		isa.PMADDWD:   mmx.PMAddWD,
+		isa.PMULHW:    mmx.PMulHW,
+		isa.PMULLW:    mmx.PMulLW,
+		isa.PCMPEQB:   mmx.PCmpEqB,
+		isa.PCMPEQW:   mmx.PCmpEqW,
+		isa.PCMPEQD:   mmx.PCmpEqD,
+		isa.PCMPGTB:   mmx.PCmpGtB,
+		isa.PCMPGTW:   mmx.PCmpGtW,
+		isa.PCMPGTD:   mmx.PCmpGtD,
+		isa.PAND:      mmx.PAnd,
+		isa.PANDN:     mmx.PAndN,
+		isa.POR:       mmx.POr,
+		isa.PXOR:      mmx.PXor,
+	}
+	mmxShift = [isa.NumOps]func(a mmx.Reg, n uint) mmx.Reg{
+		isa.PSLLW: mmx.PSllW,
+		isa.PSLLD: mmx.PSllD,
+		isa.PSLLQ: mmx.PSllQ,
+		isa.PSRLW: mmx.PSrlW,
+		isa.PSRLD: mmx.PSrlD,
+		isa.PSRLQ: mmx.PSrlQ,
+		isa.PSRAW: mmx.PSraW,
+		isa.PSRAD: mmx.PSraD,
+	}
+)
 
 func (c *CPU) readMMReg(o isa.Operand) (mmx.Reg, error) {
 	if !o.IsReg() || !o.Reg.IsMMX() {

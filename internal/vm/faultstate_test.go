@@ -122,10 +122,13 @@ var faultCases = []faultCase{
 	{"fcom-m64", "double load", one(isa.FCOM, asm.R(isa.FP1), asm.MemQ(isa.ESI, 0)), poisonESI},
 	{"fild", "fild out of range", one(isa.FILD, asm.R(isa.FP2), asm.MemW(isa.ESI, 0)), poisonESI},
 	{"fst", "fst out of range", one(isa.FST, asm.MemQ(isa.ESI, 8), asm.R(isa.FP1)), poisonESI},
+	{"fst-m32", "fst out of range", one(isa.FST, asm.MemD(isa.ESI, 4), asm.R(isa.FP1)), poisonESI},
 	// FP while MMX state is active: native and generic FP shapes.
 	{"fp-mmx-rr", "missing emms", one(isa.FADD, asm.R(isa.FP1), asm.R(isa.FP0)), poisonMMX},
 	{"fp-mmx-const", "missing emms", one(isa.FLDC, asm.R(isa.FP3), asm.Imm(int64(math.Float64bits(0.5)))), poisonMMX},
 	{"fp-mmx-fchs", "missing emms", one(isa.FCHS, asm.R(isa.FP1)), poisonMMX},
+	{"fp-mmx-fst", "missing emms", one(isa.FST, asm.MemQ(isa.ESI, 8), asm.R(isa.FP1)), poisonMMX},
+	{"fp-mmx-fst-m32", "missing emms", one(isa.FST, asm.MemD(isa.ESI, 0), asm.R(isa.FP1)), poisonMMX},
 }
 
 // faultIters is the loop trip count; the cold variant poisons on the first

@@ -283,6 +283,8 @@ const (
 	uFMovRR
 	uFLoad32
 	uFLoad64
+	uFStore32
+	uFStore64
 	uFConst
 	uFArithRR
 	uFArithM32
@@ -1477,37 +1479,15 @@ func lowerInst(in *isa.Inst, pc int32) (uop, bool) {
 			}
 		}
 		return call, true
+	}
 
-	case isa.PSLLW, isa.PSLLD, isa.PSLLQ, isa.PSRLW, isa.PSRLD, isa.PSRLQ,
-		isa.PSRAW, isa.PSRAD:
+	if shift := mmxShift[in.Op]; shift != nil {
 		if !in.A.IsReg() || !in.A.Reg.IsMMX() {
 			return call, true
 		}
-		var shift func(mmx.Reg, uint) mmx.Reg
-		switch in.Op {
-		case isa.PSLLW:
-			shift = mmx.PSllW
-		case isa.PSLLD:
-			shift = mmx.PSllD
-		case isa.PSLLQ:
-			shift = mmx.PSllQ
-		case isa.PSRLW:
-			shift = mmx.PSrlW
-		case isa.PSRLD:
-			shift = mmx.PSrlD
-		case isa.PSRLQ:
-			shift = mmx.PSrlQ
-		case isa.PSRAW:
-			shift = mmx.PSraW
-		default:
-			shift = mmx.PSraD
-		}
 		md := uint8(in.A.Reg.MMXIndex())
 		if in.B.IsImm() {
-			n := uint64(in.B.Imm)
-			if n > 64 {
-				n = 64
-			}
+			n := min(uint64(in.B.Imm), 64)
 			return uop{kind: uMMXShiftI, d: md, imm: uint32(n), sfn: shift, pc: pc}, true
 		}
 		if in.B.IsReg() && in.B.Reg.IsMMX() {
@@ -1516,23 +1496,21 @@ func lowerInst(in *isa.Inst, pc int32) (uop, bool) {
 		return call, true
 	}
 
-	if in.Op.IsMMX() {
-		if f, ok := mmxBinary[in.Op]; ok && in.A.IsReg() && in.A.Reg.IsMMX() {
-			md := uint8(in.A.Reg.MMXIndex())
-			if in.B.IsReg() && in.B.Reg.IsMMX() {
-				return uop{kind: uMMXBinRR, d: md, s: uint8(in.B.Reg.MMXIndex()), mfn: f, pc: pc}, true
-			}
-			if in.B.IsMem() {
-				if u, ok := memRef(in.B, pc); ok {
-					if in.B.Size == isa.SizeD {
-						u.kind = uMMXBinRM32
-					} else {
-						u.kind = uMMXBinRM64
-					}
-					u.d = md
-					u.mfn = f
-					return u, true
+	if f := mmxBinary[in.Op]; f != nil && in.A.IsReg() && in.A.Reg.IsMMX() {
+		md := uint8(in.A.Reg.MMXIndex())
+		if in.B.IsReg() && in.B.Reg.IsMMX() {
+			return uop{kind: uMMXBinRR, d: md, s: uint8(in.B.Reg.MMXIndex()), mfn: f, pc: pc}, true
+		}
+		if in.B.IsMem() {
+			if u, ok := memRef(in.B, pc); ok {
+				if in.B.Size == isa.SizeD {
+					u.kind = uMMXBinRM32
+				} else {
+					u.kind = uMMXBinRM64
 				}
+				u.d = md
+				u.mfn = f
+				return u, true
 			}
 		}
 		return call, true
@@ -1546,20 +1524,31 @@ func lowerInst(in *isa.Inst, pc int32) (uop, bool) {
 }
 
 // lowerFP lowers the floating-point shapes with native micro-ops (register
-// destination; register, float32 or float64 source); call is the fallback.
+// destination with a register, float32 or float64 source; or a float32 or
+// float64 store of a register); call is the fallback.
 func lowerFP(in *isa.Inst, call uop, pc int32) (uop, bool) {
-	fd := fpDst(in.A)
-	if fd < 0 {
-		return call, true
-	}
-	fpMemKind := func(base32, base64 uint8) (uint8, bool) {
-		switch in.B.Size {
+	fpMemKind := func(size isa.Size, base32, base64 uint8) (uint8, bool) {
+		switch size {
 		case isa.SizeD:
 			return base32, true
 		case isa.SizeQ:
 			return base64, true
 		}
 		return 0, false
+	}
+	if fs := fpDst(in.B); in.Op == isa.FST && in.A.IsMem() && fs >= 0 {
+		if u, ok := memRef(in.A, pc); ok {
+			if k, ok := fpMemKind(in.A.Size, uFStore32, uFStore64); ok {
+				u.kind = k
+				u.s = uint8(fs)
+				return u, true
+			}
+		}
+		return call, true
+	}
+	fd := fpDst(in.A)
+	if fd < 0 {
+		return call, true
 	}
 	switch in.Op {
 	case isa.FLD:
@@ -1568,7 +1557,7 @@ func lowerFP(in *isa.Inst, call uop, pc int32) (uop, bool) {
 		}
 		if in.B.IsMem() {
 			if u, ok := memRef(in.B, pc); ok {
-				if k, ok := fpMemKind(uFLoad32, uFLoad64); ok {
+				if k, ok := fpMemKind(in.B.Size, uFLoad32, uFLoad64); ok {
 					u.kind = k
 					u.d = uint8(fd)
 					return u, true
@@ -1607,7 +1596,7 @@ func lowerFP(in *isa.Inst, call uop, pc int32) (uop, bool) {
 		}
 		if in.B.IsMem() {
 			if u, ok := memRef(in.B, pc); ok {
-				if k, ok := fpMemKind(uFArithM32, uFArithM64); ok {
+				if k, ok := fpMemKind(in.B.Size, uFArithM32, uFArithM64); ok {
 					u.kind = k
 					u.d = uint8(fd)
 					u.alu = sub
@@ -1623,7 +1612,7 @@ func lowerFP(in *isa.Inst, call uop, pc int32) (uop, bool) {
 		}
 		if in.B.IsMem() {
 			if u, ok := memRef(in.B, pc); ok {
-				if k, ok := fpMemKind(uFComM32, uFComM64); ok {
+				if k, ok := fpMemKind(in.B.Size, uFComM32, uFComM64); ok {
 					u.kind = k
 					u.d = uint8(fd)
 					return u, true
@@ -2306,6 +2295,26 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 				a, b := c.fp[u.d&7], c.fp[u.s&7]
 				zf, cf = a == b, a < b
 				sf, of = false, false
+			}
+		case uFStore32, uFStore64:
+			if c.mmxActive {
+				c.pc = int(u.pc)
+				retErr = c.fault(fpWhileMMX)
+				goto out
+			}
+			a := memAddr(u, &gpr)
+			addrs = append(addrs, uint64(a))
+			v := c.fp[u.s&7]
+			var ok bool
+			if u.kind == uFStore32 {
+				ok = memu.StoreU32(a, math.Float32bits(float32(v)))
+			} else {
+				ok = memu.StoreU64(a, math.Float64bits(v))
+			}
+			if !ok {
+				c.pc = int(u.pc)
+				retErr = c.fault(fstRange, a)
+				goto out
 			}
 		case uFLoad32, uFArithM32, uFComM32:
 			if c.mmxActive {

@@ -71,6 +71,10 @@ echo "==> go test -run '^$' -fuzz FuzzParseCampaignRequest -fuzztime 5s ./intern
 go test -run '^$' -fuzz FuzzParseCampaignRequest -fuzztime 5s ./internal/campaign >/dev/null
 echo "==> go test -run '^$' -fuzz FuzzDispatchThreeWay -fuzztime 5s ./internal/pentium"
 go test -run '^$' -fuzz FuzzDispatchThreeWay -fuzztime 5s ./internal/pentium >/dev/null
+# FuzzMMXOracle holds the word-parallel MMX semantics against the
+# independent per-lane model (internal/mmxref).
+echo "==> go test -run '^$' -fuzz FuzzMMXOracle -fuzztime 5s ./internal/mmx"
+go test -run '^$' -fuzz FuzzMMXOracle -fuzztime 5s ./internal/mmx >/dev/null
 
 # The three-way dispatch equivalence (generic / block / trace) also runs
 # under the race detector: every CPU of a program reads the same compiled
@@ -86,8 +90,11 @@ go test -run '^$' -fuzz FuzzDispatchThreeWay -fuzztime 5s ./internal/pentium >/d
 # cache differential (TestStreamSmallCacheModesAgree) and the fault-state
 # differential, which compares cache statistics after a fault, show here
 # that the interpreter never touches CPU.Hier while the stream is open.
-echo "==> go test -race -run 'TestDispatchModesAgree|TestDispatchThreeWay|TestStream|TestSharedCodeConcurrentRuns|TestFaultStateMatchesAcrossPaths' ./internal/vm ./internal/pentium"
-go test -race -run 'TestDispatchModesAgree|TestDispatchThreeWay|TestStream|TestSharedCodeConcurrentRuns|TestFaultStateMatchesAcrossPaths' ./internal/vm ./internal/pentium
+# The MMX oracle differential (TestMMXOracle*, ~3 s under -race; -short
+# shrinks it) runs every MMX opcode and operand shape through the three
+# paths against the independent per-lane model.
+echo "==> go test -race -run 'TestDispatchModesAgree|TestDispatchThreeWay|TestStream|TestSharedCodeConcurrentRuns|TestFaultStateMatchesAcrossPaths|TestMMXOracle' ./internal/vm ./internal/pentium"
+go test -race -run 'TestDispatchModesAgree|TestDispatchThreeWay|TestStream|TestSharedCodeConcurrentRuns|TestFaultStateMatchesAcrossPaths|TestMMXOracle' ./internal/vm ./internal/pentium
 
 # Smoke-run the trace-dispatch benchmark for a single iteration so
 # inner-loop regressions that only bite under benchmarking surface here.
