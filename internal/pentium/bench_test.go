@@ -55,3 +55,72 @@ func BenchmarkRetire(b *testing.B) {
 	b.Run("bound", func(b *testing.B) { bench(b, true) })
 	b.Run("fallback", func(b *testing.B) { bench(b, false) })
 }
+
+// chainBenchProgram links four fall-through block bodies with the same
+// pairable-V head, load, read-modify-write and pointer bump. Blocks 0 and 1
+// end with a U-only shift, which leaves a U pending that the next entry's
+// head pairs behind; blocks 2 and 3 end with imul, which leaves none.
+func chainBenchProgram() *asm.Program {
+	b := asm.NewBuilder("chain-bench")
+	for i, label := range []string{"a", "b", "c", "d"} {
+		b.Label(label)
+		b.I(isa.ADD, asm.R(isa.EBX), asm.R(isa.EAX))
+		b.I(isa.MOV, asm.R(isa.EAX), asm.MemD(isa.ESI, 0))
+		b.I(isa.ADD, asm.MemD(isa.ESI, 4), asm.Imm(3))
+		b.I(isa.ADD, asm.R(isa.ESI), asm.Imm(4))
+		if i < 2 {
+			b.I(isa.SHL, asm.R(isa.EDI), asm.Imm(1))
+		} else {
+			b.I(isa.IMUL, asm.R(isa.EDI), asm.R(isa.EAX))
+		}
+	}
+	b.J(isa.JMP, "a")
+	b.J(isa.JMP, "b")
+	b.J(isa.JMP, "c")
+	b.J(isa.JMP, "d")
+	b.I(isa.HALT)
+	return b.MustLink()
+}
+
+// BenchmarkRetireChain prices block bodies through RetireChain. steady
+// re-applies one chain back to back, so after the proof every call takes
+// the steady-state fast path; full alternates two chains, so every call
+// rebuilds and compares the full entry signature. pendingU runs the
+// bodies that enter behind a pending U (the signature's pending-U byte is
+// non-zero), noU the ones that do not.
+func BenchmarkRetireChain(b *testing.B) {
+	prog := chainBenchProgram()
+	penalties := []int32{0, 0}
+	bench := func(b *testing.B, blocks []int32, wantSteady bool) {
+		b.Helper()
+		b.ReportAllocs()
+		m := New(DefaultConfig())
+		m.Bind(prog)
+		var cts []*ChainTiming
+		for _, bi := range blocks {
+			cts = append(cts, m.NewChain([]int32{bi}, []ChainTerm{{PC: -1}}))
+		}
+		retire := func() {
+			for _, ct := range cts {
+				if m.RetireChain(ct, penalties) == nil {
+					b.Fatal("RetireChain declined")
+				}
+			}
+		}
+		for i := 0; i < 8; i++ {
+			retire()
+		}
+		if steady := cts[0].steady >= 0; steady != wantSteady {
+			b.Fatalf("steady state %v, want %v", steady, wantSteady)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			retire()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(cts)), "ns/chain")
+	}
+	b.Run("steady/pendingU", func(b *testing.B) { bench(b, []int32{0}, true) })
+	b.Run("steady/noU", func(b *testing.B) { bench(b, []int32{2}, true) })
+	b.Run("full/pendingU", func(b *testing.B) { bench(b, []int32{0, 1}, false) })
+	b.Run("full/noU", func(b *testing.B) { bench(b, []int32{2, 3}, false) })
+}

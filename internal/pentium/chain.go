@@ -5,7 +5,7 @@
 // one-block chain whose terminator emits no event). The cycle schedule of
 // that sequence — dependency stalls, U/V pairing, result latencies, cache
 // penalties, branch predictions — is a pure function of the dynamic entry
-// state, which a chain reaches through only three inputs:
+// state, which a chain reaches through only four inputs:
 //
 //   - the lag of each live-in register (read before written anywhere in the
 //     chain);
@@ -17,19 +17,26 @@
 //     not owned by any chain branch behaves identically whether it is empty
 //     or foreign-tagged (taken updates retag it, not-taken updates are
 //     no-ops), so the per-branch ownership+counter entries fully determine
-//     every in-iteration prediction.
+//     every in-iteration prediction;
+//   - the pending U pipe, for chains whose first event could pair into the V
+//     pipe (pairable-V with single-cycle occupancy): 0 when no U instruction
+//     is pending or the first event cannot pair with it (canPairAsV), and
+//     1 + (now − uIssue) otherwise. The pending instruction reaches the
+//     schedule only through canPairAsV and its issue cycle, which a pair
+//     inherits; the first event's retire clears or replaces it either way.
 //
-// RetireChain resolves a (lags, penalties, slot states) signature by
-// replaying the whole event sequence once through a scratch model with the
-// BTB seeded to reproduce those slot states, memoizes the schedule in a
-// per-chain MRU variant table, and thereafter applies it as one aggregate
-// update: clock delta, pair/branch/mispredict counts, scoreboard writes,
-// live BTB updates, exit pairing state. DSP loops have a constant
-// carried-dependency lag and a periodic streaming-miss pattern, so a handful
-// of variants covers the steady state, and steady-state loops hit the
-// lastHit variant with a single signature comparison. When no schedule
-// applies (oversized lags/penalties, entry pairing risk), it declines
-// without touching state and the caller retires the region per event.
+// RetireChain resolves a (lags, penalties, slot states, pending U) signature
+// by replaying the whole event sequence once through a scratch model seeded
+// to reproduce that entry state, memoizes the schedule in a per-chain MRU
+// variant table, and thereafter applies it as one aggregate update: clock
+// delta, pair/branch/mispredict counts, scoreboard writes, live BTB updates,
+// exit pairing state. DSP loops have a constant carried-dependency lag and a
+// periodic streaming-miss pattern, so a handful of variants covers the
+// steady state, and steady-state loops hit the lastHit variant with a single
+// signature comparison. When no schedule applies (oversized lags, penalties
+// or pending-U distance, a churning variant table, or a pair whose result
+// would be ready before the chain's entry clock), it declines without
+// touching state and the caller retires the region per event.
 package pentium
 
 import (
@@ -37,13 +44,13 @@ import (
 	"mmxdsp/internal/vm"
 )
 
-// maxChainSig bounds the signature length (lags + penalties + predictions);
-// longer chains fall back to per-event retirement.
+// maxChainSig bounds the signature length (lags + penalties + predictions +
+// the pending-U byte); longer chains fall back to per-event retirement.
 const maxChainSig = 255
 
-// maxSigEntry bounds the lag and penalty values a variant signature
-// records; larger values (microcoded latencies, pathological misses) fall
-// back to per-event replay.
+// maxSigEntry bounds the lag, penalty and pending-U values a variant
+// signature records; larger values (microcoded latencies, pathological
+// misses) fall back to per-event replay.
 const maxSigEntry = 255
 
 // maxVariants bounds the per-chain variant table; beyond it, new
@@ -110,11 +117,10 @@ type ChainTiming struct {
 	// guards lists the chain's live-in registers (read before any in-chain
 	// write).
 	guards []isa.Reg
-	// pairRisk reports that the chain's first event could pair into the V
+	// pairHead reports that the chain's first event could pair into the V
 	// pipe behind a pending U instruction (pairable-V with single-cycle
-	// occupancy); entering with haveU set then invalidates any precomputed
-	// schedule.
-	pairRisk bool
+	// occupancy); the entry signature then ends with the pending-U byte.
+	pairHead bool
 	// branchPCs/branchTaken list the conditional-branch events in order with
 	// their recorded directions; BTB entries for these complete the entry
 	// signature, and taken directions drive the live BTB updates at apply.
@@ -130,43 +136,23 @@ type ChainTiming struct {
 
 	variants []chainVariant
 	nextVar  int
-	// lastHit is the index of the most recently applied variant, maintained
-	// on every apply path (full, steady, and predecessor-steady).
+	// lastHit is the index of the most recently applied variant.
 	lastHit int
 
 	// Steady state: a loop chain iterating back to back settles into one
 	// variant whose application reproduces its own entry signature — written
 	// guards land at a constant lag (off − delta), unwritten guards decay to
-	// lag 0, and the chain's BTB counters saturate at their recorded
-	// directions. Once RetireChain observes the same variant match on two
-	// consecutive calls with nothing else touching the model (Model.seq
-	// unchanged) and every chain branch saturated, it records the variant in
-	// steady; subsequent calls then skip signature construction, comparison
-	// and the (no-op) BTB updates entirely, verifying only that the caller's
-	// penalties still match. Any other model activity changes Model.seq and
-	// disarms the fast path until steady state is re-proven.
+	// lag 0, the exit pairing state fixes the pending-U byte, and the chain's
+	// BTB counters saturate at their recorded directions. Once RetireChain
+	// observes the same variant match on two consecutive calls with nothing
+	// else touching the model (Model.seq unchanged) and every chain branch
+	// saturated, it records the variant in steady; subsequent calls then skip
+	// signature construction, comparison and the (no-op) BTB updates
+	// entirely, verifying only that the caller's penalties still match. Any
+	// other model activity changes Model.seq and disarms the fast path until
+	// steady state is re-proven.
 	steady   int // variant index, -1 when not in steady state
 	seqAfter uint64
-
-	// Predecessor-keyed steady state: a trace tree alternates between
-	// sibling paths, so a chain is often re-entered after exactly one
-	// intervening apply — the sibling path's chain. When two consecutive
-	// full-path calls match the same variant with the identical
-	// (predecessor chain, predecessor schedule) gap of exactly one apply,
-	// and every branch of both chains is saturated at its recorded
-	// direction (so neither apply moves the BTB), the entry state is proven
-	// to recur and pred/predCosts/predSteady record the keyed variant.
-	// Subsequent calls that arrive through the same one-apply gap — checked
-	// against Model.lastChain/lastCosts/lastSeq and the schedule's
-	// cost-slice identity — skip signature work exactly like steady.
-	// candPred/candCosts/candHit track the previous call's gap for the
-	// two-consecutive-observations proof.
-	pred       *ChainTiming
-	predCosts  []uint32
-	predSteady int // variant index engaged under the keyed gap, -1 none
-	candPred   *ChainTiming
-	candCosts  []uint32
-	candHit    int
 
 	// Churn governor: a chain whose entry signature keeps flapping past the
 	// variant table recycles a slot (and pays a full scratch replay) every
@@ -193,12 +179,12 @@ func (m *Model) NewChain(blocks []int32, terms []ChainTerm) *ChainTiming {
 	if m.bodies == nil || len(blocks) != len(terms) {
 		return nil
 	}
-	ct := &ChainTiming{steady: -1, predSteady: -1}
+	ct := &ChainTiming{steady: -1}
 	var written, guarded [isa.NumRegs]bool
 	addEvent := func(pc int32, taken bool) {
 		t := &m.pcT[pc]
 		if len(ct.pcs) == 0 {
-			ct.pairRisk = !m.cfg.DisablePairing && t.pairV && t.occ == 1
+			ct.pairHead = !m.cfg.DisablePairing && t.pairV && t.occ == 1
 		}
 		for _, r := range t.reads {
 			if !written[r] && !guarded[r] {
@@ -244,7 +230,11 @@ func (m *Model) NewChain(blocks []int32, terms []ChainTerm) *ChainTiming {
 	if len(ct.pcs) == 0 {
 		return nil
 	}
-	if len(ct.guards)+ct.memN+len(ct.branchPCs) > maxChainSig {
+	n := len(ct.guards) + ct.memN + len(ct.branchPCs)
+	if ct.pairHead {
+		n++
+	}
+	if n > maxChainSig {
 		return nil
 	}
 	return ct
@@ -252,12 +242,15 @@ func (m *Model) NewChain(blocks []int32, terms []ChainTerm) *ChainTiming {
 
 // replayChain resolves one schedule variant by replaying the full event
 // sequence through a scratch model seeded from the signature: guard lags,
-// per-reference penalties, and a BTB pre-loaded with each branch's slot
-// state (tag+counter for owned slots; empty otherwise — an empty slot
-// replays identically to a foreign-tagged one for every chain branch, since
-// repeated PCs of one branch share a single owned entry and same-PC decline
-// is no longer needed).
-func (m *Model) replayChain(ct *ChainTiming, sig []uint8, out *chainSched) {
+// per-reference penalties, a BTB pre-loaded with each branch's slot state
+// (tag+counter for owned slots; empty otherwise — an empty slot replays
+// identically to a foreign-tagged one for every chain branch, since repeated
+// PCs of one branch share a single owned entry), and the pending U pipe. A
+// pending U issued lag cycles before entry, so the replay clock starts at lag
+// (the U at cycle 0) and the schedule is read back relative to it. It
+// reports false when a paired first event's result would be ready before
+// that entry clock, an offset a schedule cannot express.
+func (m *Model) replayChain(ct *ChainTiming, sig []uint8, out *chainSched) bool {
 	if m.sim == nil {
 		m.sim = &Model{}
 	}
@@ -268,8 +261,18 @@ func (m *Model) replayChain(ct *ChainTiming, sig []uint8, out *chainSched) {
 	// clearing those — stale tags from other slots read as foreign, which
 	// predicts and updates identically to empty — is enough.
 	sim.cfg, sim.pcT = m.cfg, m.pcT
-	sim.now, sim.paired, sim.branches, sim.mispred, sim.seq = 0, 0, 0, 0, 0
+	sim.paired, sim.branches, sim.mispred, sim.seq = 0, 0, 0, 0
 	sim.haveU, sim.uIssue, sim.uT, sim.si = false, 0, nil, 0
+	lag := uint64(0)
+	if ct.pairHead {
+		if u := sig[len(sig)-1]; u != 0 {
+			// The byte is non-zero only when m's pending U can host the
+			// first event, so m.uT stands in for every U it matches.
+			lag = uint64(u - 1)
+			sim.haveU, sim.uT = true, m.uT
+		}
+	}
+	sim.now = lag
 	for i := range sim.readyAt {
 		sim.readyAt[i] = 0
 	}
@@ -280,10 +283,10 @@ func (m *Model) replayChain(ct *ChainTiming, sig []uint8, out *chainSched) {
 		sim.btb.ctr[slot] = 0
 	}
 	for i, r := range ct.guards {
-		sim.readyAt[r] = uint64(sig[i])
+		sim.readyAt[r] = lag + uint64(sig[i])
 	}
 	pen := sig[len(ct.guards) : len(ct.guards)+ct.memN]
-	slots := sig[len(ct.guards)+ct.memN:]
+	slots := sig[len(ct.guards)+ct.memN : len(ct.guards)+ct.memN+len(ct.branchPCs)]
 	for i, pc := range ct.branchPCs {
 		st := slots[i]
 		slot := int(pc) & 255
@@ -315,7 +318,7 @@ func (m *Model) replayChain(ct *ChainTiming, sig []uint8, out *chainSched) {
 		}
 		out.costs = append(out.costs, uint32(sim.Retire(ev)))
 	}
-	out.delta = sim.now
+	out.delta = sim.now - lag
 	out.pairs = sim.paired
 	out.brs = sim.branches
 	out.mis = sim.mispred
@@ -328,23 +331,27 @@ func (m *Model) replayChain(ct *ChainTiming, sig []uint8, out *chainSched) {
 	}
 	for r := range written {
 		if written[r] {
-			out.writes = append(out.writes, regReady{reg: isa.Reg(r), off: sim.readyAt[r]})
+			if sim.readyAt[r] < lag {
+				return false
+			}
+			out.writes = append(out.writes, regReady{reg: isa.Reg(r), off: sim.readyAt[r] - lag})
 		}
 	}
 	out.exitU = sim.haveU
 	if sim.haveU {
-		out.uOff = sim.uIssue
+		out.uOff = sim.uIssue - lag
 		out.uT = sim.uT
 	}
+	return true
 }
 
 // applyChain commits a resolved schedule: aggregate clock/counter update,
 // scoreboard writes, exit pairing state, and — when btb is set — the live
 // BTB updates each chain branch would have performed. Steady-state applies
 // pass btb false: every chain branch's counter is then saturated at its
-// recorded direction, so the updates are no-ops. It records the apply as
-// the model's last one (for steady-state proofs) and returns the
-// schedule's costs.
+// recorded direction, so the updates are no-ops. It records the model's
+// seq after the apply (for steady-state proofs) and returns the schedule's
+// costs.
 func (m *Model) applyChain(ct *ChainTiming, s *chainSched, btb bool) []uint32 {
 	m.seq++
 	base := m.now
@@ -367,7 +374,6 @@ func (m *Model) applyChain(ct *ChainTiming, s *chainSched, btb bool) []uint32 {
 		}
 	}
 	ct.seqAfter = m.seq
-	m.lastChain, m.lastCosts, m.lastSeq = ct, s.costs, m.seq
 	return s.costs
 }
 
@@ -392,73 +398,25 @@ func (ct *ChainTiming) penaltiesMatch(v *chainVariant, penalties []int32) bool {
 // changed nothing, when ct is nil/declined or the entry state matches no
 // cacheable schedule; the caller must then retire the region per event.
 func (m *Model) RetireChain(ct *ChainTiming, penalties []int32) []uint32 {
-	if ct == nil || ct.dead || len(ct.pcs) == 0 {
-		return nil
-	}
-	if m.haveU && ct.pairRisk {
-		return nil
-	}
-	if len(penalties) != ct.memN {
+	if ct == nil || ct.dead || len(ct.pcs) == 0 || len(penalties) != ct.memN {
 		return nil
 	}
 	if ct.steady >= 0 {
-		if m.seq != ct.seqAfter {
-			ct.steady = -1
-		} else {
+		if m.seq == ct.seqAfter {
 			if v := &ct.variants[ct.steady]; ct.penaltiesMatch(v, penalties) {
 				ct.hits++
 				return m.applyChain(ct, &v.s, false)
 			}
-			// Penalties diverged this iteration: fall through to the full
-			// path, which re-proves or abandons steady state.
-			ct.steady = -1
 		}
+		// Another apply or retire intervened, or the penalties diverged this
+		// iteration: fall through to the full path, which re-proves or
+		// abandons steady state.
+		ct.steady = -1
 	}
-	// Predecessor-keyed fast path: re-entered after exactly one intervening
-	// apply, and it was the proven predecessor schedule following our own
-	// proven variant. Both chains' branches were saturated at proof time and
-	// neither fast path touches the BTB, so the entry state recurs; only the
-	// penalties need verifying.
-	if ct.predSteady >= 0 && ct.lastHit == ct.predSteady &&
-		m.seq == ct.seqAfter+1 && m.lastSeq == m.seq && m.lastChain == ct.pred &&
-		len(m.lastCosts) > 0 && len(ct.predCosts) > 0 && &m.lastCosts[0] == &ct.predCosts[0] {
-		if v := &ct.variants[ct.predSteady]; ct.penaltiesMatch(v, penalties) {
-			ct.hits++
-			return m.applyChain(ct, &v.s, false)
-		}
+	sig, ok := m.chainSig(ct, penalties)
+	if !ok {
+		return nil
 	}
-	base := m.now
-	sig := m.sigBuf[:0]
-	for _, r := range ct.guards {
-		lag := uint64(0)
-		if rt := m.readyAt[r]; rt > base {
-			lag = rt - base
-			if lag > maxSigEntry {
-				m.sigBuf = sig
-				return nil
-			}
-		}
-		sig = append(sig, uint8(lag))
-	}
-	for _, p := range penalties {
-		if p < 0 || p > maxSigEntry {
-			m.sigBuf = sig
-			return nil
-		}
-		sig = append(sig, uint8(p))
-	}
-	for i, pc := range ct.branchPCs {
-		st := uint8(0)
-		if !m.cfg.DisableBTB {
-			if ct.branchFine[i] {
-				st = m.btb.slotState(int(pc))
-			} else if m.btb.predict(int(pc)) {
-				st = 1
-			}
-		}
-		sig = append(sig, st)
-	}
-	m.sigBuf = sig
 	if h := ct.lastHit; h < len(ct.variants) && sigEqual(ct.variants[h].sig, sig) {
 		v := &ct.variants[h]
 		// Same variant as the previous call, same freshly verified
@@ -474,48 +432,12 @@ func (m *Model) RetireChain(ct *ChainTiming, penalties []int32) []uint32 {
 				}
 			}
 		}
-		ct.steady = -1
 		if steady {
 			ct.steady = h
-		} else if m.seq == ct.seqAfter+1 && m.lastSeq == m.seq &&
-			m.lastChain != nil && m.lastChain != ct && len(m.lastCosts) > 0 {
-			// Exactly one foreign apply since our last: a predecessor-keyed
-			// gap. Prove predSteady on the second consecutive observation of
-			// the same (predecessor, schedule, variant) triple, provided no
-			// branch of either chain can still move the BTB.
-			if ct.candPred == m.lastChain && ct.candHit == h &&
-				len(ct.candCosts) > 0 && &ct.candCosts[0] == &m.lastCosts[0] {
-				sat := true
-				if !m.cfg.DisableBTB {
-					for i, pc := range ct.branchPCs {
-						if !m.btb.saturated(int(pc), ct.branchTaken[i]) {
-							sat = false
-							break
-						}
-					}
-					if sat {
-						p := m.lastChain
-						for i, pc := range p.branchPCs {
-							if !m.btb.saturated(int(pc), p.branchTaken[i]) {
-								sat = false
-								break
-							}
-						}
-					}
-				}
-				if sat {
-					ct.pred, ct.predCosts, ct.predSteady = m.lastChain, m.lastCosts, h
-				}
-			}
-			ct.candPred, ct.candCosts, ct.candHit = m.lastChain, m.lastCosts, h
-		} else {
-			ct.candPred = nil
 		}
 		ct.hits++
 		return m.applyChain(ct, &v.s, true)
 	}
-	ct.steady = -1
-	ct.candPred = nil
 	for vi := range ct.variants {
 		v := &ct.variants[vi]
 		if sigEqual(v.sig, sig) {
@@ -523,6 +445,10 @@ func (m *Model) RetireChain(ct *ChainTiming, penalties []int32) []uint32 {
 			ct.lastHit = vi
 			return m.applyChain(ct, &v.s, true)
 		}
+	}
+	s := &m.simSched
+	if !m.replayChain(ct, sig, s) {
+		return nil
 	}
 	var v *chainVariant
 	if len(ct.variants) < maxVariants {
@@ -533,18 +459,6 @@ func (m *Model) RetireChain(ct *ChainTiming, penalties []int32) []uint32 {
 		ct.lastHit = ct.nextVar
 		v = &ct.variants[ct.nextVar]
 		ct.nextVar = (ct.nextVar + 1) % maxVariants
-		// Never reuse the evicted schedule's costs backing: callers batch
-		// applications by cost-slice identity, so a returned slice must
-		// stay immutable for the run's lifetime. A recycled slot also
-		// invalidates any keyed steady state or proof candidate pinned to
-		// it.
-		v.s.costs = nil
-		if ct.predSteady == ct.lastHit {
-			ct.predSteady = -1
-		}
-		if ct.candHit == ct.lastHit {
-			ct.candPred = nil
-		}
 		if ct.churn++; ct.churn >= chainChurnWindow {
 			if ct.hits < ct.churn*4 {
 				ct.dead = true
@@ -553,8 +467,62 @@ func (m *Model) RetireChain(ct *ChainTiming, penalties []int32) []uint32 {
 		}
 	}
 	v.sig = append(v.sig[:0], sig...)
-	m.replayChain(ct, v.sig, &v.s)
+	// Never reuse an evicted schedule's costs backing: callers batch
+	// applications by cost-slice identity, so a returned slice must stay
+	// immutable for the run's lifetime.
+	writes := v.s.writes[:0]
+	v.s = *s
+	v.s.costs = append([]uint32(nil), s.costs...)
+	v.s.writes = append(writes, s.writes...)
 	return m.applyChain(ct, &v.s, true)
+}
+
+// chainSig builds ct's entry signature in m.sigBuf: guard lags, penalties,
+// branch slot states and, for a pairHead chain, the pending-U byte. It
+// reports false when a value exceeds maxSigEntry.
+func (m *Model) chainSig(ct *ChainTiming, penalties []int32) ([]uint8, bool) {
+	base := m.now
+	sig := m.sigBuf[:0]
+	for _, r := range ct.guards {
+		lag := uint64(0)
+		if rt := m.readyAt[r]; rt > base {
+			lag = rt - base
+			if lag > maxSigEntry {
+				return nil, false
+			}
+		}
+		sig = append(sig, uint8(lag))
+	}
+	for _, p := range penalties {
+		if p < 0 || p > maxSigEntry {
+			return nil, false
+		}
+		sig = append(sig, uint8(p))
+	}
+	for i, pc := range ct.branchPCs {
+		st := uint8(0)
+		if !m.cfg.DisableBTB {
+			if ct.branchFine[i] {
+				st = m.btb.slotState(int(pc))
+			} else if m.btb.predict(int(pc)) {
+				st = 1
+			}
+		}
+		sig = append(sig, st)
+	}
+	if ct.pairHead {
+		u := uint8(0)
+		if m.haveU && m.canPairAsV(&m.pcT[ct.pcs[0]]) {
+			d := base - m.uIssue
+			if d >= maxSigEntry {
+				return nil, false
+			}
+			u = uint8(1 + d)
+		}
+		sig = append(sig, u)
+	}
+	m.sigBuf = sig
+	return sig, true
 }
 
 func sigEqual(a, b []uint8) bool {

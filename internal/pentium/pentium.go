@@ -90,14 +90,6 @@ type Model struct {
 	// applications of the same chain variant.
 	seq uint64
 
-	// lastChain/lastCosts/lastSeq record the most recent chain apply (the
-	// chain, its schedule's identity-bearing cost slice, and seq right
-	// after). Predecessor-keyed steady state (chain.go) uses them to
-	// recognize a re-entry through exactly one known intervening apply.
-	lastChain *ChainTiming
-	lastCosts []uint32
-	lastSeq   uint64
-
 	btb btb
 
 	// pcT is the per-PC timing table installed by Bind; nil models derive
@@ -106,11 +98,13 @@ type Model struct {
 	// bodies lists, per basic block of the bound program, the
 	// event-emitting body instructions NewChain strings together; nil
 	// models decline every chain. sim is the lazily allocated scratch
-	// model chain replays run on, sigBuf the reusable signature buffer
-	// RetireChain builds lookups in.
-	bodies [][]int32
-	sim    *Model
-	sigBuf []uint8
+	// model chain replays run on, simSched the schedule they resolve into
+	// before it is installed as a variant, sigBuf the reusable signature
+	// buffer RetireChain builds lookups in.
+	bodies   [][]int32
+	sim      *Model
+	simSched chainSched
+	sigBuf   []uint8
 	// scratch holds two alternating slots for the unbound path: the
 	// current instruction's timing plus the pending U instruction's (which
 	// survives exactly one event, so two slots suffice).

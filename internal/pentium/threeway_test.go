@@ -75,7 +75,19 @@ func buildRandomProgram(seed uint64) (*asm.Program, error) {
 	b.Label("pass")
 	b.I(isa.MOV, asm.R(isa.ESI), asm.ImmSym("data", 0))
 	b.I(isa.MOV, asm.R(isa.ECX), asm.Imm(int64(trips)))
+	// One seed in five ends the loop's fall-through preheader with a U-only
+	// shift and opens the loop with an independent pairable-V add, so every
+	// pass enters the loop's trace with a pending U its head pairs behind.
+	// The choice is keyed on the seed rather than drawn from r, so the other
+	// seeds keep their programs.
+	pendingU := seed%5 == 2
+	if pendingU {
+		b.I(isa.SHL, asm.R(isa.EDI), asm.Imm(1))
+	}
 	b.Label("loop")
+	if pendingU {
+		b.I(isa.ADD, asm.R(isa.EAX), asm.R(isa.EBX))
+	}
 	for n := 4 + r.Intn(9); n > 0; n-- {
 		emitBody()
 	}
@@ -195,8 +207,10 @@ func TestDispatchThreeWayRandomPrograms(t *testing.T) {
 func FuzzDispatchThreeWay(f *testing.F) {
 	// 18, 31, 51 and 74 generate hot biased-branch loops that demonstrably
 	// grow trace trees (child paths attached, iterations completing through
-	// them); the rest cover the short cold shapes.
-	for _, seed := range []uint64{1, 7, 42, 12345, 1 << 40, 18, 31, 51, 74} {
+	// them); 107 is a hot pending-U seed (seed%5 == 2) whose chains are
+	// entered behind a pending U about a hundred times; the rest cover the
+	// short cold shapes.
+	for _, seed := range []uint64{1, 7, 42, 12345, 1 << 40, 18, 31, 51, 74, 107} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64) {

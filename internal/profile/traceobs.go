@@ -3,9 +3,10 @@
 // per side exit) instead of one ObserveBlock per block plus one Retire per
 // terminator. A full iteration and each side-exit shape are regions (see
 // block.go) priced through pentium.RetireChain. When a chain schedule
-// declines, the iteration degrades to the per-block path (which itself
-// degrades to per-event replay), so every tier produces byte-identical
-// reports.
+// declines (rare: oversized lags or penalties, or a churning variant table;
+// entry behind a pending U pipe is part of the signature, not a decline),
+// the iteration degrades to the per-block path (which itself degrades to
+// per-event replay), so every tier produces byte-identical reports.
 package profile
 
 import (
