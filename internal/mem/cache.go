@@ -14,10 +14,31 @@ type Cache struct {
 	// that 0 marks an empty way, most recently used first: a hit moves its
 	// line to the front and a fill evicts the last way, which is the least
 	// recently used one or an empty one. Sequential code re-references the
-	// same line heavily, so comparing the front way first resolves most
-	// hits with one compare; Hierarchy.Access and Price probe it directly
-	// for the L1.
+	// same line heavily, and two streams that map to the same sets (a
+	// source and a destination a multiple of the way size apart) alternate
+	// between the first two ways, so every access path resolves a hit in
+	// either of them inline (probe) and searches further only behind it.
 	tags []uint32
+}
+
+// probe resolves an access to the line stored as tag (line+1) in the set
+// whose ways start at tags[i], when the line is in one of the set's two
+// most recently used ways: a front-way hit changes nothing, and a
+// second-way hit swaps the line with the front way, which is the order
+// accessSlow leaves. It reports false, having changed nothing, for a line
+// further back or absent. A direct-mapped cache (wayShift 0) has no second
+// way: its tags[i+1] is the next set's line, or past the end of tags for
+// the last set, so only the front way is compared.
+func probe(tags []uint32, i, tag, wayShift uint32) bool {
+	front := tags[i]
+	if front == tag {
+		return true
+	}
+	if wayShift == 0 || tags[i+1] != tag {
+		return false
+	}
+	tags[i], tags[i+1] = tag, front
+	return true
 }
 
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
@@ -76,14 +97,14 @@ func NewCache(sizeBytes, ways, lineBytes int) *Cache {
 func (c *Cache) Access(addr uint32) bool {
 	line := addr >> c.lineShift
 	set := line & c.setMask
-	if c.tags[set<<c.wayShift] == line+1 {
+	if probe(c.tags, set<<c.wayShift, line+1, c.wayShift) {
 		return true
 	}
 	return c.accessSlow(line, set)
 }
 
-// accessSlow is the search and fill behind the front-way probe: it moves
-// line to the front of its set and reports whether it was already there.
+// accessSlow is the search and fill behind probe: it moves line to the
+// front of its set and reports whether it was already there.
 func (c *Cache) accessSlow(line, set uint32) bool {
 	ways := c.tags[set<<c.wayShift:][:1<<c.wayShift]
 	tag := line + 1
@@ -153,9 +174,9 @@ func NewHierarchySized(l1Size, l1Ways, l2Size, l2Ways, lineBytes int, pen Penalt
 }
 
 // Access models one data reference to addr and returns the extra cycles to
-// charge beyond the instruction's base latency. The L1 front-way probe is
-// open-coded here so the overwhelmingly common hit resolves with a single
-// compare and no further call.
+// charge beyond the instruction's base latency. The L1 probe is inlined
+// here, so a hit in either of a set's two most recently used ways resolves
+// without a further call.
 func (h *Hierarchy) Access(addr uint32) int {
 	if h == nil {
 		return 0
@@ -164,7 +185,7 @@ func (h *Hierarchy) Access(addr uint32) int {
 	l1 := h.L1
 	line := addr >> l1.lineShift
 	set := line & l1.setMask
-	if l1.tags[set<<l1.wayShift] == line+1 {
+	if probe(l1.tags, set<<l1.wayShift, line+1, l1.wayShift) {
 		return 0
 	}
 	return h.hierSlow(addr, line, set)
@@ -180,8 +201,10 @@ const Next = 1 << 32
 // Price charges a reference trace in order, exactly as one Access per
 // entry would, and appends its penalties to pen: one per instruction, a
 // marked entry's adding to its instruction's. It counts the trace's
-// accesses once and keeps the L1 probe's fields in registers, so a hit
-// costs one compare.
+// accesses once and keeps the L1 probe's fields in registers, so a hit in
+// a set's front way costs one compare and a hit in its second way (two
+// streams sharing the sets) two compares and a swap, with no call; a
+// direct-mapped L1 compares the front way only (see probe).
 func (h *Hierarchy) Price(refs []uint64, pen []int32) []int32 {
 	if h == nil {
 		for _, r := range refs {
@@ -198,7 +221,7 @@ func (h *Hierarchy) Price(refs []uint64, pen []int32) []int32 {
 		line := addr >> shift
 		set := line & mask
 		var p int32
-		if tags[set<<ways] != line+1 {
+		if !probe(tags, set<<ways, line+1, ways) {
 			p = int32(h.hierSlow(addr, line, set))
 		}
 		if r&Next != 0 {
@@ -222,13 +245,13 @@ func (h *Hierarchy) Charge(refs []uint64) {
 		addr := uint32(r)
 		line := addr >> shift
 		set := line & mask
-		if tags[set<<ways] != line+1 {
+		if !probe(tags, set<<ways, line+1, ways) {
 			h.hierSlow(addr, line, set)
 		}
 	}
 }
 
-// hierSlow finishes an access that missed the L1 front-way probe.
+// hierSlow finishes an access that the L1 probe did not resolve.
 func (h *Hierarchy) hierSlow(addr, line, set uint32) int {
 	if h.L1.accessSlow(line, set) {
 		return 0

@@ -1,7 +1,7 @@
 package mem
 
 import (
-	"reflect"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -206,12 +206,14 @@ func TestNewCacheRejectsBadGeometry(t *testing.T) {
 
 // refCache is a brutally simple reference model: per-set slices ordered
 // most-recent-first, grown on demand. It validates that Cache's fixed
-// recency-ordered ways and its front-way probe behave as plain LRU.
+// recency-ordered ways and its two-way probe behave as plain LRU. second
+// counts hits on a set's second most recent line, the ones probe swaps.
 type refCache struct {
 	lineShift uint32
 	sets      uint32
 	ways      int
 	lines     [][]uint32
+	second    int
 }
 
 func newRefCache(sizeBytes, ways, lineBytes int) *refCache {
@@ -231,6 +233,9 @@ func (r *refCache) access(addr uint32) bool {
 	s := r.lines[set]
 	for i, l := range s {
 		if l == line {
+			if i == 1 {
+				r.second++
+			}
 			copy(s[1:i+1], s[:i])
 			s[0] = line
 			return true
@@ -245,17 +250,113 @@ func (r *refCache) access(addr uint32) bool {
 	return false
 }
 
+// sameOrder reports where c's ways differ from r's lines: every set must
+// hold the same lines in the same recency order, with empty ways last.
+func sameOrder(c *Cache, r *refCache) error {
+	ways := 1 << c.wayShift
+	if len(c.tags) != int(r.sets)*ways || ways != r.ways {
+		return fmt.Errorf("geometry %d sets × %d ways, reference %d × %d", len(c.tags)/ways, ways, r.sets, r.ways)
+	}
+	for set, lines := range r.lines {
+		for w, tag := range c.tags[set*ways:][:ways] {
+			want := uint32(0)
+			if w < len(lines) {
+				want = lines[w] + 1
+			}
+			if tag != want {
+				return fmt.Errorf("set %d way %d holds tag %d, reference %d", set, w, tag, want)
+			}
+		}
+	}
+	return nil
+}
+
+// refHierarchy charges Hierarchy's penalties over two reference caches.
+type refHierarchy struct {
+	l1, l2 *refCache
+	pen    Penalties
+	stats  HierarchyStats
+}
+
+func (r *refHierarchy) access(addr uint32) int32 {
+	r.stats.Accesses++
+	if r.l1.access(addr) {
+		return 0
+	}
+	r.stats.L1Misses++
+	p := r.pen.DCacheMiss + r.pen.L2Access
+	if !r.l2.access(addr) {
+		r.stats.L2Misses++
+		p += r.pen.L2Miss
+	}
+	return int32(p)
+}
+
+// randomWalk is a deterministic pseudo-random reference trace over span
+// bytes, mixing re-references and conflicts; about one entry in four is
+// marked Next.
+func randomWalk(n int, seed, span uint32) []uint64 {
+	refs := make([]uint64, 0, n)
+	x := seed
+	for i := 0; i < n; i++ {
+		x = x*1664525 + 1013904223
+		r := uint64(x % span)
+		if i > 0 && x>>30 == 0 {
+			r |= Next
+		}
+		refs = append(refs, r)
+	}
+	return refs
+}
+
+// sameSetWalk is two sequential word streams 16 KiB apart, interleaved
+// reference by reference, each sweeping window bytes over and over: their
+// lines map to the same set of any cache of at most 16 KiB per way, so in
+// a cache of two ways or more every hit after a line's first reference is
+// in the set's second way. Every other second-stream entry is marked Next,
+// as a read-modify-write's store half is.
+func sameSetWalk(n int, window uint64) []uint64 {
+	refs := make([]uint64, 0, n)
+	for i := uint64(0); len(refs) < n; i++ {
+		off := 4 * i % window
+		refs = append(refs, 0x1000+off)
+		b := 0x1000 + 16<<10 + off
+		if i%2 == 1 {
+			b |= Next
+		}
+		refs = append(refs, b)
+	}
+	return refs[:n]
+}
+
 func TestCacheMatchesReferenceLRU(t *testing.T) {
-	for _, ways := range []int{1, 2, 4, 8} {
-		c := NewCache(1024, ways, 32) // 32 to 4 sets
-		r := newRefCache(1024, ways, 32)
-		// Deterministic pseudo-random walk mixing re-references and conflicts.
-		x := uint32(12345)
-		for i := 0; i < 20000; i++ {
-			x = x*1664525 + 1013904223
-			addr := x % 4096 // 128 lines: heavy conflict traffic
-			if got, want := c.Access(addr), r.access(addr); got != want {
-				t.Fatalf("%d ways, access %d (addr %#x): Cache=%v ref=%v", ways, i, addr, got, want)
+	walks := []struct {
+		name string
+		refs []uint64
+	}{
+		{"random", randomWalk(20000, 12345, 4096)}, // 128 lines: heavy conflict traffic
+		{"same-set", sameSetWalk(20000, 2048)},
+	}
+	for _, walk := range walks {
+		for _, ways := range []int{1, 2, 4, 8} {
+			c := NewCache(1024, ways, 32) // 32 to 4 sets
+			r := newRefCache(1024, ways, 32)
+			for i, ref := range walk.refs {
+				addr := uint32(ref)
+				if got, want := c.Access(addr), r.access(addr); got != want {
+					t.Fatalf("%s walk, %d ways, access %d (addr %#x): Cache=%v ref=%v", walk.name, ways, i, addr, got, want)
+				}
+				if i%997 == 0 {
+					if err := sameOrder(c, r); err != nil {
+						t.Fatalf("%s walk, %d ways, after access %d: %v", walk.name, ways, i, err)
+					}
+				}
+			}
+			if err := sameOrder(c, r); err != nil {
+				t.Fatalf("%s walk, %d ways: %v", walk.name, ways, err)
+			}
+			if ways > 1 && r.second == 0 {
+				t.Errorf("%s walk, %d ways: no second-way hit", walk.name, ways)
 			}
 		}
 	}
@@ -269,29 +370,56 @@ func TestNilHierarchyIsPerfect(t *testing.T) {
 	h.Reset() // must not panic
 }
 
-// TestPriceMatchesAccess checks that Price and Charge leave a hierarchy in
-// the state, with the statistics, that one Access per entry does, and that
-// Price's penalties are Access's summed per instruction.
+// TestPriceMatchesAccess checks that Price, Charge and one Access per
+// entry each leave a hierarchy in the reference model's state (the same
+// lines in the same recency order at both levels), with its statistics,
+// and that Price's and Access's penalties are the reference's summed per
+// instruction, at every L1 associativity from direct-mapped up and on a
+// random and a same-set two-stream walk.
 func TestPriceMatchesAccess(t *testing.T) {
-	refs := make([]uint64, 0, 5000)
-	x := uint32(777)
-	for i := 0; i < cap(refs); i++ {
-		x = x*1664525 + 1013904223
-		r := uint64(x % 16384) // 512 lines: misses in both small levels
-		if i > 0 && x>>30 == 0 {
-			r |= Next
-		}
-		refs = append(refs, r)
+	walks := []struct {
+		name string
+		refs []uint64
+	}{
+		{"random", randomWalk(5000, 777, 16384)}, // 512 lines: misses in both small levels
+		// Each stream sweeps 2 KiB: the pair overflows the 1 KiB L1 and
+		// fits the 4 KiB L2, so later sweeps hit in L2.
+		{"same-set", sameSetWalk(5000, 2048)},
 	}
-	small := func() *Hierarchy { return NewHierarchySized(1024, 2, 4096, 2, 32, DefaultPenalties()) }
-	ref, priced, charged := small(), small(), small()
-	var want []int32
+	for _, walk := range walks {
+		for _, ways := range []int{1, 2, 4, 8} {
+			t.Run(fmt.Sprintf("%s/%dway", walk.name, ways), func(t *testing.T) {
+				checkPriceMatchesReference(t, walk.refs, ways)
+			})
+		}
+	}
+	var nilH *Hierarchy
+	refs := sameSetWalk(100, 2048)
+	zero := nilH.Price(refs, nil)
+	if len(zero) != 75 {
+		t.Errorf("nil hierarchy gave %d penalties, want 75", len(zero))
+	}
+	for _, p := range zero {
+		if p != 0 {
+			t.Fatal("nil hierarchy must charge nothing")
+		}
+	}
+	nilH.Charge(refs) // must not panic
+}
+
+func checkPriceMatchesReference(t *testing.T, refs []uint64, l1Ways int) {
+	small := func() *Hierarchy { return NewHierarchySized(1024, l1Ways, 4096, 2, 32, DefaultPenalties()) }
+	ref := &refHierarchy{l1: newRefCache(1024, l1Ways, 32), l2: newRefCache(4096, 2, 32), pen: DefaultPenalties()}
+	accessed, priced, charged := small(), small(), small()
+	var want, viaAccess []int32
 	for _, r := range refs {
-		p := int32(ref.Access(uint32(r)))
+		p, q := ref.access(uint32(r)), int32(accessed.Access(uint32(r)))
 		if r&Next != 0 {
 			want[len(want)-1] += p
+			viaAccess[len(viaAccess)-1] += q
 		} else {
 			want = append(want, p)
+			viaAccess = append(viaAccess, q)
 		}
 	}
 	// Price in uneven pieces, as the stream hands it regions.
@@ -305,34 +433,31 @@ func TestPriceMatchesAccess(t *testing.T) {
 		charged.Charge(refs[i:j])
 		i = j
 	}
-	if len(got) != len(want) {
-		t.Fatalf("Price gave %d penalties, want %d", len(got), len(want))
+	if ref.stats.L2Misses == 0 || ref.stats.L1Misses == ref.stats.L2Misses {
+		t.Fatalf("walk exercises too little: %+v", ref.stats)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("penalty %d = %d, want %d", i, got[i], want[i])
+	if l1Ways > 1 && ref.l1.second == 0 {
+		t.Fatal("walk has no second-way L1 hit")
+	}
+	for name, pen := range map[string][]int32{"Price": got, "Access": viaAccess} {
+		if len(pen) != len(want) {
+			t.Fatalf("%s gave %d penalties, want %d", name, len(pen), len(want))
+		}
+		for i := range want {
+			if pen[i] != want[i] {
+				t.Fatalf("%s: penalty %d = %d, want %d", name, i, pen[i], want[i])
+			}
 		}
 	}
-	for name, h := range map[string]*Hierarchy{"Price": priced, "Charge": charged} {
-		if h.Stats != ref.Stats {
-			t.Errorf("%s stats %+v, want %+v", name, h.Stats, ref.Stats)
+	for name, h := range map[string]*Hierarchy{"Price": priced, "Charge": charged, "Access": accessed} {
+		if h.Stats != ref.stats {
+			t.Errorf("%s stats %+v, want %+v", name, h.Stats, ref.stats)
 		}
-		if ref.Stats.L2Misses == 0 || ref.Stats.L1Misses == ref.Stats.L2Misses {
-			t.Fatalf("walk exercises too little: %+v", ref.Stats)
+		if err := sameOrder(h.L1, ref.l1); err != nil {
+			t.Errorf("%s: L1 %v", name, err)
 		}
-		if !reflect.DeepEqual(*h.L1, *ref.L1) || !reflect.DeepEqual(*h.L2, *ref.L2) {
-			t.Errorf("%s: cache state differs from Access's", name)
-		}
-	}
-	var nilH *Hierarchy
-	zero := nilH.Price(refs, nil)
-	if len(zero) != len(want) {
-		t.Errorf("nil hierarchy gave %d penalties, want %d", len(zero), len(want))
-	}
-	for _, p := range zero {
-		if p != 0 {
-			t.Fatal("nil hierarchy must charge nothing")
+		if err := sameOrder(h.L2, ref.l2); err != nil {
+			t.Errorf("%s: L2 %v", name, err)
 		}
 	}
-	nilH.Charge(refs) // must not panic
 }

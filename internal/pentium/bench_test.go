@@ -84,14 +84,17 @@ func chainBenchProgram() *asm.Program {
 
 // BenchmarkRetireChain prices block bodies through RetireChain. steady
 // re-applies one chain back to back, so after the proof every call takes
-// the steady-state fast path; full alternates two chains, so every call
-// rebuilds and compares the full entry signature. pendingU runs the
+// the steady-state fast path; rotate alternates two chains, so no call is
+// steady and every call matches its entry state in place against its
+// chain's last variant; search alternates one chain's penalties between
+// two variants, so every call misses its last variant, builds the full
+// entry signature and finds it in the variant table. pendingU runs the
 // bodies that enter behind a pending U (the signature's pending-U byte is
 // non-zero), noU the ones that do not.
 func BenchmarkRetireChain(b *testing.B) {
 	prog := chainBenchProgram()
-	penalties := []int32{0, 0}
-	bench := func(b *testing.B, blocks []int32, wantSteady bool) {
+	zero := [][]int32{{0, 0}}
+	bench := func(b *testing.B, blocks []int32, penalties [][]int32, wantSteady bool) {
 		b.Helper()
 		b.ReportAllocs()
 		m := New(DefaultConfig())
@@ -102,8 +105,10 @@ func BenchmarkRetireChain(b *testing.B) {
 		}
 		retire := func() {
 			for _, ct := range cts {
-				if m.RetireChain(ct, penalties) == nil {
-					b.Fatal("RetireChain declined")
+				for _, pen := range penalties {
+					if m.RetireChain(ct, pen) == nil {
+						b.Fatal("RetireChain declined")
+					}
 				}
 			}
 		}
@@ -117,10 +122,13 @@ func BenchmarkRetireChain(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			retire()
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(cts)), "ns/chain")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(cts)*len(penalties)), "ns/chain")
 	}
-	b.Run("steady/pendingU", func(b *testing.B) { bench(b, []int32{0}, true) })
-	b.Run("steady/noU", func(b *testing.B) { bench(b, []int32{2}, true) })
-	b.Run("full/pendingU", func(b *testing.B) { bench(b, []int32{0, 1}, false) })
-	b.Run("full/noU", func(b *testing.B) { bench(b, []int32{2, 3}, false) })
+	b.Run("steady/pendingU", func(b *testing.B) { bench(b, []int32{0}, zero, true) })
+	b.Run("steady/noU", func(b *testing.B) { bench(b, []int32{2}, zero, true) })
+	b.Run("rotate/pendingU", func(b *testing.B) { bench(b, []int32{0, 1}, zero, false) })
+	b.Run("rotate/noU", func(b *testing.B) { bench(b, []int32{2, 3}, zero, false) })
+	search := [][]int32{{0, 0}, {3, 0}}
+	b.Run("search/pendingU", func(b *testing.B) { bench(b, []int32{0}, search, false) })
+	b.Run("search/noU", func(b *testing.B) { bench(b, []int32{2}, search, false) })
 }

@@ -32,11 +32,15 @@
 // delta, pair/branch/mispredict counts, scoreboard writes, live BTB updates,
 // exit pairing state. DSP loops have a constant carried-dependency lag and a
 // periodic streaming-miss pattern, so a handful of variants covers the
-// steady state, and steady-state loops hit the lastHit variant with a single
-// signature comparison. When no schedule applies (oversized lags, penalties
-// or pending-U distance, a churning variant table, or a pair whose result
-// would be ready before the chain's entry clock), it declines without
-// touching state and the caller retires the region per event.
+// steady state. A loop chain applied back to back settles into a steady
+// state that skips the signature altogether; a chain re-entered after other
+// activity (tree paths taken in rotation) mostly meets its lastHit variant
+// again, which RetireChain compares against the model's state in place
+// before it builds a signature to search the table. When no schedule
+// applies (oversized lags, penalties or pending-U distance, a churning
+// variant table, or a pair whose result would be ready before the chain's
+// entry clock), it declines without touching state and the caller retires
+// the region per event.
 package pentium
 
 import (
@@ -136,7 +140,8 @@ type ChainTiming struct {
 
 	variants []chainVariant
 	nextVar  int
-	// lastHit is the index of the most recently applied variant.
+	// lastHit is the index of the most recently applied variant, the one
+	// RetireChain matches against the model's state in place.
 	lastHit int
 
 	// Steady state: a loop chain iterating back to back settles into one
@@ -413,11 +418,10 @@ func (m *Model) RetireChain(ct *ChainTiming, penalties []int32) []uint32 {
 		// abandons steady state.
 		ct.steady = -1
 	}
-	sig, ok := m.chainSig(ct, penalties)
-	if !ok {
-		return nil
-	}
-	if h := ct.lastHit; h < len(ct.variants) && sigEqual(ct.variants[h].sig, sig) {
+	// A chain re-entered after other activity (a rotation of tree paths,
+	// say) most often meets its last variant's entry state again: compare
+	// it in place before building a signature.
+	if h := ct.lastHit; h < len(ct.variants) && m.entryMatches(ct, penalties, ct.variants[h].sig) {
 		v := &ct.variants[h]
 		// Same variant as the previous call, same freshly verified
 		// signature: if nothing else touched the model in between and the
@@ -437,6 +441,10 @@ func (m *Model) RetireChain(ct *ChainTiming, penalties []int32) []uint32 {
 		}
 		ct.hits++
 		return m.applyChain(ct, &v.s, true)
+	}
+	sig, ok := m.chainSig(ct, penalties)
+	if !ok {
+		return nil
 	}
 	for vi := range ct.variants {
 		v := &ct.variants[vi]
@@ -481,15 +489,11 @@ func (m *Model) RetireChain(ct *ChainTiming, penalties []int32) []uint32 {
 // branch slot states and, for a pairHead chain, the pending-U byte. It
 // reports false when a value exceeds maxSigEntry.
 func (m *Model) chainSig(ct *ChainTiming, penalties []int32) ([]uint8, bool) {
-	base := m.now
 	sig := m.sigBuf[:0]
 	for _, r := range ct.guards {
-		lag := uint64(0)
-		if rt := m.readyAt[r]; rt > base {
-			lag = rt - base
-			if lag > maxSigEntry {
-				return nil, false
-			}
+		lag := m.guardLag(r)
+		if lag > maxSigEntry {
+			return nil, false
 		}
 		sig = append(sig, uint8(lag))
 	}
@@ -500,29 +504,86 @@ func (m *Model) chainSig(ct *ChainTiming, penalties []int32) ([]uint8, bool) {
 		sig = append(sig, uint8(p))
 	}
 	for i, pc := range ct.branchPCs {
-		st := uint8(0)
-		if !m.cfg.DisableBTB {
-			if ct.branchFine[i] {
-				st = m.btb.slotState(int(pc))
-			} else if m.btb.predict(int(pc)) {
-				st = 1
-			}
-		}
-		sig = append(sig, st)
+		sig = append(sig, m.slotSig(pc, ct.branchFine[i]))
 	}
 	if ct.pairHead {
-		u := uint8(0)
-		if m.haveU && m.canPairAsV(&m.pcT[ct.pcs[0]]) {
-			d := base - m.uIssue
-			if d >= maxSigEntry {
-				return nil, false
-			}
-			u = uint8(1 + d)
+		u, ok := m.pendingUSig(ct)
+		if !ok {
+			return nil, false
 		}
 		sig = append(sig, u)
 	}
 	m.sigBuf = sig
 	return sig, true
+}
+
+// entryMatches reports whether ct's entry signature under penalties would
+// be sig, one of ct's recorded signatures, comparing each entry as chainSig
+// computes it without building the signature. It reports false wherever
+// chainSig declines: a recorded entry never exceeds maxSigEntry (255), so
+// a lag or penalty out of range matches none.
+func (m *Model) entryMatches(ct *ChainTiming, penalties []int32, sig []uint8) bool {
+	for i, r := range ct.guards {
+		if m.guardLag(r) != uint64(sig[i]) {
+			return false
+		}
+	}
+	pen := sig[len(ct.guards):]
+	for i, p := range penalties {
+		if uint32(p) != uint32(pen[i]) {
+			return false
+		}
+	}
+	slots := pen[len(penalties):]
+	for i, pc := range ct.branchPCs {
+		if m.slotSig(pc, ct.branchFine[i]) != slots[i] {
+			return false
+		}
+	}
+	if ct.pairHead {
+		u, ok := m.pendingUSig(ct)
+		return ok && u == sig[len(sig)-1]
+	}
+	return true
+}
+
+// guardLag is a guard register's signature entry: how many cycles past the
+// entry clock its value becomes ready, 0 when it already is.
+func (m *Model) guardLag(r isa.Reg) uint64 {
+	if rt := m.readyAt[r]; rt > m.now {
+		return rt - m.now
+	}
+	return 0
+}
+
+// slotSig is the signature byte of a chain branch at pc. When its slot is
+// shared within the chain (fine) it is the slot state: 0 when pc does not
+// own its direct-mapped slot (invalid or foreign-tagged, which every chain
+// branch treats alike), 2+ctr when it does. Otherwise it is the prediction
+// bit, btb.predict's answer. It is 0 with the BTB ablated.
+func (m *Model) slotSig(pc int32, fine bool) uint8 {
+	i := pc & 255
+	if m.cfg.DisableBTB || !m.btb.valid[i] || m.btb.tags[i] != pc {
+		return 0
+	}
+	if fine {
+		return 2 + m.btb.ctr[i]
+	}
+	return m.btb.ctr[i] >> 1
+}
+
+// pendingUSig is a pairHead chain's pending-U byte: 0 when no U is pending
+// or the chain's first event cannot pair with it, else 1 + (now − uIssue).
+// It reports false when that distance reaches maxSigEntry.
+func (m *Model) pendingUSig(ct *ChainTiming) (uint8, bool) {
+	if !m.haveU || !m.canPairAsV(&m.pcT[ct.pcs[0]]) {
+		return 0, true
+	}
+	d := m.now - m.uIssue
+	if d >= maxSigEntry {
+		return 0, false
+	}
+	return uint8(1 + d), true
 }
 
 func sigEqual(a, b []uint8) bool {

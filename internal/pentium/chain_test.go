@@ -1,6 +1,8 @@
 package pentium
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"mmxdsp/internal/asm"
@@ -190,5 +192,189 @@ func TestChainLoopBehindPendingU(t *testing.T) {
 	}
 	if m.Pairs() == 0 {
 		t.Error("no entry paired behind the pending U")
+	}
+}
+
+// randomChainProgram links six labelled blocks of one to five instructions
+// drawn from ALU, load, store, read-modify-write, U-only shift, imul and
+// MMX forms, each ending in a conditional branch, a jump or a fall-through.
+func randomChainProgram(rng *rand.Rand) *asm.Program {
+	gprs := []isa.Reg{isa.EAX, isa.EBX, isa.EDI, isa.EBP}
+	mms := []isa.Reg{isa.MM0, isa.MM1, isa.MM2, isa.MM3}
+	gpr := func() isa.Operand { return reg(gprs[rng.Intn(len(gprs))]) }
+	mm := func() isa.Operand { return reg(mms[rng.Intn(len(mms))]) }
+	mem := func() isa.Operand { return asm.MemD(isa.ESI, int32(4*rng.Intn(8))) }
+	b := asm.NewBuilder("random-chains")
+	const blocks = 6
+	for bi := 0; bi < blocks; bi++ {
+		b.Label(fmt.Sprintf("b%d", bi))
+		for n := 1 + rng.Intn(5); n > 0; n-- {
+			switch rng.Intn(8) {
+			case 0:
+				b.I(isa.ADD, gpr(), gpr())
+			case 1:
+				b.I(isa.MOV, gpr(), mem())
+			case 2:
+				b.I(isa.MOV, mem(), gpr())
+			case 3:
+				b.I(isa.ADD, mem(), asm.Imm(3))
+			case 4:
+				b.I(isa.SHL, gpr(), asm.Imm(1))
+			case 5:
+				b.I(isa.IMUL, gpr(), gpr())
+			case 6:
+				b.I(isa.PADDW, mm(), mm())
+			default:
+				b.I(isa.PMULLW, mm(), mm())
+			}
+		}
+		target := fmt.Sprintf("b%d", rng.Intn(blocks))
+		switch rng.Intn(3) {
+		case 0:
+			b.J(isa.JNE, target)
+		case 1:
+			b.J(isa.JMP, target)
+		}
+	}
+	b.I(isa.HALT)
+	return b.MustLink()
+}
+
+// randomizeEntry puts m in a random entry state: a clock, register ready
+// times from long past to beyond maxSigEntry cycles ahead, BTB slots owned
+// or foreign-tagged at every counter value, and a pending U issued up to
+// beyond maxSigEntry cycles back, or none.
+func randomizeEntry(m *Model, rng *rand.Rand) {
+	m.now = 1000 + uint64(rng.Intn(1000))
+	ahead := func() uint64 {
+		switch rng.Intn(4) {
+		case 0:
+			return uint64(rng.Intn(12))
+		case 1:
+			return maxSigEntry - 2 + uint64(rng.Intn(5))
+		case 2:
+			return 2*maxSigEntry + uint64(rng.Intn(600))
+		}
+		return 0
+	}
+	for r := range m.readyAt {
+		if rng.Intn(3) == 0 {
+			m.readyAt[r] = m.now - uint64(rng.Intn(50))
+		} else {
+			m.readyAt[r] = m.now + ahead()
+		}
+	}
+	for pc := range m.pcT {
+		i := pc & 255
+		m.btb.valid[i] = rng.Intn(4) != 0
+		m.btb.tags[i] = int32(pc)
+		if rng.Intn(4) == 0 {
+			m.btb.tags[i] += 256 // same slot, another branch
+		}
+		m.btb.ctr[i] = uint8(rng.Intn(4))
+	}
+	m.haveU = rng.Intn(3) != 0
+	m.uT = &m.pcT[rng.Intn(len(m.pcT))]
+	m.uIssue = m.now - ahead()
+}
+
+// truncatedSig is ct's entry signature with every value cut to a byte
+// instead of declined: the bytes an in-place match that ignores
+// maxSigEntry would compare.
+func truncatedSig(m *Model, ct *ChainTiming, penalties []int32) []uint8 {
+	var sig []uint8
+	for _, r := range ct.guards {
+		lag := uint64(0)
+		if m.readyAt[r] > m.now {
+			lag = m.readyAt[r] - m.now
+		}
+		sig = append(sig, uint8(lag))
+	}
+	for _, p := range penalties {
+		sig = append(sig, uint8(p))
+	}
+	for i, pc := range ct.branchPCs {
+		sig = append(sig, m.slotSig(pc, ct.branchFine[i]))
+	}
+	if ct.pairHead {
+		u := uint8(0)
+		if m.haveU && m.canPairAsV(&m.pcT[ct.pcs[0]]) {
+			u = uint8(1 + m.now - m.uIssue)
+		}
+		sig = append(sig, u)
+	}
+	return sig
+}
+
+// TestEntryMatchesChainSig holds RetireChain's in-place match of a
+// recorded signature to the signature chainSig builds: over random chains
+// of a random program and random entry states, entryMatches(sig) must be
+// true exactly when chainSig succeeds and returns sig, for the state's own
+// signature, for it with any one byte changed, for its bytes truncated
+// rather than declined, and for the previous state's signature.
+func TestEntryMatchesChainSig(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	penaltyValues := []int32{0, 0, 0, 3, 11, 26, maxSigEntry, maxSigEntry + 1, 300, -1}
+	var matched, declined, checked int
+	for prog := 0; prog < 20; prog++ {
+		p := randomChainProgram(rng)
+		blocks := p.Blocks()
+		for _, cfg := range []Config{DefaultConfig(), {DisableBTB: true}} {
+			m := New(cfg)
+			m.Bind(p)
+			for c := 0; c < 10; c++ {
+				var bis []int32
+				var terms []ChainTerm
+				for n := 1 + rng.Intn(4); n > 0; n-- {
+					bi := rng.Intn(len(blocks))
+					bis = append(bis, int32(bi))
+					terms = append(terms, ChainTerm{PC: int32(blocks[bi].Term), Taken: rng.Intn(2) == 0})
+				}
+				ct := m.NewChain(bis, terms)
+				if ct == nil {
+					continue
+				}
+				var prev []uint8
+				for s := 0; s < 40; s++ {
+					randomizeEntry(m, rng)
+					penalties := make([]int32, ct.memN)
+					for i := range penalties {
+						penalties[i] = penaltyValues[rng.Intn(len(penaltyValues))]
+					}
+					sig, ok := m.chainSig(ct, penalties)
+					sig = append([]uint8(nil), sig...)
+					cands := [][]uint8{truncatedSig(m, ct, penalties)}
+					if ok {
+						cands = append(cands, sig)
+						for i := range sig {
+							c := append([]uint8(nil), sig...)
+							c[i] += uint8(1 + rng.Intn(255))
+							cands = append(cands, c)
+						}
+					} else {
+						declined++
+					}
+					if prev != nil {
+						cands = append(cands, prev)
+					}
+					for _, cand := range cands {
+						want := ok && sigEqual(sig, cand)
+						if got := m.entryMatches(ct, penalties, cand); got != want {
+							t.Fatalf("chain %v: entryMatches(%v) = %v, chainSig %v, %v", ct.pcs, cand, got, sig, ok)
+						}
+						if want {
+							matched++
+						}
+						checked++
+					}
+					if ok {
+						prev = sig
+					}
+				}
+			}
+		}
+	}
+	if matched == 0 || declined == 0 || matched == checked {
+		t.Errorf("%d candidates, %d matched, %d states declined: too little variety", checked, matched, declined)
 	}
 }

@@ -334,17 +334,6 @@ func (b *btb) predict(pc int) bool {
 	return b.valid[i] && b.tags[i] == int32(pc) && b.ctr[i] >= 2
 }
 
-// slotState encodes pc's slot for chain signatures: 0 when pc does not own
-// its direct-mapped slot (invalid or foreign-tagged — indistinguishable to
-// every chain branch, see chain.go), 2+ctr when it does.
-func (b *btb) slotState(pc int) uint8 {
-	i := pc & 255
-	if !b.valid[i] || b.tags[i] != int32(pc) {
-		return 0
-	}
-	return 2 + b.ctr[i]
-}
-
 func (b *btb) update(pc int, taken bool) {
 	i := pc & 255
 	if !b.valid[i] || b.tags[i] != int32(pc) {

@@ -103,20 +103,12 @@ func rmwWalkProg() *asm.Program {
 // formation off and on, against the generic loop. The stream's consumer
 // prices every reference, so an address delivered out of order, dropped,
 // or folded into the wrong instruction moves the cache statistics, the
-// cycles or both.
+// cycles or both. The L1 is 2-way, where hits in a set's second way take
+// the inline probe's swap, and direct-mapped, where that probe must stay
+// off: the streamed Price and the generic loop's Access share it.
 func TestStreamSmallCacheModesAgree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-program differential run is slow; skipped with -short")
-	}
-	spec := core.DefaultCacheSpec()
-	spec.L1Size, spec.L1Ways = 1<<10, 2
-	spec.L2Size, spec.L2Ways = 8<<10, 2
-	hier := func() *mem.Hierarchy {
-		h, err := spec.Hierarchy()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return h
 	}
 	progs := []*asm.Program{rmwWalkProg()}
 	for _, name := range []string{"iir.mmx", "matvec.mmx", "sad.mmx"} {
@@ -130,32 +122,45 @@ func TestStreamSmallCacheModesAgree(t *testing.T) {
 		}
 		progs = append(progs, prog)
 	}
-	var refs, misses uint64
-	for _, prog := range progs {
-		code := vm.Compile(prog)
-		gen, err := runModeHier(prog, code, "generic", hier())
-		if err != nil {
-			t.Fatal(err)
-		}
-		refs += gen.report.CacheAccesses
-		misses += gen.report.L1Misses
-		for _, n := range []int{1, 3, 0} {
-			restore := func() {}
-			if n > 0 {
-				restore = vm.SetStreamBatch(n)
+	for _, l1Ways := range []int{2, 1} {
+		spec := core.DefaultCacheSpec()
+		spec.L1Size, spec.L1Ways = 1<<10, l1Ways
+		spec.L2Size, spec.L2Ways = 8<<10, 2
+		hier := func() *mem.Hierarchy {
+			h, err := spec.Hierarchy()
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, mode := range []string{"block", "trace"} {
-				got, err := runModeHier(prog, code, mode, hier())
-				if err != nil {
-					t.Fatal(err)
+			return h
+		}
+		var refs, misses uint64
+		for _, prog := range progs {
+			code := vm.Compile(prog)
+			gen, err := runModeHier(prog, code, "generic", hier())
+			if err != nil {
+				t.Fatal(err)
+			}
+			refs += gen.report.CacheAccesses
+			misses += gen.report.L1Misses
+			for _, n := range []int{1, 3, 0} {
+				restore := func() {}
+				if n > 0 {
+					restore = vm.SetStreamBatch(n)
 				}
-				compareOutcomes(t, prog.Name+" generic", gen, fmt.Sprintf("%s %s batch%d", prog.Name, mode, n), got)
+				for _, mode := range []string{"block", "trace"} {
+					got, err := runModeHier(prog, code, mode, hier())
+					if err != nil {
+						t.Fatal(err)
+					}
+					compareOutcomes(t, fmt.Sprintf("%s generic L1 %d-way", prog.Name, l1Ways), gen,
+						fmt.Sprintf("%s %s batch%d L1 %d-way", prog.Name, mode, n, l1Ways), got)
+				}
+				restore()
 			}
-			restore()
 		}
-	}
-	if misses*20 < refs {
-		t.Errorf("%d L1 misses in %d references: the cache is too large to test pricing order", misses, refs)
+		if misses*20 < refs {
+			t.Errorf("L1 %d-way: %d L1 misses in %d references: the cache is too large to test pricing order", l1Ways, misses, refs)
+		}
 	}
 }
 

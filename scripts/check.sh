@@ -100,11 +100,16 @@ go test -race -run 'TestDispatchModesAgree|TestDispatchThreeWay|TestStream|TestS
 # inner-loop regressions that only bite under benchmarking surface here.
 echo "==> go test -run '^$' -bench 'BenchmarkTraceStep' -benchtime 1x ./internal/vm"
 go test -run '^$' -bench 'BenchmarkTraceStep' -benchtime 1x ./internal/vm >/dev/null
-# The same single iteration of the chain-pricing benchmark: steady and
-# full-signature applies, with and without a pending U at entry (it fails
-# if any of them declines or misses its steady state).
+# The same single iteration of the chain-pricing benchmark: steady applies,
+# applies matched in place and applies found by a full signature, with and
+# without a pending U at entry (it fails if any of them declines or misses
+# its steady state).
 echo "==> go test -run '^$' -bench 'BenchmarkRetireChain' -benchtime 1x ./internal/pentium"
 go test -run '^$' -bench 'BenchmarkRetireChain' -benchtime 1x ./internal/pentium >/dev/null
+# And of the cache model's reference pricing: one stream, two same-set
+# streams (second-way hits) and a random walk through Hierarchy.Price.
+echo "==> go test -run '^$' -bench 'BenchmarkPrice' -benchtime 1x ./internal/mem"
+go test -run '^$' -bench 'BenchmarkPrice' -benchtime 1x ./internal/mem >/dev/null
 
 # Optional: refresh the interpreter-throughput artifact. Wall-clock numbers
 # are host-dependent, so this never gates the build.
