@@ -1,16 +1,16 @@
-// Compilation: a one-time pass that lowers every basic block of a linked
-// Program (as discovered by asm.Program.Blocks) to micro-ops, the one fast
-// execution form of the dispatch loop (trace.go). A block body runs
+// Compilation: a one-time pass that lowers every instruction of a linked
+// Program to micro-ops (lower.go), in program order, and partitions them
+// into the basic blocks asm.Program.Blocks discovers. A block body runs
 // through the micro-op executor as one unit — the observer gets one
 // ObserveBlock call instead of one Retire per instruction — and its
-// terminator retires through the generic executor, per event (its timing
+// terminator is stepped on its own micro-ops, per event (its timing
 // depends on dynamic state: branch direction, BTB, stack memory). Trace
-// formation builds its superblocks by copying these per-block micro-ops.
+// formation builds its superblocks by copying the block bodies.
 //
 // The dispatcher drops to single-instruction stepping whenever exactness
 // requires it — entry at a non-leader PC (a ret popped an arbitrary return
 // address) or an instruction budget too small to cover a whole block — so
-// faults stay byte-identical to the generic interpreter.
+// faults land on exactly the instruction the per-instruction loop's do.
 package vm
 
 import (
@@ -18,12 +18,18 @@ import (
 	"mmxdsp/internal/isa"
 )
 
-// Code is a compiled program: its basic blocks lowered to micro-ops. A
+// Code is a compiled program: its instructions lowered to micro-ops. A
 // Code value is immutable after Compile and may be shared by any number of
 // CPUs running the same program (it holds no execution state); trace
 // formation copies block micro-ops and never writes them.
 type Code struct {
 	prog *asm.Program
+	// ops holds every instruction's micro-ops in program order; the
+	// instruction at pc owns ops[at[pc]:at[pc+1]]. texts are the static
+	// fault texts uFault ops index.
+	ops   []uop
+	at    []int32
+	texts []string
 	// blocks and blockOf are the block-dispatch tables: one vmBlock per
 	// basic block, and the owning block index per PC.
 	blocks  []vmBlock
@@ -44,11 +50,11 @@ type vmBlock struct {
 	end      int32
 	term     int32 // terminator PC, -1 when termKind == termNone
 	termKind uint8
-	// body is the lowered block body, closed by a uBodyEnd. Each
-	// micro-op's cum is the number of instructions from the block start
-	// through its own, so a fault retires exactly the instructions before
-	// it plus itself. The slice is capped at its length: an append can
-	// never reach a neighbour's ops.
+	// body is the lowered block body, the micro-ops of its instructions
+	// before the terminator. Each micro-op's cum is the number of
+	// instructions from the block start through its own, so a fault
+	// retires exactly the instructions before it plus itself. The slice is
+	// capped at its length: an append can never reach a neighbour's ops.
 	body []uop
 	// events is the event-emitting body instruction count; nInstrs and
 	// nBody count all instructions (including NOPs and the terminator)
@@ -64,13 +70,17 @@ func Compile(p *asm.Program) *Code {
 	infos := p.Blocks()
 	c := &Code{
 		prog:    p,
+		at:      make([]int32, len(p.Insts)+1),
 		blocks:  make([]vmBlock, len(infos)),
 		blockOf: make([]int32, len(p.Insts)),
 	}
-	// At most one micro-op per instruction, plus each body's uBodyEnd:
-	// the array never moves, so each body can be sliced off it as soon as
-	// it is lowered.
-	ops := make([]uop, 0, len(p.Insts)+len(infos))
+	ops := make([]uop, 0, len(p.Insts))
+	for pc := range p.Insts {
+		c.at[pc] = int32(len(ops))
+		ops = lowerInst(ops, &p.Insts[pc], int32(pc), &c.texts)
+	}
+	c.at[len(p.Insts)] = int32(len(ops))
+	c.ops = ops
 	for bi := range infos {
 		info := &infos[bi]
 		b := &c.blocks[bi]
@@ -93,21 +103,14 @@ func Compile(p *asm.Program) *Code {
 		}
 		for pc := info.Start; pc < info.End; pc++ {
 			c.blockOf[pc] = int32(bi)
-		}
-		first := len(ops)
-		for pc := start; pc < bodyEnd; pc++ {
-			in := &p.Insts[pc]
-			if !in.Op.EmitsEvent() {
-				continue
+			for i := c.at[pc]; i < c.at[pc+1]; i++ {
+				ops[i].cum = int64(pc-start) + 1
 			}
-			b.events++
-			if u, ok := lowerInst(in, int32(pc)); ok {
-				u.cum = int64(pc-start) + 1
-				ops = append(ops, u)
+			if pc < bodyEnd && p.Insts[pc].Op.EmitsEvent() {
+				b.events++
 			}
 		}
-		ops = append(ops, uop{kind: uBodyEnd})
-		b.body = ops[first:len(ops):len(ops)]
+		b.body = ops[c.at[start]:c.at[bodyEnd]:c.at[bodyEnd]]
 	}
 	return c
 }

@@ -159,11 +159,10 @@ func TestEveryOpcodeExecutes(t *testing.T) {
 		}
 	}
 
-	// The memory forms of fst lower to native micro-ops, so the paths
-	// compared below run the native store, not the generic executor's.
+	// The memory forms of fst lower to one fused store micro-op.
 	for i := range p.Insts {
-		if in := &p.Insts[i]; in.Op == isa.FST && in.A.IsMem() && !vm.LowersNative(in) {
-			t.Errorf("%s does not lower to a native micro-op", in)
+		if in := &p.Insts[i]; in.Op == isa.FST && in.A.IsMem() && vm.LoweredOps(in) != 1 {
+			t.Errorf("%s lowers to %d micro-ops, want 1", in, vm.LoweredOps(in))
 		}
 	}
 

@@ -11,9 +11,8 @@ func SetStreamBatch(n int) (restore func()) {
 	return func() { streamBatch = old }
 }
 
-// LowersNative reports whether a block-body instruction lowers to a native
-// micro-op rather than a call of the generic executor.
-func LowersNative(in *isa.Inst) bool {
-	u, _ := lowerInst(in, 0)
-	return u.kind != uCall
+// LoweredOps returns how many micro-ops an instruction lowers to.
+func LoweredOps(in *isa.Inst) int {
+	var texts []string
+	return len(lowerInst(nil, in, 0, &texts))
 }

@@ -227,14 +227,16 @@ func oracleIters() int {
 
 func TestMMXOracleAcrossPaths(t *testing.T) {
 	op := buildOracleProg(41, oracleIters(), -1)
-	// Every slot's op lowers to a native micro-op except the memory-count
-	// shifts, which the generic executor runs on every path.
+	// Every slot's op lowers to one fused micro-op except the memory-count
+	// shifts, which load the count into a temporary first.
 	for i := range op.prog.Insts {
 		in := &op.prog.Insts[i]
-		native := vm.LowersNative(in)
-		want := !(isShift(in.Op) && in.B.IsMem())
-		if in.Op.IsMMX() && native != want {
-			t.Errorf("%s: native lowering %v, want %v", in, native, want)
+		want := 1
+		if isShift(in.Op) && in.B.IsMem() {
+			want = 2
+		}
+		if got := vm.LoweredOps(in); in.Op.IsMMX() && got != want {
+			t.Errorf("%s: lowers to %d micro-ops, want %d", in, got, want)
 		}
 	}
 	outAt := int(op.prog.Addr("out"))

@@ -192,7 +192,8 @@ func (s *stream) replay(b *batch) {
 		for _, e := range b.events[ei : ei+int(r.ev)] {
 			p := 0
 			if e.n > 0 {
-				p = cost(hier, b.addrs[ai:ai+int(e.n)])
+				pen = hier.Price(b.addrs[ai:ai+int(e.n)], pen[:0])
+				p = int(pen[0])
 				ai += int(e.n)
 			}
 			obs.Retire(Event{
@@ -268,13 +269,14 @@ func (s *stream) add(kind uint8, measured bool, k, id, n, ev int) {
 	}
 }
 
-// retire records one Retire call, with its instruction's effective
-// addresses, as a trailing event of the last record when the batch has
-// one.
+// retire records one Retire call as a trailing event of the last record
+// when the batch has one; addrs extends the arena with its instruction's
+// effective addresses.
 func (s *stream) retire(ev *Event, addrs []uint64) {
-	s.addrs = append(s.addrs, addrs...)
+	n := len(addrs) - len(s.addrs)
+	s.addrs = addrs
 	s.events = append(s.events, retired{
-		target: ev.Target, pc: int32(ev.PC), n: int32(len(addrs)),
+		target: ev.Target, pc: int32(ev.PC), n: int32(n),
 		measured: ev.Measured, taken: ev.Taken,
 	})
 	if i := len(s.recs) - 1; i >= 0 {

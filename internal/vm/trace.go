@@ -184,14 +184,11 @@ func (c *CPU) TraceStats() TraceStats {
 	}
 }
 
-// Micro-op kinds. Each native kind executes one operand shape of one
-// opcode family; uCall runs any other instruction on the generic executor
-// (spill, call, reload).
+// Micro-op kinds. Each kind runs one opcode family with one way of
+// reaching its operands (lower.go picks them).
 const (
-	uCall uint8 = iota
-
 	// Integer moves and loads/stores.
-	uMovRR
+	uMovRR uint8 = iota
 	uMovRI
 	uLoad8
 	uLoad16
@@ -239,8 +236,11 @@ const (
 	uImulRR
 	uImulRI
 	uImulRM
+	uAluRR // gpr[d] op= gpr[s] for the sub-ops without a kind (u.alu)
+	uAluRI // gpr[d] op= imm
 	uAluMR // op [mem], gpr[s]  (read-modify-write; u.alu selects, u.d is size)
 	uAluMI // op [mem], imm2
+	uAluTM // op [mem], gpr[s] with [mem] already loaded into gpr[tmp]
 	uNot
 	uNeg
 	uInc
@@ -248,6 +248,7 @@ const (
 	uShlI
 	uShrI
 	uSarI
+	uIdiv
 	uCdq
 
 	// Control: side-exit guard and iteration end. uCallT/uRet inline a
@@ -258,9 +259,13 @@ const (
 	uEnd
 	uCallT
 	uRet
-	// uBodyEnd closes every compiled block body, so the executor's loop
-	// needs no bounds test; traces copy bodies without it.
-	uBodyEnd
+	// Control retired one instruction at a time (a block terminator, a
+	// single step): set c.pc and c.taken.
+	uJmp
+	uBr
+	uCallP
+	uRetP
+	uHalt
 
 	// MMX.
 	uMovdGM // mm[d] = zext gpr[s]
@@ -278,8 +283,8 @@ const (
 	uMMXShiftRR
 	uEmms
 
-	// Floating point (registers stay in CPU state; every op re-checks the
-	// mmx-active fault exactly like execFP).
+	// Floating point (registers stay in CPU state; every op first faults
+	// when MMX state is active).
 	uFMovRR
 	uFLoad32
 	uFLoad64
@@ -292,9 +297,21 @@ const (
 	uFComRR
 	uFComM32
 	uFComM64
+	uFUnary
+	uFild16
+	uFild32
+	uFist16
+	uFist32
+
+	// uNote notes a data reference and nothing else; uFault raises the
+	// static fault code.texts[imm]. With expect set (an FP instruction's)
+	// both fault first when MMX state is active.
+	uNote
+	uFault
 )
 
-// Condition codes for uJcc (lowered from the conditional-branch opcode).
+// Condition codes for uJcc and uBr (lowered from the conditional-branch
+// opcode).
 const (
 	ccE uint8 = iota
 	ccNE
@@ -308,19 +325,6 @@ const (
 	ccAE
 	ccS
 	ccNS
-)
-
-// ALU sub-ops for the read-modify-write uAluMR/uAluMI micro-ops. cmp and
-// test read without writing back (single access charge, like execInt).
-const (
-	aluAdd uint8 = iota
-	aluSub
-	aluCmp
-	aluAnd
-	aluTest
-	aluOr
-	aluXor
-	aluImul
 )
 
 // FP arithmetic sub-ops for uFArith*.
@@ -337,25 +341,26 @@ const noIdx uint8 = 0xFF
 
 // uop is one micro-op, of a block body or a trace. Memory operands are
 // flattened into base/index/scale/disp fields; register indices into d
-// (destination) and s (source). The meaning of the remaining fields
-// depends on kind.
+// (destination) and s (source), which may name a temporary (tmp, tmp2).
+// The meaning of the remaining fields depends on kind.
 type uop struct {
 	kind uint8
 	d, s uint8
-	// alu carries the uJcc condition code or the uFArith sub-op.
+	// alu carries the ALU, FP or condition-code sub-op.
 	alu uint8
 	// b/x/scale/imm encode a memory address (imm doubles as the ALU/move
-	// immediate); imm2 is the store-immediate value.
+	// immediate and uFault's text index); imm2 is the store-immediate value
+	// (or the pushed return address of a call).
 	b, x  uint8
 	scale uint32
 	imm   uint32
 	imm2  uint32
-	// expect is the recorded direction of a uJcc, or the loop flag of uEnd.
+	// expect is the recorded direction of a uJcc, the loop flag of uEnd,
+	// or uNote/uFault's MMX-state check.
 	expect bool
-	// mmx marks a uCall'd MMX instruction (mm spill).
-	mmx bool
 	// pc is the originating instruction (fault context, side-exit
-	// fall-through); tgt the branch target (uJcc) or exit PC (uEnd).
+	// fall-through); tgt the branch target (uJcc, uBr, uJmp, uCallP) or
+	// exit PC (uEnd).
 	pc  int32
 	tgt int32
 	// blockK is the index within the trace of the block owning a
@@ -374,12 +379,13 @@ type uop struct {
 	pathIdx   uint16
 	childPath uint16
 	child     int32
-	// fv is the uFConst value; mfn/sfn the MMX binary/shift functions;
-	// in the instruction a uCall runs.
+	// nx is mem.Next when the op's data reference is not its
+	// instruction's first, else 0.
+	nx uint64
+	// fv is the uFConst value; mfn/sfn the MMX binary/shift functions.
 	fv  float64
 	mfn func(a, b mmx.Reg) mmx.Reg
 	sfn func(v mmx.Reg, n uint) mmx.Reg
-	in  *isa.Inst
 }
 
 // vmTrace is one lowered superblock, possibly grown into a tree: child
@@ -465,12 +471,6 @@ type traceState struct {
 	attempts []uint8
 	traces   []*vmTrace
 	rec      traceRec
-	// ev is the reusable event uCall handlers write into; addrbuf the
-	// address accumulator of unobserved runs, sized for the largest
-	// iteration (at most two data references per micro-op) so it never
-	// grows.
-	ev      Event
-	addrbuf []uint64
 	// nextID allocates dense observation ids across roots and child paths.
 	nextID int
 	// Run statistics (see TraceStats).
@@ -498,7 +498,6 @@ func (c *CPU) traceInit() *traceState {
 		heat:      make([]uint32, n),
 		byBlock:   make([]int32, n),
 		attempts:  make([]uint8, n),
-		addrbuf:   make([]uint64, 0, 2*treeMaxOps),
 	}
 	for i := range ts.byBlock {
 		ts.byBlock[i] = traceNone
@@ -709,7 +708,7 @@ func (ts *traceState) maybeDeopt(tr *vmTrace) {
 }
 
 // runTrace is the dispatch loop: block dispatch (run the body's micro-ops,
-// retire the terminator per-event) plus, when CPU.Traces is set, heat
+// step the terminator's) plus, when CPU.Traces is set, heat
 // counting, chain recording and superblock execution at hot leaders.
 // Observations go to the CPU's stream, c.st, which is nil when the run is
 // unobserved.
@@ -766,12 +765,8 @@ func (c *CPU) runTrace(maxInstrs int64) error {
 			if c.executed >= maxInstrs {
 				return c.budgetFault(maxInstrs)
 			}
-			emit, err := c.step(&ev)
-			if err != nil {
+			if _, err := c.step(&ev); err != nil {
 				return err
-			}
-			if emit && st != nil {
-				st.retire(&ev, c.acc)
 			}
 			continue
 		}
@@ -782,7 +777,7 @@ func (c *CPU) runTrace(maxInstrs int64) error {
 		c.executed += b.nBody
 		if st == nil {
 			charge(c.Hier, addrs)
-			ts.addrbuf = addrs[:0] // keep any growth for the next body
+			c.addrbuf = addrs[:0] // keep any growth for the next body
 		} else if b.events > 0 {
 			st.block(bi, c.measuring, addrs)
 		}
@@ -805,9 +800,6 @@ func (c *CPU) runTrace(maxInstrs int64) error {
 			c.pc = tpc
 			if _, err := c.step(&ev); err != nil {
 				return err
-			}
-			if st != nil {
-				st.retire(&ev, c.acc)
 			}
 			op := insts[tpc].Op
 			if ts.rec.active {
@@ -876,60 +868,6 @@ func condCode(op isa.Op) (uint8, bool) {
 	return 0, false
 }
 
-// gprDst returns the GPR index of a plain register operand, or -1.
-func gprDst(o isa.Operand) int {
-	if o.Kind == isa.KindReg && o.Reg.IsGPR() {
-		return o.Reg.GPRIndex()
-	}
-	return -1
-}
-
-// fpDst returns the FP register index of a plain FP register operand, or
-// -1.
-func fpDst(o isa.Operand) int {
-	if o.Kind == isa.KindReg && o.Reg.IsFP() {
-		return o.Reg.FPIndex()
-	}
-	return -1
-}
-
-// memRef starts a memory micro-op from an operand's address shape. The
-// second result is false when the operand is not memory or its shape is
-// not a plain GPR-addressed form.
-func memRef(o isa.Operand, pc int32) (uop, bool) {
-	u := uop{b: noIdx, x: noIdx, scale: 1, imm: uint32(o.Disp), pc: pc}
-	if o.Kind != isa.KindMem {
-		return u, false
-	}
-	if o.Reg != isa.NoReg {
-		if !o.Reg.IsGPR() {
-			return u, false
-		}
-		u.b = uint8(o.Reg.GPRIndex())
-	}
-	if o.Index != isa.NoReg {
-		if !o.Index.IsGPR() {
-			return u, false
-		}
-		u.x = uint8(o.Index.GPRIndex())
-		if o.Scale != 0 {
-			u.scale = uint32(o.Scale)
-		}
-	}
-	return u, true
-}
-
-// uCallOp lowers an instruction to a fallback micro-op that runs it on the
-// generic executor.
-func uCallOp(in *isa.Inst, pc int32) uop {
-	return uop{
-		kind: uCall,
-		in:   in,
-		mmx:  in.Op.IsMMX(),
-		pc:   pc,
-	}
-}
-
 // lowerTrace lowers a recorded chain into a superblock, or returns nil when
 // the chain cannot be lowered (oversized, or an unexpected terminator).
 func (c *CPU) lowerTrace(blocks []int32, taken []bool, loop bool, exitPC int32) *vmTrace {
@@ -971,7 +909,7 @@ func (c *CPU) lowerBlocks(ops []uop, blocks []int32, taken []bool, baseK int32, 
 	cum := baseCum
 	for k, bi := range blocks {
 		b := &code.blocks[bi]
-		for _, u := range b.body[:len(b.body)-1] {
+		for _, u := range b.body {
 			u.cum += cum
 			ops = append(ops, u)
 		}
@@ -1191,501 +1129,6 @@ func (c *CPU) growChild(ts *traceState, tr *vmTrace, exitOp int32) {
 	rec.depth = 0
 }
 
-// lowerInst lowers one block-body instruction to a micro-op. The second
-// result is false when the instruction needs no executor work at all (a
-// shift by a count that masks to zero). A native micro-op exists only for
-// an operand shape it checks here, and mirrors the generic executor's
-// semantics, fault texts and data-reference order exactly; every other
-// shape — including each one the generic executor faults on — lowers to a
-// uCall of that executor.
-func lowerInst(in *isa.Inst, pc int32) (uop, bool) {
-	call := uCallOp(in, pc)
-	switch in.Op {
-	case isa.MOV:
-		if dr := gprDst(in.A); dr >= 0 {
-			if sr := gprDst(in.B); sr >= 0 {
-				return uop{kind: uMovRR, d: uint8(dr), s: uint8(sr), pc: pc}, true
-			}
-			if in.B.Kind == isa.KindImm {
-				return uop{kind: uMovRI, d: uint8(dr), imm: uint32(in.B.Imm), pc: pc}, true
-			}
-			if u, ok := memRef(in.B, pc); ok {
-				switch in.B.Size {
-				case isa.SizeB:
-					u.kind = uLoad8
-				case isa.SizeW:
-					u.kind = uLoad16
-				case isa.SizeD, isa.SizeNone:
-					u.kind = uLoad32
-				default:
-					return call, true
-				}
-				u.d = uint8(dr)
-				return u, true
-			}
-			return call, true
-		}
-		if in.A.IsMem() {
-			if u, ok := memRef(in.A, pc); ok {
-				if sr := gprDst(in.B); sr >= 0 {
-					switch in.A.Size {
-					case isa.SizeB:
-						u.kind = uStore8
-					case isa.SizeW:
-						u.kind = uStore16
-					case isa.SizeD, isa.SizeNone:
-						u.kind = uStore32
-					default:
-						return call, true
-					}
-					u.s = uint8(sr)
-					return u, true
-				}
-				if in.B.Kind == isa.KindImm {
-					switch in.A.Size {
-					case isa.SizeB:
-						u.kind = uStore8I
-					case isa.SizeW:
-						u.kind = uStore16I
-					case isa.SizeD, isa.SizeNone:
-						u.kind = uStore32I
-					default:
-						return call, true
-					}
-					u.imm2 = uint32(in.B.Imm)
-					return u, true
-				}
-			}
-		}
-		return call, true
-
-	case isa.MOVZXB, isa.MOVZXW, isa.MOVSXB, isa.MOVSXW:
-		dr := gprDst(in.A)
-		if dr < 0 {
-			return call, true
-		}
-		if sr := gprDst(in.B); sr >= 0 {
-			var k uint8
-			switch in.Op {
-			case isa.MOVZXB:
-				k = uZx8
-			case isa.MOVZXW:
-				k = uZx16
-			case isa.MOVSXB:
-				k = uSx8
-			default:
-				k = uSx16
-			}
-			return uop{kind: k, d: uint8(dr), s: uint8(sr), pc: pc}, true
-		}
-		if in.B.IsMem() {
-			if u, ok := memRef(in.B, pc); ok {
-				// loadSizedAs forces the load width from the opcode.
-				switch in.Op {
-				case isa.MOVZXB:
-					u.kind = uLoad8
-				case isa.MOVZXW:
-					u.kind = uLoad16
-				case isa.MOVSXB:
-					u.kind = uLoadSx8
-				default:
-					u.kind = uLoadSx16
-				}
-				u.d = uint8(dr)
-				return u, true
-			}
-		}
-		return call, true
-
-	case isa.LEA:
-		dr := gprDst(in.A)
-		if dr < 0 {
-			return call, true
-		}
-		if u, ok := memRef(in.B, pc); ok {
-			u.kind = uLea
-			u.d = uint8(dr)
-			return u, true
-		}
-		return call, true
-
-	case isa.XCHG:
-		if gprDst(in.A) < 0 || gprDst(in.B) < 0 {
-			return call, true
-		}
-		return uop{
-			kind: uXchg,
-			d:    uint8(in.A.Reg.GPRIndex()),
-			s:    uint8(in.B.Reg.GPRIndex()),
-			pc:   pc,
-		}, true
-
-	case isa.PUSH:
-		if sr := gprDst(in.A); sr >= 0 {
-			return uop{kind: uPushR, s: uint8(sr), pc: pc}, true
-		}
-		if in.A.Kind == isa.KindImm {
-			return uop{kind: uPushI, imm: uint32(in.A.Imm), pc: pc}, true
-		}
-		return call, true
-	case isa.POP:
-		if dr := gprDst(in.A); dr >= 0 {
-			return uop{kind: uPopR, d: uint8(dr), pc: pc}, true
-		}
-		return call, true
-
-	case isa.ADD, isa.SUB, isa.CMP, isa.AND, isa.TEST, isa.OR, isa.XOR, isa.IMUL:
-		var rr, ri, rm uint8
-		switch in.Op {
-		case isa.ADD:
-			rr, ri, rm = uAddRR, uAddRI, uAddRM
-		case isa.SUB:
-			rr, ri, rm = uSubRR, uSubRI, uSubRM
-		case isa.CMP:
-			rr, ri, rm = uCmpRR, uCmpRI, uCmpRM
-		case isa.AND:
-			rr, ri, rm = uAndRR, uAndRI, uAndRM
-		case isa.TEST:
-			rr, ri, rm = uTestRR, uTestRI, uTestRM
-		case isa.OR:
-			rr, ri, rm = uOrRR, uOrRI, uOrRM
-		case isa.XOR:
-			rr, ri, rm = uXorRR, uXorRI, uXorRM
-		default:
-			rr, ri, rm = uImulRR, uImulRI, uImulRM
-		}
-		dr := gprDst(in.A)
-		if dr < 0 {
-			if u, ok := lowerALUMem(in, pc); ok {
-				return u, true
-			}
-			return call, true
-		}
-		if in.B.Kind == isa.KindImm {
-			return uop{kind: ri, d: uint8(dr), imm: uint32(in.B.Imm), pc: pc}, true
-		}
-		if sr := gprDst(in.B); sr >= 0 {
-			return uop{kind: rr, d: uint8(dr), s: uint8(sr), pc: pc}, true
-		}
-		if in.B.IsMem() && (in.B.Size == isa.SizeD || in.B.Size == isa.SizeNone) {
-			if u, ok := memRef(in.B, pc); ok {
-				u.kind = rm
-				u.d = uint8(dr)
-				return u, true
-			}
-		}
-		return call, true
-
-	case isa.NOT, isa.NEG, isa.INC, isa.DEC:
-		dr := gprDst(in.A)
-		if dr < 0 {
-			return call, true
-		}
-		var k uint8
-		switch in.Op {
-		case isa.NOT:
-			k = uNot
-		case isa.NEG:
-			k = uNeg
-		case isa.INC:
-			k = uInc
-		default:
-			k = uDec
-		}
-		return uop{kind: k, d: uint8(dr), pc: pc}, true
-
-	case isa.SHL, isa.SHR, isa.SAR:
-		if gprDst(in.A) < 0 || in.B.Kind != isa.KindImm {
-			return call, true
-		}
-		cnt := uint32(in.B.Imm) & 31
-		if cnt == 0 {
-			// Flags untouched, no write: nothing to execute.
-			return uop{}, false
-		}
-		var k uint8
-		switch in.Op {
-		case isa.SHL:
-			k = uShlI
-		case isa.SHR:
-			k = uShrI
-		default:
-			k = uSarI
-		}
-		return uop{kind: k, d: uint8(gprDst(in.A)), imm: cnt, pc: pc}, true
-
-	case isa.CDQ:
-		return uop{kind: uCdq, pc: pc}, true
-
-	case isa.EMMS:
-		return uop{kind: uEmms, pc: pc}, true
-
-	case isa.MOVD:
-		if in.A.IsReg() && in.A.Reg.IsMMX() {
-			md := uint8(in.A.Reg.MMXIndex())
-			if sr := gprDst(in.B); sr >= 0 {
-				return uop{kind: uMovdGM, d: md, s: uint8(sr), pc: pc}, true
-			}
-			if in.B.IsMem() && (in.B.Size == isa.SizeD || in.B.Size == isa.SizeNone) {
-				if u, ok := memRef(in.B, pc); ok {
-					u.kind = uMovdLM
-					u.d = md
-					return u, true
-				}
-			}
-			return call, true
-		}
-		if in.B.IsReg() && in.B.Reg.IsMMX() {
-			ms := uint8(in.B.Reg.MMXIndex())
-			if dr := gprDst(in.A); dr >= 0 {
-				return uop{kind: uMovdMG, d: uint8(dr), s: ms, pc: pc}, true
-			}
-			if in.A.IsMem() && (in.A.Size == isa.SizeD || in.A.Size == isa.SizeNone) {
-				if u, ok := memRef(in.A, pc); ok {
-					u.kind = uMovdSM
-					u.s = ms
-					return u, true
-				}
-			}
-		}
-		return call, true
-
-	case isa.MOVQ:
-		if in.A.IsReg() && in.A.Reg.IsMMX() {
-			md := uint8(in.A.Reg.MMXIndex())
-			if in.B.IsReg() && in.B.Reg.IsMMX() {
-				return uop{kind: uMovqRR, d: md, s: uint8(in.B.Reg.MMXIndex()), pc: pc}, true
-			}
-			if in.B.IsMem() {
-				if u, ok := memRef(in.B, pc); ok {
-					// compileReadMM: a dword operand narrows the load, any
-					// other size is the full qword.
-					if in.B.Size == isa.SizeD {
-						u.kind = uMovqLM32
-					} else {
-						u.kind = uMovqLM64
-					}
-					u.d = md
-					return u, true
-				}
-			}
-			return call, true
-		}
-		if in.A.IsMem() && in.B.IsReg() && in.B.Reg.IsMMX() {
-			if u, ok := memRef(in.A, pc); ok {
-				u.kind = uMovqSM
-				u.s = uint8(in.B.Reg.MMXIndex())
-				return u, true
-			}
-		}
-		return call, true
-	}
-
-	if shift := mmxShift[in.Op]; shift != nil {
-		if !in.A.IsReg() || !in.A.Reg.IsMMX() {
-			return call, true
-		}
-		md := uint8(in.A.Reg.MMXIndex())
-		if in.B.IsImm() {
-			n := min(uint64(in.B.Imm), 64)
-			return uop{kind: uMMXShiftI, d: md, imm: uint32(n), sfn: shift, pc: pc}, true
-		}
-		if in.B.IsReg() && in.B.Reg.IsMMX() {
-			return uop{kind: uMMXShiftRR, d: md, s: uint8(in.B.Reg.MMXIndex()), sfn: shift, pc: pc}, true
-		}
-		return call, true
-	}
-
-	if f := mmxBinary[in.Op]; f != nil && in.A.IsReg() && in.A.Reg.IsMMX() {
-		md := uint8(in.A.Reg.MMXIndex())
-		if in.B.IsReg() && in.B.Reg.IsMMX() {
-			return uop{kind: uMMXBinRR, d: md, s: uint8(in.B.Reg.MMXIndex()), mfn: f, pc: pc}, true
-		}
-		if in.B.IsMem() {
-			if u, ok := memRef(in.B, pc); ok {
-				if in.B.Size == isa.SizeD {
-					u.kind = uMMXBinRM32
-				} else {
-					u.kind = uMMXBinRM64
-				}
-				u.d = md
-				u.mfn = f
-				return u, true
-			}
-		}
-		return call, true
-	}
-
-	if in.Op.IsFP() {
-		return lowerFP(in, call, pc)
-	}
-
-	return call, true
-}
-
-// lowerFP lowers the floating-point shapes with native micro-ops (register
-// destination with a register, float32 or float64 source; or a float32 or
-// float64 store of a register); call is the fallback.
-func lowerFP(in *isa.Inst, call uop, pc int32) (uop, bool) {
-	fpMemKind := func(size isa.Size, base32, base64 uint8) (uint8, bool) {
-		switch size {
-		case isa.SizeD:
-			return base32, true
-		case isa.SizeQ:
-			return base64, true
-		}
-		return 0, false
-	}
-	if fs := fpDst(in.B); in.Op == isa.FST && in.A.IsMem() && fs >= 0 {
-		if u, ok := memRef(in.A, pc); ok {
-			if k, ok := fpMemKind(in.A.Size, uFStore32, uFStore64); ok {
-				u.kind = k
-				u.s = uint8(fs)
-				return u, true
-			}
-		}
-		return call, true
-	}
-	fd := fpDst(in.A)
-	if fd < 0 {
-		return call, true
-	}
-	switch in.Op {
-	case isa.FLD:
-		if in.B.IsReg() && in.B.Reg.IsFP() {
-			return uop{kind: uFMovRR, d: uint8(fd), s: uint8(in.B.Reg.FPIndex()), pc: pc}, true
-		}
-		if in.B.IsMem() {
-			if u, ok := memRef(in.B, pc); ok {
-				if k, ok := fpMemKind(in.B.Size, uFLoad32, uFLoad64); ok {
-					u.kind = k
-					u.d = uint8(fd)
-					return u, true
-				}
-			}
-		}
-		return call, true
-
-	case isa.FLDC:
-		if !in.B.IsImm() {
-			return call, true
-		}
-		return uop{
-			kind: uFConst,
-			d:    uint8(fd),
-			fv:   math.Float64frombits(uint64(in.B.Imm)),
-			pc:   pc,
-		}, true
-
-	case isa.FADD, isa.FSUB, isa.FSUBR, isa.FMUL, isa.FDIV:
-		var sub uint8
-		switch in.Op {
-		case isa.FADD:
-			sub = fpAdd
-		case isa.FSUB:
-			sub = fpSub
-		case isa.FSUBR:
-			sub = fpSubR
-		case isa.FMUL:
-			sub = fpMul
-		default:
-			sub = fpDiv
-		}
-		if in.B.IsReg() && in.B.Reg.IsFP() {
-			return uop{kind: uFArithRR, d: uint8(fd), s: uint8(in.B.Reg.FPIndex()), alu: sub, pc: pc}, true
-		}
-		if in.B.IsMem() {
-			if u, ok := memRef(in.B, pc); ok {
-				if k, ok := fpMemKind(in.B.Size, uFArithM32, uFArithM64); ok {
-					u.kind = k
-					u.d = uint8(fd)
-					u.alu = sub
-					return u, true
-				}
-			}
-		}
-		return call, true
-
-	case isa.FCOM:
-		if in.B.IsReg() && in.B.Reg.IsFP() {
-			return uop{kind: uFComRR, d: uint8(fd), s: uint8(in.B.Reg.FPIndex()), pc: pc}, true
-		}
-		if in.B.IsMem() {
-			if u, ok := memRef(in.B, pc); ok {
-				if k, ok := fpMemKind(in.B.Size, uFComM32, uFComM64); ok {
-					u.kind = k
-					u.d = uint8(fd)
-					return u, true
-				}
-			}
-		}
-		return call, true
-	}
-	return call, true
-}
-
-// lowerALUMem lowers a memory-destination two-operand ALU instruction
-// (op [mem], reg/imm) into a single RMW micro-op. The execInt path it
-// mirrors loads the sized operand, computes flags on the widened values, then —
-// for the writing ops — stores back with a second access charge; cmp and
-// test stop after the flags. u.alu selects the operation, u.d the operand
-// size (0/1/2 = byte/word/dword), and the B value rides in s (uAluMR) or
-// imm2 (uAluMI) because imm is the address displacement.
-func lowerALUMem(in *isa.Inst, pc int32) (uop, bool) {
-	if !in.A.IsMem() {
-		return uop{}, false
-	}
-	var sel uint8
-	switch in.Op {
-	case isa.ADD:
-		sel = aluAdd
-	case isa.SUB:
-		sel = aluSub
-	case isa.CMP:
-		sel = aluCmp
-	case isa.AND:
-		sel = aluAnd
-	case isa.TEST:
-		sel = aluTest
-	case isa.OR:
-		sel = aluOr
-	case isa.XOR:
-		sel = aluXor
-	case isa.IMUL:
-		sel = aluImul
-	default:
-		return uop{}, false
-	}
-	var size uint8
-	switch in.A.Size {
-	case isa.SizeB:
-		size = 0
-	case isa.SizeW:
-		size = 1
-	case isa.SizeD, isa.SizeNone:
-		size = 2
-	default:
-		return uop{}, false
-	}
-	u, ok := memRef(in.A, pc)
-	if !ok {
-		return uop{}, false
-	}
-	u.alu = sel
-	u.d = size
-	if in.B.Kind == isa.KindImm {
-		u.kind = uAluMI
-		u.imm2 = uint32(in.B.Imm)
-		return u, true
-	}
-	if sr := gprDst(in.B); sr >= 0 {
-		u.kind = uAluMR
-		u.s = uint8(sr)
-		return u, true
-	}
-	return uop{}, false
-}
-
 // Cached register indices for the μops with implicit operands.
 var (
 	traceEAX = uint8(isa.EAX.GPRIndex())
@@ -1693,9 +1136,37 @@ var (
 	traceESP = uint8(isa.ESP.GPRIndex())
 )
 
+// Fault texts of the memory micro-ops, formatted with the address.
+const (
+	msgLoad8     = "load byte out of range at %#x"
+	msgLoad16    = "load word out of range at %#x"
+	msgLoad32    = "load dword out of range at %#x"
+	msgStore     = "store out of range at %#x"
+	msgOverflow  = "stack overflow at %#x"
+	msgUnderflow = "stack underflow at %#x"
+	msgMMXLoad32 = "mmx dword load out of range at %#x"
+	msgMMXLoad64 = "mmx qword load out of range at %#x"
+	msgMovqStore = "movq store out of range at %#x"
+	msgFLoad32   = "float load out of range at %#x"
+	msgFLoad64   = "double load out of range at %#x"
+	msgFild      = "fild out of range at %#x"
+	msgFist      = "fist out of range at %#x"
+	fstRange     = "fst out of range at %#x"
+)
+
+// fpWhileMMX is the fault of an FP instruction in MMX mode. The FP
+// registers physically alias the MMX registers: an FP instruction after
+// any MMX instruction and before emms models the real Pentium's corrupted
+// FP stack, which forces programs to pay the emms penalty at every
+// MMX-to-FP transition, exactly the cost the paper highlights.
+const fpWhileMMX = "floating-point instruction while MMX state active (missing emms)"
+
+// loadMsg is the load fault text per read-modify-write size code.
+var loadMsg = [3]string{msgLoad8, msgLoad16, msgLoad32}
+
 // memAddr computes a flattened memory operand's effective address from the
-// cached register file (uint32 wraparound, as effAddr).
-func memAddr(u *uop, gpr *[8]uint32) uint32 {
+// cached register file (uint32 wraparound).
+func memAddr(u *uop, gpr *[16]uint32) uint32 {
 	a := u.imm
 	if u.b != noIdx {
 		a += gpr[u.b&7]
@@ -1706,34 +1177,249 @@ func memAddr(u *uop, gpr *[8]uint32) uint32 {
 	return a
 }
 
-// addFlags/subFlags/logicFlags compute the flag quartet the setAdd/setSub/
-// setLogic CPU methods would, but into locals.
-func addFlags(a, b, r uint32) (zf, sf, cf, of bool) {
-	return r == 0, int32(r) < 0, r < a, (a^r)&(b^r)&0x80000000 != 0
+// loadN and storeN access memory at a read-modify-write size code (0/1/2
+// = byte/word/dword), zero-extending loads.
+func loadN(m *mem.Memory, a uint32, size uint8) (uint32, bool) {
+	switch size {
+	case 0:
+		v, ok := m.LoadU8(a)
+		return uint32(v), ok
+	case 1:
+		v, ok := m.LoadU16(a)
+		return uint32(v), ok
+	}
+	return m.LoadU32(a)
 }
 
-func subFlags(a, b, r uint32) (zf, sf, cf, of bool) {
-	return r == 0, int32(r) < 0, a < b, (a^b)&(a^r)&0x80000000 != 0
+func storeN(m *mem.Memory, a uint32, size uint8, v uint32) bool {
+	switch size {
+	case 0:
+		return m.StoreU8(a, uint8(v))
+	case 1:
+		return m.StoreU16(a, uint16(v))
+	}
+	return m.StoreU32(a, v)
 }
 
-func logicFlags(r uint32) (zf, sf, cf, of bool) {
-	return r == 0, int32(r) < 0, false, false
+// flags is the IA-32 style integer flag quartet.
+type flags struct{ zf, sf, cf, of bool }
+
+// zs sets ZF and SF from a result, keeping CF and OF.
+func zs(f flags, r uint32) flags {
+	f.zf, f.sf = r == 0, int32(r) < 0
+	return f
 }
 
-// execUops is the micro-op executor, the one fast execution form of the
-// dispatch loop. With tr nil it runs a block body once, up to its closing
-// uBodyEnd, and returns the address arena extended by the body's effective
-// addresses for the caller to record; the caller also retires the body.
-// With tr set it runs trace tr from its head until a side exit, the loop's
-// own recorded exit, the instruction budget, or a fault, and records every
-// iteration itself.
+// The integer operations, each with its flags: every micro-op computes its
+// result through one of these, directly or through alu.
+
+func add(a, b uint32) (uint32, flags) {
+	r := a + b
+	return r, flags{r == 0, int32(r) < 0, r < a, (a^r)&(b^r)&0x80000000 != 0}
+}
+
+func sub(a, b uint32) (uint32, flags) {
+	r := a - b
+	return r, flags{r == 0, int32(r) < 0, a < b, (a^b)&(a^r)&0x80000000 != 0}
+}
+
+func logic(r uint32) (uint32, flags) { return r, flags{zf: r == 0, sf: int32(r) < 0} }
+
+// imul sets CF and OF when the signed product does not fit; ZF and SF keep.
+func imul(a, b uint32, f flags) (uint32, flags) {
+	full := int64(int32(a)) * int64(int32(b))
+	r := uint32(full)
+	f.cf = full != int64(int32(r))
+	f.of = f.cf
+	return r, f
+}
+
+// inc and dec keep CF, as on IA-32.
+func inc(a uint32, f flags) (uint32, flags) {
+	r := a + 1
+	f = zs(f, r)
+	f.of = r == 0x80000000
+	return r, f
+}
+
+func dec(a uint32, f flags) (uint32, flags) {
+	r := a - 1
+	f = zs(f, r)
+	f.of = a == 0x80000000
+	return r, f
+}
+
+// shl, shr and sar shift by n in 1..31 (a count that masks to zero changes
+// nothing, flags included, and never reaches them).
+func shl(a, n uint32) (uint32, flags) {
+	r := a << n
+	return r, zs(flags{cf: a&(1<<(32-n)) != 0}, r)
+}
+
+func shr(a, n uint32) (uint32, flags) {
+	r := a >> n
+	return r, zs(flags{cf: a&(1<<(n-1)) != 0}, r)
+}
+
+func sar(a, n uint32) (uint32, flags) {
+	r := uint32(int32(a) >> n)
+	return r, zs(flags{cf: a&(1<<(n-1)) != 0}, r)
+}
+
+// alu computes integer sub-op sel of a and b under flags f: the result,
+// the flags after it, and whether the result is written back (cmp and test
+// only set flags; a shift by a count that masks to zero changes nothing).
+// adc and sbb add the carry to b before the operation.
+func alu(sel uint8, a, b uint32, f flags) (uint32, flags, bool) {
+	r := a
+	if f.cf && (sel == aluAdc || sel == aluSbb) {
+		b++
+	}
+	switch sel {
+	case aluAdd, aluAdc:
+		r, f = add(a, b)
+	case aluSub, aluSbb:
+		r, f = sub(a, b)
+	case aluCmp:
+		_, f = sub(a, b)
+		return r, f, false
+	case aluAnd:
+		r, f = logic(a & b)
+	case aluTest:
+		_, f = logic(a & b)
+		return r, f, false
+	case aluOr:
+		r, f = logic(a | b)
+	case aluXor:
+		r, f = logic(a ^ b)
+	case aluImul:
+		r, f = imul(a, b, f)
+	case aluShl, aluShr, aluSar:
+		n := b & 31
+		if n == 0 {
+			return r, f, false
+		}
+		switch sel {
+		case aluShl:
+			r, f = shl(a, n)
+		case aluShr:
+			r, f = shr(a, n)
+		default:
+			r, f = sar(a, n)
+		}
+	case aluNot:
+		r = ^a
+	case aluNeg:
+		r, f = sub(0, a)
+	case aluInc:
+		r, f = inc(a, f)
+	default: // aluDec
+		r, f = dec(a, f)
+	}
+	return r, f, true
+}
+
+// holds evaluates condition code cc against the flags.
+func holds(cc uint8, f flags) bool {
+	switch cc {
+	case ccE:
+		return f.zf
+	case ccNE:
+		return !f.zf
+	case ccL:
+		return f.sf != f.of
+	case ccLE:
+		return f.zf || f.sf != f.of
+	case ccG:
+		return !f.zf && f.sf == f.of
+	case ccGE:
+		return f.sf == f.of
+	case ccB:
+		return f.cf
+	case ccBE:
+		return f.cf || f.zf
+	case ccA:
+		return !f.cf && !f.zf
+	case ccAE:
+		return !f.cf
+	case ccS:
+		return f.sf
+	}
+	return !f.sf // ccNS
+}
+
+// fpApply dispatches a uFArith sub-op.
+func fpApply(sub uint8, a, b float64) float64 {
+	switch sub {
+	case fpAdd:
+		return a + b
+	case fpSub:
+		return a - b
+	case fpSubR:
+		return b - a
+	case fpMul:
+		return a * b
+	default: // fpDiv
+		return a / b
+	}
+}
+
+// fpUnary dispatches a uFUnary sub-op.
+func fpUnary(sub uint8, a float64) float64 {
+	switch sub {
+	case fpChs:
+		return -a
+	case fpAbs:
+		return math.Abs(a)
+	case fpSqrt:
+		return math.Sqrt(a)
+	case fpSin:
+		return math.Sin(a)
+	default: // fpCos
+		return math.Cos(a)
+	}
+}
+
+// fcom sets the integer flags like fcomi: ZF on equality, CF on a < b, so
+// the unsigned branch family (jb/ja/jbe/jae/je) tests floats.
+func fcom(a, b float64) flags { return flags{zf: a == b, cf: a < b} }
+
+// satI16 converts a rounded float to int16 with saturation (the x87 would
+// store the integer-indefinite value on overflow; saturation is the DSP
+// convention every program here relies on and is documented in DESIGN.md).
+func satI16(v float64) int16 {
+	if v > 32767 {
+		return 32767
+	}
+	if v < -32768 {
+		return -32768
+	}
+	return int16(v)
+}
+
+func satI32(v float64) int32 {
+	if v > 2147483647 {
+		return 2147483647
+	}
+	if v < -2147483648 {
+		return -2147483648
+	}
+	return int32(v)
+}
+
+// execUops is the micro-op executor, the one execution form of every
+// driver. With tr nil it runs uops once, to their end — a block body, or
+// the micro-ops of one instruction (step) — and returns the address arena
+// extended by their effective addresses for the caller to record; the
+// caller also retires them. With tr set it runs trace tr from its head
+// until a side exit, the loop's own recorded exit, the instruction budget,
+// or a fault, and records every iteration itself.
 //
-// The GPR/MM register files and the flags live in locals for the whole
-// stay; CPU state is spilled only around uCall instructions, at poll
-// points, and on leaving, which is what buys traces their throughput.
-// Architectural equivalence contract: at every return, c.gpr/c.mm/flags/
-// c.pc/c.executed are exactly what the generic interpreter would have
-// produced at the same point (a fault retires every instruction through
+// The GPR/MM register files (with their temporaries) and the flags live in
+// locals for the whole stay; CPU state is spilled only at poll points and
+// on leaving, which is what buys traces their throughput. At every return,
+// c.gpr/c.mm/flags/c.pc/c.executed are those of the architectural
+// machine at the same point (a fault retires every instruction through
 // the faulting one), and every full iteration (ObserveTrace) / partial
 // exit (ObserveTraceExit) carries the effective address of every data
 // reference in retirement order, which the cache model prices into one
@@ -1744,649 +1430,519 @@ func logicFlags(r uint32) (zf, sf, cf, of bool) {
 // (faulted). An unobserved run charges Hier with each region as it ends.
 func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64, pollAt *int64) ([]uint64, error) {
 	st := c.st
-	gpr := c.gpr
-	mm := c.mm
-	zf, sf, cf, of := c.zf, c.sf, c.cf, c.of
+	var gpr [16]uint32
+	var mm [16]mmx.Reg
+	gpr8, mm8 := (*[8]uint32)(gpr[:]), (*[8]mmx.Reg)(mm[:])
+	*gpr8, *mm8 = c.gpr, c.mm
+	fl := c.fl
 	measured := c.measuring
 	entry := c.executed
 	iterBase := entry
 	hier := c.Hier
 	memu := c.Mem
-	addrs := ts.addrbuf[:0]
+	addrs := c.addrbuf[:0]
 	if st != nil {
 		addrs = st.addrs
 	}
 	var final int64
 	var retErr error
+	// fa and fmsg are the address and text of a memory fault (memFault).
+	var fa uint32
+	var fmsg string
 	exitK := int32(-1)
 	exitOp := int32(-1)
 	var exitPath uint16
 	exited := false
 	i := 0
-	for {
+	for ; i < len(uops); i++ {
 		u := &uops[i]
 		switch u.kind {
-		case uCall:
-			c.gpr = gpr
-			c.zf, c.sf, c.cf, c.of = zf, sf, cf, of
-			if u.mmx {
-				c.mm = mm
-			}
-			c.pc = int(u.pc)
-			c.acc = c.acc[:0]
-			err := c.exec(u.in, &ts.ev)
-			addrs = append(addrs, c.acc...)
-			if err != nil {
-				// The executor may have committed partial state before
-				// faulting (a decremented ESP, say): keep everything it
-				// wrote, spill only what it never saw.
-				if !u.mmx {
-					c.mm = mm
-				}
-				c.executed = iterBase + u.cum
-				c.faulted(addrs)
-				return nil, err
-			}
-			gpr = c.gpr
-			zf, sf, cf, of = c.zf, c.sf, c.cf, c.of
-			if u.mmx {
-				mm = c.mm
-			}
-
 		case uMovRR:
-			gpr[u.d&7] = gpr[u.s&7]
+			gpr[u.d&15] = gpr[u.s&15]
 		case uMovRI:
-			gpr[u.d&7] = u.imm
+			gpr[u.d&15] = u.imm
 
-		case uLoad8:
+		case uLoad8, uLoadSx8:
 			a := memAddr(u, &gpr)
-			addrs = append(addrs, uint64(a))
+			addrs = append(addrs, uint64(a)|u.nx)
 			v, ok := memu.LoadU8(a)
 			if !ok {
-				c.pc = int(u.pc)
-				retErr = c.fault("load byte out of range at %#x", a)
-				goto out
+				fa, fmsg = a, msgLoad8
+				goto memFault
 			}
-			gpr[u.d&7] = uint32(v)
-		case uLoad16:
+			gpr[u.d&15] = uint32(v)
+			if u.kind == uLoadSx8 {
+				gpr[u.d&15] = uint32(int32(int8(v)))
+			}
+		case uLoad16, uLoadSx16:
 			a := memAddr(u, &gpr)
-			addrs = append(addrs, uint64(a))
+			addrs = append(addrs, uint64(a)|u.nx)
 			v, ok := memu.LoadU16(a)
 			if !ok {
-				c.pc = int(u.pc)
-				retErr = c.fault("load word out of range at %#x", a)
-				goto out
+				fa, fmsg = a, msgLoad16
+				goto memFault
 			}
-			gpr[u.d&7] = uint32(v)
+			gpr[u.d&15] = uint32(v)
+			if u.kind == uLoadSx16 {
+				gpr[u.d&15] = uint32(int32(int16(v)))
+			}
 		case uLoad32:
 			a := memAddr(u, &gpr)
-			addrs = append(addrs, uint64(a))
+			addrs = append(addrs, uint64(a)|u.nx)
 			v, ok := memu.LoadU32(a)
 			if !ok {
-				c.pc = int(u.pc)
-				retErr = c.fault("load dword out of range at %#x", a)
-				goto out
+				fa, fmsg = a, msgLoad32
+				goto memFault
 			}
-			gpr[u.d&7] = v
-		case uLoadSx8:
-			a := memAddr(u, &gpr)
-			addrs = append(addrs, uint64(a))
-			v, ok := memu.LoadU8(a)
-			if !ok {
-				c.pc = int(u.pc)
-				retErr = c.fault("load byte out of range at %#x", a)
-				goto out
-			}
-			gpr[u.d&7] = uint32(int32(int8(v)))
-		case uLoadSx16:
-			a := memAddr(u, &gpr)
-			addrs = append(addrs, uint64(a))
-			v, ok := memu.LoadU16(a)
-			if !ok {
-				c.pc = int(u.pc)
-				retErr = c.fault("load word out of range at %#x", a)
-				goto out
-			}
-			gpr[u.d&7] = uint32(int32(int16(v)))
+			gpr[u.d&15] = v
 
-		case uStore8:
+		case uStore8, uStore8I:
 			a := memAddr(u, &gpr)
-			addrs = append(addrs, uint64(a))
-			if !memu.StoreU8(a, uint8(gpr[u.s&7])) {
-				c.pc = int(u.pc)
-				retErr = c.fault("store out of range at %#x", a)
-				goto out
+			addrs = append(addrs, uint64(a)|u.nx)
+			v := u.imm2
+			if u.kind == uStore8 {
+				v = gpr[u.s&15]
 			}
-		case uStore16:
-			a := memAddr(u, &gpr)
-			addrs = append(addrs, uint64(a))
-			if !memu.StoreU16(a, uint16(gpr[u.s&7])) {
-				c.pc = int(u.pc)
-				retErr = c.fault("store out of range at %#x", a)
-				goto out
+			if !memu.StoreU8(a, uint8(v)) {
+				fa, fmsg = a, msgStore
+				goto memFault
 			}
-		case uStore32:
+		case uStore16, uStore16I:
 			a := memAddr(u, &gpr)
-			addrs = append(addrs, uint64(a))
-			if !memu.StoreU32(a, gpr[u.s&7]) {
-				c.pc = int(u.pc)
-				retErr = c.fault("store out of range at %#x", a)
-				goto out
+			addrs = append(addrs, uint64(a)|u.nx)
+			v := u.imm2
+			if u.kind == uStore16 {
+				v = gpr[u.s&15]
 			}
-		case uStore8I:
-			a := memAddr(u, &gpr)
-			addrs = append(addrs, uint64(a))
-			if !memu.StoreU8(a, uint8(u.imm2)) {
-				c.pc = int(u.pc)
-				retErr = c.fault("store out of range at %#x", a)
-				goto out
+			if !memu.StoreU16(a, uint16(v)) {
+				fa, fmsg = a, msgStore
+				goto memFault
 			}
-		case uStore16I:
+		case uStore32, uStore32I:
 			a := memAddr(u, &gpr)
-			addrs = append(addrs, uint64(a))
-			if !memu.StoreU16(a, uint16(u.imm2)) {
-				c.pc = int(u.pc)
-				retErr = c.fault("store out of range at %#x", a)
-				goto out
+			addrs = append(addrs, uint64(a)|u.nx)
+			v := u.imm2
+			if u.kind == uStore32 {
+				v = gpr[u.s&15]
 			}
-		case uStore32I:
-			a := memAddr(u, &gpr)
-			addrs = append(addrs, uint64(a))
-			if !memu.StoreU32(a, u.imm2) {
-				c.pc = int(u.pc)
-				retErr = c.fault("store out of range at %#x", a)
-				goto out
+			if !memu.StoreU32(a, v) {
+				fa, fmsg = a, msgStore
+				goto memFault
 			}
 
 		case uLea:
-			gpr[u.d&7] = memAddr(u, &gpr)
+			gpr[u.d&15] = memAddr(u, &gpr)
 		case uZx8:
-			gpr[u.d&7] = gpr[u.s&7] & 0xFF
+			gpr[u.d&15] = gpr[u.s&15] & 0xFF
 		case uZx16:
-			gpr[u.d&7] = gpr[u.s&7] & 0xFFFF
+			gpr[u.d&15] = gpr[u.s&15] & 0xFFFF
 		case uSx8:
-			gpr[u.d&7] = uint32(int32(int8(gpr[u.s&7])))
+			gpr[u.d&15] = uint32(int32(int8(gpr[u.s&15])))
 		case uSx16:
-			gpr[u.d&7] = uint32(int32(int16(gpr[u.s&7])))
+			gpr[u.d&15] = uint32(int32(int16(gpr[u.s&15])))
 		case uXchg:
-			gpr[u.d&7], gpr[u.s&7] = gpr[u.s&7], gpr[u.d&7]
+			gpr[u.d&15], gpr[u.s&15] = gpr[u.s&15], gpr[u.d&15]
 
-		case uPushR, uPushI:
+		case uPushR, uPushI, uCallT, uCallP:
+			// The pushed value is read before ESP moves (push esp pushes
+			// the old ESP).
+			v := u.imm
+			switch u.kind {
+			case uPushR:
+				v = gpr[u.s&15]
+			case uCallT, uCallP:
+				v = u.imm2
+			}
 			sp := gpr[traceESP] - 4
 			gpr[traceESP] = sp
-			addrs = append(addrs, uint64(sp))
-			v := u.imm
-			if u.kind == uPushR {
-				v = gpr[u.s&7]
-			}
+			addrs = append(addrs, uint64(sp)|u.nx)
 			if !memu.StoreU32(sp, v) {
-				c.pc = int(u.pc)
-				retErr = c.fault("stack overflow at %#x", sp)
-				goto out
+				fa, fmsg = sp, msgOverflow
+				goto memFault
 			}
-		case uPopR:
+			if u.kind == uCallP {
+				c.pc, c.taken = int(u.tgt), true
+			}
+		case uPopR, uRetP:
 			sp := gpr[traceESP]
-			addrs = append(addrs, uint64(sp))
+			addrs = append(addrs, uint64(sp)|u.nx)
 			v, ok := memu.LoadU32(sp)
 			if !ok {
-				c.pc = int(u.pc)
-				retErr = c.fault("stack underflow at %#x", sp)
-				goto out
+				fa, fmsg = sp, msgUnderflow
+				goto memFault
 			}
 			gpr[traceESP] = sp + 4
-			gpr[u.d&7] = v
+			if u.kind == uRetP {
+				c.pc, c.taken = int(v), true
+			} else {
+				gpr[u.d&15] = v
+			}
 
 		case uAddRR, uAddRI:
-			a := gpr[u.d&7]
 			b := u.imm
 			if u.kind == uAddRR {
-				b = gpr[u.s&7]
+				b = gpr[u.s&15]
 			}
-			r := a + b
-			zf, sf, cf, of = addFlags(a, b, r)
-			gpr[u.d&7] = r
+			gpr[u.d&15], fl = add(gpr[u.d&15], b)
 		case uSubRR, uSubRI:
-			a := gpr[u.d&7]
 			b := u.imm
 			if u.kind == uSubRR {
-				b = gpr[u.s&7]
+				b = gpr[u.s&15]
 			}
-			r := a - b
-			zf, sf, cf, of = subFlags(a, b, r)
-			gpr[u.d&7] = r
+			gpr[u.d&15], fl = sub(gpr[u.d&15], b)
 		case uCmpRR, uCmpRI:
-			a := gpr[u.d&7]
 			b := u.imm
 			if u.kind == uCmpRR {
-				b = gpr[u.s&7]
+				b = gpr[u.s&15]
 			}
-			zf, sf, cf, of = subFlags(a, b, a-b)
+			_, fl = sub(gpr[u.d&15], b)
 		case uAndRR, uAndRI:
-			a := gpr[u.d&7]
 			b := u.imm
 			if u.kind == uAndRR {
-				b = gpr[u.s&7]
+				b = gpr[u.s&15]
 			}
-			r := a & b
-			zf, sf, cf, of = logicFlags(r)
-			gpr[u.d&7] = r
+			gpr[u.d&15], fl = logic(gpr[u.d&15] & b)
 		case uOrRR, uOrRI:
-			a := gpr[u.d&7]
 			b := u.imm
 			if u.kind == uOrRR {
-				b = gpr[u.s&7]
+				b = gpr[u.s&15]
 			}
-			r := a | b
-			zf, sf, cf, of = logicFlags(r)
-			gpr[u.d&7] = r
+			gpr[u.d&15], fl = logic(gpr[u.d&15] | b)
 		case uXorRR, uXorRI:
-			a := gpr[u.d&7]
 			b := u.imm
 			if u.kind == uXorRR {
-				b = gpr[u.s&7]
+				b = gpr[u.s&15]
 			}
-			r := a ^ b
-			zf, sf, cf, of = logicFlags(r)
-			gpr[u.d&7] = r
+			gpr[u.d&15], fl = logic(gpr[u.d&15] ^ b)
 		case uTestRR, uTestRI:
-			a := gpr[u.d&7]
 			b := u.imm
 			if u.kind == uTestRR {
-				b = gpr[u.s&7]
+				b = gpr[u.s&15]
 			}
-			zf, sf, cf, of = logicFlags(a & b)
+			_, fl = logic(gpr[u.d&15] & b)
 		case uImulRR, uImulRI:
-			a := gpr[u.d&7]
 			b := u.imm
 			if u.kind == uImulRR {
-				b = gpr[u.s&7]
+				b = gpr[u.s&15]
 			}
-			full := int64(int32(a)) * int64(int32(b))
-			r := uint32(full)
-			cf = full != int64(int32(r))
-			of = cf
-			gpr[u.d&7] = r
+			gpr[u.d&15], fl = imul(gpr[u.d&15], b, fl)
+		case uAluRR, uAluRI:
+			b := u.imm
+			if u.kind == uAluRR {
+				b = gpr[u.s&15]
+			}
+			r, f, write := alu(u.alu, gpr[u.d&15], b, fl)
+			fl = f
+			if write {
+				gpr[u.d&15] = r
+			}
 
 		case uAddRM, uSubRM, uCmpRM, uAndRM, uOrRM, uXorRM, uTestRM, uImulRM:
 			a := memAddr(u, &gpr)
-			addrs = append(addrs, uint64(a))
+			addrs = append(addrs, uint64(a)|u.nx)
 			b, ok := memu.LoadU32(a)
 			if !ok {
-				c.pc = int(u.pc)
-				retErr = c.fault("load dword out of range at %#x", a)
-				goto out
+				fa, fmsg = a, msgLoad32
+				goto memFault
 			}
-			d := gpr[u.d&7]
+			d := gpr[u.d&15]
 			switch u.kind {
 			case uAddRM:
-				r := d + b
-				zf, sf, cf, of = addFlags(d, b, r)
-				gpr[u.d&7] = r
+				gpr[u.d&15], fl = add(d, b)
 			case uSubRM:
-				r := d - b
-				zf, sf, cf, of = subFlags(d, b, r)
-				gpr[u.d&7] = r
+				gpr[u.d&15], fl = sub(d, b)
 			case uCmpRM:
-				zf, sf, cf, of = subFlags(d, b, d-b)
+				_, fl = sub(d, b)
 			case uAndRM:
-				r := d & b
-				zf, sf, cf, of = logicFlags(r)
-				gpr[u.d&7] = r
+				gpr[u.d&15], fl = logic(d & b)
 			case uOrRM:
-				r := d | b
-				zf, sf, cf, of = logicFlags(r)
-				gpr[u.d&7] = r
+				gpr[u.d&15], fl = logic(d | b)
 			case uXorRM:
-				r := d ^ b
-				zf, sf, cf, of = logicFlags(r)
-				gpr[u.d&7] = r
+				gpr[u.d&15], fl = logic(d ^ b)
 			case uTestRM:
-				zf, sf, cf, of = logicFlags(d & b)
+				_, fl = logic(d & b)
 			default: // uImulRM
-				full := int64(int32(d)) * int64(int32(b))
-				r := uint32(full)
-				cf = full != int64(int32(r))
-				of = cf
-				gpr[u.d&7] = r
+				gpr[u.d&15], fl = imul(d, b, fl)
 			}
 
-		case uAluMR, uAluMI:
+		case uAluMR, uAluMI, uAluTM:
+			// Read-modify-write (u.d is the size code). The load is the
+			// instruction's first data reference unless an operand was
+			// loaded ahead of it (uAluTM: the value is in tmp already); the
+			// store, when the operation writes, is never the first.
 			a := memAddr(u, &gpr)
-			addrs = append(addrs, uint64(a))
-			var av uint32
-			switch u.d {
-			case 0:
-				v, ok := memu.LoadU8(a)
-				if !ok {
-					c.pc = int(u.pc)
-					retErr = c.fault("load byte out of range at %#x", a)
-					goto out
+			av := gpr[tmp]
+			if u.kind != uAluTM {
+				addrs = append(addrs, uint64(a)|u.nx)
+				var ok bool
+				if av, ok = loadN(memu, a, u.d); !ok {
+					fa, fmsg = a, loadMsg[u.d%3]
+					goto memFault
 				}
-				av = uint32(v)
-			case 1:
-				v, ok := memu.LoadU16(a)
-				if !ok {
-					c.pc = int(u.pc)
-					retErr = c.fault("load word out of range at %#x", a)
-					goto out
-				}
-				av = uint32(v)
-			default:
-				v, ok := memu.LoadU32(a)
-				if !ok {
-					c.pc = int(u.pc)
-					retErr = c.fault("load dword out of range at %#x", a)
-					goto out
-				}
-				av = v
 			}
 			bv := u.imm2
-			if u.kind == uAluMR {
-				bv = gpr[u.s&7]
+			if u.kind != uAluMI {
+				bv = gpr[u.s&15]
 			}
-			var r uint32
-			write := true
-			switch u.alu {
-			case aluAdd:
-				r = av + bv
-				zf, sf, cf, of = addFlags(av, bv, r)
-			case aluSub:
-				r = av - bv
-				zf, sf, cf, of = subFlags(av, bv, r)
-			case aluCmp:
-				zf, sf, cf, of = subFlags(av, bv, av-bv)
-				write = false
-			case aluAnd:
-				r = av & bv
-				zf, sf, cf, of = logicFlags(r)
-			case aluTest:
-				zf, sf, cf, of = logicFlags(av & bv)
-				write = false
-			case aluOr:
-				r = av | bv
-				zf, sf, cf, of = logicFlags(r)
-			case aluXor:
-				r = av ^ bv
-				zf, sf, cf, of = logicFlags(r)
-			default: // aluImul
-				full := int64(int32(av)) * int64(int32(bv))
-				r = uint32(full)
-				cf = full != int64(int32(r))
-				of = cf
-			}
+			r, f, write := alu(u.alu, av, bv, fl)
+			fl = f
 			if write {
-				// Read-modify-write references memory twice, exactly like
-				// execInt's separate load and store halves.
 				addrs = append(addrs, uint64(a)|mem.Next)
-				var ok bool
-				switch u.d {
-				case 0:
-					ok = memu.StoreU8(a, uint8(r))
-				case 1:
-					ok = memu.StoreU16(a, uint16(r))
-				default:
-					ok = memu.StoreU32(a, r)
-				}
-				if !ok {
-					c.pc = int(u.pc)
-					retErr = c.fault("store out of range at %#x", a)
-					goto out
+				if !storeN(memu, a, u.d, r) {
+					fa, fmsg = a, msgStore
+					goto memFault
 				}
 			}
 
 		case uNot:
-			gpr[u.d&7] = ^gpr[u.d&7]
+			gpr[u.d&15] = ^gpr[u.d&15]
 		case uNeg:
-			a := gpr[u.d&7]
-			r := -a
-			zf, sf, cf, of = subFlags(0, a, r)
-			gpr[u.d&7] = r
+			gpr[u.d&15], fl = sub(0, gpr[u.d&15])
 		case uInc:
-			r := gpr[u.d&7] + 1
-			of = r == 0x80000000
-			zf, sf = r == 0, int32(r) < 0
-			gpr[u.d&7] = r
+			gpr[u.d&15], fl = inc(gpr[u.d&15], fl)
 		case uDec:
-			a := gpr[u.d&7]
-			r := a - 1
-			of = a == 0x80000000
-			zf, sf = r == 0, int32(r) < 0
-			gpr[u.d&7] = r
+			gpr[u.d&15], fl = dec(gpr[u.d&15], fl)
 		case uShlI:
-			a := gpr[u.d&7]
-			r := a << u.imm
-			cf = a&(1<<(32-u.imm)) != 0
-			zf, sf = r == 0, int32(r) < 0
-			of = false
-			gpr[u.d&7] = r
+			gpr[u.d&15], fl = shl(gpr[u.d&15], u.imm)
 		case uShrI:
-			a := gpr[u.d&7]
-			r := a >> u.imm
-			cf = a&(1<<(u.imm-1)) != 0
-			zf, sf = r == 0, int32(r) < 0
-			of = false
-			gpr[u.d&7] = r
+			gpr[u.d&15], fl = shr(gpr[u.d&15], u.imm)
 		case uSarI:
-			a := gpr[u.d&7]
-			r := uint32(int32(a) >> u.imm)
-			cf = a&(1<<(u.imm-1)) != 0
-			zf, sf = r == 0, int32(r) < 0
-			of = false
-			gpr[u.d&7] = r
-		case uCdq:
-			if int32(gpr[traceEAX]) < 0 {
-				gpr[traceEDX] = 0xFFFFFFFF
-			} else {
-				gpr[traceEDX] = 0
+			gpr[u.d&15], fl = sar(gpr[u.d&15], u.imm)
+		case uIdiv:
+			// edx:eax / src, quotient to eax and remainder to edx.
+			d := gpr[u.s&15]
+			if d == 0 {
+				c.pc = int(u.pc)
+				retErr = c.fault("integer divide by zero")
+				goto out
 			}
+			num := int64(gpr[traceEDX])<<32 | int64(gpr[traceEAX])
+			den := int64(int32(d))
+			quo, rem := num/den, num%den
+			if quo > 0x7FFFFFFF || quo < -0x80000000 {
+				c.pc = int(u.pc)
+				retErr = c.fault("idiv overflow (%d / %d)", num, den)
+				goto out
+			}
+			gpr[traceEAX], gpr[traceEDX] = uint32(quo), uint32(rem)
+		case uCdq:
+			gpr[traceEDX] = uint32(int32(gpr[traceEAX]) >> 31)
 
 		case uMovdGM:
 			c.mmxActive = true
-			mm[u.d&7] = mmx.Reg(uint64(gpr[u.s&7]))
+			mm[u.d&15] = mmx.Reg(uint64(gpr[u.s&15]))
 		case uMovdMG:
 			c.mmxActive = true
-			gpr[u.d&7] = uint32(mm[u.s&7])
+			gpr[u.d&15] = uint32(mm[u.s&15])
 		case uMovdLM:
 			c.mmxActive = true
 			a := memAddr(u, &gpr)
-			addrs = append(addrs, uint64(a))
+			addrs = append(addrs, uint64(a)|u.nx)
 			v, ok := memu.LoadU32(a)
 			if !ok {
-				c.pc = int(u.pc)
-				retErr = c.fault("load dword out of range at %#x", a)
-				goto out
+				fa, fmsg = a, msgLoad32
+				goto memFault
 			}
-			mm[u.d&7] = mmx.Reg(uint64(v))
+			mm[u.d&15] = mmx.Reg(uint64(v))
 		case uMovdSM:
 			c.mmxActive = true
 			a := memAddr(u, &gpr)
-			addrs = append(addrs, uint64(a))
-			if !memu.StoreU32(a, uint32(mm[u.s&7])) {
-				c.pc = int(u.pc)
-				retErr = c.fault("store out of range at %#x", a)
-				goto out
+			addrs = append(addrs, uint64(a)|u.nx)
+			if !memu.StoreU32(a, uint32(mm[u.s&15])) {
+				fa, fmsg = a, msgStore
+				goto memFault
 			}
 		case uMovqRR:
 			c.mmxActive = true
-			mm[u.d&7] = mm[u.s&7]
+			mm[u.d&15] = mm[u.s&15]
 		case uMovqLM64:
 			c.mmxActive = true
 			a := memAddr(u, &gpr)
-			addrs = append(addrs, uint64(a))
+			addrs = append(addrs, uint64(a)|u.nx)
 			v, ok := memu.LoadU64(a)
 			if !ok {
-				c.pc = int(u.pc)
-				retErr = c.fault("mmx qword load out of range at %#x", a)
-				goto out
+				fa, fmsg = a, msgMMXLoad64
+				goto memFault
 			}
-			mm[u.d&7] = mmx.Reg(v)
+			mm[u.d&15] = mmx.Reg(v)
 		case uMovqLM32:
 			c.mmxActive = true
 			a := memAddr(u, &gpr)
-			addrs = append(addrs, uint64(a))
+			addrs = append(addrs, uint64(a)|u.nx)
 			v, ok := memu.LoadU32(a)
 			if !ok {
-				c.pc = int(u.pc)
-				retErr = c.fault("mmx dword load out of range at %#x", a)
-				goto out
+				fa, fmsg = a, msgMMXLoad32
+				goto memFault
 			}
-			mm[u.d&7] = mmx.Reg(uint64(v))
+			mm[u.d&15] = mmx.Reg(uint64(v))
 		case uMovqSM:
 			c.mmxActive = true
 			a := memAddr(u, &gpr)
-			addrs = append(addrs, uint64(a))
-			if !memu.StoreU64(a, uint64(mm[u.s&7])) {
-				c.pc = int(u.pc)
-				retErr = c.fault("movq store out of range at %#x", a)
-				goto out
+			addrs = append(addrs, uint64(a)|u.nx)
+			if !memu.StoreU64(a, uint64(mm[u.s&15])) {
+				fa, fmsg = a, msgMovqStore
+				goto memFault
 			}
 		case uMMXBinRR:
 			c.mmxActive = true
-			mm[u.d&7] = u.mfn(mm[u.d&7], mm[u.s&7])
+			mm[u.d&15] = u.mfn(mm[u.d&15], mm[u.s&15])
 		case uMMXBinRM64:
 			c.mmxActive = true
 			a := memAddr(u, &gpr)
-			addrs = append(addrs, uint64(a))
+			addrs = append(addrs, uint64(a)|u.nx)
 			v, ok := memu.LoadU64(a)
 			if !ok {
-				c.pc = int(u.pc)
-				retErr = c.fault("mmx qword load out of range at %#x", a)
-				goto out
+				fa, fmsg = a, msgMMXLoad64
+				goto memFault
 			}
-			mm[u.d&7] = u.mfn(mm[u.d&7], mmx.Reg(v))
+			mm[u.d&15] = u.mfn(mm[u.d&15], mmx.Reg(v))
 		case uMMXBinRM32:
 			c.mmxActive = true
 			a := memAddr(u, &gpr)
-			addrs = append(addrs, uint64(a))
+			addrs = append(addrs, uint64(a)|u.nx)
 			v, ok := memu.LoadU32(a)
 			if !ok {
-				c.pc = int(u.pc)
-				retErr = c.fault("mmx dword load out of range at %#x", a)
-				goto out
+				fa, fmsg = a, msgMMXLoad32
+				goto memFault
 			}
-			mm[u.d&7] = u.mfn(mm[u.d&7], mmx.Reg(uint64(v)))
+			mm[u.d&15] = u.mfn(mm[u.d&15], mmx.Reg(uint64(v)))
 		case uMMXShiftI:
 			c.mmxActive = true
-			mm[u.d&7] = u.sfn(mm[u.d&7], uint(u.imm))
+			mm[u.d&15] = u.sfn(mm[u.d&15], uint(u.imm))
 		case uMMXShiftRR:
 			c.mmxActive = true
-			n := uint64(mm[u.s&7])
-			if n > 64 {
-				n = 64
-			}
-			mm[u.d&7] = u.sfn(mm[u.d&7], uint(n))
+			mm[u.d&15] = u.sfn(mm[u.d&15], uint(min(uint64(mm[u.s&15]), 64)))
 		case uEmms:
 			c.mmxActive = false
 
-		case uFMovRR, uFConst, uFArithRR, uFComRR:
+		case uFMovRR, uFConst, uFArithRR, uFComRR, uFUnary:
 			if c.mmxActive {
-				c.pc = int(u.pc)
-				retErr = c.fault(fpWhileMMX)
-				goto out
+				goto fpFault
 			}
 			switch u.kind {
 			case uFMovRR:
-				c.fp[u.d&7] = c.fp[u.s&7]
+				c.fp[u.d&15] = c.fp[u.s&15]
 			case uFConst:
-				c.fp[u.d&7] = u.fv
+				c.fp[u.d&15] = u.fv
 			case uFArithRR:
-				c.fp[u.d&7] = fpApply(u.alu, c.fp[u.d&7], c.fp[u.s&7])
+				c.fp[u.d&15] = fpApply(u.alu, c.fp[u.d&15], c.fp[u.s&15])
+			case uFUnary:
+				c.fp[u.d&15] = fpUnary(u.alu, c.fp[u.d&15])
 			default: // uFComRR
-				a, b := c.fp[u.d&7], c.fp[u.s&7]
-				zf, cf = a == b, a < b
-				sf, of = false, false
+				fl = fcom(c.fp[u.d&15], c.fp[u.s&15])
 			}
-		case uFStore32, uFStore64:
+		case uFStore32, uFStore64, uFist16, uFist32:
 			if c.mmxActive {
-				c.pc = int(u.pc)
-				retErr = c.fault(fpWhileMMX)
-				goto out
+				goto fpFault
 			}
 			a := memAddr(u, &gpr)
-			addrs = append(addrs, uint64(a))
-			v := c.fp[u.s&7]
+			addrs = append(addrs, uint64(a)|u.nx)
+			v := c.fp[u.s&15]
 			var ok bool
-			if u.kind == uFStore32 {
+			fmsg = fstRange
+			switch u.kind {
+			case uFStore32:
 				ok = memu.StoreU32(a, math.Float32bits(float32(v)))
-			} else {
+			case uFStore64:
 				ok = memu.StoreU64(a, math.Float64bits(v))
+			case uFist16:
+				ok, fmsg = memu.StoreU16(a, uint16(satI16(math.RoundToEven(v)))), msgFist
+			default: // uFist32
+				ok, fmsg = memu.StoreU32(a, uint32(satI32(math.RoundToEven(v)))), msgFist
 			}
 			if !ok {
-				c.pc = int(u.pc)
-				retErr = c.fault(fstRange, a)
-				goto out
+				fa = a
+				goto memFault
 			}
-		case uFLoad32, uFArithM32, uFComM32:
+		case uFLoad32, uFArithM32, uFComM32, uFild32:
 			if c.mmxActive {
-				c.pc = int(u.pc)
-				retErr = c.fault(fpWhileMMX)
-				goto out
+				goto fpFault
 			}
 			a := memAddr(u, &gpr)
-			addrs = append(addrs, uint64(a))
+			addrs = append(addrs, uint64(a)|u.nx)
 			raw, ok := memu.LoadU32(a)
 			if !ok {
-				c.pc = int(u.pc)
-				retErr = c.fault("float load out of range at %#x", a)
-				goto out
+				fa, fmsg = a, msgFLoad32
+				if u.kind == uFild32 {
+					fmsg = msgFild
+				}
+				goto memFault
 			}
 			v := float64(math.Float32frombits(raw))
 			switch u.kind {
 			case uFLoad32:
-				c.fp[u.d&7] = v
+				c.fp[u.d&15] = v
 			case uFArithM32:
-				c.fp[u.d&7] = fpApply(u.alu, c.fp[u.d&7], v)
-			default: // uFComM32
-				fa := c.fp[u.d&7]
-				zf, cf = fa == v, fa < v
-				sf, of = false, false
+				c.fp[u.d&15] = fpApply(u.alu, c.fp[u.d&15], v)
+			case uFComM32:
+				fl = fcom(c.fp[u.d&15], v)
+			default: // uFild32
+				c.fp[u.d&15] = float64(int32(raw))
 			}
 		case uFLoad64, uFArithM64, uFComM64:
 			if c.mmxActive {
-				c.pc = int(u.pc)
-				retErr = c.fault(fpWhileMMX)
-				goto out
+				goto fpFault
 			}
 			a := memAddr(u, &gpr)
-			addrs = append(addrs, uint64(a))
+			addrs = append(addrs, uint64(a)|u.nx)
 			raw, ok := memu.LoadU64(a)
 			if !ok {
-				c.pc = int(u.pc)
-				retErr = c.fault("double load out of range at %#x", a)
-				goto out
+				fa, fmsg = a, msgFLoad64
+				goto memFault
 			}
 			v := math.Float64frombits(raw)
 			switch u.kind {
 			case uFLoad64:
-				c.fp[u.d&7] = v
+				c.fp[u.d&15] = v
 			case uFArithM64:
-				c.fp[u.d&7] = fpApply(u.alu, c.fp[u.d&7], v)
+				c.fp[u.d&15] = fpApply(u.alu, c.fp[u.d&15], v)
 			default: // uFComM64
-				fa := c.fp[u.d&7]
-				zf, cf = fa == v, fa < v
-				sf, of = false, false
+				fl = fcom(c.fp[u.d&15], v)
 			}
+		case uFild16:
+			if c.mmxActive {
+				goto fpFault
+			}
+			a := memAddr(u, &gpr)
+			addrs = append(addrs, uint64(a)|u.nx)
+			raw, ok := memu.LoadU16(a)
+			if !ok {
+				fa, fmsg = a, msgFild
+				goto memFault
+			}
+			c.fp[u.d&15] = float64(int16(raw))
 
-		case uCallT:
-			sp := gpr[traceESP&7] - 4
-			gpr[traceESP&7] = sp
-			addrs = append(addrs, uint64(sp))
-			if !memu.StoreU32(sp, u.imm2) {
-				c.pc = int(u.pc)
-				retErr = c.fault("stack overflow at %#x", sp)
-				goto out
+		case uNote:
+			if u.expect && c.mmxActive {
+				goto fpFault
 			}
+			addrs = append(addrs, uint64(memAddr(u, &gpr))|u.nx)
+		case uFault:
+			if u.expect && c.mmxActive {
+				goto fpFault
+			}
+			c.pc = int(u.pc)
+			retErr = c.fault("%s", c.code.texts[u.imm])
+			goto out
+
+		case uJmp:
+			c.pc, c.taken = int(u.tgt), true
+		case uBr:
+			if holds(u.alu, fl) {
+				c.pc, c.taken = int(u.tgt), true
+			}
+		case uHalt:
+			c.halted, c.taken = true, true
 
 		case uRet:
-			sp := gpr[traceESP&7]
+			sp := gpr[traceESP]
 			addrs = append(addrs, uint64(sp))
 			v, ok := memu.LoadU32(sp)
 			if !ok {
-				c.pc = int(u.pc)
-				retErr = c.fault("stack underflow at %#x", sp)
-				goto out
+				fa, fmsg = sp, msgUnderflow
+				goto memFault
 			}
-			gpr[traceESP&7] = sp + 4
+			gpr[traceESP] = sp + 4
 			if u.expect {
 				// Tail return: the chain ends here; the popped address is
 				// the iteration's computed exit, not a guard failure.
@@ -2419,34 +1975,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			}
 
 		case uJcc:
-			var t bool
-			switch u.alu {
-			case ccE:
-				t = zf
-			case ccNE:
-				t = !zf
-			case ccL:
-				t = sf != of
-			case ccLE:
-				t = zf || sf != of
-			case ccG:
-				t = !zf && sf == of
-			case ccGE:
-				t = sf == of
-			case ccB:
-				t = cf
-			case ccBE:
-				t = cf || zf
-			case ccA:
-				t = !cf && !zf
-			case ccAE:
-				t = !cf
-			case ccS:
-				t = sf
-			default: // ccNS
-				t = !sf
-			}
-			if t != u.expect {
+			if t := holds(u.alu, fl); t != u.expect {
 				if u.child != 0 && iterBase+tr.paths[u.childPath].nInstrs <= maxInstrs {
 					// Fork into the attached alternate path: registers stay
 					// in the locals and the child segment carries the
@@ -2494,18 +2023,14 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 				goto out
 			}
 			if iterDone >= *pollAt {
-				c.gpr = gpr
-				c.mm = mm
-				c.zf, c.sf, c.cf, c.of = zf, sf, cf, of
+				c.gpr, c.mm, c.fl = *gpr8, *mm8, fl
 				c.executed = iterDone
 				c.pc = int(tr.head)
 				if err := c.Poll(); err != nil {
 					return nil, c.abort(err)
 				}
 				*pollAt = iterDone + c.pollInterval()
-				gpr = c.gpr
-				mm = c.mm
-				zf, sf, cf, of = c.zf, c.sf, c.cf, c.of
+				*gpr8, *mm8, fl = c.gpr, c.mm, c.fl
 			}
 			if iterDone+tr.nInstrs > maxInstrs {
 				// Not enough budget for another full iteration: hand back
@@ -2515,24 +2040,27 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 				goto out
 			}
 			i = -1
-
-		case uBodyEnd:
-			goto out
 		}
-		i++
 	}
+	goto out
+
+memFault:
+	c.pc = int(uops[i].pc)
+	retErr = c.fault(fmsg, fa)
+	goto out
+fpFault:
+	c.pc = int(uops[i].pc)
+	retErr = c.fault(fpWhileMMX)
 
 out:
-	c.gpr = gpr
-	c.mm = mm
-	c.zf, c.sf, c.cf, c.of = zf, sf, cf, of
+	c.gpr, c.mm, c.fl = *gpr8, *mm8, fl
 	if retErr != nil {
 		c.executed = iterBase + uops[i].cum
 		c.faulted(addrs)
 		return nil, retErr
 	}
 	if tr == nil {
-		// A block body ran to completion; the caller retires it.
+		// The micro-ops ran to their end; the caller retires them.
 		return addrs, nil
 	}
 	c.executed = final
@@ -2557,29 +2085,12 @@ out:
 }
 
 // faulted charges the cache model with the effective addresses of a
-// region cut short by a fault, which the generic loop would have charged
-// before faulting: through a price-only record on a streamed run, here on
-// any other.
+// region cut short by a fault: through a price-only record on a streamed
+// run, here on any other.
 func (c *CPU) faulted(addrs []uint64) {
 	if c.st != nil {
 		c.st.priceOnly(addrs)
 	} else {
 		charge(c.Hier, addrs)
-	}
-}
-
-// fpApply dispatches a uFArith sub-op.
-func fpApply(sub uint8, a, b float64) float64 {
-	switch sub {
-	case fpAdd:
-		return a + b
-	case fpSub:
-		return a - b
-	case fpSubR:
-		return b - a
-	case fpMul:
-		return a * b
-	default: // fpDiv
-		return a / b
 	}
 }

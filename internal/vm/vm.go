@@ -17,15 +17,18 @@
 // each instruction and an unobserved dispatch run at the end of each
 // region. Either way Hier.Stats is final only once Run has returned.
 //
-// Run has two interpreters. The generic loop decodes and executes one
-// instruction per step; it is the reference the other is tested against,
-// and it serves any observer that wants one Retire per instruction. The
-// dispatch loop (trace.go) runs one fast execution form, micro-ops: every
-// basic block body is lowered to them once, by Compile (block.go), and
-// with CPU.Traces set, superblocks formed at run time copy them. It reports
-// whole regions to a TraceObserver. Whatever the micro-ops do not cover —
-// block terminators, single steps, the rare operand shape without a native
-// micro-op — runs on the generic loop's own executor.
+// Instructions execute in one form, micro-ops: Compile (block.go) lowers
+// every instruction of the program, in every operand shape, to them once
+// (lower.go), and one executor runs them (execUops in trace.go). Run has
+// two drivers over that code. The per-instruction loop runs one
+// instruction's micro-ops per step and serves any observer that wants one
+// Retire per instruction. The dispatch loop (trace.go) runs whole basic
+// block bodies and, with CPU.Traces set, superblocks formed at run time
+// from copies of them, and reports whole regions to a TraceObserver; it
+// steps block terminators, entries in mid-block and budget edges one
+// instruction at a time, as the per-instruction loop does. The reference
+// the executor is tested against is internal/isaref, an interpreter that
+// shares no code with it.
 //
 // Observer calls return nothing to the interpreter, so the dispatch loop
 // decouples the two: it appends each observation (Retire, ObserveBlock,
@@ -46,7 +49,7 @@
 //     gives backpressure when the observer falls behind.
 //
 // With no observer there is no second goroutine and no batching. The
-// generic loop calls its observer directly.
+// per-instruction loop calls its observer directly.
 package vm
 
 import (
@@ -102,13 +105,12 @@ type CPU struct {
 	Prog *asm.Program
 	Mem  *mem.Memory
 
-	// code is the program's block micro-ops (see block.go), compiled
-	// lazily on the first dispatch-loop Run and shared by CPUs built with
-	// NewWithCode.
+	// code is the program's micro-ops (see block.go), compiled lazily on
+	// the first Run and shared by CPUs built with NewWithCode.
 	code *Code
-	// Generic forces the decode-per-step interpreter. It exists for
-	// differential testing: the dispatch loop and the generic one must
-	// produce identical registers, memory, events and faults.
+	// Generic forces the per-instruction loop, one Retire per instruction
+	// whatever the observer. It exists for differential testing: both
+	// drivers must produce identical registers, memory, events and faults.
 	Generic bool
 	// Traces enables trace formation in the dispatch loop (see trace.go):
 	// runtime hot-chain detection, superblock fusion across taken branches
@@ -125,9 +127,13 @@ type CPU struct {
 
 	gpr [8]uint32
 	mm  [8]mmx.Reg
-	fp  [8]float64
-
-	zf, sf, cf, of bool
+	// fp holds the FP registers and, past them, the executor's FP
+	// temporary (the integer and MMX ones live in execUops' locals).
+	fp [16]float64
+	fl flags
+	// taken is set by a control micro-op that transfers control (step
+	// reads it).
+	taken bool
 
 	pc        int
 	halted    bool
@@ -138,9 +144,9 @@ type CPU struct {
 	// an observed dispatch-loop Run it is priced on the observer's
 	// goroutine (see stream.go); read its Stats only after Run returns.
 	Hier *mem.Hierarchy
-	// acc holds the effective addresses of the instruction the generic
-	// executor is running, in reference order (see noteAccess).
-	acc []uint64
+	// addrbuf is the effective-address accumulator of regions no stream
+	// records, kept across regions so it stops growing.
+	addrbuf []uint64
 	// Obs receives retirement events; nil disables observation. A
 	// TraceObserver is called from a second goroutine (see stream.go),
 	// never concurrently with itself, and all calls complete before Run
@@ -207,9 +213,9 @@ func (c *CPU) Executed() int64 { return c.executed }
 func (c *CPU) Halted() bool { return c.halted }
 
 // budgetFault produces the budget-exhaustion error, formatted like a
-// fault but wrapping ErrBudget so callers can classify it. Both
-// interpreters raise it through here, keeping the text identical across
-// modes (the dispatch-equivalence tests compare error strings).
+// fault but wrapping ErrBudget so callers can classify it. Both drivers
+// raise it through here, keeping the text identical across modes (the
+// dispatch-equivalence tests compare error strings).
 func (c *CPU) budgetFault(maxInstrs int64) error {
 	in := "?"
 	if c.pc >= 0 && c.pc < len(c.Prog.Insts) {
@@ -257,15 +263,15 @@ func (c *CPU) abort(err error) error {
 // Run executes until HALT or until maxInstrs instructions have retired,
 // which guards against runaway programs. It runs the dispatch loop
 // (trace.go) unless Generic is set or the observer is not a TraceObserver;
-// those runs take the generic decode-per-step loop, which retires one
-// event per instruction.
+// those runs take the per-instruction loop, which retires one event per
+// instruction.
 func (c *CPU) Run(maxInstrs int64) error {
+	if c.code == nil {
+		c.code = Compile(c.Prog)
+	}
 	tobs, regions := c.Obs.(TraceObserver)
 	if c.Generic || (c.Obs != nil && !regions) {
 		return c.runGeneric(maxInstrs)
-	}
-	if c.code == nil {
-		c.code = Compile(c.Prog)
 	}
 	if tobs == nil {
 		return c.runTrace(maxInstrs)
@@ -288,8 +294,8 @@ func (c *CPU) runTraceObserved(maxInstrs int64, tobs TraceObserver) error {
 	return c.runTrace(maxInstrs)
 }
 
-// runGeneric is the decode-per-step loop: the reference semantics for the
-// dispatch loop, and the interpreter of plain per-event observers.
+// runGeneric is the per-instruction loop: one step per instruction, the
+// driver of plain per-event observers.
 func (c *CPU) runGeneric(maxInstrs int64) error {
 	var ev Event
 	pollAt := c.pollStart()
@@ -317,9 +323,11 @@ func (c *CPU) runGeneric(maxInstrs int64) error {
 	return nil
 }
 
-// step retires the instruction at c.pc (which must be in range) on the
-// generic executor. It reports whether the instruction emits an event,
-// which it then leaves in ev.
+// step retires the instruction at c.pc (which must be in range) by running
+// its micro-ops from the compiled code. It reports whether the instruction
+// emits an event, which it then leaves in ev: on a streamed run the event
+// and its effective addresses go to the stream, on any other its
+// addresses are priced into ev.MemPenalty.
 func (c *CPU) step(ev *Event) (bool, error) {
 	pc := c.pc
 	in := &c.Prog.Insts[pc]
@@ -342,78 +350,29 @@ func (c *CPU) step(ev *Event) (bool, error) {
 	}
 
 	*ev = Event{PC: pc, Inst: in, Measured: c.measuring}
-	c.acc = c.acc[:0]
-	err := c.exec(in, ev)
-	switch {
-	case c.st != nil:
-		// The caller sends c.acc with the event (stream.retire).
-		if err != nil {
-			c.faulted(append(c.st.addrs, c.acc...))
-		}
-	case c.Hier != nil && len(c.acc) > 0:
-		ev.MemPenalty = cost(c.Hier, c.acc)
-	}
+	retired := c.executed
+	c.taken = false
+	at := c.code.at
+	addrs, err := c.execUops(c.code.ops[at[pc]:at[pc+1]], nil, nil, 0, nil)
 	if err != nil {
+		// execUops counted from the instruction's block start.
+		c.executed = retired
 		return false, err
 	}
-	if !ev.Taken {
-		c.pc++
+	if !c.taken {
+		c.pc = pc + 1
 	}
-	ev.Target = c.pc
+	ev.Taken, ev.Target = c.taken, c.pc
+	if c.st != nil {
+		c.st.retire(ev, addrs)
+		return true, nil
+	}
+	if c.Hier != nil && len(addrs) > 0 {
+		var pen [1]int32
+		ev.MemPenalty = int(c.Hier.Price(addrs, pen[:0])[0])
+	}
+	c.addrbuf = addrs[:0]
 	return true, nil
-}
-
-// exec is the generic executor: it performs one event-emitting
-// instruction, setting ev.Taken as needed and appending its data
-// references to c.acc. Every path that is not a native micro-op ends here.
-func (c *CPU) exec(in *isa.Inst, ev *Event) error {
-	switch {
-	case in.Op.IsMMX():
-		return c.execMMX(in)
-	case in.Op.IsFP():
-		return c.execFP(in)
-	default:
-		return c.execInt(in, ev)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Addressing and operand access
-
-func (c *CPU) effAddr(o isa.Operand) uint32 {
-	a := uint32(o.Disp)
-	if o.Reg != isa.NoReg {
-		a += c.gpr[o.Reg.GPRIndex()]
-	}
-	if o.Index != isa.NoReg {
-		s := uint32(o.Scale)
-		if s == 0 {
-			s = 1
-		}
-		a += c.gpr[o.Index.GPRIndex()] * s
-	}
-	return a
-}
-
-// noteAccess records one data reference of the running instruction; a
-// further reference of the same instruction carries mem.Next.
-func (c *CPU) noteAccess(addr uint32) {
-	a := uint64(addr)
-	if len(c.acc) > 0 {
-		a |= mem.Next
-	}
-	c.acc = append(c.acc, a)
-}
-
-// cost folds one instruction's effective addresses through h into its
-// penalty. cost, charge and the stream consumer's Hierarchy.Price are the
-// only places a run charges h.
-func cost(h *mem.Hierarchy, addrs []uint64) int {
-	p := 0
-	for _, a := range addrs {
-		p += h.Access(uint32(a))
-	}
-	return p
 }
 
 // charge folds a region's effective addresses through h for its state and
@@ -423,162 +382,4 @@ func charge(h *mem.Hierarchy, addrs []uint64) {
 	if h != nil {
 		h.Charge(addrs)
 	}
-}
-
-// loadSized reads a zero-extended value of the operand's size.
-func (c *CPU) loadSized(o isa.Operand) (uint32, error) {
-	addr := c.effAddr(o)
-	c.noteAccess(addr)
-	switch o.Size {
-	case isa.SizeB:
-		v, ok := c.Mem.LoadU8(addr)
-		if !ok {
-			return 0, c.fault("load byte out of range at %#x", addr)
-		}
-		return uint32(v), nil
-	case isa.SizeW:
-		v, ok := c.Mem.LoadU16(addr)
-		if !ok {
-			return 0, c.fault("load word out of range at %#x", addr)
-		}
-		return uint32(v), nil
-	case isa.SizeD, isa.SizeNone:
-		v, ok := c.Mem.LoadU32(addr)
-		if !ok {
-			return 0, c.fault("load dword out of range at %#x", addr)
-		}
-		return v, nil
-	}
-	return 0, c.fault("bad load size %v", o.Size)
-}
-
-func (c *CPU) storeSized(o isa.Operand, v uint32) error {
-	addr := c.effAddr(o)
-	c.noteAccess(addr)
-	var ok bool
-	switch o.Size {
-	case isa.SizeB:
-		ok = c.Mem.StoreU8(addr, uint8(v))
-	case isa.SizeW:
-		ok = c.Mem.StoreU16(addr, uint16(v))
-	case isa.SizeD, isa.SizeNone:
-		ok = c.Mem.StoreU32(addr, v)
-	default:
-		return c.fault("bad store size %v", o.Size)
-	}
-	if !ok {
-		return c.fault("store out of range at %#x", addr)
-	}
-	return nil
-}
-
-// readInt reads an integer operand value (register, immediate or memory).
-func (c *CPU) readInt(o isa.Operand) (uint32, error) {
-	switch o.Kind {
-	case isa.KindReg:
-		if !o.Reg.IsGPR() {
-			return 0, c.fault("integer read of non-GPR %s", o.Reg)
-		}
-		return c.gpr[o.Reg.GPRIndex()], nil
-	case isa.KindImm:
-		return uint32(o.Imm), nil
-	case isa.KindMem:
-		return c.loadSized(o)
-	}
-	return 0, c.fault("missing operand")
-}
-
-// writeInt writes an integer result to a register or memory destination.
-func (c *CPU) writeInt(o isa.Operand, v uint32) error {
-	switch o.Kind {
-	case isa.KindReg:
-		if !o.Reg.IsGPR() {
-			return c.fault("integer write to non-GPR %s", o.Reg)
-		}
-		c.gpr[o.Reg.GPRIndex()] = v
-		return nil
-	case isa.KindMem:
-		return c.storeSized(o, v)
-	}
-	return c.fault("bad destination operand")
-}
-
-// ---------------------------------------------------------------------------
-// Flags
-
-func (c *CPU) setZS(v uint32) {
-	c.zf = v == 0
-	c.sf = int32(v) < 0
-}
-
-func (c *CPU) setAdd(a, b, r uint32) {
-	c.setZS(r)
-	c.cf = r < a
-	c.of = (a^r)&(b^r)&0x80000000 != 0
-}
-
-func (c *CPU) setSub(a, b, r uint32) {
-	c.setZS(r)
-	c.cf = a < b
-	c.of = (a^b)&(a^r)&0x80000000 != 0
-}
-
-func (c *CPU) setLogic(r uint32) {
-	c.setZS(r)
-	c.cf = false
-	c.of = false
-}
-
-func (c *CPU) cond(op isa.Op) bool {
-	switch op {
-	case isa.JE:
-		return c.zf
-	case isa.JNE:
-		return !c.zf
-	case isa.JL:
-		return c.sf != c.of
-	case isa.JLE:
-		return c.zf || c.sf != c.of
-	case isa.JG:
-		return !c.zf && c.sf == c.of
-	case isa.JGE:
-		return c.sf == c.of
-	case isa.JB:
-		return c.cf
-	case isa.JBE:
-		return c.cf || c.zf
-	case isa.JA:
-		return !c.cf && !c.zf
-	case isa.JAE:
-		return !c.cf
-	case isa.JS:
-		return c.sf
-	case isa.JNS:
-		return !c.sf
-	}
-	return false
-}
-
-// ---------------------------------------------------------------------------
-// Stack
-
-func (c *CPU) push32(v uint32) error {
-	sp := c.gpr[isa.ESP.GPRIndex()] - 4
-	c.gpr[isa.ESP.GPRIndex()] = sp
-	c.noteAccess(sp)
-	if !c.Mem.StoreU32(sp, v) {
-		return c.fault("stack overflow at %#x", sp)
-	}
-	return nil
-}
-
-func (c *CPU) pop32() (uint32, error) {
-	sp := c.gpr[isa.ESP.GPRIndex()]
-	c.noteAccess(sp)
-	v, ok := c.Mem.LoadU32(sp)
-	if !ok {
-		return 0, c.fault("stack underflow at %#x", sp)
-	}
-	c.gpr[isa.ESP.GPRIndex()] = sp + 4
-	return v, nil
 }
