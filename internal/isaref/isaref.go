@@ -171,7 +171,6 @@ func width(o isa.Operand) int {
 
 var intLoadName = map[int]string{1: "load byte", 2: "load word", 4: "load dword"}
 
-
 // loadInt reads an integer memory operand of width n.
 func (m *Machine) loadInt(o isa.Operand, n int) uint32 {
 	a := m.addr(o)

@@ -537,3 +537,30 @@ func TestAsmClientDisconnectAbortsRun(t *testing.T) {
 		return snap.ActiveRuns == 0 && snap.Canceled >= 1 && st.Inflight == 0
 	})
 }
+
+// TestAsmNonGPROperandsFault submits the register shapes that once indexed
+// the GPR file out of range — an mm or fp register in xchg, or as the
+// register source of movzx/movsx — on both drivers: each must answer the
+// guest fault at that instruction (a failed run, like any other fault),
+// never a contained panic.
+func TestAsmNonGPROperandsFault(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{ResultCacheEntries: -1})
+	for _, tc := range []struct{ inst, reg string }{
+		{"xchg mm0, mm1", "mm0"},
+		{"xchg eax, fp7", "fp7"},
+		{"movzx.b eax, mm0", "mm0"},
+		{"movsx.w eax, fp1", "fp1"},
+	} {
+		for _, mode := range []string{core.DispatchTrace, core.DispatchGeneric} {
+			src := ".proc main\n\tmov eax, 1\n\t" + tc.inst + "\n\thalt\n"
+			resp, data := postAsm(t, ts.URL, asmBody(t, map[string]any{"source": src, "dispatch": mode}), nil)
+			want := fmt.Sprintf("pc=1 [%s]: integer read of non-GPR %s", tc.inst, tc.reg)
+			if !strings.Contains(string(data), want) || strings.Contains(string(data), "panic") {
+				t.Errorf("%s (%s): status %d: %s; want the fault %q", tc.inst, mode, resp.StatusCode, data, want)
+			}
+		}
+	}
+	if got := getMetrics(t, ts.URL).RunPanics; got != 0 {
+		t.Errorf("run_panics = %d, want 0", got)
+	}
+}

@@ -86,6 +86,10 @@ func FuzzAsmEndpoint(f *testing.F) {
 	f.Add(".hex __data deadbeef\n.proc main\n\thalt\n")
 	f.Add("")
 	f.Add("\x00\x01\x02")
+	// Register shapes that must fault, not index the GPR file out of range.
+	for _, inst := range []string{"xchg mm0, mm1", "xchg eax, fp7", "movzx.b eax, mm0", "movsx.w eax, fp1"} {
+		f.Add(".proc main\n\t" + inst + "\n\thalt\n")
+	}
 
 	// One server for the whole campaign: tight budget, short deadline, no
 	// result caching (identical inputs must re-execute to catch flakiness).

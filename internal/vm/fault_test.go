@@ -8,8 +8,8 @@ import (
 	"mmxdsp/internal/isa"
 )
 
-// expectFault builds a one-proc program, runs it, and asserts the error
-// message contains want.
+// expectFault builds a one-proc program, runs it on every path, and
+// asserts the error message contains want.
 func expectFault(t *testing.T, want string, build func(b *asm.Builder)) {
 	t.Helper()
 	b := asm.NewBuilder("fault")
@@ -19,13 +19,17 @@ func expectFault(t *testing.T, want string, build func(b *asm.Builder)) {
 	if err != nil {
 		t.Fatalf("link: %v", err)
 	}
-	c := New(p)
-	err = c.Run(1000)
-	if err == nil {
-		t.Fatalf("expected fault containing %q, got success", want)
-	}
-	if !strings.Contains(err.Error(), want) {
-		t.Fatalf("fault = %v, want substring %q", err, want)
+	for _, mode := range []string{"generic", "block", "trace"} {
+		c := New(p)
+		c.Generic = mode == "generic"
+		c.Traces = mode == "trace"
+		err = c.Run(1000)
+		if err == nil {
+			t.Fatalf("%s: expected fault containing %q, got success", mode, want)
+		}
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: fault = %v, want substring %q", mode, err, want)
+		}
 	}
 }
 
@@ -72,6 +76,29 @@ func TestFaultXchgRegistersOnly(t *testing.T) {
 		b.Reserve("v", 8)
 		b.I(isa.XCHG, asm.R(isa.EAX), asm.Sym(isa.SizeD, "v", 0))
 	})
+}
+
+// TestFaultNonGPRRegisterOperands: an mm or fp register where xchg or a
+// movzx/movsx register source wants a GPR is a guest fault at that
+// instruction, on every path.
+func TestFaultNonGPRRegisterOperands(t *testing.T) {
+	for _, in := range []struct {
+		op   isa.Op
+		a, b isa.Reg
+	}{
+		{isa.XCHG, isa.MM0, isa.MM1},
+		{isa.XCHG, isa.EAX, isa.FP7},
+		{isa.MOVZXB, isa.EAX, isa.MM0},
+		{isa.MOVSXW, isa.EAX, isa.FP1},
+	} {
+		bad := in.a
+		if bad.IsGPR() {
+			bad = in.b
+		}
+		expectFault(t, "integer read of non-GPR "+bad.String(), func(b *asm.Builder) {
+			b.I(in.op, asm.R(in.a), asm.R(in.b))
+		})
+	}
 }
 
 func TestFaultIdivOverflow(t *testing.T) {

@@ -59,6 +59,10 @@ var goldenFaults = []goldenFault{
 	{"store-qword", "mov qword [esi], eax", "vm(g) pc=2 [mov qword [esi], eax]: bad store size qword"},
 	{"lea-register", "lea eax, ebx", "vm(g) pc=2 [lea eax, ebx]: lea needs a memory operand"},
 	{"xchg-memory", "xchg eax, dword [esi]", "vm(g) pc=2 [xchg eax, dword [esi]]: xchg supports register operands only"},
+	{"xchg-mm", "xchg mm0, mm1", "vm(g) pc=2 [xchg mm0, mm1]: integer read of non-GPR mm0"},
+	{"xchg-fp", "xchg eax, fp7", "vm(g) pc=2 [xchg eax, fp7]: integer read of non-GPR fp7"},
+	{"movzx-mm", "movzx.b eax, mm0", "vm(g) pc=2 [movzx.b eax, mm0]: integer read of non-GPR mm0"},
+	{"movsx-fp", "movsx.w eax, fp1", "vm(g) pc=2 [movsx.w eax, fp1]: integer read of non-GPR fp1"},
 
 	// Integer ranges and stack.
 	{"load-byte", "mov eax, byte [ebp]", "vm(g) pc=2 [mov eax, byte [ebp]]: load byte out of range at 0x7fffff00"},

@@ -1430,10 +1430,7 @@ func satI32(v float64) int32 {
 // (faulted). An unobserved run charges Hier with each region as it ends.
 func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64, pollAt *int64) ([]uint64, error) {
 	st := c.st
-	var gpr [16]uint32
-	var mm [16]mmx.Reg
-	gpr8, mm8 := (*[8]uint32)(gpr[:]), (*[8]mmx.Reg)(mm[:])
-	*gpr8, *mm8 = c.gpr, c.mm
+	gpr, mm := &c.gpr, &c.mm
 	fl := c.fl
 	measured := c.measuring
 	entry := c.executed
@@ -1463,7 +1460,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			gpr[u.d&15] = u.imm
 
 		case uLoad8, uLoadSx8:
-			a := memAddr(u, &gpr)
+			a := memAddr(u, gpr)
 			addrs = append(addrs, uint64(a)|u.nx)
 			v, ok := memu.LoadU8(a)
 			if !ok {
@@ -1475,7 +1472,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 				gpr[u.d&15] = uint32(int32(int8(v)))
 			}
 		case uLoad16, uLoadSx16:
-			a := memAddr(u, &gpr)
+			a := memAddr(u, gpr)
 			addrs = append(addrs, uint64(a)|u.nx)
 			v, ok := memu.LoadU16(a)
 			if !ok {
@@ -1487,7 +1484,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 				gpr[u.d&15] = uint32(int32(int16(v)))
 			}
 		case uLoad32:
-			a := memAddr(u, &gpr)
+			a := memAddr(u, gpr)
 			addrs = append(addrs, uint64(a)|u.nx)
 			v, ok := memu.LoadU32(a)
 			if !ok {
@@ -1497,7 +1494,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			gpr[u.d&15] = v
 
 		case uStore8, uStore8I:
-			a := memAddr(u, &gpr)
+			a := memAddr(u, gpr)
 			addrs = append(addrs, uint64(a)|u.nx)
 			v := u.imm2
 			if u.kind == uStore8 {
@@ -1508,7 +1505,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 				goto memFault
 			}
 		case uStore16, uStore16I:
-			a := memAddr(u, &gpr)
+			a := memAddr(u, gpr)
 			addrs = append(addrs, uint64(a)|u.nx)
 			v := u.imm2
 			if u.kind == uStore16 {
@@ -1519,7 +1516,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 				goto memFault
 			}
 		case uStore32, uStore32I:
-			a := memAddr(u, &gpr)
+			a := memAddr(u, gpr)
 			addrs = append(addrs, uint64(a)|u.nx)
 			v := u.imm2
 			if u.kind == uStore32 {
@@ -1531,7 +1528,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			}
 
 		case uLea:
-			gpr[u.d&15] = memAddr(u, &gpr)
+			gpr[u.d&15] = memAddr(u, gpr)
 		case uZx8:
 			gpr[u.d&15] = gpr[u.s&15] & 0xFF
 		case uZx16:
@@ -1638,7 +1635,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			}
 
 		case uAddRM, uSubRM, uCmpRM, uAndRM, uOrRM, uXorRM, uTestRM, uImulRM:
-			a := memAddr(u, &gpr)
+			a := memAddr(u, gpr)
 			addrs = append(addrs, uint64(a)|u.nx)
 			b, ok := memu.LoadU32(a)
 			if !ok {
@@ -1670,7 +1667,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			// instruction's first data reference unless an operand was
 			// loaded ahead of it (uAluTM: the value is in tmp already); the
 			// store, when the operation writes, is never the first.
-			a := memAddr(u, &gpr)
+			a := memAddr(u, gpr)
 			av := gpr[tmp]
 			if u.kind != uAluTM {
 				addrs = append(addrs, uint64(a)|u.nx)
@@ -1736,7 +1733,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			gpr[u.d&15] = uint32(mm[u.s&15])
 		case uMovdLM:
 			c.mmxActive = true
-			a := memAddr(u, &gpr)
+			a := memAddr(u, gpr)
 			addrs = append(addrs, uint64(a)|u.nx)
 			v, ok := memu.LoadU32(a)
 			if !ok {
@@ -1746,7 +1743,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			mm[u.d&15] = mmx.Reg(uint64(v))
 		case uMovdSM:
 			c.mmxActive = true
-			a := memAddr(u, &gpr)
+			a := memAddr(u, gpr)
 			addrs = append(addrs, uint64(a)|u.nx)
 			if !memu.StoreU32(a, uint32(mm[u.s&15])) {
 				fa, fmsg = a, msgStore
@@ -1757,7 +1754,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			mm[u.d&15] = mm[u.s&15]
 		case uMovqLM64:
 			c.mmxActive = true
-			a := memAddr(u, &gpr)
+			a := memAddr(u, gpr)
 			addrs = append(addrs, uint64(a)|u.nx)
 			v, ok := memu.LoadU64(a)
 			if !ok {
@@ -1767,7 +1764,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			mm[u.d&15] = mmx.Reg(v)
 		case uMovqLM32:
 			c.mmxActive = true
-			a := memAddr(u, &gpr)
+			a := memAddr(u, gpr)
 			addrs = append(addrs, uint64(a)|u.nx)
 			v, ok := memu.LoadU32(a)
 			if !ok {
@@ -1777,7 +1774,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			mm[u.d&15] = mmx.Reg(uint64(v))
 		case uMovqSM:
 			c.mmxActive = true
-			a := memAddr(u, &gpr)
+			a := memAddr(u, gpr)
 			addrs = append(addrs, uint64(a)|u.nx)
 			if !memu.StoreU64(a, uint64(mm[u.s&15])) {
 				fa, fmsg = a, msgMovqStore
@@ -1788,7 +1785,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			mm[u.d&15] = u.mfn(mm[u.d&15], mm[u.s&15])
 		case uMMXBinRM64:
 			c.mmxActive = true
-			a := memAddr(u, &gpr)
+			a := memAddr(u, gpr)
 			addrs = append(addrs, uint64(a)|u.nx)
 			v, ok := memu.LoadU64(a)
 			if !ok {
@@ -1798,7 +1795,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			mm[u.d&15] = u.mfn(mm[u.d&15], mmx.Reg(v))
 		case uMMXBinRM32:
 			c.mmxActive = true
-			a := memAddr(u, &gpr)
+			a := memAddr(u, gpr)
 			addrs = append(addrs, uint64(a)|u.nx)
 			v, ok := memu.LoadU32(a)
 			if !ok {
@@ -1835,7 +1832,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			if c.mmxActive {
 				goto fpFault
 			}
-			a := memAddr(u, &gpr)
+			a := memAddr(u, gpr)
 			addrs = append(addrs, uint64(a)|u.nx)
 			v := c.fp[u.s&15]
 			var ok bool
@@ -1858,7 +1855,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			if c.mmxActive {
 				goto fpFault
 			}
-			a := memAddr(u, &gpr)
+			a := memAddr(u, gpr)
 			addrs = append(addrs, uint64(a)|u.nx)
 			raw, ok := memu.LoadU32(a)
 			if !ok {
@@ -1883,7 +1880,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			if c.mmxActive {
 				goto fpFault
 			}
-			a := memAddr(u, &gpr)
+			a := memAddr(u, gpr)
 			addrs = append(addrs, uint64(a)|u.nx)
 			raw, ok := memu.LoadU64(a)
 			if !ok {
@@ -1903,7 +1900,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			if c.mmxActive {
 				goto fpFault
 			}
-			a := memAddr(u, &gpr)
+			a := memAddr(u, gpr)
 			addrs = append(addrs, uint64(a)|u.nx)
 			raw, ok := memu.LoadU16(a)
 			if !ok {
@@ -1916,7 +1913,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			if u.expect && c.mmxActive {
 				goto fpFault
 			}
-			addrs = append(addrs, uint64(memAddr(u, &gpr))|u.nx)
+			addrs = append(addrs, uint64(memAddr(u, gpr))|u.nx)
 		case uFault:
 			if u.expect && c.mmxActive {
 				goto fpFault
@@ -2023,14 +2020,13 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 				goto out
 			}
 			if iterDone >= *pollAt {
-				c.gpr, c.mm, c.fl = *gpr8, *mm8, fl
+				c.fl = fl
 				c.executed = iterDone
 				c.pc = int(tr.head)
 				if err := c.Poll(); err != nil {
 					return nil, c.abort(err)
 				}
 				*pollAt = iterDone + c.pollInterval()
-				*gpr8, *mm8, fl = c.gpr, c.mm, c.fl
 			}
 			if iterDone+tr.nInstrs > maxInstrs {
 				// Not enough budget for another full iteration: hand back
@@ -2053,7 +2049,7 @@ fpFault:
 	retErr = c.fault(fpWhileMMX)
 
 out:
-	c.gpr, c.mm, c.fl = *gpr8, *mm8, fl
+	c.fl = fl
 	if retErr != nil {
 		c.executed = iterBase + uops[i].cum
 		c.faulted(addrs)

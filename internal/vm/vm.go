@@ -125,12 +125,13 @@ type CPU struct {
 	// table), built lazily on the first dispatch-loop Run.
 	ts *traceState
 
-	gpr [8]uint32
-	mm  [8]mmx.Reg
-	// fp holds the FP registers and, past them, the executor's FP
-	// temporary (the integer and MMX ones live in execUops' locals).
-	fp [16]float64
-	fl flags
+	// The register files: the eight architectural registers of each, and
+	// past them the temporaries an instruction's micro-ops stage operands
+	// in (tmp, tmp2), never visible between instructions.
+	gpr [16]uint32
+	mm  [16]mmx.Reg
+	fp  [16]float64
+	fl  flags
 	// taken is set by a control micro-op that transfers control (step
 	// reads it).
 	taken bool
