@@ -63,7 +63,8 @@ const (
 	// DispatchTrace runs the dispatch loop with runtime superblock
 	// formation and register caching (see vm/trace.go). It is the default.
 	DispatchTrace = "trace"
-	// DispatchGeneric runs the decode-per-step reference interpreter.
+	// DispatchGeneric runs the per-instruction loop: the same micro-ops as
+	// DispatchTrace, one instruction per step.
 	DispatchGeneric = "generic"
 )
 
@@ -171,7 +172,7 @@ type BlockStats struct {
 	// FastEvents and PerEvents split the retired events between region
 	// schedules (blocks, trace iterations and side exits priced by
 	// pentium.RetireChain) and the per-event path (terminators, declined
-	// regions, or entire runs on the generic interpreter).
+	// regions, or entire runs on the per-instruction loop).
 	FastEvents uint64
 	PerEvents  uint64
 }
@@ -358,7 +359,7 @@ func RunCompiled(comp *Compiled, opt Options) (res *Result, err error) {
 	var tracer *profile.Tracer
 	if opt.Trace != nil {
 		// A Tee is a plain per-event observer, so a traced run takes the
-		// generic interpreter whatever the dispatch mode.
+		// per-instruction loop whatever the dispatch mode.
 		tracer = &profile.Tracer{W: opt.Trace, Limit: opt.TraceLimit, MeasuredOnly: true}
 		cpu.Obs = profile.Tee(col, tracer)
 	}

@@ -2,7 +2,7 @@ package core_test
 
 // Cross-dispatch determinism: the rendered evaluation artifacts — Tables 2
 // and 3 (CSV) and the full Markdown report — must be byte-identical whether
-// the suite runs on the generic decode-per-step interpreter or at trace
+// the suite runs on the per-instruction loop or at trace
 // dispatch. This is the user-facing face of the equivalence guarantee:
 // region pricing is a host-side optimization and must never shift a
 // reported number. External test package because suite imports core.

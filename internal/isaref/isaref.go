@@ -295,7 +295,7 @@ func (m *Machine) mmSrc(o isa.Operand) uint64 {
 // ---------------------------------------------------------------------------
 // Flags, from widened arithmetic
 
-func (m *Machine) setZS(r uint32) {
+func (m *Machine) setZeroSign(r uint32) {
 	m.zf = r == 0
 	m.sf = r&0x80000000 != 0
 }
@@ -305,7 +305,7 @@ func (m *Machine) addFlags(a, b uint32) uint32 {
 	wide := uint64(a) + uint64(b)
 	signed := int64(int32(a)) + int64(int32(b))
 	r := uint32(wide)
-	m.setZS(r)
+	m.setZeroSign(r)
 	m.cf = wide > math.MaxUint32
 	m.of = signed > math.MaxInt32 || signed < math.MinInt32
 	return r
@@ -316,14 +316,14 @@ func (m *Machine) subFlags(a, b uint32) uint32 {
 	wide := int64(a) - int64(b)
 	signed := int64(int32(a)) - int64(int32(b))
 	r := uint32(wide)
-	m.setZS(r)
+	m.setZeroSign(r)
 	m.cf = wide < 0
 	m.of = signed > math.MaxInt32 || signed < math.MinInt32
 	return r
 }
 
 func (m *Machine) logicFlags(r uint32) uint32 {
-	m.setZS(r)
+	m.setZeroSign(r)
 	m.cf, m.of = false, false
 	return r
 }
@@ -458,7 +458,7 @@ func (m *Machine) exec(in *isa.Inst) {
 		}
 		signed := int64(int32(a)) + d
 		r := uint32(int64(a) + d)
-		m.setZS(r)
+		m.setZeroSign(r)
 		m.of = signed > math.MaxInt32 || signed < math.MinInt32
 		m.dst(A, r)
 	case op == isa.SHL, op == isa.SHR, op == isa.SAR:
@@ -479,7 +479,7 @@ func (m *Machine) exec(in *isa.Inst) {
 			r = uint32(int64(int32(a)) >> n)
 			out = a >> (n - 1) & 1
 		}
-		m.setZS(r)
+		m.setZeroSign(r)
 		m.cf, m.of = out == 1, false
 		m.dst(A, r)
 	case op == isa.IMUL:

@@ -2,7 +2,7 @@ package pentium_test
 
 // Dispatch-mode fuzz: random-but-valid linked programs — nested
 // counted loops over random integer/MMX/memory bodies, wrapped in a
-// measured profon/profoff region — run through the generic interpreter and
+// measured profon/profoff region — run through the per-instruction loop and
 // the dispatch loop with trace formation off (block) and on (trace), with
 // the full timing pipeline (bound model, collector, cache hierarchy). Every event-visible outcome must be
 // identical: registers, memory image, executed count, cycle totals and the

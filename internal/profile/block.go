@@ -153,7 +153,7 @@ func (c *Collector) flushRegions() {
 
 // BlockStats reports how many retired events were applied through a region
 // schedule versus the per-event path (per-event region replays,
-// terminators, and runs on the generic interpreter). The split is
+// terminators, and runs on the per-instruction loop). The split is
 // diagnostic only and deliberately kept out of Report, which must stay
 // byte-identical across dispatch modes.
 func (c *Collector) BlockStats() (fastEvents, perEvents uint64) {

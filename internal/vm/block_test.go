@@ -4,7 +4,7 @@ package vm_test
 // the cache hierarchy: memory-bearing blocks collect per-reference
 // penalties from mem.Hierarchy, and whether an execution is priced through
 // a block schedule or replayed per-event, the cache statistics and the
-// profiling report must match the generic interpreter exactly.
+// profiling report must match the per-instruction loop exactly.
 
 import (
 	"reflect"
@@ -46,7 +46,7 @@ func buildStreamProg(t *testing.T) *asm.Program {
 }
 
 // runHier runs prog with the full timing pipeline and a cache hierarchy on
-// the generic interpreter or at block dispatch.
+// the per-instruction loop or at block dispatch.
 func runHier(t *testing.T, prog *asm.Program, generic bool) (*profile.Report, *profile.Collector, mem.HierarchyStats) {
 	t.Helper()
 	model := pentium.New(pentium.DefaultConfig())

@@ -1,7 +1,7 @@
 package vm_test
 
 // Differential tests for the interpreters: every program in the benchmark
-// suite runs through the generic decode-per-step loop and the dispatch loop
+// suite runs through the per-instruction loop and the dispatch loop
 // with trace formation off (block dispatch) and on (trace dispatch), with
 // the full timing pipeline attached (bound Pentium model, profile
 // collector, cache hierarchy). All paths must agree on every

@@ -1,7 +1,7 @@
 package vm_test
 
 // Fault-state differential: for every family of faulting micro-op, a
-// fault must leave the same machine behind on the generic interpreter and
+// fault must leave the same machine behind on the per-instruction loop and
 // on the dispatch loop with trace formation off (block micro-ops) and on
 // (trace micro-ops) — the same fault text, the same Executed() count
 // (every instruction through the faulting one), registers, memory and
@@ -72,7 +72,8 @@ var faultCases = []faultCase{
 	{"store8imm", "store out of range", one(isa.MOV, asm.MemB(isa.ESI, 0), asm.Imm(7)), poisonESI},
 	{"store16imm", "store out of range", one(isa.MOV, asm.MemW(isa.ESI, 0), asm.Imm(7)), poisonESI},
 	{"store32imm", "store out of range", one(isa.MOV, asm.MemD(isa.ESI, 0), asm.Imm(7)), poisonESI},
-	// ALU with a memory source (dword: native; byte: generic executor).
+	// ALU with a memory source (dword: one fused micro-op; byte: a load
+	// staged through a temporary).
 	{"add-rm", "load dword", one(isa.ADD, asm.R(isa.EAX), asm.MemD(isa.ESI, 0)), poisonESI},
 	{"cmp-rm", "load dword", one(isa.CMP, asm.R(isa.EAX), asm.MemD(isa.ESI, 0)), poisonESI},
 	{"imul-rm", "load dword", one(isa.IMUL, asm.R(isa.EAX), asm.MemD(isa.ESI, 0)), poisonESI},

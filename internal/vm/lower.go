@@ -464,10 +464,10 @@ func lowerInst(ops []uop, in *isa.Inst, pc int32, texts *[]string) []uop {
 		cc, _ := condCode(op)
 		l.op(uop{kind: uBr, alu: cc, tgt: in.Target})
 	case op == isa.CALL:
-		u := l.stack(uCallP, 0, 0)
+		u := l.stack(uPCall, 0, 0)
 		u.imm2, u.tgt = uint32(pc+1), in.Target
 	case op == isa.RET:
-		l.stack(uRetP, 0, 0)
+		l.stack(uPRet, 0, 0)
 	case op == isa.HALT:
 		l.op(uop{kind: uHalt})
 

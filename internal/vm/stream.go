@@ -48,7 +48,7 @@ const (
 // record is one observer call followed by ev Retire calls; a recRetire
 // record makes no call of its own and heads the Retire calls that open a
 // batch, and a recPrice record only prices the n addresses of a region cut
-// short by a fault, keeping Hier.Stats equal to the generic loop's.
+// short by a fault, keeping Hier.Stats equal to the per-instruction loop's.
 // Variable-length arguments live in the batch's arenas, consumed in record
 // order: n effective addresses (recBlock, recTrace, recTraceExit,
 // recPrice), n blocks and directions (recRegister), then ev events, each
@@ -323,7 +323,8 @@ func (s *stream) traceExit(id, k int, measured bool, addrs []uint64) {
 
 // priceOnly records the effective addresses of a region a fault cut short
 // (addrs extends the arena with them), so the consumer charges the cache
-// model for them as the generic loop did, without an observer call.
+// model for them as the per-instruction loop does, without an observer
+// call.
 func (s *stream) priceOnly(addrs []uint64) {
 	n := len(addrs) - len(s.addrs)
 	s.addrs = addrs

@@ -70,8 +70,8 @@ func TestStreamBatchSizesAgree(t *testing.T) {
 
 // rmwWalkProg strides through 8 KiB with read-modify-writes, pushes and
 // pops of memory: the instructions with two data references each, whose
-// penalties the stream folds into one. Most of them, and its fst, run on
-// the generic executor inside block and trace bodies (uCall).
+// penalties the stream folds into one. Most of them stage an operand
+// through a temporary micro-op inside block and trace bodies.
 func rmwWalkProg() *asm.Program {
 	b := asm.NewBuilder("rmwwalk")
 	b.Dwords("buf", make([]int32, 2048))
@@ -100,12 +100,12 @@ func rmwWalkProg() *asm.Program {
 // of two-reference instructions, on a 1 KiB L1 and an 8 KiB L2, where
 // misses are common (the default hierarchy misses on about 2% of the
 // suite's references), at batch sizes 1, 3 and the default, with trace
-// formation off and on, against the generic loop. The stream's consumer
+// formation off and on, against the per-instruction loop. The stream's consumer
 // prices every reference, so an address delivered out of order, dropped,
 // or folded into the wrong instruction moves the cache statistics, the
 // cycles or both. The L1 is 2-way, where hits in a set's second way take
 // the inline probe's swap, and direct-mapped, where that probe must stay
-// off: the streamed Price and the generic loop's Access share it.
+// off: the streamed Price and the per-instruction loop's Access share it.
 func TestStreamSmallCacheModesAgree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-program differential run is slow; skipped with -short")

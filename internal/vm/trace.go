@@ -1,7 +1,7 @@
-// The dispatch loop and its one fast execution form, micro-ops. Compile
-// (block.go) lowers every basic block body to micro-ops; the dispatch loop
-// runs a body through the micro-op executor (execUops) and retires its
-// terminator on the generic executor.
+// The dispatch loop and the micro-op executor. Compile (block.go) lowers
+// every instruction to micro-ops (lower.go); the dispatch loop runs a block
+// body through the executor (execUops) and steps its terminator on the
+// terminator's own micro-ops.
 //
 // Trace (superblock) dispatch builds on the same micro-ops. At run time
 // the dispatcher counts how often control arrives at each block leader
@@ -15,10 +15,9 @@
 // side-exit guard that checks the recorded direction and falls back to
 // block dispatch when the program diverges. The same executor runs it.
 //
-// While the executor runs, the hot architectural state — the eight GPRs,
-// the eight MMX registers and the four flags — lives in Go locals,
-// spilling to the CPU only at side exits, at poll points and around the
-// rare fallback micro-op that calls the generic executor. Instruction
+// While the executor runs, the flags live in a Go local, spilling to the
+// CPU only on leaving and at poll points; the register files are the
+// CPU's own, reached through one pointer each. Instruction
 // budgets stay exact because a trace iteration only begins when it fits the
 // remaining budget entirely (the boundary is handled by block dispatch,
 // which single-steps); Poll cancellation stays bounded because every
@@ -30,7 +29,7 @@
 // ObserveBlock batches a block body. The profile collector prices these
 // through chain-level timing schedules (pentium.RetireChain) and falls back
 // to exact per-event replay when no schedule applies, so reported results
-// stay byte-identical to the generic interpreter's.
+// stay byte-identical to the per-instruction loop's.
 //
 // Loop traces additionally grow into trace trees: a guard that keeps
 // side-exiting — persistently, but below the deopt threshold (a biased but
@@ -251,20 +250,20 @@ const (
 	uIdiv
 	uCdq
 
-	// Control: side-exit guard and iteration end. uCallT/uRet inline a
+	// Control: side-exit guard and iteration end. uTCall/uRet inline a
 	// direct call (push the static return address; the target is the next
 	// chain block) and its return (pop, then guard that the popped address
 	// is the recorded continuation — a mismatch is a side exit).
 	uJcc
 	uEnd
-	uCallT
+	uTCall
 	uRet
 	// Control retired one instruction at a time (a block terminator, a
 	// single step): set c.pc and c.taken.
 	uJmp
 	uBr
-	uCallP
-	uRetP
+	uPCall
+	uPRet
 	uHalt
 
 	// MMX.
@@ -311,18 +310,18 @@ const (
 )
 
 // Condition codes for uJcc and uBr (lowered from the conditional-branch
-// opcode).
+// opcode), in complementary pairs: cc^1 is the negation of cc.
 const (
 	ccE uint8 = iota
 	ccNE
 	ccL
+	ccGE
 	ccLE
 	ccG
-	ccGE
 	ccB
+	ccAE
 	ccBE
 	ccA
-	ccAE
 	ccS
 	ccNS
 )
@@ -359,7 +358,7 @@ type uop struct {
 	// or uNote/uFault's MMX-state check.
 	expect bool
 	// pc is the originating instruction (fault context, side-exit
-	// fall-through); tgt the branch target (uJcc, uBr, uJmp, uCallP) or
+	// fall-through); tgt the branch target (uJcc, uBr, uJmp, uPCall) or
 	// exit PC (uEnd).
 	pc  int32
 	tgt int32
@@ -924,7 +923,7 @@ func (c *CPU) lowerBlocks(ops []uop, blocks []int32, taken []bool, baseK int32, 
 				// callee, which is the next chain block. No guard — the
 				// target is static.
 				ops = append(ops, uop{
-					kind: uCallT,
+					kind: uTCall,
 					imm2: uint32(b.term + 1),
 					pc:   b.term,
 					cum:  cum,
@@ -1177,30 +1176,6 @@ func memAddr(u *uop, gpr *[16]uint32) uint32 {
 	return a
 }
 
-// loadN and storeN access memory at a read-modify-write size code (0/1/2
-// = byte/word/dword), zero-extending loads.
-func loadN(m *mem.Memory, a uint32, size uint8) (uint32, bool) {
-	switch size {
-	case 0:
-		v, ok := m.LoadU8(a)
-		return uint32(v), ok
-	case 1:
-		v, ok := m.LoadU16(a)
-		return uint32(v), ok
-	}
-	return m.LoadU32(a)
-}
-
-func storeN(m *mem.Memory, a uint32, size uint8, v uint32) bool {
-	switch size {
-	case 0:
-		return m.StoreU8(a, uint8(v))
-	case 1:
-		return m.StoreU16(a, uint16(v))
-	}
-	return m.StoreU32(a, v)
-}
-
 // flags is the IA-32 style integer flag quartet.
 type flags struct{ zf, sf, cf, of bool }
 
@@ -1319,33 +1294,25 @@ func alu(sel uint8, a, b uint32, f flags) (uint32, flags, bool) {
 	return r, f, true
 }
 
-// holds evaluates condition code cc against the flags.
+// holds evaluates condition code cc against the flags: the first code of
+// each pair is computed, the second negates it.
 func holds(cc uint8, f flags) bool {
-	switch cc {
-	case ccE:
-		return f.zf
-	case ccNE:
-		return !f.zf
-	case ccL:
-		return f.sf != f.of
-	case ccLE:
-		return f.zf || f.sf != f.of
-	case ccG:
-		return !f.zf && f.sf == f.of
-	case ccGE:
-		return f.sf == f.of
-	case ccB:
-		return f.cf
-	case ccBE:
-		return f.cf || f.zf
-	case ccA:
-		return !f.cf && !f.zf
-	case ccAE:
-		return !f.cf
-	case ccS:
-		return f.sf
+	var t bool
+	switch cc >> 1 {
+	case ccE >> 1:
+		t = f.zf
+	case ccL >> 1:
+		t = f.sf != f.of
+	case ccLE >> 1:
+		t = f.zf || f.sf != f.of
+	case ccB >> 1:
+		t = f.cf
+	case ccBE >> 1:
+		t = f.cf || f.zf
+	default: // ccS
+		t = f.sf
 	}
-	return !f.sf // ccNS
+	return t != (cc&1 != 0)
 }
 
 // fpApply dispatches a uFArith sub-op.
@@ -1415,9 +1382,9 @@ func satI32(v float64) int32 {
 // until a side exit, the loop's own recorded exit, the instruction budget,
 // or a fault, and records every iteration itself.
 //
-// The GPR/MM register files (with their temporaries) and the flags live in
-// locals for the whole stay; CPU state is spilled only at poll points and
-// on leaving, which is what buys traces their throughput. At every return,
+// The flags live in a local for the whole stay, spilled only at poll
+// points and on leaving; the GPR/MM register files (with their
+// temporaries) are the CPU's own. At every return,
 // c.gpr/c.mm/flags/c.pc/c.executed are those of the architectural
 // machine at the same point (a fault retires every instruction through
 // the faulting one), and every full iteration (ObserveTrace) / partial
@@ -1540,14 +1507,14 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 		case uXchg:
 			gpr[u.d&15], gpr[u.s&15] = gpr[u.s&15], gpr[u.d&15]
 
-		case uPushR, uPushI, uCallT, uCallP:
+		case uPushR, uPushI, uTCall, uPCall:
 			// The pushed value is read before ESP moves (push esp pushes
 			// the old ESP).
 			v := u.imm
 			switch u.kind {
 			case uPushR:
 				v = gpr[u.s&15]
-			case uCallT, uCallP:
+			case uTCall, uPCall:
 				v = u.imm2
 			}
 			sp := gpr[traceESP] - 4
@@ -1557,10 +1524,10 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 				fa, fmsg = sp, msgOverflow
 				goto memFault
 			}
-			if u.kind == uCallP {
+			if u.kind == uPCall {
 				c.pc, c.taken = int(u.tgt), true
 			}
-		case uPopR, uRetP:
+		case uPopR, uPRet:
 			sp := gpr[traceESP]
 			addrs = append(addrs, uint64(sp)|u.nx)
 			v, ok := memu.LoadU32(sp)
@@ -1569,7 +1536,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 				goto memFault
 			}
 			gpr[traceESP] = sp + 4
-			if u.kind == uRetP {
+			if u.kind == uPRet {
 				c.pc, c.taken = int(v), true
 			} else {
 				gpr[u.d&15] = v
@@ -1672,7 +1639,19 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			if u.kind != uAluTM {
 				addrs = append(addrs, uint64(a)|u.nx)
 				var ok bool
-				if av, ok = loadN(memu, a, u.d); !ok {
+				switch u.d {
+				case 0:
+					var v uint8
+					v, ok = memu.LoadU8(a)
+					av = uint32(v)
+				case 1:
+					var v uint16
+					v, ok = memu.LoadU16(a)
+					av = uint32(v)
+				default:
+					av, ok = memu.LoadU32(a)
+				}
+				if !ok {
 					fa, fmsg = a, loadMsg[u.d%3]
 					goto memFault
 				}
@@ -1681,11 +1660,34 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			if u.kind != uAluMI {
 				bv = gpr[u.s&15]
 			}
-			r, f, write := alu(u.alu, av, bv, fl)
-			fl = f
+			// The common sub-ops inline, the rest through alu.
+			r, write := av, true
+			switch u.alu {
+			case aluAdd:
+				r, fl = add(av, bv)
+			case aluSub:
+				r, fl = sub(av, bv)
+			case aluAnd:
+				r, fl = logic(av & bv)
+			case aluOr:
+				r, fl = logic(av | bv)
+			case aluXor:
+				r, fl = logic(av ^ bv)
+			default:
+				r, fl, write = alu(u.alu, av, bv, fl)
+			}
 			if write {
 				addrs = append(addrs, uint64(a)|mem.Next)
-				if !storeN(memu, a, u.d, r) {
+				var ok bool
+				switch u.d {
+				case 0:
+					ok = memu.StoreU8(a, uint8(r))
+				case 1:
+					ok = memu.StoreU16(a, uint16(r))
+				default:
+					ok = memu.StoreU32(a, r)
+				}
+				if !ok {
 					fa, fmsg = a, msgStore
 					goto memFault
 				}

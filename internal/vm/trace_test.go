@@ -62,7 +62,7 @@ func TestTraceFormationAndResidency(t *testing.T) {
 
 // TestTraceBudgetExact checks that an instruction budget expiring mid-loop
 // faults on exactly the same instruction, with the same message and
-// architectural state, as the generic interpreter: the dispatcher must hand
+// architectural state, as the per-instruction loop: the dispatcher must hand
 // back to single-stepping before a superblock iteration would overrun.
 func TestTraceBudgetExact(t *testing.T) {
 	// 10_007 lands mid-iteration of the inner loop (8 instrs per trip).
@@ -94,7 +94,7 @@ func TestTraceBudgetExact(t *testing.T) {
 // TestTracePollCancellation cancels a run from the poll hook while the CPU
 // is executing inside a superblock (registers live in interpreter locals)
 // and checks the abort spills a consistent architectural state: re-running
-// the program on the generic interpreter up to the same retired count must
+// the program on the per-instruction loop up to the same retired count must
 // reproduce the registers and memory image exactly.
 func TestTracePollCancellation(t *testing.T) {
 	errCancel := errors.New("cancelled")
@@ -234,7 +234,7 @@ func traceTreeProg(outer int) *asm.Program {
 
 // TestTraceTreeGrowth checks that a biased guard grows a child path rather
 // than deopting, that iterations then complete through the tree, and that
-// the final machine state still matches the generic interpreter.
+// the final machine state still matches the per-instruction loop.
 func TestTraceTreeGrowth(t *testing.T) {
 	trc := vm.NewWithCode(vm.Compile(traceTreeProg(256)))
 	trc.Traces = true
@@ -264,7 +264,7 @@ func TestTraceTreeGrowth(t *testing.T) {
 // TestTraceTreeBudgetExact exhausts the instruction budget while the hot
 // loop is running inside a grown trace tree: the fault must land on exactly
 // the same instruction, with the same message and architectural state, as
-// the generic interpreter — forks must not enter a child path whose whole
+// the per-instruction loop — forks must not enter a child path whose whole
 // iteration would overrun.
 func TestTraceTreeBudgetExact(t *testing.T) {
 	// Deep inside tree execution (the tree grows within the first ~2k
@@ -298,7 +298,7 @@ func TestTraceTreeBudgetExact(t *testing.T) {
 // TestTraceTreePollCancellation cancels a run while iterations are
 // completing through trace-tree child paths (registers live in interpreter
 // locals across forks) and checks the abort spills a consistent
-// architectural state: the generic interpreter stopped at the same retired
+// architectural state: the per-instruction loop stopped at the same retired
 // count must reproduce registers and memory exactly.
 func TestTraceTreePollCancellation(t *testing.T) {
 	errCancel := errors.New("cancelled")

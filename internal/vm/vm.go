@@ -13,9 +13,9 @@
 // hierarchy into one penalty per memory-referencing instruction
 // (mem.Hierarchy.Price) before the observer sees them. A streamed run does
 // that on the observer's goroutine, so its interpreter never touches Hier;
-// every other run does it on the caller's goroutine, the generic loop after
-// each instruction and an unobserved dispatch run at the end of each
-// region. Either way Hier.Stats is final only once Run has returned.
+// every other run does it on the caller's goroutine, the per-instruction
+// loop after each instruction and an unobserved dispatch run at the end of
+// each region. Either way Hier.Stats is final only once Run has returned.
 //
 // Instructions execute in one form, micro-ops: Compile (block.go) lowers
 // every instruction of the program, in every operand shape, to them once

@@ -75,10 +75,16 @@ go test -run '^$' -fuzz FuzzDispatchThreeWay -fuzztime 5s ./internal/pentium >/d
 # independent per-lane model (internal/mmxref).
 echo "==> go test -run '^$' -fuzz FuzzMMXOracle -fuzztime 5s ./internal/mmx"
 go test -run '^$' -fuzz FuzzMMXOracle -fuzztime 5s ./internal/mmx >/dev/null
+# FuzzISAOracle holds the micro-ops, on all three drivers, against the
+# independent reference interpreter (internal/isaref) on random programs.
+echo "==> go test -run '^$' -fuzz FuzzISAOracle -fuzztime 5s ./internal/vm"
+go test -run '^$' -fuzz FuzzISAOracle -fuzztime 5s ./internal/vm >/dev/null
 
-# The three-way dispatch equivalence (generic / block / trace) also runs
-# under the race detector: every CPU of a program reads the same compiled
-# Code (its per-block micro-ops), and trace formation copies those
+# The three-way dispatch equivalence (the per-instruction loop, block
+# dispatch and trace dispatch) also runs under the race detector: every CPU
+# of a program reads the same compiled Code (its micro-ops, which the
+# per-instruction loop steps one instruction at a time and block dispatch
+# runs a block body at a time), and trace formation copies those
 # micro-ops into per-CPU traces whose fork guards then mutate their own
 # copies; TestSharedCodeConcurrentRuns runs one Code on four goroutines at
 # once to catch any write that reaches the shared arrays. Observed
@@ -92,9 +98,11 @@ go test -run '^$' -fuzz FuzzMMXOracle -fuzztime 5s ./internal/mmx >/dev/null
 # that the interpreter never touches CPU.Hier while the stream is open.
 # The MMX oracle differential (TestMMXOracle*, ~3 s under -race; -short
 # shrinks it) runs every MMX opcode and operand shape through the three
-# paths against the independent per-lane model.
-echo "==> go test -race -run 'TestDispatchModesAgree|TestDispatchThreeWay|TestStream|TestSharedCodeConcurrentRuns|TestFaultStateMatchesAcrossPaths|TestMMXOracle' ./internal/vm ./internal/pentium"
-go test -race -run 'TestDispatchModesAgree|TestDispatchThreeWay|TestStream|TestSharedCodeConcurrentRuns|TestFaultStateMatchesAcrossPaths|TestMMXOracle' ./internal/vm ./internal/pentium
+# paths against the independent per-lane model, and the ISA oracle
+# (TestISAOracle; -short shrinks it too) every opcode and operand shape,
+# faults included, against the independent reference interpreter.
+echo "==> go test -race -run 'TestDispatchModesAgree|TestDispatchThreeWay|TestStream|TestSharedCodeConcurrentRuns|TestFaultStateMatchesAcrossPaths|TestMMXOracle|TestISAOracle' ./internal/vm ./internal/pentium"
+go test -race -run 'TestDispatchModesAgree|TestDispatchThreeWay|TestStream|TestSharedCodeConcurrentRuns|TestFaultStateMatchesAcrossPaths|TestMMXOracle|TestISAOracle' ./internal/vm ./internal/pentium
 
 # Smoke-run the trace-dispatch benchmark for a single iteration so
 # inner-loop regressions that only bite under benchmarking surface here.
