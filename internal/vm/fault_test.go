@@ -101,6 +101,22 @@ func TestFaultNonGPRRegisterOperands(t *testing.T) {
 	}
 }
 
+// TestFaultImmediateDestination: an ALU op on an immediate destination
+// faults when it has a result to write — not for cmp or test, and not for
+// a shift whose count masks to zero.
+func TestFaultImmediateDestination(t *testing.T) {
+	expectFault(t, "pc=4 [shl 5, ecx]: bad destination operand", func(b *asm.Builder) {
+		b.I(isa.MOV, asm.R(isa.ECX), asm.Imm(32))
+		b.I(isa.SHL, asm.Imm(5), asm.R(isa.ECX)) // count 32 masks to zero
+		b.I(isa.MOV, asm.R(isa.ECX), asm.Imm(3))
+		b.I(isa.CMP, asm.Imm(5), asm.R(isa.ECX))
+		b.I(isa.SHL, asm.Imm(5), asm.R(isa.ECX))
+	})
+	expectFault(t, "pc=0 [add 5, eax]: bad destination operand", func(b *asm.Builder) {
+		b.I(isa.ADD, asm.Imm(5), asm.R(isa.EAX))
+	})
+}
+
 func TestFaultIdivOverflow(t *testing.T) {
 	// 2^40 / 2 overflows a 32-bit quotient.
 	expectFault(t, "idiv overflow", func(b *asm.Builder) {

@@ -299,6 +299,7 @@ var faultShapes = []struct {
 	{"int", "add eax, qword [esi+8]"}, {"int", "push qword [esi]"},
 	{"int", "lea eax, ebx"}, {"int", "xchg eax, dword [esi]"},
 	{"int", "xchg mm0, mm1"}, {"int", "xchg eax, fp7"}, {"int", "movzx.b eax, mm0"}, {"int", "movsx.w eax, fp1"},
+	{"int", "add 5, eax"}, {"int", "shl 5, ecx"}, {"int", "shr 7, 0"}, {"int", "sar 7, dword [esi+8]"},
 	{"int", "mov eax, byte [esi+0x7fff0000]"}, {"int", "mov word [esi+0x7fff0000], eax"},
 	{"int", "add dword [esi+0x7fff0000], 3"}, {"int", "shl word [esi+0x7fff0000], ecx"},
 	{"int", "mov ebx, 0\nidiv ebx"}, {"int", "mov edx, 256\nmov eax, 0\nmov ebx, 2\nidiv ebx"},

@@ -330,11 +330,18 @@ func (l *lowerer) alu(in *isa.Inst, sel uint8) {
 		l.mem(uAluTM, A, memSize(A.Size), b.reg).alu = sel
 		return
 	}
-	if a.isImm && sel != aluCmp && sel != aluTest {
-		l.fault("bad destination operand")
+	if a.isImm {
+		// An immediate destination: the operation runs on a temporary and
+		// faults only if it has a result to write (cmp, test and a shift
+		// by a count that masks to zero do not).
+		l.op(uop{kind: uMovRI, d: tmp, imm: a.imm})
+		u := l.op(uop{kind: uAluRR, d: tmp, s: b.reg, imm: b.imm, alu: sel, expect: true})
+		if b.isImm {
+			u.kind = uAluRI
+		}
 		return
 	}
-	d := l.reg(a, tmp)
+	d := a.reg
 	if !b.isImm {
 		l.op(uop{kind: kinds.rr, d: d, s: b.reg, alu: sel})
 		return
@@ -405,7 +412,7 @@ func lowerInst(ops []uop, in *isa.Inst, pc int32, texts *[]string) []uop {
 			if !ok {
 				break
 			}
-			k := map[isa.Op]uint8{isa.MOVZXB: uZx8, isa.MOVZXW: uZx16, isa.MOVSXB: uSx8, isa.MOVSXW: uSx16}[op]
+			k := [...]uint8{uZx8, uZx16, uSx8, uSx16}[op-isa.MOVZXB]
 			l.op(uop{kind: k, d: t, s: v.reg})
 		} else if !l.load(B, size, t, signed) {
 			break
@@ -481,7 +488,7 @@ func lowerInst(ops []uop, in *isa.Inst, pc int32, texts *[]string) []uop {
 		l.lowerMMX(in)
 
 	default:
-		l.fault("unimplemented op %s", op)
+		l.fault("unimplemented integer op %s", op)
 	}
 	return l.ops
 }
@@ -522,14 +529,14 @@ func (l *lowerer) fpSrc(o isa.Operand, t uint8) (uint8, bool) {
 	return 0, l.fault("bad float operand %s", o)
 }
 
-// fpMemKind picks the float32 or float64 kind of a memory operand (ok false
-// for any other width).
-func fpMemKind(size isa.Size, k32, k64 uint8) (uint8, bool) {
+// sized picks kind k1 for a memory operand of width s1 and k2 for width
+// s2 (ok false for any other width).
+func sized(size, s1, s2 isa.Size, k1, k2 uint8) (uint8, bool) {
 	switch size {
-	case isa.SizeD:
-		return k32, true
-	case isa.SizeQ:
-		return k64, true
+	case s1:
+		return k1, true
+	case s2:
+		return k2, true
 	}
 	return 0, false
 }
@@ -570,7 +577,7 @@ func (l *lowerer) lowerFP(in *isa.Inst) {
 			}
 			return
 		}
-		if k, ok := fpMemKind(A.Size, uFStore32, uFStore64); ok {
+		if k, ok := sized(A.Size, isa.SizeD, isa.SizeQ, uFStore32, uFStore64); ok {
 			l.mem(k, A, 0, s)
 			return
 		}
@@ -584,7 +591,7 @@ func (l *lowerer) lowerFP(in *isa.Inst) {
 		if A.IsReg() && A.Reg.IsFP() {
 			t = uint8(A.Reg.FPIndex())
 		}
-		k, ok := map[isa.Size]uint8{isa.SizeW: uFild16, isa.SizeD: uFild32}[B.Size]
+		k, ok := sized(B.Size, isa.SizeW, isa.SizeD, uFild16, uFild32)
 		if !ok {
 			l.noteFault(B, "fild needs word or dword source")
 			return
@@ -600,7 +607,7 @@ func (l *lowerer) lowerFP(in *isa.Inst) {
 			l.fault("fist needs a memory destination")
 			return
 		}
-		k, ok := map[isa.Size]uint8{isa.SizeW: uFist16, isa.SizeD: uFist32}[A.Size]
+		k, ok := sized(A.Size, isa.SizeW, isa.SizeD, uFist16, uFist32)
 		if !ok {
 			l.noteFault(A, "fist needs word or dword destination")
 			return
@@ -616,7 +623,7 @@ func (l *lowerer) lowerFP(in *isa.Inst) {
 			rr, m32, m64 = uFComRR, uFComM32, uFComM64
 		}
 		sub := fpArithOf[in.Op]
-		if k, ok := fpMemKind(B.Size, m32, m64); ok && B.IsMem() {
+		if k, ok := sized(B.Size, isa.SizeD, isa.SizeQ, m32, m64); ok && B.IsMem() {
 			l.mem(k, B, d, 0).alu = sub
 			return
 		}

@@ -101,8 +101,8 @@ const traceDynExit int32 = -1
 // TraceObserver is an optional extension of Observer that receives whole
 // retired regions. When a CPU's observer implements it (or the CPU has
 // none), Run uses the trace-dispatch loop, calling the observer from a
-// second goroutine (see stream.go); any other observer runs on the generic
-// interpreter, one Retire per instruction.
+// second goroutine (see stream.go); any other observer runs on the
+// per-instruction loop, one Retire per instruction.
 type TraceObserver interface {
 	Observer
 	// ObserveBlock reports one complete execution of basic block bi (as
@@ -235,8 +235,10 @@ const (
 	uImulRR
 	uImulRI
 	uImulRM
-	uAluRR // gpr[d] op= gpr[s] for the sub-ops without a kind (u.alu)
-	uAluRI // gpr[d] op= imm
+	uAluRR // gpr[d] op= gpr[s] for the sub-ops without a kind (u.alu);
+	//        with expect set, a result to write faults (an immediate
+	//        destination)
+	uAluRI // gpr[d] op= imm (expect as uAluRR)
 	uAluMR // op [mem], gpr[s]  (read-modify-write; u.alu selects, u.d is size)
 	uAluMI // op [mem], imm2
 	uAluTM // op [mem], gpr[s] with [mem] already loaded into gpr[tmp]
@@ -355,7 +357,8 @@ type uop struct {
 	imm   uint32
 	imm2  uint32
 	// expect is the recorded direction of a uJcc, the loop flag of uEnd,
-	// or uNote/uFault's MMX-state check.
+	// uNote/uFault's MMX-state check, or uAluRR/uAluRI's unwritable
+	// destination.
 	expect bool
 	// pc is the originating instruction (fault context, side-exit
 	// fall-through); tgt the branch target (uJcc, uBr, uJmp, uPCall) or
@@ -776,7 +779,6 @@ func (c *CPU) runTrace(maxInstrs int64) error {
 		c.executed += b.nBody
 		if st == nil {
 			charge(c.Hier, addrs)
-			c.addrbuf = addrs[:0] // keep any growth for the next body
 		} else if b.events > 0 {
 			st.block(bi, c.measuring, addrs)
 		}
@@ -1598,6 +1600,12 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			r, f, write := alu(u.alu, gpr[u.d&15], b, fl)
 			fl = f
 			if write {
+				if u.expect {
+					// The destination was an immediate.
+					c.pc = int(u.pc)
+					retErr = c.fault("bad destination operand")
+					goto out
+				}
 				gpr[u.d&15] = r
 			}
 
@@ -2052,6 +2060,9 @@ fpFault:
 
 out:
 	c.fl = fl
+	if st == nil {
+		c.addrbuf = addrs[:0] // keep any growth for the next region
+	}
 	if retErr != nil {
 		c.executed = iterBase + uops[i].cum
 		c.faulted(addrs)

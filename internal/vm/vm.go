@@ -372,7 +372,6 @@ func (c *CPU) step(ev *Event) (bool, error) {
 		var pen [1]int32
 		ev.MemPenalty = int(c.Hier.Price(addrs, pen[:0])[0])
 	}
-	c.addrbuf = addrs[:0]
 	return true, nil
 }
 
