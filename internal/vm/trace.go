@@ -1200,7 +1200,18 @@ func sub(a, b uint32) (uint32, flags) {
 	return r, flags{r == 0, int32(r) < 0, a < b, (a^b)&(a^r)&0x80000000 != 0}
 }
 
+// and, or and xor clear CF and OF.
+func and(a, b uint32) (uint32, flags) { return logic(a & b) }
+func or(a, b uint32) (uint32, flags)  { return logic(a | b) }
+func xor(a, b uint32) (uint32, flags) { return logic(a ^ b) }
+
 func logic(r uint32) (uint32, flags) { return r, flags{zf: r == 0, sf: int32(r) < 0} }
+
+func not(a uint32) uint32 { return ^a }
+
+// sx8 and sx16 sign-extend the low byte or word.
+func sx8(v uint32) uint32  { return uint32(int32(int8(v))) }
+func sx16(v uint32) uint32 { return uint32(int32(int16(v))) }
 
 // imul sets CF and OF when the signed product does not fit; ZF and SF keep.
 func imul(a, b uint32, f flags) (uint32, flags) {
@@ -1261,14 +1272,14 @@ func alu(sel uint8, a, b uint32, f flags) (uint32, flags, bool) {
 		_, f = sub(a, b)
 		return r, f, false
 	case aluAnd:
-		r, f = logic(a & b)
+		r, f = and(a, b)
 	case aluTest:
-		_, f = logic(a & b)
+		_, f = and(a, b)
 		return r, f, false
 	case aluOr:
-		r, f = logic(a | b)
+		r, f = or(a, b)
 	case aluXor:
-		r, f = logic(a ^ b)
+		r, f = xor(a, b)
 	case aluImul:
 		r, f = imul(a, b, f)
 	case aluShl, aluShr, aluSar:
@@ -1285,7 +1296,7 @@ func alu(sel uint8, a, b uint32, f flags) (uint32, flags, bool) {
 			r, f = sar(a, n)
 		}
 	case aluNot:
-		r = ^a
+		r = not(a)
 	case aluNeg:
 		r, f = sub(0, a)
 	case aluInc:
@@ -1438,7 +1449,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			}
 			gpr[u.d&15] = uint32(v)
 			if u.kind == uLoadSx8 {
-				gpr[u.d&15] = uint32(int32(int8(v)))
+				gpr[u.d&15] = sx8(uint32(v))
 			}
 		case uLoad16, uLoadSx16:
 			a := memAddr(u, gpr)
@@ -1450,7 +1461,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			}
 			gpr[u.d&15] = uint32(v)
 			if u.kind == uLoadSx16 {
-				gpr[u.d&15] = uint32(int32(int16(v)))
+				gpr[u.d&15] = sx16(uint32(v))
 			}
 		case uLoad32:
 			a := memAddr(u, gpr)
@@ -1503,9 +1514,9 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 		case uZx16:
 			gpr[u.d&15] = gpr[u.s&15] & 0xFFFF
 		case uSx8:
-			gpr[u.d&15] = uint32(int32(int8(gpr[u.s&15])))
+			gpr[u.d&15] = sx8(gpr[u.s&15])
 		case uSx16:
-			gpr[u.d&15] = uint32(int32(int16(gpr[u.s&15])))
+			gpr[u.d&15] = sx16(gpr[u.s&15])
 		case uXchg:
 			gpr[u.d&15], gpr[u.s&15] = gpr[u.s&15], gpr[u.d&15]
 
@@ -1529,7 +1540,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			if u.kind == uPCall {
 				c.pc, c.taken = int(u.tgt), true
 			}
-		case uPopR, uPRet:
+		case uPopR, uPRet, uRet:
 			sp := gpr[traceESP]
 			addrs = append(addrs, uint64(sp)|u.nx)
 			v, ok := memu.LoadU32(sp)
@@ -1538,10 +1549,40 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 				goto memFault
 			}
 			gpr[traceESP] = sp + 4
-			if u.kind == uPRet {
-				c.pc, c.taken = int(v), true
-			} else {
+			switch {
+			case u.kind == uPopR:
 				gpr[u.d&15] = v
+			case u.kind == uPRet:
+				c.pc, c.taken = int(v), true
+			case u.expect:
+				// A trace's tail return: the chain ends here; the popped
+				// address is the iteration's computed exit, not a guard
+				// failure.
+				c.pc = int(v)
+				tr.iters++
+				ts.iters++
+				if u.pathIdx != 0 {
+					ts.treeIters++
+					ts.treeInstrs += uint64(u.cum)
+				}
+				if st != nil {
+					addrs = st.trace(tr.pathID(u.pathIdx), measured, addrs)
+				} else {
+					charge(hier, addrs)
+					addrs = addrs[:0]
+				}
+				final = iterBase + u.cum
+				goto out
+			case v != u.imm:
+				// A trace's return went somewhere other than the recorded
+				// continuation: side exit. The ret itself retired (its
+				// address is already in addrs, and cum counts it).
+				c.pc = int(v)
+				final = iterBase + u.cum
+				exitK = u.blockK
+				exitPath = u.pathIdx
+				exited = true
+				goto out
 			}
 
 		case uAddRR, uAddRI:
@@ -1567,25 +1608,25 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			if u.kind == uAndRR {
 				b = gpr[u.s&15]
 			}
-			gpr[u.d&15], fl = logic(gpr[u.d&15] & b)
+			gpr[u.d&15], fl = and(gpr[u.d&15], b)
 		case uOrRR, uOrRI:
 			b := u.imm
 			if u.kind == uOrRR {
 				b = gpr[u.s&15]
 			}
-			gpr[u.d&15], fl = logic(gpr[u.d&15] | b)
+			gpr[u.d&15], fl = or(gpr[u.d&15], b)
 		case uXorRR, uXorRI:
 			b := u.imm
 			if u.kind == uXorRR {
 				b = gpr[u.s&15]
 			}
-			gpr[u.d&15], fl = logic(gpr[u.d&15] ^ b)
+			gpr[u.d&15], fl = xor(gpr[u.d&15], b)
 		case uTestRR, uTestRI:
 			b := u.imm
 			if u.kind == uTestRR {
 				b = gpr[u.s&15]
 			}
-			_, fl = logic(gpr[u.d&15] & b)
+			_, fl = and(gpr[u.d&15], b)
 		case uImulRR, uImulRI:
 			b := u.imm
 			if u.kind == uImulRR {
@@ -1626,13 +1667,13 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			case uCmpRM:
 				_, fl = sub(d, b)
 			case uAndRM:
-				gpr[u.d&15], fl = logic(d & b)
+				gpr[u.d&15], fl = and(d, b)
 			case uOrRM:
-				gpr[u.d&15], fl = logic(d | b)
+				gpr[u.d&15], fl = or(d, b)
 			case uXorRM:
-				gpr[u.d&15], fl = logic(d ^ b)
+				gpr[u.d&15], fl = xor(d, b)
 			case uTestRM:
-				_, fl = logic(d & b)
+				_, fl = and(d, b)
 			default: // uImulRM
 				gpr[u.d&15], fl = imul(d, b, fl)
 			}
@@ -1676,11 +1717,11 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			case aluSub:
 				r, fl = sub(av, bv)
 			case aluAnd:
-				r, fl = logic(av & bv)
+				r, fl = and(av, bv)
 			case aluOr:
-				r, fl = logic(av | bv)
+				r, fl = or(av, bv)
 			case aluXor:
-				r, fl = logic(av ^ bv)
+				r, fl = xor(av, bv)
 			default:
 				r, fl, write = alu(u.alu, av, bv, fl)
 			}
@@ -1702,7 +1743,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			}
 
 		case uNot:
-			gpr[u.d&15] = ^gpr[u.d&15]
+			gpr[u.d&15] = not(gpr[u.d&15])
 		case uNeg:
 			gpr[u.d&15], fl = sub(0, gpr[u.d&15])
 		case uInc:
@@ -1940,46 +1981,6 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			}
 		case uHalt:
 			c.halted, c.taken = true, true
-
-		case uRet:
-			sp := gpr[traceESP]
-			addrs = append(addrs, uint64(sp))
-			v, ok := memu.LoadU32(sp)
-			if !ok {
-				fa, fmsg = sp, msgUnderflow
-				goto memFault
-			}
-			gpr[traceESP] = sp + 4
-			if u.expect {
-				// Tail return: the chain ends here; the popped address is
-				// the iteration's computed exit, not a guard failure.
-				c.pc = int(v)
-				tr.iters++
-				ts.iters++
-				if u.pathIdx != 0 {
-					ts.treeIters++
-					ts.treeInstrs += uint64(u.cum)
-				}
-				if st != nil {
-					addrs = st.trace(tr.pathID(u.pathIdx), measured, addrs)
-				} else {
-					charge(hier, addrs)
-					addrs = addrs[:0]
-				}
-				final = iterBase + u.cum
-				goto out
-			}
-			if v != u.imm {
-				// The return went somewhere other than the recorded
-				// continuation: side exit. The ret itself retired (its
-				// address is already in addrs, and cum counts it).
-				c.pc = int(v)
-				final = iterBase + u.cum
-				exitK = u.blockK
-				exitPath = u.pathIdx
-				exited = true
-				goto out
-			}
 
 		case uJcc:
 			if t := holds(u.alu, fl); t != u.expect {
