@@ -1431,7 +1431,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 	var exitPath uint16
 	exited := false
 	i := 0
-	for ; i < len(uops); i++ {
+	for ; uint(i) < uint(len(uops)); i++ {
 		u := &uops[i]
 		switch u.kind {
 		case uMovRR:
