@@ -18,7 +18,6 @@ import (
 	"math"
 
 	"mmxdsp/internal/isa"
-	"mmxdsp/internal/mem"
 	"mmxdsp/internal/mmx"
 )
 
@@ -115,7 +114,7 @@ type lowerer struct {
 	ops []uop
 	pc  int32
 	// refs counts the data references emitted so far: every one after the
-	// first is marked mem.Next.
+	// first is marked (uop.nx).
 	refs int
 	// fp marks an FP instruction, whose uNote/uFault check the MMX state
 	// first, as every FP micro-op does.
@@ -152,7 +151,7 @@ func (l *lowerer) at(k uint8, o isa.Operand, d, s uint8, ref bool) *uop {
 	}
 	if ref {
 		if l.refs > 0 {
-			u.nx = mem.Next
+			u.nx = 1
 		}
 		l.refs++
 	}
@@ -166,7 +165,7 @@ func (l *lowerer) mem(k uint8, o isa.Operand, d, s uint8) *uop { return l.at(k, 
 func (l *lowerer) stack(k uint8, d, s uint8) *uop {
 	u := uop{kind: k, d: d, s: s}
 	if l.refs > 0 {
-		u.nx = mem.Next
+		u.nx = 1
 	}
 	l.refs++
 	return l.op(u)
@@ -254,19 +253,18 @@ func (l *lowerer) reg(v opnd, t uint8) uint8 {
 }
 
 // dst writes v to integer destination o.
-func (l *lowerer) dst(o isa.Operand, v opnd) bool {
+func (l *lowerer) dst(o isa.Operand, v opnd) {
 	switch o.Kind {
 	case isa.KindReg:
 		d := gpr(o)
-		if d < 0 {
-			return l.fault("integer write to non-GPR %s", o.Reg)
-		}
-		if v.isImm {
+		switch {
+		case d < 0:
+			l.fault("integer write to non-GPR %s", o.Reg)
+		case v.isImm:
 			l.op(uop{kind: uMovRI, d: uint8(d), imm: v.imm})
-		} else if v.reg != uint8(d) {
+		case v.reg != uint8(d):
 			l.op(uop{kind: uMovRR, d: uint8(d), s: v.reg})
 		}
-		return true
 	case isa.KindMem:
 		var k uint8
 		switch o.Size {
@@ -277,15 +275,16 @@ func (l *lowerer) dst(o isa.Operand, v opnd) bool {
 		case isa.SizeD, isa.SizeNone:
 			k = uStore32
 		default:
-			return l.noteFault(o, "bad store size %v", o.Size)
+			l.noteFault(o, "bad store size %v", o.Size)
+			return
 		}
 		if v.isImm {
 			k += uStore8I - uStore8
 		}
 		l.mem(k, o, 0, v.reg).imm2 = v.imm
-		return true
+	default:
+		l.fault("bad destination operand")
 	}
-	return l.fault("bad destination operand")
 }
 
 // memSize is the u.d size code of a read-modify-write micro-op.

@@ -352,7 +352,11 @@ type uop struct {
 	// b/x/scale/imm encode a memory address (imm doubles as the ALU/move
 	// immediate and uFault's text index); imm2 is the store-immediate value
 	// (or the pushed return address of a call).
-	b, x  uint8
+	b, x uint8
+	// nx is 1 when the op's data reference is not its instruction's first
+	// (the reference then carries mem.Next), else 0. It sits with the
+	// fields every op reads, in the uop's first bytes.
+	nx    uint8
 	scale uint32
 	imm   uint32
 	imm2  uint32
@@ -381,9 +385,6 @@ type uop struct {
 	pathIdx   uint16
 	childPath uint16
 	child     int32
-	// nx is mem.Next when the op's data reference is not its
-	// instruction's first, else 0.
-	nx uint64
 	// fv is the uFConst value; mfn/sfn the MMX binary/shift functions.
 	fv  float64
 	mfn func(a, b mmx.Reg) mmx.Reg
@@ -1441,7 +1442,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 
 		case uLoad8, uLoadSx8:
 			a := memAddr(u, gpr)
-			addrs = append(addrs, uint64(a)|u.nx)
+			addrs = append(addrs, uint64(a)|uint64(u.nx)*mem.Next)
 			v, ok := memu.LoadU8(a)
 			if !ok {
 				fa, fmsg = a, msgLoad8
@@ -1453,7 +1454,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			}
 		case uLoad16, uLoadSx16:
 			a := memAddr(u, gpr)
-			addrs = append(addrs, uint64(a)|u.nx)
+			addrs = append(addrs, uint64(a)|uint64(u.nx)*mem.Next)
 			v, ok := memu.LoadU16(a)
 			if !ok {
 				fa, fmsg = a, msgLoad16
@@ -1465,7 +1466,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			}
 		case uLoad32:
 			a := memAddr(u, gpr)
-			addrs = append(addrs, uint64(a)|u.nx)
+			addrs = append(addrs, uint64(a)|uint64(u.nx)*mem.Next)
 			v, ok := memu.LoadU32(a)
 			if !ok {
 				fa, fmsg = a, msgLoad32
@@ -1475,7 +1476,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 
 		case uStore8, uStore8I:
 			a := memAddr(u, gpr)
-			addrs = append(addrs, uint64(a)|u.nx)
+			addrs = append(addrs, uint64(a)|uint64(u.nx)*mem.Next)
 			v := u.imm2
 			if u.kind == uStore8 {
 				v = gpr[u.s&15]
@@ -1486,7 +1487,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			}
 		case uStore16, uStore16I:
 			a := memAddr(u, gpr)
-			addrs = append(addrs, uint64(a)|u.nx)
+			addrs = append(addrs, uint64(a)|uint64(u.nx)*mem.Next)
 			v := u.imm2
 			if u.kind == uStore16 {
 				v = gpr[u.s&15]
@@ -1497,7 +1498,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			}
 		case uStore32, uStore32I:
 			a := memAddr(u, gpr)
-			addrs = append(addrs, uint64(a)|u.nx)
+			addrs = append(addrs, uint64(a)|uint64(u.nx)*mem.Next)
 			v := u.imm2
 			if u.kind == uStore32 {
 				v = gpr[u.s&15]
@@ -1532,7 +1533,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			}
 			sp := gpr[traceESP] - 4
 			gpr[traceESP] = sp
-			addrs = append(addrs, uint64(sp)|u.nx)
+			addrs = append(addrs, uint64(sp)|uint64(u.nx)*mem.Next)
 			if !memu.StoreU32(sp, v) {
 				fa, fmsg = sp, msgOverflow
 				goto memFault
@@ -1542,7 +1543,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			}
 		case uPopR, uPRet, uRet:
 			sp := gpr[traceESP]
-			addrs = append(addrs, uint64(sp)|u.nx)
+			addrs = append(addrs, uint64(sp)|uint64(u.nx)*mem.Next)
 			v, ok := memu.LoadU32(sp)
 			if !ok {
 				fa, fmsg = sp, msgUnderflow
@@ -1652,7 +1653,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 
 		case uAddRM, uSubRM, uCmpRM, uAndRM, uOrRM, uXorRM, uTestRM, uImulRM:
 			a := memAddr(u, gpr)
-			addrs = append(addrs, uint64(a)|u.nx)
+			addrs = append(addrs, uint64(a)|uint64(u.nx)*mem.Next)
 			b, ok := memu.LoadU32(a)
 			if !ok {
 				fa, fmsg = a, msgLoad32
@@ -1686,7 +1687,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			a := memAddr(u, gpr)
 			av := gpr[tmp]
 			if u.kind != uAluTM {
-				addrs = append(addrs, uint64(a)|u.nx)
+				addrs = append(addrs, uint64(a)|uint64(u.nx)*mem.Next)
 				var ok bool
 				switch u.d {
 				case 0:
@@ -1785,7 +1786,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 		case uMovdLM:
 			c.mmxActive = true
 			a := memAddr(u, gpr)
-			addrs = append(addrs, uint64(a)|u.nx)
+			addrs = append(addrs, uint64(a)|uint64(u.nx)*mem.Next)
 			v, ok := memu.LoadU32(a)
 			if !ok {
 				fa, fmsg = a, msgLoad32
@@ -1795,7 +1796,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 		case uMovdSM:
 			c.mmxActive = true
 			a := memAddr(u, gpr)
-			addrs = append(addrs, uint64(a)|u.nx)
+			addrs = append(addrs, uint64(a)|uint64(u.nx)*mem.Next)
 			if !memu.StoreU32(a, uint32(mm[u.s&15])) {
 				fa, fmsg = a, msgStore
 				goto memFault
@@ -1806,7 +1807,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 		case uMovqLM64:
 			c.mmxActive = true
 			a := memAddr(u, gpr)
-			addrs = append(addrs, uint64(a)|u.nx)
+			addrs = append(addrs, uint64(a)|uint64(u.nx)*mem.Next)
 			v, ok := memu.LoadU64(a)
 			if !ok {
 				fa, fmsg = a, msgMMXLoad64
@@ -1816,7 +1817,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 		case uMovqLM32:
 			c.mmxActive = true
 			a := memAddr(u, gpr)
-			addrs = append(addrs, uint64(a)|u.nx)
+			addrs = append(addrs, uint64(a)|uint64(u.nx)*mem.Next)
 			v, ok := memu.LoadU32(a)
 			if !ok {
 				fa, fmsg = a, msgMMXLoad32
@@ -1826,7 +1827,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 		case uMovqSM:
 			c.mmxActive = true
 			a := memAddr(u, gpr)
-			addrs = append(addrs, uint64(a)|u.nx)
+			addrs = append(addrs, uint64(a)|uint64(u.nx)*mem.Next)
 			if !memu.StoreU64(a, uint64(mm[u.s&15])) {
 				fa, fmsg = a, msgMovqStore
 				goto memFault
@@ -1837,7 +1838,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 		case uMMXBinRM64:
 			c.mmxActive = true
 			a := memAddr(u, gpr)
-			addrs = append(addrs, uint64(a)|u.nx)
+			addrs = append(addrs, uint64(a)|uint64(u.nx)*mem.Next)
 			v, ok := memu.LoadU64(a)
 			if !ok {
 				fa, fmsg = a, msgMMXLoad64
@@ -1847,7 +1848,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 		case uMMXBinRM32:
 			c.mmxActive = true
 			a := memAddr(u, gpr)
-			addrs = append(addrs, uint64(a)|u.nx)
+			addrs = append(addrs, uint64(a)|uint64(u.nx)*mem.Next)
 			v, ok := memu.LoadU32(a)
 			if !ok {
 				fa, fmsg = a, msgMMXLoad32
@@ -1884,7 +1885,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 				goto fpFault
 			}
 			a := memAddr(u, gpr)
-			addrs = append(addrs, uint64(a)|u.nx)
+			addrs = append(addrs, uint64(a)|uint64(u.nx)*mem.Next)
 			v := c.fp[u.s&15]
 			var ok bool
 			fmsg = fstRange
@@ -1907,7 +1908,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 				goto fpFault
 			}
 			a := memAddr(u, gpr)
-			addrs = append(addrs, uint64(a)|u.nx)
+			addrs = append(addrs, uint64(a)|uint64(u.nx)*mem.Next)
 			raw, ok := memu.LoadU32(a)
 			if !ok {
 				fa, fmsg = a, msgFLoad32
@@ -1932,7 +1933,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 				goto fpFault
 			}
 			a := memAddr(u, gpr)
-			addrs = append(addrs, uint64(a)|u.nx)
+			addrs = append(addrs, uint64(a)|uint64(u.nx)*mem.Next)
 			raw, ok := memu.LoadU64(a)
 			if !ok {
 				fa, fmsg = a, msgFLoad64
@@ -1952,7 +1953,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 				goto fpFault
 			}
 			a := memAddr(u, gpr)
-			addrs = append(addrs, uint64(a)|u.nx)
+			addrs = append(addrs, uint64(a)|uint64(u.nx)*mem.Next)
 			raw, ok := memu.LoadU16(a)
 			if !ok {
 				fa, fmsg = a, msgFild
@@ -1964,7 +1965,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			if u.expect && c.mmxActive {
 				goto fpFault
 			}
-			addrs = append(addrs, uint64(memAddr(u, gpr))|u.nx)
+			addrs = append(addrs, uint64(memAddr(u, gpr))|uint64(u.nx)*mem.Next)
 		case uFault:
 			if u.expect && c.mmxActive {
 				goto fpFault
