@@ -1179,81 +1179,70 @@ func memAddr(u *uop, gpr *[16]uint32) uint32 {
 	return a
 }
 
-// flags is the IA-32 style integer flag quartet.
+// flags is the IA-32 style integer flag quartet, as the CPU stores it
+// between runs of the executor (which keeps the four in locals).
 type flags struct{ zf, sf, cf, of bool }
-
-// zs sets ZF and SF from a result, keeping CF and OF.
-func zs(f flags, r uint32) flags {
-	f.zf, f.sf = r == 0, int32(r) < 0
-	return f
-}
 
 // The integer operations, each with its flags: every micro-op computes its
 // result through one of these, directly or through alu.
 
-func add(a, b uint32) (uint32, flags) {
-	r := a + b
-	return r, flags{r == 0, int32(r) < 0, r < a, (a^r)&(b^r)&0x80000000 != 0}
+func add(a, b uint32) (r uint32, zf, sf, cf, of bool) {
+	r = a + b
+	return r, r == 0, int32(r) < 0, r < a, (a^r)&(b^r)&0x80000000 != 0
 }
 
-func sub(a, b uint32) (uint32, flags) {
-	r := a - b
-	return r, flags{r == 0, int32(r) < 0, a < b, (a^b)&(a^r)&0x80000000 != 0}
+func sub(a, b uint32) (r uint32, zf, sf, cf, of bool) {
+	r = a - b
+	return r, r == 0, int32(r) < 0, a < b, (a^b)&(a^r)&0x80000000 != 0
 }
 
 // and, or and xor clear CF and OF.
-func and(a, b uint32) (uint32, flags) { return logic(a & b) }
-func or(a, b uint32) (uint32, flags)  { return logic(a | b) }
-func xor(a, b uint32) (uint32, flags) { return logic(a ^ b) }
+func and(a, b uint32) (uint32, bool, bool, bool, bool) { return logic(a & b) }
+func or(a, b uint32) (uint32, bool, bool, bool, bool)  { return logic(a | b) }
+func xor(a, b uint32) (uint32, bool, bool, bool, bool) { return logic(a ^ b) }
 
-func logic(r uint32) (uint32, flags) { return r, flags{zf: r == 0, sf: int32(r) < 0} }
+func logic(r uint32) (uint32, bool, bool, bool, bool) { return r, r == 0, int32(r) < 0, false, false }
 
 func not(a uint32) uint32 { return ^a }
+
+// imul reports the product and whether it does not fit, which sets both CF
+// and OF; ZF and SF keep.
+func imul(a, b uint32) (uint32, bool) {
+	full := int64(int32(a)) * int64(int32(b))
+	return uint32(full), full != int64(int32(uint32(full)))
+}
+
+// inc and dec set ZF, SF and OF and keep CF, as on IA-32.
+func inc(a uint32) (r uint32, zf, sf, of bool) {
+	r = a + 1
+	return r, r == 0, int32(r) < 0, r == 0x80000000
+}
+
+func dec(a uint32) (r uint32, zf, sf, of bool) {
+	r = a - 1
+	return r, r == 0, int32(r) < 0, a == 0x80000000
+}
+
+// shl, shr and sar shift by n in 1..31 (a count that masks to zero changes
+// nothing, flags included, and never reaches them); OF clears.
+func shl(a, n uint32) (r uint32, zf, sf, cf, of bool) {
+	r = a << n
+	return r, r == 0, int32(r) < 0, a&(1<<(32-n)) != 0, false
+}
+
+func shr(a, n uint32) (r uint32, zf, sf, cf, of bool) {
+	r = a >> n
+	return r, r == 0, int32(r) < 0, a&(1<<(n-1)) != 0, false
+}
+
+func sar(a, n uint32) (r uint32, zf, sf, cf, of bool) {
+	r = uint32(int32(a) >> n)
+	return r, r == 0, int32(r) < 0, a&(1<<(n-1)) != 0, false
+}
 
 // sx8 and sx16 sign-extend the low byte or word.
 func sx8(v uint32) uint32  { return uint32(int32(int8(v))) }
 func sx16(v uint32) uint32 { return uint32(int32(int16(v))) }
-
-// imul sets CF and OF when the signed product does not fit; ZF and SF keep.
-func imul(a, b uint32, f flags) (uint32, flags) {
-	full := int64(int32(a)) * int64(int32(b))
-	r := uint32(full)
-	f.cf = full != int64(int32(r))
-	f.of = f.cf
-	return r, f
-}
-
-// inc and dec keep CF, as on IA-32.
-func inc(a uint32, f flags) (uint32, flags) {
-	r := a + 1
-	f = zs(f, r)
-	f.of = r == 0x80000000
-	return r, f
-}
-
-func dec(a uint32, f flags) (uint32, flags) {
-	r := a - 1
-	f = zs(f, r)
-	f.of = a == 0x80000000
-	return r, f
-}
-
-// shl, shr and sar shift by n in 1..31 (a count that masks to zero changes
-// nothing, flags included, and never reaches them).
-func shl(a, n uint32) (uint32, flags) {
-	r := a << n
-	return r, zs(flags{cf: a&(1<<(32-n)) != 0}, r)
-}
-
-func shr(a, n uint32) (uint32, flags) {
-	r := a >> n
-	return r, zs(flags{cf: a&(1<<(n-1)) != 0}, r)
-}
-
-func sar(a, n uint32) (uint32, flags) {
-	r := uint32(int32(a) >> n)
-	return r, zs(flags{cf: a&(1<<(n-1)) != 0}, r)
-}
 
 // alu computes integer sub-op sel of a and b under flags f: the result,
 // the flags after it, and whether the result is written back (cmp and test
@@ -1266,23 +1255,24 @@ func alu(sel uint8, a, b uint32, f flags) (uint32, flags, bool) {
 	}
 	switch sel {
 	case aluAdd, aluAdc:
-		r, f = add(a, b)
+		r, f.zf, f.sf, f.cf, f.of = add(a, b)
 	case aluSub, aluSbb:
-		r, f = sub(a, b)
+		r, f.zf, f.sf, f.cf, f.of = sub(a, b)
 	case aluCmp:
-		_, f = sub(a, b)
+		_, f.zf, f.sf, f.cf, f.of = sub(a, b)
 		return r, f, false
 	case aluAnd:
-		r, f = and(a, b)
+		r, f.zf, f.sf, f.cf, f.of = and(a, b)
 	case aluTest:
-		_, f = and(a, b)
+		_, f.zf, f.sf, f.cf, f.of = and(a, b)
 		return r, f, false
 	case aluOr:
-		r, f = or(a, b)
+		r, f.zf, f.sf, f.cf, f.of = or(a, b)
 	case aluXor:
-		r, f = xor(a, b)
+		r, f.zf, f.sf, f.cf, f.of = xor(a, b)
 	case aluImul:
-		r, f = imul(a, b, f)
+		r, f.cf = imul(a, b)
+		f.of = f.cf
 	case aluShl, aluShr, aluSar:
 		n := b & 31
 		if n == 0 {
@@ -1290,41 +1280,41 @@ func alu(sel uint8, a, b uint32, f flags) (uint32, flags, bool) {
 		}
 		switch sel {
 		case aluShl:
-			r, f = shl(a, n)
+			r, f.zf, f.sf, f.cf, f.of = shl(a, n)
 		case aluShr:
-			r, f = shr(a, n)
+			r, f.zf, f.sf, f.cf, f.of = shr(a, n)
 		default:
-			r, f = sar(a, n)
+			r, f.zf, f.sf, f.cf, f.of = sar(a, n)
 		}
 	case aluNot:
 		r = not(a)
 	case aluNeg:
-		r, f = sub(0, a)
+		r, f.zf, f.sf, f.cf, f.of = sub(0, a)
 	case aluInc:
-		r, f = inc(a, f)
+		r, f.zf, f.sf, f.of = inc(a)
 	default: // aluDec
-		r, f = dec(a, f)
+		r, f.zf, f.sf, f.of = dec(a)
 	}
 	return r, f, true
 }
 
 // holds evaluates condition code cc against the flags: the first code of
 // each pair is computed, the second negates it.
-func holds(cc uint8, f flags) bool {
+func holds(cc uint8, zf, sf, cf, of bool) bool {
 	var t bool
 	switch cc >> 1 {
 	case ccE >> 1:
-		t = f.zf
+		t = zf
 	case ccL >> 1:
-		t = f.sf != f.of
+		t = sf != of
 	case ccLE >> 1:
-		t = f.zf || f.sf != f.of
+		t = zf || sf != of
 	case ccB >> 1:
-		t = f.cf
+		t = cf
 	case ccBE >> 1:
-		t = f.cf || f.zf
+		t = cf || zf
 	default: // ccS
-		t = f.sf
+		t = sf
 	}
 	return t != (cc&1 != 0)
 }
@@ -1363,7 +1353,7 @@ func fpUnary(sub uint8, a float64) float64 {
 
 // fcom sets the integer flags like fcomi: ZF on equality, CF on a < b, so
 // the unsigned branch family (jb/ja/jbe/jae/je) tests floats.
-func fcom(a, b float64) flags { return flags{zf: a == b, cf: a < b} }
+func fcom(a, b float64) (zf, sf, cf, of bool) { return a == b, false, a < b, false }
 
 // satI16 converts a rounded float to int16 with saturation (the x87 would
 // store the integer-indefinite value on overflow; saturation is the DSP
@@ -1412,7 +1402,7 @@ func satI32(v float64) int32 {
 func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64, pollAt *int64) ([]uint64, error) {
 	st := c.st
 	gpr, mm := &c.gpr, &c.mm
-	fl := c.fl
+	zf, sf, cf, of := c.fl.zf, c.fl.sf, c.fl.cf, c.fl.of
 	measured := c.measuring
 	entry := c.executed
 	iterBase := entry
@@ -1591,56 +1581,57 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			if u.kind == uAddRR {
 				b = gpr[u.s&15]
 			}
-			gpr[u.d&15], fl = add(gpr[u.d&15], b)
+			gpr[u.d&15], zf, sf, cf, of = add(gpr[u.d&15], b)
 		case uSubRR, uSubRI:
 			b := u.imm
 			if u.kind == uSubRR {
 				b = gpr[u.s&15]
 			}
-			gpr[u.d&15], fl = sub(gpr[u.d&15], b)
+			gpr[u.d&15], zf, sf, cf, of = sub(gpr[u.d&15], b)
 		case uCmpRR, uCmpRI:
 			b := u.imm
 			if u.kind == uCmpRR {
 				b = gpr[u.s&15]
 			}
-			_, fl = sub(gpr[u.d&15], b)
+			_, zf, sf, cf, of = sub(gpr[u.d&15], b)
 		case uAndRR, uAndRI:
 			b := u.imm
 			if u.kind == uAndRR {
 				b = gpr[u.s&15]
 			}
-			gpr[u.d&15], fl = and(gpr[u.d&15], b)
+			gpr[u.d&15], zf, sf, cf, of = and(gpr[u.d&15], b)
 		case uOrRR, uOrRI:
 			b := u.imm
 			if u.kind == uOrRR {
 				b = gpr[u.s&15]
 			}
-			gpr[u.d&15], fl = or(gpr[u.d&15], b)
+			gpr[u.d&15], zf, sf, cf, of = or(gpr[u.d&15], b)
 		case uXorRR, uXorRI:
 			b := u.imm
 			if u.kind == uXorRR {
 				b = gpr[u.s&15]
 			}
-			gpr[u.d&15], fl = xor(gpr[u.d&15], b)
+			gpr[u.d&15], zf, sf, cf, of = xor(gpr[u.d&15], b)
 		case uTestRR, uTestRI:
 			b := u.imm
 			if u.kind == uTestRR {
 				b = gpr[u.s&15]
 			}
-			_, fl = and(gpr[u.d&15], b)
+			_, zf, sf, cf, of = and(gpr[u.d&15], b)
 		case uImulRR, uImulRI:
 			b := u.imm
 			if u.kind == uImulRR {
 				b = gpr[u.s&15]
 			}
-			gpr[u.d&15], fl = imul(gpr[u.d&15], b, fl)
+			gpr[u.d&15], cf = imul(gpr[u.d&15], b)
+			of = cf
 		case uAluRR, uAluRI:
 			b := u.imm
 			if u.kind == uAluRR {
 				b = gpr[u.s&15]
 			}
-			r, f, write := alu(u.alu, gpr[u.d&15], b, fl)
-			fl = f
+			r, f, write := alu(u.alu, gpr[u.d&15], b, flags{zf, sf, cf, of})
+			zf, sf, cf, of = f.zf, f.sf, f.cf, f.of
 			if write {
 				if u.expect {
 					// The destination was an immediate.
@@ -1662,21 +1653,22 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			d := gpr[u.d&15]
 			switch u.kind {
 			case uAddRM:
-				gpr[u.d&15], fl = add(d, b)
+				gpr[u.d&15], zf, sf, cf, of = add(d, b)
 			case uSubRM:
-				gpr[u.d&15], fl = sub(d, b)
+				gpr[u.d&15], zf, sf, cf, of = sub(d, b)
 			case uCmpRM:
-				_, fl = sub(d, b)
+				_, zf, sf, cf, of = sub(d, b)
 			case uAndRM:
-				gpr[u.d&15], fl = and(d, b)
+				gpr[u.d&15], zf, sf, cf, of = and(d, b)
 			case uOrRM:
-				gpr[u.d&15], fl = or(d, b)
+				gpr[u.d&15], zf, sf, cf, of = or(d, b)
 			case uXorRM:
-				gpr[u.d&15], fl = xor(d, b)
+				gpr[u.d&15], zf, sf, cf, of = xor(d, b)
 			case uTestRM:
-				_, fl = and(d, b)
+				_, zf, sf, cf, of = and(d, b)
 			default: // uImulRM
-				gpr[u.d&15], fl = imul(d, b, fl)
+				gpr[u.d&15], cf = imul(d, b)
+				of = cf
 			}
 
 		case uAluMR, uAluMI, uAluTM:
@@ -1714,17 +1706,19 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			r, write := av, true
 			switch u.alu {
 			case aluAdd:
-				r, fl = add(av, bv)
+				r, zf, sf, cf, of = add(av, bv)
 			case aluSub:
-				r, fl = sub(av, bv)
+				r, zf, sf, cf, of = sub(av, bv)
 			case aluAnd:
-				r, fl = and(av, bv)
+				r, zf, sf, cf, of = and(av, bv)
 			case aluOr:
-				r, fl = or(av, bv)
+				r, zf, sf, cf, of = or(av, bv)
 			case aluXor:
-				r, fl = xor(av, bv)
+				r, zf, sf, cf, of = xor(av, bv)
 			default:
-				r, fl, write = alu(u.alu, av, bv, fl)
+				var f flags
+				r, f, write = alu(u.alu, av, bv, flags{zf, sf, cf, of})
+				zf, sf, cf, of = f.zf, f.sf, f.cf, f.of
 			}
 			if write {
 				addrs = append(addrs, uint64(a)|mem.Next)
@@ -1746,17 +1740,17 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 		case uNot:
 			gpr[u.d&15] = not(gpr[u.d&15])
 		case uNeg:
-			gpr[u.d&15], fl = sub(0, gpr[u.d&15])
+			gpr[u.d&15], zf, sf, cf, of = sub(0, gpr[u.d&15])
 		case uInc:
-			gpr[u.d&15], fl = inc(gpr[u.d&15], fl)
+			gpr[u.d&15], zf, sf, of = inc(gpr[u.d&15])
 		case uDec:
-			gpr[u.d&15], fl = dec(gpr[u.d&15], fl)
+			gpr[u.d&15], zf, sf, of = dec(gpr[u.d&15])
 		case uShlI:
-			gpr[u.d&15], fl = shl(gpr[u.d&15], u.imm)
+			gpr[u.d&15], zf, sf, cf, of = shl(gpr[u.d&15], u.imm)
 		case uShrI:
-			gpr[u.d&15], fl = shr(gpr[u.d&15], u.imm)
+			gpr[u.d&15], zf, sf, cf, of = shr(gpr[u.d&15], u.imm)
 		case uSarI:
-			gpr[u.d&15], fl = sar(gpr[u.d&15], u.imm)
+			gpr[u.d&15], zf, sf, cf, of = sar(gpr[u.d&15], u.imm)
 		case uIdiv:
 			// edx:eax / src, quotient to eax and remainder to edx.
 			d := gpr[u.s&15]
@@ -1878,7 +1872,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			case uFUnary:
 				c.fp[u.d&15] = fpUnary(u.alu, c.fp[u.d&15])
 			default: // uFComRR
-				fl = fcom(c.fp[u.d&15], c.fp[u.s&15])
+				zf, sf, cf, of = fcom(c.fp[u.d&15], c.fp[u.s&15])
 			}
 		case uFStore32, uFStore64, uFist16, uFist32:
 			if c.mmxActive {
@@ -1924,7 +1918,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			case uFArithM32:
 				c.fp[u.d&15] = fpApply(u.alu, c.fp[u.d&15], v)
 			case uFComM32:
-				fl = fcom(c.fp[u.d&15], v)
+				zf, sf, cf, of = fcom(c.fp[u.d&15], v)
 			default: // uFild32
 				c.fp[u.d&15] = float64(int32(raw))
 			}
@@ -1946,7 +1940,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			case uFArithM64:
 				c.fp[u.d&15] = fpApply(u.alu, c.fp[u.d&15], v)
 			default: // uFComM64
-				fl = fcom(c.fp[u.d&15], v)
+				zf, sf, cf, of = fcom(c.fp[u.d&15], v)
 			}
 		case uFild16:
 			if c.mmxActive {
@@ -1977,14 +1971,14 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 		case uJmp:
 			c.pc, c.taken = int(u.tgt), true
 		case uBr:
-			if holds(u.alu, fl) {
+			if holds(u.alu, zf, sf, cf, of) {
 				c.pc, c.taken = int(u.tgt), true
 			}
 		case uHalt:
 			c.halted, c.taken = true, true
 
 		case uJcc:
-			if t := holds(u.alu, fl); t != u.expect {
+			if t := holds(u.alu, zf, sf, cf, of); t != u.expect {
 				if u.child != 0 && iterBase+tr.paths[u.childPath].nInstrs <= maxInstrs {
 					// Fork into the attached alternate path: registers stay
 					// in the locals and the child segment carries the
@@ -2032,7 +2026,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 				goto out
 			}
 			if iterDone >= *pollAt {
-				c.fl = fl
+				c.fl = flags{zf, sf, cf, of}
 				c.executed = iterDone
 				c.pc = int(tr.head)
 				if err := c.Poll(); err != nil {
@@ -2061,7 +2055,7 @@ fpFault:
 	retErr = c.fault(fpWhileMMX)
 
 out:
-	c.fl = fl
+	c.fl = flags{zf, sf, cf, of}
 	if st == nil {
 		c.addrbuf = addrs[:0] // keep any growth for the next region
 	}
