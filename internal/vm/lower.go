@@ -222,6 +222,12 @@ func (l *lowerer) load(o isa.Operand, size isa.Size, t uint8, signed bool) bool 
 	default:
 		return l.noteFault(o, "bad load size %v", size)
 	}
+	if l.refs > 0 {
+		// A load after another reference is an ALU source, which
+		// zero-extends.
+		l.mem(uLoadN, o, t, 0).alu = memSize(size)
+		return true
+	}
 	l.mem(k, o, t, 0)
 	return true
 }
@@ -278,10 +284,14 @@ func (l *lowerer) dst(o isa.Operand, v opnd) {
 			l.noteFault(o, "bad store size %v", o.Size)
 			return
 		}
-		if v.isImm {
-			k += uStore8I - uStore8
+		switch {
+		case l.refs > 0:
+			l.mem(uStoreN, o, 0, l.reg(v, tmp2)).alu = memSize(o.Size)
+		case v.isImm:
+			l.mem(k+uStore8I-uStore8, o, 0, 0).imm2 = v.imm
+		default:
+			l.mem(k, o, 0, v.reg)
 		}
-		l.mem(k, o, 0, v.reg).imm2 = v.imm
 	default:
 		l.fault("bad destination operand")
 	}

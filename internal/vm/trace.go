@@ -200,6 +200,8 @@ const (
 	uStore8I
 	uStore16I
 	uStore32I
+	uLoadN  // a load that is not its instruction's first reference (u.alu: size code)
+	uStoreN // a store from gpr[s] that is not (u.alu: size code)
 	uLea
 	uZx8
 	uZx16
@@ -353,9 +355,9 @@ type uop struct {
 	// immediate and uFault's text index); imm2 is the store-immediate value
 	// (or the pushed return address of a call).
 	b, x uint8
-	// nx is 1 when the op's data reference is not its instruction's first
-	// (the reference then carries mem.Next), else 0. It sits with the
-	// fields every op reads, in the uop's first bytes.
+	// nx is 1 when a push, movq/movd store or uNote is not its
+	// instruction's first data reference (which then carries mem.Next);
+	// every other kind is always first, or never (uLoadN, uStoreN).
 	nx    uint8
 	scale uint32
 	imm   uint32
@@ -1430,70 +1432,129 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 		case uMovRI:
 			gpr[u.d&15] = u.imm
 
-		case uLoad8, uLoadSx8:
+		case uLoad8:
 			a := memAddr(u, gpr)
-			addrs = append(addrs, uint64(a)|uint64(u.nx)*mem.Next)
+			addrs = append(addrs, uint64(a))
 			v, ok := memu.LoadU8(a)
 			if !ok {
 				fa, fmsg = a, msgLoad8
 				goto memFault
 			}
 			gpr[u.d&15] = uint32(v)
-			if u.kind == uLoadSx8 {
-				gpr[u.d&15] = sx8(uint32(v))
-			}
-		case uLoad16, uLoadSx16:
+		case uLoad16:
 			a := memAddr(u, gpr)
-			addrs = append(addrs, uint64(a)|uint64(u.nx)*mem.Next)
+			addrs = append(addrs, uint64(a))
 			v, ok := memu.LoadU16(a)
 			if !ok {
 				fa, fmsg = a, msgLoad16
 				goto memFault
 			}
 			gpr[u.d&15] = uint32(v)
-			if u.kind == uLoadSx16 {
-				gpr[u.d&15] = sx16(uint32(v))
-			}
 		case uLoad32:
 			a := memAddr(u, gpr)
-			addrs = append(addrs, uint64(a)|uint64(u.nx)*mem.Next)
+			addrs = append(addrs, uint64(a))
 			v, ok := memu.LoadU32(a)
 			if !ok {
 				fa, fmsg = a, msgLoad32
 				goto memFault
 			}
 			gpr[u.d&15] = v
+		case uLoadSx8:
+			a := memAddr(u, gpr)
+			addrs = append(addrs, uint64(a))
+			v, ok := memu.LoadU8(a)
+			if !ok {
+				fa, fmsg = a, msgLoad8
+				goto memFault
+			}
+			gpr[u.d&15] = sx8(uint32(v))
+		case uLoadSx16:
+			a := memAddr(u, gpr)
+			addrs = append(addrs, uint64(a))
+			v, ok := memu.LoadU16(a)
+			if !ok {
+				fa, fmsg = a, msgLoad16
+				goto memFault
+			}
+			gpr[u.d&15] = sx16(uint32(v))
 
-		case uStore8, uStore8I:
+		case uStore8:
 			a := memAddr(u, gpr)
-			addrs = append(addrs, uint64(a)|uint64(u.nx)*mem.Next)
-			v := u.imm2
-			if u.kind == uStore8 {
-				v = gpr[u.s&15]
-			}
-			if !memu.StoreU8(a, uint8(v)) {
+			addrs = append(addrs, uint64(a))
+			if !memu.StoreU8(a, uint8(gpr[u.s&15])) {
 				fa, fmsg = a, msgStore
 				goto memFault
 			}
-		case uStore16, uStore16I:
+		case uStore16:
 			a := memAddr(u, gpr)
-			addrs = append(addrs, uint64(a)|uint64(u.nx)*mem.Next)
-			v := u.imm2
-			if u.kind == uStore16 {
-				v = gpr[u.s&15]
-			}
-			if !memu.StoreU16(a, uint16(v)) {
+			addrs = append(addrs, uint64(a))
+			if !memu.StoreU16(a, uint16(gpr[u.s&15])) {
 				fa, fmsg = a, msgStore
 				goto memFault
 			}
-		case uStore32, uStore32I:
+		case uStore32:
 			a := memAddr(u, gpr)
-			addrs = append(addrs, uint64(a)|uint64(u.nx)*mem.Next)
-			v := u.imm2
-			if u.kind == uStore32 {
-				v = gpr[u.s&15]
+			addrs = append(addrs, uint64(a))
+			if !memu.StoreU32(a, gpr[u.s&15]) {
+				fa, fmsg = a, msgStore
+				goto memFault
 			}
-			if !memu.StoreU32(a, v) {
+		case uStore8I:
+			a := memAddr(u, gpr)
+			addrs = append(addrs, uint64(a))
+			if !memu.StoreU8(a, uint8(u.imm2)) {
+				fa, fmsg = a, msgStore
+				goto memFault
+			}
+		case uStore16I:
+			a := memAddr(u, gpr)
+			addrs = append(addrs, uint64(a))
+			if !memu.StoreU16(a, uint16(u.imm2)) {
+				fa, fmsg = a, msgStore
+				goto memFault
+			}
+		case uStore32I:
+			a := memAddr(u, gpr)
+			addrs = append(addrs, uint64(a))
+			if !memu.StoreU32(a, u.imm2) {
+				fa, fmsg = a, msgStore
+				goto memFault
+			}
+
+		case uLoadN, uStoreN:
+			// A staged operand's load or store that is not its
+			// instruction's first data reference (u.alu is the size code).
+			a := memAddr(u, gpr)
+			addrs = append(addrs, uint64(a)|mem.Next)
+			var ok bool
+			if u.kind == uLoadN {
+				switch u.alu {
+				case 0:
+					var v uint8
+					v, ok = memu.LoadU8(a)
+					gpr[u.d&15] = uint32(v)
+				case 1:
+					var v uint16
+					v, ok = memu.LoadU16(a)
+					gpr[u.d&15] = uint32(v)
+				default:
+					gpr[u.d&15], ok = memu.LoadU32(a)
+				}
+				if !ok {
+					fa, fmsg = a, loadMsg[u.alu%3]
+					goto memFault
+				}
+				break
+			}
+			switch u.alu {
+			case 0:
+				ok = memu.StoreU8(a, uint8(gpr[u.s&15]))
+			case 1:
+				ok = memu.StoreU16(a, uint16(gpr[u.s&15]))
+			default:
+				ok = memu.StoreU32(a, gpr[u.s&15])
+			}
+			if !ok {
 				fa, fmsg = a, msgStore
 				goto memFault
 			}
@@ -1533,7 +1594,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			}
 		case uPopR, uPRet, uRet:
 			sp := gpr[traceESP]
-			addrs = append(addrs, uint64(sp)|uint64(u.nx)*mem.Next)
+			addrs = append(addrs, uint64(sp))
 			v, ok := memu.LoadU32(sp)
 			if !ok {
 				fa, fmsg = sp, msgUnderflow
@@ -1644,7 +1705,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 
 		case uAddRM, uSubRM, uCmpRM, uAndRM, uOrRM, uXorRM, uTestRM, uImulRM:
 			a := memAddr(u, gpr)
-			addrs = append(addrs, uint64(a)|uint64(u.nx)*mem.Next)
+			addrs = append(addrs, uint64(a))
 			b, ok := memu.LoadU32(a)
 			if !ok {
 				fa, fmsg = a, msgLoad32
@@ -1679,7 +1740,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			a := memAddr(u, gpr)
 			av := gpr[tmp]
 			if u.kind != uAluTM {
-				addrs = append(addrs, uint64(a)|uint64(u.nx)*mem.Next)
+				addrs = append(addrs, uint64(a))
 				var ok bool
 				switch u.d {
 				case 0:
@@ -1780,7 +1841,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 		case uMovdLM:
 			c.mmxActive = true
 			a := memAddr(u, gpr)
-			addrs = append(addrs, uint64(a)|uint64(u.nx)*mem.Next)
+			addrs = append(addrs, uint64(a))
 			v, ok := memu.LoadU32(a)
 			if !ok {
 				fa, fmsg = a, msgLoad32
@@ -1801,7 +1862,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 		case uMovqLM64:
 			c.mmxActive = true
 			a := memAddr(u, gpr)
-			addrs = append(addrs, uint64(a)|uint64(u.nx)*mem.Next)
+			addrs = append(addrs, uint64(a))
 			v, ok := memu.LoadU64(a)
 			if !ok {
 				fa, fmsg = a, msgMMXLoad64
@@ -1811,7 +1872,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 		case uMovqLM32:
 			c.mmxActive = true
 			a := memAddr(u, gpr)
-			addrs = append(addrs, uint64(a)|uint64(u.nx)*mem.Next)
+			addrs = append(addrs, uint64(a))
 			v, ok := memu.LoadU32(a)
 			if !ok {
 				fa, fmsg = a, msgMMXLoad32
@@ -1832,7 +1893,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 		case uMMXBinRM64:
 			c.mmxActive = true
 			a := memAddr(u, gpr)
-			addrs = append(addrs, uint64(a)|uint64(u.nx)*mem.Next)
+			addrs = append(addrs, uint64(a))
 			v, ok := memu.LoadU64(a)
 			if !ok {
 				fa, fmsg = a, msgMMXLoad64
@@ -1842,7 +1903,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 		case uMMXBinRM32:
 			c.mmxActive = true
 			a := memAddr(u, gpr)
-			addrs = append(addrs, uint64(a)|uint64(u.nx)*mem.Next)
+			addrs = append(addrs, uint64(a))
 			v, ok := memu.LoadU32(a)
 			if !ok {
 				fa, fmsg = a, msgMMXLoad32
@@ -1879,7 +1940,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 				goto fpFault
 			}
 			a := memAddr(u, gpr)
-			addrs = append(addrs, uint64(a)|uint64(u.nx)*mem.Next)
+			addrs = append(addrs, uint64(a))
 			v := c.fp[u.s&15]
 			var ok bool
 			fmsg = fstRange
@@ -1902,7 +1963,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 				goto fpFault
 			}
 			a := memAddr(u, gpr)
-			addrs = append(addrs, uint64(a)|uint64(u.nx)*mem.Next)
+			addrs = append(addrs, uint64(a))
 			raw, ok := memu.LoadU32(a)
 			if !ok {
 				fa, fmsg = a, msgFLoad32
@@ -1927,7 +1988,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 				goto fpFault
 			}
 			a := memAddr(u, gpr)
-			addrs = append(addrs, uint64(a)|uint64(u.nx)*mem.Next)
+			addrs = append(addrs, uint64(a))
 			raw, ok := memu.LoadU64(a)
 			if !ok {
 				fa, fmsg = a, msgFLoad64
@@ -1947,7 +2008,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 				goto fpFault
 			}
 			a := memAddr(u, gpr)
-			addrs = append(addrs, uint64(a)|uint64(u.nx)*mem.Next)
+			addrs = append(addrs, uint64(a))
 			raw, ok := memu.LoadU16(a)
 			if !ok {
 				fa, fmsg = a, msgFild
