@@ -1,6 +1,8 @@
 package asm
 
 import (
+	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -100,6 +102,55 @@ func TestDataEncodingLittleEndian(t *testing.T) {
 	}
 	if p.Addr("d")%8 != 0 {
 		t.Error("data symbol not 8-byte aligned")
+	}
+}
+
+// TestDataSectionLayout pins the exact bytes of every data directive,
+// the zero padding that aligns each symbol, and that a linked Program's
+// data is unaffected by later appends to its Builder.
+func TestDataSectionLayout(t *testing.T) {
+	b := NewBuilder("t")
+	b.Bytes("b", []byte{1, 2, 3})
+	b.Words("w", []int16{-2, 0x0304})
+	b.Dwords("d", []int32{-3})
+	b.Floats("f", []float32{1.5, -0.25})
+	b.Doubles("g", []float64{math.Inf(-1)})
+	b.Words("e", nil)
+	b.I(isa.HALT)
+	p, err := b.Link()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []byte{
+		1, 2, 3, 0, 0, 0, 0, 0, // b, padded to 8
+		0xFE, 0xFF, 0x04, 0x03, 0, 0, 0, 0, // w
+		0xFD, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, // d
+		0x00, 0x00, 0xC0, 0x3F, 0x00, 0x00, 0x80, 0xBE, // f
+		0, 0, 0, 0, 0, 0, 0xF0, 0xFF, // g
+	}
+	if !bytes.Equal(p.Data, want) {
+		t.Fatalf("data section\n got % x\nwant % x", p.Data, want)
+	}
+	for sym, off := range map[string]uint32{"b": 0, "w": 8, "d": 16, "f": 24, "g": 32, "e": 40} {
+		if got := p.Addr(sym) - DataBase; got != off {
+			t.Errorf("%s at offset %d, want %d", sym, got, off)
+		}
+	}
+
+	b.Bytes("late", []byte{9, 9, 9})
+	q, err := b.Link()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(p.Data, want) {
+		t.Errorf("first program's data changed after a later append: % x", p.Data)
+	}
+	if got := q.Data[len(want):]; !bytes.Equal(got, []byte{9, 9, 9, 0, 0, 0, 0, 0}) {
+		t.Errorf("second program's late data = % x", got)
+	}
+	p.Data = append(p.Data, 7)
+	if q.Data[len(want)] != 9 {
+		t.Error("an append to one program's data reached another's")
 	}
 }
 
