@@ -1,9 +1,11 @@
 package apps
 
 import (
+	"fmt"
 	"testing"
 
 	"mmxdsp/internal/core"
+	"mmxdsp/internal/vm"
 )
 
 // runPair runs a family's .c and .mmx versions and returns the comparison.
@@ -184,5 +186,30 @@ func TestNarrativeMetrics(t *testing.T) {
 	if gc.Report.CallRetCycleShare() < 5 || gm.Report.CallRetCycleShare() < 5 {
 		t.Errorf("g722 call/ret shares %.1f%% / %.1f%%, want substantial",
 			gc.Report.CallRetCycleShare(), gm.Report.CallRetCycleShare())
+	}
+}
+
+// TestImageCheckReportsFirstDifference holds imageCheck's answers on an
+// unrun image: a matching output passes, and a mismatch names the first
+// differing byte.
+func TestImageCheckReportsFirstDifference(t *testing.T) {
+	prog, err := buildImageMMX()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := vm.New(prog)
+	want := imageExpected()
+	out := prog.Addr("out")
+	c.Mem.WriteBytes(out, want)
+	if err := imageCheck(c, "image.mmx"); err != nil {
+		t.Fatalf("matching output: %v", err)
+	}
+	for _, i := range []int{0, 4321, len(want) - 1} {
+		c.Mem.WriteBytes(out, want)
+		c.Mem.StoreU8(out+uint32(i), want[i]^0x80)
+		wantErr := fmt.Sprintf("image.mmx: byte %d = %d, want %d", i, want[i]^0x80, want[i])
+		if err := imageCheck(c, "image.mmx"); err == nil || err.Error() != wantErr {
+			t.Errorf("byte %d flipped: %v, want %q", i, err, wantErr)
+		}
 	}
 }

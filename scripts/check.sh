@@ -119,6 +119,11 @@ go test -run '^$' -bench 'BenchmarkRetireChain' -benchtime 1x ./internal/pentium
 echo "==> go test -run '^$' -bench 'BenchmarkPrice' -benchtime 1x ./internal/mem"
 go test -run '^$' -bench 'BenchmarkPrice' -benchtime 1x ./internal/mem >/dev/null
 
+# And of the synthetic-image benchmark: the 640x480 bitmap every build of
+# image.c and image.mmx synthesizes.
+echo "==> go test -run '^$' -bench 'BenchmarkImageRGB' -benchtime 1x ./internal/synth"
+go test -run '^$' -bench 'BenchmarkImageRGB' -benchtime 1x ./internal/synth >/dev/null
+
 # Optional: refresh the interpreter-throughput artifact. Wall-clock numbers
 # are host-dependent, so this never gates the build.
 if [[ "${BENCH:-0}" == "1" ]]; then
