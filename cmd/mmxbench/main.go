@@ -61,7 +61,7 @@ func main() {
 		memProfile = flag.String("memprofile", "", "write a heap profile after the run to this file")
 		benchJSON  = flag.String("bench-json", "", "write per-program host throughput (JSON) to this file")
 
-		dispatch    = flag.String("dispatch", "auto", "interpreter: trace or generic (auto, block and predecode are aliases of trace)")
+		dispatch    = flag.String("dispatch", "auto", "interpreter: trace, generic, auto, block or predecode, which all name trace dispatch")
 		benchCommit = flag.String("bench-commit", "", "git commit hash to stamp into the -bench-json artifact")
 	)
 	flag.Parse()
@@ -85,12 +85,10 @@ func main() {
 	opt := core.DefaultOptions()
 	opt.SkipCheck = *skipCheck
 	opt.PerfectCache = *perfectCache
-	mode, err := core.CanonicalDispatch(*dispatch)
-	if err != nil {
+	if err := core.CheckDispatch(*dispatch); err != nil {
 		fmt.Fprintf(os.Stderr, "mmxbench: -dispatch: %v\n", err)
 		os.Exit(2)
 	}
-	opt.Dispatch = mode
 	cfg := pentium.DefaultConfig()
 	cfg.DisablePairing = *noPairing
 	cfg.DisableBTB = *noBTB
@@ -149,7 +147,7 @@ func main() {
 	}
 
 	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, rs, elapsed, mode, *benchCommit); err != nil {
+		if err := writeBenchJSON(*benchJSON, rs, elapsed, *benchCommit); err != nil {
 			fmt.Fprintf(os.Stderr, "mmxbench: -bench-json: %v\n", err)
 			os.Exit(1)
 		}
@@ -202,9 +200,9 @@ type benchRecord struct {
 	// retired events priced through a region schedule.
 	Blocks      int     `json:"blocks"`
 	FastPathPct float64 `json:"fast_path_pct"`
-	// Trace-dispatch coverage (zero at -dispatch generic): superblocks formed,
-	// side exits as a share of trace entries, and the share of retired
-	// instructions that retired inside a superblock.
+	// Trace-dispatch coverage: superblocks formed, side exits as a share of
+	// trace entries, and the share of retired instructions that retired
+	// inside a superblock.
 	TracesFormed     int     `json:"traces_formed,omitempty"`
 	SideExitPct      float64 `json:"side_exit_pct,omitempty"`
 	TraceResidentPct float64 `json:"trace_resident_pct,omitempty"`
@@ -228,7 +226,7 @@ type benchFile struct {
 	HostGoroutines int           `json:"host_parallelism"`
 }
 
-func writeBenchJSON(path string, rs core.ResultSet, elapsed time.Duration, mode, commit string) error {
+func writeBenchJSON(path string, rs core.ResultSet, elapsed time.Duration, commit string) error {
 	names := make([]string, 0, len(rs))
 	for name := range rs {
 		names = append(names, name)
@@ -236,7 +234,7 @@ func writeBenchJSON(path string, rs core.ResultSet, elapsed time.Duration, mode,
 	sort.Strings(names)
 	out := benchFile{
 		GitCommit:      commit,
-		Dispatch:       mode,
+		Dispatch:       core.DispatchTrace,
 		UTCDate:        time.Now().UTC().Format(time.RFC3339),
 		SuiteWallSec:   elapsed.Seconds(),
 		HostGoroutines: runtime.GOMAXPROCS(0),

@@ -11,7 +11,8 @@
 //	mmxd -result-cache 1024     # bigger result cache (0 disables)
 //	mmxd -result-cache-dir /var/cache/mmxd   # results survive restarts
 //	mmxd -result-cache-max-bytes 64000000    # bound the spill directory
-//	mmxd -warm-suite trace,generic # prefetch the suite table before serving
+//	mmxd -warm-suite trace      # prefetch the suite table before serving
+//	                            # (any dispatch name: all run one interpreter)
 //	mmxd -tenant-rate 10 -tenant-concurrent 4   # per-tenant quotas
 //	mmxd -campaign-dir /var/lib/mmxd/campaigns  # persist sweep artifacts
 //
@@ -35,6 +36,7 @@ import (
 	"syscall"
 	"time"
 
+	"mmxdsp/internal/core"
 	"mmxdsp/internal/server"
 )
 
@@ -51,7 +53,7 @@ func main() {
 		resBytes  = flag.Int64("result-cache-max-bytes", 256<<20, "spill-directory size bound; oldest results evicted beyond it (0 = unlimited)")
 		resFiles  = flag.Int("result-cache-max-files", 8192, "spill-directory file-count bound (0 = unlimited)")
 		grace     = flag.Duration("grace", 30*time.Second, "shutdown grace period for in-flight requests")
-		warmSuite = flag.String("warm-suite", "", "prefetch the whole-suite table for these dispatch modes (comma-separated, e.g. trace,generic) before serving")
+		warmSuite = flag.String("warm-suite", "", "prefetch the whole-suite table before serving; the value lists dispatch names (comma-separated, e.g. trace), which all name the one interpreter")
 
 		maxSource    = flag.Int("max-source-bytes", 0, "largest /asm source listing accepted (0 = 4 MiB default)")
 		asmMaxInstrs = flag.Int64("asm-max-instrs", 0, "instruction-budget cap for /asm runs (0 = default, -1 = uncapped)")
@@ -108,15 +110,14 @@ func main() {
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 
 	if *warmSuite != "" {
-		var modes []string
 		for _, m := range strings.Split(*warmSuite, ",") {
-			if m = strings.TrimSpace(m); m != "" {
-				modes = append(modes, m)
+			if err := core.CheckDispatch(strings.TrimSpace(m)); err != nil {
+				log.Fatalf("mmxd: -warm-suite: %v", err)
 			}
 		}
 		start := time.Now()
-		log.Printf("mmxd: warming suite table for %v", modes)
-		if err := srv.WarmSuite(context.Background(), modes); err != nil {
+		log.Printf("mmxd: warming suite table")
+		if err := srv.WarmSuite(context.Background()); err != nil {
 			log.Fatalf("mmxd: -warm-suite: %v", err)
 		}
 		log.Printf("mmxd: suite warm in %.1fs", time.Since(start).Seconds())

@@ -1,6 +1,6 @@
-// End-to-end tests for the mmxd service: the full 21-program suite under
-// every dispatch name served over HTTP must be byte-equivalent to direct
-// core.Run reports, and the real daemon binary must drain gracefully on
+// End-to-end tests for the mmxd service: the full 21-program suite served
+// over HTTP must be byte-equivalent to direct core.Run reports, alike under
+// every dispatch name, and the real daemon binary must drain gracefully on
 // SIGTERM.
 package mmxdsp
 
@@ -25,88 +25,54 @@ import (
 	"mmxdsp/internal/suite"
 )
 
+// dispatchNames is every dispatch name the service accepts. They all name
+// the one interpreter, so each must key, run and answer alike.
+var dispatchNames = []string{"", "trace", "generic", "auto", "block", "predecode"}
+
 // TestServedReportsMatchDirectRuns is the service acceptance gate: every
-// suite program, under every dispatch name, served over HTTP, produces a
-// report byte-equivalent to a direct core.Run with the same options.
-// Aliases of one mode share its cached result, so the daemon executes each
-// program once per canonical mode, and every mode shares the program's one
-// compiled artifact.
+// suite program, served over HTTP, produces a report byte-equivalent to a
+// direct core.Run with the same options, and every dispatch name answers
+// it with identical bytes and ETag from one cached result, so the daemon
+// executes and compiles each program once.
 func TestServedReportsMatchDirectRuns(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full 21x4 sweep (served and direct); skipped in -short mode")
+		t.Skip("full 21-program sweep (served and direct); skipped in -short mode")
 	}
 	srv := server.New(server.Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
+	// Direct side: the cache-free reference, run on the suite pool.
 	benches := suite.All()
-	modes := []string{core.DispatchTrace, "block", "predecode", core.DispatchGeneric}
-	canonical := map[string]bool{}
-
-	for _, mode := range modes {
-		m, err := core.CanonicalDispatch(mode)
+	direct, err := core.RunAll(benches, core.Options{SkipCheck: true})
+	if err != nil {
+		t.Fatalf("direct RunAll: %v", err)
+	}
+	want := make(map[string]string, len(direct))
+	for name, res := range direct {
+		data, err := json.Marshal(res.Report)
 		if err != nil {
 			t.Fatal(err)
 		}
-		canonical[m] = true
-		// Direct side: the cache-free reference, run on the suite pool.
-		direct, err := core.RunAll(benches, core.Options{SkipCheck: true, Dispatch: mode})
-		if err != nil {
-			t.Fatalf("direct RunAll(%s): %v", mode, err)
-		}
-		want := make(map[string]string, len(direct))
-		for name, res := range direct {
-			data, err := json.Marshal(res.Report)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[name] = string(data)
-		}
+		want[name] = string(data)
+	}
 
-		// Served side: all programs concurrently through the daemon.
-		var wg sync.WaitGroup
-		errs := make(chan error, len(benches))
-		for _, bench := range benches {
-			name := bench.Name()
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				body := fmt.Sprintf(`{"program":%q,"dispatch":%q,"skip_check":true}`, name, mode)
-				resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(body))
-				if err != nil {
-					errs <- fmt.Errorf("%s/%s: %v", name, mode, err)
-					return
-				}
-				data, err := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if err != nil {
-					errs <- fmt.Errorf("%s/%s: reading response: %v", name, mode, err)
-					return
-				}
-				if resp.StatusCode != http.StatusOK {
-					errs <- fmt.Errorf("%s/%s: status %d: %s", name, mode, resp.StatusCode, data)
-					return
-				}
-				var env struct {
-					Report json.RawMessage `json:"report"`
-				}
-				if err := json.Unmarshal(data, &env); err != nil {
-					errs <- fmt.Errorf("%s/%s: decode: %v", name, mode, err)
-					return
-				}
-				var buf bytes.Buffer
-				if err := json.Compact(&buf, env.Report); err != nil {
-					errs <- fmt.Errorf("%s/%s: compact: %v", name, mode, err)
-					return
-				}
-				if buf.String() != want[name] {
-					errs <- fmt.Errorf("%s/%s: served report is not byte-equivalent to direct core.Run", name, mode)
-				}
-			}()
-		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
+	// Served side: all programs concurrently through the daemon, each
+	// under every dispatch name in turn.
+	var wg sync.WaitGroup
+	errs := make(chan error, len(benches))
+	for _, bench := range benches {
+		name := bench.Name()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs <- servedUnderEveryName(ts.URL, name, want[name])
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
 			t.Error(err)
 		}
 	}
@@ -120,12 +86,58 @@ func TestServedReportsMatchDirectRuns(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
 	}
-	if wantRuns := int64(len(benches) * len(canonical)); m.RunsOK != wantRuns {
-		t.Errorf("runs_ok = %d, want %d", m.RunsOK, wantRuns)
+	if m.RunsOK != int64(len(benches)) {
+		t.Errorf("runs_ok = %d, want %d (every name shares one result)", m.RunsOK, len(benches))
 	}
 	if m.CacheMisses != uint64(len(benches)) {
 		t.Errorf("cache_misses = %d, want %d (each program compiles once)", m.CacheMisses, len(benches))
 	}
+}
+
+// servedUnderEveryName posts program to url's /run under every dispatch
+// name and checks that the report equals want and that every name gets
+// the first name's bytes and ETag.
+func servedUnderEveryName(url, program, want string) error {
+	var firstBody []byte
+	var firstTag string
+	for _, mode := range dispatchNames {
+		body := fmt.Sprintf(`{"program":%q,"dispatch":%q,"skip_check":true}`, program, mode)
+		resp, err := http.Post(url+"/run", "application/json", strings.NewReader(body))
+		if err != nil {
+			return fmt.Errorf("%s/%q: %v", program, mode, err)
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return fmt.Errorf("%s/%q: reading response: %v", program, mode, err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("%s/%q: status %d: %s", program, mode, resp.StatusCode, data)
+		}
+		tag := resp.Header.Get("ETag")
+		if firstBody != nil {
+			if !bytes.Equal(data, firstBody) || tag != firstTag {
+				return fmt.Errorf("%s/%q: bytes or ETag %q differ from dispatch %q (ETag %q)",
+					program, mode, tag, dispatchNames[0], firstTag)
+			}
+			continue
+		}
+		firstBody, firstTag = data, tag
+		var env struct {
+			Report json.RawMessage `json:"report"`
+		}
+		if err := json.Unmarshal(data, &env); err != nil {
+			return fmt.Errorf("%s/%q: decode: %v", program, mode, err)
+		}
+		var buf bytes.Buffer
+		if err := json.Compact(&buf, env.Report); err != nil {
+			return fmt.Errorf("%s/%q: compact: %v", program, mode, err)
+		}
+		if buf.String() != want {
+			return fmt.Errorf("%s/%q: served report is not byte-equivalent to direct core.Run", program, mode)
+		}
+	}
+	return nil
 }
 
 // TestDaemonSIGTERMDrain exercises the real binary: build cmd/mmxd, serve
@@ -239,22 +251,19 @@ func TestDaemonSIGTERMDrain(t *testing.T) {
 	}
 }
 
-// TestResultCacheServesIdenticalBytes sweeps every suite program in every
-// dispatch mode twice through a result-caching daemon: the replay must be
-// byte-identical to the first response, marked as a cache hit, and must
-// not re-execute the simulation. (Aliases of a mode share its entry; see
-// the dispatch-alias tests in internal/cluster.)
+// TestResultCacheServesIdenticalBytes sweeps every suite program twice
+// through a result-caching daemon, the replay under another dispatch name:
+// the replay must be byte-identical to the first response, marked as a
+// cache hit, and must not re-execute the simulation.
 func TestResultCacheServesIdenticalBytes(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full 21x2 sweep served twice; skipped in -short mode")
+		t.Skip("full 21-program sweep served twice; skipped in -short mode")
 	}
 	srv := server.New(server.Config{}) // result cache on by default
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	benches := suite.All()
-	modes := []string{core.DispatchTrace, core.DispatchGeneric}
-
 	fetch := func(name, mode string) (*http.Response, []byte) {
 		body := fmt.Sprintf(`{"program":%q,"dispatch":%q,"skip_check":true}`, name, mode)
 		resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(body))
@@ -269,29 +278,27 @@ func TestResultCacheServesIdenticalBytes(t *testing.T) {
 		return resp, data
 	}
 
-	for _, mode := range modes {
-		for _, bench := range benches {
-			name := bench.Name()
-			resp1, body1 := fetch(name, mode)
-			if resp1.StatusCode != http.StatusOK {
-				t.Fatalf("%s/%s: status %d: %s", name, mode, resp1.StatusCode, body1)
-			}
-			if got := resp1.Header.Get(server.ResultCacheHeader); got != "miss" {
-				t.Errorf("%s/%s: first response cache header %q, want miss", name, mode, got)
-			}
-			resp2, body2 := fetch(name, mode)
-			if resp2.StatusCode != http.StatusOK {
-				t.Fatalf("%s/%s: replay status %d", name, mode, resp2.StatusCode)
-			}
-			if got := resp2.Header.Get(server.ResultCacheHeader); got != "hit" {
-				t.Errorf("%s/%s: replay cache header %q, want hit", name, mode, got)
-			}
-			if !bytes.Equal(body1, body2) {
-				t.Errorf("%s/%s: replayed bytes differ from the first execution", name, mode)
-			}
-			if e1, e2 := resp1.Header.Get("ETag"), resp2.Header.Get("ETag"); e1 == "" || e1 != e2 {
-				t.Errorf("%s/%s: ETags %q vs %q, want one stable tag", name, mode, e1, e2)
-			}
+	for _, bench := range benches {
+		name := bench.Name()
+		resp1, body1 := fetch(name, "trace")
+		if resp1.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", name, resp1.StatusCode, body1)
+		}
+		if got := resp1.Header.Get(server.ResultCacheHeader); got != "miss" {
+			t.Errorf("%s: first response cache header %q, want miss", name, got)
+		}
+		resp2, body2 := fetch(name, "generic")
+		if resp2.StatusCode != http.StatusOK {
+			t.Fatalf("%s: replay status %d", name, resp2.StatusCode)
+		}
+		if got := resp2.Header.Get(server.ResultCacheHeader); got != "hit" {
+			t.Errorf("%s: replay cache header %q, want hit", name, got)
+		}
+		if !bytes.Equal(body1, body2) {
+			t.Errorf("%s: replayed bytes differ from the first execution", name)
+		}
+		if e1, e2 := resp1.Header.Get("ETag"), resp2.Header.Get("ETag"); e1 == "" || e1 != e2 {
+			t.Errorf("%s: ETags %q vs %q, want one stable tag", name, e1, e2)
 		}
 	}
 
@@ -304,7 +311,7 @@ func TestResultCacheServesIdenticalBytes(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
 	}
-	want := int64(len(benches) * len(modes))
+	want := int64(len(benches))
 	if m.RunsOK != want {
 		t.Errorf("runs_ok = %d, want %d (replays must not execute)", m.RunsOK, want)
 	}

@@ -12,14 +12,6 @@ import (
 // — whether run sequentially on one backend or sharded across a fleet —
 // render byte-identical artifacts, which the e2e suite asserts.
 
-// dispatchLabel names the dispatch mode in artifacts ("" means auto).
-func dispatchLabel(d string) string {
-	if d == "" {
-		return "auto"
-	}
-	return d
-}
-
 // renderArtifacts builds the points CSV and the sensitivity Markdown for
 // a completed campaign. Only done points emit rows, in grid order.
 func renderArtifacts(spec *Spec, points []PointState) (csv, markdown []byte) {
@@ -27,10 +19,10 @@ func renderArtifacts(spec *Spec, points []PointState) (csv, markdown []byte) {
 }
 
 // renderCSV emits one row per done point in grid order:
-// program,dispatch,<axes...>,cycles,instructions,l1_misses,l2_misses.
+// program,<axes...>,cycles,instructions,l1_misses,l2_misses.
 func renderCSV(spec *Spec, points []PointState) []byte {
 	var b bytes.Buffer
-	b.WriteString("program,dispatch")
+	b.WriteString("program")
 	for _, name := range spec.axisNames {
 		b.WriteByte(',')
 		b.WriteString(name)
@@ -42,8 +34,6 @@ func renderCSV(spec *Spec, points []PointState) []byte {
 			continue
 		}
 		b.WriteString(p.Program)
-		b.WriteByte(',')
-		b.WriteString(dispatchLabel(p.Dispatch))
 		for _, v := range p.Values {
 			fmt.Fprintf(&b, ",%d", v)
 		}
@@ -52,17 +42,16 @@ func renderCSV(spec *Spec, points []PointState) []byte {
 	return b.Bytes()
 }
 
-// renderMarkdown emits one sensitivity curve per (axis, program,
-// dispatch): the points where every other axis sits at its baseline (its
-// first listed value), tabulated as axis value → cycles plus the speedup
-// relative to the axis's own first value. This is the Table-2 framing —
+// renderMarkdown emits one sensitivity curve per (axis, program): the
+// points where every other axis sits at its baseline (its first listed
+// value), tabulated as axis value → cycles plus the speedup relative to
+// the axis's own first value. This is the Table-2 framing —
 // relative performance under architectural variation — applied to each
 // swept knob.
 func renderMarkdown(spec *Spec, points []PointState) []byte {
 	var b bytes.Buffer
 	b.WriteString("# Sensitivity curves\n\n")
-	fmt.Fprintf(&b, "Grid: %d points — %d program(s) × %d dispatch mode(s)",
-		len(points), len(spec.Programs), spec.dispatchCount())
+	fmt.Fprintf(&b, "Grid: %d points — %d program(s)", len(points), len(spec.Programs))
 	for _, name := range spec.axisNames {
 		fmt.Fprintf(&b, " × %s[%d]", name, len(spec.Axes[name]))
 	}
@@ -70,26 +59,23 @@ func renderMarkdown(spec *Spec, points []PointState) []byte {
 
 	if len(spec.axisNames) == 0 {
 		// Degenerate grid (no axes): one flat table of program results.
-		b.WriteString("\n| program | dispatch | cycles | instructions |\n|---|---|---:|---:|\n")
+		b.WriteString("\n| program | cycles | instructions |\n|---|---:|---:|\n")
 		for i := range points {
 			p := &points[i]
 			if p.Status != PointDone {
 				continue
 			}
-			fmt.Fprintf(&b, "| %s | %s | %d | %d |\n",
-				p.Program, dispatchLabel(p.Dispatch), p.Cycles, p.Instrs)
+			fmt.Fprintf(&b, "| %s | %d | %d |\n", p.Program, p.Cycles, p.Instrs)
 		}
 		return b.Bytes()
 	}
 
-	// index done points by (program, dispatch, values) for curve lookup.
+	// index done points by (program, values) for curve lookup.
 	type cell struct{ cycles uint64 }
 	index := make(map[string]cell, len(points))
-	key := func(program, dispatch string, values []int) string {
+	key := func(program string, values []int) string {
 		var k bytes.Buffer
 		k.WriteString(program)
-		k.WriteByte('|')
-		k.WriteString(dispatch)
 		for _, v := range values {
 			fmt.Fprintf(&k, "|%d", v)
 		}
@@ -98,14 +84,10 @@ func renderMarkdown(spec *Spec, points []PointState) []byte {
 	for i := range points {
 		p := &points[i]
 		if p.Status == PointDone {
-			index[key(p.Program, p.Dispatch, p.Values)] = cell{cycles: p.Cycles}
+			index[key(p.Program, p.Values)] = cell{cycles: p.Cycles}
 		}
 	}
 
-	dispatch := spec.Dispatch
-	if len(dispatch) == 0 {
-		dispatch = []string{""}
-	}
 	for axis, name := range spec.axisNames {
 		fmt.Fprintf(&b, "\n## Axis `%s`\n", name)
 		if len(spec.axisNames) > 1 {
@@ -124,28 +106,26 @@ func renderMarkdown(spec *Spec, points []PointState) []byte {
 			b.WriteString(".\n")
 		}
 		for _, program := range spec.Programs {
-			for _, mode := range dispatch {
-				fmt.Fprintf(&b, "\n### %s (dispatch %s)\n\n", program, dispatchLabel(mode))
-				fmt.Fprintf(&b, "| %s | cycles | speedup vs first |\n|---:|---:|---:|\n", name)
-				// Baseline cell: this axis at its first value too.
-				values := make([]int, len(spec.axisNames))
-				for j, other := range spec.axisNames {
-					values[j] = spec.Axes[other][0]
+			fmt.Fprintf(&b, "\n### %s\n\n", program)
+			fmt.Fprintf(&b, "| %s | cycles | speedup vs first |\n|---:|---:|---:|\n", name)
+			// Baseline cell: this axis at its first value too.
+			values := make([]int, len(spec.axisNames))
+			for j, other := range spec.axisNames {
+				values[j] = spec.Axes[other][0]
+			}
+			base, haveBase := index[key(program, values)]
+			for _, v := range spec.Axes[name] {
+				values[axis] = v
+				c, ok := index[key(program, values)]
+				if !ok {
+					fmt.Fprintf(&b, "| %d | — | — |\n", v)
+					continue
 				}
-				base, haveBase := index[key(program, mode, values)]
-				for _, v := range spec.Axes[name] {
-					values[axis] = v
-					c, ok := index[key(program, mode, values)]
-					if !ok {
-						fmt.Fprintf(&b, "| %d | — | — |\n", v)
-						continue
-					}
-					if haveBase && c.cycles > 0 {
-						fmt.Fprintf(&b, "| %d | %d | %.3f |\n",
-							v, c.cycles, float64(base.cycles)/float64(c.cycles))
-					} else {
-						fmt.Fprintf(&b, "| %d | %d | — |\n", v, c.cycles)
-					}
+				if haveBase && c.cycles > 0 {
+					fmt.Fprintf(&b, "| %d | %d | %.3f |\n",
+						v, c.cycles, float64(base.cycles)/float64(c.cycles))
+				} else {
+					fmt.Fprintf(&b, "| %d | %d | — |\n", v, c.cycles)
 				}
 			}
 		}

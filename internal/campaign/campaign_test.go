@@ -70,10 +70,10 @@ func TestRunCompletesAndRendersArtifacts(t *testing.T) {
 		t.Fatalf("SimulatedInstrs = %d, want 1500", got)
 	}
 	csv, md := c.Artifacts()
-	if !strings.HasPrefix(string(csv), "program,dispatch,l1_size,cycles,instructions,l1_misses,l2_misses\n") {
+	if !strings.HasPrefix(string(csv), "program,l1_size,cycles,instructions,l1_misses,l2_misses\n") {
 		t.Fatalf("csv header wrong:\n%s", csv)
 	}
-	if !strings.Contains(string(csv), "fir.mmx,auto,8192,122,500,0,0") {
+	if !strings.Contains(string(csv), "fir.mmx,8192,122,500,0,0") {
 		t.Fatalf("csv lacks the 8192 row:\n%s", csv)
 	}
 	if !strings.Contains(string(md), "## Axis `l1_size`") || !strings.Contains(string(md), "fir.mmx") {
@@ -90,7 +90,7 @@ func TestRunArtifactsDeterministic(t *testing.T) {
 		c := newTestCampaign(t, spec)
 		ex := &fakeExecutor{fn: func(_ context.Context, p Point) (PointResult, error) {
 			// Deterministic function of the cell, like real simulation.
-			cycles := uint64(1000+17*p.Values[0]+3*p.Values[1]) + uint64Hash(p.Program, p.Dispatch)
+			cycles := uint64(1000+17*p.Values[0]+3*p.Values[1]) + uint64Hash(p.Program)
 			return PointResult{Cycles: cycles, Instrs: 100}, nil
 		}}
 		Run(c, ex, RunnerConfig{Workers: 3})

@@ -1,5 +1,5 @@
 // Package campaign implements declarative ablation-sweep campaigns: one
-// request declares a grid — programs × dispatch modes × ablation axes —
+// request declares a grid — programs × ablation axes —
 // that the service expands into (program, config) points, executes through
 // the tier's own /run machinery (result cache, admission, routing), and
 // summarizes as sensitivity-curve artifacts. The package is tier-neutral:
@@ -94,8 +94,9 @@ type Spec struct {
 	// Programs lists paper-style program names; each is swept over the
 	// full grid. Existence is checked by the tier against its registry.
 	Programs []string `json:"programs"`
-	// Dispatch lists interpreter modes to sweep (empty = one run in the
-	// default mode).
+	// Dispatch lists dispatch names, each checked by core.CheckDispatch.
+	// Every name runs the one interpreter, so the list is not an axis: a
+	// spec expands to the same points with or without it.
 	Dispatch []string `json:"dispatch,omitempty"`
 	// Axes maps axis names (see AxisNames) to the values to sweep.
 	Axes map[string][]int `json:"axes,omitempty"`
@@ -113,11 +114,10 @@ type Spec struct {
 // AxisOrder returns the canonical (sorted) axis order for the spec.
 func (s *Spec) AxisOrder() []string { return s.axisNames }
 
-// Point is one (program, dispatch, config) cell of the expanded grid.
+// Point is one (program, config) cell of the expanded grid.
 type Point struct {
-	Index    int
-	Program  string
-	Dispatch string
+	Index   int
+	Program string
 	// Values holds one value per Spec.AxisOrder entry.
 	Values []int
 	// Body is the canonical /run request JSON for this point. Key order
@@ -129,8 +129,8 @@ type Point struct {
 
 // ParseSpec decodes, validates, bounds and expands a campaign grid. The
 // returned points are fully rendered /run bodies in deterministic order:
-// programs × dispatch × the cartesian product of axes in sorted-name
-// order. Any error is a client error (the tiers answer 400).
+// programs × the cartesian product of axes in sorted-name order. Any
+// error is a client error (the tiers answer 400).
 func ParseSpec(data []byte, lim Limits) (*Spec, []Point, error) {
 	if lim.MaxBodyBytes > 0 && len(data) > lim.MaxBodyBytes {
 		return nil, nil, fmt.Errorf("campaign spec exceeds %d bytes", lim.MaxBodyBytes)
@@ -174,10 +174,7 @@ func (s *Spec) validate(lim Limits) error {
 	}
 	seenDisp := make(map[string]bool, len(s.Dispatch))
 	for _, d := range s.Dispatch {
-		if d == "" {
-			return fmt.Errorf("empty dispatch mode (omit the list or use %q)", "auto")
-		}
-		if _, err := core.CanonicalDispatch(d); err != nil {
+		if err := core.CheckDispatch(d); err != nil {
 			return err
 		}
 		if seenDisp[d] {
@@ -228,7 +225,7 @@ func (s *Spec) validate(lim Limits) error {
 	sort.Strings(s.axisNames)
 	// Count before materializing: a grid over the point ceiling dies here
 	// by multiplication, never by allocation.
-	count := len(s.Programs) * s.dispatchCount()
+	count := len(s.Programs)
 	for _, name := range s.axisNames {
 		n := len(s.Axes[name])
 		if count > lim.MaxPoints/n {
@@ -242,16 +239,9 @@ func (s *Spec) validate(lim Limits) error {
 	return nil
 }
 
-func (s *Spec) dispatchCount() int {
-	if len(s.Dispatch) == 0 {
-		return 1
-	}
-	return len(s.Dispatch)
-}
-
 // PointCount returns the expanded grid size.
 func (s *Spec) PointCount() int {
-	count := len(s.Programs) * s.dispatchCount()
+	count := len(s.Programs)
 	for _, name := range s.axisNames {
 		count *= len(s.Axes[name])
 	}
@@ -264,21 +254,16 @@ func (s *Spec) PointCount() int {
 // count), so an invalid cell rejects the whole campaign up front instead
 // of failing points mid-run.
 func (s *Spec) expand() ([]Point, error) {
-	dispatch := s.Dispatch
-	if len(dispatch) == 0 {
-		dispatch = []string{""}
-	}
 	points := make([]Point, 0, s.PointCount())
 	values := make([]int, len(s.axisNames))
 	var rec func(axis int) error
-	var program, mode string
+	var program string
 	rec = func(axis int) error {
 		if axis == len(s.axisNames) {
 			p := Point{
-				Index:    len(points),
-				Program:  program,
-				Dispatch: mode,
-				Values:   append([]int(nil), values...),
+				Index:   len(points),
+				Program: program,
+				Values:  append([]int(nil), values...),
 			}
 			if err := s.checkCacheCombo(p.Values); err != nil {
 				return err
@@ -300,10 +285,8 @@ func (s *Spec) expand() ([]Point, error) {
 		return nil
 	}
 	for _, program = range s.Programs {
-		for _, mode = range dispatch {
-			if err := rec(0); err != nil {
-				return nil, err
-			}
+		if err := rec(0); err != nil {
+			return nil, err
 		}
 	}
 	return points, nil
@@ -368,9 +351,6 @@ func (s *Spec) renderBody(p Point) ([]byte, error) {
 		}
 	}
 	body := map[string]any{"program": p.Program}
-	if p.Dispatch != "" {
-		body["dispatch"] = p.Dispatch
-	}
 	if len(cfg) > 0 {
 		body["config"] = cfg
 	}

@@ -24,20 +24,32 @@ func TestParseSpecExpandsDeterministically(t *testing.T) {
 	}`
 	s, points := mustParse(t, spec)
 
-	if got := s.PointCount(); got != 16 {
-		t.Fatalf("PointCount = %d, want 16", got)
+	// The dispatch names are not an axis: every name runs the one
+	// interpreter, so the grid is programs × axes alone.
+	if got := s.PointCount(); got != 8 {
+		t.Fatalf("PointCount = %d, want 8", got)
 	}
-	if len(points) != 16 {
-		t.Fatalf("expanded %d points, want 16", len(points))
+	if len(points) != 8 {
+		t.Fatalf("expanded %d points, want 8", len(points))
 	}
 	// Axis order is sorted by name: l1_size before mul_latency.
 	if order := s.AxisOrder(); order[0] != "l1_size" || order[1] != "mul_latency" {
 		t.Fatalf("AxisOrder = %v, want [l1_size mul_latency]", order)
 	}
-	// First point: first program, first dispatch, first value of each axis.
+	// First point: first program, first value of each axis.
 	p0 := points[0]
-	if p0.Program != "fir.mmx" || p0.Dispatch != "block" || p0.Values[0] != 8192 || p0.Values[1] != 1 {
+	if p0.Program != "fir.mmx" || p0.Values[0] != 8192 || p0.Values[1] != 1 {
 		t.Fatalf("point 0 = %+v", p0)
+	}
+	// The same grid without the dispatch list renders the same bodies.
+	_, plain, err := ParseSpec([]byte(strings.Replace(spec, `"dispatch": ["block", "trace"],`, "", 1)), DefaultLimits())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range points {
+		if !bytes.Equal(points[i].Body, plain[i].Body) || bytes.Contains(points[i].Body, []byte("dispatch")) {
+			t.Fatalf("point %d body %s, without the dispatch list %s", i, points[i].Body, plain[i].Body)
+		}
 	}
 	// Expansion is deterministic: a second parse renders identical bodies.
 	_, again, err := ParseSpec([]byte(spec), DefaultLimits())

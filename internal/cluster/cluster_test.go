@@ -54,8 +54,7 @@ func newFakeBackend(t testing.TB) *fakeBackend {
 	})
 	mux.HandleFunc("/programs", func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(server.ProgramsResponse{
-			Programs:      []server.ProgramInfo{{Name: "fir.mmx"}, {Name: "fft.c"}},
-			DispatchModes: []string{"block", "predecode", "generic"},
+			Programs: []server.ProgramInfo{{Name: "fir.mmx"}, {Name: "fft.c"}},
 		})
 	})
 	mux.HandleFunc("/run", func(w http.ResponseWriter, r *http.Request) {

@@ -3,21 +3,37 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
 	"mmxdsp/internal/core"
 	"mmxdsp/internal/server"
+	"mmxdsp/internal/suite"
 )
 
-// TestDispatchAliasesShareOneEntry: every name of one dispatch mode — "",
-// "auto", "block", "predecode" and "trace" — keys one result-cache entry,
-// so all of them answer /run with the same bytes from mmxd and from
-// mmxfleet, while "generic" keys its own; an unknown name gets the same
-// 400 text from both tiers on every endpoint that takes one.
+// dispatchNames is every dispatch name the service accepts. They all name
+// the one interpreter.
+var dispatchNames = []string{"", "trace", "generic", "auto", "block", "predecode"}
+
+// TestDispatchAliasesShareOneEntry: every accepted dispatch name keys one
+// result-cache entry, so all of them answer /run, /asm, /table and /suite
+// with the same bytes and ETag from mmxd and from mmxfleet; an unknown
+// name gets the same 400 text from both tiers on every endpoint that takes
+// one.
 func TestDispatchAliasesShareOneEntry(t *testing.T) {
-	backend := httptest.NewServer(server.New(server.Config{}).Handler())
+	var benches []core.Benchmark
+	for _, name := range []string{"fir.mmx", "fir.c"} {
+		b, ok := suite.ByName(name)
+		if !ok {
+			t.Fatalf("no suite program %s", name)
+		}
+		benches = append(benches, b)
+	}
+	backend := httptest.NewServer(server.New(server.Config{
+		Benchmarks: func() []core.Benchmark { return benches },
+	}).Handler())
 	t.Cleanup(backend.Close)
 	c, err := New(Config{Backends: []string{backend.URL}, ResultCacheEntries: 64})
 	if err != nil {
@@ -28,40 +44,70 @@ func TestDispatchAliasesShareOneEntry(t *testing.T) {
 	coord := httptest.NewServer(c.Handler())
 	t.Cleanup(coord.Close)
 
-	bodyFor := func(name string) string {
+	prog, err := benches[0].Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runBody := func(name string) string {
 		return `{"program":"fir.mmx","dispatch":"` + name + `","skip_check":true}`
 	}
-	keyOf := func(name string) string {
-		req, err := server.ParseRunRequest([]byte(bodyFor(name)))
+	asmBody := func(name string) string {
+		data, err := json.Marshal(server.AsmRequest{Source: prog.Source(), Name: "fir.mmx", Dispatch: name})
 		if err != nil {
-			t.Fatalf("parse %q: %v", name, err)
+			t.Fatal(err)
 		}
-		return req.ResultKey()
+		return string(data)
 	}
-	traceKey := keyOf(core.DispatchTrace)
-	var want []byte
-	for _, name := range append([]string{""}, core.DispatchNames()...) {
-		mode, err := core.CanonicalDispatch(name)
+	var runKey, asmKey string
+	for i, name := range dispatchNames {
+		rr, err := server.ParseRunRequest([]byte(runBody(name)))
 		if err != nil {
-			t.Fatalf("%q: %v", name, err)
+			t.Fatalf("parse /run %q: %v", name, err)
 		}
-		if got := keyOf(name); (got == traceKey) != (mode == core.DispatchTrace) {
-			t.Errorf("%q (mode %s): result key %q, trace's %q", name, mode, got, traceKey)
+		ar, err := server.ParseAsmRequest([]byte(asmBody(name)), 0)
+		if err != nil {
+			t.Fatalf("parse /asm %q: %v", name, err)
 		}
-		if mode != core.DispatchTrace {
-			continue
+		if i == 0 {
+			runKey, asmKey = rr.ResultKey(), ar.ResultKey()
+		} else if rr.ResultKey() != runKey || ar.ResultKey() != asmKey {
+			t.Errorf("%q: result keys %q, %q; %q's are %q, %q",
+				name, rr.ResultKey(), ar.ResultKey(), dispatchNames[0], runKey, asmKey)
 		}
-		for _, url := range []string{backend.URL, coord.URL} {
-			resp, data := post(t, url, "/run", bodyFor(name))
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("%s %q: status %d: %s", url, name, resp.StatusCode, data)
-			}
-			if want == nil {
-				want = data
-			} else if !bytes.Equal(data, want) {
-				t.Errorf("%s %q: /run body differs from the first trace answer", url, name)
-			}
+	}
+
+	type answer struct {
+		body []byte
+		etag string
+	}
+	first := map[string]answer{}
+	same := func(what, name string, resp *http.Response, data []byte) {
+		t.Helper()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %q: status %d: %s", what, name, resp.StatusCode, data)
 		}
+		got := answer{data, resp.Header.Get("ETag")}
+		want, ok := first[what]
+		if !ok {
+			first[what] = got
+			return
+		}
+		if !bytes.Equal(got.body, want.body) || got.etag != want.etag {
+			t.Errorf("%s %q: bytes or ETag %q differ from dispatch %q (ETag %q)",
+				what, name, got.etag, dispatchNames[0], want.etag)
+		}
+	}
+	for _, name := range dispatchNames {
+		for tier, url := range map[string]string{"mmxd": backend.URL, "mmxfleet": coord.URL} {
+			resp, data := post(t, url, "/run", runBody(name))
+			same(tier+" /run", name, resp, data)
+			resp, data = post(t, url, "/asm", asmBody(name))
+			same(tier+" /asm", name, resp, data)
+		}
+		resp, data := get(t, backend.URL+"/table?dispatch="+name)
+		same("mmxd /table", name, resp, data)
+		resp, data = post(t, coord.URL, "/suite", `{"dispatch":"`+name+`"}`)
+		same("mmxfleet /suite", name, resp, data)
 	}
 
 	errorOf := func(data []byte) string {
@@ -73,29 +119,46 @@ func TestDispatchAliasesShareOneEntry(t *testing.T) {
 		}
 		return e.Error
 	}
-	_, wantErr := core.CanonicalDispatch("warp")
-	dResp, dBody := post(t, backend.URL, "/run", bodyFor("warp"))
-	cResp, cBody := post(t, coord.URL, "/run", bodyFor("warp"))
-	tResp, err := http.Get(backend.URL + "/table?dispatch=warp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tBody bytes.Buffer
-	_, _ = tBody.ReadFrom(tResp.Body)
-	tResp.Body.Close()
-	sResp, sBody := post(t, coord.URL, "/suite", `{"dispatch":"warp"}`)
-	for _, r := range []struct {
+	wantErr := core.CheckDispatch("warp").Error()
+	type reply struct {
 		what   string
 		status int
 		body   []byte
-	}{
-		{"mmxd /run", dResp.StatusCode, dBody},
-		{"mmxfleet /run", cResp.StatusCode, cBody},
-		{"mmxd /table", tResp.StatusCode, tBody.Bytes()},
-		{"mmxfleet /suite", sResp.StatusCode, sBody},
-	} {
-		if r.status != http.StatusBadRequest || errorOf(r.body) != wantErr.Error() {
+	}
+	var replies []reply
+	add := func(what string, resp *http.Response, data []byte) {
+		replies = append(replies, reply{what, resp.StatusCode, data})
+	}
+	for tier, url := range map[string]string{"mmxd": backend.URL, "mmxfleet": coord.URL} {
+		resp, data := post(t, url, "/run", runBody("warp"))
+		add(tier+" /run", resp, data)
+		resp, data = post(t, url, "/asm", asmBody("warp"))
+		add(tier+" /asm", resp, data)
+		resp, data = post(t, url, "/campaign", `{"programs":["fir.mmx"],"dispatch":["warp"]}`)
+		add(tier+" /campaign", resp, data)
+	}
+	resp, data := get(t, backend.URL+"/table?dispatch=warp")
+	add("mmxd /table", resp, data)
+	resp, data = post(t, coord.URL, "/suite", `{"dispatch":"warp"}`)
+	add("mmxfleet /suite", resp, data)
+	for _, r := range replies {
+		if r.status != http.StatusBadRequest || errorOf(r.body) != wantErr {
 			t.Errorf("%s with an unknown dispatch: %d %q, want 400 %q", r.what, r.status, errorOf(r.body), wantErr)
 		}
 	}
+}
+
+// get sends one GET and returns the response with its body.
+func get(t *testing.T, url string) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, data
 }

@@ -1,5 +1,5 @@
 // Cache-affinity routing. Each request is keyed by its affinity key
-// (server.Request.CacheKey: program or source hash, dispatch, config), and
+// (server.Request.CacheKey: program or source hash, config), and
 // backends are ranked by rendezvous (highest-random-weight) hashing of
 // (backend, key): every coordinator ranks identically with no shared
 // state, each key has a stable first choice so repeat requests hit a warm

@@ -23,9 +23,8 @@ import (
 // SuiteRequest is the JSON body of POST /suite. An empty body (or empty
 // object) runs the whole suite with default options.
 type SuiteRequest struct {
-	// Dispatch selects the backends' interpreter: "" or any name
-	// core.CanonicalDispatch accepts; parsing replaces it with its
-	// canonical mode.
+	// Dispatch names the interpreter: "" or any name core.CheckDispatch
+	// accepts. All of them run the same code, so it shapes nothing.
 	Dispatch string `json:"dispatch,omitempty"`
 	// TimeoutMS bounds each routed program run (0 = backend default).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -40,7 +39,6 @@ type SuiteRequest struct {
 // SuiteResponse is the JSON body answering POST /suite. The table fields
 // match the daemon's /table response byte for byte when the full suite ran.
 type SuiteResponse struct {
-	Dispatch  string `json:"dispatch"`
 	Programs  int    `json:"programs"`
 	Part      int    `json:"part,omitempty"`
 	Of        int    `json:"of,omitempty"`
@@ -81,7 +79,6 @@ func (c *Coordinator) handleSuite(w http.ResponseWriter, r *http.Request) {
 	}
 
 	tmpl := server.RunRequest{
-		Dispatch:  req.Dispatch,
 		TimeoutMS: req.TimeoutMS,
 		SkipCheck: true, // /table semantics: validation is the tests' job
 		Config:    req.Config,
@@ -96,7 +93,6 @@ func (c *Coordinator) handleSuite(w http.ResponseWriter, r *http.Request) {
 	}
 	c.metrics.suiteRuns.Add(1)
 	server.WriteJSON(w, http.StatusOK, SuiteResponse{
-		Dispatch:  req.Dispatch,
 		Programs:  len(rs),
 		Part:      req.Part,
 		Of:        req.Of,
@@ -137,11 +133,9 @@ func parseSuiteRequest(data []byte) (*SuiteRequest, error) {
 	if err := dec.Decode(req); err != nil {
 		return nil, fmt.Errorf("invalid JSON: %w", err)
 	}
-	mode, err := core.CanonicalDispatch(req.Dispatch)
-	if err != nil {
+	if err := core.CheckDispatch(req.Dispatch); err != nil {
 		return nil, err
 	}
-	req.Dispatch = mode
 	if req.TimeoutMS < 0 {
 		return nil, fmt.Errorf("negative timeout_ms %d", req.TimeoutMS)
 	}

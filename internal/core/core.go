@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"runtime/debug"
-	"strings"
 	"time"
 
 	"mmxdsp/internal/asm"
@@ -57,56 +56,24 @@ func (b Benchmark) Name() string {
 	return b.Base + "." + b.Version
 }
 
-// Dispatch modes for Options.Dispatch: the two interpreters of vm.CPU.Run.
-// Results are byte-identical across them; only throughput differs.
-const (
-	// DispatchTrace runs the dispatch loop with runtime superblock
-	// formation and register caching (see vm/trace.go). It is the default.
-	DispatchTrace = "trace"
-	// DispatchGeneric runs the per-instruction loop: the same micro-ops as
-	// DispatchTrace, one instruction per step.
-	DispatchGeneric = "generic"
-)
+// DispatchTrace names the one interpreter: the dispatch loop with runtime
+// superblock formation and register caching (see vm/trace.go). Reports do
+// not depend on the interpreter, so Options.Dispatch and the service's
+// dispatch fields only name it.
+const DispatchTrace = "trace"
 
-// dispatchNames lists every accepted dispatch name with the mode it
-// selects, canonical modes first. "auto", "block" and "predecode" named
-// interpreter loops since folded into trace dispatch; they stay accepted
-// so existing clients, scripts and campaign specs keep working.
-var dispatchNames = []struct{ name, mode string }{
-	{DispatchTrace, DispatchTrace},
-	{DispatchGeneric, DispatchGeneric},
-	{"auto", DispatchTrace},
-	{"block", DispatchTrace},
-	{"predecode", DispatchTrace},
-}
-
-// DispatchNames returns every dispatch name CanonicalDispatch accepts
-// besides the empty default, canonical modes first.
-func DispatchNames() []string {
-	names := make([]string, len(dispatchNames))
-	for i, d := range dispatchNames {
-		names[i] = d.name
+// CheckDispatch validates a dispatch name. Every surface that takes one
+// (Options, the HTTP APIs, campaign specs, the CLIs) validates through it,
+// so they accept the same names and reject the rest with the same text.
+// The names besides "trace" named interpreters since folded into trace
+// dispatch; they stay accepted so existing clients, scripts and campaign
+// specs keep working, and all of them run the same code.
+func CheckDispatch(name string) error {
+	switch name {
+	case "", DispatchTrace, "generic", "auto", "block", "predecode":
+		return nil
 	}
-	return names
-}
-
-// CanonicalDispatch validates a dispatch name and returns the mode it
-// selects: DispatchTrace for "" and every alias of it, DispatchGeneric for
-// "generic". Every surface that takes a dispatch name (Options, the HTTP
-// APIs, campaign specs, the CLIs) validates through it, so they accept the
-// same names and reject the rest with the same text.
-func CanonicalDispatch(name string) (string, error) {
-	if name == "" {
-		return DispatchTrace, nil
-	}
-	for _, d := range dispatchNames {
-		if d.name == name {
-			return d.mode, nil
-		}
-	}
-	names := DispatchNames()
-	return "", fmt.Errorf("unknown dispatch mode %q (want %s or %s)",
-		name, strings.Join(names[:len(names)-1], ", "), names[len(names)-1])
+	return fmt.Errorf("unknown dispatch mode %q (want trace, generic, auto, block or predecode)", name)
 }
 
 // Options configures a run.
@@ -146,8 +113,9 @@ type Options struct {
 	// Progress, when non-nil, is invoked by RunAll as each benchmark
 	// retires (in completion order, serialized). Run ignores it.
 	Progress func(RunStatus)
-	// Dispatch selects the interpreter: any name CanonicalDispatch
-	// accepts ("" selects DispatchTrace). Run rejects unknown values.
+	// Dispatch names the interpreter: "" or any name CheckDispatch
+	// accepts, all of which run trace dispatch. Run rejects unknown
+	// values.
 	Dispatch string
 	// Ctx, when non-nil, cancels work in flight: Run installs a VM poll
 	// hook that aborts the interpreter within vm.DefaultPollInterval
@@ -165,7 +133,7 @@ func DefaultOptions() Options {
 
 // BlockStats describes how a run's retired events were priced. It is
 // diagnostic host-side data, deliberately separate from Report (reports are
-// byte-identical across dispatch modes).
+// byte-identical across the VM's execution paths).
 type BlockStats struct {
 	// Compiled is the number of basic blocks the program compiled into.
 	Compiled int
@@ -198,8 +166,9 @@ type Result struct {
 	Wall time.Duration
 	// Blocks reports region-schedule coverage for the run.
 	Blocks BlockStats
-	// Traces reports trace-dispatch behavior (zero at DispatchGeneric):
-	// superblocks formed, full iterations, side exits.
+	// Traces reports trace-dispatch behavior (zero for a traced run, which
+	// takes the per-instruction loop): superblocks formed, full
+	// iterations, side exits.
 	Traces TraceStats
 	// BudgetExhausted marks a partial run: the instruction budget expired
 	// before HALT and Options.PartialOnBudget let it return a Result
@@ -350,16 +319,14 @@ func RunCompiled(comp *Compiled, opt Options) (res *Result, err error) {
 	if opt.Ctx != nil {
 		cpu.Poll = opt.Ctx.Err
 	}
-	mode, err := CanonicalDispatch(opt.Dispatch)
-	if err != nil {
+	if err := CheckDispatch(opt.Dispatch); err != nil {
 		return nil, fmt.Errorf("core: run %s: %w", b.Name(), err)
 	}
-	cpu.Traces = mode == DispatchTrace
-	cpu.Generic = mode == DispatchGeneric
+	cpu.Traces = true
 	var tracer *profile.Tracer
 	if opt.Trace != nil {
 		// A Tee is a plain per-event observer, so a traced run takes the
-		// per-instruction loop whatever the dispatch mode.
+		// per-instruction loop.
 		tracer = &profile.Tracer{W: opt.Trace, Limit: opt.TraceLimit, MeasuredOnly: true}
 		cpu.Obs = profile.Tee(col, tracer)
 	}

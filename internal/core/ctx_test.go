@@ -32,7 +32,7 @@ func spinBench(name string) Benchmark {
 }
 
 func TestRunCtxCancelAbortsMidRun(t *testing.T) {
-	for _, dispatch := range []string{"block", "predecode", DispatchGeneric} {
+	for _, dispatch := range []string{"block", "predecode", "generic"} {
 		t.Run(dispatch, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			go func() {

@@ -1,11 +1,11 @@
 package core_test
 
-// Cross-dispatch determinism: the rendered evaluation artifacts — Tables 2
-// and 3 (CSV) and the full Markdown report — must be byte-identical whether
-// the suite runs on the per-instruction loop or at trace
-// dispatch. This is the user-facing face of the equivalence guarantee:
-// region pricing is a host-side optimization and must never shift a
-// reported number. External test package because suite imports core.
+// Dispatch names: the rendered evaluation artifacts — Tables 2 and 3 (CSV)
+// and the full Markdown report — must be byte-identical whichever
+// dispatch name a run gives, and every name must run trace dispatch. The
+// VM's per-instruction loop is held to trace dispatch, report by report,
+// by the vm differentials (TestDispatchModesAgree). External test package
+// because suite imports core.
 
 import (
 	"testing"
@@ -24,19 +24,26 @@ func TestTablesByteIdenticalAcrossDispatch(t *testing.T) {
 		opt.Dispatch = dispatch
 		rs, err := core.RunAll(suite.All(), opt)
 		if err != nil {
-			t.Fatalf("RunAll (%s): %v", dispatch, err)
+			t.Fatalf("RunAll (%q): %v", dispatch, err)
+		}
+		formed := 0
+		for _, r := range rs {
+			formed += r.Traces.Formed
+		}
+		if formed == 0 {
+			t.Errorf("dispatch %q formed no traces: it did not run trace dispatch", dispatch)
 		}
 		return core.Table2CSV(rs), core.Table3CSV(rs), core.MarkdownReport(rs)
 	}
-	t2g, t3g, mdg := render(core.DispatchGeneric)
-	t2t, t3t, mdt := render(core.DispatchTrace)
+	t2g, t3g, mdg := render("generic")
+	t2t, t3t, mdt := render("")
 	if t2g != t2t {
-		t.Errorf("Table 2 CSV differs across dispatch modes:\n generic:\n%s\n trace:\n%s", t2g, t2t)
+		t.Errorf("Table 2 CSV differs across dispatch names:\n generic:\n%s\n default:\n%s", t2g, t2t)
 	}
 	if t3g != t3t {
-		t.Errorf("Table 3 CSV differs across dispatch modes:\n generic:\n%s\n trace:\n%s", t3g, t3t)
+		t.Errorf("Table 3 CSV differs across dispatch names:\n generic:\n%s\n default:\n%s", t3g, t3t)
 	}
 	if mdg != mdt {
-		t.Error("Markdown report differs across dispatch modes")
+		t.Error("Markdown report differs across dispatch names")
 	}
 }

@@ -112,16 +112,23 @@ func (in Inst) String() string {
 	return b.String()
 }
 
-// ReferencesMemory reports whether the instruction uses any memory
-// addressing mode. This is the paper's "% Memory References" predicate.
-// Stack-implicit operations (push/pop/call/ret) reference memory.
+// ReferencesMemory reports whether the instruction loads or stores data
+// memory, exactly when its micro-ops do (vm/lower.go). This is the paper's
+// "% Memory References" predicate, and region pricing charges the cache
+// model by it. Stack-implicit operations (push/pop/call/ret) reference
+// memory.
 func (in Inst) ReferencesMemory() bool {
 	switch in.Op {
 	case PUSH, POP, CALL, RET:
 		return true
 	case LEA:
-		// lea computes an address but performs no access.
-		return false
+		// lea computes an address without reading it; only a memory
+		// destination stores the result.
+		return in.A.IsMem() && in.B.IsMem()
+	case MOVZXB, MOVZXW, MOVSXB, MOVSXW:
+		// A source that is not a register is read from memory at its
+		// address fields, whatever its kind.
+		return in.A.IsMem() || in.B.Kind != KindReg
 	}
 	return in.A.IsMem() || in.B.IsMem()
 }

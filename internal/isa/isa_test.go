@@ -94,6 +94,15 @@ func TestReferencesMemory(t *testing.T) {
 		{Inst{Op: MOV, A: mem, B: reg}, true},
 		{Inst{Op: MOV, A: reg, B: Operand{Kind: KindReg, Reg: EBX}}, false},
 		{Inst{Op: LEA, A: reg, B: mem}, false},
+		// The shapes whose micro-ops reach memory without a memory
+		// operand on both sides: lea stores the address it computes to a
+		// memory destination, and movzx/movsx read any non-register
+		// source at its address fields.
+		{Inst{Op: LEA, A: mem, B: mem}, true},
+		{Inst{Op: LEA, A: mem, B: reg}, false},
+		{Inst{Op: MOVZXB, A: reg, B: Operand{Kind: KindImm, Imm: 31}}, true},
+		{Inst{Op: MOVSXW, A: reg, B: mem}, true},
+		{Inst{Op: MOVZXW, A: reg, B: Operand{Kind: KindReg, Reg: EBX}}, false},
 		{Inst{Op: PUSH, A: reg}, true},
 		{Inst{Op: POP, A: reg}, true},
 		{Inst{Op: CALL}, true},

@@ -2,7 +2,7 @@
 // the daemon from a curated-suite harness into a multi-tenant simulation
 // service. The request carries a textual listing (the syntax
 // asm.ParseSource accepts and Program.Source emits) plus the same
-// dispatch/ablation/budget knobs as /run; the response carries the same
+// ablation/budget knobs as /run; the response carries the same
 // profile report a /run of an identical program produces, byte for byte.
 //
 // The request takes the pipeline's /run path with source in place of a
@@ -73,7 +73,6 @@ type AsmRequest struct {
 type AsmResponse struct {
 	Program    string `json:"program"`
 	SourceHash string `json:"source_hash"`
-	Dispatch   string `json:"dispatch"`
 	CacheHit   bool   `json:"cache_hit"`
 	// BudgetExhausted marks a partial run: the instruction budget expired
 	// before HALT and Report covers only the retired prefix.
@@ -143,13 +142,12 @@ func (a *AsmRequest) name() string {
 }
 
 // runRequest views the submission as a RunRequest so the option plumbing
-// (timing config, dispatch mapping, timeouts) is shared with /run, not
-// duplicated. SkipCheck is inherent: user programs have no reference
-// implementation to validate against.
+// (timing config, budget, timeouts) is shared with /run, not duplicated.
+// SkipCheck is inherent: user programs have no reference implementation
+// to validate against.
 func (a *AsmRequest) runRequest() *RunRequest {
 	return &RunRequest{
 		Program:   a.progName(),
-		Dispatch:  a.Dispatch,
 		MaxInstrs: a.MaxInstrs,
 		TimeoutMS: a.TimeoutMS,
 		SkipCheck: true,
@@ -157,12 +155,11 @@ func (a *AsmRequest) runRequest() *RunRequest {
 	}
 }
 
-// CacheKey is the affinity key: source hash, dispatch and timing config —
-// the string a coordinator rendezvous-hashes so repeat submissions land on
-// the backend already holding the compiled listing.
+// CacheKey is the affinity key: source hash and timing config — the
+// string a coordinator rendezvous-hashes so repeat submissions land on the
+// backend already holding the compiled listing.
 func (a *AsmRequest) CacheKey() string {
-	rr := a.runRequest()
-	return "asm|h=" + a.sourceHash + "|" + rr.dispatchMode() + "|" + rr.configKey()
+	return "asm|h=" + a.sourceHash + "|" + a.runRequest().configKey()
 }
 
 // ResultKey extends CacheKey with the fields that shape response bytes but
@@ -225,7 +222,6 @@ func (s *Server) executeAsm(ctx context.Context, req *AsmRequest) ([]byte, int64
 	body, err := marshalResponse(AsmResponse{
 		Program:         req.name(),
 		SourceHash:      req.sourceHash,
-		Dispatch:        req.runRequest().dispatchMode(),
 		CacheHit:        hit,
 		BudgetExhausted: res.BudgetExhausted,
 		WallNS:          res.Wall.Nanoseconds(),

@@ -1,8 +1,8 @@
 // Black-box tests for POST /asm, the user-submitted-program front door.
 // The conformance half pins the core contract: every suite program,
 // serialized to listing text and submitted as source, produces a report
-// byte-identical to a /run of the registry program, in every dispatch
-// mode. The abuse half pins the safety rails: oversized sources, parse
+// byte-identical to a /run of the registry program, under any dispatch
+// name. The abuse half pins the safety rails: oversized sources, parse
 // errors with source coordinates, infinite loops against the instruction
 // budget, per-tenant quotas with Retry-After, bulk-priority shedding, and
 // client disconnects that must not leak goroutines (the TestMain backstop
@@ -21,7 +21,6 @@ import (
 	"testing"
 	"time"
 
-	"mmxdsp/internal/core"
 	"mmxdsp/internal/server"
 	"mmxdsp/internal/suite"
 )
@@ -31,7 +30,6 @@ import (
 type asmEnvelope struct {
 	Program         string          `json:"program"`
 	SourceHash      string          `json:"source_hash"`
-	Dispatch        string          `json:"dispatch"`
 	CacheHit        bool            `json:"cache_hit"`
 	BudgetExhausted bool            `json:"budget_exhausted"`
 	Report          json.RawMessage `json:"report"`
@@ -94,74 +92,68 @@ const spinSource = ".proc main\n\tprofon\nspin:\n\tadd eax, 1\n\tjmp spin\n"
 
 // TestAsmConformance is the front-door acceptance gate: every suite
 // program submitted as listing text through POST /asm yields a report
-// byte-identical to POST /run of the registry program, in every dispatch
-// mode, through one shared server.
+// byte-identical to POST /run of the registry program, through one shared
+// server. The two requests of a program give different dispatch names,
+// which all run the one interpreter.
 func TestAsmConformance(t *testing.T) {
 	names := suite.Names()
-	modes := []string{core.DispatchTrace, "block", "predecode", core.DispatchGeneric}
 	if testing.Short() {
 		names = []string{"fir.c", "fir.mmx", "fft.mmx"}
-		modes = []string{core.DispatchTrace, "block"}
 	}
 	_, ts := newTestServer(t, server.Config{})
 
-	sources := make(map[string]string, len(names))
-	for _, name := range names {
-		sources[name] = sourceOf(t, name)
+	var wg sync.WaitGroup
+	errs := make(chan error, len(names))
+	for i, name := range names {
+		runMode := dispatchNames[i%len(dispatchNames)]
+		asmMode := dispatchNames[(i+1)%len(dispatchNames)]
+		source := sourceOf(t, name)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			runBody := fmt.Sprintf(`{"program":%q,"dispatch":%q,"skip_check":true}`, name, runMode)
+			status, data := postRunNoFatal(ts.URL, runBody)
+			if status != http.StatusOK {
+				errs <- fmt.Errorf("%s/%q: /run status %d: %s", name, runMode, status, data)
+				return
+			}
+			var run runEnvelope
+			if err := json.Unmarshal(data, &run); err != nil {
+				errs <- fmt.Errorf("%s/%q: /run decode: %v", name, runMode, err)
+				return
+			}
+
+			body := asmBody(t, map[string]any{
+				"source": source, "name": name, "dispatch": asmMode,
+			})
+			resp, data := postAsm(t, ts.URL, body, nil)
+			if resp.StatusCode != http.StatusOK {
+				errs <- fmt.Errorf("%s/%q: /asm status %d: %.300s", name, asmMode, resp.StatusCode, data)
+				return
+			}
+			var sub asmEnvelope
+			if err := json.Unmarshal(data, &sub); err != nil {
+				errs <- fmt.Errorf("%s/%q: /asm decode: %v", name, asmMode, err)
+				return
+			}
+			if sub.Program != name || len(sub.SourceHash) != 64 || sub.BudgetExhausted {
+				errs <- fmt.Errorf("%s/%q: envelope %q hash %d budget %t", name, asmMode,
+					sub.Program, len(sub.SourceHash), sub.BudgetExhausted)
+				return
+			}
+			if got, want := compact(t, sub.Report), compact(t, run.Report); got != want {
+				errs <- fmt.Errorf("%s: /asm report (dispatch %q) differs from /run report (dispatch %q)", name, asmMode, runMode)
+			}
+		}()
 	}
-
-	for _, mode := range modes {
-		var wg sync.WaitGroup
-		errs := make(chan error, len(names))
-		for _, name := range names {
-			name := name
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				runBody := fmt.Sprintf(`{"program":%q,"dispatch":%q,"skip_check":true}`, name, mode)
-				status, data := postRunNoFatal(ts.URL, runBody)
-				if status != http.StatusOK {
-					errs <- fmt.Errorf("%s/%s: /run status %d: %s", name, mode, status, data)
-					return
-				}
-				var run runEnvelope
-				if err := json.Unmarshal(data, &run); err != nil {
-					errs <- fmt.Errorf("%s/%s: /run decode: %v", name, mode, err)
-					return
-				}
-
-				body := asmBody(t, map[string]any{
-					"source": sources[name], "name": name, "dispatch": mode,
-				})
-				resp, data := postAsm(t, ts.URL, body, nil)
-				if resp.StatusCode != http.StatusOK {
-					errs <- fmt.Errorf("%s/%s: /asm status %d: %.300s", name, mode, resp.StatusCode, data)
-					return
-				}
-				var sub asmEnvelope
-				if err := json.Unmarshal(data, &sub); err != nil {
-					errs <- fmt.Errorf("%s/%s: /asm decode: %v", name, mode, err)
-					return
-				}
-				if sub.Program != name || len(sub.SourceHash) != 64 || sub.BudgetExhausted {
-					errs <- fmt.Errorf("%s/%s: envelope %q hash %d budget %t", name, mode,
-						sub.Program, len(sub.SourceHash), sub.BudgetExhausted)
-					return
-				}
-				if got, want := compact(t, sub.Report), compact(t, run.Report); got != want {
-					errs <- fmt.Errorf("%s/%s: /asm report differs from /run report", name, mode)
-				}
-			}()
-		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			t.Error(err)
-		}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 
 	snap := getMetrics(t, ts.URL)
-	if want := int64(len(names) * len(modes)); snap.AsmRuns != want {
+	if want := int64(len(names)); snap.AsmRuns != want {
 		t.Errorf("asm_runs = %d, want %d", snap.AsmRuns, want)
 	}
 }
@@ -540,9 +532,10 @@ func TestAsmClientDisconnectAbortsRun(t *testing.T) {
 
 // TestAsmNonGPROperandsFault submits the register shapes that once indexed
 // the GPR file out of range — an mm or fp register in xchg, or as the
-// register source of movzx/movsx — on both drivers: each must answer the
-// guest fault at that instruction (a failed run, like any other fault),
-// never a contained panic.
+// register source of movzx/movsx: each must answer the guest fault at that
+// instruction (a failed run, like any other fault), never a contained
+// panic. The vm fault tests hold the per-instruction loop to the same
+// texts.
 func TestAsmNonGPROperandsFault(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{ResultCacheEntries: -1})
 	for _, tc := range []struct{ inst, reg string }{
@@ -551,13 +544,11 @@ func TestAsmNonGPROperandsFault(t *testing.T) {
 		{"movzx.b eax, mm0", "mm0"},
 		{"movsx.w eax, fp1", "fp1"},
 	} {
-		for _, mode := range []string{core.DispatchTrace, core.DispatchGeneric} {
-			src := ".proc main\n\tmov eax, 1\n\t" + tc.inst + "\n\thalt\n"
-			resp, data := postAsm(t, ts.URL, asmBody(t, map[string]any{"source": src, "dispatch": mode}), nil)
-			want := fmt.Sprintf("pc=1 [%s]: integer read of non-GPR %s", tc.inst, tc.reg)
-			if !strings.Contains(string(data), want) || strings.Contains(string(data), "panic") {
-				t.Errorf("%s (%s): status %d: %s; want the fault %q", tc.inst, mode, resp.StatusCode, data, want)
-			}
+		src := ".proc main\n\tmov eax, 1\n\t" + tc.inst + "\n\thalt\n"
+		resp, data := postAsm(t, ts.URL, asmBody(t, map[string]any{"source": src}), nil)
+		want := fmt.Sprintf("pc=1 [%s]: integer read of non-GPR %s", tc.inst, tc.reg)
+		if !strings.Contains(string(data), want) || strings.Contains(string(data), "panic") {
+			t.Errorf("%s: status %d: %s; want the fault %q", tc.inst, resp.StatusCode, data, want)
 		}
 	}
 	if got := getMetrics(t, ts.URL).RunPanics; got != 0 {

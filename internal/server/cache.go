@@ -1,12 +1,12 @@
 // The compiled-program cache. Building a suite benchmark synthesizes its
 // workload data and macro-assembles the program, and compiling lowers its
 // basic blocks to micro-ops — work that depends on the program alone, not
-// on the dispatch mode or the timing configuration a request runs it
-// under. The cache keys immutable core.Compiled artifacts by what shapes
-// them — the program name, or "asm:" + the source hash of a submitted
-// listing — with bounded LRU eviction, so a warm daemon serves every mode
-// and ablation of a program straight into vm.NewWithCode / pentium.Bind
-// without re-entering the assembler.
+// on the timing configuration a request runs it under. The cache keys
+// immutable core.Compiled artifacts by what shapes them — the program
+// name, or "asm:" + the source hash of a submitted listing — with bounded
+// LRU eviction, so a warm daemon serves every ablation of a program
+// straight into vm.NewWithCode / pentium.Bind without re-entering the
+// assembler.
 package server
 
 import (

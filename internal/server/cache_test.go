@@ -186,7 +186,7 @@ func TestCachePropertyRandomizedConfigs(t *testing.T) {
 	if !ok {
 		t.Fatal("fir.mmx missing from the suite")
 	}
-	dispatches := []string{"block", "predecode", core.DispatchGeneric}
+	dispatches := []string{"block", "predecode", "generic"}
 	for trial := 0; trial < 6; trial++ {
 		emms := rng.Intn(100)
 		req := &RunRequest{

@@ -71,15 +71,14 @@ type CampaignStatus struct {
 
 // CampaignPoint is one grid cell's status in a detailed listing.
 type CampaignPoint struct {
-	Index    int    `json:"index"`
-	Program  string `json:"program"`
-	Dispatch string `json:"dispatch"`
-	Values   []int  `json:"values"`
-	Status   string `json:"status"`
-	Cached   bool   `json:"cached"`
-	Cycles   uint64 `json:"cycles,omitempty"`
-	Instrs   uint64 `json:"instrs,omitempty"`
-	Error    string `json:"error,omitempty"`
+	Index   int    `json:"index"`
+	Program string `json:"program"`
+	Values  []int  `json:"values"`
+	Status  string `json:"status"`
+	Cached  bool   `json:"cached"`
+	Cycles  uint64 `json:"cycles,omitempty"`
+	Instrs  uint64 `json:"instrs,omitempty"`
+	Error   string `json:"error,omitempty"`
 }
 
 // statusOfCampaign renders the status envelope of a campaign resource.
@@ -107,15 +106,14 @@ func statusOfCampaign(c *campaign.Campaign, includePoints bool) CampaignStatus {
 		st.Points = make([]CampaignPoint, len(points))
 		for i, p := range points {
 			st.Points[i] = CampaignPoint{
-				Index:    p.Index,
-				Program:  p.Program,
-				Dispatch: p.Dispatch,
-				Values:   p.Values,
-				Status:   p.Status,
-				Cached:   p.Cached,
-				Cycles:   p.Cycles,
-				Instrs:   p.Instrs,
-				Error:    p.Err,
+				Index:   p.Index,
+				Program: p.Program,
+				Values:  p.Values,
+				Status:  p.Status,
+				Cached:  p.Cached,
+				Cycles:  p.Cycles,
+				Instrs:  p.Instrs,
+				Error:   p.Err,
 			}
 		}
 	}

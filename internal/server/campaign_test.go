@@ -102,7 +102,7 @@ func TestCampaignLifecycle(t *testing.T) {
 			t.Fatalf("point %+v", p)
 		}
 	}
-	if !strings.HasPrefix(final.ArtifactsCSV, "program,dispatch,emms_latency,mul_latency,cycles") {
+	if !strings.HasPrefix(final.ArtifactsCSV, "program,emms_latency,mul_latency,cycles") {
 		t.Fatalf("csv header: %q", firstLine(final.ArtifactsCSV))
 	}
 	if !strings.Contains(final.ArtifactsMarkdown, "## Axis `mul_latency`") {

@@ -50,9 +50,6 @@ func TestProgramsEndpoint(t *testing.T) {
 	if !ok || fir.Base != "fir" || fir.Version != "mmx" || fir.Kind != "kernel" || fir.Descr == "" {
 		t.Errorf("fir.mmx entry malformed: %+v (ok=%t)", fir, ok)
 	}
-	if !reflect.DeepEqual(pr.DispatchModes, core.DispatchNames()) {
-		t.Errorf("dispatch modes %v, want every accepted name %v", pr.DispatchModes, core.DispatchNames())
-	}
 
 	post, err := http.Post(ts.URL+"/programs", "application/json", nil)
 	if err != nil {
@@ -127,34 +124,40 @@ func TestRequestIDEcho(t *testing.T) {
 	}
 }
 
-// TestProgramsDispatchModesRunnable: /programs advertises exactly the
-// dispatch names /run accepts — the fastest mode, trace, included — and
-// /run rejects a name the list leaves out.
+// dispatchNames is every dispatch name the service accepts.
+var dispatchNames = []string{"", "trace", "generic", "auto", "block", "predecode"}
+
+// TestProgramsDispatchModesRunnable: /programs lists no dispatch modes,
+// because every name /run accepts runs the one interpreter; each of them
+// runs, and /run rejects any other name.
 func TestProgramsDispatchModesRunnable(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
 	resp, err := http.Get(ts.URL + "/programs")
 	if err != nil {
 		t.Fatalf("GET /programs: %v", err)
 	}
-	var pr server.ProgramsResponse
-	err = json.NewDecoder(resp.Body).Decode(&pr)
+	var fields map[string]json.RawMessage
+	err = json.NewDecoder(resp.Body).Decode(&fields)
 	resp.Body.Close()
 	if err != nil {
 		t.Fatalf("decoding /programs: %v", err)
 	}
-	listed := map[string]bool{}
-	for _, mode := range pr.DispatchModes {
-		listed[mode] = true
+	if _, ok := fields["dispatch_modes"]; ok || len(fields) != 1 {
+		t.Errorf("/programs fields %v, want programs alone", reflect.ValueOf(fields).MapKeys())
+	}
+	for _, mode := range dispatchNames {
 		body := `{"program":"fir.mmx","dispatch":"` + mode + `","skip_check":true}`
 		if status, data := postRun(t, ts.URL, body); status != http.StatusOK {
-			t.Errorf("/programs lists %q but /run answers %d: %s", mode, status, data)
+			t.Errorf("/run with dispatch %q answers %d: %s", mode, status, data)
 		}
 	}
-	if !listed[core.DispatchTrace] || !listed[core.DispatchGeneric] {
-		t.Errorf("dispatch modes %v omit a canonical mode", pr.DispatchModes)
+	status, data := postRun(t, ts.URL, `{"program":"fir.mmx","dispatch":"warp"}`)
+	var e struct {
+		Error string `json:"error"`
 	}
-	if status, _ := postRun(t, ts.URL, `{"program":"fir.mmx","dispatch":"warp"}`); status != http.StatusBadRequest {
-		t.Errorf("unlisted dispatch: status %d, want 400", status)
+	if err := json.Unmarshal(data, &e); err != nil || status != http.StatusBadRequest ||
+		e.Error != core.CheckDispatch("warp").Error() {
+		t.Errorf("unknown dispatch: status %d %s, want 400 %q", status, data, core.CheckDispatch("warp"))
 	}
 }
 
@@ -173,7 +176,6 @@ func TestCacheKeyDistinguishesConfigs(t *testing.T) {
 		t.Errorf("timeout changed the cache key: %q vs %q", a.CacheKey(), b.CacheKey())
 	}
 	variants := []string{
-		`{"program":"fir.mmx","dispatch":"generic"}`,
 		`{"program":"fft.mmx","dispatch":"block"}`,
 		`{"program":"fir.mmx","dispatch":"block","config":{"perfect_cache":true}}`,
 		`{"program":"fir.mmx","dispatch":"block","config":{"mispredict_penalty":7}}`,
@@ -186,8 +188,11 @@ func TestCacheKeyDistinguishesConfigs(t *testing.T) {
 		}
 		seen[key] = v
 	}
-	// "auto" and "" normalize to the same key.
-	if parse(`{"program":"fir.mmx","dispatch":"auto"}`).CacheKey() != parse(`{"program":"fir.mmx"}`).CacheKey() {
-		t.Error("auto and default dispatch should share a cache key")
+	// Every dispatch name shares one key.
+	for _, mode := range dispatchNames {
+		r := parse(`{"program":"fir.mmx","dispatch":"` + mode + `"}`)
+		if r.CacheKey() != a.CacheKey() || r.ResultKey() != a.ResultKey() {
+			t.Errorf("dispatch %q keys %q / %q, want %q / %q", mode, r.CacheKey(), r.ResultKey(), a.CacheKey(), a.ResultKey())
+		}
 	}
 }

@@ -15,9 +15,9 @@ import (
 
 // FuzzParseRequest throws arbitrary bodies at the /run decoder. The decoder
 // must never panic, and any request it accepts must be internally
-// consistent: the derived dispatch mode is one of the known constants,
-// budgets are non-negative, and the cache-key/option derivations are total
-// and stable.
+// consistent: the dispatch name is one core.CheckDispatch accepts and
+// shapes no key, budgets are non-negative, and the cache-key/option
+// derivations are total and stable.
 func FuzzParseRequest(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"program":"fir.mmx"}`))
@@ -43,10 +43,13 @@ func FuzzParseRequest(f *testing.F) {
 			t.Fatalf("negative budget escaped validation: instrs=%d timeout=%d",
 				req.MaxInstrs, req.TimeoutMS)
 		}
-		switch req.dispatchMode() {
-		case core.DispatchTrace, core.DispatchGeneric:
-		default:
-			t.Fatalf("dispatch mode %q escaped validation", req.dispatchMode())
+		if err := core.CheckDispatch(req.Dispatch); err != nil {
+			t.Fatalf("dispatch name %q escaped validation: %v", req.Dispatch, err)
+		}
+		alias := *req
+		alias.Dispatch = "generic"
+		if alias.ResultKey() != req.ResultKey() {
+			t.Fatalf("dispatch name %q keys %q, generic %q", req.Dispatch, req.ResultKey(), alias.ResultKey())
 		}
 		cfg := req.pentiumConfig()
 		// EmmsLatency -1 is the "use the ISA table" sentinel.
@@ -59,9 +62,6 @@ func FuzzParseRequest(f *testing.F) {
 		opt := req.options(context.Background())
 		if opt.Ctx == nil || opt.Pentium == nil {
 			t.Fatal("options lost the context or config")
-		}
-		if opt.Dispatch != req.dispatchMode() {
-			t.Fatalf("options dispatch %q != %q", opt.Dispatch, req.dispatchMode())
 		}
 	})
 }

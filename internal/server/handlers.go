@@ -20,7 +20,6 @@ import (
 // RunResponse is the JSON body answering POST /run.
 type RunResponse struct {
 	Program  string `json:"program"`
-	Dispatch string `json:"dispatch"` // canonical mode of the requested name
 	CacheHit bool   `json:"cache_hit"`
 	// WallNS is core.Result.Wall: host time from the start of the
 	// interpreter run until it has halted and the timing model has drained
@@ -35,7 +34,6 @@ type RunResponse struct {
 
 // TableResponse is the JSON body answering GET /table.
 type TableResponse struct {
-	Dispatch  string `json:"dispatch"`
 	Programs  int    `json:"programs"`
 	Table2    string `json:"table2"`
 	Table2CSV string `json:"table2_csv"`
@@ -53,12 +51,10 @@ type ProgramInfo struct {
 }
 
 // ProgramsResponse is the JSON body answering GET /programs: the daemon's
-// program registry plus the dispatch modes every program accepts. A
-// coordinator fronting several daemons discovers capabilities here instead
-// of hardcoding the suite.
+// program registry. A coordinator fronting several daemons discovers the
+// suite here instead of hardcoding it.
 type ProgramsResponse struct {
-	Programs      []ProgramInfo `json:"programs"`
-	DispatchModes []string      `json:"dispatch_modes"`
+	Programs []ProgramInfo `json:"programs"`
 }
 
 // marshalResponse renders v exactly as WriteJSON would put it on the wire
@@ -105,7 +101,6 @@ func (s *Server) executeRun(ctx context.Context, req *RunRequest) ([]byte, int64
 
 	body, err := marshalResponse(RunResponse{
 		Program:      req.Program,
-		Dispatch:     req.dispatchMode(),
 		CacheHit:     hit,
 		WallNS:       res.Wall.Nanoseconds(),
 		InstrsPerSec: res.InstrsPerSec(),
@@ -120,7 +115,7 @@ func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	tmpl := RunRequest{Dispatch: q.Get("dispatch"), SkipCheck: true}
+	tmpl := RunRequest{SkipCheck: true}
 	if v := q.Get("timeout_ms"); v != "" {
 		ms, err := strconv.ParseInt(v, 10, 64)
 		if err != nil || ms < 0 {
@@ -129,7 +124,7 @@ func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 		}
 		tmpl.TimeoutMS = ms
 	}
-	if _, err := core.CanonicalDispatch(tmpl.Dispatch); err != nil {
+	if err := core.CheckDispatch(q.Get("dispatch")); err != nil {
 		s.Fail(w, r.Context(), BadRequest(err))
 		return
 	}
@@ -145,8 +140,8 @@ func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 
 // table answers the Table 2/3 artifacts for tmpl's options. The whole
 // table is one cacheable result, keyed like a run with an empty program
-// slot ("table|..."): the registry is static per deployment, so
-// (dispatch, config) pins the artifact bytes. A miss fans the suite out
+// slot ("table|..."): the registry is static per deployment, so the
+// config pins the artifact bytes. A miss fans the suite out
 // through the pipeline, one admission slot per program, so a table never
 // holds a slot while it waits for others and shares its per-program
 // results with /run traffic.
@@ -161,7 +156,6 @@ func (s *Server) table(ctx context.Context, tmpl RunRequest, from *Request) (*Ca
 			return nil, err
 		}
 		return marshalResponse(TableResponse{
-			Dispatch:  tmpl.dispatchMode(),
 			Programs:  len(rs),
 			Table2:    core.Table2(rs),
 			Table2CSV: core.Table2CSV(rs),
@@ -171,23 +165,17 @@ func (s *Server) table(ctx context.Context, tmpl RunRequest, from *Request) (*Ca
 	})
 }
 
-// WarmSuite renders and caches the whole-suite /table artifact for each
-// given dispatch name (any name core.CanonicalDispatch accepts), so a
+// WarmSuite renders and caches the whole-suite /table artifact, so a
 // daemon answers its first table request — and, through the shared result
 // and compiled-program caches, first per-program runs — warm instead of
 // paying the full sweep in request latency. Intended to run before serving
 // starts; it uses the same admission, caches and metrics as a live
 // request.
-func (s *Server) WarmSuite(ctx context.Context, modes []string) error {
-	for _, mode := range modes {
-		if _, err := core.CanonicalDispatch(mode); err != nil {
-			return fmt.Errorf("warm suite: %w", err)
-		}
-		// The template mirrors handleTable's exactly so the cached bytes
-		// key identically to later GET /table traffic.
-		if _, _, err := s.table(ctx, RunRequest{Dispatch: mode, SkipCheck: true}, &Request{}); err != nil {
-			return fmt.Errorf("warm suite (%s): %w", mode, err)
-		}
+func (s *Server) WarmSuite(ctx context.Context) error {
+	// The template mirrors handleTable's exactly so the cached bytes key
+	// identically to later GET /table traffic.
+	if _, _, err := s.table(ctx, RunRequest{SkipCheck: true}, &Request{}); err != nil {
+		return fmt.Errorf("warm suite: %w", err)
 	}
 	return nil
 }
@@ -197,10 +185,7 @@ func (s *Server) handlePrograms(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	benches := s.cfg.Benchmarks()
-	resp := ProgramsResponse{
-		Programs:      make([]ProgramInfo, 0, len(benches)),
-		DispatchModes: core.DispatchNames(),
-	}
+	resp := ProgramsResponse{Programs: make([]ProgramInfo, 0, len(benches))}
 	for _, b := range benches {
 		resp.Programs = append(resp.Programs, ProgramInfo{
 			Name: b.Name(), Base: b.Base, Version: b.Version,

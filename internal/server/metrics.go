@@ -73,7 +73,7 @@ type metrics struct {
 	instrs expvar.Int // simulated instructions retired across all runs
 	wallNS expvar.Int // host nanoseconds spent inside cpu.Run
 
-	// Trace-dispatch aggregates, summed over every served trace-mode run:
+	// Trace-dispatch aggregates, summed over every served run:
 	// superblocks formed, tree child paths attached, side-exit-governor
 	// deopts, and the iteration/exit split the side-exit rate derives from.
 	tracesFormed expvar.Int
@@ -101,7 +101,7 @@ func (m *metrics) recordRun(name string, instrs uint64, wall time.Duration) {
 }
 
 // recordTraces folds one run's trace-dispatch stats into the aggregates.
-// Runs on other dispatch tiers contribute nothing (every field is zero).
+// A run that formed no trace contributes nothing (every field is zero).
 func (m *metrics) recordTraces(ts core.TraceStats) {
 	if ts.Formed == 0 && ts.Deopts == 0 {
 		return
@@ -264,7 +264,7 @@ type MetricsSnapshot struct {
 	ResultSpillEvictions uint64  `json:"result_cache_spill_evictions"`
 	ResultHitRate        float64 `json:"result_cache_hit_rate"`
 
-	// Trace-dispatch aggregates over all served trace-mode runs (all zero
+	// Trace-dispatch aggregates over all served runs (all zero
 	// until one runs): superblocks formed, trace-tree child paths attached,
 	// side-exit-governor deopts, and side exits as a share of trace entries.
 	TracesFormed     int64   `json:"traces_formed"`

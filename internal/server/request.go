@@ -86,8 +86,9 @@ func (c *ConfigOverride) cacheSpec() core.CacheSpec {
 type RunRequest struct {
 	// Program is the paper-style program name, e.g. "fft.mmx".
 	Program string `json:"program"`
-	// Dispatch selects the interpreter: "" or any name
-	// core.CanonicalDispatch accepts.
+	// Dispatch names the interpreter: "" or any name core.CheckDispatch
+	// accepts. Every accepted name runs the same code, so it shapes
+	// neither the key nor the response.
 	Dispatch string `json:"dispatch,omitempty"`
 	// MaxInstrs bounds execution (0 = the runner's generous default).
 	MaxInstrs int64 `json:"max_instrs,omitempty"`
@@ -128,7 +129,7 @@ func ParseRunRequest(data []byte) (*RunRequest, error) {
 
 // validateRunFields range-checks the execution knobs /run and /asm share.
 func validateRunFields(dispatch string, maxInstrs, timeoutMS int64, c *ConfigOverride) error {
-	if _, err := core.CanonicalDispatch(dispatch); err != nil {
+	if err := core.CheckDispatch(dispatch); err != nil {
 		return err
 	}
 	if maxInstrs < 0 {
@@ -173,14 +174,6 @@ func (r *RunRequest) pentiumConfig() pentium.Config {
 	return cfg
 }
 
-// dispatchMode is the request's canonical dispatch mode, so that every
-// alias of one interpreter keys, runs and answers identically. The name
-// was validated at parse time.
-func (r *RunRequest) dispatchMode() string {
-	mode, _ := core.CanonicalDispatch(r.Dispatch)
-	return mode
-}
-
 // options builds the runner options for this request. ctx carries the
 // request lifecycle (deadline, client disconnect, server drain).
 func (r *RunRequest) options(ctx context.Context) core.Options {
@@ -190,7 +183,6 @@ func (r *RunRequest) options(ctx context.Context) core.Options {
 		PerfectCache: r.Config != nil && r.Config.PerfectCache,
 		MaxInstrs:    r.MaxInstrs,
 		SkipCheck:    r.SkipCheck,
-		Dispatch:     r.dispatchMode(),
 		Ctx:          ctx,
 	}
 	if r.Config.hasCacheOverride() {
@@ -212,11 +204,11 @@ func (r *RunRequest) configKey() string {
 }
 
 // CacheKey returns the canonical affinity key for the request: the
-// (program, dispatch, config) triple a coordinator rendezvous-hashes. Every
-// key of one program lands on a backend whose compiled-program cache
-// (keyed by the program alone) holds the artifact after its first run.
+// (program, config) pair a coordinator rendezvous-hashes. Every key of one
+// program lands on a backend whose compiled-program cache (keyed by the
+// program alone) holds the artifact after its first run.
 func (r *RunRequest) CacheKey() string {
-	return r.Program + "|" + r.dispatchMode() + "|" + r.configKey()
+	return r.Program + "|" + r.configKey()
 }
 
 // ResultKey returns the canonical result-cache key: CacheKey extended with

@@ -1,5 +1,5 @@
 // The result cache. Simulation here is a pure function of
-// (program, dispatch, config, budget, check): the paper's Table 2/3
+// (program, config, budget, check): the paper's Table 2/3
 // numbers never change for a fixed configuration, so the dominant
 // production traffic shape — many users repeating the same few configs —
 // is answered fastest by not simulating at all. The cache keys fully

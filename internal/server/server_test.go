@@ -136,7 +136,6 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // byte-equivalence checks.
 type runEnvelope struct {
 	Program  string          `json:"program"`
-	Dispatch string          `json:"dispatch"`
 	CacheHit bool            `json:"cache_hit"`
 	WallNS   int64           `json:"wall_ns"`
 	Report   json.RawMessage `json:"report"`
@@ -154,15 +153,15 @@ func compact(t *testing.T, raw []byte) string {
 	return buf.String()
 }
 
-func directReportJSON(t *testing.T, name, dispatch string) string {
+func directReportJSON(t *testing.T, name string) string {
 	t.Helper()
 	bench, ok := suite.ByName(name)
 	if !ok {
 		t.Fatalf("unknown benchmark %q", name)
 	}
-	res, err := core.Run(bench, core.Options{SkipCheck: true, Dispatch: dispatch})
+	res, err := core.Run(bench, core.Options{SkipCheck: true})
 	if err != nil {
-		t.Fatalf("direct run %s/%s: %v", name, dispatch, err)
+		t.Fatalf("direct run %s: %v", name, err)
 	}
 	data, err := json.Marshal(res.Report)
 	if err != nil {
@@ -174,7 +173,8 @@ func directReportJSON(t *testing.T, name, dispatch string) string {
 func TestRunMatchesDirectRun(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
 	for _, name := range []string{"fir.c", "fir.mmx", "fft.mmx"} {
-		for _, dispatch := range []string{"block", "predecode", core.DispatchGeneric} {
+		want := directReportJSON(t, name)
+		for _, dispatch := range []string{"block", "predecode", "generic"} {
 			t.Run(name+"/"+dispatch, func(t *testing.T) {
 				body := fmt.Sprintf(`{"program":%q,"dispatch":%q,"skip_check":true}`, name, dispatch)
 				status, data := postRun(t, ts.URL, body)
@@ -185,16 +185,16 @@ func TestRunMatchesDirectRun(t *testing.T) {
 				if err := json.Unmarshal(data, &env); err != nil {
 					t.Fatalf("decoding response: %v", err)
 				}
-				// The envelope names the canonical mode of the requested
-				// name, so every alias of a mode answers the same bytes.
-				mode, err := core.CanonicalDispatch(dispatch)
-				if err != nil {
+				// Every dispatch name runs the one interpreter, so the
+				// envelope does not echo the name.
+				var fields map[string]json.RawMessage
+				if err := json.Unmarshal(data, &fields); err != nil {
 					t.Fatal(err)
 				}
-				if env.Program != name || env.Dispatch != mode {
-					t.Errorf("envelope says %s/%s, want %s/%s", env.Program, env.Dispatch, name, mode)
+				if _, ok := fields["dispatch"]; ok || env.Program != name {
+					t.Errorf("envelope %s for program %s, want no dispatch field", fields["dispatch"], env.Program)
 				}
-				if got, want := compact(t, env.Report), directReportJSON(t, name, dispatch); got != want {
+				if got := compact(t, env.Report); got != want {
 					t.Errorf("served report differs from direct core.Run:\n got %.200s...\nwant %.200s...", got, want)
 				}
 			})
@@ -369,14 +369,14 @@ func TestClientDisconnectAbortsRun(t *testing.T) {
 func TestCancelledRunLeavesCacheCoherent(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
 
-	// fir.c under the generic interpreter takes ~100ms; a 5ms deadline
-	// reliably fires mid-run.
-	status, data := postRun(t, ts.URL, `{"program":"fir.c","dispatch":"generic","timeout_ms":5,"skip_check":true}`)
+	// jpeg.c retires 6.4M instructions, tens of ms at trace dispatch; a
+	// 5ms deadline reliably fires mid-run.
+	status, data := postRun(t, ts.URL, `{"program":"jpeg.c","timeout_ms":5,"skip_check":true}`)
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504: %s", status, data)
 	}
 
-	status, data = postRun(t, ts.URL, `{"program":"fir.c","dispatch":"generic","skip_check":true}`)
+	status, data = postRun(t, ts.URL, `{"program":"jpeg.c","skip_check":true}`)
 	if status != http.StatusOK {
 		t.Fatalf("post-cancel run: status %d: %s", status, data)
 	}
@@ -387,7 +387,7 @@ func TestCancelledRunLeavesCacheCoherent(t *testing.T) {
 	if !env.CacheHit {
 		t.Error("post-cancel run missed the cache (compilation outlives cancelled runs)")
 	}
-	if got, want := compact(t, env.Report), directReportJSON(t, "fir.c", core.DispatchGeneric); got != want {
+	if got, want := compact(t, env.Report), directReportJSON(t, "jpeg.c"); got != want {
 		t.Error("post-cancel report differs from a direct run")
 	}
 }
@@ -453,11 +453,11 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 	type combo struct{ name, dispatch string }
 	combos := []combo{
 		{"fir.c", "block"}, {"fir.mmx", "predecode"},
-		{"fft.mmx", "block"}, {"fir.mmx", core.DispatchGeneric},
+		{"fft.mmx", "block"}, {"fir.mmx", "generic"},
 	}
 	want := map[combo]string{}
 	for _, c := range combos {
-		want[c] = directReportJSON(t, c.name, c.dispatch)
+		want[c] = directReportJSON(t, c.name)
 	}
 
 	var wg sync.WaitGroup
@@ -512,7 +512,6 @@ func TestTableEndpoint(t *testing.T) {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
 	var table struct {
-		Dispatch  string `json:"dispatch"`
 		Programs  int    `json:"programs"`
 		Table2    string `json:"table2"`
 		Table2CSV string `json:"table2_csv"`
@@ -521,7 +520,7 @@ func TestTableEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&table); err != nil {
 		t.Fatalf("decoding /table: %v", err)
 	}
-	if table.Programs != 3 || table.Dispatch != core.DispatchTrace {
+	if table.Programs != 3 {
 		t.Errorf("table header: %+v", table)
 	}
 	for _, want := range []string{"fir.c", "fir.fp", "fir.mmx"} {

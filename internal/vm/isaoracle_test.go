@@ -6,10 +6,13 @@ package vm_test
 // call/ret/jcc, and the shapes that fault — and every execution path
 // (per-instruction, block dispatch, trace dispatch) must leave exactly the
 // registers, memory, Executed() count and fault the independent reference
-// interpreter of internal/isaref predicts.
+// interpreter of internal/isaref predicts. Run again with profiling on
+// from the first instruction, every path must also give the same report.
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -546,7 +549,52 @@ func checkISAOracle(t *testing.T, seed int64) (*isaref.Machine, map[string]bool)
 			fail("cache stats %+v, per-instruction path %+v", cpu.Hier.Stats, firstCache)
 		}
 	}
+	checkISAReports(t, seed, src, budget)
 	return ref, shapes
+}
+
+// checkISAReports runs seed's program with profon as its first instruction
+// on every path and, for runs that halt or stop at their budget, requires
+// byte-equal reports: the per-instruction loop and the region pricing of
+// block and trace dispatch must count, time and charge memory references
+// alike. A run that faults has no report; the checks above already hold
+// every path to the same fault.
+func checkISAReports(t *testing.T, seed int64, src string, budget int64) {
+	t.Helper()
+	prog, err := asm.ParseSource(fmt.Sprintf("isa%d", seed), "profon\n"+src)
+	if err != nil {
+		t.Fatalf("seed %d: parse with profon: %v", seed, err)
+	}
+	code := vm.Compile(prog)
+	var first []byte
+	for _, mode := range []string{"generic", "block", "trace"} {
+		cpu := vm.NewWithCode(code)
+		model := pentium.New(pentium.DefaultConfig())
+		model.Bind(prog)
+		col := profile.NewCollector(prog, model)
+		cpu.Obs = col
+		cpu.Hier = mem.NewHierarchy()
+		cpu.Generic = mode == "generic"
+		cpu.Traces = mode == "trace"
+		cpu.TraceThreshold = 4
+		if err := cpu.Run(budget); err != nil && !errors.Is(err, vm.ErrBudget) {
+			return
+		}
+		rep := col.Report(prog.Name)
+		rep.CacheAccesses = cpu.Hier.Stats.Accesses
+		rep.L1Misses = cpu.Hier.Stats.L1Misses
+		rep.L2Misses = cpu.Hier.Stats.L2Misses
+		got, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = got
+		} else if !bytes.Equal(got, first) {
+			t.Fatalf("seed %d, %s: report with profon first differs from the per-instruction path:\n%s\nper-instruction:\n%s\n%s",
+				seed, mode, got, first, src)
+		}
+	}
 }
 
 // TestISAOracle sweeps seeds and checks, besides each program, that the

@@ -37,10 +37,10 @@ echo "==> (cd perfbench && go test ./...)"
 echo "==> go test -race -p 1 ./internal/core/... ./internal/suite/... ./internal/server/... ./internal/cluster/..."
 go test -race -p 1 ./internal/core/... ./internal/suite/... ./internal/server/... ./internal/cluster/...
 
-# The service end-to-end suite: all 21 programs under every dispatch name
-# over HTTP byte-equivalent to direct runs, the result cache replaying the same
-# sweep byte-identically, the daemon SIGTERM drain, and the spill tier
-# surviving a real restart.
+# The service end-to-end suite: all 21 programs over HTTP byte-equivalent to
+# direct runs, every dispatch name answering the same bytes and ETag, the
+# result cache replaying the sweep byte-identically, the daemon SIGTERM
+# drain, and the spill tier surviving a real restart.
 echo "==> go test -run 'TestServedReportsMatchDirectRuns|TestResultCacheServesIdenticalBytes|TestDaemonSIGTERMDrain|TestDaemonResultCacheSpillSurvivesRestart' ."
 go test -run 'TestServedReportsMatchDirectRuns|TestResultCacheServesIdenticalBytes|TestDaemonSIGTERMDrain|TestDaemonResultCacheSpillSurvivesRestart' .
 
@@ -76,7 +76,8 @@ go test -run '^$' -fuzz FuzzDispatchThreeWay -fuzztime 5s ./internal/pentium >/d
 echo "==> go test -run '^$' -fuzz FuzzMMXOracle -fuzztime 5s ./internal/mmx"
 go test -run '^$' -fuzz FuzzMMXOracle -fuzztime 5s ./internal/mmx >/dev/null
 # FuzzISAOracle holds the micro-ops, on all three drivers, against the
-# independent reference interpreter (internal/isaref) on random programs.
+# independent reference interpreter (internal/isaref) on random programs,
+# and the drivers' reports to each other with profiling on.
 echo "==> go test -run '^$' -fuzz FuzzISAOracle -fuzztime 5s ./internal/vm"
 go test -run '^$' -fuzz FuzzISAOracle -fuzztime 5s ./internal/vm >/dev/null
 
