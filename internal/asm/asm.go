@@ -179,7 +179,8 @@ func (b *Builder) closeProc() {
 // (default is instruction 0).
 func (b *Builder) Entry() { b.entry = len(b.insts) }
 
-// I emits an instruction with up to two operands.
+// I emits an instruction with up to two operands. Operand shapes the
+// opcode does not accept (isa.Inst.CheckOperands) are build errors.
 func (b *Builder) I(op isa.Op, operands ...isa.Operand) {
 	in := isa.Inst{Op: op, Target: -1}
 	switch len(operands) {
@@ -191,11 +192,17 @@ func (b *Builder) I(op isa.Op, operands ...isa.Operand) {
 	default:
 		b.errorf("%s: too many operands", op)
 	}
+	if err := in.CheckOperands(); err != nil {
+		b.errorf("instruction %d (%s): %w", len(b.insts), in, err)
+	}
 	b.insts = append(b.insts, in)
 }
 
 // J emits a jump or conditional branch to a label.
 func (b *Builder) J(op isa.Op, label string) {
+	if op != isa.JMP && !op.IsBranch() {
+		b.errorf("instruction %d: %s is no jump", len(b.insts), op)
+	}
 	b.insts = append(b.insts, isa.Inst{Op: op, Target: -1, TargetSym: label})
 }
 
@@ -278,8 +285,10 @@ func (b *Builder) place(name string, n int) []byte {
 }
 
 // Reserve allocates zero-initialized space (BSS) under a symbol,
-// 8-byte aligned.
+// 8-byte aligned. The name is defined at once, so that data or space of
+// the same name is a duplicate; Link places it after the data.
 func (b *Builder) Reserve(name string, size int) {
+	b.defineSym(name, 0)
 	b.bss = append(b.bss, bssEntry{name, uint32(size)})
 }
 
@@ -303,9 +312,6 @@ func (b *Builder) Link() (*Program, error) {
 	bssOff := uint32(len(b.data))
 	var bssSize uint32
 	for _, e := range b.bss {
-		if _, dup := symbols[e.name]; dup {
-			return nil, fmt.Errorf("asm(%s): duplicate symbol %q", b.name, e.name)
-		}
 		symbols[e.name] = DataBase + bssOff + bssSize
 		bssSize += (e.size + 7) &^ 7
 	}
@@ -318,8 +324,8 @@ func (b *Builder) Link() (*Program, error) {
 		}
 		addr, ok := symbols[o.Sym]
 		if !ok {
-			return fmt.Errorf("asm(%s): instruction %d (%s): unknown symbol %q",
-				b.name, i, insts[i], o.Sym)
+			err := fmt.Errorf("unknown symbol %q", o.Sym)
+			return &linkError{fmt.Sprintf("asm(%s): instruction %d (%s): %v", b.name, i, insts[i], err), i, o.Sym, err}
 		}
 		switch o.Kind {
 		case isa.KindMem:
@@ -340,8 +346,8 @@ func (b *Builder) Link() (*Program, error) {
 		if in.TargetSym != "" {
 			idx, ok := b.labels[in.TargetSym]
 			if !ok {
-				return nil, fmt.Errorf("asm(%s): instruction %d (%s): unknown label %q",
-					b.name, i, in, in.TargetSym)
+				err := fmt.Errorf("unknown label %q", in.TargetSym)
+				return nil, &linkError{fmt.Sprintf("asm(%s): instruction %d (%s): %v", b.name, i, in, err), i, in.TargetSym, err}
 			}
 			in.Target = int32(idx)
 		}
@@ -383,6 +389,18 @@ func (b *Builder) Link() (*Program, error) {
 		Procs:   procs,
 	}, nil
 }
+
+// linkError is a label or symbol that instruction inst uses but nothing
+// defines. msg is the whole error, err the part after its place.
+// ParseSource pins it to the line that names it.
+type linkError struct {
+	msg  string
+	inst int
+	name string
+	err  error
+}
+
+func (e *linkError) Error() string { return e.msg }
 
 // MustLink links and panics on error; for use in tests and registries where
 // a failure is a programming bug.

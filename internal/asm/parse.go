@@ -9,10 +9,13 @@ package asm
 
 import (
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
+	"unicode"
 
 	"mmxdsp/internal/isa"
 )
@@ -59,12 +62,11 @@ var sizeLookup = map[string]isa.Size{
 // *SourceError values carrying 1-based line and column positions.
 func ParseSource(name, src string) (*Program, error) {
 	b := NewBuilder(name)
-	for ln, raw := range strings.Split(src, "\n") {
-		line := raw
-		if i := strings.IndexByte(line, ';'); i >= 0 {
-			line = line[:i]
-		}
-		line = strings.TrimSpace(line)
+	lines := strings.Split(src, "\n")
+	// The line of each instruction, for link errors.
+	var instLine []int
+	for ln, raw := range lines {
+		line := strings.TrimSpace(code(raw))
 		if line == "" {
 			continue
 		}
@@ -76,8 +78,35 @@ func ParseSource(name, src string) (*Program, error) {
 				Err:  err,
 			}
 		}
+		for len(instLine) < len(b.insts) {
+			instLine = append(instLine, ln)
+		}
 	}
-	return b.Link()
+	p, err := b.Link()
+	var le *linkError
+	if errors.As(err, &le) {
+		ln := instLine[le.inst]
+		return nil, &SourceError{File: name, Line: ln + 1, Col: identColumn(code(lines[ln]), le.name), Err: le.err}
+	}
+	return p, err
+}
+
+// code is a source line without its comment.
+func code(raw string) string {
+	if i := strings.IndexByte(raw, ';'); i >= 0 {
+		return raw[:i]
+	}
+	return raw
+}
+
+// identColumn is the 1-based column of the first whole identifier name on
+// the line, or 1 when there is none.
+func identColumn(line, name string) int {
+	re := regexp.MustCompile(`(?:^|[^\w.])(` + regexp.QuoteMeta(name) + `)(?:[^\w.]|$)`)
+	if m := re.FindStringSubmatchIndex(line); m != nil {
+		return m[2] + 1
+	}
+	return 1
 }
 
 // SourceError is a parse failure pinned to a source position. Line and Col
@@ -96,11 +125,27 @@ func (e *SourceError) Error() string {
 
 func (e *SourceError) Unwrap() error { return e.Err }
 
+// operandError pins an operand's error to the operand: rest is the tail of
+// the statement from the operand's first byte.
+type operandError struct {
+	rest string
+	err  error
+}
+
+func (e *operandError) Error() string { return e.err.Error() }
+func (e *operandError) Unwrap() error { return e.err }
+
 // columnOf locates the diagnostic's position in the raw source line: the
-// first occurrence of the error's first quoted token, falling back to the
-// statement's first non-blank byte. 1-based; 1 for blank lines (which
-// never error anyway).
+// operand an operandError names, else the first occurrence of the error's
+// first quoted token, falling back to the statement's first non-blank
+// byte. 1-based; 1 for blank lines (which never error anyway).
 func columnOf(raw string, err error) int {
+	var oe *operandError
+	if errors.As(err, &oe) {
+		// The statement is a suffix of the line's code, less its
+		// trailing blanks, and rest is a suffix of the statement.
+		return len(strings.TrimRightFunc(code(raw), unicode.IsSpace)) - len(oe.rest) + 1
+	}
 	if tok := quotedToken(err.Error()); tok != "" {
 		if i := strings.Index(raw, tok); i >= 0 {
 			return i + 1
@@ -255,8 +300,10 @@ func parseInst(b *Builder, line string) error {
 	}
 
 	var operands []isa.Operand
+	var fields []string
 	if rest != "" {
-		for _, field := range strings.Split(rest, ",") {
+		fields = strings.Split(rest, ",")
+		for _, field := range fields {
 			o, err := parseOperand(strings.TrimSpace(field))
 			if err != nil {
 				return err
@@ -268,10 +315,22 @@ func parseInst(b *Builder, line string) error {
 		return fmt.Errorf("%s: too many operands", mnemonic)
 	}
 	b.I(op, operands...)
-	if len(b.errs) > 0 {
-		return b.errs[len(b.errs)-1]
+	if len(b.errs) == 0 {
+		return nil
 	}
-	return nil
+	err := b.errs[len(b.errs)-1]
+	var se *isa.ShapeError
+	if !errors.As(err, &se) {
+		return err
+	}
+	if se.N > len(fields) {
+		return se // a missing operand: the statement's column
+	}
+	tail := rest
+	for _, f := range fields[:se.N-1] {
+		tail = tail[len(f)+1:]
+	}
+	return &operandError{rest: strings.TrimLeftFunc(tail, unicode.IsSpace), err: se}
 }
 
 func parseOperand(text string) (isa.Operand, error) {

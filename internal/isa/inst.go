@@ -116,33 +116,15 @@ func (in Inst) String() string {
 // memory, exactly when its micro-ops do (vm/lower.go). This is the paper's
 // "% Memory References" predicate, and region pricing charges the cache
 // model by it. Stack-implicit operations (push/pop/call/ret) reference
-// memory.
+// memory; lea computes an address without reading it.
 func (in Inst) ReferencesMemory() bool {
 	switch in.Op {
 	case PUSH, POP, CALL, RET:
 		return true
 	case LEA:
-		// lea computes an address without reading it; only a memory
-		// destination stores the result.
-		return in.A.IsMem() && in.B.IsMem()
-	case MOVZXB, MOVZXW, MOVSXB, MOVSXW:
-		// A source that is not a register is read from memory at its
-		// address fields, whatever its kind.
-		return in.A.IsMem() || in.B.Kind != KindReg
+		return false
 	}
 	return in.A.IsMem() || in.B.IsMem()
-}
-
-// MemOperand returns the memory operand if any (at most one per instruction
-// in this ISA, as on IA-32).
-func (in Inst) MemOperand() (Operand, bool) {
-	if in.A.IsMem() {
-		return in.A, true
-	}
-	if in.B.IsMem() {
-		return in.B, true
-	}
-	return Operand{}, false
 }
 
 // IsLoad reports whether the instruction reads from an explicit memory operand.

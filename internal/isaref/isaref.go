@@ -1,7 +1,10 @@
 // Package isaref is a deliberately naive reference interpreter of the
 // simulated ISA — integer, control, x87 and MMX instructions in every
 // operand shape, faults included — the oracle the tests hold every
-// execution path of internal/vm against.
+// execution path of internal/vm against. An operand shape the ISA does not
+// accept faults where the instruction decodes it; those checks are written
+// here, apart from the assembler's shape table, which the tests hold to
+// them.
 //
 // It shares no code with what it checks: it imports none of internal/vm,
 // mem, mmx, fixed, pentium or profile. Memory is a plain byte slice with
@@ -111,8 +114,13 @@ func isMM(o isa.Operand) bool  { return o.Kind == isa.KindReg && o.Reg >= isa.MM
 func isFP(o isa.Operand) bool  { return o.Kind == isa.KindReg && o.Reg >= isa.FP0 && o.Reg <= isa.FP7 }
 
 // addr is an operand's effective address, base + index*scale + disp,
-// wrapping at 32 bits.
+// wrapping at 32 bits. Base and index are GPRs.
 func (m *Machine) addr(o isa.Operand) uint32 {
+	for _, r := range []isa.Reg{o.Reg, o.Index} {
+		if r != isa.NoReg && !isGPR(isa.Operand{Kind: isa.KindReg, Reg: r}) {
+			m.fail("bad memory operand %s", o)
+		}
+	}
 	a := int64(o.Disp)
 	if o.Reg != isa.NoReg {
 		a += int64(m.GPR[gpr(o.Reg)])
@@ -158,6 +166,13 @@ func (m *Machine) store(a uint32, n int, v uint64, fault string) {
 	}
 	for i := 0; i < n; i++ {
 		b[i] = byte(v >> (8 * i))
+	}
+}
+
+// none faults unless the instruction leaves operand o out.
+func (m *Machine) none(o isa.Operand) {
+	if o.Kind != isa.KindNone {
+		m.fail("unexpected operand %s", o)
 	}
 }
 
@@ -292,6 +307,14 @@ func (m *Machine) mmSrc(o isa.Operand) uint64 {
 	return 0
 }
 
+// qword faults on a memory operand of a width other than a qword (no width
+// given is one).
+func (m *Machine) qword(o isa.Operand) {
+	if o.Kind == isa.KindMem && o.Size != isa.SizeNone && o.Size != isa.SizeQ {
+		m.fail("%s is no qword", o)
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Flags, from widened arithmetic
 
@@ -373,23 +396,59 @@ func (m *Machine) taken(op isa.Op) bool {
 func (m *Machine) exec(in *isa.Inst) {
 	A, B := in.A, in.B
 	next := m.PC + 1
+	if A.Kind == isa.KindMem && B.Kind == isa.KindMem {
+		m.fail("two memory operands")
+	}
+	switch op := in.Op; {
+	case op == isa.NOP, op == isa.PROFON, op == isa.PROFOFF, op == isa.CDQ,
+		op == isa.JMP, op.IsBranch(), op == isa.CALL, op == isa.RET, op == isa.HALT, op == isa.EMMS:
+		// No operands: control transfers name their target by label.
+		m.none(A)
+		m.none(B)
+	case op == isa.PUSH, op == isa.POP:
+		// The stack moves dwords.
+		m.none(B)
+		if A.Kind == isa.KindMem && width(A) != 4 {
+			m.fail("%s moves a dword, not %s", op, A)
+		}
+	case op == isa.IDIV, op == isa.NOT, op == isa.NEG, op == isa.INC, op == isa.DEC:
+		m.none(B)
+		if !isGPR(A) && A.Kind != isa.KindMem {
+			m.fail("bad %s operand %s", op, A)
+		}
+	case op == isa.FCHS, op == isa.FABS, op == isa.FSQRT, op == isa.FSIN, op == isa.FCOS:
+		m.none(B)
+	case op == isa.MOVZXB, op == isa.MOVZXW, op == isa.MOVSXB, op == isa.MOVSXW, op == isa.LEA:
+		if !isGPR(A) {
+			m.fail("%s writes a GPR, not %s", op, A)
+		}
+	case op == isa.MOV, op == isa.ADD, op == isa.ADC, op == isa.SUB, op == isa.SBB,
+		op == isa.AND, op == isa.OR, op == isa.XOR, op == isa.CMP, op == isa.TEST,
+		op == isa.SHL, op == isa.SHR, op == isa.SAR, op == isa.IMUL:
+		if !isGPR(A) && A.Kind != isa.KindMem {
+			m.fail("bad destination operand")
+		}
+	}
 	switch op := in.Op; {
 	case op == isa.NOP, op == isa.PROFON, op == isa.PROFOFF:
 
 	case op == isa.MOV:
 		m.dst(A, m.src(B))
 	case op == isa.MOVZXB, op == isa.MOVZXW, op == isa.MOVSXB, op == isa.MOVSXW:
-		// The width is the opcode's; a register source gives its low
-		// bits, anything else is read from memory at its address fields.
+		// The width is the opcode's: a register source gives its low
+		// bits, memory is read at that width.
 		n := 1
 		if op == isa.MOVZXW || op == isa.MOVSXW {
 			n = 2
 		}
 		var v uint32
-		if B.Kind == isa.KindReg {
+		switch B.Kind {
+		case isa.KindReg:
 			v = m.src(B)
-		} else {
+		case isa.KindMem:
 			v = m.loadInt(B, n)
+		default:
+			m.fail("bad %s source %s", op, B)
 		}
 		switch op {
 		case isa.MOVZXB:
@@ -531,7 +590,7 @@ func (m *Machine) exec(in *isa.Inst) {
 		m.execMMX(in)
 
 	default:
-		panic("isaref: unknown opcode " + op.String())
+		m.fail("unknown opcode %s", op)
 	}
 	m.PC = next
 }
@@ -551,6 +610,9 @@ func (m *Machine) execFP(in *isa.Inst) {
 		if A.Kind == isa.KindReg {
 			m.setFP(A, v)
 			return
+		}
+		if A.Kind != isa.KindMem {
+			m.fail("fst needs an FP register or memory destination")
 		}
 		a := m.addr(A)
 		switch A.Size {
@@ -635,12 +697,21 @@ func (m *Machine) execMMX(in *isa.Inst) {
 	A, B := in.A, in.B
 	switch in.Op {
 	case isa.MOVD:
+		// movd mm, r/m32 zero-extends; movd r/m32, mm takes the low dword.
 		if isMM(A) {
+			if B.Kind == isa.KindImm || B.Kind == isa.KindMem && width(B) != 4 {
+				m.fail("bad movd source %s", B)
+			}
 			m.MM[A.Reg-isa.MM0] = uint64(m.src(B))
 			return
 		}
-		m.dst(A, uint32(m.mmSrc(B)))
+		if A.Kind == isa.KindMem && width(A) != 4 {
+			m.fail("bad movd destination %s", A)
+		}
+		m.dst(A, uint32(m.mmReg(B)))
 	case isa.MOVQ:
+		m.qword(A)
+		m.qword(B)
 		if isMM(A) {
 			m.MM[A.Reg-isa.MM0] = m.mmSrc(B)
 			return
@@ -662,6 +733,7 @@ func (m *Machine) execMMX(in *isa.Inst) {
 			// An immediate count is its 64-bit two's complement.
 			n := uint64(B.Imm)
 			if B.Kind != isa.KindImm {
+				m.qword(B)
 				n = m.mmSrc(B)
 			}
 			r, ok = mmxref.Shift(in.Op, a, n)

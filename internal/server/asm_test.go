@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -530,27 +531,76 @@ func TestAsmClientDisconnectAbortsRun(t *testing.T) {
 	})
 }
 
-// TestAsmNonGPROperandsFault submits the register shapes that once indexed
-// the GPR file out of range — an mm or fp register in xchg, or as the
-// register source of movzx/movsx: each must answer the guest fault at that
-// instruction (a failed run, like any other fault), never a contained
-// panic. The vm fault tests hold the per-instruction loop to the same
-// texts.
+// asmRejected submits src and requires a 400 whose body and error text
+// name line:col, and whose error text ends in want.
+func asmRejected(t *testing.T, url, src string, line, col int, want string) {
+	t.Helper()
+	resp, data := postAsm(t, url, asmBody(t, map[string]any{"source": src}), nil)
+	var e struct {
+		Error string `json:"error"`
+		Line  int    `json:"line"`
+		Col   int    `json:"col"`
+	}
+	if err := json.Unmarshal(data, &e); err != nil {
+		t.Fatalf("%q: decoding error body: %v: %s", src, err, data)
+	}
+	if resp.StatusCode != http.StatusBadRequest || e.Line != line || e.Col != col ||
+		!strings.Contains(e.Error, fmt.Sprintf("line %d:%d: ", line, col)) || !strings.HasSuffix(e.Error, want) {
+		t.Errorf("%q: status %d, %d:%d %q; want 400 at %d:%d %q", src, resp.StatusCode, e.Line, e.Col, e.Error, line, col, want)
+	}
+}
+
+// TestAsmNonGPROperandsFault submits every operand shape the assembler
+// rejects (internal/asm/testdata/rejected_shapes.txt), among them the
+// register shapes that once indexed the GPR file out of range and then
+// faulted when run — an mm or fp register in xchg, or as the register
+// source of movzx/movsx: each answers 400 with the line and column of the
+// operand at fault, and no run starts or panics.
 func TestAsmNonGPROperandsFault(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{ResultCacheEntries: -1})
-	for _, tc := range []struct{ inst, reg string }{
-		{"xchg mm0, mm1", "mm0"},
-		{"xchg eax, fp7", "fp7"},
-		{"movzx.b eax, mm0", "mm0"},
-		{"movsx.w eax, fp1", "fp1"},
-	} {
-		src := ".proc main\n\tmov eax, 1\n\t" + tc.inst + "\n\thalt\n"
-		resp, data := postAsm(t, ts.URL, asmBody(t, map[string]any{"source": src}), nil)
-		want := fmt.Sprintf("pc=1 [%s]: integer read of non-GPR %s", tc.inst, tc.reg)
-		if !strings.Contains(string(data), want) || strings.Contains(string(data), "panic") {
-			t.Errorf("%s: status %d: %s; want the fault %q", tc.inst, resp.StatusCode, data, want)
-		}
+	data, err := os.ReadFile("../asm/testdata/rejected_shapes.txt")
+	if err != nil {
+		t.Fatal(err)
 	}
+	for _, row := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		if strings.HasPrefix(row, "#") {
+			continue
+		}
+		f := strings.Split(row, " | ")
+		col, _ := strconv.Atoi(f[1])
+		asmRejected(t, ts.URL, ".dwords buf 1,2,3,4\n\tmov esi, buf\n\t"+f[0]+" ; comment\n", 3, col, f[2])
+	}
+	snap := getMetrics(t, ts.URL)
+	if snap.RunPanics != 0 || snap.AsmRuns != 0 {
+		t.Errorf("run_panics = %d, asm_runs = %d, want 0 and 0", snap.RunPanics, snap.AsmRuns)
+	}
+}
+
+// TestAsmUnknownLabel400: a jump to a label nothing defines answers 400 at
+// the jump's line and the label's column.
+func TestAsmUnknownLabel400(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{ResultCacheEntries: -1})
+	asmRejected(t, ts.URL, ".proc main\n\tmov eax, 1\n\tjmp nowhere\n\thalt\n", 3, 6, `unknown label "nowhere"`)
+	if got := getMetrics(t, ts.URL).RunPanics; got != 0 {
+		t.Errorf("run_panics = %d, want 0", got)
+	}
+}
+
+// TestAsmUnknownSymbol400: a memory operand naming no data symbol answers
+// 400 at its line and the symbol's column.
+func TestAsmUnknownSymbol400(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{ResultCacheEntries: -1})
+	asmRejected(t, ts.URL, ".proc main\n\tmov eax, dword [nosym]\n\thalt\n", 2, 18, `unknown symbol "nosym"`)
+	if got := getMetrics(t, ts.URL).RunPanics; got != 0 {
+		t.Errorf("run_panics = %d, want 0", got)
+	}
+}
+
+// TestAsmDuplicateSymbol400: a .reserve of a name the data section already
+// defines answers 400 at the .reserve's line and the name's column.
+func TestAsmDuplicateSymbol400(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{ResultCacheEntries: -1})
+	asmRejected(t, ts.URL, ".dwords buf 1,2\n.reserve buf 8\nhalt\n", 2, 10, `duplicate data symbol "buf"`)
 	if got := getMetrics(t, ts.URL).RunPanics; got != 0 {
 		t.Errorf("run_panics = %d, want 0", got)
 	}

@@ -14,6 +14,8 @@
 package vm
 
 import (
+	"fmt"
+
 	"mmxdsp/internal/asm"
 	"mmxdsp/internal/isa"
 )
@@ -25,11 +27,9 @@ import (
 type Code struct {
 	prog *asm.Program
 	// ops holds every instruction's micro-ops in program order; the
-	// instruction at pc owns ops[at[pc]:at[pc+1]]. texts are the static
-	// fault texts uFault ops index.
-	ops   []uop
-	at    []int32
-	texts []string
+	// instruction at pc owns ops[at[pc]:at[pc+1]].
+	ops []uop
+	at  []int32
 	// blocks and blockOf are the block-dispatch tables: one vmBlock per
 	// basic block, and the owning block index per PC.
 	blocks  []vmBlock
@@ -65,7 +65,9 @@ type vmBlock struct {
 }
 
 // Compile lowers a linked program to micro-ops. The cost is one pass over
-// the static instructions; every CPU built from the result shares it.
+// the static instructions; every CPU built from the result shares it. The
+// program's operand shapes must be ones isa.Inst.CheckOperands accepts, as
+// asm.Builder ensures; Compile panics on any other.
 func Compile(p *asm.Program) *Code {
 	infos := p.Blocks()
 	c := &Code{
@@ -76,8 +78,12 @@ func Compile(p *asm.Program) *Code {
 	}
 	ops := make([]uop, 0, len(p.Insts))
 	for pc := range p.Insts {
+		in := &p.Insts[pc]
+		if err := in.CheckOperands(); err != nil {
+			panic(fmt.Sprintf("vm: compile %s: instruction %d (%s): %v", p.Name, pc, in, err))
+		}
 		c.at[pc] = int32(len(ops))
-		ops = lowerInst(ops, &p.Insts[pc], int32(pc), &c.texts)
+		ops = lowerInst(ops, in, int32(pc))
 	}
 	c.at[len(p.Insts)] = int32(len(ops))
 	c.ops = ops

@@ -13,6 +13,5 @@ func SetStreamBatch(n int) (restore func()) {
 
 // LoweredOps returns how many micro-ops an instruction lowers to.
 func LoweredOps(in *isa.Inst) int {
-	var texts []string
-	return len(lowerInst(nil, in, 0, &texts))
+	return len(lowerInst(nil, in, 0))
 }

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -33,54 +34,73 @@ func expectFault(t *testing.T, want string, build func(b *asm.Builder)) {
 	}
 }
 
+// expectRejected builds a one-proc program whose instruction 1 has an
+// operand shape its opcode does not accept, and asserts that Link rejects
+// it with a shape error naming that instruction and containing want.
+func expectRejected(t *testing.T, want string, build func(b *asm.Builder)) {
+	t.Helper()
+	b := asm.NewBuilder("fault")
+	b.I(isa.MOV, asm.R(isa.EAX), asm.Imm(1))
+	build(b)
+	b.I(isa.HALT)
+	_, err := b.Link()
+	var se *isa.ShapeError
+	if !errors.As(err, &se) || !strings.Contains(err.Error(), "asm(fault): instruction 1 (") ||
+		!strings.Contains(err.Error(), want) {
+		t.Fatalf("Link: %v, want a shape error at instruction 1 containing %q", err, want)
+	}
+}
+
+// The shapes below once faulted when they ran; the assembler now rejects
+// them when the program is built.
+
 func TestFaultIntegerReadOfFPRegister(t *testing.T) {
-	expectFault(t, "non-GPR", func(b *asm.Builder) {
+	expectRejected(t, "mov: operand 2 fp0 is not accepted", func(b *asm.Builder) {
 		b.I(isa.MOV, asm.R(isa.EAX), asm.R(isa.FP0))
 	})
 }
 
 func TestFaultFPRegisterExpected(t *testing.T) {
-	expectFault(t, "expected FP register", func(b *asm.Builder) {
+	expectRejected(t, "fadd: operand 1 eax is not accepted", func(b *asm.Builder) {
 		b.I(isa.FADD, asm.R(isa.EAX), asm.R(isa.FP0))
 	})
 }
 
 func TestFaultMMRegisterExpected(t *testing.T) {
-	expectFault(t, "expected mm register", func(b *asm.Builder) {
+	expectRejected(t, "paddw: operand 1 eax is not accepted", func(b *asm.Builder) {
 		b.I(isa.PADDW, asm.R(isa.EAX), asm.R(isa.MM0))
 	})
 }
 
 func TestFaultFildBadSize(t *testing.T) {
-	expectFault(t, "word or dword", func(b *asm.Builder) {
+	expectRejected(t, "fild: operand 2 qword [v] is not accepted", func(b *asm.Builder) {
 		b.Dwords("v", []int32{1, 2})
 		b.I(isa.FILD, asm.R(isa.FP0), asm.Sym(isa.SizeQ, "v", 0))
 	})
 }
 
 func TestFaultFstBadSize(t *testing.T) {
-	expectFault(t, "dword or qword", func(b *asm.Builder) {
+	expectRejected(t, "fst: operand 1 word [v] is not accepted", func(b *asm.Builder) {
 		b.Reserve("v", 8)
 		b.I(isa.FST, asm.Sym(isa.SizeW, "v", 0), asm.R(isa.FP0))
 	})
 }
 
 func TestFaultLeaNeedsMemory(t *testing.T) {
-	expectFault(t, "lea needs a memory operand", func(b *asm.Builder) {
+	expectRejected(t, "lea: operand 2 ebx is not accepted", func(b *asm.Builder) {
 		b.I(isa.LEA, asm.R(isa.EAX), asm.R(isa.EBX))
 	})
 }
 
 func TestFaultXchgRegistersOnly(t *testing.T) {
-	expectFault(t, "register operands only", func(b *asm.Builder) {
+	expectRejected(t, "xchg: operand 2 dword [v] is not accepted", func(b *asm.Builder) {
 		b.Reserve("v", 8)
 		b.I(isa.XCHG, asm.R(isa.EAX), asm.Sym(isa.SizeD, "v", 0))
 	})
 }
 
 // TestFaultNonGPRRegisterOperands: an mm or fp register where xchg or a
-// movzx/movsx register source wants a GPR is a guest fault at that
-// instruction, on every path.
+// movzx/movsx register source wants a GPR is rejected at that instruction.
 func TestFaultNonGPRRegisterOperands(t *testing.T) {
 	for _, in := range []struct {
 		op   isa.Op
@@ -91,29 +111,27 @@ func TestFaultNonGPRRegisterOperands(t *testing.T) {
 		{isa.MOVZXB, isa.EAX, isa.MM0},
 		{isa.MOVSXW, isa.EAX, isa.FP1},
 	} {
-		bad := in.a
-		if bad.IsGPR() {
-			bad = in.b
+		bad := "operand 1 " + in.a.String()
+		if in.a.IsGPR() {
+			bad = "operand 2 " + in.b.String()
 		}
-		expectFault(t, "integer read of non-GPR "+bad.String(), func(b *asm.Builder) {
+		expectRejected(t, in.op.String()+": "+bad+" is not accepted", func(b *asm.Builder) {
 			b.I(in.op, asm.R(in.a), asm.R(in.b))
 		})
 	}
 }
 
-// TestFaultImmediateDestination: an ALU op on an immediate destination
-// faults when it has a result to write — not for cmp or test, and not for
-// a shift whose count masks to zero.
+// TestFaultImmediateDestination: an immediate is no destination, for any
+// ALU op: not for cmp or test, which write nothing, and not for a shift by
+// a count that masks to zero.
 func TestFaultImmediateDestination(t *testing.T) {
-	expectFault(t, "pc=4 [shl 5, ecx]: bad destination operand", func(b *asm.Builder) {
-		b.I(isa.MOV, asm.R(isa.ECX), asm.Imm(32))
-		b.I(isa.SHL, asm.Imm(5), asm.R(isa.ECX)) // count 32 masks to zero
-		b.I(isa.MOV, asm.R(isa.ECX), asm.Imm(3))
-		b.I(isa.CMP, asm.Imm(5), asm.R(isa.ECX))
-		b.I(isa.SHL, asm.Imm(5), asm.R(isa.ECX))
-	})
-	expectFault(t, "pc=0 [add 5, eax]: bad destination operand", func(b *asm.Builder) {
-		b.I(isa.ADD, asm.Imm(5), asm.R(isa.EAX))
+	for _, op := range []isa.Op{isa.SHL, isa.CMP, isa.TEST, isa.ADD} {
+		expectRejected(t, op.String()+": operand 1 5 is not accepted", func(b *asm.Builder) {
+			b.I(op, asm.Imm(5), asm.R(isa.ECX))
+		})
+	}
+	expectRejected(t, "shl: operand 1 5 is not accepted", func(b *asm.Builder) {
+		b.I(isa.SHL, asm.Imm(5), asm.Imm(0))
 	})
 }
 
@@ -154,13 +172,13 @@ func TestFaultStackOverflow(t *testing.T) {
 }
 
 func TestFaultMovqBadDestination(t *testing.T) {
-	expectFault(t, "movq destination", func(b *asm.Builder) {
+	expectRejected(t, "movq: operand 1 eax is not accepted", func(b *asm.Builder) {
 		b.I(isa.MOVQ, asm.R(isa.EAX), asm.R(isa.MM0))
 	})
 }
 
 func TestFaultFldcNeedsImmediate(t *testing.T) {
-	expectFault(t, "fldc needs an immediate", func(b *asm.Builder) {
+	expectRejected(t, "fldc: operand 2 fp1 is not accepted", func(b *asm.Builder) {
 		b.I(isa.FLDC, asm.R(isa.FP0), asm.R(isa.FP1))
 	})
 }

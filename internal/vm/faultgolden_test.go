@@ -1,10 +1,11 @@
 package vm_test
 
 // The fault-text golden table: every fault a parsed listing can reach, with
-// its exact text, on the per-instruction, block and trace paths. Static
-// shapes (an operand the opcode does not accept) fault on first execution;
-// the dynamic ones (range, stack, idiv, fp after MMX) also run in a loop
-// that is a resident trace by the time it faults.
+// its exact text, on the per-instruction, block and trace paths; the
+// dynamic ones (range, stack, idiv, fp after MMX) also run in a loop that
+// is a resident trace by the time it faults. A listing whose operand shapes
+// the opcode does not accept never runs: its row holds the build error,
+// with the line and column of the operand at fault.
 
 import (
 	"strings"
@@ -14,7 +15,8 @@ import (
 	"mmxdsp/internal/vm"
 )
 
-// goldenFault is one listing and the full text of the fault it must raise.
+// goldenFault is one listing and the full text of the fault it must raise,
+// or of the build error ("asm(g): line ...") that rejects it.
 type goldenFault struct {
 	name, src, want string
 }
@@ -44,25 +46,25 @@ var goldenFaults = []goldenFault{
 	{"budget", "spin:\njmp spin", "vm(g) pc=2 [jmp spin]: budget of 5000 instructions: instruction budget exhausted"},
 
 	// Integer operand shapes.
-	{"read-non-gpr", "mov eax, mm0", "vm(g) pc=2 [mov eax, mm0]: integer read of non-GPR mm0"},
-	{"read-non-gpr-fp", "add eax, fp1", "vm(g) pc=2 [add eax, fp1]: integer read of non-GPR fp1"},
-	{"write-non-gpr", "mov mm0, eax", "vm(g) pc=2 [mov mm0, eax]: integer write to non-GPR mm0"},
-	{"missing-source", "mov eax", "vm(g) pc=2 [mov eax]: missing operand"},
-	{"missing-push", "push", "vm(g) pc=2 [push]: missing operand"},
-	{"missing-idiv", "idiv", "vm(g) pc=2 [idiv]: missing operand"},
-	{"imm-destination", "mov 5, eax", "vm(g) pc=2 [mov 5, eax]: bad destination operand"},
-	{"pop-imm", "pop 5", "vm(g) pc=2 [pop 5]: bad destination operand"},
-	{"pop-none", "pop", "vm(g) pc=2 [pop]: bad destination operand"},
-	{"pop-mm", "pop mm0", "vm(g) pc=2 [pop mm0]: integer write to non-GPR mm0"},
-	{"not-imm", "not 7", "vm(g) pc=2 [not 7]: bad destination operand"},
-	{"load-qword", "mov eax, qword [esi]", "vm(g) pc=2 [mov eax, qword [esi]]: bad load size qword"},
-	{"store-qword", "mov qword [esi], eax", "vm(g) pc=2 [mov qword [esi], eax]: bad store size qword"},
-	{"lea-register", "lea eax, ebx", "vm(g) pc=2 [lea eax, ebx]: lea needs a memory operand"},
-	{"xchg-memory", "xchg eax, dword [esi]", "vm(g) pc=2 [xchg eax, dword [esi]]: xchg supports register operands only"},
-	{"xchg-mm", "xchg mm0, mm1", "vm(g) pc=2 [xchg mm0, mm1]: integer read of non-GPR mm0"},
-	{"xchg-fp", "xchg eax, fp7", "vm(g) pc=2 [xchg eax, fp7]: integer read of non-GPR fp7"},
-	{"movzx-mm", "movzx.b eax, mm0", "vm(g) pc=2 [movzx.b eax, mm0]: integer read of non-GPR mm0"},
-	{"movsx-fp", "movsx.w eax, fp1", "vm(g) pc=2 [movsx.w eax, fp1]: integer read of non-GPR fp1"},
+	{"read-non-gpr", "mov eax, mm0", "asm(g): line 4:10: mov: operand 2 mm0 is not accepted"},
+	{"read-non-gpr-fp", "add eax, fp1", "asm(g): line 4:10: add: operand 2 fp1 is not accepted"},
+	{"write-non-gpr", "mov mm0, eax", "asm(g): line 4:5: mov: operand 1 mm0 is not accepted"},
+	{"missing-source", "mov eax", "asm(g): line 4:1: mov: operand 2 is missing"},
+	{"missing-push", "push", "asm(g): line 4:1: push: operand 1 is missing"},
+	{"missing-idiv", "idiv", "asm(g): line 4:1: idiv: operand 1 is missing"},
+	{"imm-destination", "mov 5, eax", "asm(g): line 4:5: mov: operand 1 5 is not accepted"},
+	{"pop-imm", "pop 5", "asm(g): line 4:5: pop: operand 1 5 is not accepted"},
+	{"pop-none", "pop", "asm(g): line 4:1: pop: operand 1 is missing"},
+	{"pop-mm", "pop mm0", "asm(g): line 4:5: pop: operand 1 mm0 is not accepted"},
+	{"not-imm", "not 7", "asm(g): line 4:5: not: operand 1 7 is not accepted"},
+	{"load-qword", "mov eax, qword [esi]", "asm(g): line 4:10: mov: operand 2 qword [esi] is not accepted"},
+	{"store-qword", "mov qword [esi], eax", "asm(g): line 4:5: mov: operand 1 qword [esi] is not accepted"},
+	{"lea-register", "lea eax, ebx", "asm(g): line 4:10: lea: operand 2 ebx is not accepted"},
+	{"xchg-memory", "xchg eax, dword [esi]", "asm(g): line 4:11: xchg: operand 2 dword [esi] is not accepted"},
+	{"xchg-mm", "xchg mm0, mm1", "asm(g): line 4:6: xchg: operand 1 mm0 is not accepted"},
+	{"xchg-fp", "xchg eax, fp7", "asm(g): line 4:11: xchg: operand 2 fp7 is not accepted"},
+	{"movzx-mm", "movzx.b eax, mm0", "asm(g): line 4:14: movzx.b: operand 2 mm0 is not accepted"},
+	{"movsx-fp", "movsx.w eax, fp1", "asm(g): line 4:14: movsx.w: operand 2 fp1 is not accepted"},
 
 	// Integer ranges and stack.
 	{"load-byte", "mov eax, byte [ebp]", "vm(g) pc=2 [mov eax, byte [ebp]]: load byte out of range at 0x7fffff00"},
@@ -78,37 +80,37 @@ var goldenFaults = []goldenFault{
 
 	// Floating point.
 	{"fp-after-mmx", "movq mm0, mm1\nfadd fp0, fp1", "vm(g) pc=3 [fadd fp0, fp1]: floating-point instruction while MMX state active (missing emms)"},
-	{"fp-after-mmx-static", "movq mm0, mm1\nfchs eax", "vm(g) pc=3 [fchs eax]: floating-point instruction while MMX state active (missing emms)"},
-	{"fldc-register", "fldc fp0, fp1", "vm(g) pc=2 [fldc fp0, fp1]: fldc needs an immediate"},
-	{"fst-word", "fst word [esi], fp0", "vm(g) pc=2 [fst word [esi], fp0]: fst needs dword or qword destination"},
-	{"fst-imm", "fst 5, fp0", "vm(g) pc=2 [fst 5, fp0]: fst needs dword or qword destination"},
+	{"fp-after-mmx-static", "movq mm0, mm1\nfchs eax", "asm(g): line 5:6: fchs: operand 1 eax is not accepted"},
+	{"fldc-register", "fldc fp0, fp1", "asm(g): line 4:11: fldc: operand 2 fp1 is not accepted"},
+	{"fst-word", "fst word [esi], fp0", "asm(g): line 4:5: fst: operand 1 word [esi] is not accepted"},
+	{"fst-imm", "fst 5, fp0", "asm(g): line 4:5: fst: operand 1 5 is not accepted"},
 	{"fst-range", "fst qword [ebp], fp0", "vm(g) pc=2 [fst qword [ebp], fp0]: fst out of range at 0x7fffff00"},
-	{"fild-register", "fild fp0, eax", "vm(g) pc=2 [fild fp0, eax]: fild needs a memory source"},
-	{"fild-qword", "fild fp0, qword [esi]", "vm(g) pc=2 [fild fp0, qword [esi]]: fild needs word or dword source"},
+	{"fild-register", "fild fp0, eax", "asm(g): line 4:11: fild: operand 2 eax is not accepted"},
+	{"fild-qword", "fild fp0, qword [esi]", "asm(g): line 4:11: fild: operand 2 qword [esi] is not accepted"},
 	{"fild-range", "fild fp0, dword [ebp]", "vm(g) pc=2 [fild fp0, dword [ebp]]: fild out of range at 0x7fffff00"},
-	{"fist-register", "fist eax, fp0", "vm(g) pc=2 [fist eax, fp0]: fist needs a memory destination"},
-	{"fist-qword", "fist qword [esi], fp0", "vm(g) pc=2 [fist qword [esi], fp0]: fist needs word or dword destination"},
+	{"fist-register", "fist eax, fp0", "asm(g): line 4:6: fist: operand 1 eax is not accepted"},
+	{"fist-qword", "fist qword [esi], fp0", "asm(g): line 4:6: fist: operand 1 qword [esi] is not accepted"},
 	{"fist-range", "fist word [ebp], fp0", "vm(g) pc=2 [fist word [ebp], fp0]: fist out of range at 0x7fffff00"},
-	{"fist-gpr-source", "fist dword [esi], eax", "vm(g) pc=2 [fist dword [esi], eax]: expected FP register, have eax"},
-	{"fp-expected", "fadd eax, fp0", "vm(g) pc=2 [fadd eax, fp0]: expected FP register, have eax"},
-	{"fp-expected-none", "fchs", "vm(g) pc=2 [fchs]: expected FP register, have "},
-	{"fp-destination", "fld eax, fp0", "vm(g) pc=2 [fld eax, fp0]: expected FP register destination, have eax"},
-	{"fp-destination-load", "fild eax, word [esi]", "vm(g) pc=2 [fild eax, word [esi]]: expected FP register destination, have eax"},
-	{"fst-register-destination", "fst eax, fp0", "vm(g) pc=2 [fst eax, fp0]: expected FP register destination, have eax"},
+	{"fist-gpr-source", "fist dword [esi], eax", "asm(g): line 4:19: fist: operand 2 eax is not accepted"},
+	{"fp-expected", "fadd eax, fp0", "asm(g): line 4:6: fadd: operand 1 eax is not accepted"},
+	{"fp-expected-none", "fchs", "asm(g): line 4:1: fchs: operand 1 is missing"},
+	{"fp-destination", "fld eax, fp0", "asm(g): line 4:5: fld: operand 1 eax is not accepted"},
+	{"fp-destination-load", "fild eax, word [esi]", "asm(g): line 4:6: fild: operand 1 eax is not accepted"},
+	{"fst-register-destination", "fst eax, fp0", "asm(g): line 4:5: fst: operand 1 eax is not accepted"},
 	{"float-load", "fld fp0, dword [ebp]", "vm(g) pc=2 [fld fp0, dword [ebp]]: float load out of range at 0x7fffff00"},
 	{"double-load", "fmul fp0, qword [ebp]", "vm(g) pc=2 [fmul fp0, qword [ebp]]: double load out of range at 0x7fffff00"},
-	{"float-size", "fcom fp0, word [esi]", "vm(g) pc=2 [fcom fp0, word [esi]]: float operand needs dword or qword size"},
-	{"float-imm", "fld fp0, 5", "vm(g) pc=2 [fld fp0, 5]: bad float operand 5"},
+	{"float-size", "fcom fp0, word [esi]", "asm(g): line 4:11: fcom: operand 2 word [esi] is not accepted"},
+	{"float-imm", "fld fp0, 5", "asm(g): line 4:10: fld: operand 2 5 is not accepted"},
 
 	// MMX.
-	{"movq-destination", "movq eax, mm0", "vm(g) pc=2 [movq eax, mm0]: movq destination must be mm register or memory"},
+	{"movq-destination", "movq eax, mm0", "asm(g): line 4:6: movq: operand 1 eax is not accepted"},
 	{"movq-store", "movq qword [ebp], mm0", "vm(g) pc=2 [movq qword [ebp], mm0]: movq store out of range at 0x7fffff00"},
-	{"mm-expected", "paddw eax, mm0", "vm(g) pc=2 [paddw eax, mm0]: expected mm register, have eax"},
-	{"movd-gpr-gpr", "movd eax, ebx", "vm(g) pc=2 [movd eax, ebx]: expected mm register, have ebx"},
+	{"mm-expected", "paddw eax, mm0", "asm(g): line 4:7: paddw: operand 1 eax is not accepted"},
+	{"movd-gpr-gpr", "movd eax, ebx", "asm(g): line 4:11: movd: operand 2 ebx is not accepted"},
 	{"mmx-dword-load", "pmaddwd mm0, dword [ebp]", "vm(g) pc=2 [pmaddwd mm0, dword [ebp]]: mmx dword load out of range at 0x7fffff00"},
 	{"mmx-qword-load", "psraw mm0, qword [ebp]", "vm(g) pc=2 [psraw mm0, qword [ebp]]: mmx qword load out of range at 0x7fffff00"},
-	{"mmx-imm", "paddw mm0, 5", "vm(g) pc=2 [paddw mm0, 5]: bad mmx operand 5"},
-	{"mmx-none", "psllq mm0", "vm(g) pc=2 [psllq mm0]: bad mmx operand "},
+	{"mmx-imm", "paddw mm0, 5", "asm(g): line 4:12: paddw: operand 2 5 is not accepted"},
+	{"mmx-none", "psllq mm0", "asm(g): line 4:1: psllq: operand 2 is missing"},
 
 	// Dynamic faults deep in a resident trace: the 151st iteration
 	// divides by zero, overflows, or walks off memory.
@@ -129,8 +131,11 @@ func TestFaultTextsGolden(t *testing.T) {
 	for _, gf := range goldenFaults {
 		t.Run(gf.name, func(t *testing.T) {
 			prog, err := asm.ParseSource("g", goldenHead+gf.src)
-			if err != nil {
-				t.Fatalf("parse: %v", err)
+			if rejected := strings.HasPrefix(gf.want, "asm(g): line "); err != nil || rejected {
+				if err == nil || err.Error() != gf.want {
+					t.Errorf("parse:\n got  %v\n want %s", err, gf.want)
+				}
+				return
 			}
 			code := vm.Compile(prog)
 			for _, mode := range []string{"generic", "block", "trace"} {

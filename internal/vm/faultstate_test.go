@@ -108,7 +108,6 @@ var faultCases = []faultCase{
 	{"movd-load", "load dword", one(isa.MOVD, asm.R(isa.MM2), asm.MemD(isa.ESI, 0)), poisonESI},
 	{"movd-store", "store out of range", one(isa.MOVD, asm.MemD(isa.ESI, 0), asm.R(isa.MM2)), poisonESI},
 	{"movq-load64", "mmx qword load", one(isa.MOVQ, asm.R(isa.MM2), asm.MemQ(isa.ESI, 0)), poisonESI},
-	{"movq-load32", "mmx dword load", one(isa.MOVQ, asm.R(isa.MM2), asm.MemD(isa.ESI, 0)), poisonESI},
 	{"movq-store", "movq store", one(isa.MOVQ, asm.MemQ(isa.ESI, 0), asm.R(isa.MM2)), poisonESI},
 	// MMX binary operations with a memory source.
 	{"paddw-m64", "mmx qword load", one(isa.PADDW, asm.R(isa.MM3), asm.MemQ(isa.ESI, 0)), poisonESI},

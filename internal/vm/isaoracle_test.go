@@ -1,18 +1,18 @@
 package vm_test
 
 // The ISA oracle differential: generated programs draw every opcode in
-// every operand shape — byte/word/dword/qword memory operands, immediates,
-// shifts by ecx, idiv by zero and past 32 bits, fild/fist at both widths,
-// call/ret/jcc, and the shapes that fault — and every execution path
-// (per-instruction, block dispatch, trace dispatch) must leave exactly the
-// registers, memory, Executed() count and fault the independent reference
-// interpreter of internal/isaref predicts. Run again with profiling on
-// from the first instruction, every path must also give the same report.
+// every operand shape the assembler accepts — byte/word/dword/qword memory
+// operands, immediates, shifts by ecx, idiv by zero and past 32 bits,
+// fild/fist at both widths, call/ret/jcc, and the faults a run can reach —
+// and every execution path (per-instruction, block dispatch, trace
+// dispatch) must leave exactly the registers, memory, Executed() count and
+// fault the independent reference interpreter of internal/isaref predicts.
+// Run again with profiling on from the first instruction, every path must
+// also give the same report and cache statistics, faulted runs included.
 
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -121,27 +121,19 @@ var intShapes = []oracleShape{
 	{"mov r,m", func(g *oracleGen) { g.emit("mov %s, %s", g.wr(), g.m(g.msz())) }},
 	{"mov m,r", func(g *oracleGen) { g.emit("mov %s, %s", g.m(g.msz()), g.rd()) }},
 	{"mov m,i", func(g *oracleGen) { g.emit("mov %s, %d", g.m(g.msz()), g.imm()) }},
-	{"mov m,m", func(g *oracleGen) { g.emit("mov %s, %s", g.m(g.msz()), g.m(g.msz())) }},
 	{"movx r,r", func(g *oracleGen) {
 		g.emit("%s %s, %s", pick(g.r, []string{"movzx.b", "movzx.w", "movsx.b", "movsx.w"}), g.wr(), g.rd())
 	}},
 	{"movx r,m", func(g *oracleGen) {
 		g.emit("%s %s, %s", pick(g.r, []string{"movzx.b", "movzx.w", "movsx.b", "movsx.w"}), g.wr(), g.m(pick(g.r, []string{"byte", "word", "dword", "qword", ""})))
 	}},
-	// A non-register movzx/movsx source is read at its address fields: an
-	// immediate reads address 0.
-	{"movx r,i", func(g *oracleGen) {
-		g.emit("%s %s, %d", pick(g.r, []string{"movzx.b", "movzx.w", "movsx.b", "movsx.w"}), g.wr(), g.imm())
-	}},
-	{"movx m,r", func(g *oracleGen) { g.emit("movzx.w %s, %s", g.m(g.msz()), g.rd()) }},
 	{"lea r,m", func(g *oracleGen) { g.emit("lea %s, %s", g.wr(), g.m("")) }},
-	{"lea m,m", func(g *oracleGen) { g.emit("lea %s, %s", g.m(g.msz()), g.m("")) }},
 	{"xchg r,r", func(g *oracleGen) { g.emit("xchg %s, %s", g.wr(), g.wr()) }},
 	{"push/pop", func(g *oracleGen) {
-		src := pick(g.r, []string{g.rd(), fmt.Sprint(g.imm()), g.m(pick(g.r, []string{"byte", "word", "dword", ""}))})
+		src := pick(g.r, []string{g.rd(), fmt.Sprint(g.imm()), g.m(pick(g.r, []string{"dword", ""}))})
 		dst := g.wr()
 		if g.r.Intn(3) == 0 {
-			dst = g.m(g.msz())
+			dst = g.m(pick(g.r, []string{"dword", ""}))
 		}
 		g.emit("push %s", src)
 		g.emit("pop %s", dst)
@@ -151,18 +143,19 @@ var intShapes = []oracleShape{
 	{"alu r,m", func(g *oracleGen) { g.emit("%s %s, %s", pick(g.r, aluOps), g.wr(), g.m(g.msz())) }},
 	{"alu m,r", func(g *oracleGen) { g.emit("%s %s, %s", pick(g.r, aluOps), g.m(g.msz()), g.rd()) }},
 	{"alu m,i", func(g *oracleGen) { g.emit("%s %s, %d", pick(g.r, aluOps), g.m(g.msz()), g.imm()) }},
-	{"alu m,m", func(g *oracleGen) { g.emit("%s %s, %s", pick(g.r, aluOps), g.m(g.msz()), g.m(g.msz())) }},
 	{"cmp/test", func(g *oracleGen) {
-		a := pick(g.r, []string{g.rd(), g.m(g.msz()), fmt.Sprint(g.imm())})
-		b := pick(g.r, []string{g.rd(), g.m(g.msz()), fmt.Sprint(g.imm())})
+		a, b := g.rd(), pick(g.r, []string{g.rd(), g.m(g.msz()), fmt.Sprint(g.imm())})
+		if g.r.Intn(3) == 0 {
+			a, b = g.m(g.msz()), pick(g.r, []string{g.rd(), fmt.Sprint(g.imm())})
+		}
 		g.emit("%s %s, %s", pick(g.r, []string{"cmp", "test"}), a, b)
 	}},
 	{"imul", func(g *oracleGen) {
-		dst := g.wr()
 		if g.r.Intn(4) == 0 {
-			dst = g.m(g.msz())
+			g.emit("imul %s, %s", g.m(g.msz()), pick(g.r, []string{g.rd(), fmt.Sprint(g.imm())}))
+			return
 		}
-		g.emit("imul %s, %s", dst, pick(g.r, []string{g.rd(), g.m(g.msz()), fmt.Sprint(g.imm())}))
+		g.emit("imul %s, %s", g.wr(), pick(g.r, []string{g.rd(), g.m(g.msz()), fmt.Sprint(g.imm())}))
 	}},
 	{"unary", func(g *oracleGen) {
 		dst := g.wr()
@@ -222,27 +215,24 @@ var intShapes = []oracleShape{
 
 // mmxShapes run with MMX state active; the section ends in emms.
 var mmxShapes = []oracleShape{
-	{"movd mm,r/i/m", func(g *oracleGen) {
-		g.emit("movd %s, %s", g.mm(), pick(g.r, []string{g.rd(), fmt.Sprint(g.imm()), g.m(g.msz())}))
+	{"movd mm,r/m", func(g *oracleGen) {
+		g.emit("movd %s, %s", g.mm(), pick(g.r, []string{g.rd(), g.m(pick(g.r, []string{"dword", ""}))}))
 	}},
 	{"movd r/m,mm", func(g *oracleGen) {
-		g.emit("movd %s, %s", pick(g.r, []string{g.wr(), g.m(g.msz())}), g.mm())
-	}},
-	{"movd r/m,m", func(g *oracleGen) {
-		g.emit("movd %s, %s", pick(g.r, []string{g.wr(), g.m(g.msz())}), g.m(pick(g.r, []string{"dword", "qword", ""})))
+		g.emit("movd %s, %s", pick(g.r, []string{g.wr(), g.m(pick(g.r, []string{"dword", ""}))}), g.mm())
 	}},
 	{"movq mm,mm/m", func(g *oracleGen) {
-		g.emit("movq %s, %s", g.mm(), pick(g.r, []string{g.mm(), g.m("qword"), g.m("dword"), g.m("")}))
+		g.emit("movq %s, %s", g.mm(), pick(g.r, []string{g.mm(), g.m("qword"), g.m("")}))
 	}},
-	{"movq m,mm/m", func(g *oracleGen) {
-		g.emit("movq %s, %s", g.m("qword"), pick(g.r, []string{g.mm(), g.m("qword"), g.m("dword")}))
+	{"movq m,mm", func(g *oracleGen) {
+		g.emit("movq %s, %s", g.m(pick(g.r, []string{"qword", ""})), g.mm())
 	}},
 	{"mmx binary", func(g *oracleGen) {
 		g.emit("%s %s, %s", pick(g.r, mmxBinaryNames), g.mm(), pick(g.r, []string{g.mm(), g.m("qword"), g.m("dword"), g.m("")}))
 	}},
 	{"mmx shift", func(g *oracleGen) {
 		n := []int64{0, 1, 7, 15, 16, 31, 32, 63, 64, 70, -1}[g.r.Intn(11)]
-		g.emit("%s %s, %s", pick(g.r, mmxShiftNames), g.mm(), pick(g.r, []string{fmt.Sprint(n), g.mm(), g.m("qword"), g.m("dword")}))
+		g.emit("%s %s, %s", pick(g.r, mmxShiftNames), g.mm(), pick(g.r, []string{fmt.Sprint(n), g.mm(), g.m("qword"), g.m("")}))
 	}},
 }
 
@@ -293,32 +283,17 @@ func init() {
 var faultShapes = []struct {
 	section, src string
 }{
-	{"int", "mov eax, mm0"}, {"int", "add eax, fp1"}, {"int", "mov mm0, eax"},
-	{"int", "mov eax"}, {"int", "push"}, {"int", "idiv"}, {"int", "mov 5, eax"},
-	{"int", "pop 5"}, {"int", "pop"}, {"int", "pop mm0"}, {"int", "not 7"},
-	{"int", "mov eax, qword [esi]"}, {"int", "mov qword [esi], eax"},
-	{"int", "add eax, qword [esi+8]"}, {"int", "push qword [esi]"},
-	{"int", "lea eax, ebx"}, {"int", "xchg eax, dword [esi]"},
-	{"int", "xchg mm0, mm1"}, {"int", "xchg eax, fp7"}, {"int", "movzx.b eax, mm0"}, {"int", "movsx.w eax, fp1"},
-	{"int", "add 5, eax"}, {"int", "shl 5, ecx"}, {"int", "shr 7, 0"}, {"int", "sar 7, dword [esi+8]"},
 	{"int", "mov eax, byte [esi+0x7fff0000]"}, {"int", "mov word [esi+0x7fff0000], eax"},
 	{"int", "add dword [esi+0x7fff0000], 3"}, {"int", "shl word [esi+0x7fff0000], ecx"},
 	{"int", "mov ebx, 0\nidiv ebx"}, {"int", "mov edx, 256\nmov eax, 0\nmov ebx, 2\nidiv ebx"},
 	{"int", "mov esp, 0x7fffff00\npush eax"}, {"int", "mov esp, 0x7fffff00\npop eax"},
 	{"int", "mov esp, 0x7fffff00\ncall leaf"}, {"int", "mov esp, 0x7fffff00\nret"},
 	{"int", "push 999999\nret"},
-	{"mmx", "movq eax, mm0"}, {"mmx", "movq qword [esi+0x7fff0000], mm0"},
-	{"mmx", "paddw eax, mm0"}, {"mmx", "movd eax, ebx"}, {"mmx", "pmaddwd mm0, dword [esi+0x7fff0000]"},
-	{"mmx", "psraw mm0, qword [esi+0x7fff0000]"}, {"mmx", "paddw mm0, 5"}, {"mmx", "psllq mm0"},
-	{"mmx", "movd mm1, qword [esi]"}, {"mmx", "movd qword [esi], mm1"},
-	{"mmx", "fadd fp0, fp1"}, {"mmx", "fchs eax"},
-	{"fp", "fldc fp0, fp1"}, {"fp", "fst word [esi], fp0"}, {"fp", "fst 5, fp0"},
-	{"fp", "fst qword [esi+0x7fff0000], fp0"}, {"fp", "fild fp0, eax"}, {"fp", "fild fp0, qword [esi]"},
-	{"fp", "fild fp0, dword [esi+0x7fff0000]"}, {"fp", "fist eax, fp0"}, {"fp", "fist qword [esi], fp0"},
-	{"fp", "fist word [esi+0x7fff0000], fp0"}, {"fp", "fist dword [esi], eax"}, {"fp", "fadd eax, fp0"},
-	{"fp", "fchs"}, {"fp", "fld eax, fp0"}, {"fp", "fild eax, word [esi]"}, {"fp", "fld eax, dword [esi]"},
-	{"fp", "fst eax, fp0"}, {"fp", "fld fp0, dword [esi+0x7fff0000]"}, {"fp", "fmul fp0, qword [esi+0x7fff0000]"},
-	{"fp", "fcom fp0, word [esi]"}, {"fp", "fld fp0, 5"},
+	{"mmx", "movq qword [esi+0x7fff0000], mm0"}, {"mmx", "pmaddwd mm0, dword [esi+0x7fff0000]"},
+	{"mmx", "psraw mm0, qword [esi+0x7fff0000]"}, {"mmx", "fadd fp0, fp1"}, {"mmx", "fchs fp2"},
+	{"fp", "fst qword [esi+0x7fff0000], fp0"}, {"fp", "fild fp0, dword [esi+0x7fff0000]"},
+	{"fp", "fist word [esi+0x7fff0000], fp0"}, {"fp", "fld fp0, dword [esi+0x7fff0000]"},
+	{"fp", "fmul fp0, qword [esi+0x7fff0000]"},
 }
 
 // forcedOp is the opcode seed places before its loop.
@@ -554,11 +529,11 @@ func checkISAOracle(t *testing.T, seed int64) (*isaref.Machine, map[string]bool)
 }
 
 // checkISAReports runs seed's program with profon as its first instruction
-// on every path and, for runs that halt or stop at their budget, requires
-// byte-equal reports: the per-instruction loop and the region pricing of
-// block and trace dispatch must count, time and charge memory references
-// alike. A run that faults has no report; the checks above already hold
-// every path to the same fault.
+// on every path and requires byte-equal reports and equal cache statistics
+// whether the run halts, stops at its budget or faults: the per-instruction
+// loop and the region pricing of block and trace dispatch must count, time
+// and charge memory references alike, through the instructions a fault
+// leaves retired and the faulting instruction's own references.
 func checkISAReports(t *testing.T, seed int64, src string, budget int64) {
 	t.Helper()
 	prog, err := asm.ParseSource(fmt.Sprintf("isa%d", seed), "profon\n"+src)
@@ -567,6 +542,7 @@ func checkISAReports(t *testing.T, seed int64, src string, budget int64) {
 	}
 	code := vm.Compile(prog)
 	var first []byte
+	var firstCache mem.HierarchyStats
 	for _, mode := range []string{"generic", "block", "trace"} {
 		cpu := vm.NewWithCode(code)
 		model := pentium.New(pentium.DefaultConfig())
@@ -577,9 +553,7 @@ func checkISAReports(t *testing.T, seed int64, src string, budget int64) {
 		cpu.Generic = mode == "generic"
 		cpu.Traces = mode == "trace"
 		cpu.TraceThreshold = 4
-		if err := cpu.Run(budget); err != nil && !errors.Is(err, vm.ErrBudget) {
-			return
-		}
+		runErr := cpu.Run(budget)
 		rep := col.Report(prog.Name)
 		rep.CacheAccesses = cpu.Hier.Stats.Accesses
 		rep.L1Misses = cpu.Hier.Stats.L1Misses
@@ -588,11 +562,14 @@ func checkISAReports(t *testing.T, seed int64, src string, budget int64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if first == nil {
-			first = got
-		} else if !bytes.Equal(got, first) {
-			t.Fatalf("seed %d, %s: report with profon first differs from the per-instruction path:\n%s\nper-instruction:\n%s\n%s",
-				seed, mode, got, first, src)
+		switch {
+		case first == nil:
+			first, firstCache = got, cpu.Hier.Stats
+		case !bytes.Equal(got, first):
+			t.Fatalf("seed %d, %s (run error %v): report with profon first differs from the per-instruction path:\n%s\nper-instruction:\n%s\n%s",
+				seed, mode, runErr, got, first, src)
+		case cpu.Hier.Stats != firstCache:
+			t.Fatalf("seed %d, %s: cache stats %+v with profon first, per-instruction path %+v", seed, mode, cpu.Hier.Stats, firstCache)
 		}
 	}
 }

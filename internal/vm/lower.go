@@ -1,20 +1,19 @@
-// Lowering: Compile translates every instruction, in every operand shape,
-// to the micro-ops that execute it (execUops). Micro-ops are the only
-// semantics the VM has; each opcode's result and flags live in one helper
-// (alu, fpApply, fpUnary, the mmx package's lane functions), and the
-// micro-op kinds differ only in how they reach their operands.
+// Lowering: Compile translates every instruction to the micro-ops that
+// execute it (execUops). Micro-ops are the only semantics the VM has; each
+// opcode's result and flags live in one helper (alu, fpApply, fpUnary, the
+// mmx package's lane functions), and the micro-op kinds differ only in how
+// they reach their operands.
 //
-// The common shapes lower to one fused micro-op each (a register-register
-// add, a load into a register, a read-modify-write of memory). Everything
-// else is staged through temporary registers: an operand is loaded into a
-// temporary by one micro-op and consumed by the next, so a rare shape needs
-// no kind of its own. A shape the opcode does not accept lowers to whatever
-// the instruction does before the operand that stops it — a load, a stack
-// adjustment, a noted address — followed by a uFault carrying the text.
+// The operand shapes are those isa.Inst.CheckOperands accepts, which the
+// assembler enforces when a program is built. The common shapes lower to
+// one fused micro-op each (a register-register add, a load into a
+// register, a read-modify-write of memory). Everything else is staged
+// through temporary registers: an operand is loaded into a temporary by one
+// micro-op and consumed by the next, so a rare shape needs no kind of its
+// own.
 package vm
 
 import (
-	"fmt"
 	"math"
 
 	"mmxdsp/internal/isa"
@@ -29,7 +28,7 @@ const (
 	tmp2 = 9 // second integer temporary
 )
 
-// ALU sub-ops: the u.alu of uAluRR/uAluRI/uAluMR/uAluMI/uAluTM, and the
+// ALU sub-ops: the u.alu of uAluRR/uAluRI/uAluMR/uAluMI, and the
 // operation alu computes.
 const (
 	aluAdd uint8 = iota
@@ -113,13 +112,6 @@ type opnd struct {
 type lowerer struct {
 	ops []uop
 	pc  int32
-	// refs counts the data references emitted so far: every one after the
-	// first is marked (uop.nx).
-	refs int
-	// fp marks an FP instruction, whose uNote/uFault check the MMX state
-	// first, as every FP micro-op does.
-	fp    bool
-	texts *[]string
 }
 
 func (l *lowerer) op(u uop) *uop {
@@ -128,18 +120,9 @@ func (l *lowerer) op(u uop) *uop {
 	return &l.ops[len(l.ops)-1]
 }
 
-// at emits kind k on o's address fields (whatever o's kind: an immediate
-// or missing operand addresses its displacement alone). ref marks a data
-// reference.
-func (l *lowerer) at(k uint8, o isa.Operand, d, s uint8, ref bool) *uop {
+// mem emits kind k on memory operand o's address fields.
+func (l *lowerer) mem(k uint8, o isa.Operand, d, s uint8) *uop {
 	u := uop{kind: k, d: d, s: s, b: noIdx, x: noIdx, scale: 1, imm: uint32(o.Disp)}
-	for _, r := range []isa.Reg{o.Reg, o.Index} {
-		if r != isa.NoReg && !r.IsGPR() {
-			// Only a Builder program can get here; the parser rejects it.
-			l.fault("bad memory operand %s", o)
-			return &uop{}
-		}
-	}
 	if o.Reg != isa.NoReg {
 		u.b = uint8(o.Reg.GPRIndex())
 	}
@@ -149,155 +132,68 @@ func (l *lowerer) at(k uint8, o isa.Operand, d, s uint8, ref bool) *uop {
 			u.scale = uint32(o.Scale)
 		}
 	}
-	if ref {
-		if l.refs > 0 {
-			u.nx = 1
-		}
-		l.refs++
-	}
 	return l.op(u)
 }
 
-// mem emits a memory-referencing micro-op.
-func (l *lowerer) mem(k uint8, o isa.Operand, d, s uint8) *uop { return l.at(k, o, d, s, true) }
+// gpr, fpr and mmr return the index of a GPR, FP or MMX register operand.
+func gpr(o isa.Operand) uint8 { return uint8(o.Reg.GPRIndex()) }
+func fpr(o isa.Operand) uint8 { return uint8(o.Reg.FPIndex()) }
+func mmr(o isa.Operand) uint8 { return uint8(o.Reg.MMXIndex()) }
 
-// stack emits a stack micro-op, which references memory at ESP.
-func (l *lowerer) stack(k uint8, d, s uint8) *uop {
-	u := uop{kind: k, d: d, s: s}
-	if l.refs > 0 {
-		u.nx = 1
-	}
-	l.refs++
-	return l.op(u)
-}
-
-// fault ends the instruction with a static fault; it returns false so
-// callers can return it as their ok.
-func (l *lowerer) fault(format string, args ...any) bool {
-	*l.texts = append(*l.texts, fmt.Sprintf(format, args...))
-	l.op(uop{kind: uFault, imm: uint32(len(*l.texts) - 1), expect: l.fp})
-	return false
-}
-
-// noteFault notes o's address as a data reference, then faults: the shape
-// of a memory operand whose width the instruction does not take.
-func (l *lowerer) noteFault(o isa.Operand, format string, args ...any) bool {
-	l.mem(uNote, o, 0, 0).expect = l.fp
-	return l.fault(format, args...)
-}
-
-// gpr returns the index of a GPR operand, or -1.
-func gpr(o isa.Operand) int {
-	if o.Kind == isa.KindReg && o.Reg.IsGPR() {
-		return o.Reg.GPRIndex()
-	}
-	return -1
-}
-
-// target picks where to build a value bound for o: o's own GPR when it is
-// one, else temporary t.
-func target(o isa.Operand, t uint8) uint8 {
-	if r := gpr(o); r >= 0 {
-		return uint8(r)
-	}
-	return t
-}
-
-// load emits an integer load of the given width into t.
-func (l *lowerer) load(o isa.Operand, size isa.Size, t uint8, signed bool) bool {
-	var k uint8
-	switch size {
-	case isa.SizeB:
+// load emits an integer load of the given width (no width is a dword)
+// into t.
+func (l *lowerer) load(o isa.Operand, size isa.Size, t uint8, signed bool) {
+	k := uLoad32
+	switch {
+	case size == isa.SizeB && signed:
+		k = uLoadSx8
+	case size == isa.SizeB:
 		k = uLoad8
-		if signed {
-			k = uLoadSx8
-		}
-	case isa.SizeW:
+	case size == isa.SizeW && signed:
+		k = uLoadSx16
+	case size == isa.SizeW:
 		k = uLoad16
-		if signed {
-			k = uLoadSx16
-		}
-	case isa.SizeD, isa.SizeNone:
-		k = uLoad32
-	default:
-		return l.noteFault(o, "bad load size %v", size)
-	}
-	if l.refs > 0 {
-		// A load after another reference is an ALU source, which
-		// zero-extends.
-		l.mem(uLoadN, o, t, 0).alu = memSize(size)
-		return true
 	}
 	l.mem(k, o, t, 0)
-	return true
 }
 
 // src makes integer operand o readable: a GPR, an immediate, or memory
 // loaded into t.
-func (l *lowerer) src(o isa.Operand, t uint8) (opnd, bool) {
+func (l *lowerer) src(o isa.Operand, t uint8) opnd {
 	switch o.Kind {
 	case isa.KindReg:
-		if r := gpr(o); r >= 0 {
-			return opnd{reg: uint8(r)}, true
-		}
-		return opnd{}, l.fault("integer read of non-GPR %s", o.Reg)
+		return opnd{reg: gpr(o)}
 	case isa.KindImm:
-		return opnd{imm: uint32(o.Imm), isImm: true}, true
-	case isa.KindMem:
-		return opnd{reg: t}, l.load(o, o.Size, t, false)
+		return opnd{imm: uint32(o.Imm), isImm: true}
 	}
-	return opnd{}, l.fault("missing operand")
+	l.load(o, o.Size, t, false)
+	return opnd{reg: t}
 }
 
-// reg puts v in a register, moving an immediate into t.
-func (l *lowerer) reg(v opnd, t uint8) uint8 {
-	if v.isImm {
-		l.op(uop{kind: uMovRI, d: t, imm: v.imm})
-		return t
-	}
-	return v.reg
-}
-
-// dst writes v to integer destination o.
+// dst writes v to integer destination o, a GPR or memory, as the
+// instruction's only data reference.
 func (l *lowerer) dst(o isa.Operand, v opnd) {
-	switch o.Kind {
-	case isa.KindReg:
+	if o.IsReg() {
 		d := gpr(o)
 		switch {
-		case d < 0:
-			l.fault("integer write to non-GPR %s", o.Reg)
 		case v.isImm:
-			l.op(uop{kind: uMovRI, d: uint8(d), imm: v.imm})
-		case v.reg != uint8(d):
-			l.op(uop{kind: uMovRR, d: uint8(d), s: v.reg})
+			l.op(uop{kind: uMovRI, d: d, imm: v.imm})
+		case v.reg != d:
+			l.op(uop{kind: uMovRR, d: d, s: v.reg})
 		}
-	case isa.KindMem:
-		var k uint8
-		switch o.Size {
-		case isa.SizeB:
-			k = uStore8
-		case isa.SizeW:
-			k = uStore16
-		case isa.SizeD, isa.SizeNone:
-			k = uStore32
-		default:
-			l.noteFault(o, "bad store size %v", o.Size)
-			return
-		}
-		switch {
-		case l.refs > 0:
-			l.mem(uStoreN, o, 0, l.reg(v, tmp2)).alu = memSize(o.Size)
-		case v.isImm:
-			l.mem(k+uStore8I-uStore8, o, 0, 0).imm2 = v.imm
-		default:
-			l.mem(k, o, 0, v.reg)
-		}
-	default:
-		l.fault("bad destination operand")
+		return
 	}
+	k := uStore8 + memSize(o.Size)
+	if v.isImm {
+		l.mem(k+uStore8I-uStore8, o, 0, 0).imm2 = v.imm
+		return
+	}
+	l.mem(k, o, 0, v.reg)
 }
 
-// memSize is the u.d size code of a read-modify-write micro-op.
+// memSize is the size code of an integer memory operand: 0 byte, 1 word,
+// 2 dword (no width given). It is the u.d of a read-modify-write micro-op,
+// and the store kinds follow its order.
 func memSize(s isa.Size) uint8 {
 	switch s {
 	case isa.SizeB:
@@ -311,46 +207,23 @@ func memSize(s isa.Size) uint8 {
 // alu lowers the two-operand integer ALU opcodes.
 func (l *lowerer) alu(in *isa.Inst, sel uint8) {
 	A, B := in.A, in.B
-	if A.IsMem() && A.Size != isa.SizeQ && (gpr(B) >= 0 || B.IsImm()) {
-		// One read-modify-write micro-op.
-		k := uAluMR
-		if B.IsImm() {
-			k = uAluMI
+	if A.IsMem() {
+		// One read-modify-write micro-op; B is a GPR or an immediate.
+		k, s := uAluMI, uint8(0)
+		if B.IsReg() {
+			k, s = uAluMR, gpr(B)
 		}
-		u := l.mem(k, A, memSize(A.Size), uint8(max(gpr(B), 0)))
+		u := l.mem(k, A, memSize(A.Size), s)
 		u.alu, u.imm2 = sel, uint32(B.Imm)
 		return
 	}
-	a, ok := l.src(A, tmp)
-	if !ok {
-		return
-	}
+	d := gpr(A)
 	kinds := aluKinds[sel]
-	if gpr(A) >= 0 && B.IsMem() && (B.Size == isa.SizeD || B.Size == isa.SizeNone) && kinds.rm != 0 {
-		l.mem(kinds.rm, B, a.reg, 0)
+	if B.IsMem() && memSize(B.Size) == 2 && kinds.rm != 0 {
+		l.mem(kinds.rm, B, d, 0)
 		return
 	}
-	b, ok := l.src(B, tmp2)
-	if !ok {
-		return
-	}
-	if A.IsMem() {
-		// Both operands were memory: A is in tmp, B in tmp2.
-		l.mem(uAluTM, A, memSize(A.Size), b.reg).alu = sel
-		return
-	}
-	if a.isImm {
-		// An immediate destination: the operation runs on a temporary and
-		// faults only if it has a result to write (cmp, test and a shift
-		// by a count that masks to zero do not).
-		l.op(uop{kind: uMovRI, d: tmp, imm: a.imm})
-		u := l.op(uop{kind: uAluRR, d: tmp, s: b.reg, imm: b.imm, alu: sel, expect: true})
-		if b.isImm {
-			u.kind = uAluRI
-		}
-		return
-	}
-	d := a.reg
+	b := l.src(B, tmp2)
 	if !b.isImm {
 		l.op(uop{kind: kinds.rr, d: d, s: b.reg, alu: sel})
 		return
@@ -367,27 +240,18 @@ func (l *lowerer) alu(in *isa.Inst, sel uint8) {
 
 // unary lowers not, neg, inc and dec.
 func (l *lowerer) unary(in *isa.Inst, sel uint8) {
-	if in.A.IsMem() && in.A.Size != isa.SizeQ {
+	if in.A.IsMem() {
 		l.mem(uAluMI, in.A, memSize(in.A.Size), 0).alu = sel
 		return
 	}
-	a, ok := l.src(in.A, tmp)
-	if !ok {
-		return
-	}
-	if a.isImm {
-		l.fault("bad destination operand")
-		return
-	}
-	l.op(uop{kind: aluKinds[sel].rr, d: a.reg})
+	l.op(uop{kind: aluKinds[sel].rr, d: gpr(in.A)})
 }
 
-// lowerInst lowers one instruction to its micro-ops, appending them to ops;
-// faulting shapes append their fault texts to texts. NOP and the profiling
-// markers lower to nothing (the drivers retire them), as does a shift by a
-// count that masks to zero.
-func lowerInst(ops []uop, in *isa.Inst, pc int32, texts *[]string) []uop {
-	l := lowerer{ops: ops, pc: pc, texts: texts}
+// lowerInst lowers one instruction to its micro-ops, appending them to ops.
+// NOP and the profiling markers lower to nothing (the drivers retire them),
+// as does a shift by a count that masks to zero.
+func lowerInst(ops []uop, in *isa.Inst, pc int32) []uop {
+	l := lowerer{ops: ops, pc: pc}
 	A, B := in.A, in.B
 	op := in.Op
 	if sel, ok := aluOf[op]; ok {
@@ -402,74 +266,58 @@ func lowerInst(ops []uop, in *isa.Inst, pc int32, texts *[]string) []uop {
 	case op == isa.NOP, op == isa.PROFON, op == isa.PROFOFF:
 
 	case op == isa.MOV:
-		if v, ok := l.src(B, target(A, tmp2)); ok {
-			l.dst(A, v)
+		// A memory source loads straight into a GPR destination.
+		t := uint8(tmp2)
+		if A.IsReg() {
+			t = gpr(A)
 		}
+		l.dst(A, l.src(B, t))
 
 	case op == isa.MOVZXB, op == isa.MOVZXW, op == isa.MOVSXB, op == isa.MOVSXW:
-		// The width is the opcode's. A register source gives its low
-		// bits; any other operand is read from memory at its address
-		// fields.
-		t := target(A, tmp)
+		// The width is the opcode's: a register source gives its low
+		// bits, a memory source is read at that width.
+		d := gpr(A)
+		if B.IsReg() {
+			k := [...]uint8{uZx8, uZx16, uSx8, uSx16}[op-isa.MOVZXB]
+			l.op(uop{kind: k, d: d, s: gpr(B)})
+			break
+		}
 		size := isa.SizeB
 		if op == isa.MOVZXW || op == isa.MOVSXW {
 			size = isa.SizeW
 		}
-		signed := op == isa.MOVSXB || op == isa.MOVSXW
-		if B.Kind == isa.KindReg {
-			v, ok := l.src(B, t)
-			if !ok {
-				break
-			}
-			k := [...]uint8{uZx8, uZx16, uSx8, uSx16}[op-isa.MOVZXB]
-			l.op(uop{kind: k, d: t, s: v.reg})
-		} else if !l.load(B, size, t, signed) {
-			break
-		}
-		l.dst(A, opnd{reg: t})
+		l.load(B, size, d, op == isa.MOVSXB || op == isa.MOVSXW)
 
 	case op == isa.LEA:
-		if !B.IsMem() {
-			l.fault("lea needs a memory operand")
-			break
-		}
-		t := target(A, tmp)
-		l.at(uLea, B, t, 0, false)
-		l.dst(A, opnd{reg: t})
+		l.mem(uLea, B, gpr(A), 0)
 
 	case op == isa.XCHG:
-		if !A.IsReg() || !B.IsReg() {
-			l.fault("xchg supports register operands only")
-			break
-		}
-		a, ok := l.src(A, 0)
-		if !ok {
-			break
-		}
-		if b, ok := l.src(B, 0); ok {
-			l.op(uop{kind: uXchg, d: a.reg, s: b.reg})
-		}
+		l.op(uop{kind: uXchg, d: gpr(A), s: gpr(B)})
 
 	case op == isa.PUSH:
-		v, ok := l.src(A, tmp)
-		if !ok {
-			break
-		}
-		if v.isImm {
-			l.stack(uPushI, 0, 0).imm = v.imm
-		} else {
-			l.stack(uPushR, 0, v.reg)
+		// A memory source is the first data reference, the push the
+		// second (uop.nx).
+		v := l.src(A, tmp)
+		u := l.op(uop{kind: uPushR, s: v.reg})
+		switch {
+		case v.isImm:
+			u.kind, u.imm = uPushI, v.imm
+		case A.IsMem():
+			u.nx = 1
 		}
 
 	case op == isa.POP:
-		t := target(A, tmp)
-		l.stack(uPopR, t, 0)
-		l.dst(A, opnd{reg: t})
+		// The pop is the first data reference; a store to memory is the
+		// second.
+		if A.IsReg() {
+			l.op(uop{kind: uPopR, d: gpr(A)})
+			break
+		}
+		l.op(uop{kind: uPopR, d: tmp})
+		l.mem(uStoreN, A, 0, tmp)
 
 	case op == isa.IDIV:
-		if v, ok := l.src(A, tmp); ok {
-			l.op(uop{kind: uIdiv, s: l.reg(v, tmp)})
-		}
+		l.op(uop{kind: uIdiv, s: l.src(A, tmp).reg})
 
 	case op == isa.CDQ:
 		l.op(uop{kind: uCdq})
@@ -480,74 +328,21 @@ func lowerInst(ops []uop, in *isa.Inst, pc int32, texts *[]string) []uop {
 		cc, _ := condCode(op)
 		l.op(uop{kind: uBr, alu: cc, tgt: in.Target})
 	case op == isa.CALL:
-		u := l.stack(uPCall, 0, 0)
-		u.imm2, u.tgt = uint32(pc+1), in.Target
+		l.op(uop{kind: uPCall, imm2: uint32(pc + 1), tgt: in.Target})
 	case op == isa.RET:
-		l.stack(uPRet, 0, 0)
+		l.op(uop{kind: uPRet})
 	case op == isa.HALT:
 		l.op(uop{kind: uHalt})
 
 	case op.IsFP():
-		l.fp = true
 		l.lowerFP(in)
 
 	case op == isa.EMMS:
 		l.op(uop{kind: uEmms})
 	case op.IsMMX():
 		l.lowerMMX(in)
-
-	default:
-		l.fault("unimplemented integer op %s", op)
 	}
 	return l.ops
-}
-
-// fpReg checks an FP register operand.
-func (l *lowerer) fpReg(o isa.Operand) (uint8, bool) {
-	if !o.IsReg() || !o.Reg.IsFP() {
-		return 0, l.fault("expected FP register, have %s", o)
-	}
-	return uint8(o.Reg.FPIndex()), true
-}
-
-// fpDst checks an FP register destination.
-func (l *lowerer) fpDst(o isa.Operand) (uint8, bool) {
-	if !o.IsReg() || !o.Reg.IsFP() {
-		return 0, l.fault("expected FP register destination, have %s", o)
-	}
-	return uint8(o.Reg.FPIndex()), true
-}
-
-// fpSrc makes an FP source readable: a register, or a float32/float64
-// memory operand loaded into t.
-func (l *lowerer) fpSrc(o isa.Operand, t uint8) (uint8, bool) {
-	switch o.Kind {
-	case isa.KindReg:
-		return l.fpReg(o)
-	case isa.KindMem:
-		switch o.Size {
-		case isa.SizeD:
-			l.mem(uFLoad32, o, t, 0)
-			return t, true
-		case isa.SizeQ:
-			l.mem(uFLoad64, o, t, 0)
-			return t, true
-		}
-		return 0, l.noteFault(o, "float operand needs dword or qword size")
-	}
-	return 0, l.fault("bad float operand %s", o)
-}
-
-// sized picks kind k1 for a memory operand of width s1 and k2 for width
-// s2 (ok false for any other width).
-func sized(size, s1, s2 isa.Size, k1, k2 uint8) (uint8, bool) {
-	switch size {
-	case s1:
-		return k1, true
-	case s2:
-		return k2, true
-	}
-	return 0, false
 }
 
 // lowerFP lowers the floating-point opcodes. Every FP micro-op faults
@@ -556,194 +351,107 @@ func (l *lowerer) lowerFP(in *isa.Inst) {
 	A, B := in.A, in.B
 	switch in.Op {
 	case isa.FLD:
-		t := uint8(tmp)
-		if A.IsReg() && A.Reg.IsFP() {
-			t = uint8(A.Reg.FPIndex())
-		}
-		s, ok := l.fpSrc(B, t)
-		if !ok {
-			return
-		}
-		if d, ok := l.fpDst(A); ok && B.IsReg() {
-			l.op(uop{kind: uFMovRR, d: d, s: s})
+		switch {
+		case B.IsReg():
+			l.op(uop{kind: uFMovRR, d: fpr(A), s: fpr(B)})
+		case B.Size == isa.SizeQ:
+			l.mem(uFLoad64, B, fpr(A), 0)
+		default:
+			l.mem(uFLoad32, B, fpr(A), 0)
 		}
 	case isa.FLDC:
-		if !B.IsImm() {
-			l.fault("fldc needs an immediate")
-			return
-		}
-		if d, ok := l.fpDst(A); ok {
-			l.op(uop{kind: uFConst, d: d, fv: math.Float64frombits(uint64(B.Imm))})
-		}
+		l.op(uop{kind: uFConst, d: fpr(A), fv: math.Float64frombits(uint64(B.Imm))})
 	case isa.FST:
-		s, ok := l.fpReg(B)
-		if !ok {
-			return
+		switch {
+		case A.IsReg():
+			l.op(uop{kind: uFMovRR, d: fpr(A), s: fpr(B)})
+		case A.Size == isa.SizeQ:
+			l.mem(uFStore64, A, 0, fpr(B))
+		default:
+			l.mem(uFStore32, A, 0, fpr(B))
 		}
-		if A.IsReg() {
-			if d, ok := l.fpDst(A); ok {
-				l.op(uop{kind: uFMovRR, d: d, s: s})
-			}
-			return
-		}
-		if k, ok := sized(A.Size, isa.SizeD, isa.SizeQ, uFStore32, uFStore64); ok {
-			l.mem(k, A, 0, s)
-			return
-		}
-		l.noteFault(A, "fst needs dword or qword destination")
 	case isa.FILD:
-		if !B.IsMem() {
-			l.fault("fild needs a memory source")
-			return
+		k := uFild32
+		if B.Size == isa.SizeW {
+			k = uFild16
 		}
-		t := uint8(tmp)
-		if A.IsReg() && A.Reg.IsFP() {
-			t = uint8(A.Reg.FPIndex())
-		}
-		k, ok := sized(B.Size, isa.SizeW, isa.SizeD, uFild16, uFild32)
-		if !ok {
-			l.noteFault(B, "fild needs word or dword source")
-			return
-		}
-		l.mem(k, B, t, 0)
-		l.fpDst(A)
+		l.mem(k, B, fpr(A), 0)
 	case isa.FIST:
-		s, ok := l.fpReg(B)
-		if !ok {
-			return
+		k := uFist32
+		if A.Size == isa.SizeW {
+			k = uFist16
 		}
-		if !A.IsMem() {
-			l.fault("fist needs a memory destination")
-			return
-		}
-		k, ok := sized(A.Size, isa.SizeW, isa.SizeD, uFist16, uFist32)
-		if !ok {
-			l.noteFault(A, "fist needs word or dword destination")
-			return
-		}
-		l.mem(k, A, 0, s)
+		l.mem(k, A, 0, fpr(B))
 	case isa.FADD, isa.FSUB, isa.FSUBR, isa.FMUL, isa.FDIV, isa.FCOM:
-		d, ok := l.fpReg(A)
-		if !ok {
-			return
-		}
 		rr, m32, m64 := uFArithRR, uFArithM32, uFArithM64
 		if in.Op == isa.FCOM {
 			rr, m32, m64 = uFComRR, uFComM32, uFComM64
 		}
 		sub := fpArithOf[in.Op]
-		if k, ok := sized(B.Size, isa.SizeD, isa.SizeQ, m32, m64); ok && B.IsMem() {
-			l.mem(k, B, d, 0).alu = sub
-			return
-		}
-		if s, ok := l.fpSrc(B, tmp); ok {
-			l.op(uop{kind: rr, d: d, s: s, alu: sub})
+		switch {
+		case B.IsReg():
+			l.op(uop{kind: rr, d: fpr(A), s: fpr(B), alu: sub})
+		case B.Size == isa.SizeQ:
+			l.mem(m64, B, fpr(A), 0).alu = sub
+		default:
+			l.mem(m32, B, fpr(A), 0).alu = sub
 		}
 	default: // fchs, fabs, fsqrt, fsin, fcos
-		if d, ok := l.fpReg(A); ok {
-			l.op(uop{kind: uFUnary, d: d, alu: fpUnaryOf[in.Op]})
-		}
+		l.op(uop{kind: uFUnary, d: fpr(A), alu: fpUnaryOf[in.Op]})
 	}
-}
-
-// mmReg checks an mm register operand.
-func (l *lowerer) mmReg(o isa.Operand) (uint8, bool) {
-	if !o.IsReg() || !o.Reg.IsMMX() {
-		return 0, l.fault("expected mm register, have %s", o)
-	}
-	return uint8(o.Reg.MMXIndex()), true
-}
-
-// mmSrc makes an MMX source readable: an mm register, or memory loaded
-// into t (a dword operand zero-extends, any other width is a qword).
-func (l *lowerer) mmSrc(o isa.Operand, t uint8) (uint8, bool) {
-	switch o.Kind {
-	case isa.KindReg:
-		return l.mmReg(o)
-	case isa.KindMem:
-		k := uMovqLM64
-		if o.Size == isa.SizeD {
-			k = uMovqLM32
-		}
-		l.mem(k, o, t, 0)
-		return t, true
-	}
-	return 0, l.fault("bad mmx operand %s", o)
 }
 
 // lowerMMX lowers the MMX opcodes other than emms. Each sets MMX state.
 func (l *lowerer) lowerMMX(in *isa.Inst) {
 	A, B := in.A, in.B
-	dword := B.Size == isa.SizeD || B.Size == isa.SizeNone
 	switch {
 	case in.Op == isa.MOVD && A.IsReg() && A.Reg.IsMMX():
 		// movd mm, r32/m32 zero-extends.
-		d := uint8(A.Reg.MMXIndex())
-		if B.IsMem() && dword {
-			l.mem(uMovdLM, B, d, 0)
-			return
-		}
-		if v, ok := l.src(B, tmp); ok {
-			l.op(uop{kind: uMovdGM, d: d, s: l.reg(v, tmp)})
+		if B.IsMem() {
+			l.mem(uMovdLM, B, mmr(A), 0)
+		} else {
+			l.op(uop{kind: uMovdGM, d: mmr(A), s: gpr(B)})
 		}
 	case in.Op == isa.MOVD:
 		// movd r32/m32, mm takes the low dword.
-		s, ok := l.mmSrc(B, tmp)
-		if !ok {
-			return
+		if A.IsMem() {
+			l.mem(uMovdSM, A, 0, mmr(B))
+		} else {
+			l.op(uop{kind: uMovdMG, d: gpr(A), s: mmr(B)})
 		}
-		if A.IsMem() && (A.Size == isa.SizeD || A.Size == isa.SizeNone) {
-			l.mem(uMovdSM, A, 0, s)
-			return
-		}
-		t := target(A, tmp)
-		l.op(uop{kind: uMovdMG, d: t, s: s})
-		l.dst(A, opnd{reg: t})
 	case in.Op == isa.MOVQ:
 		switch {
-		case A.IsReg() && A.Reg.IsMMX():
-			d := uint8(A.Reg.MMXIndex())
-			if s, ok := l.mmSrc(B, d); ok && B.IsReg() {
-				l.op(uop{kind: uMovqRR, d: d, s: s})
-			}
 		case A.IsMem():
-			if s, ok := l.mmSrc(B, tmp); ok {
-				l.mem(uMovqSM, A, 0, s)
-			}
+			l.mem(uMovqSM, A, 0, mmr(B))
+		case B.IsMem():
+			l.mem(uMovqLM, B, mmr(A), 0)
 		default:
-			l.fault("movq destination must be mm register or memory")
+			l.op(uop{kind: uMovqRR, d: mmr(A), s: mmr(B)})
 		}
 	case mmxShift[in.Op] != nil:
-		d, ok := l.mmReg(A)
-		if !ok {
-			return
-		}
 		f := mmxShift[in.Op]
 		if B.IsImm() {
 			// Hardware treats the count as a 64-bit value; anything >= 64
 			// behaves like a max-width shift.
-			l.op(uop{kind: uMMXShiftI, d: d, imm: uint32(min(uint64(B.Imm), 64)), sfn: f})
+			l.op(uop{kind: uMMXShiftI, d: mmr(A), imm: uint32(min(uint64(B.Imm), 64)), sfn: f})
 			return
 		}
-		if s, ok := l.mmSrc(B, tmp); ok {
-			l.op(uop{kind: uMMXShiftRR, d: d, s: s, sfn: f})
-		}
-	default:
-		d, ok := l.mmReg(A)
-		if !ok {
-			return
-		}
-		f := mmxBinary[in.Op]
+		s := uint8(tmp)
 		if B.IsMem() {
-			k := uMMXBinRM64
-			if B.Size == isa.SizeD {
-				k = uMMXBinRM32
-			}
-			l.mem(k, B, d, 0).mfn = f
-			return
+			l.mem(uMovqLM, B, tmp, 0)
+		} else {
+			s = mmr(B)
 		}
-		if s, ok := l.mmSrc(B, tmp); ok {
-			l.op(uop{kind: uMMXBinRR, d: d, s: s, mfn: f})
+		l.op(uop{kind: uMMXShiftRR, d: mmr(A), s: s, sfn: f})
+	default:
+		f := mmxBinary[in.Op]
+		switch {
+		case B.IsReg():
+			l.op(uop{kind: uMMXBinRR, d: mmr(A), s: mmr(B), mfn: f})
+		case B.Size == isa.SizeD:
+			l.mem(uMMXBinRM32, B, mmr(A), 0).mfn = f
+		default:
+			l.mem(uMMXBinRM64, B, mmr(A), 0).mfn = f
 		}
 	}
 }

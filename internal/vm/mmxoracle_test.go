@@ -1,8 +1,8 @@
 package vm_test
 
 // The MMX oracle differential: a generated program applies every
-// two-operand and shift opcode to random mm, mm / mm, m64 / mm, m32 (and
-// immediate-count) operands, and every execution path — generic, dispatch
+// two-operand opcode to random mm, mm / mm, m64 / mm, m32 operands and
+// every shift to mm, mm / mm, m64 / immediate counts, and every execution path — generic, dispatch
 // with formation off, dispatch with traces — must leave exactly the
 // registers and memory the independent per-lane model of internal/mmxref
 // predicts. Each iteration also crosses from MMX to FP through emms (a
@@ -43,8 +43,9 @@ type oracleSlot struct {
 }
 
 // oracleSlots lists the loop body's operations: every two-operand op and
-// every shift in each register and memory shape, and each shift also at
-// twelve immediate counts, with destinations rotating through mm0–mm7.
+// every shift in each register and memory shape it takes (a shift count in
+// memory is a qword), and each shift also at twelve immediate counts, with
+// destinations rotating through mm0–mm7.
 func oracleSlots() []oracleSlot {
 	var slots []oracleSlot
 	r := 0
@@ -59,7 +60,7 @@ func oracleSlots() []oracleSlot {
 		}
 	}
 	for _, op := range mmxref.ShiftOps {
-		for _, sh := range []int{shapeRR, shapeSame, shapeM64, shapeM32} {
+		for _, sh := range []int{shapeRR, shapeSame, shapeM64} {
 			d, s := next()
 			slots = append(slots, oracleSlot{op: op, shape: sh, d: d, s: s})
 		}

@@ -47,8 +47,8 @@ const (
 
 // record is one observer call followed by ev Retire calls; a recRetire
 // record makes no call of its own and heads the Retire calls that open a
-// batch, and a recPrice record only prices the n addresses of a region cut
-// short by a fault, keeping Hier.Stats equal to the per-instruction loop's.
+// batch, and a recPrice record only prices the n addresses of a faulting
+// instruction, which retires no event, as the per-instruction loop does.
 // Variable-length arguments live in the batch's arenas, consumed in record
 // order: n effective addresses (recBlock, recTrace, recTraceExit,
 // recPrice), n blocks and directions (recRegister), then ev events, each
@@ -321,7 +321,7 @@ func (s *stream) traceExit(id, k int, measured bool, addrs []uint64) {
 	s.add(recTraceExit, measured, k, id, n, 0)
 }
 
-// priceOnly records the effective addresses of a region a fault cut short
+// priceOnly records the effective addresses of a faulting instruction
 // (addrs extends the arena with them), so the consumer charges the cache
 // model for them as the per-instruction loop does, without an observer
 // call.

@@ -200,8 +200,7 @@ const (
 	uStore8I
 	uStore16I
 	uStore32I
-	uLoadN  // a load that is not its instruction's first reference (u.alu: size code)
-	uStoreN // a store from gpr[s] that is not (u.alu: size code)
+	uStoreN // a dword store from gpr[s] that is not its instruction's first reference
 	uLea
 	uZx8
 	uZx16
@@ -237,13 +236,10 @@ const (
 	uImulRR
 	uImulRI
 	uImulRM
-	uAluRR // gpr[d] op= gpr[s] for the sub-ops without a kind (u.alu);
-	//        with expect set, a result to write faults (an immediate
-	//        destination)
-	uAluRI // gpr[d] op= imm (expect as uAluRR)
+	uAluRR // gpr[d] op= gpr[s] for the sub-ops without a kind (u.alu)
+	uAluRI // gpr[d] op= imm
 	uAluMR // op [mem], gpr[s]  (read-modify-write; u.alu selects, u.d is size)
 	uAluMI // op [mem], imm2
-	uAluTM // op [mem], gpr[s] with [mem] already loaded into gpr[tmp]
 	uNot
 	uNeg
 	uInc
@@ -276,8 +272,7 @@ const (
 	uMovdLM // mm[d] = zext load32 [mem]
 	uMovdSM // store32 [mem] = low32 mm[s]
 	uMovqRR
-	uMovqLM64
-	uMovqLM32
+	uMovqLM // mm[d] = load64 [mem]
 	uMovqSM
 	uMMXBinRR
 	uMMXBinRM64
@@ -305,12 +300,6 @@ const (
 	uFild32
 	uFist16
 	uFist32
-
-	// uNote notes a data reference and nothing else; uFault raises the
-	// static fault code.texts[imm]. With expect set (an FP instruction's)
-	// both fault first when MMX state is active.
-	uNote
-	uFault
 )
 
 // Condition codes for uJcc and uBr (lowered from the conditional-branch
@@ -352,19 +341,18 @@ type uop struct {
 	// alu carries the ALU, FP or condition-code sub-op.
 	alu uint8
 	// b/x/scale/imm encode a memory address (imm doubles as the ALU/move
-	// immediate and uFault's text index); imm2 is the store-immediate value
-	// (or the pushed return address of a call).
+	// immediate); imm2 is the store-immediate value (or the pushed return
+	// address of a call).
 	b, x uint8
-	// nx is 1 when a push, movq/movd store or uNote is not its
-	// instruction's first data reference (which then carries mem.Next);
-	// every other kind is always first, or never (uLoadN, uStoreN).
+	// nx is 1 when a push is not its instruction's first data reference
+	// (which then carries mem.Next); every other kind is always first, or
+	// never (uStoreN).
 	nx    uint8
 	scale uint32
 	imm   uint32
 	imm2  uint32
 	// expect is the recorded direction of a uJcc, the loop flag of uEnd,
-	// uNote/uFault's MMX-state check, or uAluRR/uAluRI's unwritable
-	// destination.
+	// or the computed exit of a trace's tail uRet.
 	expect bool
 	// pc is the originating instruction (fault context, side-exit
 	// fall-through); tgt the branch target (uJcc, uBr, uJmp, uPCall) or
@@ -777,6 +765,7 @@ func (c *CPU) runTrace(maxInstrs int64) error {
 		}
 		addrs, err := c.execUops(b.body, nil, ts, maxInstrs, &pollAt)
 		if err != nil {
+			c.faulted(addrs, c.pc-int(b.start), nil, 0)
 			return err
 		}
 		c.executed += b.nBody
@@ -1405,12 +1394,13 @@ func satI32(v float64) int32 {
 }
 
 // execUops is the micro-op executor, the one execution form of every
-// driver. With tr nil it runs uops once, to their end — a block body, or
-// the micro-ops of one instruction (step) — and returns the address arena
-// extended by their effective addresses for the caller to record; the
-// caller also retires them. With tr set it runs trace tr from its head
-// until a side exit, the loop's own recorded exit, the instruction budget,
-// or a fault, and records every iteration itself.
+// driver. With tr nil it runs uops once, to their end or a fault — a
+// block body, or the micro-ops of one instruction (step) — and returns the
+// address arena extended by their effective addresses for the caller to
+// record; the caller also retires them, through faulted after a fault.
+// With tr set it runs trace tr from its head until a side exit, the loop's
+// own recorded exit, the instruction budget, or a fault, and records every
+// iteration itself.
 //
 // The flags live in a local for the whole stay, spilled only at poll
 // points and on leaving; the GPR/MM register files (with their
@@ -1423,7 +1413,8 @@ func satI32(v float64) int32 {
 // penalty per memory-referencing instruction (mem.Hierarchy.Price).
 // Observed addresses accumulate straight in the stream's arena: what addrs
 // holds past the arena's length is the region in progress, committed by
-// its record, or by a price-only record when a fault cuts it short
+// its record, or, when a fault cuts it short, by per-event records of the
+// instructions that retired and a price-only record of the faulting one
 // (faulted). An unobserved run charges Hier with each region as it ends.
 func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64, pollAt *int64) ([]uint64, error) {
 	st := c.st
@@ -1545,40 +1536,11 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 				goto memFault
 			}
 
-		case uLoadN, uStoreN:
-			// A staged operand's load or store that is not its
-			// instruction's first data reference (u.alu is the size code).
+		case uStoreN:
+			// The store of a pop to memory, after the pop's reference.
 			a := memAddr(u, gpr)
 			addrs = append(addrs, uint64(a)|mem.Next)
-			var ok bool
-			if u.kind == uLoadN {
-				switch u.alu {
-				case 0:
-					var v uint8
-					v, ok = memu.LoadU8(a)
-					gpr[u.d&15] = uint32(v)
-				case 1:
-					var v uint16
-					v, ok = memu.LoadU16(a)
-					gpr[u.d&15] = uint32(v)
-				default:
-					gpr[u.d&15], ok = memu.LoadU32(a)
-				}
-				if !ok {
-					fa, fmsg = a, loadMsg[u.alu%3]
-					goto memFault
-				}
-				break
-			}
-			switch u.alu {
-			case 0:
-				ok = memu.StoreU8(a, uint8(gpr[u.s&15]))
-			case 1:
-				ok = memu.StoreU16(a, uint16(gpr[u.s&15]))
-			default:
-				ok = memu.StoreU32(a, gpr[u.s&15])
-			}
-			if !ok {
+			if !memu.StoreU32(a, gpr[u.s&15]) {
 				fa, fmsg = a, msgStore
 				goto memFault
 			}
@@ -1718,12 +1680,6 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			r, f, write := alu(u.alu, gpr[u.d&15], b, flags{zf, sf, cf, of})
 			zf, sf, cf, of = f.zf, f.sf, f.cf, f.of
 			if write {
-				if u.expect {
-					// The destination was an immediate.
-					c.pc = int(u.pc)
-					retErr = c.fault("bad destination operand")
-					goto out
-				}
 				gpr[u.d&15] = r
 			}
 
@@ -1756,32 +1712,29 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 				of = cf
 			}
 
-		case uAluMR, uAluMI, uAluTM:
+		case uAluMR, uAluMI:
 			// Read-modify-write (u.d is the size code). The load is the
-			// instruction's first data reference unless an operand was
-			// loaded ahead of it (uAluTM: the value is in tmp already); the
-			// store, when the operation writes, is never the first.
+			// instruction's first data reference; the store, when the
+			// operation writes, is its second.
 			a := memAddr(u, gpr)
-			av := gpr[tmp]
-			if u.kind != uAluTM {
-				addrs = append(addrs, uint64(a))
-				var ok bool
-				switch u.d {
-				case 0:
-					var v uint8
-					v, ok = memu.LoadU8(a)
-					av = uint32(v)
-				case 1:
-					var v uint16
-					v, ok = memu.LoadU16(a)
-					av = uint32(v)
-				default:
-					av, ok = memu.LoadU32(a)
-				}
-				if !ok {
-					fa, fmsg = a, loadMsg[u.d%3]
-					goto memFault
-				}
+			addrs = append(addrs, uint64(a))
+			var av uint32
+			var ok bool
+			switch u.d {
+			case 0:
+				var v uint8
+				v, ok = memu.LoadU8(a)
+				av = uint32(v)
+			case 1:
+				var v uint16
+				v, ok = memu.LoadU16(a)
+				av = uint32(v)
+			default:
+				av, ok = memu.LoadU32(a)
+			}
+			if !ok {
+				fa, fmsg = a, loadMsg[u.d%3]
+				goto memFault
 			}
 			bv := u.imm2
 			if u.kind != uAluMI {
@@ -1875,7 +1828,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 		case uMovdSM:
 			c.mmxActive = true
 			a := memAddr(u, gpr)
-			addrs = append(addrs, uint64(a)|uint64(u.nx)*mem.Next)
+			addrs = append(addrs, uint64(a))
 			if !memu.StoreU32(a, uint32(mm[u.s&15])) {
 				fa, fmsg = a, msgStore
 				goto memFault
@@ -1883,7 +1836,7 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 		case uMovqRR:
 			c.mmxActive = true
 			mm[u.d&15] = mm[u.s&15]
-		case uMovqLM64:
+		case uMovqLM:
 			c.mmxActive = true
 			a := memAddr(u, gpr)
 			addrs = append(addrs, uint64(a))
@@ -1893,20 +1846,10 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 				goto memFault
 			}
 			mm[u.d&15] = mmx.Reg(v)
-		case uMovqLM32:
-			c.mmxActive = true
-			a := memAddr(u, gpr)
-			addrs = append(addrs, uint64(a))
-			v, ok := memu.LoadU32(a)
-			if !ok {
-				fa, fmsg = a, msgMMXLoad32
-				goto memFault
-			}
-			mm[u.d&15] = mmx.Reg(uint64(v))
 		case uMovqSM:
 			c.mmxActive = true
 			a := memAddr(u, gpr)
-			addrs = append(addrs, uint64(a)|uint64(u.nx)*mem.Next)
+			addrs = append(addrs, uint64(a))
 			if !memu.StoreU64(a, uint64(mm[u.s&15])) {
 				fa, fmsg = a, msgMovqStore
 				goto memFault
@@ -2043,19 +1986,6 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 			}
 			c.fp[u.d&15] = float64(int16(raw))
 
-		case uNote:
-			if u.expect && c.mmxActive {
-				goto fpFault
-			}
-			addrs = append(addrs, uint64(memAddr(u, gpr))|uint64(u.nx)*mem.Next)
-		case uFault:
-			if u.expect && c.mmxActive {
-				goto fpFault
-			}
-			c.pc = int(u.pc)
-			retErr = c.fault("%s", c.code.texts[u.imm])
-			goto out
-
 		case uJmp:
 			c.pc, c.taken = int(u.tgt), true
 		case uBr:
@@ -2149,7 +2079,11 @@ out:
 	}
 	if retErr != nil {
 		c.executed = iterBase + uops[i].cum
-		c.faulted(addrs)
+		if tr == nil {
+			// The caller knows where the region began; it retires it.
+			return addrs, retErr
+		}
+		c.faulted(addrs, int(uops[i].cum-1), tr, i)
 		return nil, retErr
 	}
 	if tr == nil {
@@ -2177,13 +2111,74 @@ out:
 	return nil, nil
 }
 
-// faulted charges the cache model with the effective addresses of a
-// region cut short by a fault: through a price-only record on a streamed
-// run, here on any other.
-func (c *CPU) faulted(addrs []uint64) {
-	if c.st != nil {
-		c.st.priceOnly(addrs)
-	} else {
-		charge(c.Hier, addrs)
+// pathAt returns the blocks and directions of the tree path that trace op
+// i retires against: the path its segment's control ops are tagged with.
+func (tr *vmTrace) pathAt(i int) ([]int32, []bool) {
+	for _, u := range tr.ops[i:] {
+		switch u.kind {
+		case uJcc, uRet, uEnd:
+			if u.pathIdx != 0 {
+				p := &tr.paths[u.pathIdx]
+				return p.blocks, p.taken
+			}
+			return tr.blocks, tr.taken
+		}
 	}
+	return tr.blocks, tr.taken
+}
+
+// faulted retires what a fault at instruction c.pc left of the region it
+// cut short: the n instructions before it, which retired, and the faulting
+// instruction's effective addresses, which end addrs. The n instructions
+// run straight up to c.pc, or, when the fault is trace tr's op i, along
+// the tree path of that op from the trace's head. On a streamed run
+// each of them is delivered as its own Retire with its own addresses, and
+// the faulting instruction's addresses are priced alone, as the
+// per-instruction loop does; any other run charges the cache model with
+// all of addrs.
+func (c *CPU) faulted(addrs []uint64, n int, tr *vmTrace, i int) {
+	st := c.st
+	if st == nil {
+		charge(c.Hier, addrs)
+		return
+	}
+	// A record may hand the batch off and take a fresh arena, so the
+	// region's addresses move out of the arena first.
+	rest := append(c.addrbuf[:0], addrs[len(st.addrs):]...)
+	c.addrbuf = rest[:0]
+	insts := c.Prog.Insts
+	retire := func(pc int, tk bool, target int) {
+		in := &insts[pc]
+		if !in.Op.EmitsEvent() {
+			return
+		}
+		k := 0
+		if in.ReferencesMemory() {
+			for k = 1; k < len(rest) && rest[k]&mem.Next != 0; k++ {
+			}
+		}
+		ev := Event{PC: pc, Inst: in, Measured: c.measuring, Taken: tk, Target: target}
+		st.retire(&ev, append(st.addrs, rest[:k]...))
+		rest = rest[k:]
+	}
+	if tr == nil {
+		for pc := c.pc - n; pc < c.pc; pc++ {
+			retire(pc, false, pc+1)
+		}
+	} else {
+		blocks, taken := tr.pathAt(i)
+		for k := 0; k < len(blocks) && n > 0; k++ {
+			b := &c.code.blocks[blocks[k]]
+			for pc := int(b.start); pc < int(b.end) && n > 0; pc, n = pc+1, n-1 {
+				if pc != int(b.term) {
+					retire(pc, false, pc+1)
+				} else {
+					// The fault lies past this terminator, so a later block of
+					// the path follows it.
+					retire(pc, taken[k], int(c.code.blocks[blocks[k+1]].start))
+				}
+			}
+		}
+	}
+	st.priceOnly(append(st.addrs, rest...))
 }

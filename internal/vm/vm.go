@@ -18,8 +18,8 @@
 // each region. Either way Hier.Stats is final only once Run has returned.
 //
 // Instructions execute in one form, micro-ops: Compile (block.go) lowers
-// every instruction of the program, in every operand shape, to them once
-// (lower.go), and one executor runs them (execUops in trace.go). Run has
+// every instruction of the program, in every operand shape the assembler
+// accepts, to them once (lower.go), and one executor runs them (execUops in trace.go). Run has
 // two drivers over that code. The per-instruction loop runs one
 // instruction's micro-ops per step and serves any observer that wants one
 // Retire per instruction. The dispatch loop (trace.go) runs whole basic
@@ -358,6 +358,7 @@ func (c *CPU) step(ev *Event) (bool, error) {
 	if err != nil {
 		// execUops counted from the instruction's block start.
 		c.executed = retired
+		c.faulted(addrs, 0, nil, 0)
 		return false, err
 	}
 	if !c.taken {
