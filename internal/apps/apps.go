@@ -20,3 +20,15 @@ func Benchmarks() []core.Benchmark {
 	out = append(out, G722()...)
 	return out
 }
+
+// Memos returns, by name, the functions that hand out the programs'
+// process-wide inputs and reference outputs. Every build and check shares
+// them, so nothing may write what they return.
+func Memos() map[string]any {
+	return map[string]any{
+		"image.input": imageInput, "image.expected": imageExpected,
+		"jpeg.input": jpegInput, "jpeg.c.expected": jpegCExpected, "jpeg.mmx.expected": jpegMMXExpected,
+		"g722.input": g722Input, "g722.expected": g722Expected,
+		"radar.input": radarData, "radar.c.expected": radarCExpected, "radar.mmx.expected": radarMMXExpected,
+	}
+}

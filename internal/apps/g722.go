@@ -1,7 +1,7 @@
 package apps
 
 import (
-	"fmt"
+	"sync"
 
 	"mmxdsp/internal/asm"
 	"mmxdsp/internal/core"
@@ -28,14 +28,23 @@ import (
 // overhead the paper blames for g722.mmx's slowdown.
 const g722Samples = 3000 // ~6 kB of 16-bit speech
 
-func g722Input() []int16 {
-	speech := synth.Speech(g722Samples, 0x6722)
-	in := make([]int16, len(speech))
-	for i, v := range speech {
-		in[i] = int16(v * 12000)
-	}
-	return in
-}
+// g722Input is the speech input, synthesized once per process, and
+// g722Expected the reference codes and decoded audio, computed once per
+// process; builds and checks only read them.
+var (
+	g722Input = sync.OnceValue(func() []int16 {
+		speech := synth.Speech(g722Samples, 0x6722)
+		in := make([]int16, len(speech))
+		for i, v := range speech {
+			in[i] = int16(v * 12000)
+		}
+		return in
+	})
+	g722Expected = sync.OnceValues(func() (codes []uint8, out []int16) {
+		codes = g722.NewEncoder().Encode(g722Input())
+		return codes, g722.NewDecoder().Decode(codes)
+	})
+)
 
 // G722 returns the g722.c and g722.mmx benchmarks.
 func G722() []core.Benchmark {
@@ -54,29 +63,11 @@ func G722() []core.Benchmark {
 }
 
 func checkG722(c *vm.CPU, context string) error {
-	in := g722Input()
-	wantCodes := g722.NewEncoder().Encode(in)
-	wantOut := g722.NewDecoder().Decode(wantCodes)
-
-	codes, ok := c.Mem.ReadBytes(c.Prog.Addr("codes"), len(wantCodes))
-	if !ok {
-		return fmt.Errorf("%s: cannot read codes", context)
+	codes, out := g722Expected()
+	if err := core.Expect(c, "codes", codes, 0, context); err != nil {
+		return err
 	}
-	for i := range wantCodes {
-		if codes[i] != wantCodes[i] {
-			return fmt.Errorf("%s: code[%d] = %#x, want %#x", context, i, codes[i], wantCodes[i])
-		}
-	}
-	out, ok := c.Mem.ReadInt16s(c.Prog.Addr("outpcm"), len(wantOut))
-	if !ok {
-		return fmt.Errorf("%s: cannot read decoded audio", context)
-	}
-	for i := range wantOut {
-		if out[i] != wantOut[i] {
-			return fmt.Errorf("%s: out[%d] = %d, want %d", context, i, out[i], wantOut[i])
-		}
-	}
-	return nil
+	return core.Expect(c, "outpcm", out, 0, context)
 }
 
 // Band-state layout, dword indices into a 45-dword block.
@@ -115,8 +106,7 @@ func buildG722(useMMXQmf bool) (*asm.Program, error) {
 		name = "g722.mmx"
 	}
 	b := asm.NewBuilder(name)
-	in := g722Input()
-	b.Words("pcm", in)
+	b.Words("pcm", g722Input())
 	b.Reserve("codes", g722Samples/2+8)
 	b.Reserve("outpcm", 2*g722Samples+8)
 

@@ -31,17 +31,18 @@ const (
 	imgDB     = -55
 )
 
-func imageInput() []uint8 { return synth.ImageRGB(imgW, imgH, 0x1A6E) }
-
-// imageExpected is the reference output image. It is computed once per
-// process (input synthesis and pipeline take about half as long as
-// simulating image.mmx: ~12 ms against ~24 ms on a 2-vCPU Xeon guest); the
-// checks only read it.
-var imageExpected = sync.OnceValue(func() []uint8 {
-	return imgproc.Pipeline(imageInput(),
-		imgproc.DimParams{Num: imgDimNum, Den: imgDimDen},
-		imgproc.SwitchParams{DR: imgDR, DG: imgDG, DB: imgDB})
-})
+// imageInput is the input image and imageExpected the reference output,
+// each computed once per process (synthesis and pipeline together take
+// about half as long as simulating image.mmx: ~12 ms against ~24 ms on a
+// 2-vCPU Xeon guest); builds and checks only read them.
+var (
+	imageInput    = sync.OnceValue(func() []uint8 { return synth.ImageRGB(imgW, imgH, 0x1A6E) })
+	imageExpected = sync.OnceValue(func() []uint8 {
+		return imgproc.Pipeline(imageInput(),
+			imgproc.DimParams{Num: imgDimNum, Den: imgDimDen},
+			imgproc.SwitchParams{DR: imgDR, DG: imgDG, DB: imgDB})
+	})
+)
 
 // imageCheck compares the output in place in the memory image; only a
 // mismatch looks for the first differing byte.

@@ -21,7 +21,9 @@ import (
 // run-length symbol pass. See jpegmodel.go for the exact arithmetic of
 // each version.
 
-func jpegInput() []uint8 { return synth.ImageRGB(jpgW, jpgH, 0x7E6) }
+// jpegInput is the input bitmap, synthesized once per process; builds and
+// checks only read it.
+var jpegInput = sync.OnceValue(func() []uint8 { return synth.ImageRGB(jpgW, jpgH, 0x7E6) })
 
 // JPEG returns the jpeg.c and jpeg.mmx benchmarks.
 func JPEG() []core.Benchmark {
@@ -88,8 +90,10 @@ func checkStream(c *vm.CPU, want []byte, context string) error {
 // placeJpegCommon places the data both versions share: input image, plane
 // and block storage, zig-zag table, stream buffer, RLE state.
 func placeJpegCommon(b *asm.Builder) {
+	// One pad byte for the 4-byte MMX load; the full slice expression makes
+	// append copy instead of writing past the shared input.
 	img := jpegInput()
-	b.Bytes("img", append(img, 0)) // one pad byte for the 4-byte MMX load
+	b.Bytes("img", append(img[:len(img):len(img)], 0))
 	n := jpgW * jpgH
 	b.Reserve("planeY", 4*n)
 	b.Reserve("planeCb", 4*n)

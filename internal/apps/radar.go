@@ -3,6 +3,7 @@ package apps
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"mmxdsp/internal/asm"
 	"mmxdsp/internal/core"
@@ -28,7 +29,7 @@ const (
 	radBatches = 96
 )
 
-// radarWorkload generates per-batch echo planes. Layout per batch:
+// radarWorkload holds the per-batch echo planes. Layout per batch:
 // re[pulse][gate] flattened pulse-major, and the same for im.
 type radarWorkload struct {
 	// float32 planes for the .c version, Q15 planes for the .mmx version:
@@ -39,7 +40,9 @@ type radarWorkload struct {
 	dopplers []int // expected Doppler bin per batch
 }
 
-func newRadarWorkload() radarWorkload {
+// radarData is the radar workload, synthesized once per process. Builds
+// and checks only read it.
+var radarData = sync.OnceValue(func() radarWorkload {
 	w := radarWorkload{}
 	n := radBatches * radPulses * radGates
 	w.reF = make([]float32, n)
@@ -73,7 +76,7 @@ func newRadarWorkload() radarWorkload {
 		w.dopplers = append(w.dopplers, bin)
 	}
 	return w
-}
+})
 
 // Radar returns the radar.c and radar.mmx benchmarks.
 func Radar() []core.Benchmark {
@@ -82,22 +85,24 @@ func Radar() []core.Benchmark {
 		{
 			Base: "radar", Version: core.VersionC, Kind: core.KindApplication, Descr: descr,
 			Build: buildRadarC,
-			Check: checkRadarC,
+			Check: func(c *vm.CPU) error { return checkRadar(c, radarCExpected, "radar.c") },
 		},
 		{
 			Base: "radar", Version: core.VersionMMX, Kind: core.KindApplication, Descr: descr,
 			Build: buildRadarMMX,
-			Check: checkRadarMMX,
+			Check: func(c *vm.CPU) error { return checkRadar(c, radarMMXExpected, "radar.mmx") },
 		},
 	}
 }
 
 // --- C version -------------------------------------------------------------
 
-// expectedC mirrors radar.c: float32 MTI subtraction, compiled-style
-// float32 FFT, float32 power spectrum, strict-greater peak scan. Returns
-// peak bin per (batch, gate) and the strongest gate per batch.
-func (w radarWorkload) expectedC() (bins []int32, strong []int32) {
+// radarCExpected mirrors radar.c: float32 MTI subtraction, compiled-style
+// float32 FFT, float32 power spectrum, strict-greater peak scan. It holds
+// the peak bin per (batch, gate) and the strongest gate per batch, and is
+// computed once per process.
+var radarCExpected = sync.OnceValues(func() (bins []int32, strong []int32) {
+	w := radarData()
 	cos, sin := fplib.TwiddleTablesF32(radFFT)
 	bins = make([]int32, radBatches*radGates)
 	strong = make([]int32, radBatches)
@@ -133,36 +138,11 @@ func (w radarWorkload) expectedC() (bins []int32, strong []int32) {
 		strong[batch] = int32(bestGate)
 	}
 	return bins, strong
-}
-
-func checkRadarC(c *vm.CPU) error {
-	w := newRadarWorkload()
-	bins, strong := w.expectedC()
-	if err := expectI32(c, "bins", bins, "radar.c"); err != nil {
-		return err
-	}
-	if err := expectI32(c, "strong", strong, "radar.c"); err != nil {
-		return err
-	}
-	// Sanity against the physics: the detected gate and Doppler must be
-	// the planted ones.
-	for batch := 0; batch < radBatches; batch++ {
-		if int(strong[batch]) != w.targets[batch] {
-			return fmt.Errorf("radar.c: batch %d strongest gate %d, planted %d",
-				batch, strong[batch], w.targets[batch])
-		}
-		g := w.targets[batch]
-		if int(bins[batch*radGates+g]) != w.dopplers[batch] {
-			return fmt.Errorf("radar.c: batch %d doppler bin %d, planted %d",
-				batch, bins[batch*radGates+g], w.dopplers[batch])
-		}
-	}
-	return nil
-}
+})
 
 func buildRadarC() (*asm.Program, error) {
 	b := asm.NewBuilder("radar.c")
-	w := newRadarWorkload()
+	w := radarData()
 	fplib.EmitFftCore(b, "fft16", fplib.PresetCompiled())
 	cos, sin := fplib.TwiddleTablesF32(radFFT)
 	swaps := fplib.BitReverseSwaps(radFFT)
@@ -283,10 +263,12 @@ func buildRadarC() (*asm.Program, error) {
 
 // --- MMX version ------------------------------------------------------------
 
-// expectedMMX mirrors radar.mmx: Q15 gather, saturating vector subtract,
-// hybrid library FFT (float core, fist back-conversion with 1/16 scale),
-// truncating Q15 power, strict-greater peak scan on int16 power.
-func (w radarWorkload) expectedMMX() (bins []int32, strong []int32) {
+// radarMMXExpected mirrors radar.mmx: Q15 gather, saturating vector
+// subtract, hybrid library FFT (float core, fist back-conversion with 1/16
+// scale), truncating Q15 power, strict-greater peak scan on int16 power.
+// It is computed once per process.
+var radarMMXExpected = sync.OnceValues(func() (bins []int32, strong []int32) {
+	w := radarData()
 	cos, sin := fplib.TwiddleTablesF32(radFFT)
 	bins = make([]int32, radBatches*radGates)
 	strong = make([]int32, radBatches)
@@ -334,7 +316,7 @@ func (w radarWorkload) expectedMMX() (bins []int32, strong []int32) {
 		strong[batch] = int32(bestGate)
 	}
 	return bins, strong
-}
+})
 
 func fistRound16(v float64) int16 {
 	r := math.RoundToEven(v)
@@ -347,27 +329,28 @@ func fistRound16(v float64) int16 {
 	return int16(r)
 }
 
-func checkRadarMMX(c *vm.CPU) error {
-	w := newRadarWorkload()
-	bins, strong := w.expectedMMX()
-	if err := expectI32(c, "bins", bins, "radar.mmx"); err != nil {
+// checkRadar compares the program's peak bins and strongest gates with
+// the reference's, and holds them to the physics: the paper reports
+// "little measured change in the output precision" between versions, so
+// both must find the planted target gate and Doppler bin of every batch.
+func checkRadar(c *vm.CPU, expected func() (bins, strong []int32), context string) error {
+	bins, strong := expected()
+	if err := core.Expect(c, "bins", bins, 0, context); err != nil {
 		return err
 	}
-	if err := expectI32(c, "strong", strong, "radar.mmx"); err != nil {
+	if err := core.Expect(c, "strong", strong, 0, context); err != nil {
 		return err
 	}
-	// The paper reports "little measured change in the output precision"
-	// between versions: the MMX pipeline must still find the planted
-	// targets.
+	w := radarData()
 	for batch := 0; batch < radBatches; batch++ {
 		if int(strong[batch]) != w.targets[batch] {
-			return fmt.Errorf("radar.mmx: batch %d strongest gate %d, planted %d",
-				batch, strong[batch], w.targets[batch])
+			return fmt.Errorf("%s: batch %d strongest gate %d, planted %d",
+				context, batch, strong[batch], w.targets[batch])
 		}
 		g := w.targets[batch]
 		if int(bins[batch*radGates+g]) != w.dopplers[batch] {
-			return fmt.Errorf("radar.mmx: batch %d doppler bin %d, planted %d",
-				batch, bins[batch*radGates+g], w.dopplers[batch])
+			return fmt.Errorf("%s: batch %d doppler bin %d, planted %d",
+				context, batch, bins[batch*radGates+g], w.dopplers[batch])
 		}
 	}
 	return nil
@@ -375,7 +358,7 @@ func checkRadarMMX(c *vm.CPU) error {
 
 func buildRadarMMX() (*asm.Program, error) {
 	b := asm.NewBuilder("radar.mmx")
-	w := newRadarWorkload()
+	w := radarData()
 	mmxlib.EmitVecSub16(b)
 	mmxlib.EmitVecMul16(b)
 	mmxlib.EmitVecAdd16(b)
@@ -508,17 +491,4 @@ func buildRadarMMX() (*asm.Program, error) {
 	b.I(isa.PROFOFF)
 	b.I(isa.HALT)
 	return b.Link()
-}
-
-func expectI32(c *vm.CPU, sym string, want []int32, context string) error {
-	got, ok := c.Mem.ReadInt32s(c.Prog.Addr(sym), len(want))
-	if !ok {
-		return fmt.Errorf("%s: cannot read %q", context, sym)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			return fmt.Errorf("%s: %s[%d] = %d, want %d", context, sym, i, got[i], want[i])
-		}
-	}
-	return nil
 }

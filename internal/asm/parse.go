@@ -125,8 +125,8 @@ func (e *SourceError) Error() string {
 
 func (e *SourceError) Unwrap() error { return e.Err }
 
-// operandError pins an operand's error to the operand: rest is the tail of
-// the statement from the operand's first byte.
+// operandError pins an error to an operand or a directive's name: rest is
+// the tail of the statement from its first byte.
 type operandError struct {
 	rest string
 	err  error
@@ -136,9 +136,10 @@ func (e *operandError) Error() string { return e.err.Error() }
 func (e *operandError) Unwrap() error { return e.err }
 
 // columnOf locates the diagnostic's position in the raw source line: the
-// operand an operandError names, else the first occurrence of the error's
-// first quoted token, falling back to the statement's first non-blank
-// byte. 1-based; 1 for blank lines (which never error anyway).
+// operand or directive name an operandError names, else the first
+// occurrence of the error's first quoted token, falling back to the
+// statement's first non-blank byte. 1-based; 1 for blank lines (which
+// never error anyway).
 func columnOf(raw string, err error) int {
 	var oe *operandError
 	if errors.As(err, &oe) {
@@ -277,7 +278,8 @@ func parseDirective(b *Builder, line string) error {
 		return fmt.Errorf("unknown directive %q", dir)
 	}
 	if len(b.errs) > 0 {
-		return b.errs[len(b.errs)-1]
+		// The builder rejected the name: point at it.
+		return &operandError{rest: rest, err: b.errs[len(b.errs)-1]}
 	}
 	return nil
 }

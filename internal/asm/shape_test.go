@@ -92,6 +92,12 @@ func TestParseSourceLinkErrorPositions(t *testing.T) {
 		{"\tmov eax, nosym\n", 1, 11, `unknown symbol "nosym"`},
 		{".dwords buf 1,2\n.reserve tmp 8\n.reserve buf 8\nhalt\n", 3, 10, `asm(link): duplicate data symbol "buf"`},
 		{".reserve tmp 8\n.dwords tmp 1,2\nhalt\n", 2, 9, `asm(link): duplicate data symbol "tmp"`},
+		// The name occurs earlier on the line, inside the directive.
+		{".dwords s 1\n.bytes s 2\nhalt\n", 2, 8, `asm(link): duplicate data symbol "s"`},
+		{".bytes s 1\n.words s 2\nhalt\n", 2, 8, `asm(link): duplicate data symbol "s"`},
+		{".words s 1\n.dwords s 2\nhalt\n", 2, 9, `asm(link): duplicate data symbol "s"`},
+		{".dwords r 1\n  .reserve r 8 ; r\nhalt\n", 2, 12, `asm(link): duplicate data symbol "r"`},
+		{".proc proc\n\thalt\n.proc proc\n", 3, 7, `asm(link): duplicate label "proc"`},
 	} {
 		_, err := asm.ParseSource("link", tc.src)
 		var se *asm.SourceError

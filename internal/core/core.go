@@ -6,10 +6,13 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime/debug"
 	"time"
 
@@ -54,6 +57,23 @@ func (b Benchmark) Name() string {
 		return b.Base
 	}
 	return b.Base + "." + b.Version
+}
+
+// Expect compares the len(want) elements of a halted program's output
+// region sym with a reference, each within tol: the comparison the suite's
+// Check functions make.
+func Expect[T uint8 | int16 | int32 | float32 | float64](c *vm.CPU, sym string, want []T, tol float64, context string) error {
+	got := make([]T, len(want))
+	raw, ok := c.Mem.ReadBytes(c.Prog.Addr(sym), binary.Size(got))
+	if !ok || binary.Read(bytes.NewReader(raw), binary.LittleEndian, got) != nil {
+		return fmt.Errorf("%s: cannot read %q", context, sym)
+	}
+	for i := range want {
+		if math.Abs(float64(got[i])-float64(want[i])) > tol {
+			return fmt.Errorf("%s: %s[%d] = %v, want %v", context, sym, i, got[i], want[i])
+		}
+	}
+	return nil
 }
 
 // DispatchTrace names the one interpreter: the dispatch loop with runtime

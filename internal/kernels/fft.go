@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"math"
+	"sync"
 
 	"mmxdsp/internal/asm"
 	"mmxdsp/internal/core"
@@ -24,7 +25,9 @@ type fftWorkload struct {
 	reQ, imQ   []int16
 }
 
-func newFftWorkload() fftWorkload {
+// fftData is the FFT workload, synthesized once per process. Builds and
+// checks only read it.
+var fftData = sync.OnceValue(func() fftWorkload {
 	sig := synth.MultiTone(fftN, 0xFF7, 0.05, 0.17, 0.31)
 	w := fftWorkload{
 		re32: make([]float32, fftN),
@@ -39,7 +42,7 @@ func newFftWorkload() fftWorkload {
 		w.reQ[i] = synth.ToQ15([]float64{float64(w.re32[i])})[0]
 	}
 	return w
-}
+})
 
 // runtimeTwiddles mirrors fft.c's in-region table initialization with
 // fsin/fcos.
@@ -55,38 +58,44 @@ func runtimeTwiddles(n int) (cos, sin []float32) {
 	return cos, sin
 }
 
-func (w fftWorkload) expectedC() (re, im []float32) {
+// fftCExpected, fftFPExpected and fftMMXExpected are the reference
+// spectra of the three versions, each computed once per process.
+var (
+	fftCExpected = sync.OnceValues(func() (re, im []float32) {
+		cos, sin := runtimeTwiddles(fftN)
+		return fftFloatModel(cos, sin)
+	})
+	fftFPExpected = sync.OnceValues(func() (re, im []float32) {
+		return fftFloatModel(fplib.TwiddleTablesF32(fftN))
+	})
+	fftMMXExpected = sync.OnceValues(func() (re, im []int16) {
+		w := fftData()
+		reF := make([]float32, fftN)
+		imF := make([]float32, fftN)
+		for i := range w.reQ {
+			reF[i] = float32(w.reQ[i])
+			imF[i] = float32(w.imQ[i])
+		}
+		cos, sin := fplib.TwiddleTablesF32(fftN)
+		fplib.ModelFftF32(reF, imF, cos, sin, false)
+		re = make([]int16, fftN)
+		im = make([]int16, fftN)
+		inv := float64(float32(1.0 / fftN))
+		for i := range reF {
+			re[i] = fistRound(float64(reF[i]) * inv)
+			im[i] = fistRound(float64(imF[i]) * inv)
+		}
+		return re, im
+	})
+)
+
+// fftFloatModel transforms a copy of the float32 input with the given
+// twiddles.
+func fftFloatModel(cos, sin []float32) (re, im []float32) {
+	w := fftData()
 	re = append([]float32{}, w.re32...)
 	im = append([]float32{}, w.im32...)
-	cos, sin := runtimeTwiddles(fftN)
 	fplib.ModelFftF32(re, im, cos, sin, true)
-	return re, im
-}
-
-func (w fftWorkload) expectedFP() (re, im []float32) {
-	re = append([]float32{}, w.re32...)
-	im = append([]float32{}, w.im32...)
-	cos, sin := fplib.TwiddleTablesF32(fftN)
-	fplib.ModelFftF32(re, im, cos, sin, true)
-	return re, im
-}
-
-func (w fftWorkload) expectedMMX() (re, im []int16) {
-	reF := make([]float32, fftN)
-	imF := make([]float32, fftN)
-	for i := range w.reQ {
-		reF[i] = float32(w.reQ[i])
-		imF[i] = float32(w.imQ[i])
-	}
-	cos, sin := fplib.TwiddleTablesF32(fftN)
-	fplib.ModelFftF32(reF, imF, cos, sin, false)
-	re = make([]int16, fftN)
-	im = make([]int16, fftN)
-	inv := float64(float32(1.0 / fftN))
-	for i := range reF {
-		re[i] = fistRound(float64(reF[i]) * inv)
-		im[i] = fistRound(float64(imF[i]) * inv)
-	}
 	return re, im
 }
 
@@ -101,11 +110,13 @@ func fistRound(v float64) int16 {
 	return int16(r)
 }
 
-func checkFftF32(c *vm.CPU, wantRe, wantIm []float32, context string) error {
-	if err := checkF32(c, "re", wantRe, 0, context); err != nil {
+// checkFFT compares the program's spectrum with the reference's.
+func checkFFT[T int16 | float32](c *vm.CPU, expected func() (re, im []T), context string) error {
+	re, im := expected()
+	if err := core.Expect(c, "re", re, 0, context); err != nil {
 		return err
 	}
-	return checkF32(c, "im", wantIm, 0, context)
+	return core.Expect(c, "im", im, 0, context)
 }
 
 // FFT returns the fft.c, fft.fp and fft.mmx benchmarks.
@@ -115,29 +126,17 @@ func FFT() []core.Benchmark {
 		{
 			Base: "fft", Version: core.VersionC, Kind: core.KindKernel, Descr: descr,
 			Build: buildFftC,
-			Check: func(c *vm.CPU) error {
-				re, im := newFftWorkload().expectedC()
-				return checkFftF32(c, re, im, "fft.c")
-			},
+			Check: func(c *vm.CPU) error { return checkFFT(c, fftCExpected, "fft.c") },
 		},
 		{
 			Base: "fft", Version: core.VersionFP, Kind: core.KindKernel, Descr: descr,
 			Build: buildFftFP,
-			Check: func(c *vm.CPU) error {
-				re, im := newFftWorkload().expectedFP()
-				return checkFftF32(c, re, im, "fft.fp")
-			},
+			Check: func(c *vm.CPU) error { return checkFFT(c, fftFPExpected, "fft.fp") },
 		},
 		{
 			Base: "fft", Version: core.VersionMMX, Kind: core.KindKernel, Descr: descr,
 			Build: buildFftMMX,
-			Check: func(c *vm.CPU) error {
-				re, im := newFftWorkload().expectedMMX()
-				if err := expectInt16s(c, "re", re, "fft.mmx"); err != nil {
-					return err
-				}
-				return expectInt16s(c, "im", im, "fft.mmx")
-			},
+			Check: func(c *vm.CPU) error { return checkFFT(c, fftMMXExpected, "fft.mmx") },
 		},
 	}
 }
@@ -148,7 +147,7 @@ func FFT() []core.Benchmark {
 // structure; the twiddle values match runtimeTwiddles exactly).
 func buildFftC() (*asm.Program, error) {
 	b := asm.NewBuilder("fft.c")
-	w := newFftWorkload()
+	w := fftData()
 	fplib.EmitFftCore(b, "fft_core", fplib.PresetCompiledTrig())
 	b.Floats("re", w.re32)
 	b.Floats("im", w.im32)
@@ -171,7 +170,7 @@ func buildFftC() (*asm.Program, error) {
 // buildFftFP: precomputed tables, FP library core.
 func buildFftFP() (*asm.Program, error) {
 	b := asm.NewBuilder("fft.fp")
-	w := newFftWorkload()
+	w := fftData()
 	fplib.EmitFftF32(b)
 	cos, sin := fplib.TwiddleTablesF32(fftN)
 	swaps := fplib.BitReverseSwaps(fftN)
@@ -195,7 +194,7 @@ func buildFftFP() (*asm.Program, error) {
 // buildFftMMX: Q15 data through the hybrid MMX library FFT.
 func buildFftMMX() (*asm.Program, error) {
 	b := asm.NewBuilder("fft.mmx")
-	w := newFftWorkload()
+	w := fftData()
 	mmxlib.EmitCvtI16ToF32(b)
 	mmxlib.EmitCvtF32ToI16(b)
 	mmxlib.EmitFftHybrid(b)

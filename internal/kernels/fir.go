@@ -1,8 +1,8 @@
 package kernels
 
 import (
-	"fmt"
 	"math"
+	"sync"
 
 	"mmxdsp/internal/asm"
 	"mmxdsp/internal/core"
@@ -28,35 +28,35 @@ const (
 	firCutoff  = 0.125
 )
 
+// firWorkload is what the FIR programs place: float32 coefficients and
+// input for the scalar and FP versions, padded Q15 coefficients for the
+// MMX version.
 type firWorkload struct {
-	coefF  []float64
 	coef32 []float32
 	coefQ  []int16 // padded
-	in     []float64
 	in32   []float32
-	inQ    []int16
 }
 
-func newFirWorkload() firWorkload {
-	w := firWorkload{coefF: dsp.LowpassFIR(firTaps, firCutoff)}
-	w.coef32 = make([]float32, firTaps)
-	for i, v := range w.coefF {
+// firData is the FIR workload, synthesized once per process. Builds and
+// checks only read it.
+var firData = sync.OnceValue(func() firWorkload {
+	coef := dsp.LowpassFIR(firTaps, firCutoff)
+	w := firWorkload{coef32: make([]float32, firTaps), coefQ: make([]int16, firPadded)}
+	for i, v := range coef {
 		w.coef32[i] = float32(v)
 	}
-	w.coefQ = make([]int16, firPadded)
-	copy(w.coefQ, fixed.VecToQ15(w.coefF))
-	w.in = synth.MultiTone(firSamples, 0xF15, 0.03, 0.21, 0.4)
+	copy(w.coefQ, fixed.VecToQ15(coef))
 	w.in32 = make([]float32, firSamples)
-	for i, v := range w.in {
+	for i, v := range synth.MultiTone(firSamples, 0xF15, 0.03, 0.21, 0.4) {
 		w.in32[i] = float32(v)
 	}
-	w.inQ = synth.ToQ15(w.in)
 	return w
-}
+})
 
-// expectedFloat mirrors the scalar asm exactly: float32 storage, float64
-// accumulation.
-func (w firWorkload) expectedFloat() []float32 {
+// firFloatExpected mirrors the scalar asm exactly: float32 storage, float64
+// accumulation. It is computed once per process.
+var firFloatExpected = sync.OnceValue(func() []float32 {
+	w := firData()
 	hist := make([]float32, firTaps)
 	out := make([]float32, firSamples)
 	for i, x := range w.in32 {
@@ -69,12 +69,13 @@ func (w firWorkload) expectedFloat() []float32 {
 		out[i] = float32(acc)
 	}
 	return out
-}
+})
 
-// expectedMMX mirrors fir.mmx: the float32 input is quantized to Q15 with
-// fist rounding, filtered by the fixed-point library, and converted back to
-// float32 by fild * (1/32768).
-func (w firWorkload) expectedMMX() []float32 {
+// firMMXExpected mirrors fir.mmx: the float32 input is quantized to Q15
+// with fist rounding, filtered by the fixed-point library, and converted
+// back to float32 by fild * (1/32768). It is computed once per process.
+var firMMXExpected = sync.OnceValue(func() []float32 {
+	w := firData()
 	f := dsp.NewFIRQ15(w.coefQ)
 	out := make([]float32, firSamples)
 	inv := float32(1.0 / 32768.0)
@@ -84,22 +85,7 @@ func (w firWorkload) expectedMMX() []float32 {
 		out[i] = float32(float64(y) * float64(inv))
 	}
 	return out
-}
-
-func checkF32(c *vm.CPU, sym string, want []float32, tol float64, context string) error {
-	addr := c.Prog.Addr(sym)
-	for i := range want {
-		raw, ok := c.Mem.LoadU32(addr + uint32(4*i))
-		if !ok {
-			return fmt.Errorf("%s: cannot read %s[%d]", context, sym, i)
-		}
-		got := math.Float32frombits(raw)
-		if math.Abs(float64(got-want[i])) > tol {
-			return fmt.Errorf("%s: %s[%d] = %g, want %g", context, sym, i, got, want[i])
-		}
-	}
-	return nil
-}
+})
 
 // FIR returns the fir.c, fir.fp and fir.mmx benchmarks.
 func FIR() []core.Benchmark {
@@ -109,14 +95,14 @@ func FIR() []core.Benchmark {
 			Base: "fir", Version: core.VersionC, Kind: core.KindKernel, Descr: descr,
 			Build: buildFirC,
 			Check: func(c *vm.CPU) error {
-				return checkF32(c, "out", newFirWorkload().expectedFloat(), 0, "fir.c")
+				return core.Expect(c, "out", firFloatExpected(), 0, "fir.c")
 			},
 		},
 		{
 			Base: "fir", Version: core.VersionFP, Kind: core.KindKernel, Descr: descr,
 			Build: buildFirFP,
 			Check: func(c *vm.CPU) error {
-				return checkF32(c, "out", newFirWorkload().expectedFloat(), 0, "fir.fp")
+				return core.Expect(c, "out", firFloatExpected(), 0, "fir.fp")
 			},
 		},
 		{
@@ -125,7 +111,7 @@ func FIR() []core.Benchmark {
 			Check: func(c *vm.CPU) error {
 				// Paper: precision loss "order 10^-4"; semantics should be
 				// modeled exactly, so the tolerance is tight.
-				return checkF32(c, "out", newFirWorkload().expectedMMX(), 1e-7, "fir.mmx")
+				return core.Expect(c, "out", firMMXExpected(), 1e-7, "fir.mmx")
 			},
 		},
 	}
@@ -137,7 +123,7 @@ func FIR() []core.Benchmark {
 // against 35 serialized FP operations).
 func buildFirC() (*asm.Program, error) {
 	b := asm.NewBuilder("fir.c")
-	w := newFirWorkload()
+	w := firData()
 	b.Floats("coef", w.coef32)
 	b.Floats("in", w.in32)
 	b.Floats("hist", make([]float32, firTaps))
@@ -179,7 +165,7 @@ func buildFirC() (*asm.Program, error) {
 // sample (identical arithmetic, library call overhead added).
 func buildFirFP() (*asm.Program, error) {
 	b := asm.NewBuilder("fir.fp")
-	w := newFirWorkload()
+	w := firData()
 	fplib.EmitFirF32(b)
 	b.Floats("coef", w.coef32)
 	b.Floats("in", w.in32)
@@ -211,7 +197,7 @@ func buildFirFP() (*asm.Program, error) {
 // overhead §4.1 describes for fir.mmx.
 func buildFirMMX() (*asm.Program, error) {
 	b := asm.NewBuilder("fir.mmx")
-	w := newFirWorkload()
+	w := firData()
 	mmxlib.EmitFirQ15(b)
 	b.Floats("in", w.in32)
 	b.Words("coefq", w.coefQ)

@@ -1,8 +1,7 @@
 package kernels
 
 import (
-	"fmt"
-	"math"
+	"sync"
 
 	"mmxdsp/internal/asm"
 	"mmxdsp/internal/core"
@@ -29,13 +28,18 @@ const (
 	iirSamples  = iirBlockLen * iirBlocks
 )
 
+// iirWorkload is what the IIR programs place: the float64 coefficients
+// and input of the .c and .fp versions, and the Q15 input of the .mmx
+// version (which derives its coefficients from b and a).
 type iirWorkload struct {
 	b, a []float64
 	in   []float64
 	inQ  []int16
 }
 
-func newIirWorkload() iirWorkload {
+// iirData is the IIR workload, synthesized once per process. Builds and
+// checks only read it.
+var iirData = sync.OnceValue(func() iirWorkload {
 	w := iirWorkload{}
 	w.b, w.a = dsp.ButterworthBandpass(iirOrder, iirLo, iirHi)
 	// Keep the level modest: the paper's 16-bit IIR overflows eventually;
@@ -47,34 +51,21 @@ func newIirWorkload() iirWorkload {
 	}
 	w.inQ = synth.ToQ15(w.in)
 	return w
-}
+})
 
-// expectedFloat mirrors the float64 pipeline (both .c and .fp share it).
-func (w iirWorkload) expectedFloat() []float64 {
-	f := dsp.NewIIR(w.b, w.a)
-	return f.ProcessBlock(w.in)
-}
-
-// expectedMMX mirrors the fixed-point library.
-func (w iirWorkload) expectedMMX() []int16 {
-	f := dsp.NewIIRQ15(w.b, w.a)
-	return f.ProcessBlock(w.inQ)
-}
-
-func checkF64(c *vm.CPU, sym string, want []float64, tol float64, context string) error {
-	addr := c.Prog.Addr(sym)
-	for i := range want {
-		raw, ok := c.Mem.LoadU64(addr + uint32(8*i))
-		if !ok {
-			return fmt.Errorf("%s: cannot read %s[%d]", context, sym, i)
-		}
-		got := math.Float64frombits(raw)
-		if math.Abs(got-want[i]) > tol {
-			return fmt.Errorf("%s: %s[%d] = %g, want %g", context, sym, i, got, want[i])
-		}
-	}
-	return nil
-}
+// iirFloatExpected mirrors the float64 pipeline (both .c and .fp share
+// it), and iirMMXExpected the fixed-point library; each is computed once
+// per process.
+var (
+	iirFloatExpected = sync.OnceValue(func() []float64 {
+		w := iirData()
+		return dsp.NewIIR(w.b, w.a).ProcessBlock(w.in)
+	})
+	iirMMXExpected = sync.OnceValue(func() []int16 {
+		w := iirData()
+		return dsp.NewIIRQ15(w.b, w.a).ProcessBlock(w.inQ)
+	})
+)
 
 // IIR returns the iir.c, iir.fp and iir.mmx benchmarks.
 func IIR() []core.Benchmark {
@@ -84,21 +75,21 @@ func IIR() []core.Benchmark {
 			Base: "iir", Version: core.VersionC, Kind: core.KindKernel, Descr: descr,
 			Build: buildIirC,
 			Check: func(c *vm.CPU) error {
-				return checkF64(c, "out", newIirWorkload().expectedFloat(), 0, "iir.c")
+				return core.Expect(c, "out", iirFloatExpected(), 0, "iir.c")
 			},
 		},
 		{
 			Base: "iir", Version: core.VersionFP, Kind: core.KindKernel, Descr: descr,
 			Build: buildIirFP,
 			Check: func(c *vm.CPU) error {
-				return checkF64(c, "out", newIirWorkload().expectedFloat(), 0, "iir.fp")
+				return core.Expect(c, "out", iirFloatExpected(), 0, "iir.fp")
 			},
 		},
 		{
 			Base: "iir", Version: core.VersionMMX, Kind: core.KindKernel, Descr: descr,
 			Build: buildIirMMX,
 			Check: func(c *vm.CPU) error {
-				return expectInt16s(c, "out", newIirWorkload().expectedMMX(), "iir.mmx")
+				return core.Expect(c, "out", iirMMXExpected(), 0, "iir.mmx")
 			},
 		},
 	}
@@ -109,7 +100,7 @@ func IIR() []core.Benchmark {
 // the MMX version's block processing).
 func buildIirC() (*asm.Program, error) {
 	b := asm.NewBuilder("iir.c")
-	w := newIirWorkload()
+	w := iirData()
 	nb := len(w.b)     // 9
 	na := len(w.a) - 1 // 8
 	b.Doubles("bco", w.b)
@@ -186,7 +177,7 @@ func buildIirC() (*asm.Program, error) {
 // buildIirFP: the FP library processes blocks of 8 per call.
 func buildIirFP() (*asm.Program, error) {
 	b := asm.NewBuilder("iir.fp")
-	w := newIirWorkload()
+	w := iirData()
 	nb := len(w.b)
 	na := len(w.a) - 1
 	fplib.EmitIirBlockF64(b)
@@ -226,7 +217,7 @@ func buildIirFP() (*asm.Program, error) {
 // SIMD MACs is why iir.mmx is the best-speedup filter kernel in Table 3.
 func buildIirMMX() (*asm.Program, error) {
 	b := asm.NewBuilder("iir.mmx")
-	w := newIirWorkload()
+	w := iirData()
 	q := dsp.NewIIRQ15(w.b, w.a)
 	bq, aq := q.Coefs()
 	nbPad := (len(bq) + 3) &^ 3
@@ -243,7 +234,7 @@ func buildIirMMX() (*asm.Program, error) {
 	b.Words("state.a", aPad)
 	b.Words("state.xh", make([]int16, nbPad))
 	b.Words("state.yh", make([]int16, naPad))
-	b.Words("in", newIirWorkload().inQ)
+	b.Words("in", w.inQ)
 	b.Reserve("out", 2*iirSamples)
 
 	b.Entry()

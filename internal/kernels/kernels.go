@@ -13,10 +13,7 @@
 package kernels
 
 import (
-	"fmt"
-
 	"mmxdsp/internal/core"
-	"mmxdsp/internal/vm"
 )
 
 // Benchmarks returns all kernel benchmark versions.
@@ -30,40 +27,15 @@ func Benchmarks() []core.Benchmark {
 	return out
 }
 
-// The per-family constructors live in their own files; this variable
-// documents the full program list of Table 1.
-var programNames = []string{
-	"fft.c", "fft.fp", "fft.mmx",
-	"fir.c", "fir.fp", "fir.mmx",
-	"iir.c", "iir.fp", "iir.mmx",
-	"matvec.c", "matvec.mmx",
-	"sad.c", "sad.mmx",
-}
-
-// expectInt16s compares an int16 output region against a reference slice.
-func expectInt16s(c *vm.CPU, sym string, want []int16, context string) error {
-	got, ok := c.Mem.ReadInt16s(c.Prog.Addr(sym), len(want))
-	if !ok {
-		return fmt.Errorf("%s: cannot read %q", context, sym)
+// Memos returns, by name, the functions that hand out the programs'
+// process-wide inputs and reference outputs. Every build and check shares
+// them, so nothing may write what they return.
+func Memos() map[string]any {
+	return map[string]any{
+		"fir.input": firData, "fir.float.expected": firFloatExpected, "fir.mmx.expected": firMMXExpected,
+		"iir.input": iirData, "iir.float.expected": iirFloatExpected, "iir.mmx.expected": iirMMXExpected,
+		"fft.input": fftData, "fft.c.expected": fftCExpected, "fft.fp.expected": fftFPExpected, "fft.mmx.expected": fftMMXExpected,
+		"matvec.input": matVecData, "matvec.expected": matVecExpected,
+		"sad.input": sadData, "sad.expected": sadExpected,
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			return fmt.Errorf("%s: %s[%d] = %d, want %d", context, sym, i, got[i], want[i])
-		}
-	}
-	return nil
-}
-
-// expectInt32s compares an int32 output region against a reference slice.
-func expectInt32s(c *vm.CPU, sym string, want []int32, context string) error {
-	got, ok := c.Mem.ReadInt32s(c.Prog.Addr(sym), len(want))
-	if !ok {
-		return fmt.Errorf("%s: cannot read %q", context, sym)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			return fmt.Errorf("%s: %s[%d] = %d, want %d", context, sym, i, got[i], want[i])
-		}
-	}
-	return nil
 }

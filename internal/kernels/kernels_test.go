@@ -104,6 +104,15 @@ func TestKernelMMXPercentages(t *testing.T) {
 	}
 }
 
+// programNames is the full kernel program list of Table 1, plus sad.
+var programNames = []string{
+	"fft.c", "fft.fp", "fft.mmx",
+	"fir.c", "fir.fp", "fir.mmx",
+	"iir.c", "iir.fp", "iir.mmx",
+	"matvec.c", "matvec.mmx",
+	"sad.c", "sad.mmx",
+}
+
 func TestBenchmarksRegistryComplete(t *testing.T) {
 	names := map[string]bool{}
 	for _, bm := range Benchmarks() {

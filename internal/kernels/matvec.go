@@ -1,6 +1,8 @@
 package kernels
 
 import (
+	"sync"
+
 	"mmxdsp/internal/asm"
 	"mmxdsp/internal/core"
 	"mmxdsp/internal/emit"
@@ -21,13 +23,15 @@ const (
 	mvVecN = 512
 )
 
-// matVecWorkload generates the shared deterministic data. Entries are
-// bounded so every row accumulator fits a 32-bit register.
+// matVecWorkload is the shared deterministic data. Entries are bounded so
+// every row accumulator fits a 32-bit register.
 type matVecWorkload struct {
 	mat, vec, dx, dy []int16
 }
 
-func newMatVecWorkload() matVecWorkload {
+// matVecData is the matvec workload, synthesized once per process. Builds
+// and checks only read it.
+var matVecData = sync.OnceValue(func() matVecWorkload {
 	r := synth.NewRand(0xA11CE)
 	w := matVecWorkload{
 		mat: make([]int16, mvRows*mvCols),
@@ -46,9 +50,12 @@ func newMatVecWorkload() matVecWorkload {
 		w.dy[i] = int16(r.Intn(2048) - 1024)
 	}
 	return w
-}
+})
 
-func (w matVecWorkload) expected() (rows []int32, dot int32) {
+// matVecExpected is the reference row vector and dot product, computed
+// once per process.
+var matVecExpected = sync.OnceValues(func() (rows []int32, dot int32) {
+	w := matVecData()
 	rows = make([]int32, mvRows)
 	for r := 0; r < mvRows; r++ {
 		var acc int64
@@ -62,7 +69,7 @@ func (w matVecWorkload) expected() (rows []int32, dot int32) {
 		d += int64(w.dx[i]) * int64(w.dy[i])
 	}
 	return rows, int32(d)
-}
+})
 
 func (w matVecWorkload) place(b *asm.Builder) {
 	b.Words("mat", w.mat)
@@ -73,12 +80,12 @@ func (w matVecWorkload) place(b *asm.Builder) {
 	b.Reserve("dotout", 8)
 }
 
-func (w matVecWorkload) check(c *vm.CPU, context string) error {
-	rows, dot := w.expected()
-	if err := expectInt32s(c, "rowout", rows, context); err != nil {
+func checkMatVec(c *vm.CPU, context string) error {
+	rows, dot := matVecExpected()
+	if err := core.Expect(c, "rowout", rows, 0, context); err != nil {
 		return err
 	}
-	return expectInt32s(c, "dotout", []int32{dot}, context)
+	return core.Expect(c, "dotout", []int32{dot}, 0, context)
 }
 
 // MatVec returns the matvec.c and matvec.mmx benchmarks.
@@ -88,12 +95,12 @@ func MatVec() []core.Benchmark {
 		{
 			Base: "matvec", Version: core.VersionC, Kind: core.KindKernel, Descr: descr,
 			Build: buildMatVecC,
-			Check: func(c *vm.CPU) error { return newMatVecWorkload().check(c, "matvec.c") },
+			Check: func(c *vm.CPU) error { return checkMatVec(c, "matvec.c") },
 		},
 		{
 			Base: "matvec", Version: core.VersionMMX, Kind: core.KindKernel, Descr: descr,
 			Build: buildMatVecMMX,
-			Check: func(c *vm.CPU) error { return newMatVecWorkload().check(c, "matvec.mmx") },
+			Check: func(c *vm.CPU) error { return checkMatVec(c, "matvec.mmx") },
 		},
 	}
 }
@@ -103,8 +110,7 @@ func MatVec() []core.Benchmark {
 // (imul takes 10 cycles; pmaddwd does two multiplies in 3).
 func buildMatVecC() (*asm.Program, error) {
 	b := asm.NewBuilder("matvec.c")
-	w := newMatVecWorkload()
-	w.place(b)
+	matVecData().place(b)
 
 	b.Proc("main")
 	b.I(isa.PROFON)
@@ -154,8 +160,7 @@ func buildMatVecC() (*asm.Program, error) {
 // buildMatVecMMX calls the MMX library: nsMatVec16 plus nsDotProd16.
 func buildMatVecMMX() (*asm.Program, error) {
 	b := asm.NewBuilder("matvec.mmx")
-	w := newMatVecWorkload()
-	w.place(b)
+	matVecData().place(b)
 	mmxlib.EmitMatVec16(b)
 	mmxlib.EmitDotProd16(b)
 

@@ -12,9 +12,7 @@ func TestFirPrecisionOrder1e4(t *testing.T) {
 	// "the FIR filter suffers little loss of precision in the MMX
 	// fixed-point version (order 10^-4) because the error loss is not
 	// cumulative at any point."
-	w := newFirWorkload()
-	f := w.expectedFloat()
-	m := w.expectedMMX()
+	f, m := firFloatExpected(), firMMXExpected()
 	var worst float64
 	for i := range f {
 		if d := math.Abs(float64(f[i] - m[i])); d > worst {
@@ -34,9 +32,8 @@ func TestFftPrecisionOrder1e2Relative(t *testing.T) {
 	// "The limited use of MMX does provide a speedup over the
 	// floating-point version with little loss of precision (order 10^-2)
 	// using the 16-bit data."
-	w := newFftWorkload()
-	fr, fi := w.expectedFP() // float32 spectrum of the float input (value units)
-	mr, mi := w.expectedMMX()
+	fr, fi := fftFPExpected() // float32 spectrum of the float input (value units)
+	mr, mi := fftMMXExpected()
 	// mr holds X/N in Q15 counts (input was quantized by 32768); bring the
 	// float spectrum into the same counts: fr * 32768 / N.
 	const toCounts = 32768.0 / fftN
@@ -63,9 +60,7 @@ func TestIirQuarterScaleTracksFloat(t *testing.T) {
 	// The paper's iir.mmx "becomes unstable" at full scale; at the
 	// benchmark's quarter-scale drive the fixed-point output must track
 	// the float output closely enough to be the same filter.
-	w := newIirWorkload()
-	f := w.expectedFloat()
-	m := w.expectedMMX()
+	f, m := iirFloatExpected(), iirMMXExpected()
 	var sumSq, errSq float64
 	for i := range f {
 		got := float64(m[i]) / 32768
@@ -82,8 +77,7 @@ func TestIirQuarterScaleTracksFloat(t *testing.T) {
 func TestMatvecExactness(t *testing.T) {
 	// Integer data: the MMX version is exact (both versions validate
 	// against the same expected values); the workload must be non-trivial.
-	w := newMatVecWorkload()
-	rows, dot := w.expected()
+	rows, dot := matVecExpected()
 	nonzero := 0
 	for _, v := range rows {
 		if v != 0 {

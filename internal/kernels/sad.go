@@ -1,6 +1,8 @@
 package kernels
 
 import (
+	"sync"
+
 	"mmxdsp/internal/asm"
 	"mmxdsp/internal/core"
 	"mmxdsp/internal/emit"
@@ -43,7 +45,9 @@ type sadWorkload struct {
 	prev, cur []uint8
 }
 
-func newSADWorkload() sadWorkload {
+// sadData is the SAD workload, synthesized once per process. Builds and
+// checks only read it.
+var sadData = sync.OnceValue(func() sadWorkload {
 	r := synth.NewRand(0x5AD16)
 	w := sadWorkload{
 		prev: make([]uint8, sadPrevW*sadPrevH),
@@ -70,11 +74,12 @@ func newSADWorkload() sadWorkload {
 		}
 	}
 	return w
-}
+})
 
-// expected returns the (dx, dy, sad) triplet per block from the reference
-// full search.
-func (w sadWorkload) expected() []int32 {
+// sadExpected is the (dx, dy, sad) triplet per block from the reference
+// full search, computed once per process.
+var sadExpected = sync.OnceValue(func() []int32 {
+	w := sadData()
 	out := make([]int32, 0, 3*sadBlocks)
 	for b := 0; b < sadBlocks; b++ {
 		dx, dy, sad := imgproc.MotionSearch(
@@ -82,7 +87,7 @@ func (w sadWorkload) expected() []int32 {
 		out = append(out, int32(dx), int32(dy), int32(sad))
 	}
 	return out
-}
+})
 
 func (w sadWorkload) place(b *asm.Builder) {
 	b.Bytes("prev", w.prev)
@@ -99,10 +104,6 @@ func (w sadWorkload) place(b *asm.Builder) {
 	}
 }
 
-func (w sadWorkload) check(c *vm.CPU, context string) error {
-	return expectInt32s(c, "mv", w.expected(), context)
-}
-
 // SAD returns the sad.c and sad.mmx benchmarks.
 func SAD() []core.Benchmark {
 	descr := "16x16 full-search motion estimation, 8 blocks, +/-4 pixel search"
@@ -110,12 +111,12 @@ func SAD() []core.Benchmark {
 		{
 			Base: "sad", Version: core.VersionC, Kind: core.KindKernel, Descr: descr,
 			Build: buildSADC,
-			Check: func(c *vm.CPU) error { return newSADWorkload().check(c, "sad.c") },
+			Check: func(c *vm.CPU) error { return core.Expect(c, "mv", sadExpected(), 0, "sad.c") },
 		},
 		{
 			Base: "sad", Version: core.VersionMMX, Kind: core.KindKernel, Descr: descr,
 			Build: buildSADMMX,
-			Check: func(c *vm.CPU) error { return newSADWorkload().check(c, "sad.mmx") },
+			Check: func(c *vm.CPU) error { return core.Expect(c, "mv", sadExpected(), 0, "sad.mmx") },
 		},
 	}
 }
@@ -192,8 +193,7 @@ func emitSADDriver(b *asm.Builder, sad func()) {
 // compare-and-branch absolute value, loop state spilled to memory.
 func buildSADC() (*asm.Program, error) {
 	b := asm.NewBuilder("sad.c")
-	w := newSADWorkload()
-	w.place(b)
+	sadData().place(b)
 
 	b.Proc("main")
 	b.I(isa.PROFON)
@@ -234,8 +234,7 @@ func buildSADC() (*asm.Program, error) {
 // 8 pixels per quadword, |a-b| by saturating-subtract both ways.
 func buildSADMMX() (*asm.Program, error) {
 	b := asm.NewBuilder("sad.mmx")
-	w := newSADWorkload()
-	w.place(b)
+	sadData().place(b)
 	mmxlib.EmitSAD16(b)
 
 	b.Entry()

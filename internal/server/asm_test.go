@@ -596,11 +596,17 @@ func TestAsmUnknownSymbol400(t *testing.T) {
 	}
 }
 
-// TestAsmDuplicateSymbol400: a .reserve of a name the data section already
-// defines answers 400 at the .reserve's line and the name's column.
+// TestAsmDuplicateSymbol400: a data directive (.bytes, .words, .dwords,
+// .reserve) of a name the data section already defines answers 400 at the
+// directive's line and the name's column.
 func TestAsmDuplicateSymbol400(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{ResultCacheEntries: -1})
 	asmRejected(t, ts.URL, ".dwords buf 1,2\n.reserve buf 8\nhalt\n", 2, 10, `duplicate data symbol "buf"`)
+	// A name that also occurs inside its directive: the column is the name's.
+	asmRejected(t, ts.URL, ".dwords s 1\n.bytes s 2\nhalt\n", 2, 8, `duplicate data symbol "s"`)
+	asmRejected(t, ts.URL, ".bytes s 1\n.words s 2\nhalt\n", 2, 8, `duplicate data symbol "s"`)
+	asmRejected(t, ts.URL, ".words s 1\n.dwords s 2\nhalt\n", 2, 9, `duplicate data symbol "s"`)
+	asmRejected(t, ts.URL, ".dwords r 1\n.reserve r 8\nhalt\n", 2, 10, `duplicate data symbol "r"`)
 	if got := getMetrics(t, ts.URL).RunPanics; got != 0 {
 		t.Errorf("run_panics = %d, want 0", got)
 	}

@@ -1,8 +1,8 @@
 // The observation stream of the dispatch loop (see the package comment for
 // its guarantees). The loop never calls Obs directly: each observation
-// becomes a record in the current batch, with its effective addresses,
-// events or trace blocks in the batch's arenas, and a consumer goroutine
-// replays full batches in order. The consumer also owns the cache model:
+// (or run of identical trace iterations) becomes a record in the current
+// batch, with its effective addresses, events or trace blocks in the
+// batch's arenas, and a consumer goroutine replays full batches in order. The consumer also owns the cache model:
 // it folds each record's addresses through CPU.Hier into the penalties the
 // observer receives (mem.Hierarchy.Price), so the interpreter never waits
 // on the hierarchy. The interpreter waits on the consumer only when every
@@ -11,6 +11,7 @@
 package vm
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -47,12 +48,14 @@ const (
 
 // record is one observer call followed by ev Retire calls; a recRetire
 // record makes no call of its own and heads the Retire calls that open a
-// batch, and a recPrice record only prices the n addresses of a faulting
-// instruction, which retires no event, as the per-instruction loop does.
+// batch, a recPrice record only prices the n addresses of a faulting
+// instruction, which retires no event, as the per-instruction loop does,
+// and a recTrace record stands for k iterations of its trace in a row,
+// each with n addresses (k is ObserveTraceExit's exit index otherwise).
 // Variable-length arguments live in the batch's arenas, consumed in record
-// order: n effective addresses (recBlock, recTrace, recTraceExit,
-// recPrice), n blocks and directions (recRegister), then ev events, each
-// followed by its own addresses.
+// order: n effective addresses (k × n for recTrace; recBlock,
+// recTraceExit, recPrice), n blocks and directions (recRegister), then ev
+// events, each followed by its own addresses.
 type record struct {
 	kind     uint8
 	measured bool
@@ -186,6 +189,14 @@ func (s *stream) replay(b *batch) {
 			bi += n
 		case recTrace:
 			obs.ObserveTrace(int(r.id), r.measured, pen)
+			for range r.k - 1 {
+				pen = pen[:0]
+				if n > 0 {
+					pen = hier.Price(b.addrs[ai:ai+n], pen)
+					ai += n
+				}
+				obs.ObserveTrace(int(r.id), r.measured, pen)
+			}
 		case recTraceExit:
 			obs.ObserveTraceExit(int(r.id), int(r.k), r.measured, pen)
 		}
@@ -305,11 +316,24 @@ func (s *stream) register(id int, blocks []int32, taken []bool) {
 }
 
 // trace records one ObserveTrace call; addrs extends the arena with its
-// effective addresses. It returns the arena to go on appending to.
+// effective addresses. An iteration that repeats the last record's trace,
+// measured flag and address count, with no Retire call since, only counts
+// that record up: the loops of a suite run repeat one trace about three
+// times in a row on average. It returns the arena to go on appending to.
 func (s *stream) trace(id int, measured bool, addrs []uint64) []uint64 {
 	n := len(addrs) - len(s.addrs)
 	s.addrs = addrs
-	s.add(recTrace, measured, 0, id, n, 0)
+	if i := len(s.recs) - 1; i >= 0 {
+		if r := &s.recs[i]; r.kind == recTrace && r.id == int32(id) && r.measured == measured &&
+			r.n == int32(n) && r.ev == 0 && r.k < math.MaxUint16 {
+			r.k++
+			if len(s.addrs) >= s.maxAddrs {
+				s.handoff()
+			}
+			return s.addrs
+		}
+	}
+	s.add(recTrace, measured, 1, id, n, 0)
 	return s.addrs
 }
 

@@ -374,3 +374,58 @@ func TestStreamExitPathsJoinConsumer(t *testing.T) {
 		}
 	}
 }
+
+// profFlipProg runs one trace loop 48 times per pass over 24 passes, each
+// pass switching profiling on or off: runs of identical iterations that
+// cross handoffs at small batch sizes, measured and unmeasured by turns.
+func profFlipProg() *asm.Program {
+	b := asm.NewBuilder("profflip")
+	b.Dwords("data", make([]int32, 64))
+	b.I(isa.MOV, asm.R(isa.EDX), asm.Imm(24))
+	b.Label("outer")
+	b.I(isa.MOV, asm.R(isa.EAX), asm.R(isa.EDX))
+	b.I(isa.AND, asm.R(isa.EAX), asm.Imm(1))
+	b.J(isa.JNE, "on")
+	b.I(isa.PROFOFF)
+	b.J(isa.JMP, "body")
+	b.Label("on")
+	b.I(isa.PROFON)
+	b.Label("body")
+	b.I(isa.MOV, asm.R(isa.ECX), asm.Imm(48))
+	b.I(isa.MOV, asm.R(isa.ESI), asm.ImmSym("data", 0))
+	b.Label("loop")
+	b.I(isa.MOV, asm.R(isa.EBX), asm.MemD(isa.ESI, 0))
+	b.I(isa.ADD, asm.MemD(isa.ESI, 4), asm.R(isa.EBX))
+	b.I(isa.ADD, asm.R(isa.ESI), asm.Imm(4))
+	b.I(isa.SUB, asm.R(isa.ECX), asm.Imm(1))
+	b.J(isa.JNE, "loop")
+	b.I(isa.SUB, asm.R(isa.EDX), asm.Imm(1))
+	b.J(isa.JNE, "outer")
+	b.I(isa.HALT)
+	return b.MustLink()
+}
+
+// TestStreamTraceRunsAgree pins trace dispatch, whose stream carries a run
+// of identical trace iterations as one record, to the per-instruction
+// loop at batch sizes where the runs cross handoffs: registers, memory,
+// the report and the cache statistics must all agree. (How records split
+// is TestStreamCountsTraceRuns's.)
+func TestStreamTraceRunsAgree(t *testing.T) {
+	prog := profFlipProg()
+	gen := runPath(t, prog, "generic")
+	if gen.report.Cycles == 0 || gen.traces.Iters != 0 {
+		t.Fatalf("per-instruction loop: %d cycles, %d trace iterations", gen.report.Cycles, gen.traces.Iters)
+	}
+	for _, n := range []int{1, 2, 3, 7, 0} {
+		restore := func() {}
+		if n > 0 {
+			restore = vm.SetStreamBatch(n)
+		}
+		got := runPath(t, prog, "trace")
+		if got.traces.Iters < 24*40 {
+			t.Errorf("batch %d: %d trace iterations, want most of the loop's", n, got.traces.Iters)
+		}
+		compareOutcomes(t, "generic", gen, fmt.Sprintf("trace batch%d", n), got)
+		restore()
+	}
+}

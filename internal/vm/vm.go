@@ -33,8 +33,9 @@
 // Observer calls return nothing to the interpreter, so the dispatch loop
 // decouples the two: it appends each observation (Retire, ObserveBlock,
 // RegisterTrace, ObserveTrace, ObserveTraceExit) as a compact record to
-// the current batch, and a second goroutine replays full batches into the
-// observer (stream.go). The observation stream guarantees:
+// the current batch (a run of identical trace iterations shares one), and
+// a second goroutine replays full batches into the observer (stream.go).
+// The observation stream guarantees:
 //
 //   - Order: the observer sees exactly the calls, arguments and order a
 //     synchronous observer would, never two calls at once.
