@@ -27,7 +27,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Pure-Go processing: the library a downstream user calls directly.
+	// Pure-Go processing: the reference the simulated versions are checked
+	// against.
 	out := imgproc.Pipeline(pix,
 		imgproc.DimParams{Num: 3, Den: 4},
 		imgproc.SwitchParams{DR: 40, DG: 0, DB: -55})

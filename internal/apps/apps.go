@@ -27,7 +27,8 @@ func Benchmarks() []core.Benchmark {
 func Memos() map[string]any {
 	return map[string]any{
 		"image.input": imageInput, "image.expected": imageExpected,
-		"jpeg.input": jpegInput, "jpeg.c.expected": jpegCExpected, "jpeg.mmx.expected": jpegMMXExpected,
+		"jpeg.input": jpegInput, "jpeg.c.expected": jpegCExpected,
+		"jpeg.mmx.expected": jpegMMXExpected, "jpeg.mmx.basis": dctBasisQuads,
 		"g722.input": g722Input, "g722.expected": g722Expected,
 		"radar.input": radarData, "radar.c.expected": radarCExpected, "radar.mmx.expected": radarMMXExpected,
 	}

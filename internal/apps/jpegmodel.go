@@ -2,6 +2,7 @@ package apps
 
 import (
 	"math"
+	"sync"
 
 	"mmxdsp/internal/fixed"
 	"mmxdsp/internal/jpegenc"
@@ -292,9 +293,13 @@ func dctMMXModel(blk *[64]int32) {
 	}
 }
 
+// dctBasisQuads is nsDct8's Q13 basis, built once per process; dct1dQ13
+// only reads it.
+var dctBasisQuads = sync.OnceValue(mmxlib.DCTBasisQuads)
+
 // dct1dQ13 mirrors mmxlib's nsDct8 (== dsp.DCT1D8Q15).
 func dct1dQ13(out *[8]int16, in *[8]int16) {
-	basis := mmxlib.DCTBasisQuads()
+	basis := dctBasisQuads()
 	for k := 0; k < 8; k++ {
 		var acc int64
 		for n := 0; n < 4; n++ {

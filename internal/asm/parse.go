@@ -125,8 +125,8 @@ func (e *SourceError) Error() string {
 
 func (e *SourceError) Unwrap() error { return e.Err }
 
-// operandError pins an error to an operand or a directive's name: rest is
-// the tail of the statement from its first byte.
+// operandError pins an error to the token it names: rest is the tail of
+// the statement from the token's first byte.
 type operandError struct {
 	rest string
 	err  error
@@ -135,11 +135,18 @@ type operandError struct {
 func (e *operandError) Error() string { return e.err.Error() }
 func (e *operandError) Unwrap() error { return e.err }
 
+// errAt pins err to the token that rest, a tail of the statement, starts
+// with. An empty rest (a missing token) leaves the statement's column.
+func errAt(rest string, err error) error {
+	if rest == "" {
+		return err
+	}
+	return &operandError{rest: rest, err: err}
+}
+
 // columnOf locates the diagnostic's position in the raw source line: the
-// operand or directive name an operandError names, else the first
-// occurrence of the error's first quoted token, falling back to the
-// statement's first non-blank byte. 1-based; 1 for blank lines (which
-// never error anyway).
+// token an operandError names, else the statement's first non-blank byte.
+// 1-based; 1 for blank lines (which never error anyway).
 func columnOf(raw string, err error) int {
 	var oe *operandError
 	if errors.As(err, &oe) {
@@ -147,33 +154,10 @@ func columnOf(raw string, err error) int {
 		// trailing blanks, and rest is a suffix of the statement.
 		return len(strings.TrimRightFunc(code(raw), unicode.IsSpace)) - len(oe.rest) + 1
 	}
-	if tok := quotedToken(err.Error()); tok != "" {
-		if i := strings.Index(raw, tok); i >= 0 {
-			return i + 1
-		}
-	}
 	if i := strings.IndexFunc(raw, func(r rune) bool { return r != ' ' && r != '\t' }); i >= 0 {
 		return i + 1
 	}
 	return 1
-}
-
-// quotedToken extracts the first Go-quoted ("%q") token from a diagnostic
-// message, or "" when there is none.
-func quotedToken(msg string) string {
-	i := strings.IndexByte(msg, '"')
-	if i < 0 {
-		return ""
-	}
-	lit, err := strconv.QuotedPrefix(msg[i:])
-	if err != nil {
-		return ""
-	}
-	tok, err := strconv.Unquote(lit)
-	if err != nil {
-		return ""
-	}
-	return tok
 }
 
 func parseLine(b *Builder, line string) error {
@@ -185,7 +169,7 @@ func parseLine(b *Builder, line string) error {
 	if first, rest, ok := strings.Cut(line, " "); ok && isInt(first) {
 		line = strings.TrimSpace(rest)
 	} else if isInt(line) {
-		return fmt.Errorf("bare instruction index %q", line)
+		return errAt(line, fmt.Errorf("bare instruction index %q", line))
 	}
 	// Labels, possibly stacked before an instruction on the same line.
 	for {
@@ -196,7 +180,7 @@ func parseLine(b *Builder, line string) error {
 		// A ':' also appears in nothing else we parse, so this is a label.
 		b.Label(line[:i])
 		if len(b.errs) > 0 {
-			return b.errs[len(b.errs)-1]
+			return errAt(line, b.errs[len(b.errs)-1])
 		}
 		line = strings.TrimSpace(line[i+1:])
 		if line == "" {
@@ -218,7 +202,7 @@ func parseDirective(b *Builder, line string) error {
 		return nil
 	case ".proc":
 		if !isIdent(rest) {
-			return fmt.Errorf(".proc wants a name, got %q", rest)
+			return errAt(rest, fmt.Errorf(".proc wants a name, got %q", rest))
 		}
 		b.Proc(rest)
 	case ".bytes", ".words", ".dwords":
@@ -269,17 +253,18 @@ func parseDirective(b *Builder, line string) error {
 		if !ok || !isIdent(name) {
 			return fmt.Errorf(".reserve wants: .reserve name size")
 		}
-		sz, err := strconv.ParseInt(strings.TrimSpace(szText), 0, 64)
+		szText = strings.TrimSpace(szText)
+		sz, err := strconv.ParseInt(szText, 0, 64)
 		if err != nil || sz < 0 || sz > maxReserve {
-			return fmt.Errorf("bad .reserve size %q", szText)
+			return errAt(szText, fmt.Errorf("bad .reserve size %q", szText))
 		}
 		b.Reserve(name, int(sz))
 	default:
-		return fmt.Errorf("unknown directive %q", dir)
+		return errAt(line, fmt.Errorf("unknown directive %q", dir))
 	}
 	if len(b.errs) > 0 {
 		// The builder rejected the name: point at it.
-		return &operandError{rest: rest, err: b.errs[len(b.errs)-1]}
+		return errAt(rest, b.errs[len(b.errs)-1])
 	}
 	return nil
 }
@@ -288,29 +273,35 @@ func parseInst(b *Builder, line string) error {
 	mnemonic, rest, _ := strings.Cut(line, " ")
 	op, ok := opLookup()[mnemonic]
 	if !ok {
-		return fmt.Errorf("unknown mnemonic %q", mnemonic)
+		return errAt(line, fmt.Errorf("unknown mnemonic %q", mnemonic))
 	}
 	rest = strings.TrimSpace(rest)
 
 	// Control transfers take a label operand, matching Builder.J/Call.
 	if op == isa.JMP || op == isa.CALL || op.IsBranch() {
 		if !isIdent(rest) {
-			return fmt.Errorf("%s wants a label, got %q", mnemonic, rest)
+			return errAt(rest, fmt.Errorf("%s wants a label, got %q", mnemonic, rest))
 		}
 		b.insts = append(b.insts, isa.Inst{Op: op, Target: -1, TargetSym: rest})
 		return nil
 	}
 
 	var operands []isa.Operand
-	var fields []string
+	var tails []string // the statement's tail from each operand's first byte
 	if rest != "" {
-		fields = strings.Split(rest, ",")
-		for _, field := range fields {
-			o, err := parseOperand(strings.TrimSpace(field))
+		for tail := rest; ; {
+			field, next, more := strings.Cut(tail, ",")
+			at := strings.TrimLeftFunc(tail, unicode.IsSpace)
+			o, err := parseOperand(strings.TrimSpace(field), at)
 			if err != nil {
 				return err
 			}
 			operands = append(operands, o)
+			tails = append(tails, at)
+			if !more {
+				break
+			}
+			tail = next
 		}
 	}
 	if len(operands) > 2 {
@@ -325,17 +316,15 @@ func parseInst(b *Builder, line string) error {
 	if !errors.As(err, &se) {
 		return err
 	}
-	if se.N > len(fields) {
+	if se.N > len(tails) {
 		return se // a missing operand: the statement's column
 	}
-	tail := rest
-	for _, f := range fields[:se.N-1] {
-		tail = tail[len(f)+1:]
-	}
-	return &operandError{rest: strings.TrimLeftFunc(tail, unicode.IsSpace), err: se}
+	return errAt(tails[se.N-1], se)
 }
 
-func parseOperand(text string) (isa.Operand, error) {
+// parseOperand parses one operand; at is the statement's tail from the
+// operand's first byte, for pinning errors.
+func parseOperand(text, at string) (isa.Operand, error) {
 	if text == "" {
 		return isa.Operand{}, fmt.Errorf("empty operand")
 	}
@@ -353,12 +342,13 @@ func parseOperand(text string) (isa.Operand, error) {
 	}
 	if strings.HasPrefix(memText, "[") {
 		if !strings.HasSuffix(memText, "]") {
-			return isa.Operand{}, fmt.Errorf("unterminated memory operand %q", text)
+			return isa.Operand{}, errAt(at, fmt.Errorf("unterminated memory operand %q", text))
 		}
-		return parseMem(memText[1:len(memText)-1], size)
+		// memText is a suffix of text; the body starts after its '['.
+		return parseMem(memText[1:len(memText)-1], size, at[len(text)-len(memText)+1:])
 	}
 	if size != isa.SizeNone {
-		return isa.Operand{}, fmt.Errorf("width prefix on non-memory operand %q", text)
+		return isa.Operand{}, errAt(at, fmt.Errorf("width prefix on non-memory operand %q", text))
 	}
 	// Immediate.
 	if v, err := strconv.ParseInt(text, 0, 64); err == nil {
@@ -369,12 +359,13 @@ func parseOperand(text string) (isa.Operand, error) {
 	if isIdent(text) {
 		return isa.Operand{Kind: isa.KindImm, Sym: text}, nil
 	}
-	return isa.Operand{}, fmt.Errorf("bad operand %q", text)
+	return isa.Operand{}, errAt(at, fmt.Errorf("bad operand %q", text))
 }
 
 // parseMem parses the inside of a bracketed effective address:
-// signed terms of the forms sym, base, index*scale and disp.
-func parseMem(body string, size isa.Size) (isa.Operand, error) {
+// signed terms of the forms sym, base, index*scale and disp. at is the
+// statement's tail from the body's first byte, for pinning errors.
+func parseMem(body string, size isa.Size, at string) (isa.Operand, error) {
 	o := isa.Operand{Kind: isa.KindMem, Size: size}
 	var disp int64
 	hasTerm := false
@@ -384,27 +375,30 @@ func parseMem(body string, size isa.Size) (isa.Operand, error) {
 			return o, fmt.Errorf("empty term in memory operand [%s]", body)
 		}
 		hasTerm = true
+		// The statement's tail from the term's first byte.
+		termAt := strings.TrimLeftFunc(at[t.off:], unicode.IsSpace)
 		switch {
 		case isInt(term) || strings.HasPrefix(term, "0x"):
 			v, err := strconv.ParseInt(term, 0, 64)
 			if err != nil {
-				return o, fmt.Errorf("bad displacement %q", term)
+				return o, errAt(termAt, fmt.Errorf("bad displacement %q", term))
 			}
 			if t.neg {
 				v = -v
 			}
 			disp += v
 		case t.neg:
-			return o, fmt.Errorf("negated non-numeric term %q", term)
+			return o, errAt(termAt, fmt.Errorf("negated non-numeric term %q", term))
 		case strings.ContainsRune(term, '*'):
 			regText, scaleText, _ := strings.Cut(term, "*")
 			r, ok := regLookup()[strings.TrimSpace(regText)]
 			if !ok || !r.IsGPR() {
-				return o, fmt.Errorf("bad index register %q", regText)
+				return o, errAt(termAt, fmt.Errorf("bad index register %q", regText))
 			}
 			scale, err := strconv.ParseUint(strings.TrimSpace(scaleText), 10, 8)
 			if err != nil || (scale != 1 && scale != 2 && scale != 4 && scale != 8) {
-				return o, fmt.Errorf("bad scale %q (want 1, 2, 4 or 8)", scaleText)
+				scaleAt := strings.TrimLeftFunc(termAt[len(regText)+1:], unicode.IsSpace)
+				return o, errAt(scaleAt, fmt.Errorf("bad scale %q (want 1, 2, 4 or 8)", scaleText))
 			}
 			if o.Index != isa.NoReg {
 				return o, fmt.Errorf("two index terms in [%s]", body)
@@ -413,7 +407,7 @@ func parseMem(body string, size isa.Size) (isa.Operand, error) {
 		default:
 			if r, ok := regLookup()[term]; ok {
 				if !r.IsGPR() {
-					return o, fmt.Errorf("non-GPR %q in address", term)
+					return o, errAt(termAt, fmt.Errorf("non-GPR %q in address", term))
 				}
 				switch {
 				case o.Reg == isa.NoReg:
@@ -426,7 +420,7 @@ func parseMem(body string, size isa.Size) (isa.Operand, error) {
 				continue
 			}
 			if !isIdent(term) {
-				return o, fmt.Errorf("bad address term %q", term)
+				return o, errAt(termAt, fmt.Errorf("bad address term %q", term))
 			}
 			if o.Sym != "" {
 				return o, fmt.Errorf("two symbols in [%s]", body)
@@ -447,6 +441,7 @@ func parseMem(body string, size isa.Size) (isa.Operand, error) {
 // signedTerm is one +/- separated component of an effective address.
 type signedTerm struct {
 	text string
+	off  int // text's byte offset in the address
 	neg  bool
 }
 
@@ -461,30 +456,37 @@ func splitTerms(body string) []signedTerm {
 				// A leading '-' signs the first term ("[-8]").
 				continue
 			}
-			out = append(out, signedTerm{text: body[start:i], neg: neg})
+			out = append(out, signedTerm{text: body[start:i], off: start, neg: neg})
 			neg = body[i] == '-'
 			start = i + 1
 		}
 	}
 	term := body[start:]
-	if strings.HasPrefix(strings.TrimSpace(body), "-") && len(out) == 0 {
-		term = strings.TrimPrefix(strings.TrimSpace(body), "-")
-		neg = true
+	if trimmed := strings.TrimSpace(body); strings.HasPrefix(trimmed, "-") && len(out) == 0 {
+		start = strings.IndexByte(body, '-') + 1
+		term, neg = trimmed[1:], true
 	}
-	out = append(out, signedTerm{text: term, neg: neg})
+	out = append(out, signedTerm{text: term, off: start, neg: neg})
 	return out
 }
 
+// parseIntList parses a directive's comma-separated values; text is the
+// statement's tail from the first value.
 func parseIntList(text string) ([]int64, error) {
 	var out []int64
-	for _, f := range strings.Split(text, ",") {
+	for tail := text; ; {
+		f, next, more := strings.Cut(tail, ",")
 		v, err := strconv.ParseInt(strings.TrimSpace(f), 0, 64)
 		if err != nil {
-			return nil, fmt.Errorf("bad value %q in data list", strings.TrimSpace(f))
+			return nil, errAt(strings.TrimLeftFunc(tail, unicode.IsSpace),
+				fmt.Errorf("bad value %q in data list", strings.TrimSpace(f)))
 		}
 		out = append(out, v)
+		if !more {
+			return out, nil
+		}
+		tail = next
 	}
-	return out, nil
 }
 
 // isInt reports whether s is a decimal integer (optionally signed).

@@ -5,6 +5,7 @@
 package asm_test
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -107,5 +108,44 @@ func TestParseSourceErrorStopsAtFirst(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "line 1:") || !strings.Contains(err.Error(), "bogus1") {
 		t.Errorf("error %q should report line 1 / bogus1 first", err)
+	}
+}
+
+// TestParseSourceErrorColumns pins every diagnostic that names a token to
+// that token's column, where the token also occurs earlier on the line.
+// A bare index and an unknown directive always start their statement, so
+// nothing can precede them but blanks.
+func TestParseSourceErrorColumns(t *testing.T) {
+	for _, tc := range []struct {
+		src  string
+		col  int
+		want string
+	}{
+		{"\t\t7", 3, `bare instruction index "7"`},
+		{"a: a:", 4, `asm(col): duplicate label "a"`},
+		{".proc .proc", 7, `.proc wants a name, got ".proc"`},
+		{".reserve r r", 12, `bad .reserve size "r"`},
+		{"  .dwordz d 1", 3, `unknown directive ".dwordz"`},
+		{"nop2: nop2", 7, `unknown mnemonic "nop2"`},
+		{"a1j: jmp 1j", 10, `jmp wants a label, got "1j"`},
+		{"a1x: mov eax, 1x", 15, `bad operand "1x"`},
+		{"mov [eax], [eax", 12, `unterminated memory operand "[eax"`},
+		{"a0xZZ: mov eax, [0xZZ]", 18, `bad displacement "0xZZ"`},
+		{"mov ebx, [eax-ebx]", 15, `negated non-numeric term "ebx"`},
+		{"movd mm0, [mm0*2]", 12, `bad index register "mm0"`},
+		{"a3: mov eax, [eax*3]", 19, `bad scale "3" (want 1, 2, 4 or 8)`},
+		{"movq mm0, [mm0]", 12, `non-GPR "mm0" in address`},
+		{"x1a: mov eax, [1a]", 16, `bad address term "1a"`},
+		{".words w 1, w", 13, `bad value "w" in data list`},
+	} {
+		_, err := asm.ParseSource("col", tc.src)
+		var se *asm.SourceError
+		if !errors.As(err, &se) {
+			t.Errorf("%q: error %v, want a SourceError", tc.src, err)
+			continue
+		}
+		if se.Line != 1 || se.Col != tc.col || se.Err.Error() != tc.want {
+			t.Errorf("%q: %d:%d %v, want 1:%d %s", tc.src, se.Line, se.Col, se.Err, tc.col, tc.want)
+		}
 	}
 }

@@ -14,11 +14,6 @@ type Image struct {
 	Pix []uint8
 }
 
-// New allocates a black image.
-func New(w, h int) *Image {
-	return &Image{W: w, H: h, Pix: make([]uint8, 3*w*h)}
-}
-
 // FromRGB wraps an existing RGB buffer.
 func FromRGB(w, h int, pix []uint8) (*Image, error) {
 	if len(pix) != 3*w*h {
@@ -31,12 +26,6 @@ func FromRGB(w, h int, pix []uint8) (*Image, error) {
 func (im *Image) At(x, y int) (r, g, b uint8) {
 	i := 3 * (y*im.W + x)
 	return im.Pix[i], im.Pix[i+1], im.Pix[i+2]
-}
-
-// Set writes the RGB components at (x, y).
-func (im *Image) Set(x, y int, r, g, b uint8) {
-	i := 3 * (y*im.W + x)
-	im.Pix[i], im.Pix[i+1], im.Pix[i+2] = r, g, b
 }
 
 const headerSize = 14 + 40 // BITMAPFILEHEADER + BITMAPINFOHEADER
@@ -94,15 +83,13 @@ func Decode(data []byte) (*Image, error) {
 	if int(offset)+stride*h > len(data) {
 		return nil, fmt.Errorf("bmp: truncated pixel data")
 	}
-	im := New(w, h)
+	pix := make([]uint8, 3*w*h)
 	for y := 0; y < h; y++ {
 		src := int(offset) + (h-1-y)*stride
 		for x := 0; x < w; x++ {
-			b := data[src+3*x]
-			g := data[src+3*x+1]
-			r := data[src+3*x+2]
-			im.Set(x, y, r, g, b)
+			i := 3 * (y*w + x)
+			pix[i], pix[i+1], pix[i+2] = data[src+3*x+2], data[src+3*x+1], data[src+3*x]
 		}
 	}
-	return im, nil
+	return &Image{W: w, H: h, Pix: pix}, nil
 }

@@ -33,7 +33,7 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := Decode([]byte("not a bmp")); err == nil {
 		t.Error("garbage must fail")
 	}
-	im := New(4, 4)
+	im := &Image{W: 4, H: 4, Pix: make([]uint8, 3*4*4)}
 	data := Encode(im)
 	if _, err := Decode(data[:20]); err == nil {
 		t.Error("truncated header must fail")
@@ -50,9 +50,13 @@ func TestFromRGBValidatesLength(t *testing.T) {
 	}
 }
 
-func TestSetAt(t *testing.T) {
-	im := New(3, 2)
-	im.Set(2, 1, 10, 20, 30)
+func TestAt(t *testing.T) {
+	pix := make([]uint8, 3*3*2)
+	copy(pix[3*(1*3+2):], []uint8{10, 20, 30})
+	im, err := FromRGB(3, 2, pix)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r, g, b := im.At(2, 1)
 	if r != 10 || g != 20 || b != 30 {
 		t.Errorf("At = %d,%d,%d", r, g, b)
@@ -62,7 +66,7 @@ func TestSetAt(t *testing.T) {
 func TestPaperSizedImage(t *testing.T) {
 	// The paper's jpeg input is a 118 kB bitmap; 224×160 at 24bpp with
 	// headers lands close.
-	im := New(224, 160)
+	im := &Image{W: 224, H: 160, Pix: make([]uint8, 3*224*160)}
 	data := Encode(im)
 	if len(data) < 100_000 || len(data) > 130_000 {
 		t.Errorf("encoded size = %d bytes, want ~118 kB", len(data))

@@ -139,12 +139,3 @@ func (s CacheSpec) Key() string {
 		l1Size, l1Ways, l2Size, l2Ways, line,
 		pen.DCacheMiss, pen.L2Access, pen.L2Miss)
 }
-
-// IsDefault reports whether the spec reproduces the standard hierarchy, so
-// callers can keep default-config requests on the exact default path.
-func (s CacheSpec) IsDefault() bool {
-	l1Size, l1Ways, l2Size, l2Ways, line, pen := s.effective()
-	return l1Size == defaultL1Size && l1Ways == defaultL1Ways &&
-		l2Size == defaultL2Size && l2Ways == defaultL2Ways &&
-		line == defaultLine && pen == mem.DefaultPenalties()
-}

@@ -103,66 +103,6 @@ func TestFFTRejectsBadLengths(t *testing.T) {
 	}
 }
 
-func TestFFTQ15SinglePeak(t *testing.T) {
-	// A full-scale Q15 tone at bin 5 must produce the spectral peak at
-	// bin 5 after the fixed-point FFT.
-	n := 64
-	re := make([]int16, n)
-	im := make([]int16, n)
-	for i := range re {
-		re[i] = fixed.ToQ15(0.9 * math.Cos(2*math.Pi*5*float64(i)/float64(n)))
-	}
-	scale, err := FFTQ15(re, im)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scale != 6 {
-		t.Errorf("scale = %d, want log2(64) = 6", scale)
-	}
-	best, bestMag := 0, 0.0
-	for k := 1; k < n/2; k++ {
-		mag := float64(re[k])*float64(re[k]) + float64(im[k])*float64(im[k])
-		if mag > bestMag {
-			best, bestMag = k, mag
-		}
-	}
-	if best != 5 {
-		t.Errorf("peak at bin %d, want 5", best)
-	}
-}
-
-func TestFFTQ15MatchesFloatWithinTolerance(t *testing.T) {
-	p := prng(1234)
-	n := 256
-	reF := make([]float64, n)
-	imF := make([]float64, n)
-	reQ := make([]int16, n)
-	imQ := make([]int16, n)
-	for i := range reF {
-		reF[i] = 0.5 * p.float()
-		imF[i] = 0.5 * p.float()
-		reQ[i] = fixed.ToQ15(reF[i])
-		imQ[i] = fixed.ToQ15(imF[i])
-	}
-	if err := FFT(reF, imF); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := FFTQ15(reQ, imQ); err != nil {
-		t.Fatal(err)
-	}
-	// The Q15 result is X[k]/N. Paper: "little loss of precision
-	// (order 10^-2) using the 16-bit data".
-	var worst float64
-	for k := 0; k < n; k++ {
-		d1 := math.Abs(fixed.FromQ15(reQ[k]) - reF[k]/float64(n))
-		d2 := math.Abs(fixed.FromQ15(imQ[k]) - imF[k]/float64(n))
-		worst = math.Max(worst, math.Max(d1, d2))
-	}
-	if worst > 1e-2 {
-		t.Errorf("worst Q15 FFT error %g, want <= 1e-2", worst)
-	}
-}
-
 func TestFIRImpulseResponseIsCoefficients(t *testing.T) {
 	coef := []float64{0.5, -0.25, 0.125, 1.0}
 	f := NewFIR(coef)
@@ -196,11 +136,9 @@ func TestFIRLinearity(t *testing.T) {
 		f1 := NewFIR(coef)
 		f2 := NewFIR(coef)
 		fm := NewFIR(coef)
-		y1 := f1.ProcessBlock(x1)
-		y2 := f2.ProcessBlock(x2)
-		ym := fm.ProcessBlock(mix)
-		for i := range ym {
-			if math.Abs(ym[i]-(a*y1[i]+b*y2[i])) > 1e-9 {
+		for i := range mix {
+			y1, y2, ym := f1.Process(x1[i]), f2.Process(x2[i]), fm.Process(mix[i])
+			if math.Abs(ym-(a*y1+b*y2)) > 1e-9 {
 				return false
 			}
 		}
@@ -235,7 +173,7 @@ func TestLowpassFIRFrequencyResponse(t *testing.T) {
 
 func TestFIRQ15TracksFloat(t *testing.T) {
 	coefF := LowpassFIR(35, 0.125)
-	coefQ := QuantizeQ15(coefF)
+	coefQ := fixed.VecToQ15(coefF)
 	ff := NewFIR(coefF)
 	fq := NewFIRQ15(coefQ)
 	p := prng(77)
@@ -251,15 +189,6 @@ func TestFIRQ15TracksFloat(t *testing.T) {
 	// 10^-4) because the error loss is not cumulative".
 	if worst > 1e-3 {
 		t.Errorf("worst FIR Q15 error %g, want < 1e-3", worst)
-	}
-}
-
-func TestFIRReset(t *testing.T) {
-	f := NewFIRQ15([]int16{16384, 8192})
-	f.Process(1000)
-	f.Reset()
-	if got := f.Process(0); got != 0 {
-		t.Errorf("after reset, zero input gives %d", got)
 	}
 }
 
@@ -341,74 +270,12 @@ func TestIIRQ15TracksFloatOverShortBlocks(t *testing.T) {
 	}
 }
 
-func TestDotAndMatVec(t *testing.T) {
-	x := []int16{1, 2, 3, 4}
-	y := []int16{5, 6, 7, 8}
-	if got := DotQ15(x, y); got != 70 {
-		t.Errorf("dot = %d, want 70", got)
-	}
-	m := []int16{
-		1, 0, 0, 0,
-		0, 2, 0, 0,
-		1, 1, 1, 1,
-	}
-	out := MatVecQ15(m, 3, 4, x, 0)
-	if out[0] != 1 || out[1] != 4 || out[2] != 10 {
-		t.Errorf("matvec = %v, want [1 4 10]", out)
-	}
-}
-
-func TestMatVecShiftAndSaturate(t *testing.T) {
-	m := []int16{32767, 32767}
-	v := []int16{32767, 32767}
-	out := MatVecQ15(m, 1, 2, v, 15)
-	want := int32((int64(32767) * 32767 * 2) >> 15)
-	if out[0] != want {
-		t.Errorf("shifted matvec = %d, want %d", out[0], want)
-	}
-}
-
-func TestVecOpsMatchScalarSemantics(t *testing.T) {
-	f := func(xs, ys [6]int16) bool {
-		x, y := xs[:], ys[:]
-		add := make([]int16, 6)
-		sub := make([]int16, 6)
-		mul := make([]int16, 6)
-		VecAddSatQ15(add, x, y)
-		VecSubSatQ15(sub, x, y)
-		VecMulQ15(mul, x, y)
-		for i := range x {
-			if add[i] != fixed.SatW(int32(x[i])+int32(y[i])) {
-				return false
-			}
-			if sub[i] != fixed.SatW(int32(x[i])-int32(y[i])) {
-				return false
-			}
-			if mul[i] != fixed.MulQ15(x[i], y[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestByteOps(t *testing.T) {
 	in := []uint8{0, 100, 200, 255}
 	out := make([]uint8, 4)
 	ScaleBytes(out, in, 3, 4)
 	if out[0] != 0 || out[1] != 75 || out[2] != 150 || out[3] != 191 {
 		t.Errorf("ScaleBytes = %v", out)
-	}
-	AddBytesSat(out, in, 100)
-	if out[0] != 100 || out[2] != 255 || out[3] != 255 {
-		t.Errorf("AddBytesSat = %v", out)
-	}
-	AddBytesSat(out, in, -150)
-	if out[0] != 0 || out[2] != 50 {
-		t.Errorf("AddBytesSat neg = %v", out)
 	}
 }
 

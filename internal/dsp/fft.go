@@ -89,105 +89,6 @@ func PeakIndex(v []float64) int {
 	return best
 }
 
-// FFTQ15 computes an in-place block-scaled radix-2 DIT FFT on Q15 data.
-// Each butterfly stage divides by two (arithmetic shift), so the output is
-// X[k]/N in Q15 and never overflows. The returned scale is always log2(N),
-// reported for callers that need absolute magnitudes. This is the 16-bit
-// strategy the early Intel MMX library used before reverting to a hybrid
-// float implementation, per the paper's §4.1 discussion.
-func FFTQ15(re, im []int16) (scale int, err error) {
-	n := len(re)
-	if len(im) != n {
-		return 0, fmt.Errorf("dsp: FFTQ15 length mismatch")
-	}
-	if n == 0 || n&(n-1) != 0 {
-		return 0, fmt.Errorf("dsp: FFTQ15 length %d is not a power of two", n)
-	}
-	bitReverseQ15(re, im)
-	tw := TwiddlesQ15(n)
-	for size := 2; size <= n; size <<= 1 {
-		half := size / 2
-		step := n / size
-		for start := 0; start < n; start += size {
-			for k := 0; k < half; k++ {
-				wr := int32(tw.Cos[k*step])
-				wi := int32(tw.Sin[k*step])
-				i, j := start+k, start+k+half
-				// Twiddle multiply in Q15 with rounding.
-				tr := (wr*int32(re[j]) - wi*int32(im[j]) + (1 << 14)) >> 15
-				ti := (wr*int32(im[j]) + wi*int32(re[j]) + (1 << 14)) >> 15
-				// Scale both butterfly results by 1/2 to prevent growth;
-				// saturate on the (rare) residual overflow, matching the
-				// packssdw store of the MMX implementation.
-				re[j] = satW((int32(re[i]) - tr) >> 1)
-				im[j] = satW((int32(im[i]) - ti) >> 1)
-				re[i] = satW((int32(re[i]) + tr) >> 1)
-				im[i] = satW((int32(im[i]) + ti) >> 1)
-			}
-		}
-		scale++
-	}
-	return scale, nil
-}
-
-func satW(v int32) int16 {
-	if v > 32767 {
-		return 32767
-	}
-	if v < -32768 {
-		return -32768
-	}
-	return int16(v)
-}
-
-func bitReverseQ15(re, im []int16) {
-	n := len(re)
-	j := 0
-	for i := 1; i < n; i++ {
-		bit := n >> 1
-		for ; j&bit != 0; bit >>= 1 {
-			j ^= bit
-		}
-		j |= bit
-		if i < j {
-			re[i], re[j] = re[j], re[i]
-			im[i], im[j] = im[j], im[i]
-		}
-	}
-}
-
-// Twiddles holds a Q15 twiddle-factor table: Cos[k] = cos(2πk/N),
-// Sin[k] = -sin(2πk/N) for k in [0, N/2).
-type Twiddles struct {
-	Cos, Sin []int16
-}
-
-// TwiddlesQ15 builds the Q15 twiddle table for an N-point forward FFT.
-func TwiddlesQ15(n int) Twiddles {
-	half := n / 2
-	t := Twiddles{Cos: make([]int16, half), Sin: make([]int16, half)}
-	for k := 0; k < half; k++ {
-		ang := 2 * math.Pi * float64(k) / float64(n)
-		t.Cos[k] = q15FromUnit(math.Cos(ang))
-		t.Sin[k] = q15FromUnit(-math.Sin(ang))
-	}
-	return t
-}
-
-// q15FromUnit quantizes a twiddle component to Q15, clamping symmetrically
-// to ±32767 so that every table entry can be negated without overflow (the
-// MMX FFT packs (wr, -wi, wi, wr) quads for pmaddwd).
-func q15FromUnit(v float64) int16 {
-	s := math.Round(v * 32768)
-	if s > 32767 {
-		s = 32767
-	}
-	if s < -32767 {
-		s = -32767
-	}
-	return int16(s)
-}
-
 // DFTNaive computes the O(N^2) discrete Fourier transform, used as the
 // correctness oracle in tests.
 func DFTNaive(re, im []float64) (outRe, outIm []float64) {

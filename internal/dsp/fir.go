@@ -1,8 +1,6 @@
-// Package dsp is the pure-Go reference signal-processing library: FIR and
-// IIR filters, FFTs, matrix-vector arithmetic and DCTs in both
-// floating-point and Q15 fixed-point forms. The VM benchmark programs are
-// validated against these implementations, and the package doubles as the
-// library a downstream user would adopt directly.
+// Package dsp holds the pure-Go reference signal processing the benchmark
+// programs are built from and checked against: FIR and IIR filters, the
+// FFT and 8-point DCTs, in floating-point and Q15 fixed-point forms.
 package dsp
 
 import (
@@ -28,17 +26,6 @@ func NewFIR(coef []float64) *FIR {
 	return &FIR{coef: c, hist: make([]float64, len(coef))}
 }
 
-// Len returns the number of taps.
-func (f *FIR) Len() int { return len(f.coef) }
-
-// Reset clears the filter history.
-func (f *FIR) Reset() {
-	for i := range f.hist {
-		f.hist[i] = 0
-	}
-	f.pos = 0
-}
-
 // Process consumes one sample and returns the filter output.
 func (f *FIR) Process(x float64) float64 {
 	// Circular history: pos points at the slot for the newest sample.
@@ -59,15 +46,6 @@ func (f *FIR) Process(x float64) float64 {
 	return acc
 }
 
-// ProcessBlock filters a whole slice, returning the outputs.
-func (f *FIR) ProcessBlock(x []float64) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = f.Process(v)
-	}
-	return out
-}
-
 // FIRQ15 is the 16-bit fixed-point FIR used by the MMX benchmark versions:
 // Q15 coefficients and history, a 32-bit accumulator, single rounding at
 // the output.
@@ -82,17 +60,6 @@ func NewFIRQ15(coef []int16) *FIRQ15 {
 	c := make([]int16, len(coef))
 	copy(c, coef)
 	return &FIRQ15{coef: c, hist: make([]int16, len(coef))}
-}
-
-// Len returns the number of taps.
-func (f *FIRQ15) Len() int { return len(f.coef) }
-
-// Reset clears the filter history.
-func (f *FIRQ15) Reset() {
-	for i := range f.hist {
-		f.hist[i] = 0
-	}
-	f.pos = 0
 }
 
 // Process consumes one Q15 sample and returns the Q15 output with
@@ -114,15 +81,6 @@ func (f *FIRQ15) Process(x int16) int16 {
 		f.pos = 0
 	}
 	return fixed.NarrowQ30(acc)
-}
-
-// ProcessBlock filters a whole slice.
-func (f *FIRQ15) ProcessBlock(x []int16) []int16 {
-	out := make([]int16, len(x))
-	for i, v := range x {
-		out[i] = f.Process(v)
-	}
-	return out
 }
 
 // LowpassFIR designs an N-tap windowed-sinc low-pass filter with the given

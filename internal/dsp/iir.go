@@ -1,10 +1,6 @@
 package dsp
 
-import (
-	"math"
-
-	"mmxdsp/internal/fixed"
-)
+import "math"
 
 // IIR is a direct-form-I infinite-impulse-response filter:
 //
@@ -32,19 +28,6 @@ func NewIIR(b, a []float64) *IIR {
 		na[i] = a[i+1] / a[0]
 	}
 	return &IIR{b: nb, a: na, xh: make([]float64, len(nb)), yh: make([]float64, len(na))}
-}
-
-// Order returns the filter order (denominator length).
-func (f *IIR) Order() int { return len(f.a) }
-
-// Reset clears both delay lines.
-func (f *IIR) Reset() {
-	for i := range f.xh {
-		f.xh[i] = 0
-	}
-	for i := range f.yh {
-		f.yh[i] = 0
-	}
 }
 
 // Process consumes one sample and returns the output.
@@ -134,16 +117,6 @@ func (f *IIRQ15) Coefs() (b, a []int16) { return f.b, f.a }
 // FracBits returns the coefficient fraction-bit count chosen by the
 // constructor.
 func (f *IIRQ15) FracBits() uint { return f.fracBits }
-
-// Reset clears both delay lines.
-func (f *IIRQ15) Reset() {
-	for i := range f.xh {
-		f.xh[i] = 0
-	}
-	for i := range f.yh {
-		f.yh[i] = 0
-	}
-}
 
 // Process consumes one Q15 sample and returns the Q15 output.
 func (f *IIRQ15) Process(x int16) int16 {
@@ -283,7 +256,3 @@ func cSqrt(z complex128) complex128 {
 }
 
 func cAbs(z complex128) float64 { return math.Hypot(real(z), imag(z)) }
-
-// QuantizeQ15 converts a float slice to Q15 (convenience re-export used by
-// benchmark construction).
-func QuantizeQ15(v []float64) []int16 { return fixed.VecToQ15(v) }

@@ -1,84 +1,5 @@
 package dsp
 
-import "mmxdsp/internal/fixed"
-
-// DotQ15 computes the 16-bit dot product with a 64-bit accumulator,
-// returning the raw Q30 sum (no narrowing) — the form the matvec benchmark
-// stores as 32-bit results.
-func DotQ15(x, y []int16) int64 {
-	var acc int64
-	for i := range x {
-		acc += int64(x[i]) * int64(y[i])
-	}
-	return acc
-}
-
-// MatVecQ15 multiplies an r×c matrix (row-major) by a length-c vector,
-// producing r 32-bit results with each row's Q30 accumulator narrowed by
-// the given right shift and saturated to 32 bits (shift 0 keeps raw sums;
-// the 512-element rows of the paper's workload cannot overflow 63 bits).
-func MatVecQ15(m []int16, rows, cols int, v []int16, shift uint) []int32 {
-	out := make([]int32, rows)
-	for r := 0; r < rows; r++ {
-		acc := DotQ15(m[r*cols:(r+1)*cols], v) >> shift
-		if acc > 2147483647 {
-			acc = 2147483647
-		}
-		if acc < -2147483648 {
-			acc = -2147483648
-		}
-		out[r] = int32(acc)
-	}
-	return out
-}
-
-// VecAddSatQ15 adds two Q15 vectors with saturation into out.
-func VecAddSatQ15(out, x, y []int16) {
-	for i := range out {
-		out[i] = fixed.SatW(int32(x[i]) + int32(y[i]))
-	}
-}
-
-// VecSubSatQ15 subtracts y from x with saturation into out.
-func VecSubSatQ15(out, x, y []int16) {
-	for i := range out {
-		out[i] = fixed.SatW(int32(x[i]) - int32(y[i]))
-	}
-}
-
-// VecMulQ15 multiplies two Q15 vectors element-wise (fractional multiply,
-// single rounding) into out.
-func VecMulQ15(out, x, y []int16) {
-	for i := range out {
-		out[i] = fixed.MulQ15(x[i], y[i])
-	}
-}
-
-// VecScaleQ15 multiplies a Q15 vector by a Q15 scalar into out.
-func VecScaleQ15(out, x []int16, s int16) {
-	for i := range out {
-		out[i] = fixed.MulQ15(x[i], s)
-	}
-}
-
-// DotFloat computes the float64 dot product.
-func DotFloat(x, y []float64) float64 {
-	var acc float64
-	for i := range x {
-		acc += x[i] * y[i]
-	}
-	return acc
-}
-
-// MatVecFloat multiplies an r×c row-major matrix by a vector.
-func MatVecFloat(m []float64, rows, cols int, v []float64) []float64 {
-	out := make([]float64, rows)
-	for r := 0; r < rows; r++ {
-		out[r] = DotFloat(m[r*cols:(r+1)*cols], v)
-	}
-	return out
-}
-
 // ScaleBytes scales unsigned 8-bit pixels by num/den with unsigned
 // saturation — the reference for the image benchmark's dimming pass
 // (den is a power of two in the MMX implementation).
@@ -87,21 +8,6 @@ func ScaleBytes(out, in []uint8, num, den int) {
 		v := int(in[i]) * num / den
 		if v > 255 {
 			v = 255
-		}
-		out[i] = uint8(v)
-	}
-}
-
-// AddBytesSat adds a constant to unsigned 8-bit pixels with saturation —
-// the reference for the image benchmark's color-switch pass.
-func AddBytesSat(out, in []uint8, add int) {
-	for i := range out {
-		v := int(in[i]) + add
-		if v > 255 {
-			v = 255
-		}
-		if v < 0 {
-			v = 0
 		}
 		out[i] = uint8(v)
 	}

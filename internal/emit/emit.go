@@ -56,16 +56,3 @@ func HSumD(b *asm.Builder, mm, scratch isa.Reg) {
 	b.I(isa.PSRLQ, asm.R(scratch), asm.Imm(32))
 	b.I(isa.PADDD, asm.R(mm), asm.R(scratch))
 }
-
-// Counter emits the standard count-up loop skeleton: it initializes reg to
-// 0 and returns a function that emits the increment/compare/branch tail
-// back to the label.
-func Counter(b *asm.Builder, reg isa.Reg, label string) func(step, limit isa.Operand) {
-	b.I(isa.MOV, asm.R(reg), asm.Imm(0))
-	b.Label(label)
-	return func(step, limit isa.Operand) {
-		b.I(isa.ADD, asm.R(reg), step)
-		b.I(isa.CMP, asm.R(reg), limit)
-		b.J(isa.JL, label)
-	}
-}

@@ -75,17 +75,3 @@ func TestHSumD(t *testing.T) {
 		t.Errorf("hsum = %d, want 70", got)
 	}
 }
-
-func TestCounter(t *testing.T) {
-	c := run(t, func(b *asm.Builder) {
-		b.Proc("main")
-		b.I(isa.MOV, asm.R(isa.EAX), asm.Imm(0))
-		tail := Counter(b, isa.ECX, "loop")
-		b.I(isa.ADD, asm.R(isa.EAX), asm.Imm(2))
-		tail(asm.Imm(1), asm.Imm(10))
-		b.I(isa.HALT)
-	})
-	if got := c.GPR(isa.EAX); got != 20 {
-		t.Errorf("counter loop ran %d/2 times, want 10", got/2)
-	}
-}

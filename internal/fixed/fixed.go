@@ -1,17 +1,12 @@
-// Package fixed provides Q15/Q7 fixed-point arithmetic helpers shared by
-// the reference DSP implementations and the tests.
+// Package fixed provides Q15 fixed-point arithmetic helpers shared by the
+// reference DSP implementations and the tests.
 //
-// Q15 stores a real value v in [-1, 1) as round(v * 32768) in an int16;
-// Q7 stores v in [-1, 1) as round(v * 128) in an int8. All narrowing
-// conversions saturate, matching MMX saturation semantics.
+// Q15 stores a real value v in [-1, 1) as round(v * 32768) in an int16.
+// All narrowing conversions saturate, matching MMX saturation semantics.
 package fixed
 
-// Q15 constants.
-const (
-	Q15One  = 32767  // largest representable Q15 value
-	Q15Min  = -32768 // smallest representable Q15 value
-	Q15Unit = 32768  // scale factor: 1.0 in Q15 (not itself representable)
-)
+// Q15Unit is the Q15 scale factor: 1.0 in Q15 (not itself representable).
+const Q15Unit = 32768
 
 // SatW saturates a 32-bit value to the signed 16-bit range.
 func SatW(v int32) int16 {
@@ -22,39 +17,6 @@ func SatW(v int32) int16 {
 		return -32768
 	}
 	return int16(v)
-}
-
-// SatB saturates a 32-bit value to the signed 8-bit range.
-func SatB(v int32) int8 {
-	if v > 127 {
-		return 127
-	}
-	if v < -128 {
-		return -128
-	}
-	return int8(v)
-}
-
-// SatUB saturates a 32-bit value to the unsigned 8-bit range.
-func SatUB(v int32) uint8 {
-	if v > 255 {
-		return 255
-	}
-	if v < 0 {
-		return 0
-	}
-	return uint8(v)
-}
-
-// SatUW saturates a 32-bit value to the unsigned 16-bit range.
-func SatUW(v int32) uint16 {
-	if v > 65535 {
-		return 65535
-	}
-	if v < 0 {
-		return 0
-	}
-	return uint16(v)
 }
 
 // ToQ15 converts a real value to Q15 with rounding and saturation.
@@ -70,20 +32,6 @@ func ToQ15(v float64) int16 {
 
 // FromQ15 converts a Q15 value back to a real value.
 func FromQ15(v int16) float64 { return float64(v) / Q15Unit }
-
-// ToQ7 converts a real value to Q7 with rounding and saturation.
-func ToQ7(v float64) int8 {
-	s := v * 128
-	if s >= 0 {
-		s += 0.5
-	} else {
-		s -= 0.5
-	}
-	return SatB(clamp32(s))
-}
-
-// FromQ7 converts a Q7 value back to a real value.
-func FromQ7(v int8) float64 { return float64(v) / 128 }
 
 // MulQ15 multiplies two Q15 values producing a Q15 value (single rounding,
 // saturating). This matches the classic DSP fractional multiply:
@@ -125,15 +73,6 @@ func VecToQ15(v []float64) []int16 {
 	out := make([]int16, len(v))
 	for i, x := range v {
 		out[i] = ToQ15(x)
-	}
-	return out
-}
-
-// VecFromQ15 converts a Q15 slice to float64.
-func VecFromQ15(v []int16) []float64 {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = FromQ15(x)
 	}
 	return out
 }

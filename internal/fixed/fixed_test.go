@@ -22,48 +22,6 @@ func TestSatW(t *testing.T) {
 	}
 }
 
-func TestSatB(t *testing.T) {
-	cases := []struct {
-		in   int32
-		want int8
-	}{
-		{0, 0}, {127, 127}, {128, 127}, {-128, -128}, {-129, -128}, {1000, 127}, {-1000, -128},
-	}
-	for _, c := range cases {
-		if got := SatB(c.in); got != c.want {
-			t.Errorf("SatB(%d) = %d, want %d", c.in, got, c.want)
-		}
-	}
-}
-
-func TestSatUB(t *testing.T) {
-	cases := []struct {
-		in   int32
-		want uint8
-	}{
-		{0, 0}, {255, 255}, {256, 255}, {-1, 0}, {1000, 255},
-	}
-	for _, c := range cases {
-		if got := SatUB(c.in); got != c.want {
-			t.Errorf("SatUB(%d) = %d, want %d", c.in, got, c.want)
-		}
-	}
-}
-
-func TestSatUW(t *testing.T) {
-	cases := []struct {
-		in   int32
-		want uint16
-	}{
-		{0, 0}, {65535, 65535}, {65536, 65535}, {-1, 0},
-	}
-	for _, c := range cases {
-		if got := SatUW(c.in); got != c.want {
-			t.Errorf("SatUW(%d) = %d, want %d", c.in, got, c.want)
-		}
-	}
-}
-
 func TestQ15RoundTripExact(t *testing.T) {
 	// Every representable Q15 value must round-trip exactly.
 	for v := -32768; v <= 32767; v += 97 {
@@ -89,25 +47,13 @@ func TestToQ15Saturates(t *testing.T) {
 	}
 }
 
-func TestToQ7Saturates(t *testing.T) {
-	if got := ToQ7(1.0); got != 127 {
-		t.Errorf("ToQ7(1.0) = %d, want 127", got)
-	}
-	if got := ToQ7(-1.0); got != -128 {
-		t.Errorf("ToQ7(-1.0) = %d, want -128", got)
-	}
-	if got := ToQ7(0.5); got != 64 {
-		t.Errorf("ToQ7(0.5) = %d, want 64", got)
-	}
-}
-
 func TestMulQ15Basics(t *testing.T) {
 	half := ToQ15(0.5)
 	quarter := MulQ15(half, half)
 	if math.Abs(FromQ15(quarter)-0.25) > 1e-3 {
 		t.Errorf("0.5*0.5 = %v, want ~0.25", FromQ15(quarter))
 	}
-	// -1 * -1 saturates to Q15One rather than overflowing.
+	// -1 * -1 saturates to 32767 rather than overflowing.
 	if got := MulQ15(-32768, -32768); got != 32767 {
 		t.Errorf("MulQ15(-1,-1) = %d, want 32767", got)
 	}
@@ -159,10 +105,9 @@ func TestNarrowQ30Saturates(t *testing.T) {
 func TestVecConversions(t *testing.T) {
 	in := []float64{0, 0.25, -0.25, 0.999, -0.999}
 	q := VecToQ15(in)
-	out := VecFromQ15(q)
 	for i := range in {
-		if math.Abs(in[i]-out[i]) > 1.0/Q15Unit {
-			t.Errorf("vec round trip [%d]: %v -> %v", i, in[i], out[i])
+		if out := FromQ15(q[i]); math.Abs(in[i]-out) > 1.0/Q15Unit {
+			t.Errorf("vec round trip [%d]: %v -> %v", i, in[i], out)
 		}
 	}
 }
@@ -173,7 +118,7 @@ func TestSatMonotonic(t *testing.T) {
 		if a > b {
 			a, b = b, a
 		}
-		return SatW(a) <= SatW(b) && SatB(a) <= SatB(b)
+		return SatW(a) <= SatW(b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -1,21 +1,7 @@
-// Package jpegenc is a from-scratch baseline JPEG (JFIF) encoder: color
-// conversion, 8×8 forward DCT, quantization, zig-zag ordering and Huffman
-// entropy coding with the ITU-T T.81 Annex K tables. It exists as the
-// pure-Go reference for the jpeg benchmark — the same pipeline the VM
-// programs implement — and its output is validated by decoding with the
-// standard library's image/jpeg.
-//
-// The encoder uses 4:4:4 sampling (no chroma subsampling); the paper's
-// encoder workload is dominated by color conversion, DCT and quantization,
-// which are unaffected by the subsampling choice.
+// Package jpegenc holds the baseline JPEG tables the jpeg benchmark
+// programs and their references share: the ITU-T T.81 Annex K luminance
+// quantization table, its IJG quality scaling and the zig-zag order.
 package jpegenc
-
-import (
-	"bytes"
-
-	"mmxdsp/internal/bmp"
-	"mmxdsp/internal/dsp"
-)
 
 // Quality scales the quantization tables like IJG cjpeg (1..100).
 type Quality int
@@ -31,18 +17,6 @@ var StdLuminanceQuant = [64]int{
 	24, 35, 55, 64, 81, 104, 113, 92,
 	49, 64, 78, 87, 103, 121, 120, 101,
 	72, 92, 95, 98, 112, 100, 103, 99,
-}
-
-// StdChrominanceQuant is the Annex K chrominance table.
-var StdChrominanceQuant = [64]int{
-	17, 18, 24, 47, 99, 99, 99, 99,
-	18, 21, 26, 66, 99, 99, 99, 99,
-	24, 26, 56, 99, 99, 99, 99, 99,
-	47, 66, 99, 99, 99, 99, 99, 99,
-	99, 99, 99, 99, 99, 99, 99, 99,
-	99, 99, 99, 99, 99, 99, 99, 99,
-	99, 99, 99, 99, 99, 99, 99, 99,
-	99, 99, 99, 99, 99, 99, 99, 99,
 }
 
 // ZigZag maps zig-zag order to natural order: natural = ZigZag[z].
@@ -84,187 +58,4 @@ func ScaleQuant(base [64]int, q Quality) [64]int {
 		out[i] = s
 	}
 	return out
-}
-
-// RGBToYCbCr converts one pixel with the BT.601 full-range matrix, the same
-// integer-free form the reference float pipeline uses.
-func RGBToYCbCr(r, g, b uint8) (y, cb, cr float64) {
-	rf, gf, bf := float64(r), float64(g), float64(b)
-	y = 0.299*rf + 0.587*gf + 0.114*bf
-	cb = 128 - 0.168736*rf - 0.331264*gf + 0.5*bf
-	cr = 128 + 0.5*rf - 0.418688*gf - 0.081312*bf
-	return
-}
-
-// Encoder compresses images at a fixed quality.
-type Encoder struct {
-	quality Quality
-	yQ, cQ  [64]int
-}
-
-// NewEncoder builds an encoder with IJG-style quality scaling.
-func NewEncoder(q Quality) *Encoder {
-	return &Encoder{
-		quality: q,
-		yQ:      ScaleQuant(StdLuminanceQuant, q),
-		cQ:      ScaleQuant(StdChrominanceQuant, q),
-	}
-}
-
-// BlocksFor returns how many 8×8 blocks cover a w×h image per component.
-func BlocksFor(w, h int) int { return ((w + 7) / 8) * ((h + 7) / 8) }
-
-// Encode compresses the image to a JFIF byte stream.
-func (e *Encoder) Encode(im *bmp.Image) []byte {
-	var buf bytes.Buffer
-	writeMarkers(&buf, im.W, im.H, &e.yQ, &e.cQ)
-
-	bw := newBitWriter(&buf)
-	mcuW := (im.W + 7) / 8
-	mcuH := (im.H + 7) / 8
-	var dcY, dcCb, dcCr int
-	var yBlk, cbBlk, crBlk [64]float64
-	for by := 0; by < mcuH; by++ {
-		for bx := 0; bx < mcuW; bx++ {
-			extractBlock(im, bx*8, by*8, &yBlk, &cbBlk, &crBlk)
-			dcY = encodeBlock(bw, &yBlk, &e.yQ, dcY, &dcLumTable, &acLumTable)
-			dcCb = encodeBlock(bw, &cbBlk, &e.cQ, dcCb, &dcChromaTable, &acChromaTable)
-			dcCr = encodeBlock(bw, &crBlk, &e.cQ, dcCr, &dcChromaTable, &acChromaTable)
-		}
-	}
-	bw.flush()
-	buf.Write([]byte{0xFF, 0xD9}) // EOI
-	return buf.Bytes()
-}
-
-// extractBlock reads an 8×8 tile (edge-clamped) and converts it to level
-// shifted YCbCr planes.
-func extractBlock(im *bmp.Image, x0, y0 int, y, cb, cr *[64]float64) {
-	for dy := 0; dy < 8; dy++ {
-		sy := y0 + dy
-		if sy >= im.H {
-			sy = im.H - 1
-		}
-		for dx := 0; dx < 8; dx++ {
-			sx := x0 + dx
-			if sx >= im.W {
-				sx = im.W - 1
-			}
-			r, g, b := im.At(sx, sy)
-			yy, cc, rr := RGBToYCbCr(r, g, b)
-			i := dy*8 + dx
-			y[i] = yy - 128 // level shift
-			cb[i] = cc - 128
-			cr[i] = rr - 128
-		}
-	}
-}
-
-// QuantizeBlock transforms and quantizes one block, returning the 64
-// coefficients in natural order.
-func QuantizeBlock(blk *[64]float64, q *[64]int) [64]int {
-	var freq [64]float64
-	dsp.DCT2D8(freq[:], blk[:])
-	var out [64]int
-	for i := range out {
-		v := freq[i] / float64(q[i])
-		if v >= 0 {
-			out[i] = int(v + 0.5)
-		} else {
-			out[i] = int(v - 0.5)
-		}
-	}
-	return out
-}
-
-// encodeBlock transforms, quantizes and entropy-codes one block, returning
-// the new DC predictor.
-func encodeBlock(bw *bitWriter, blk *[64]float64, q *[64]int, dcPred int,
-	dcT, acT *huffTable) int {
-
-	coef := QuantizeBlock(blk, q)
-
-	// DC difference.
-	dc := coef[0]
-	diff := dc - dcPred
-	size := bitSize(diff)
-	bw.write(dcT.code[size], dcT.bits[size])
-	if size > 0 {
-		bw.write(uint32(encodeMagnitude(diff, size)), size)
-	}
-
-	// AC run-length coding in zig-zag order.
-	run := 0
-	for z := 1; z < 64; z++ {
-		v := coef[ZigZag[z]]
-		if v == 0 {
-			run++
-			continue
-		}
-		for run >= 16 {
-			bw.write(acT.code[0xF0], acT.bits[0xF0]) // ZRL
-			run -= 16
-		}
-		size := bitSize(v)
-		sym := run<<4 | size
-		bw.write(acT.code[sym], acT.bits[sym])
-		bw.write(uint32(encodeMagnitude(v, size)), size)
-		run = 0
-	}
-	if run > 0 {
-		bw.write(acT.code[0x00], acT.bits[0x00]) // EOB
-	}
-	return dc
-}
-
-// bitSize returns the JPEG magnitude category of v.
-func bitSize(v int) int {
-	if v < 0 {
-		v = -v
-	}
-	n := 0
-	for v > 0 {
-		n++
-		v >>= 1
-	}
-	return n
-}
-
-// encodeMagnitude returns the size-bit two's-complement-style encoding of v
-// (negative values use the one's complement form T.81 requires).
-func encodeMagnitude(v, size int) int {
-	if v >= 0 {
-		return v
-	}
-	return v + (1 << size) - 1
-}
-
-// bitWriter packs MSB-first bits with 0xFF byte stuffing.
-type bitWriter struct {
-	out  *bytes.Buffer
-	acc  uint32
-	bits int
-}
-
-func newBitWriter(out *bytes.Buffer) *bitWriter { return &bitWriter{out: out} }
-
-func (w *bitWriter) write(code uint32, n int) {
-	w.acc = w.acc<<uint(n) | (code & (1<<uint(n) - 1))
-	w.bits += n
-	for w.bits >= 8 {
-		b := byte(w.acc >> uint(w.bits-8))
-		w.out.WriteByte(b)
-		if b == 0xFF {
-			w.out.WriteByte(0x00)
-		}
-		w.bits -= 8
-	}
-}
-
-func (w *bitWriter) flush() {
-	if w.bits > 0 {
-		// Pad with 1 bits as T.81 requires.
-		pad := 8 - w.bits
-		w.write(1<<uint(pad)-1, pad)
-	}
 }

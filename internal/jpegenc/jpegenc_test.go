@@ -1,136 +1,6 @@
 package jpegenc
 
-import (
-	"bytes"
-	"image"
-	"image/jpeg"
-	"math"
-	"testing"
-
-	"mmxdsp/internal/bmp"
-	"mmxdsp/internal/synth"
-)
-
-func testImage(w, h int) *bmp.Image {
-	im, err := bmp.FromRGB(w, h, synth.ImageRGB(w, h, 1))
-	if err != nil {
-		panic(err)
-	}
-	return im
-}
-
-// decode uses the standard library as an independent decoder.
-func decode(t *testing.T, data []byte) image.Image {
-	t.Helper()
-	img, err := jpeg.Decode(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("stdlib cannot decode our JPEG: %v", err)
-	}
-	return img
-}
-
-func TestEncodeDecodableByStdlib(t *testing.T) {
-	im := testImage(64, 48)
-	data := NewEncoder(75).Encode(im)
-	img := decode(t, data)
-	if img.Bounds().Dx() != 64 || img.Bounds().Dy() != 48 {
-		t.Fatalf("decoded size %v", img.Bounds())
-	}
-}
-
-func TestEncodePSNR(t *testing.T) {
-	im := testImage(80, 64)
-	data := NewEncoder(90).Encode(im)
-	img := decode(t, data)
-	var mse float64
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			r, g, b := im.At(x, y)
-			dr, dg, db, _ := img.At(x, y).RGBA()
-			e1 := float64(r) - float64(dr>>8)
-			e2 := float64(g) - float64(dg>>8)
-			e3 := float64(b) - float64(db>>8)
-			mse += e1*e1 + e2*e2 + e3*e3
-		}
-	}
-	mse /= float64(3 * im.W * im.H)
-	psnr := 10 * math.Log10(255*255/mse)
-	// The paper: "medium compression ratios may produce no visible change".
-	if psnr < 30 {
-		t.Errorf("PSNR = %.1f dB at q90, want >= 30", psnr)
-	}
-}
-
-func TestQualityTradesSizeForFidelity(t *testing.T) {
-	im := testImage(96, 96)
-	lo := NewEncoder(20).Encode(im)
-	hi := NewEncoder(95).Encode(im)
-	if len(lo) >= len(hi) {
-		t.Errorf("q20 size %d >= q95 size %d", len(lo), len(hi))
-	}
-	decode(t, lo)
-	decode(t, hi)
-}
-
-func TestCompressionRatioRoughlyPaperLike(t *testing.T) {
-	// The paper turns a 118 kB bitmap into a 7 kB JPEG (~17:1). Our
-	// synthetic image at quality 50 should land within a broad band.
-	im := testImage(224, 160) // ~105 kB of RGB, like the paper's input
-	raw := 3 * im.W * im.H
-	data := NewEncoder(50).Encode(im)
-	ratio := float64(raw) / float64(len(data))
-	if ratio < 5 || ratio > 80 {
-		t.Errorf("compression ratio = %.1f (raw %d, jpeg %d), want 5..80",
-			ratio, raw, len(data))
-	}
-}
-
-func TestNonMultipleOf8Dimensions(t *testing.T) {
-	im := testImage(37, 23)
-	data := NewEncoder(75).Encode(im)
-	img := decode(t, data)
-	if img.Bounds().Dx() != 37 || img.Bounds().Dy() != 23 {
-		t.Fatalf("decoded size %v, want 37x23", img.Bounds())
-	}
-}
-
-func TestFlatImageCompressesExtremelyWell(t *testing.T) {
-	im := bmp.New(64, 64)
-	for i := range im.Pix {
-		im.Pix[i] = 128
-	}
-	data := NewEncoder(75).Encode(im)
-	if len(data) > 2000 {
-		t.Errorf("flat image encoded to %d bytes, want < 2000", len(data))
-	}
-	img := decode(t, data)
-	r, g, b, _ := img.At(32, 32).RGBA()
-	for _, v := range []uint32{r >> 8, g >> 8, b >> 8} {
-		if v < 120 || v > 136 {
-			t.Errorf("flat gray decoded to %d, want ~128", v)
-		}
-	}
-}
-
-func TestBitSizeAndMagnitude(t *testing.T) {
-	cases := []struct{ v, size, mag int }{
-		{0, 0, 0},
-		{1, 1, 1}, {-1, 1, 0},
-		{2, 2, 2}, {3, 2, 3}, {-2, 2, 1}, {-3, 2, 0},
-		{7, 3, 7}, {-7, 3, 0},
-		{255, 8, 255}, {-255, 8, 0},
-	}
-	for _, c := range cases {
-		if got := bitSize(c.v); got != c.size {
-			t.Errorf("bitSize(%d) = %d, want %d", c.v, got, c.size)
-		}
-		if c.size > 0 {
-			if got := encodeMagnitude(c.v, c.size); got != c.mag {
-				t.Errorf("encodeMagnitude(%d) = %d, want %d", c.v, got, c.mag)
-			}
-		}
-	}
-}
+import "testing"
 
 func TestScaleQuantBounds(t *testing.T) {
 	q1 := ScaleQuant(StdLuminanceQuant, 1)
@@ -159,34 +29,5 @@ func TestZigZagIsPermutation(t *testing.T) {
 		if ZigZag[i] != v {
 			t.Errorf("ZigZag[%d] = %d, want %d", i, ZigZag[i], v)
 		}
-	}
-}
-
-func TestHuffmanCanonicalCodes(t *testing.T) {
-	// DC luminance: symbol 0 has the first length-2 code (00), symbols
-	// 1..5 follow with length 3.
-	if dcLumTable.bits[0] != 2 || dcLumTable.code[0] != 0 {
-		t.Errorf("DC lum sym0: %d bits code %b", dcLumTable.bits[0], dcLumTable.code[0])
-	}
-	if dcLumTable.bits[1] != 3 || dcLumTable.code[1] != 0b010 {
-		t.Errorf("DC lum sym1: %d bits code %b", dcLumTable.bits[1], dcLumTable.code[1])
-	}
-	// AC luminance EOB (0x00) is the 4-bit code 1010.
-	if acLumTable.bits[0x00] != 4 || acLumTable.code[0x00] != 0b1010 {
-		t.Errorf("AC lum EOB: %d bits code %b", acLumTable.bits[0x00], acLumTable.code[0x00])
-	}
-	// ZRL (0xF0) is the 11-bit code 11111111001.
-	if acLumTable.bits[0xF0] != 11 || acLumTable.code[0xF0] != 0b11111111001 {
-		t.Errorf("AC lum ZRL: %d bits code %b", acLumTable.bits[0xF0], acLumTable.code[0xF0])
-	}
-}
-
-func TestBitWriterStuffing(t *testing.T) {
-	var buf bytes.Buffer
-	w := newBitWriter(&buf)
-	w.write(0xFF, 8)
-	w.flush()
-	if !bytes.Equal(buf.Bytes(), []byte{0xFF, 0x00}) {
-		t.Errorf("stuffing: % x", buf.Bytes())
 	}
 }

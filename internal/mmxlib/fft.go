@@ -2,7 +2,6 @@ package mmxlib
 
 import (
 	"mmxdsp/internal/asm"
-	"mmxdsp/internal/dsp"
 	"mmxdsp/internal/emit"
 	"mmxdsp/internal/isa"
 )
@@ -123,130 +122,6 @@ func EmitFftHybrid(b *asm.Builder) {
 	b.I(isa.MOV, asm.R(isa.EDX), emit.Arg(9))
 	emit.Call(b, "nsCvtF32I16", asm.R(isa.EAX), asm.R(isa.EBX), asm.R(isa.ECX), asm.R(isa.EDX))
 	b.Ret()
-}
-
-// FFTQuadTwiddles packs the Q15 twiddles of an n-point FFT as
-// (wr, -wi, wi, wr) quads for the fixed-point FFT's single-pmaddwd complex
-// multiply.
-func FFTQuadTwiddles(n int) []int16 {
-	tw := dsp.TwiddlesQ15(n)
-	out := make([]int16, 4*n/2)
-	for k := 0; k < n/2; k++ {
-		wr, wi := tw.Cos[k], tw.Sin[k]
-		out[4*k] = wr
-		out[4*k+1] = -wi
-		out[4*k+2] = wi
-		out[4*k+3] = wr
-	}
-	return out
-}
-
-// EmitFftQ15Fixed emits nsFftFixed(data, n, twquads, brtab, brcount): the
-// early all-integer MMX FFT (the paper's first library version: ~40% MMX
-// instructions but only 1.49x speedup). data is interleaved complex int16
-// (re0, im0, re1, im1, ...); twquads is the FFTQuadTwiddles table; the
-// bit-reverse table holds element-pair indices as for fpFft. Semantics
-// match dsp.FFTQ15 exactly (block scaling by 1/2 per stage).
-func EmitFftQ15Fixed(b *asm.Builder) {
-	const name = "nsFftFixed"
-	b.Proc(name)
-
-	// Bit-reverse permutation on interleaved 32-bit (re, im) pairs.
-	emit.LoadArg(b, isa.ESI, 3)
-	emit.LoadArg(b, isa.ECX, 4)
-	b.I(isa.TEST, asm.R(isa.ECX), asm.R(isa.ECX))
-	b.J(isa.JE, name+".stages")
-	emit.LoadArg(b, isa.EBX, 0)
-	b.Label(name + ".br")
-	b.I(isa.MOV, asm.R(isa.EAX), asm.MemD(isa.ESI, 0))
-	b.I(isa.MOV, asm.R(isa.EDX), asm.MemD(isa.ESI, 4))
-	b.I(isa.MOV, asm.R(isa.EBP), asm.MemIdx(isa.SizeD, isa.EBX, isa.EAX, 4, 0))
-	b.I(isa.PUSH, asm.R(isa.EBP))
-	b.I(isa.MOV, asm.R(isa.EBP), asm.MemIdx(isa.SizeD, isa.EBX, isa.EDX, 4, 0))
-	b.I(isa.MOV, asm.MemIdx(isa.SizeD, isa.EBX, isa.EAX, 4, 0), asm.R(isa.EBP))
-	b.I(isa.POP, asm.R(isa.EBP))
-	b.I(isa.MOV, asm.MemIdx(isa.SizeD, isa.EBX, isa.EDX, 4, 0), asm.R(isa.EBP))
-	b.I(isa.ADD, asm.R(isa.ESI), asm.Imm(8))
-	b.I(isa.DEC, asm.R(isa.ECX))
-	b.J(isa.JNE, name+".br")
-
-	b.Label(name + ".stages")
-	emit.LoadArg(b, isa.EBX, 0)              // data
-	b.I(isa.MOV, asm.R(isa.EBP), asm.Imm(2)) // size
-
-	b.Label(name + ".stage")
-	b.I(isa.MOV, asm.R(isa.ESI), asm.Imm(0)) // start
-	b.Label(name + ".group")
-	b.I(isa.MOV, asm.R(isa.ECX), asm.Imm(0)) // k
-	b.Label(name + ".bfly")
-
-	// Twiddle quad index: (k * n / size) * 8 bytes.
-	b.I(isa.MOV, asm.R(isa.EAX), emit.Arg(1))
-	b.I(isa.CDQ)
-	b.I(isa.IDIV, asm.R(isa.EBP))
-	b.I(isa.IMUL, asm.R(isa.EAX), asm.R(isa.ECX))
-	b.I(isa.MOV, asm.R(isa.EDX), asm.R(isa.EAX))
-
-	// i = start + k, j = i + size/2 (complex indices; 4 bytes each).
-	b.I(isa.MOV, asm.R(isa.EAX), asm.R(isa.ESI))
-	b.I(isa.ADD, asm.R(isa.EAX), asm.R(isa.ECX))
-	b.I(isa.PUSH, asm.R(isa.ECX))
-	b.I(isa.MOV, asm.R(isa.ECX), asm.R(isa.EBP))
-	b.I(isa.SHR, asm.R(isa.ECX), asm.Imm(1))
-	b.I(isa.ADD, asm.R(isa.ECX), asm.R(isa.EAX)) // j
-
-	b.I(isa.PUSH, asm.R(isa.EBP))
-	// ebp := twiddle quad pointer = arg2(+8 for 2 pushes) + edx*8
-	b.I(isa.MOV, asm.R(isa.EBP), asm.MemD(isa.ESP, 12+4*2))
-
-	// t = W * x[j] via one pmaddwd: mm0 = (re_j, im_j, re_j, im_j).
-	b.I(isa.MOVD, asm.R(isa.MM0), asm.MemIdx(isa.SizeD, isa.EBX, isa.ECX, 4, 0))
-	b.I(isa.PUNPCKLDQ, asm.R(isa.MM0), asm.R(isa.MM0))
-	b.I(isa.PMADDWD, asm.R(isa.MM0), asm.MemIdx(isa.SizeQ, isa.EBP, isa.EDX, 8, 0))
-	// Round and shift: (.. + 2^14) >> 15 in both dword lanes.
-	b.I(isa.MOVQ, asm.R(isa.MM7), asm.Sym(isa.SizeQ, "fftfix.round", 0))
-	b.I(isa.PADDD, asm.R(isa.MM0), asm.R(isa.MM7))
-	b.I(isa.PSRAD, asm.R(isa.MM0), asm.Imm(15)) // (tr, ti) dwords
-
-	// Load x[i] as sign-extended dwords: mm1 = (re_i, im_i).
-	b.I(isa.MOVD, asm.R(isa.MM1), asm.MemIdx(isa.SizeD, isa.EBX, isa.EAX, 4, 0))
-	b.I(isa.PXOR, asm.R(isa.MM2), asm.R(isa.MM2))
-	b.I(isa.PCMPGTW, asm.R(isa.MM2), asm.R(isa.MM1))
-	b.I(isa.PUNPCKLWD, asm.R(isa.MM1), asm.R(isa.MM2))
-
-	// x[i] = (x[i] + t) >> 1 ; x[j] = (x[i] - t) >> 1 (dword math).
-	b.I(isa.MOVQ, asm.R(isa.MM3), asm.R(isa.MM1))
-	b.I(isa.PADDD, asm.R(isa.MM1), asm.R(isa.MM0))
-	b.I(isa.PSUBD, asm.R(isa.MM3), asm.R(isa.MM0))
-	b.I(isa.PSRAD, asm.R(isa.MM1), asm.Imm(1))
-	b.I(isa.PSRAD, asm.R(isa.MM3), asm.Imm(1))
-	b.I(isa.PACKSSDW, asm.R(isa.MM1), asm.R(isa.MM1))
-	b.I(isa.PACKSSDW, asm.R(isa.MM3), asm.R(isa.MM3))
-	b.I(isa.MOVD, asm.MemIdx(isa.SizeD, isa.EBX, isa.EAX, 4, 0), asm.R(isa.MM1))
-	b.I(isa.MOVD, asm.MemIdx(isa.SizeD, isa.EBX, isa.ECX, 4, 0), asm.R(isa.MM3))
-
-	b.I(isa.POP, asm.R(isa.EBP))
-	b.I(isa.POP, asm.R(isa.ECX))
-
-	b.I(isa.INC, asm.R(isa.ECX))
-	b.I(isa.MOV, asm.R(isa.EDX), asm.R(isa.EBP))
-	b.I(isa.SHR, asm.R(isa.EDX), asm.Imm(1))
-	b.I(isa.CMP, asm.R(isa.ECX), asm.R(isa.EDX))
-	b.J(isa.JL, name+".bfly")
-
-	b.I(isa.ADD, asm.R(isa.ESI), asm.R(isa.EBP))
-	b.I(isa.CMP, asm.R(isa.ESI), emit.Arg(1))
-	b.J(isa.JL, name+".group")
-
-	b.I(isa.SHL, asm.R(isa.EBP), asm.Imm(1))
-	b.I(isa.CMP, asm.R(isa.EBP), emit.Arg(1))
-	b.J(isa.JLE, name+".stage")
-	b.Ret()
-}
-
-// FftFixedData places the constant data nsFftFixed needs into a builder.
-func FftFixedData(b *asm.Builder) {
-	b.Dwords("fftfix.round", []int32{1 << 14, 1 << 14})
 }
 
 // CvtScratch places the staging scratch nsCvtI16F32/nsCvtF32I16 need.

@@ -12,44 +12,6 @@ import (
 	"mmxdsp/internal/synth"
 )
 
-func TestNsFftFixedMatchesFFTQ15(t *testing.T) {
-	const n = 64
-	sig := synth.ToQ15(scale(synth.MultiTone(n, 21, 0.08, 0.2), 0.5))
-	refRe := make([]int16, n)
-	refIm := make([]int16, n)
-	copy(refRe, sig)
-	if _, err := dsp.FFTQ15(refRe, refIm); err != nil {
-		t.Fatal(err)
-	}
-
-	inter := make([]int16, 2*n)
-	for i, v := range sig {
-		inter[2*i] = v
-	}
-	swaps := fplib.BitReverseSwaps(n)
-	b := asm.NewBuilder("t")
-	EmitFftQ15Fixed(b)
-	FftFixedData(b)
-	b.Words("data", inter)
-	b.Words("tw", FFTQuadTwiddles(n))
-	b.Dwords("br", swaps)
-	b.Entry()
-	b.Proc("main")
-	emit.Call(b, "nsFftFixed", asm.ImmSym("data", 0), asm.Imm(n),
-		asm.ImmSym("tw", 0), asm.ImmSym("br", 0), asm.Imm(int64(len(swaps)/2)))
-	b.I(isa.EMMS)
-	b.I(isa.HALT)
-
-	c := runProgram(t, b)
-	got, _ := c.Mem.ReadInt16s(c.Prog.Addr("data"), 2*n)
-	for k := 0; k < n; k++ {
-		if got[2*k] != refRe[k] || got[2*k+1] != refIm[k] {
-			t.Fatalf("bin %d: vm (%d, %d), ref (%d, %d)",
-				k, got[2*k], got[2*k+1], refRe[k], refIm[k])
-		}
-	}
-}
-
 func TestNsFftHybridMatchesFloatFFT(t *testing.T) {
 	const n = 128
 	sig := synth.ToQ15(scale(synth.MultiTone(n, 23, 0.1, 0.23), 0.5))

@@ -101,10 +101,6 @@ const (
 	IirOffB     = 16 // int16[nb]
 )
 
-// IirStateWords returns the total int16 count of a state block with the
-// given padded coefficient counts (header excluded).
-func IirStateWords(nb, na int) int { return 2*nb + 2*na }
-
 // EmitIirBlockQ15 emits nsIir(state, in, out, blockLen): direct-form I IIR
 // on Q15 samples with block-scaled fixed-point coefficients (see
 // dsp.IIRQ15), processing blockLen samples per call — the paper's iir

@@ -87,28 +87,6 @@ func TestVecMul16MatchesTruncSemantics(t *testing.T) {
 	}
 }
 
-func TestVecScale16(t *testing.T) {
-	const n = 32
-	x := randWords(n, 5, 32768)
-	const s = int16(11111)
-	b := asm.NewBuilder("t")
-	EmitVecScale16(b)
-	b.Words("x", x)
-	b.Reserve("out", 2*n)
-	b.Entry()
-	b.Proc("main")
-	emit.Call(b, "nsVecScale16", asm.ImmSym("out", 0), asm.ImmSym("x", 0), asm.Imm(n), asm.Imm(int64(s)))
-	b.I(isa.EMMS)
-	b.I(isa.HALT)
-	c := runProgram(t, b)
-	out, _ := c.Mem.ReadInt16s(c.Prog.Addr("out"), n)
-	for i := 0; i < n; i++ {
-		if want := fixed.MulQ15Trunc(x[i], s); out[i] != want {
-			t.Errorf("out[%d] = %d, want %d", i, out[i], want)
-		}
-	}
-}
-
 func TestDotProd16(t *testing.T) {
 	const n = 512
 	x := randWords(n, 6, 1024)

@@ -66,32 +66,6 @@ func EmitVecMul16(b *asm.Builder) {
 	b.Ret()
 }
 
-// EmitVecScale16 emits nsVecScale16(dst, a, n, s): Q15 multiply of a vector
-// by a broadcast scalar, same truncation semantics as nsVecMul16.
-func EmitVecScale16(b *asm.Builder) {
-	const name = "nsVecScale16"
-	b.Proc(name)
-	emit.LoadArg(b, isa.EDI, 0)
-	emit.LoadArg(b, isa.ESI, 1)
-	emit.LoadArg(b, isa.ECX, 2)
-	emit.LoadArg(b, isa.EDX, 3)
-	emit.BroadcastW(b, isa.MM7, isa.EDX)
-	b.I(isa.MOV, asm.R(isa.EAX), asm.Imm(0))
-	b.Label(name + ".loop")
-	b.I(isa.MOVQ, asm.R(isa.MM0), asm.MemIdx(isa.SizeQ, isa.ESI, isa.EAX, 2, 0))
-	b.I(isa.MOVQ, asm.R(isa.MM2), asm.R(isa.MM0))
-	b.I(isa.PMULHW, asm.R(isa.MM0), asm.R(isa.MM7))
-	b.I(isa.PMULLW, asm.R(isa.MM2), asm.R(isa.MM7))
-	b.I(isa.PSLLW, asm.R(isa.MM0), asm.Imm(1))
-	b.I(isa.PSRLW, asm.R(isa.MM2), asm.Imm(15))
-	b.I(isa.POR, asm.R(isa.MM0), asm.R(isa.MM2))
-	b.I(isa.MOVQ, asm.MemIdx(isa.SizeQ, isa.EDI, isa.EAX, 2, 0), asm.R(isa.MM0))
-	b.I(isa.ADD, asm.R(isa.EAX), asm.Imm(4))
-	b.I(isa.CMP, asm.R(isa.EAX), asm.R(isa.ECX))
-	b.J(isa.JL, name+".loop")
-	b.Ret()
-}
-
 // EmitDotProd16 emits nsDotProd16(a, b, n) -> eax: 16-bit dot product with
 // a 32-bit accumulator via pmaddwd, 8 elements per iteration (two
 // independent accumulators hide the multiplier latency).

@@ -611,3 +611,10 @@ func TestAsmDuplicateSymbol400(t *testing.T) {
 		t.Errorf("run_panics = %d, want 0", got)
 	}
 }
+
+// TestAsmBadDataValue400: a data value the assembler cannot read answers
+// 400 at the value's column, not at an earlier occurrence of its text.
+func TestAsmBadDataValue400(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{ResultCacheEntries: -1})
+	asmRejected(t, ts.URL, "halt\n.words w 1, w\n", 2, 13, `bad value "w" in data list`)
+}

@@ -34,16 +34,6 @@ func (r *Rand) Float() float64 {
 // Intn returns a uniform value in [0, n).
 func (r *Rand) Intn(n int) int { return int(r.Uint64() % uint64(n)) }
 
-// Tone generates n samples of a sine at normalized frequency f (cycles per
-// sample) and the given amplitude.
-func Tone(n int, f, amp float64) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = amp * math.Sin(2*math.Pi*f*float64(i))
-	}
-	return out
-}
-
 // MultiTone sums several tones with 1/k amplitude rolloff plus a little
 // noise — a generic "interesting" test signal for filters and FFTs.
 func MultiTone(n int, seed uint64, freqs ...float64) []float64 {

@@ -32,21 +32,6 @@ func TestFloatRange(t *testing.T) {
 	}
 }
 
-func TestToneFrequency(t *testing.T) {
-	n := 256
-	x := Tone(n, 8.0/float64(n), 0.9)
-	re := make([]float64, n)
-	im := make([]float64, n)
-	copy(re, x)
-	if err := dsp.FFT(re, im); err != nil {
-		t.Fatal(err)
-	}
-	ps := dsp.PowerSpectrum(re, im)
-	if got := dsp.PeakIndex(ps[1 : n/2]); got+1 != 8 {
-		t.Errorf("tone peak at bin %d, want 8", got+1)
-	}
-}
-
 func TestSpeechInRangeAndVoiced(t *testing.T) {
 	x := Speech(3000, 2)
 	var energy float64

@@ -196,9 +196,6 @@ func NewWithCode(code *Code) *CPU {
 // GPR returns the value of a general-purpose register.
 func (c *CPU) GPR(r isa.Reg) uint32 { return c.gpr[r.GPRIndex()] }
 
-// SetGPR sets a general-purpose register.
-func (c *CPU) SetGPR(r isa.Reg, v uint32) { c.gpr[r.GPRIndex()] = v }
-
 // MM returns the value of an MMX register.
 func (c *CPU) MM(r isa.Reg) mmx.Reg { return c.mm[r.MMXIndex()] }
 

@@ -5,50 +5,15 @@
 #
 #   scripts/bench_diff.sh BASELINE.json NEW.json
 #
-# With three or more artifacts (e.g. several commits' runs of one mode), it
-# instead prints a geomean table with each file's speedup over the first —
-# no gate:
+# With three or more artifacts (e.g. several commits' runs), it instead
+# prints a geomean table with each file's speedup over the first — no gate:
 #
 #   scripts/bench_diff.sh BENCH.a.json BENCH.b.json BENCH.c.json
-#
-# With -sweep, it compares two DISPATCH=all sweeps mode by mode
-# (PREFIX.<mode>.json for trace/generic) and gates on trace dispatch: exits
-# 1 if the trace-mode geomean regressed by more than 10%. The generic mode
-# reports but only warns — trace is the mode the optimization work targets,
-# and the gate must not flap on the slower reference loop:
-#
-#   scripts/bench_diff.sh -sweep OLD_PREFIX NEW_PREFIX
 #
 # Wall-clock numbers are host-dependent; compare artifacts measured on the
 # same machine (the git_commit/dispatch/utc_date stamps say where each came
 # from).
 set -euo pipefail
-
-if [[ $# -ge 1 && "$1" == "-sweep" ]]; then
-    [[ $# -eq 3 ]] || { echo "usage: $0 -sweep OLD_PREFIX NEW_PREFIX" >&2; exit 2; }
-    oldp="$2" newp="$3" fail=0
-    printf '%-12s %12s %12s %9s\n' mode 'old M/s' 'new M/s' delta
-    for mode in trace generic; do
-        of="$oldp.$mode.json" nf="$newp.$mode.json"
-        if [[ ! -r "$of" || ! -r "$nf" ]]; then
-            printf '%-12s %27s\n' "$mode" '(artifact missing, skipped)'
-            continue
-        fi
-        og="$(jq -r '.geomean_instrs_per_sec' "$of")"
-        ng="$(jq -r '.geomean_instrs_per_sec' "$nf")"
-        printf '%-12s %12.1f %12.1f %+8.1f%%\n' "$mode" \
-            "$(jq -n "$og/1e6")" "$(jq -n "$ng/1e6")" "$(jq -n "100*($ng/$og-1)")"
-        if jq -en "$ng / $og < 0.9" >/dev/null; then
-            if [[ "$mode" == trace ]]; then
-                echo "bench_diff: FAIL — trace-mode geomean regressed more than 10%" >&2
-                fail=1
-            else
-                echo "bench_diff: warning — $mode geomean regressed more than 10%" >&2
-            fi
-        fi
-    done
-    exit "$fail"
-fi
 
 if [[ $# -lt 2 ]]; then
     echo "usage: $0 BASELINE.json NEW.json [MORE.json ...]" >&2

@@ -44,6 +44,16 @@ go test -race -p 1 ./internal/core/... ./internal/suite/... ./internal/server/..
 echo "==> go test -run 'TestServedReportsMatchDirectRuns|TestResultCacheServesIdenticalBytes|TestDaemonSIGTERMDrain|TestDaemonResultCacheSpillSurvivesRestart' ."
 go test -run 'TestServedReportsMatchDirectRuns|TestResultCacheServesIdenticalBytes|TestDaemonSIGTERMDrain|TestDaemonResultCacheSpillSurvivesRestart' .
 
+# The two simulator examples, built and run in a scratch directory:
+# imagefilter writes input.bmp and output.bmp to its working directory.
+# Each exits non-zero when a run or its check fails.
+echo "==> examples/quickstart, examples/imagefilter"
+examples="$(mktemp -d)"
+trap 'rm -rf "$examples"' EXIT
+go build -o "$examples/" ./examples/quickstart ./examples/imagefilter
+(cd "$examples" && ./quickstart >/dev/null && ./imagefilter >/dev/null)
+rm -rf "$examples"
+
 # The fleet end-to-end suite: a coordinator over real mmxd backends serves
 # the whole suite byte-identical, survives a backend dying mid-suite (and
 # mid-campaign), keeps repeat requests affine to one warm cache, and shards
