@@ -206,10 +206,9 @@ type benchRecord struct {
 	TracesFormed     int     `json:"traces_formed,omitempty"`
 	SideExitPct      float64 `json:"side_exit_pct,omitempty"`
 	TraceResidentPct float64 `json:"trace_resident_pct,omitempty"`
-	// Trace-tree growth: child paths attached, side-exit-governor deopts,
-	// and the share of retired instructions in child-path iterations.
+	// Trace-tree growth: child paths attached, and the share of retired
+	// instructions in child-path iterations.
 	TreeNodes       int     `json:"tree_nodes,omitempty"`
-	TraceDeopts     uint64  `json:"trace_deopts,omitempty"`
 	TreeResidentPct float64 `json:"tree_resident_pct,omitempty"`
 }
 
@@ -254,7 +253,6 @@ func writeBenchJSON(path string, rs core.ResultSet, elapsed time.Duration, commi
 			SideExitPct:      r.Traces.SideExitPct(),
 			TraceResidentPct: r.Traces.ResidentPct(),
 			TreeNodes:        r.Traces.TreeNodes,
-			TraceDeopts:      r.Traces.Deopts,
 			TreeResidentPct:  r.Traces.TreeResidentPct(),
 		})
 		out.TotalInstrs += r.Report.DynamicInstructions

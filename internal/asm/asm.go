@@ -149,9 +149,6 @@ func (b *Builder) errorf(format string, args ...any) {
 	b.errs = append(b.errs, fmt.Errorf("asm(%s): "+format, append([]any{b.name}, args...)...))
 }
 
-// PC returns the index the next instruction will occupy.
-func (b *Builder) PC() int { return len(b.insts) }
-
 // Label defines a code label at the current position.
 func (b *Builder) Label(name string) {
 	if _, dup := b.labels[name]; dup {

@@ -245,7 +245,7 @@ func parseDirective(b *Builder, line string) error {
 		}
 		data, err := hex.DecodeString(hexText)
 		if err != nil {
-			return fmt.Errorf("bad .hex data: %v", err)
+			return errAt(hexText, fmt.Errorf("bad .hex data: %v", err))
 		}
 		b.Bytes(name, data)
 	case ".reserve":
@@ -326,7 +326,7 @@ func parseInst(b *Builder, line string) error {
 // operand's first byte, for pinning errors.
 func parseOperand(text, at string) (isa.Operand, error) {
 	if text == "" {
-		return isa.Operand{}, fmt.Errorf("empty operand")
+		return isa.Operand{}, errAt(at, fmt.Errorf("empty operand"))
 	}
 	if r, ok := regLookup()[text]; ok {
 		return isa.Operand{Kind: isa.KindReg, Reg: r}, nil
@@ -344,8 +344,8 @@ func parseOperand(text, at string) (isa.Operand, error) {
 		if !strings.HasSuffix(memText, "]") {
 			return isa.Operand{}, errAt(at, fmt.Errorf("unterminated memory operand %q", text))
 		}
-		// memText is a suffix of text; the body starts after its '['.
-		return parseMem(memText[1:len(memText)-1], size, at[len(text)-len(memText)+1:])
+		// memText is a suffix of text, starting at its '['.
+		return parseMem(memText[1:len(memText)-1], size, at[len(text)-len(memText):])
 	}
 	if size != isa.SizeNone {
 		return isa.Operand{}, errAt(at, fmt.Errorf("width prefix on non-memory operand %q", text))
@@ -364,7 +364,7 @@ func parseOperand(text, at string) (isa.Operand, error) {
 
 // parseMem parses the inside of a bracketed effective address:
 // signed terms of the forms sym, base, index*scale and disp. at is the
-// statement's tail from the body's first byte, for pinning errors.
+// statement's tail from the operand's '[', for pinning errors.
 func parseMem(body string, size isa.Size, at string) (isa.Operand, error) {
 	o := isa.Operand{Kind: isa.KindMem, Size: size}
 	var disp int64
@@ -372,11 +372,11 @@ func parseMem(body string, size isa.Size, at string) (isa.Operand, error) {
 	for _, t := range splitTerms(body) {
 		term := strings.TrimSpace(t.text)
 		if term == "" {
-			return o, fmt.Errorf("empty term in memory operand [%s]", body)
+			return o, errAt(at, fmt.Errorf("empty term in memory operand [%s]", body))
 		}
 		hasTerm = true
 		// The statement's tail from the term's first byte.
-		termAt := strings.TrimLeftFunc(at[t.off:], unicode.IsSpace)
+		termAt := strings.TrimLeftFunc(at[1+t.off:], unicode.IsSpace)
 		switch {
 		case isInt(term) || strings.HasPrefix(term, "0x"):
 			v, err := strconv.ParseInt(term, 0, 64)

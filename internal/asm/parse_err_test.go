@@ -137,6 +137,9 @@ func TestParseSourceErrorColumns(t *testing.T) {
 		{"movq mm0, [mm0]", 12, `non-GPR "mm0" in address`},
 		{"x1a: mov eax, [1a]", 16, `bad address term "1a"`},
 		{".words w 1, w", 13, `bad value "w" in data list`},
+		{"add eax, ,", 10, `empty operand`},
+		{"mov eax, [eax+]", 10, `empty term in memory operand [eax+]`},
+		{".hex h zz", 8, `bad .hex data: encoding/hex: invalid byte: U+007A 'z'`},
 	} {
 		_, err := asm.ParseSource("col", tc.src)
 		var se *asm.SourceError

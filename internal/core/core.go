@@ -186,65 +186,14 @@ type Result struct {
 	Wall time.Duration
 	// Blocks reports region-schedule coverage for the run.
 	Blocks BlockStats
-	// Traces reports trace-dispatch behavior (zero for a traced run, which
-	// takes the per-instruction loop): superblocks formed, full
-	// iterations, side exits.
-	Traces TraceStats
+	// Traces reports trace-dispatch behavior (only Executed is set for a
+	// traced run, which takes the per-instruction loop): superblocks
+	// formed, full iterations, side exits.
+	Traces vm.TraceStats
 	// BudgetExhausted marks a partial run: the instruction budget expired
 	// before HALT and Options.PartialOnBudget let it return a Result
 	// anyway. The Report covers only the retired prefix.
 	BudgetExhausted bool
-}
-
-// TraceStats describes trace-dispatch behavior for one run; like
-// BlockStats it is diagnostic host-side data, separate from Report.
-type TraceStats struct {
-	// Formed is the number of superblocks formed at run time.
-	Formed int
-	// Iters and Exits count full trace iterations and side exits.
-	Iters uint64
-	Exits uint64
-	// TraceInstrs is the number of instructions retired inside traces;
-	// Executed the whole run's retired count (both regions), so
-	// TraceInstrs/Executed is the trace-resident share.
-	TraceInstrs uint64
-	Executed    uint64
-	// TreeNodes counts child paths attached across all trace trees, and
-	// Deopts the traces retired by the side-exit governor.
-	TreeNodes int
-	Deopts    uint64
-	// TreeIters counts iterations that completed via a child path;
-	// TreeInstrs the instructions those whole iterations retired.
-	TreeIters  uint64
-	TreeInstrs uint64
-}
-
-// SideExitPct returns side exits as a percentage of trace entries.
-func (s TraceStats) SideExitPct() float64 {
-	total := s.Iters + s.Exits
-	if total == 0 {
-		return 0
-	}
-	return 100 * float64(s.Exits) / float64(total)
-}
-
-// ResidentPct returns the percentage of all retired instructions that
-// retired inside a superblock.
-func (s TraceStats) ResidentPct() float64 {
-	if s.Executed == 0 {
-		return 0
-	}
-	return 100 * float64(s.TraceInstrs) / float64(s.Executed)
-}
-
-// TreeResidentPct returns the percentage of all retired instructions that
-// retired in iterations completing via a trace-tree child path (zero until
-// a tree forms and its alternate paths get hot).
-func (s TraceStats) TreeResidentPct() float64 {
-	if s.Executed == 0 {
-		return 0
-	}
-	return 100 * float64(s.TreeInstrs) / float64(s.Executed)
 }
 
 // InstrsPerSec returns the host simulation throughput in retired
@@ -390,15 +339,8 @@ func RunCompiled(comp *Compiled, opt Options) (res *Result, err error) {
 	}
 	fast, perEvent := col.BlockStats()
 	blocks := BlockStats{Compiled: cpu.CompiledBlocks(), FastEvents: fast, PerEvents: perEvent}
-	vts := cpu.TraceStats()
-	traces := TraceStats{
-		Formed: vts.Formed, Iters: vts.Iters, Exits: vts.Exits,
-		TraceInstrs: vts.TraceInstrs, Executed: uint64(cpu.Executed()),
-		TreeNodes: vts.TreeNodes, Deopts: vts.Deopts,
-		TreeIters: vts.TreeIters, TreeInstrs: vts.TreeInstrs,
-	}
 	return &Result{
-		Benchmark: b, Report: rep, Wall: wall, Blocks: blocks, Traces: traces,
+		Benchmark: b, Report: rep, Wall: wall, Blocks: blocks, Traces: cpu.TraceStats(),
 		BudgetExhausted: budgetHit,
 	}, nil
 }

@@ -31,6 +31,16 @@ import (
 func buildRandomProgram(seed uint64) (*asm.Program, error) {
 	r := synth.NewRand(seed)
 	b := asm.NewBuilder("fuzz3w")
+	// One seed in seven flips a flag-controlled branch in the loop body
+	// halfway through the passes: the path a trace recorded goes cold for
+	// the rest of the run while its head stays hot, so the formed trace
+	// stays live, is entered on every pass and leaves at that guard. Keyed
+	// on the seed, like pendingU below, so the other seeds keep their
+	// programs. The flag sits below the data the body's stores walk past.
+	phase := seed%7 == 5
+	if phase {
+		b.Dwords("phase", []int32{0})
+	}
 	data := make([]int32, 64)
 	for i := range data {
 		data[i] = int32(r.Intn(1 << 16))
@@ -73,6 +83,12 @@ func buildRandomProgram(seed uint64) (*asm.Program, error) {
 	b.I(isa.PROFON)
 	b.I(isa.MOV, asm.R(isa.EDX), asm.Imm(int64(passes)))
 	b.Label("pass")
+	if phase {
+		b.I(isa.CMP, asm.R(isa.EDX), asm.Imm(int64(passes/2)))
+		b.J(isa.JNE, "phasekeep")
+		b.I(isa.MOV, asm.Sym(isa.SizeD, "phase", 0), asm.Imm(1))
+		b.Label("phasekeep")
+	}
 	b.I(isa.MOV, asm.R(isa.ESI), asm.ImmSym("data", 0))
 	b.I(isa.MOV, asm.R(isa.ECX), asm.Imm(int64(trips)))
 	// One seed in five ends the loop's fall-through preheader with a U-only
@@ -91,9 +107,19 @@ func buildRandomProgram(seed uint64) (*asm.Program, error) {
 	for n := 4 + r.Intn(9); n > 0; n-- {
 		emitBody()
 	}
+	if phase {
+		b.I(isa.MOV, asm.R(isa.EAX), asm.Sym(isa.SizeD, "phase", 0))
+		b.I(isa.CMP, asm.R(isa.EAX), asm.Imm(0))
+		b.J(isa.JNE, "phasealt")
+		b.I(isa.ADD, asm.MemD(isa.ESI, 0), asm.Imm(1))
+		b.J(isa.JMP, "phasejoin")
+		b.Label("phasealt")
+		b.I(isa.ADD, asm.MemD(isa.ESI, 4), asm.Imm(2))
+		b.Label("phasejoin")
+	}
 	// Half the seeds add a counter-keyed biased branch: the rare arm runs
 	// every 2nd/4th/8th iteration, the shape that makes a superblock guard
-	// fail persistently but below the deopt threshold (trace-tree growth).
+	// fail persistently (trace-tree growth).
 	if r.Intn(2) == 0 {
 		mask := int64(1<<(1+r.Intn(3))) - 1
 		b.I(isa.MOV, asm.R(isa.EAX), asm.R(isa.ECX))
@@ -208,9 +234,10 @@ func FuzzDispatchThreeWay(f *testing.F) {
 	// 18, 31, 51 and 74 generate hot biased-branch loops that demonstrably
 	// grow trace trees (child paths attached, iterations completing through
 	// them); 107 is a hot pending-U seed (seed%5 == 2) whose chains are
-	// entered behind a pending U about a hundred times; the rest cover the
-	// short cold shapes.
-	for _, seed := range []uint64{1, 7, 42, 12345, 1 << 40, 18, 31, 51, 74, 107} {
+	// entered behind a pending U about a hundred times; 33 is a hot
+	// phase-flip seed (seed%7 == 5) whose first trace goes cold halfway and
+	// stays entered once per pass; the rest cover the short cold shapes.
+	for _, seed := range []uint64{1, 7, 42, 12345, 1 << 40, 18, 31, 51, 74, 107, 33} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64) {

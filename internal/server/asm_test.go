@@ -225,24 +225,32 @@ func TestAsmOversizedSource(t *testing.T) {
 // 1-based line and column of the offending token in the error body.
 func TestAsmParseErrorPositions(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
-	body := asmBody(t, map[string]any{"source": "start:\n\tmov eax, 1\n\tfrobnicate eax\n"})
-	resp, data := postAsm(t, ts.URL, body, nil)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400: %s", resp.StatusCode, data)
-	}
-	var e struct {
-		Error string `json:"error"`
-		Line  int    `json:"line"`
-		Col   int    `json:"col"`
-	}
-	if err := json.Unmarshal(data, &e); err != nil {
-		t.Fatalf("decoding error body: %v: %s", err, data)
-	}
-	if e.Line != 3 || e.Col != 2 {
-		t.Errorf("error position %d:%d, want 3:2: %s", e.Line, e.Col, data)
-	}
-	if !strings.Contains(e.Error, "line 3:2:") {
-		t.Errorf("error text missing coordinates: %q", e.Error)
+	for _, tc := range []struct {
+		source    string
+		line, col int
+	}{
+		{"start:\n\tmov eax, 1\n\tfrobnicate eax\n", 3, 2},
+		// An empty address term points at its operand's '['.
+		{"start:\n\tmov eax, [eax+]\n", 2, 11},
+	} {
+		resp, data := postAsm(t, ts.URL, asmBody(t, map[string]any{"source": tc.source}), nil)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%q: status %d, want 400: %s", tc.source, resp.StatusCode, data)
+		}
+		var e struct {
+			Error string `json:"error"`
+			Line  int    `json:"line"`
+			Col   int    `json:"col"`
+		}
+		if err := json.Unmarshal(data, &e); err != nil {
+			t.Fatalf("decoding error body: %v: %s", err, data)
+		}
+		if e.Line != tc.line || e.Col != tc.col {
+			t.Errorf("%q: error position %d:%d, want %d:%d: %s", tc.source, e.Line, e.Col, tc.line, tc.col, data)
+		}
+		if pos := fmt.Sprintf("line %d:%d:", tc.line, tc.col); !strings.Contains(e.Error, pos) {
+			t.Errorf("%q: error text missing coordinates %q: %q", tc.source, pos, e.Error)
+		}
 	}
 }
 

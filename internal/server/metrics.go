@@ -15,7 +15,7 @@ import (
 	"time"
 
 	"mmxdsp/internal/campaign"
-	"mmxdsp/internal/core"
+	"mmxdsp/internal/vm"
 )
 
 // latencyWindowSize bounds the sliding window the wall-time quantiles are
@@ -74,11 +74,10 @@ type metrics struct {
 	wallNS expvar.Int // host nanoseconds spent inside cpu.Run
 
 	// Trace-dispatch aggregates, summed over every served run:
-	// superblocks formed, tree child paths attached, side-exit-governor
-	// deopts, and the iteration/exit split the side-exit rate derives from.
+	// superblocks formed, tree child paths attached, and the
+	// iteration/exit split the side-exit rate derives from.
 	tracesFormed expvar.Int
 	treeNodes    expvar.Int
-	traceDeopts  expvar.Int
 	traceIters   expvar.Int
 	traceExits   expvar.Int
 
@@ -101,14 +100,14 @@ func (m *metrics) recordRun(name string, instrs uint64, wall time.Duration) {
 }
 
 // recordTraces folds one run's trace-dispatch stats into the aggregates.
-// A run that formed no trace contributes nothing (every field is zero).
-func (m *metrics) recordTraces(ts core.TraceStats) {
-	if ts.Formed == 0 && ts.Deopts == 0 {
+// A run that formed no trace contributes nothing (it has no iterations,
+// exits or tree nodes).
+func (m *metrics) recordTraces(ts vm.TraceStats) {
+	if ts.Formed == 0 {
 		return
 	}
 	m.tracesFormed.Add(int64(ts.Formed))
 	m.treeNodes.Add(int64(ts.TreeNodes))
-	m.traceDeopts.Add(int64(ts.Deopts))
 	m.traceIters.Add(int64(ts.Iters))
 	m.traceExits.Add(int64(ts.Exits))
 }
@@ -266,10 +265,9 @@ type MetricsSnapshot struct {
 
 	// Trace-dispatch aggregates over all served runs (all zero
 	// until one runs): superblocks formed, trace-tree child paths attached,
-	// side-exit-governor deopts, and side exits as a share of trace entries.
+	// and side exits as a share of trace entries.
 	TracesFormed     int64   `json:"traces_formed"`
 	TreeNodes        int64   `json:"tree_nodes"`
-	TraceDeopts      int64   `json:"trace_deopts"`
 	TraceSideExitPct float64 `json:"trace_side_exit_pct"`
 
 	CampaignMetrics
@@ -322,7 +320,6 @@ func (s *Server) snapshot() MetricsSnapshot {
 
 		TracesFormed: m.tracesFormed.Value(),
 		TreeNodes:    m.treeNodes.Value(),
-		TraceDeopts:  m.traceDeopts.Value(),
 
 		CampaignMetrics: ps.Campaigns,
 

@@ -32,16 +32,18 @@
 // stay byte-identical to the per-instruction loop's.
 //
 // Loop traces additionally grow into trace trees: a guard that keeps
-// side-exiting — persistently, but below the deopt threshold (a biased but
-// not fully-taken inner branch) — records the alternate path from its exit
-// target back to the head and attaches it as a child: the guard becomes a
-// fork into a second lowered segment that shares the parent's register-cache
-// locals and ends in its own iteration boundary. Each root-to-rejoin path is
-// registered with the observer under its own id, so tree iterations price
-// through the same chain schedules, keyed by the path taken. Tree growth
-// mirrors the single-trace policy: a per-guard exit-count threshold with
-// exponential backoff on failed formations, a bounded node and op budget,
-// and whole-tree abandonment when the root deoptimizes.
+// side-exiting (a biased but not fully-taken inner branch) records the
+// alternate path from its exit target back to the head and attaches it as a
+// child: the guard becomes a fork into a second lowered segment that shares
+// the parent's register-cache locals and ends in its own iteration
+// boundary. Each root-to-rejoin path is registered with the observer under
+// its own id, so tree iterations price through the same chain schedules,
+// keyed by the path taken.
+//
+// Formation follows one rule for heads and guards alike: count arrivals (or
+// side exits), record at the threshold, and on any failure count again from
+// zero. A formed trace stays for the rest of the run; a guard whose path
+// went cold only costs its side exit.
 package vm
 
 import (
@@ -61,25 +63,9 @@ const (
 	traceMaxBlocks = 16
 	// traceMaxOps bounds the lowered micro-op count.
 	traceMaxOps = 512
-	// traceMaxAttempts caps the exponent of the re-heat backoff: each
-	// failed formation attempt at a head doubles the heat a reformation
-	// needs, so a head that keeps producing cold traces retries ever more
-	// rarely (sampling a different execution phase each time) without
-	// being permanently blacklisted.
-	traceMaxAttempts = 6
-	// traceMaxUnroll caps the per-block revisit allowance a recording
-	// earns from failed attempts, bounding how far a reformation may
-	// unroll repeated blocks.
-	traceMaxUnroll = 2
-	// traceDeoptMinEntries is the sample size before the side-exit-rate
-	// deoptimization check applies.
-	traceDeoptMinEntries = 64
 
 	// treeGrowThreshold is how many side exits one uJcc guard must take
-	// (scaled by the guard's failed-formation backoff, like trace heat)
-	// before the alternate path is recorded as a child trace. It sits well
-	// under traceDeoptMinEntries so a biased guard grows its alternate arm
-	// before the side-exit governor can retire the whole trace.
+	// before the alternate path is recorded as a child trace.
 	treeGrowThreshold = 16
 	// treeMaxNodes bounds one trace's tree: root plus children.
 	treeMaxNodes = 4
@@ -90,7 +76,7 @@ const (
 // byBlock sentinel states for block leaders without a trace.
 const (
 	traceNone int32 = -1 // no trace yet; may record
-	traceDead int32 = -2 // blacklisted: untraceable or repeatedly failed
+	traceDead int32 = -2 // blacklisted: cannot anchor a trace
 )
 
 // traceDynExit marks a chain that ends at a top-level return: the exit
@@ -143,12 +129,13 @@ type TraceStats struct {
 	// (partial iterations).
 	Iters uint64
 	Exits uint64
-	// TraceInstrs is how many instructions retired inside trace execution.
+	// TraceInstrs is how many instructions retired inside trace execution;
+	// Executed the whole run's retired count (both regions), so
+	// TraceInstrs/Executed is the trace-resident share.
 	TraceInstrs uint64
+	Executed    uint64
 	// TreeNodes counts child paths attached across all trace trees.
 	TreeNodes int
-	// Deopts counts traces retired by the side-exit governor.
-	Deopts uint64
 	// TreeIters counts iterations that completed via a child path;
 	// TreeInstrs the instructions those whole iterations retired.
 	TreeIters  uint64
@@ -164,23 +151,37 @@ func (s TraceStats) SideExitPct() float64 {
 	return 100 * float64(s.Exits) / float64(total)
 }
 
-// TraceStats returns the trace-tier statistics of the last Run (zero when
-// no trace formed).
+// ResidentPct returns the percentage of all retired instructions that
+// retired inside a superblock.
+func (s TraceStats) ResidentPct() float64 {
+	if s.Executed == 0 {
+		return 0
+	}
+	return 100 * float64(s.TraceInstrs) / float64(s.Executed)
+}
+
+// TreeResidentPct returns the percentage of all retired instructions that
+// retired in iterations completing via a trace-tree child path (zero until
+// a tree forms and its alternate paths get hot).
+func (s TraceStats) TreeResidentPct() float64 {
+	if s.Executed == 0 {
+		return 0
+	}
+	return 100 * float64(s.TreeInstrs) / float64(s.Executed)
+}
+
+// TraceStats returns the trace-tier statistics of the last Run (only
+// Executed is set when no trace formed).
 func (c *CPU) TraceStats() TraceStats {
-	ts := c.ts
-	if ts == nil {
-		return TraceStats{}
+	s := TraceStats{Executed: uint64(c.executed)}
+	if ts := c.ts; ts != nil {
+		s.Formed = len(ts.traces)
+		s.Iters, s.Exits = ts.iters, ts.exits
+		s.TraceInstrs = ts.instrs
+		s.TreeNodes = ts.treeNodes
+		s.TreeIters, s.TreeInstrs = ts.treeIters, ts.treeInstrs
 	}
-	return TraceStats{
-		Formed:      len(ts.traces),
-		Iters:       ts.iters,
-		Exits:       ts.exits,
-		TraceInstrs: ts.instrs,
-		TreeNodes:   ts.treeNodes,
-		Deopts:      ts.deopts,
-		TreeIters:   ts.treeIters,
-		TreeInstrs:  ts.treeInstrs,
-	}
+	return s
 }
 
 // Micro-op kinds. Each kind runs one opcode family with one way of
@@ -369,9 +370,8 @@ type uop struct {
 	// pathIdx tags control ops (uJcc/uRet/uEnd) with the tree path they
 	// retire against (0 = root). On a uJcc guard, child/childPath point at
 	// an attached alternate-path segment (child 0 = none); until one
-	// attaches, d counts failed child formations (the backoff exponent)
-	// and imm2 counts side exits toward the growth threshold — both
-	// otherwise unused by uJcc.
+	// attaches, imm2 (otherwise unused by uJcc) counts side exits toward
+	// the growth threshold.
 	pathIdx   uint16
 	childPath uint16
 	child     int32
@@ -388,13 +388,12 @@ type vmTrace struct {
 	// id is the observation id handed to RegisterTrace/Observe*; slot the
 	// trace's index in traceState.traces (what byBlock stores). The two
 	// diverge once child paths consume observation ids.
-	id        int
-	slot      int32
-	head      int32 // entry PC (a block leader)
-	headBlock int32
-	blocks    []int32
-	taken     []bool
-	ops       []uop
+	id     int
+	slot   int32
+	head   int32 // entry PC (a block leader)
+	blocks []int32
+	taken  []bool
+	ops    []uop
 	// paths describes the tree: nil for a plain superblock; once a child
 	// attaches, paths[0] is the root path and each attachment appends the
 	// combined shared-prefix-plus-alternate-arm path.
@@ -407,8 +406,6 @@ type vmTrace struct {
 	// (traceDynExit when the chain ends at a top-level ret); the head for
 	// loop traces. Child arms rejoin or exit at the same point.
 	exitPC int32
-	iters  uint64
-	exits  uint64
 }
 
 // tracePath is one registered root-to-rejoin path through a trace tree: the
@@ -446,7 +443,8 @@ type traceRec struct {
 	// attaches when it reaches childStop (the parent's head for a loop
 	// trace, its exit continuation otherwise) or, when childStop is
 	// traceDynExit (a tail-return parent), at the arm's first top-level
-	// ret; anything else fails the recording with per-guard backoff.
+	// ret; anything else fails the recording and restarts the guard's
+	// count.
 	child     bool
 	parent    int32
 	parentOp  int32
@@ -457,13 +455,11 @@ type traceRec struct {
 type traceState struct {
 	threshold uint32
 	// heat counts hot arrivals per block leader; byBlock maps a leader's
-	// block to its trace id (or traceNone/traceDead); attempts counts
-	// failed formations toward the blacklist.
-	heat     []uint32
-	byBlock  []int32
-	attempts []uint8
-	traces   []*vmTrace
-	rec      traceRec
+	// block to its trace id (or traceNone/traceDead).
+	heat    []uint32
+	byBlock []int32
+	traces  []*vmTrace
+	rec     traceRec
 	// nextID allocates dense observation ids across roots and child paths.
 	nextID int
 	// Run statistics (see TraceStats).
@@ -471,7 +467,6 @@ type traceState struct {
 	exits      uint64
 	instrs     uint64
 	treeNodes  int
-	deopts     uint64
 	treeIters  uint64
 	treeInstrs uint64
 }
@@ -490,7 +485,6 @@ func (c *CPU) traceInit() *traceState {
 		threshold: uint32(th),
 		heat:      make([]uint32, n),
 		byBlock:   make([]int32, n),
-		attempts:  make([]uint8, n),
 	}
 	for i := range ts.byBlock {
 		ts.byBlock[i] = traceNone
@@ -512,7 +506,7 @@ func (ts *traceState) bump(c *CPU, target int) {
 	}
 	h := ts.heat[bi] + 1
 	ts.heat[bi] = h
-	if h >= ts.threshold<<ts.attempts[bi] && !ts.rec.active {
+	if h >= ts.threshold && !ts.rec.active {
 		ts.rec.active = true
 		ts.rec.child = false
 		ts.rec.head = int32(target)
@@ -527,14 +521,6 @@ func (ts *traceState) bump(c *CPU, target int) {
 func (ts *traceState) record(bi int, taken bool) {
 	ts.rec.blocks = append(ts.rec.blocks, int32(bi))
 	ts.rec.taken = append(ts.rec.taken, taken)
-}
-
-// noteFail counts a failed formation attempt, doubling the heat the head
-// needs before the next recording (capped exponential backoff).
-func (ts *traceState) noteFail(hb int) {
-	if ts.attempts[hb] < traceMaxAttempts {
-		ts.attempts[hb]++
-	}
 }
 
 // abandonRec drops the active recording without forming a trace (budget
@@ -581,14 +567,14 @@ func (c *CPU) finalizeRec(ts *traceState, loop bool, exitPC int32) {
 	}
 	tr := c.lowerTrace(rec.blocks, rec.taken, loop, exitPC)
 	if tr == nil {
-		ts.noteFail(hb)
+		// The head's heat is already reset: it retries after another
+		// threshold's worth of arrivals.
 		return
 	}
 	tr.slot = int32(len(ts.traces))
 	tr.id = ts.nextID
 	ts.nextID++
 	tr.head = rec.head
-	tr.headBlock = int32(hb)
 	ts.traces = append(ts.traces, tr)
 	ts.byBlock[hb] = tr.slot
 	if c.st != nil {
@@ -599,21 +585,14 @@ func (c *CPU) finalizeRec(ts *traceState, loop bool, exitPC int32) {
 // recCheck decides, when a full block is about to dispatch while recording,
 // whether the chain closes (loop), ends before this block, or keeps
 // growing. It may leave the recording inactive.
-//
-// Revisits: each failed formation attempt at the recording's head raises a
-// per-block revisit allowance by one, so a short-trip loop whose one-
-// revolution trace deoptimized reforms as an unrolled chain — recording
-// keeps going through the repeated blocks until it arrives back at the
-// head past the allowance, by which point the chain spans a full outer
-// revolution and its guards match the trip pattern.
 func (c *CPU) recCheck(ts *traceState, bi int, b *vmBlock) {
 	rec := &ts.rec
 	if rec.child {
 		// An alternate-arm recording attaches only by reaching the
 		// parent's rejoin point (head for loops, the exit continuation
 		// otherwise); a revisited block, an oversized chain or an
-		// untraceable terminator fails it with per-guard backoff rather
-		// than forming a separate trace.
+		// untraceable terminator fails it rather than forming a separate
+		// trace.
 		if rec.childStop >= 0 && b.start == rec.childStop && len(rec.blocks) > 0 {
 			c.attachChild(ts, false)
 			return
@@ -629,24 +608,12 @@ func (c *CPU) recCheck(ts *traceState, bi int, b *vmBlock) {
 		}
 		return
 	}
-	allow := int(ts.attempts[c.code.blockOf[rec.head]])
-	if allow > traceMaxUnroll {
-		allow = traceMaxUnroll
-	}
-	seen := 0
 	for _, pb := range rec.blocks {
 		if int(pb) == bi {
-			seen++
-		}
-	}
-	if b.start == rec.head && len(rec.blocks) > 0 {
-		if seen > allow {
-			c.finalizeRec(ts, true, rec.head)
+			// A revisit closes the chain: as a loop when it is the head.
+			c.finalizeRec(ts, b.start == rec.head, b.start)
 			return
 		}
-	} else if seen > allow {
-		c.finalizeRec(ts, false, b.start)
-		return
 	}
 	if len(rec.blocks) >= traceMaxBlocks {
 		c.finalizeRec(ts, false, b.start)
@@ -662,41 +629,6 @@ func (c *CPU) recCheck(ts *traceState, bi int, b *vmBlock) {
 		hb := int(c.code.blockOf[rec.head])
 		ts.heat[hb] = 0
 		ts.byBlock[hb] = traceDead
-	}
-}
-
-// maybeDeopt retires a trace whose side-exit rate shows the recorded path
-// went cold: the head returns to the heat-counting pool (and eventually the
-// blacklist if reformation keeps failing). A loop trace exits once per
-// activation by construction — its terminating branch is a side exit — so
-// the cold signal there is failing to complete even one revolution per
-// entry (iters < exits), not the raw exit share, which for a short
-// trip-count loop is high even when the trace is profitable.
-func (ts *traceState) maybeDeopt(tr *vmTrace) {
-	entries := tr.iters + tr.exits
-	if entries < traceDeoptMinEntries {
-		return
-	}
-	hb := int(tr.headBlock)
-	if tr.loop {
-		// A loop trace exits once per activation by construction, so the
-		// raw exit share is misleading: even a trip-2 loop (iters ≈ exits)
-		// beats block dispatch, since the exiting revolution's body still
-		// retires in-trace. Deopt only when activations usually leave
-		// before half a revolution — the recorded path went genuinely cold.
-		if tr.iters*2 >= tr.exits {
-			return
-		}
-	} else if tr.exits*10 <= entries*6 {
-		return
-	}
-	if ts.byBlock[hb] == tr.slot {
-		// The whole tree retires with the root; a reformed trace starts
-		// over as a plain superblock and regrows children on demand.
-		ts.byBlock[hb] = traceNone
-		ts.heat[hb] = 0
-		ts.noteFail(hb)
-		ts.deopts++
 	}
 }
 
@@ -981,24 +913,12 @@ func (c *CPU) lowerBlocks(ops []uop, blocks []int32, taken []bool, baseK int32, 
 	return ops, cum, true
 }
 
-// guardFail counts a failed child formation at a fork guard: exponential
-// backoff on the growth threshold, mirroring noteFail for trace heads. A
-// guard that exhausts traceMaxAttempts stops trying permanently (its plain
-// side exit stays exact; only the optimization is given up).
-func guardFail(u *uop) {
-	if u.d < traceMaxAttempts {
-		u.d++
-	}
-	u.imm2 = 0
-}
-
-// failChild abandons an active alternate-arm recording with per-guard
-// backoff.
+// failChild abandons an active alternate-arm recording; the fork guard
+// counts its side exits from zero again.
 func (c *CPU) failChild(ts *traceState) {
 	rec := &ts.rec
 	rec.active, rec.child = false, false
-	tr := ts.traces[rec.parent]
-	guardFail(&tr.ops[rec.parentOp])
+	ts.traces[rec.parent].ops[rec.parentOp].imm2 = 0
 }
 
 // attachChild closes an alternate-arm recording that reached its rejoin
@@ -1016,7 +936,7 @@ func (c *CPU) attachChild(ts *traceState, tail bool) {
 // a loop trace, a straight exit to the root's continuation, or (tail) a
 // computed-exit ret. The combined path is registered with the observer
 // under a fresh observation id and the guard becomes a fork into the
-// segment. Lowering failure takes formation backoff at the guard instead.
+// segment. Lowering failure restarts the guard's count instead.
 func (c *CPU) attachChildSeg(ts *traceState, tr *vmTrace, forkOp int32, blocks []int32, taken []bool, tail bool) {
 	fork := &tr.ops[forkOp]
 	if tr.paths == nil {
@@ -1039,7 +959,7 @@ func (c *CPU) attachChildSeg(ts *traceState, tr *vmTrace, forkOp int32, blocks [
 	}
 	ops, cum, ok := c.lowerBlocks(tr.ops, blocks, taken, int32(k+1), fork.cum, newIdx, cont, tail, treeMaxOps)
 	if !ok {
-		guardFail(fork)
+		fork.imm2 = 0
 		return
 	}
 	if !tail {
@@ -1069,17 +989,18 @@ func (c *CPU) attachChildSeg(ts *traceState, tr *vmTrace, forkOp int32, blocks [
 	ts.treeNodes++
 }
 
-// growChild runs after a uJcc side exit from a still-live trace: it counts
-// the exit against the guard and, past the backoff-scaled threshold, starts
-// recording the alternate path — or attaches it immediately when the exit
-// jumps straight to the rejoin point (an empty arm).
+// growChild runs after a uJcc side exit: it counts the exit against the
+// guard and, at the threshold, starts recording the alternate path — or
+// attaches it immediately when the exit jumps straight to the rejoin point
+// (an empty arm). A formation that fails or cannot start (a full tree
+// included) restarts the guard's count.
 func (c *CPU) growChild(ts *traceState, tr *vmTrace, exitOp int32) {
 	u := &tr.ops[exitOp]
-	if u.child != 0 || u.d >= traceMaxAttempts {
+	if u.child != 0 {
 		return
 	}
 	u.imm2++
-	if u.imm2 < treeGrowThreshold<<u.d {
+	if u.imm2 < treeGrowThreshold {
 		return
 	}
 	nodes := len(tr.paths)
@@ -1087,8 +1008,7 @@ func (c *CPU) growChild(ts *traceState, tr *vmTrace, exitOp int32) {
 		nodes = 1
 	}
 	if nodes >= treeMaxNodes || len(tr.ops) >= treeMaxOps {
-		// Tree is full: stop counting at this guard for good.
-		u.d = traceMaxAttempts
+		u.imm2 = 0
 		return
 	}
 	stop := tr.head
@@ -1102,13 +1022,13 @@ func (c *CPU) growChild(ts *traceState, tr *vmTrace, exitOp int32) {
 	}
 	code := c.code
 	if target < 0 || target >= len(code.blockOf) {
-		guardFail(u)
+		u.imm2 = 0
 		return
 	}
 	bi := int(code.blockOf[target])
 	if int(code.blocks[bi].start) != target {
 		// A mid-block exit target cannot anchor an arm recording.
-		guardFail(u)
+		u.imm2 = 0
 		return
 	}
 	rec := &ts.rec
@@ -1597,7 +1517,6 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 				// address is the iteration's computed exit, not a guard
 				// failure.
 				c.pc = int(v)
-				tr.iters++
 				ts.iters++
 				if u.pathIdx != 0 {
 					ts.treeIters++
@@ -2023,7 +1942,6 @@ func (c *CPU) execUops(uops []uop, tr *vmTrace, ts *traceState, maxInstrs int64,
 
 		case uEnd:
 			iterDone := iterBase + u.cum
-			tr.iters++
 			ts.iters++
 			if u.pathIdx != 0 {
 				ts.treeIters++
@@ -2093,18 +2011,15 @@ out:
 	c.executed = final
 	ts.instrs += uint64(final - entry)
 	if exited {
-		tr.exits++
 		ts.exits++
 		if st != nil {
 			st.traceExit(tr.pathID(exitPath), int(exitK), measured, addrs)
 		} else {
 			charge(hier, addrs)
 		}
-		ts.maybeDeopt(tr)
-		if exitOp >= 0 && !ts.rec.active &&
-			ts.byBlock[tr.headBlock] == tr.slot {
-			// A guard exit from a still-live trace: count it toward
-			// growing the alternate path as a child.
+		if exitOp >= 0 && !ts.rec.active {
+			// A guard exit: count it toward growing the alternate path as
+			// a child.
 			c.growChild(ts, tr, exitOp)
 		}
 	}

@@ -2,10 +2,11 @@ package vm_test
 
 // Trace-dispatch behavior tests: superblock formation and residency, exact
 // instruction-budget accounting, mid-superblock cancellation with correct
-// architectural state, and deoptimization/reformation when the recorded
-// path goes cold. The byte-identity of trace-mode *reports* is covered by
-// the four-way differentials (equivalence_test.go here, threeway_test.go in
-// pentium); these tests pin the dispatcher's control surface.
+// architectural state, and trace-tree growth when the recorded path goes
+// cold or a guard stays biased. The byte-identity of trace-mode *reports*
+// is covered by the four-way differentials (equivalence_test.go here,
+// threeway_test.go in pentium); these tests pin the dispatcher's control
+// surface.
 
 import (
 	"bytes"
@@ -138,15 +139,15 @@ func TestTracePollCancellation(t *testing.T) {
 	compareMachineState(t, gen, trc)
 }
 
-// TestTraceDeoptReformation drives a loop through a phase change: a
+// TestTracePhaseChange drives a loop through a phase change: a
 // flag-controlled branch goes one way long enough for a superblock to form,
-// then permanently flips, turning every trace entry into a side exit. The
-// dispatcher must deoptimize the cold trace and form a fresh one on the new
-// path, and the final machine state must still match the generic
-// interpreter.
-func TestTraceDeoptReformation(t *testing.T) {
+// then permanently flips, turning every root-path entry into a side exit.
+// The formed trace stays; its guard grows the new path as a tree child that
+// iterations then complete through, and the final machine state must still
+// match the generic interpreter.
+func TestTracePhaseChange(t *testing.T) {
 	build := func() *asm.Program {
-		b := asm.NewBuilder("deopt")
+		b := asm.NewBuilder("phase")
 		b.Dwords("data", make([]int32, 64))
 		b.Dwords("flag", []int32{0})
 		b.I(isa.MOV, asm.R(isa.EDX), asm.Imm(300))
@@ -184,8 +185,8 @@ func TestTraceDeoptReformation(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := trc.TraceStats()
-	if st.Formed < 2 {
-		t.Errorf("phase change should deoptimize and reform: stats %+v", st)
+	if st.TreeIters == 0 {
+		t.Errorf("phase change should complete iterations via a tree child: stats %+v", st)
 	}
 	if st.Exits == 0 {
 		t.Errorf("phase change should side-exit: stats %+v", st)
@@ -204,9 +205,8 @@ func TestTraceDeoptReformation(t *testing.T) {
 
 // traceTreeProg is a nested loop whose inner body takes a rare arm on every
 // eighth iteration — the biased-branch shape that makes a superblock's
-// guard fail persistently but below the deopt threshold, so the dispatcher
-// grows the alternate path as a trace-tree child instead of retiring the
-// trace.
+// guard fail persistently, so the dispatcher grows the alternate path as a
+// trace-tree child.
 func traceTreeProg(outer int) *asm.Program {
 	b := asm.NewBuilder("tracetree")
 	b.Dwords("data", make([]int32, 64))
@@ -232,9 +232,9 @@ func traceTreeProg(outer int) *asm.Program {
 	return b.MustLink()
 }
 
-// TestTraceTreeGrowth checks that a biased guard grows a child path rather
-// than deopting, that iterations then complete through the tree, and that
-// the final machine state still matches the per-instruction loop.
+// TestTraceTreeGrowth checks that a biased guard grows a child path, that
+// iterations then complete through the tree, and that the final machine
+// state still matches the per-instruction loop.
 func TestTraceTreeGrowth(t *testing.T) {
 	trc := vm.NewWithCode(vm.Compile(traceTreeProg(256)))
 	trc.Traces = true
@@ -341,9 +341,8 @@ func TestTraceTreePollCancellation(t *testing.T) {
 
 // TestTraceTreeGuardFlapping drives a guard that flips direction every
 // outer pass: whole passes go one way, then the other, so neither arm ever
-// goes cold. The side-exit governor must not thrash deopt/reform cycles —
-// the tree absorbs the alternate arm — and the final state must match the
-// generic interpreter.
+// goes cold. The tree absorbs the alternate arm, and the final state must
+// match the generic interpreter.
 func TestTraceTreeGuardFlapping(t *testing.T) {
 	build := func() *asm.Program {
 		b := asm.NewBuilder("flap")

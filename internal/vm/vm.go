@@ -208,9 +208,6 @@ func (c *CPU) FPReg(r isa.Reg) float64 { return c.fp[r.FPIndex()] }
 // instruction that retired.
 func (c *CPU) Executed() int64 { return c.executed }
 
-// Halted reports whether the program executed HALT.
-func (c *CPU) Halted() bool { return c.halted }
-
 // budgetFault produces the budget-exhaustion error, formatted like a
 // fault but wrapping ErrBudget so callers can classify it. Both drivers
 // raise it through here, keeping the text identical across modes (the

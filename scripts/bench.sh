@@ -33,12 +33,12 @@ echo "==> mmxbench -j $jobs -bench-json $out"
 echo "==> $out"
 grep -E '"(geomean|aggregate)_instrs_per_sec"|"suite_wall_seconds"' "$out"
 # Trace-tier coverage per program: superblocks formed, trace-tree child
-# paths grown, governor deopts, side-exit rate.
-echo "    program        traces  tree  deopts  side-exit%"
+# paths grown, side-exit rate.
+echo "    program        traces  tree  side-exit%"
 jq -r '.programs[] |
     [.program, .traces_formed // 0, .tree_nodes // 0,
-     .trace_deopts // 0, (.side_exit_pct // 0 | . * 10 | round / 10)] |
+     (.side_exit_pct // 0 | . * 10 | round / 10)] |
     @tsv' "$out" |
-while IFS=$'\t' read -r prog tf tn td se; do
-    printf '    %-14s %5d %5d %6d %10s\n' "$prog" "$tf" "$tn" "$td" "$se"
+while IFS=$'\t' read -r prog tf tn se; do
+    printf '    %-14s %5d %5d %10s\n' "$prog" "$tf" "$tn" "$se"
 done

@@ -12,6 +12,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# gofmt first: vet and build both accept a misaligned struct field.
+echo "==> gofmt -l ."
+test -z "$(gofmt -l .)"
+
 echo "==> go vet ./..."
 go vet ./...
 
@@ -111,9 +115,11 @@ go test -run '^$' -fuzz FuzzISAOracle -fuzztime 5s ./internal/vm >/dev/null
 # shrinks it) runs every MMX opcode and operand shape through the three
 # paths against the independent per-lane model, and the ISA oracle
 # (TestISAOracle; -short shrinks it too) every opcode and operand shape,
-# faults included, against the independent reference interpreter.
-echo "==> go test -race -run 'TestDispatchModesAgree|TestDispatchThreeWay|TestStream|TestSharedCodeConcurrentRuns|TestFaultStateMatchesAcrossPaths|TestMMXOracle|TestISAOracle' ./internal/vm ./internal/pentium"
-go test -race -run 'TestDispatchModesAgree|TestDispatchThreeWay|TestStream|TestSharedCodeConcurrentRuns|TestFaultStateMatchesAcrossPaths|TestMMXOracle|TestISAOracle' ./internal/vm ./internal/pentium
+# faults included, against the independent reference interpreter. The
+# trace tests (TestTrace*) are the ones that grow trace trees on hand-built
+# programs, forking into and mutating each trace's own guards.
+echo "==> go test -race -run 'TestDispatchModesAgree|TestDispatchThreeWay|TestStream|TestSharedCodeConcurrentRuns|TestFaultStateMatchesAcrossPaths|TestMMXOracle|TestISAOracle|TestTrace' ./internal/vm ./internal/pentium"
+go test -race -run 'TestDispatchModesAgree|TestDispatchThreeWay|TestStream|TestSharedCodeConcurrentRuns|TestFaultStateMatchesAcrossPaths|TestMMXOracle|TestISAOracle|TestTrace' ./internal/vm ./internal/pentium
 
 # Smoke-run the trace-dispatch benchmark for a single iteration so
 # inner-loop regressions that only bite under benchmarking surface here.
